@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 
 from .errors import ParseError, ValidationError
-from .lexer import tokenize
 from .schema import Table, TableSchema, check_referential_integrity, check_row
 from .staging import DEFAULT_TIMESTAMP, LineageEvent, QRow, StagingArea
 from .values import (
@@ -462,10 +461,6 @@ class CleanseReport:
         return "\n".join(lines) + "\n"
 
 
-def total_cells_changed(report: CleanseReport) -> int:
-    return sum(r["cells_changed"] for s in report.tables.values() for r in s["rules"])
-
-
 def cleanse_staging(
     staging: StagingArea,
     rules: list[CleanseRule],
@@ -525,58 +520,15 @@ def cleanse_staging(
 
 
 def parse_rules(text: str) -> list[CleanseRule]:
-    """Rules file: CLEAN statements in the plan DSL's surface grammar."""
-    tokens = tokenize(text)
+    """Rules file: CLEAN statements, parsed by the plan parser."""
+    from .plan import Clean, parse_plan, pretty_stmt  # plan imports this module
+
     rules: list[CleanseRule] = []
-    pos = 0
-
-    def expect(cond: bool, what: str):
-        tok = tokens[pos]
-        if not cond:
-            raise ParseError(f"expected {what}, found {tok.describe()}", tok.line, tok.column)
-
-    while tokens[pos].kind != "eof":
-        tok = tokens[pos]
-        expect(tok.kind == "kw" and tok.norm == "CLEAN", "CLEAN")
-        pos += 1
-        expect(tokens[pos].kind == "ident", "table name")
-        table = tokens[pos].lexeme
-        pos += 1
-        expect(tokens[pos].kind == "symbol" and tokens[pos].lexeme == ".", "'.'")
-        pos += 1
-        expect(tokens[pos].kind == "ident", "column name")
-        column = tokens[pos].lexeme
-        pos += 1
-        expect(tokens[pos].kind == "kw" and tokens[pos].norm == "WITH", "WITH")
-        pos += 1
-        expect(tokens[pos].kind == "ident", "rule kind")
-        kind_tok = tokens[pos]
-        kind = kind_tok.lexeme
-        pos += 1
-        args: list = []
-        if tokens[pos].kind == "symbol" and tokens[pos].lexeme == "(":
-            pos += 1
-            while True:
-                tok = tokens[pos]
-                if tok.kind == "number":
-                    args.append(make_decimal(tok.lexeme) if "." in tok.lexeme else int(tok.lexeme))
-                elif tok.kind == "string":
-                    args.append(tok.lexeme)
-                elif tok.kind == "kw" and tok.norm in ("TRUE", "FALSE", "NULL"):
-                    args.append({"TRUE": True, "FALSE": False, "NULL": None}[tok.norm])
-                else:
-                    raise ParseError(f"expected literal, found {tok.describe()}", tok.line, tok.column)
-                pos += 1
-                if tokens[pos].kind == "symbol" and tokens[pos].lexeme == ",":
-                    pos += 1
-                    continue
-                expect(tokens[pos].kind == "symbol" and tokens[pos].lexeme == ")", "')'")
-                pos += 1
-                break
-        expect(tokens[pos].kind == "symbol" and tokens[pos].lexeme == ";", "';'")
-        pos += 1
+    for stmt in parse_plan(text).statements:
+        if not isinstance(stmt, Clean):
+            raise ParseError(f"a rules file holds only CLEAN statements, found {pretty_stmt(stmt)!r}", stmt.line)
         try:
-            rules.append(make_rule(table, column, kind, tuple(args)))
+            rules.append(make_rule(stmt.table, stmt.name, stmt.kind, stmt.args))
         except ValueError as exc:
-            raise ValidationError(f"line {kind_tok.line}: {exc}") from exc
+            raise ValidationError(f"line {stmt.line}: {exc}") from exc
     return rules

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import shutil
 import sys
-import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -181,21 +179,13 @@ def _cmd_build(args) -> int:
 
     plan_hash = sha256_hex(pretty_plan(plan).encode("utf-8"))
     source_hash = staging_fingerprint(transformed)
-    # build into a scratch sibling, then move: a failed build leaves nothing
-    out.parent.mkdir(parents=True, exist_ok=True)
-    scratch = Path(tempfile.mkdtemp(prefix=f".{out.name}-partial-", dir=out.parent))
-    try:
-        target = scratch / "wh"
-        load(target, snowflake, transformed, timestamp=args.timestamp, plan_hash=plan_hash, source_hash=source_hash)
-        if args.keep_staging:
-            staging_dir = Path(args.keep_staging)
-            _guard_writable(staging_dir)
-            dump_staging(transformed, staging_dir)
-        if out.exists():
-            out.rmdir()
-        target.replace(out)
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
+    # staging first: a refused --keep-staging directory stops the build
+    # before the warehouse exists
+    if args.keep_staging:
+        staging_dir = Path(args.keep_staging)
+        _guard_writable(staging_dir)
+        dump_staging(transformed, staging_dir)
+    load(out, snowflake, transformed, timestamp=args.timestamp, plan_hash=plan_hash, source_hash=source_hash)
     quarantined = sum(len(q.rows) for q in transformed.quarantine.values())
     print(
         f"warehouse ready at {out}: {len(snowflake.relation_names())} relations, "

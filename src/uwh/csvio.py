@@ -80,7 +80,3 @@ def format_field(text: str, force_quote: bool = False) -> str:
 
 def format_row(fields: list[Field]) -> str:
     return ",".join(format_field(t, q) for t, q in fields)
-
-
-def format_csv(rows: list[list[Field]]) -> str:
-    return "".join(format_row(r) + "\n" for r in rows)

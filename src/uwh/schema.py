@@ -8,7 +8,7 @@ fatal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .values import RawCell, ValueType, is_identifier, value_tag
 
@@ -172,26 +172,6 @@ def check_row(schema: TableSchema, row: tuple, *, allow_raw: bool = False) -> Ro
     return None
 
 
-def validate_table(table: Table, *, allow_raw: bool = False, check_pk: bool = True) -> list[Diagnostic]:
-    """Row conformance plus primary-key uniqueness for a whole table."""
-    diags: list[Diagnostic] = []
-    for i, row in enumerate(table.rows):
-        issue = check_row(table.schema, row, allow_raw=allow_raw)
-        if issue is not None:
-            diags.append(Diagnostic(table.name, issue.column, f"row {i}: {issue.reason}"))
-    if check_pk:
-        seen: dict[tuple, int] = {}
-        for i, row in enumerate(table.rows):
-            if len(row) != len(table.schema.columns):
-                continue
-            key = table.pk_of(row)
-            if key in seen:
-                diags.append(Diagnostic(table.name, None, f"rows {seen[key]} and {i} share primary key {key!r}"))
-            else:
-                seen[key] = i
-    return diags
-
-
 @dataclass(frozen=True)
 class OrphanEntry:
     table: str
@@ -241,7 +221,3 @@ def check_referential_integrity(staging) -> OrphanReport:
                 if key not in present:
                     report.entries.append(OrphanEntry(table.name, label, n, key))
     return report
-
-
-def schema_of_tables(tables: Iterable[Table]) -> DatabaseSchema:
-    return DatabaseSchema({t.name: t.schema for t in tables})

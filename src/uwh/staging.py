@@ -13,13 +13,18 @@ On disk a staging dump is a directory::
     lineage.log            one event per line, tab-separated
     meta.json              fact/dimension declarations and stage reports
 
-Dumps are byte-deterministic given the same staging contents.
+Dumps are byte-deterministic given the same staging contents, and are
+written all or nothing by ``write_dir_atomically``, which the warehouse
+loader uses too.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -151,13 +156,46 @@ def dumps_staging(staging: StagingArea) -> dict[str, str]:
     return files
 
 
+def write_dir_atomically(files: dict[str, bytes], out: Path) -> None:
+    """Make directory ``out`` hold exactly ``files`` ({relative path: bytes}).
+
+    The files are written to a sibling ``.<name>-partial-*`` directory,
+    which is then renamed to ``out``; an existing ``out`` is swapped out
+    and removed. On any failure ``out`` is left as it was and the sibling
+    is removed. Callers decide whether an existing ``out`` may be replaced.
+    """
+    out = Path(os.path.abspath(out))  # so that "." has a name and a parent
+    out.parent.mkdir(parents=True, exist_ok=True)
+    scratch = Path(tempfile.mkdtemp(prefix=f".{out.name}-partial-", dir=out.parent))
+    try:
+        new = scratch / "new"
+        new.mkdir()
+        for rel, data in files.items():
+            path = new / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(data)
+        if out.exists():
+            old = scratch / "old"
+            out.replace(old)
+            try:
+                new.replace(out)
+            except BaseException:
+                old.replace(out)
+                raise
+        else:
+            new.replace(out)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+
+
 def dump_staging(staging: StagingArea, out_dir: Path) -> None:
+    """Write the staging dump to ``out_dir`` atomically. Only an absent or
+    empty directory, or an earlier staging dump, may be replaced."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for rel, content in dumps_staging(staging).items():
-        path = out_dir / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(content, encoding="utf-8", newline="\n")
+    if out_dir.exists() and not (out_dir / "schema.manifest").is_file() and any(out_dir.iterdir()):
+        raise ValidationError(f"refusing to replace non-empty directory {out_dir}: it is not a staging dump")
+    files = {rel: text.encode("utf-8") for rel, text in dumps_staging(staging).items()}
+    write_dir_atomically(files, out_dir)
 
 
 def staging_fingerprint(staging: StagingArea) -> str:

@@ -16,10 +16,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .csvio import format_field, parse_csv
-from .errors import IntegrityError, MissingInputError, ParseError, ReadOnlyError, ValidationError
+from .errors import IntegrityError, MissingInputError, ParseError, PlanParseError, ReadOnlyError, ValidationError
 from .lexer import tokenize
+from .plan import _ORDERED_TYPES, _Parser
 from .schema import ColumnDef, Table, TableSchema
-from .staging import StagingArea, render_table_csv
+from .staging import StagingArea, render_table_csv, write_dir_atomically
 from .values import DEC4, RawCell, ValueType, make_decimal, parse_iso_date, render_cell, value_tag
 
 from decimal import Decimal
@@ -29,7 +30,6 @@ FORMAT_VERSION = 1
 
 AGGREGATES = ("COUNT", "SUM", "AVG", "MIN", "MAX")
 _FILTER_OPS = ("=", "<>", "<", "<=", ">", ">=")
-_ORDERED_TYPES = (ValueType.INTEGER, ValueType.DECIMAL, ValueType.TEXT, ValueType.DATE)
 
 
 def sha256_hex(data: bytes) -> str:
@@ -280,7 +280,7 @@ def load(
     source_hash: str = "",
 ) -> dict:
     """Persist the snowflake relations, their indexes, and the frozen
-    catalog. Refuses to write into a non-empty directory."""
+    catalog, all or nothing. Refuses to write into a non-empty directory."""
     out_dir = Path(out_dir)
     if (out_dir / CATALOG_NAME).exists():
         raise ReadOnlyError(f"{out_dir} already holds a warehouse catalog; it is frozen and cannot be rewritten")
@@ -307,12 +307,12 @@ def load(
                     f"fact row {n} has dangling dimension key {tuple(map(render_cell, key))} into {dim.name}"
                 )
 
-    out_dir.mkdir(parents=True, exist_ok=True)
+    files: dict[str, bytes] = {}
     relations_meta = []
     for name in snowflake.relation_names():
         table = tables[name]
         data = render_table_csv(table).encode("utf-8")
-        (out_dir / f"{name}.csv").write_bytes(data)
+        files[f"{name}.csv"] = data
         relations_meta.append(
             {
                 "name": name,
@@ -331,7 +331,7 @@ def load(
         index = build_index(tables[relation], columns, kind, unique=unique)
         fname = f"{relation}.{'+'.join(columns)}.idx"
         data = render_index(index).encode("utf-8")
-        (out_dir / fname).write_bytes(data)
+        files[fname] = data
         indexes_meta.append(
             {
                 "relation": relation,
@@ -363,7 +363,8 @@ def load(
         "self_checksum": "",
     }
     catalog["self_checksum"] = sha256_hex(canonical_json(catalog).encode("utf-8"))
-    (out_dir / CATALOG_NAME).write_text(canonical_json(catalog), encoding="utf-8")
+    files[CATALOG_NAME] = canonical_json(catalog).encode("utf-8")
+    write_dir_atomically(files, out_dir)
     return catalog
 
 
@@ -401,56 +402,41 @@ def parse_measure(text: str) -> Measure:
         return Measure("COUNT", None)
     bad = ParseError(f"bad measure {text!r}: expected AGG(column) or COUNT(*)")
     try:
-        tokens = tokenize(text)
+        p = _Parser(tokenize(text))
+        agg = p.expect_ident().lexeme.upper()
+        p.expect_symbol("(")
+        column = _attribute(p)
+        p.expect_symbol(")")
     except ParseError:
         raise bad from None
-    if not tokens or tokens[0].kind not in ("ident", "kw"):
+    if agg not in AGGREGATES or p.peek().kind != "eof":
         raise bad
-    agg = tokens[0].lexeme.upper()
-    if agg not in AGGREGATES:
-        raise bad
-    lexemes = [t.lexeme for t in tokens[1:-1]]
-    kinds = [t.kind for t in tokens[1:-1]]
-    if lexemes[:1] != ["("] or lexemes[-1:] != [")"] or tokens[-1].kind != "eof":
-        raise bad
-    inner_lex, inner_kind = lexemes[1:-1], kinds[1:-1]
-    if len(inner_lex) == 1 and inner_kind[0] == "ident":
-        return Measure(agg, inner_lex[0])
-    if len(inner_lex) == 3 and inner_kind == ["ident", "symbol", "ident"] and inner_lex[1] == ".":
-        return Measure(agg, f"{inner_lex[0]}.{inner_lex[2]}")
-    raise bad
+    return Measure(agg, column)
 
 
 def parse_filter(text: str) -> Filter:
-    tokens = tokenize(text)
-    pos = 0
-    if tokens[pos].kind != "ident":
-        raise ParseError(f"bad filter {text!r}: expected an attribute name")
-    attr = tokens[pos].lexeme
-    pos += 1
-    if tokens[pos].kind == "symbol" and tokens[pos].lexeme == ".":
-        pos += 1
-        if tokens[pos].kind != "ident":
-            raise ParseError(f"bad filter {text!r}: expected column after '.'")
-        attr = f"{attr}.{tokens[pos].lexeme}"
-        pos += 1
-    if tokens[pos].kind != "symbol" or tokens[pos].lexeme not in _FILTER_OPS:
-        raise ParseError(f"bad filter {text!r}: expected one of {_FILTER_OPS}")
-    op = tokens[pos].lexeme
-    pos += 1
-    tok = tokens[pos]
-    if tok.kind == "number":
-        value: object = make_decimal(tok.lexeme) if "." in tok.lexeme else int(tok.lexeme)
-    elif tok.kind == "string":
-        value = tok.lexeme
-    elif tok.kind == "kw" and tok.norm in ("TRUE", "FALSE", "NULL"):
-        value = {"TRUE": True, "FALSE": False, "NULL": None}[tok.norm]
-    else:
-        raise ParseError(f"bad filter {text!r}: expected a literal")
-    pos += 1
-    if tokens[pos].kind != "eof":
-        raise ParseError(f"bad filter {text!r}: trailing tokens")
+    p = _Parser(tokenize(text))
+    try:
+        attr = _attribute(p)
+        op = p.peek().lexeme
+        if op not in _FILTER_OPS:
+            raise p.error(f"one of {_FILTER_OPS}")
+        p.expect_symbol(op)
+        value = p.literal()
+        if p.peek().kind != "eof":
+            raise p.error("end of filter")
+    except PlanParseError as exc:
+        raise ParseError(f"bad filter {text!r}: {exc.raw_message}") from None
     return Filter(attr, op, value)
+
+
+def _attribute(p: _Parser) -> str:
+    """``column`` or ``relation.column``."""
+    name = p.expect_ident().lexeme
+    if p.at_symbol("."):
+        p.advance()
+        name += "." + p.expect_ident().lexeme
+    return name
 
 
 def _coerce_filter_value(value, vtype: ValueType):
@@ -814,7 +800,7 @@ def _load_relation(path: Path, schema: TableSchema) -> Table:
     return Table(schema, rows)
 
 
-def open_warehouse(directory: Path, *, verify_indexes: bool = True) -> Warehouse:
+def open_warehouse(directory: Path) -> Warehouse:
     """Verify every checksum, load relations and indexes, and hand back a
     read-only view. A missing index sidecar is rebuilt from data with a
     notice; any other discrepancy is an integrity error naming the file."""
@@ -868,7 +854,7 @@ def open_warehouse(directory: Path, *, verify_indexes: bool = True) -> Warehouse
         if sha256_hex(data) != entry["checksum"]:
             raise IntegrityError(f"checksum mismatch in {entry['file']}")
         index = parse_index(data.decode("utf-8"), entry, table.schema)
-        if verify_indexes and index.entries != rebuilt.entries:
+        if index.entries != rebuilt.entries:
             raise IntegrityError(f"index {entry['file']} disagrees with relation data")
         indexes[key] = index
 

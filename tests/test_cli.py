@@ -61,6 +61,34 @@ def test_stagewise_pipeline_matches_build(tmp_path, cli_dirs, capsys):
     assert a["dimensions"] == b["dimensions"]
 
 
+def test_inplace_stages_leave_only_dumped_files(tmp_path, cli_dirs, capsys):
+    from uwh.staging import dumps_staging, load_staging
+
+    _, src, _ = cli_dirs
+    staging = tmp_path / "staging"
+    assert _run(capsys, "extract", "--src", str(src), "--out", str(staging), "--timestamp", TS)[0] == 0
+    assert _run(capsys, "cleanse", "--staging", str(staging), "--timestamp", TS)[0] == 0
+    assert _run(capsys, "transform", "--staging", str(staging), "--timestamp", TS)[0] == 0
+    on_disk = {p.relative_to(staging).as_posix() for p in staging.rglob("*") if p.is_file()}
+    assert on_disk == set(dumps_staging(load_staging(staging)))
+    assert [p.name for p in tmp_path.iterdir()] == ["staging"]
+
+
+def test_stage_refuses_non_empty_directory_that_is_not_staging(tmp_path, cli_dirs, capsys):
+    _, src, _ = cli_dirs
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("keep me\n")
+    code, _, err = _run(capsys, "extract", "--src", str(src), "--out", str(out), "--timestamp", TS)
+    assert code == 1 and "not a staging dump" in err
+    wh = tmp_path / "wh"
+    code, _, err = _run(capsys, "build", "--src", str(src), "--out", str(wh), "--keep-staging", str(out))
+    assert code == 1 and "not a staging dump" in err
+    assert not wh.exists()
+    assert [p.name for p in out.iterdir()] == ["notes.txt"]
+    assert (out / "notes.txt").read_text() == "keep me\n"
+
+
 def test_build_produces_eight_relations(cli_dirs):
     _, _, wh = cli_dirs
     catalog = json.loads((wh / "catalog.json").read_text())
@@ -206,6 +234,16 @@ def test_bad_plan_exits_three(cli_dirs, tmp_path, capsys):
     bad_plan.write_text("MERGE a, b INTO ;")
     code, _, err = _run(capsys, "transform", "--staging", str(staging), "--plan", str(bad_plan))
     assert code == 3 and "line 1" in err
+
+
+def test_rules_file_with_non_clean_statement_exits_three(cli_dirs, tmp_path, capsys):
+    _, src, _ = cli_dirs
+    staging = tmp_path / "s"
+    assert run(["extract", "--src", str(src), "--out", str(staging), "--timestamp", TS]) == 0
+    rules = tmp_path / "bad.rules"
+    rules.write_text("CLEAN student.st_name WITH trim ;\nFACT t ;\n")
+    code, _, err = _run(capsys, "cleanse", "--staging", str(staging), "--rules", str(rules))
+    assert code == 3 and "line 2" in err and "FACT" in err
 
 
 def test_bad_manifest_exits_three(tmp_path, capsys):

@@ -17,7 +17,6 @@ from uwh.schema import (
     check_referential_integrity,
     check_row,
     validate_schema,
-    validate_table,
 )
 from uwh.values import RawCell, ValueType, make_decimal
 
@@ -133,11 +132,6 @@ def test_referential_integrity_matches_nested_loop_oracle(seed42_staging):
     got = {(e.table, e.fk, e.row_index) for e in report.entries}
     assert got == orphan_rows_nested_loop(seed42_staging.tables)
     assert got, "seed-42 dirty staging should contain orphans before reconciliation"
-
-
-def test_validate_table_primary_key_uniqueness():
-    t = Table(ITEM, [(1, "a"), (1, "b")])
-    assert any("share primary key" in d.message for d in validate_table(t))
 
 
 _cells = {
