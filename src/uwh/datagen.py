@@ -26,6 +26,7 @@ from pathlib import Path
 from .canonical import canonical_schema
 from .csvio import format_row, parse_csv
 from .errors import MissingInputError, ValidationError
+from .staging import write_dir_atomically
 from .values import make_decimal, render_cell
 
 LEDGER_FILE = "dirt_ledger.csv"
@@ -487,10 +488,13 @@ def _inject_dirt(
 
 
 def generate(config: GenConfig, out_dir: Path) -> DirtLedger:
-    """Write all 14 CSVs plus the dirt ledger and a row-count manifest."""
+    """Write all 14 CSVs plus the dirt ledger and a row-count manifest,
+    atomically. Only an absent or empty directory, or an earlier gen
+    output (one holding the manifest), may be replaced."""
     config.validate()
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if out_dir.exists() and not (out_dir / MANIFEST_FILE).is_file() and any(out_dir.iterdir()):
+        raise ValidationError(f"refusing to replace non-empty directory {out_dir}: it is not gen output")
     rng = random.Random(config.seed)
     db = canonical_schema()
     typed = _build_rows(config, rng)
@@ -498,6 +502,7 @@ def generate(config: GenConfig, out_dir: Path) -> DirtLedger:
     grids = {name: [[render_cell(v) for v in row] for row in typed[name]] for name in db.tables}
     ledger, duplicates = _inject_dirt(config, rng, grids)
 
+    files: dict[str, bytes] = {}
     counts: dict[str, int] = {}
     for name, schema in db.tables.items():
         grid = grids[name]
@@ -512,10 +517,10 @@ def generate(config: GenConfig, out_dir: Path) -> DirtLedger:
             if i in dup_at:
                 lines.append(line)
                 emitted += 1
-        (out_dir / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        files[f"{name}.csv"] = ("\n".join(lines) + "\n").encode("utf-8")
         counts[name] = emitted
 
-    (out_dir / LEDGER_FILE).write_text(ledger.to_csv(), encoding="utf-8", newline="\n")
+    files[LEDGER_FILE] = ledger.to_csv().encode("utf-8")
     manifest = {
         "config": {
             "seed": config.seed,
@@ -527,5 +532,6 @@ def generate(config: GenConfig, out_dir: Path) -> DirtLedger:
         "row_counts": counts,
         "dirt_entries": len(ledger.entries),
     }
-    (out_dir / MANIFEST_FILE).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    files[MANIFEST_FILE] = (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    write_dir_atomically(files, out_dir)
     return ledger

@@ -22,7 +22,7 @@ from . import cleanse as cleanse_mod
 from .errors import ParseError, PlanParseError, PlanValidationError
 from .lexer import Token, tokenize
 from .schema import ColumnDef, DatabaseSchema, ForeignKey, TableSchema
-from .values import ValueType, decimal_text, make_decimal, parse_iso_date, render_cell, value_tag
+from .values import COMPARISONS, ValueType, decimal_text, make_decimal, parse_iso_date, render_cell, value_tag
 
 _POS = dict(default=0, compare=False, repr=False)
 
@@ -277,7 +277,7 @@ class _Parser:
     def cmp_expr(self) -> Expr:
         left = self.primary()
         tok = self.peek()
-        if tok.kind == "symbol" and tok.lexeme in ("=", "<>", "<", "<=", ">", ">="):
+        if tok.kind == "symbol" and tok.lexeme in COMPARISONS:
             self.advance()
             right = self.primary()
             return Cmp(tok.lexeme, left, right, tok.line, tok.column)

@@ -42,7 +42,7 @@ from .plan import (
 )
 from .schema import Table, TableSchema
 from .staging import DEFAULT_TIMESTAMP, LineageEvent, StagingArea
-from .values import ValueType, make_decimal
+from .values import COMPARISONS, ValueType, make_decimal
 
 
 def exec_drop(staging: StagingArea, name: str, *, timestamp: str = DEFAULT_TIMESTAMP) -> StagingArea:
@@ -195,24 +195,12 @@ def compile_expr(expr: Expr, schema: TableSchema):
     if isinstance(expr, Cmp):
         left = compile_expr(expr.left, schema)
         right = compile_expr(expr.right, schema)
-        op = expr.op
+        op = COMPARISONS[expr.op]
 
         def cmp(row, agg):
             a = left(row, agg)
             b = right(row, agg)
-            if a is None or b is None:
-                return False
-            if op == "=":
-                return a == b
-            if op == "<>":
-                return a != b
-            if op == "<":
-                return a < b
-            if op == "<=":
-                return a <= b
-            if op == ">":
-                return a > b
-            return a >= b
+            return a is not None and b is not None and op(a, b)
 
         return cmp
     if isinstance(expr, Logical):

@@ -12,6 +12,7 @@ repair it. Raw cells only ever appear in non-TEXT columns.
 
 from __future__ import annotations
 
+import operator
 import re
 from datetime import date
 from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
@@ -20,6 +21,16 @@ from enum import Enum
 DEC4 = Decimal("0.0001")
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
+
+# the six comparison operators of plans, rules and query filters
+COMPARISONS = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 

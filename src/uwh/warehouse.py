@@ -13,6 +13,7 @@ import bisect
 import hashlib
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 from .csvio import format_field, parse_csv
@@ -21,7 +22,7 @@ from .lexer import tokenize
 from .plan import _ORDERED_TYPES, _Parser
 from .schema import ColumnDef, Table, TableSchema
 from .staging import StagingArea, render_table_csv, write_dir_atomically
-from .values import DEC4, RawCell, ValueType, make_decimal, parse_iso_date, render_cell, value_tag
+from .values import COMPARISONS, DEC4, RawCell, ValueType, make_decimal, parse_iso_date, render_cell, value_tag
 
 from decimal import Decimal
 
@@ -29,7 +30,6 @@ CATALOG_NAME = "catalog.json"
 FORMAT_VERSION = 1
 
 AGGREGATES = ("COUNT", "SUM", "AVG", "MIN", "MAX")
-_FILTER_OPS = ("=", "<>", "<", "<=", ">", ">=")
 
 
 def sha256_hex(data: bytes) -> str:
@@ -167,6 +167,7 @@ class Index:
     unique: bool
     entries: dict[tuple, list[int]] = field(default_factory=dict)
     _sorted_keys: list[tuple] | None = field(default=None, repr=False)
+    _marks: list[tuple] | None = field(default=None, repr=False)  # _sort_key of each sorted key
 
     def lookup(self, key: tuple) -> list[int]:
         return list(self.entries.get(tuple(key), ()))
@@ -175,9 +176,10 @@ class Index:
         if self.kind != "ordered":
             raise ValidationError(f"index on {self.relation}({','.join(self.columns)}) does not support range scans")
         keys = self.sorted_keys()
-        marks = [_sort_key(k) for k in keys]
-        start = bisect.bisect_left(marks, _sort_key(tuple(lo)))
-        stop = bisect.bisect_right(marks, _sort_key(tuple(hi)))
+        if self._marks is None:
+            self._marks = [_sort_key(k) for k in keys]
+        start = bisect.bisect_left(self._marks, _sort_key(tuple(lo)))
+        stop = bisect.bisect_right(self._marks, _sort_key(tuple(hi)))
         out: list[int] = []
         for k in keys[start:stop]:
             out.extend(self.entries[k])
@@ -189,14 +191,24 @@ class Index:
         return self._sorted_keys
 
 
+def _key_getter(idxs: tuple[int, ...]):
+    """row -> the key tuple of the cells at positions ``idxs``."""
+    if len(idxs) == 1:
+        i = idxs[0]
+        return lambda row: (row[i],)
+    if idxs:
+        return itemgetter(*idxs)
+    return lambda row: ()
+
+
 def build_index(table: Table, columns: tuple[str, ...], kind: str, *, unique: bool = False) -> Index:
     """Map each key tuple to the ordinals a full scan would return."""
     if kind not in ("hash", "ordered"):
         raise ValidationError(f"unknown index kind {kind!r}")
-    idxs = tuple(table.schema.column_index(c) for c in columns)
+    key_of = _key_getter(tuple(table.schema.column_index(c) for c in columns))
     index = Index(table.name, tuple(columns), kind, unique)
     for n, row in enumerate(table.rows):
-        key = tuple(row[i] for i in idxs)
+        key = key_of(row)
         bucket = index.entries.get(key)
         if bucket is None:
             index.entries[key] = [n]
@@ -291,21 +303,24 @@ def load(
         if name not in tables:
             raise ValidationError(f"relation {name!r} is not in staging")
 
-    # star-join soundness: every fact key resolves before anything is written
-    fact = tables[snowflake.fact]
+    planned = [
+        (relation, columns, kind, unique, build_index(tables[relation], columns, kind, unique=unique))
+        for relation, columns, kind, unique in _index_plan(snowflake, tables)
+    ]
+    indexes = {(relation, columns): index for relation, columns, _, _, index in planned}
+    # star-join soundness: every fact key resolves before anything is written;
+    # a fact joins each arm on the dimension key, so its unique index decides
     for dim in snowflake.dimensions:
-        parent = snowflake.fact if dim.parent is None else dim.parent
-        if parent != snowflake.fact:
+        if dim.parent is not None:
             continue
-        key_idx = tuple(fact.schema.column_index(c) for c in dim.join_parent_columns)
-        dim_idx = tuple(tables[dim.name].schema.column_index(c) for c in dim.join_columns)
-        present = {tuple(r[i] for i in dim_idx) for r in tables[dim.name].rows}
-        for n, row in enumerate(fact.rows):
-            key = tuple(row[i] for i in key_idx)
-            if any(v is None for v in key) or key not in present:
-                raise ValidationError(
-                    f"fact row {n} has dangling dimension key {tuple(map(render_cell, key))} into {dim.name}"
-                )
+        present = indexes[dim.name, dim.join_columns].entries
+        fact_keys = indexes[snowflake.fact, dim.join_parent_columns].entries
+        dangling = [(ordinals[0], key) for key, ordinals in fact_keys.items() if None in key or key not in present]
+        if dangling:
+            n, key = min(dangling)
+            raise ValidationError(
+                f"fact row {n} has dangling dimension key {tuple(map(render_cell, key))} into {dim.name}"
+            )
 
     files: dict[str, bytes] = {}
     relations_meta = []
@@ -327,8 +342,7 @@ def load(
         )
 
     indexes_meta = []
-    for relation, columns, kind, unique in _index_plan(snowflake, tables):
-        index = build_index(tables[relation], columns, kind, unique=unique)
+    for relation, columns, kind, unique, index in planned:
         fname = f"{relation}.{'+'.join(columns)}.idx"
         data = render_index(index).encode("utf-8")
         files[fname] = data
@@ -419,8 +433,8 @@ def parse_filter(text: str) -> Filter:
     try:
         attr = _attribute(p)
         op = p.peek().lexeme
-        if op not in _FILTER_OPS:
-            raise p.error(f"one of {_FILTER_OPS}")
+        if op not in COMPARISONS:
+            raise p.error(f"one of {tuple(COMPARISONS)}")
         p.expect_symbol(op)
         value = p.literal()
         if p.peek().kind != "eof":
@@ -457,23 +471,12 @@ def _coerce_filter_value(value, vtype: ValueType):
     raise ValidationError(f"filter literal {value!r} does not match column type {vtype.value}")
 
 
-def _cmp_fn(op: str, literal):
-    def fn(v):
-        if v is None or literal is None:
-            return False
-        if op == "=":
-            return v == literal
-        if op == "<>":
-            return v != literal
-        if op == "<":
-            return v < literal
-        if op == "<=":
-            return v <= literal
-        if op == ">":
-            return v > literal
-        return v >= literal
-
-    return fn
+def _predicate(op: str, literal):
+    """Filter test on one cell; Null on either side compares false."""
+    compare = COMPARISONS[op]
+    if literal is None:
+        return lambda v: False
+    return lambda v: v is not None and compare(v, literal)
 
 
 class Warehouse:
@@ -485,7 +488,7 @@ class Warehouse:
         self.notices = list(notices)
         self._relations = relations
         self._indexes = indexes
-        self._edge_rows: dict = {}
+        self._joins: dict[tuple, Index] = {}  # star-join indexes by chain
 
     # --- inspection -------------------------------------------------------
     def relation_names(self) -> list[str]:
@@ -537,53 +540,35 @@ class Warehouse:
     def _parents(self) -> dict[str, dict]:
         return {j["relation"]: j for j in self.catalog["joins"]}
 
-    def _edge_map(self, relation: str, columns: tuple[str, ...]) -> dict:
-        """Rows of ``relation`` keyed by the join columns; scalar keys when
-        the edge is single-column (the common case)."""
-        key = (relation, columns)
-        cached = self._edge_rows.get(key)
-        if cached is None:
-            table = self._relation(relation)
-            idxs = tuple(table.schema.column_index(c) for c in columns)
-            cached = {}
-            if len(idxs) == 1:
-                i = idxs[0]
-                for row in table.rows:
-                    cached.setdefault(row[i], []).append(row)
-            else:
-                for row in table.rows:
-                    k = tuple(row[i] for i in idxs)
-                    cached.setdefault(k, []).append(row)
-            self._edge_rows[key] = cached
-        return cached
-
-    def _chain_map(self, chain: list[dict]) -> dict:
-        """Edge map composed across a chain of joins, skipping intermediate
-        relations no attribute references: probe keys live on the chain's
-        top parent, values are rows of the bottom relation."""
+    def _join_index(self, chain: list[dict]) -> Index:
+        """Rows of the chain's bottom relation keyed by the first join's
+        columns, for probing with the top parent's join columns. A one-join
+        chain is that edge's index: the catalog's when it has one, else a
+        hash index built here. A longer chain composes its edges, so the
+        pass-through relations between top and bottom are never joined."""
         sig = tuple((j["relation"], tuple(j["columns"])) for j in chain)
-        cached = self._edge_rows.get(sig)
-        if cached is not None:
-            return cached
-        current = self._edge_map(chain[0]["relation"], tuple(chain[0]["columns"]))
-        for join in chain[1:]:
-            nxt = self._edge_map(join["relation"], tuple(join["columns"]))
+        index = self._joins.get(sig)
+        if index is not None:
+            return index
+        if len(chain) == 1:
+            index = self._indexes.get(sig[0])
+            if index is None:
+                index = build_index(self._relation(sig[0][0]), sig[0][1], "hash")
+        else:
+            upper = self._join_index(chain[:-1])
+            lower = self._join_index(chain[-1:]).entries
+            join = chain[-1]
             parent = self._relation(join["parent"])
-            pidx = tuple(parent.schema.column_index(c) for c in join["parent_columns"])
-            single = len(pidx) == 1
-            composed: dict = {}
-            for k, rows in current.items():
-                out: list = []
-                for prow in rows:
-                    probe = prow[pidx[0]] if single else tuple(prow[i] for i in pidx)
-                    hit = nxt.get(probe)
-                    if hit:
-                        out.extend(hit)
-                if out:
-                    composed[k] = out
-            current = composed
-        self._edge_rows[sig] = current
-        return current
+            key_of = _key_getter(tuple(parent.schema.column_index(c) for c in join["parent_columns"]))
+            index = Index(join["relation"], upper.columns, "hash", False)
+            for key, ordinals in upper.entries.items():
+                hits = []
+                for n in ordinals:
+                    hits.extend(lower.get(key_of(parent.rows[n]), ()))
+                if hits:
+                    index.entries[key] = hits
+        self._joins[sig] = index
+        return index
 
     def star_query(self, query: StarQuery) -> Table:
         return star_query(self, query)
@@ -628,7 +613,7 @@ def star_query(handle: Warehouse, query: StarQuery) -> Table:
             raise ValidationError(f"filter operator {f.op} is not defined for {cdef.type.value}")
         require(rel)
         literal = _coerce_filter_value(f.value, cdef.type)
-        resolved_filters.append((rel, idx, _cmp_fn(f.op, literal)))
+        resolved_filters.append((rel, idx, _predicate(f.op, literal)))
     resolved_measures = []
     for m in query.measures:
         if m.agg not in AGGREGATES:
@@ -655,7 +640,7 @@ def star_query(handle: Warehouse, query: StarQuery) -> Table:
     referenced.update(rel for _, rel, _, _ in resolved_measures if rel is not None)
 
     # pass-through relations (ancestors nobody selects or filters on) are
-    # folded into composed edge maps instead of joining row by row
+    # folded into composed join indexes instead of joining row by row
     kept = [rel for rel in needed if rel in referenced]
     pos = {rel: i for i, rel in enumerate(kept)}
     steps = []
@@ -667,8 +652,8 @@ def star_query(handle: Warehouse, query: StarQuery) -> Table:
             top = parents[top]["parent"]
         chain.reverse()
         parent_table = handle._relation(top)
-        parent_idx = tuple(parent_table.schema.column_index(c) for c in chain[0]["parent_columns"])
-        steps.append((rel, pos[top], parent_idx, handle._chain_map(chain)))
+        key_of = _key_getter(tuple(parent_table.schema.column_index(c) for c in chain[0]["parent_columns"]))
+        steps.append((rel, pos[top], key_of, handle._join_index(chain).entries))
 
     fact_filters = filters_by_rel.get(fact)
     if fact_filters:
@@ -678,27 +663,20 @@ def star_query(handle: Warehouse, query: StarQuery) -> Table:
     else:
         contexts = [(row,) for row in handle._relation(fact).rows]
     empty: tuple = ()
-    for rel, p, parent_idx, edge in steps:
+    for rel, p, key_of, entries in steps:
+        rows = handle._relation(rel).rows
         rel_filters = filters_by_rel.get(rel)
         grown = []
-        if len(parent_idx) == 1:
-            i = parent_idx[0]
-            if rel_filters:
-                for ctx in contexts:
-                    for rrow in edge.get(ctx[p][i], empty):
-                        if all(fn(rrow[j]) for j, fn in rel_filters):
-                            grown.append(ctx + (rrow,))
-            else:
-                for ctx in contexts:
-                    for rrow in edge.get(ctx[p][i], empty):
+        if rel_filters:
+            for ctx in contexts:
+                for n in entries.get(key_of(ctx[p]), empty):
+                    rrow = rows[n]
+                    if all(fn(rrow[j]) for j, fn in rel_filters):
                         grown.append(ctx + (rrow,))
         else:
             for ctx in contexts:
-                prow = ctx[p]
-                key = tuple(prow[i] for i in parent_idx)
-                for rrow in edge.get(key, empty):
-                    if rel_filters is None or all(fn(rrow[j]) for j, fn in rel_filters):
-                        grown.append(ctx + (rrow,))
+                for n in entries.get(key_of(ctx[p]), empty):
+                    grown.append(ctx + (rows[n],))
         contexts = grown
 
     group_getters = [(pos[rel], idx) for rel, idx, _ in resolved_groups]
@@ -802,8 +780,10 @@ def _load_relation(path: Path, schema: TableSchema) -> Table:
 
 def open_warehouse(directory: Path) -> Warehouse:
     """Verify every checksum, load relations and indexes, and hand back a
-    read-only view. A missing index sidecar is rebuilt from data with a
-    notice; any other discrepancy is an integrity error naming the file."""
+    read-only view. Each index is rebuilt from the relation data, and its
+    sidecar must equal that index rendered, byte for byte. A missing
+    sidecar is noticed and the rebuilt index used; any other discrepancy
+    is an integrity error naming the file."""
     directory = Path(directory)
     catalog_path = directory / CATALOG_NAME
     if not catalog_path.is_file():
@@ -845,18 +825,15 @@ def open_warehouse(directory: Path) -> Warehouse:
         if table is None:
             raise IntegrityError(f"index {entry['file']} references unknown relation {entry['relation']!r}")
         path = directory / entry["file"]
-        rebuilt = build_index(table, tuple(entry["columns"]), entry["kind"], unique=entry["unique"])
+        index = indexes[key] = build_index(table, key[1], entry["kind"], unique=entry["unique"])
         if not path.is_file():
             notices.append(f"index sidecar {entry['file']} missing; rebuilt from data")
-            indexes[key] = rebuilt
             continue
         data = path.read_bytes()
         if sha256_hex(data) != entry["checksum"]:
             raise IntegrityError(f"checksum mismatch in {entry['file']}")
-        index = parse_index(data.decode("utf-8"), entry, table.schema)
-        if index.entries != rebuilt.entries:
+        if data != render_index(index).encode("utf-8"):
             raise IntegrityError(f"index {entry['file']} disagrees with relation data")
-        indexes[key] = index
 
     return Warehouse(directory, catalog, relations, indexes, notices)
 

@@ -7,11 +7,13 @@ from pathlib import Path
 
 import pytest
 
+from uwh.datagen import GenConfig, generate
 from uwh.errors import ValidationError
 from uwh.staging import dump_staging, dumps_staging
 from uwh.warehouse import assemble_snowflake, load
 
 TS = "2026-01-01T00:00:00Z"
+SMALL = GenConfig(seed=5, students=20, courses_per_dept=3, semesters=2, dirty_rate=0.1)
 
 
 def _snapshot(directory: Path) -> dict[str, bytes] | None:
@@ -101,4 +103,38 @@ def test_dump_refuses_non_empty_directory_that_is_not_staging(tmp_path, seed42_s
     before = _snapshot(target)
     with pytest.raises(ValidationError, match="not a staging dump"):
         dump_staging(seed42_staging, target)
+    _assert_holds(target, before)
+
+
+def test_failed_gen_leaves_no_output_and_keeps_an_earlier_one(tmp_path, monkeypatch):
+    earlier = tmp_path / "earlier"
+    generate(GenConfig(seed=6, students=10), earlier)
+    before = _snapshot(earlier)
+    files = len(list(earlier.iterdir()))
+    for n in range(1, files + 1):
+        for target, expected in ((tmp_path / f"gen{n}", None), (earlier, before)):
+            with monkeypatch.context() as m:
+                _fail_on_write(m, n)
+                with pytest.raises(OSError, match="injected"):
+                    generate(SMALL, target)
+            _assert_holds(target, expected)
+
+
+def test_gen_replaces_an_earlier_gen_output_exactly(tmp_path):
+    fresh, target = tmp_path / "fresh", tmp_path / "target"
+    generate(SMALL, fresh)
+    generate(GenConfig(seed=6, students=10), target)
+    generate(SMALL, target)
+    _assert_holds(target, _snapshot(fresh))
+    generate(SMALL, target)
+    _assert_holds(target, _snapshot(fresh))
+
+
+def test_gen_refuses_non_empty_directory_that_is_not_gen_output(tmp_path):
+    target = tmp_path / "docs"
+    target.mkdir()
+    (target / "notes.txt").write_text("keep me\n")
+    before = _snapshot(target)
+    with pytest.raises(ValidationError, match="not gen output"):
+        generate(SMALL, target)
     _assert_holds(target, before)

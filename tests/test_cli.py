@@ -89,6 +89,16 @@ def test_stage_refuses_non_empty_directory_that_is_not_staging(tmp_path, cli_dir
     assert (out / "notes.txt").read_text() == "keep me\n"
 
 
+def test_gen_refuses_non_empty_directory_that_is_not_gen_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("keep me\n")
+    code, _, err = _run(capsys, "gen", "--out", str(out), "--students", "5")
+    assert code == 1 and "not gen output" in err
+    assert [p.name for p in out.iterdir()] == ["notes.txt"]
+    assert (out / "notes.txt").read_text() == "keep me\n"
+
+
 def test_build_produces_eight_relations(cli_dirs):
     _, _, wh = cli_dirs
     catalog = json.loads((wh / "catalog.json").read_text())

@@ -246,19 +246,35 @@ def test_missing_sidecar_rebuilds_with_notice(tmp_path, seed42_warehouse_dir):
         assert index.lookup((row[0],)) == full_scan_ordinals(student, ("st_id",), (row[0],))
 
 
-def test_tampered_sidecar_content_fails_cross_check(tmp_path, seed42_warehouse_dir):
-    # a sidecar that matches its checksum but disagrees with the data is caught
+def _wrong_ordinals(lines: list[str]) -> str:
+    lines[0] = lines[0].rsplit("\t", 1)[0] + "\t7"
+    lines[1] = lines[1].rsplit("\t", 1)[0] + "\t0"
+    return "\n".join(lines) + "\n"
+
+
+def _swapped_lines(lines: list[str]) -> str:
+    lines[0], lines[1] = lines[1], lines[0]
+    return "\n".join(lines) + "\n"
+
+
+def _crlf(lines: list[str]) -> str:
+    return "\r\n".join(lines) + "\r\n"
+
+
+@pytest.mark.parametrize(
+    "tamper", [_wrong_ordinals, _swapped_lines, _crlf], ids=["wrong-ordinals", "swapped-lines", "crlf"]
+)
+def test_tampered_sidecar_content_fails_cross_check(tmp_path, seed42_warehouse_dir, capsys, tamper):
+    # a sidecar that matches its checksum but is not the index rendered
+    # from the data is caught, even when it decodes to the same entries
+    from uwh.cli import run
+    from uwh.warehouse import canonical_json, sha256_hex
+
     work = tmp_path / "wh"
     shutil.copytree(seed42_warehouse_dir, work)
     victim = work / "student.st_id.idx"
-    lines = victim.read_text().splitlines()
-    key, _ = lines[0].rsplit("\t", 1)
-    lines[0] = f"{key}\t7"
-    lines[1] = lines[1].rsplit("\t", 1)[0] + "\t0"
-    victim.write_text("\n".join(lines) + "\n")
+    victim.write_bytes(tamper(victim.read_text().splitlines()).encode())
     catalog = json.loads((work / "catalog.json").read_text())
-    from uwh.warehouse import canonical_json, sha256_hex
-
     for entry in catalog["indexes"]:
         if entry["file"] == "student.st_id.idx":
             entry["checksum"] = sha256_hex(victim.read_bytes())
@@ -267,7 +283,9 @@ def test_tampered_sidecar_content_fails_cross_check(tmp_path, seed42_warehouse_d
     (work / "catalog.json").write_text(canonical_json(catalog))
     with pytest.raises(IntegrityError) as exc:
         open_warehouse(work)
-    assert "disagrees" in str(exc.value)
+    assert "disagrees" in str(exc.value) and "student.st_id.idx" in str(exc.value)
+    assert run(["query", "--warehouse", str(work), "--measure", "COUNT(*)"]) == 5
+    assert "student.st_id.idx" in capsys.readouterr().err
 
 
 def test_handle_surface_is_read_only(seed42_handle):
