@@ -15,7 +15,9 @@ On disk a staging dump is a directory::
 
 Dumps are byte-deterministic given the same staging contents, and are
 written all or nothing by ``write_dir_atomically``, which the warehouse
-loader uses too.
+loader uses too. Table files are written by ``render_table_csv`` and read
+back by ``decode_table`` from the bytes of the file, so a quoted CR
+survives; the warehouse reads its relations with it too.
 """
 
 from __future__ import annotations
@@ -26,13 +28,15 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass, field, replace
+from datetime import date
+from decimal import Decimal
 from pathlib import Path
 
-from .csvio import format_row, parse_csv
-from .errors import MissingInputError, ValidationError
+from .csvio import NEEDS_QUOTES, format_field, format_row, iter_records, parse_csv
+from .errors import MissingInputError, UwhError, ValidationError
 from .manifest import parse_schema_manifest, render_manifest
-from .schema import DatabaseSchema, Table
-from .values import RawCell, ValueType, parse_typed, render_cell
+from .schema import DatabaseSchema, Table, TableSchema
+from .values import RawCell, ValueType, cell_converter, decimal_text, parse_typed, render_cell
 
 DEFAULT_TIMESTAMP = "1970-01-01T00:00:00Z"
 
@@ -111,16 +115,78 @@ class StagingArea:
         self.lineage.append(event)
 
 
+def _render_text(text: str) -> str:
+    if text == "" or NEEDS_QUOTES(text):  # quoted empty text is not Null
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _render_other(cell) -> str:
+    text = render_cell(cell)  # raises TypeError for a foreign value
+    return format_field(text, isinstance(cell, str) and text == "")
+
+
+# the CSV field of a cell, by the cell's exact type
+_FIELD_RENDERERS = {
+    type(None): lambda cell: "",
+    bool: lambda cell: "true" if cell else "false",
+    int: str,
+    Decimal: decimal_text,
+    str: _render_text,
+    RawCell: _render_text,
+    date: date.isoformat,
+}
+
+
 def render_table_csv(table: Table) -> str:
+    renderer = _FIELD_RENDERERS.get
     lines = [",".join(table.schema.column_names)]
     for row in table.rows:
-        rendered = []
-        for cell in row:
-            text = render_cell(cell)
-            force = isinstance(cell, str) and text == ""
-            rendered.append((text, force))
-        lines.append(format_row(rendered))
+        lines.append(",".join([renderer(type(cell), _render_other)(cell) for cell in row]))
     return "\n".join(lines) + "\n"
+
+
+def decode_table(data: bytes, file: str, schema: TableSchema, error: type[UwhError], *, keep_raw: bool) -> Table:
+    """Decode the bytes of table file ``file``: its header must name the
+    schema's columns in order, and each cell follows ``parse_cell``.
+
+    A cell that does not parse as its column's type stays a ``RawCell``
+    when ``keep_raw`` and is an ``error`` otherwise, as is any other
+    fault, each naming ``file``. The fields of a record without quotes
+    go through one converter per column, those of any other record
+    through ``parse_cell`` itself.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{file}: not valid UTF-8: {exc}") from exc
+
+    def checked_records():
+        try:
+            yield from iter_records(text)
+        except ValidationError as exc:
+            raise error(f"{file}: {exc}") from exc
+
+    def unparsable(text: str):
+        raise error(f"{file}: cell does not parse as its declared type")
+
+    raw = RawCell if keep_raw else unparsable
+    columns = schema.columns
+    converters = [cell_converter(c.type, raw) for c in columns]
+    records = checked_records()
+    header, _ = next(records, (None, None))
+    if header != list(schema.column_names):
+        raise error(f"{file}: header does not match the schema")
+    rows: list[tuple] = []
+    for fields, quoted in records:
+        if len(fields) != len(columns):
+            raise error(f"{file}: row arity {len(fields)} does not match the schema's {len(columns)} columns")
+        if quoted is None:
+            rows.append(tuple([convert(t) for convert, t in zip(converters, fields)]))
+            continue
+        cells = (parse_cell(t, q, c.type) for t, q, c in zip(fields, quoted, columns))
+        rows.append(tuple(raw(v) if isinstance(v, RawCell) else v for v in cells))
+    return Table(schema, rows)
 
 
 def parse_cell(text: str, quoted: bool, vtype: ValueType):
@@ -208,21 +274,6 @@ def staging_fingerprint(staging: StagingArea) -> str:
     return h.hexdigest()
 
 
-def _load_table(path: Path, schema) -> Table:
-    records = parse_csv(path.read_text(encoding="utf-8"))
-    if not records:
-        raise ValidationError(f"{path.name}: missing header row")
-    header = [t for t, _ in records[0]]
-    if header != list(schema.column_names):
-        raise ValidationError(f"{path.name}: header does not match schema")
-    rows: list[tuple] = []
-    for rec in records[1:]:
-        if len(rec) != len(schema.columns):
-            raise ValidationError(f"{path.name}: row arity {len(rec)} != {len(schema.columns)}")
-        rows.append(tuple(parse_cell(t, q, col.type) for (t, q), col in zip(rec, schema.columns)))
-    return Table(schema, rows)
-
-
 def load_staging(in_dir: Path) -> StagingArea:
     in_dir = Path(in_dir)
     manifest_path = in_dir / "schema.manifest"
@@ -234,13 +285,16 @@ def load_staging(in_dir: Path) -> StagingArea:
         path = in_dir / f"{name}.csv"
         if not path.is_file():
             raise MissingInputError(f"staging dump is missing table file {path.name}")
-        tables[name] = _load_table(path, schema)
+        tables[name] = decode_table(path.read_bytes(), path.name, schema, ValidationError, keep_raw=True)
 
     quarantine: dict[str, Quarantine] = {}
     qdir = in_dir / "quarantine"
     if qdir.is_dir():
         for path in sorted(qdir.glob("*.csv")):
-            records = parse_csv(path.read_text(encoding="utf-8"))
+            try:
+                records = parse_csv(path.read_bytes().decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise ValidationError(f"{path}: not valid UTF-8: {exc}") from exc
             if not records:
                 continue
             header = [t for t, _ in records[0]]

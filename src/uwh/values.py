@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import operator
 import re
+from collections.abc import Callable
 from datetime import date
 from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
 from enum import Enum
@@ -125,6 +126,61 @@ def parse_typed(text: str, vtype: ValueType):
     if vtype is ValueType.DATE:
         return parse_iso_date(text)
     raise TypeError(f"unknown value type {vtype!r}")
+
+
+def cell_converter(vtype: ValueType, raw: Callable[[str], object]) -> Callable[[str], object]:
+    """The cell rule for the unquoted fields of a ``vtype`` column, as one
+    function of the field text: a bare empty field is Null, text that
+    ``parse_typed`` accepts is its value, and any other text is passed
+    to ``raw``, whose result becomes the cell."""
+    if vtype is ValueType.TEXT:
+        return lambda text: text or None
+    if vtype is ValueType.BOOLEAN:
+
+        def convert(text, literals={"true": True, "false": False}):
+            value = literals.get(text.lower())
+            if value is not None:
+                return value
+            return raw(text) if text else None
+
+    elif vtype is ValueType.INTEGER:
+
+        def convert(text, match=_INT_RE.match):
+            if match(text):
+                n = int(text)
+                if INT64_MIN <= n <= INT64_MAX:
+                    return n
+            elif not text:
+                return None
+            return raw(text)
+
+    elif vtype is ValueType.DECIMAL:
+
+        def convert(text, match=_DEC_RE.match):
+            if match(text):
+                try:
+                    return Decimal(text).quantize(DEC4, rounding=ROUND_HALF_EVEN)
+                except InvalidOperation:
+                    pass
+            elif not text:
+                return None
+            return raw(text)
+
+    elif vtype is ValueType.DATE:
+
+        def convert(text, match=_ISO_DATE_RE.match):
+            if match(text):
+                try:
+                    return date.fromisoformat(text)
+                except ValueError:
+                    pass
+            elif not text:
+                return None
+            return raw(text)
+
+    else:
+        raise TypeError(f"unknown value type {vtype!r}")
+    return convert
 
 
 def parse_iso_date(text: str) -> date:

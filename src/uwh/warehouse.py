@@ -21,7 +21,7 @@ from .errors import IntegrityError, MissingInputError, ParseError, PlanParseErro
 from .lexer import tokenize
 from .plan import _ORDERED_TYPES, _Parser
 from .schema import ColumnDef, Table, TableSchema
-from .staging import StagingArea, render_table_csv, write_dir_atomically
+from .staging import StagingArea, decode_table, render_table_csv, write_dir_atomically
 from .values import COMPARISONS, DEC4, RawCell, ValueType, make_decimal, parse_iso_date, render_cell, value_tag
 
 from decimal import Decimal
@@ -761,23 +761,6 @@ def _schema_from_catalog(entry: dict) -> TableSchema:
     return TableSchema(entry["name"], columns, tuple(entry.get("primary_key", ())))
 
 
-def _load_relation(path: Path, schema: TableSchema) -> Table:
-    from .staging import parse_cell
-
-    records = parse_csv(path.read_text(encoding="utf-8"))
-    if not records or [t for t, _ in records[0]] != list(schema.column_names):
-        raise IntegrityError(f"{path.name}: header does not match the catalog schema")
-    rows = []
-    for rec in records[1:]:
-        if len(rec) != len(schema.columns):
-            raise IntegrityError(f"{path.name}: row arity does not match the catalog schema")
-        row = tuple(parse_cell(t, q, c.type) for (t, q), c in zip(rec, schema.columns))
-        if any(isinstance(v, RawCell) for v in row):
-            raise IntegrityError(f"{path.name}: cell does not parse as its declared type")
-        rows.append(row)
-    return Table(schema, rows)
-
-
 def open_warehouse(directory: Path) -> Warehouse:
     """Verify every checksum, load relations and indexes, and hand back a
     read-only view. Each index is rebuilt from the relation data, and its
@@ -812,7 +795,7 @@ def open_warehouse(directory: Path) -> Warehouse:
         if sha256_hex(data) != entry["checksum"]:
             raise IntegrityError(f"checksum mismatch in {entry['file']}")
         schema = _schema_from_catalog(entry)
-        table = _load_relation(path, schema)
+        table = decode_table(data, entry["file"], schema, IntegrityError, keep_raw=False)
         if len(table.rows) != entry["row_count"]:
             raise IntegrityError(f"{entry['file']}: row count {len(table.rows)} != cataloged {entry['row_count']}")
         relations[entry["name"]] = table

@@ -1,0 +1,292 @@
+"""The typed table codec: ``decode_table`` against the reference composition
+``parse_csv`` + ``parse_cell``, ``render_table_csv`` against ``format_row``
++ ``render_cell``, and round trips through the staging dump and the
+warehouse."""
+
+from __future__ import annotations
+
+from datetime import date
+from decimal import Decimal
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from uwh.csvio import format_row, parse_csv
+from uwh.errors import IntegrityError, ValidationError
+from uwh.schema import ColumnDef, Table, TableSchema
+from uwh.staging import StagingArea, decode_table, dump_staging, load_staging, parse_cell, render_table_csv
+from uwh.values import INT64_MAX, INT64_MIN, RawCell, ValueType, make_decimal, parse_typed, render_cell
+from uwh.warehouse import Measure, StarQuery, assemble_snowflake, load, open_warehouse, star_query
+
+TS = "2026-01-01T00:00:00Z"
+NAMES = ("a", "b", "c", "d")
+
+
+def _schema(types, nullable=None) -> TableSchema:
+    nullable = nullable or [True] * len(types)
+    columns = tuple(ColumnDef(n, t, z) for n, t, z in zip(NAMES, types, nullable))
+    return TableSchema("t", columns, (NAMES[0],))
+
+
+def _typed(rows) -> list[list[tuple[type, object]]]:
+    return [[(type(v), v) for v in row] for row in rows]
+
+
+def _reference_decode(data: bytes, schema: TableSchema, error, keep_raw: bool) -> list[tuple]:
+    """What the table readers did before the typed codec: parse the whole
+    text, then each cell with ``parse_cell``. Every fault is an ``error``."""
+    try:
+        records = parse_csv(data.decode("utf-8"))
+    except (UnicodeDecodeError, ValidationError) as exc:
+        raise error(str(exc)) from exc
+    if not records or [t for t, _ in records[0]] != list(schema.column_names):
+        raise error("header")
+    rows = []
+    for rec in records[1:]:
+        if len(rec) != len(schema.columns):
+            raise error("arity")
+        row = tuple(parse_cell(t, q, c.type) for (t, q), c in zip(rec, schema.columns))
+        if not keep_raw and any(isinstance(v, RawCell) for v in row):
+            raise error("raw")
+        rows.append(row)
+    return rows
+
+
+def _outcome(fn, *args):
+    try:
+        return "rows", _typed(fn(*args))
+    except (ValidationError, IntegrityError) as exc:
+        return "error", type(exc)
+
+
+# --- decode: differential against parse_csv + parse_cell ---------------------
+
+_TEXT_CHARS = st.sampled_from(list('ab Z,"\r\n\t-.+:é0123456789'))
+
+# texts at the edges of each type's grammar: out of range, 5 fractional
+# digits, impossible dates, letter case
+_EDGE_TEXTS = {
+    ValueType.INTEGER: [
+        "0", "-0", "+7", "007", str(INT64_MAX), str(INT64_MIN), str(INT64_MAX + 1), str(INT64_MIN - 1),
+        "12x", " 5", "1_0", "\u0663", "1.0",
+    ],
+    ValueType.DECIMAL: [
+        "0", "-0", "+3.5", "1.2345", "1.23456", "-0.00001", "4.", ".5", "1e3", "9" * 24, "9" * 30, "-12.0000", "NaN",
+    ],
+    ValueType.DATE: ["2012-02-29", "2013-02-29", "2012-13-01", "0000-01-01", "2012-2-29", "12/01/2012", "2012-01-01T0"],
+    ValueType.BOOLEAN: ["true", "false", "TRUE", "False", "tRuE", "yes", "0", "truee", " true"],
+    ValueType.TEXT: ["x", " ", "NULL", "\t"],
+}
+
+_VALUE_TEXT = {
+    ValueType.INTEGER: st.one_of(st.integers(INT64_MIN, INT64_MAX).map(str), st.sampled_from(_EDGE_TEXTS[ValueType.INTEGER])),
+    ValueType.DECIMAL: st.one_of(
+        st.decimals(allow_nan=False, allow_infinity=False, places=4, min_value=-10**9, max_value=10**9).map(str),
+        st.sampled_from(_EDGE_TEXTS[ValueType.DECIMAL]),
+    ),
+    ValueType.DATE: st.one_of(
+        st.dates().map(date.isoformat),
+        st.builds("{:04d}-{:02d}-{:02d}".format, st.integers(0, 9999), st.integers(0, 13), st.integers(0, 32)),
+        st.sampled_from(_EDGE_TEXTS[ValueType.DATE]),
+    ),
+    ValueType.BOOLEAN: st.sampled_from(_EDGE_TEXTS[ValueType.BOOLEAN]),
+    ValueType.TEXT: st.text(_TEXT_CHARS, max_size=6),
+}
+
+
+def _field(vtype: ValueType):
+    """A field as it may appear in a file: any text of or near the
+    column's type, bare or quoted, so bare fields may hold quotes and
+    separators too."""
+    text = st.one_of(_VALUE_TEXT[vtype], st.text(_TEXT_CHARS, max_size=6))
+    return st.one_of(text, text.map(lambda t: '"' + t.replace('"', '""') + '"'))
+
+
+@st.composite
+def _csv_files(draw):
+    types = draw(st.lists(st.sampled_from(list(ValueType)), min_size=1, max_size=4))
+    k = len(types)
+    header = list(NAMES[:k])
+    if draw(st.integers(0, 9)) == 0:
+        header[draw(st.integers(0, k - 1))] = "x"
+    lines = [",".join(draw(st.sampled_from([h, f'"{h}"'])) for h in header)]
+    for _ in range(draw(st.integers(0, 5))):
+        arity = draw(st.sampled_from([k] * 8 + [k - 1, k + 1]))
+        lines.append(",".join(draw(_field(types[i % k])) for i in range(arity)))
+    ends = st.sampled_from(["\n", "\r\n", "\r", "\n\n", "\r\n\r\n", "\n\r"])
+    text = "".join(line + draw(ends) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final line end
+    data = text.encode("utf-8")
+    if draw(st.integers(0, 19)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return _schema(types), data
+
+
+@settings(max_examples=400, deadline=None)
+@given(_csv_files(), st.booleans())
+@example((_schema([ValueType.TEXT, ValueType.TEXT]), b'a,b\nx"y,"c\nd"\n'), True)
+@example((_schema([ValueType.TEXT, ValueType.TEXT]), b'a,b\nx"y,"c\nd"\n'), False)
+@example((_schema([ValueType.INTEGER, ValueType.TEXT]), b'a,b\r1,""\r\r2,\n'), False)
+def test_decode_matches_parse_csv_and_parse_cell(case, staging):
+    schema, data = case
+    error = ValidationError if staging else IntegrityError
+    expected = _outcome(_reference_decode, data, schema, error, staging)
+    assert _outcome(lambda: decode_table(data, "t.csv", schema, error, keep_raw=staging).rows) == expected
+
+
+@pytest.mark.parametrize("vtype", list(ValueType), ids=lambda t: t.value)
+def test_decode_matches_parse_cell_on_edge_texts(vtype):
+    texts = _EDGE_TEXTS[vtype]
+    data = ("a\n" + "".join(f'{t}\n"{t}"\n' for t in texts) + '\n""\n').encode()
+    schema = _schema([vtype])
+    decoded = decode_table(data, "t.csv", schema, ValidationError, keep_raw=True).rows
+    assert _typed(decoded) == _typed(_reference_decode(data, schema, ValidationError, True))
+    assert len(decoded) == 2 * len(texts) + 1
+
+
+def test_quote_inside_a_bare_field_does_not_open_a_quoted_one():
+    # the record holds a"b and then a quoted field spanning two lines; a
+    # quote-parity split would cut it after "c and fail
+    schema = _schema([ValueType.TEXT, ValueType.TEXT])
+    table = decode_table(b'a,b\na"b,"c\nd"\n1,2\n', "t.csv", schema, ValidationError, keep_raw=True)
+    assert table.rows == [('a"b', "c\nd"), ("1", "2")]
+
+
+@pytest.mark.parametrize(
+    "data, words",
+    [
+        (b"a,b\n1,2,3\n", "row arity 3"),
+        (b"a,c\n1,2\n", "header does not match"),
+        (b"", "header does not match"),
+        (b'a,b\n1,"2\n', "unterminated quoted field"),
+        (b"a,b\n1,\xff\n", "not valid UTF-8"),
+        (b"a,b\n1x,2\n", "does not parse as its declared type"),
+        (b'a,b\n"1x",2\n', "does not parse as its declared type"),
+    ],
+)
+def test_decode_faults_name_the_file(data, words):
+    schema = _schema([ValueType.INTEGER, ValueType.TEXT])
+    with pytest.raises(IntegrityError) as exc:
+        decode_table(data, "t.csv", schema, IntegrityError, keep_raw=False)
+    assert str(exc.value).startswith("t.csv: ") and words in str(exc.value)
+
+
+# --- render: against format_row + render_cell, and the round trip ------------
+
+
+def _unparsable(vtype: ValueType):
+    def fails(text: str) -> bool:
+        try:
+            parse_typed(text, vtype)
+        except ValueError:
+            return True
+        return False
+
+    return st.text(_TEXT_CHARS, max_size=6).filter(fails).map(RawCell)
+
+
+_VALUES = {
+    ValueType.INTEGER: st.integers(INT64_MIN, INT64_MAX),
+    ValueType.DECIMAL: st.decimals(allow_nan=False, allow_infinity=False, places=4, min_value=-10**12, max_value=10**12).map(make_decimal),
+    ValueType.DATE: st.dates(),
+    ValueType.BOOLEAN: st.booleans(),
+    ValueType.TEXT: st.text(st.one_of(_TEXT_CHARS, st.characters()), max_size=8),
+}
+
+
+@st.composite
+def _tables(draw):
+    types = draw(st.lists(st.sampled_from(list(ValueType)), min_size=1, max_size=4))
+    # every table needs a non-nullable primary key, so a one-column table
+    # cannot hold a row that renders as a blank line
+    nullable = [False] + [draw(st.booleans()) for _ in types[1:]]
+    schema = _schema(types, nullable)
+    cells = []
+    for c in schema.columns:
+        options = [_VALUES[c.type]]
+        if c.type is not ValueType.TEXT:
+            options.append(_unparsable(c.type))
+        if c.nullable:
+            options.append(st.none())
+        cells.append(st.one_of(options))
+    rows = draw(st.lists(st.tuples(*cells), max_size=6))
+    return Table(schema, rows)
+
+
+def _reference_render(table: Table) -> str:
+    lines = [",".join(table.schema.column_names)]
+    for row in table.rows:
+        lines.append(format_row([(render_cell(v), isinstance(v, str) and render_cell(v) == "") for v in row]))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables())
+def test_render_matches_format_row_and_decode_inverts_it(table):
+    text = render_table_csv(table)
+    assert text == _reference_render(table)
+    decoded = decode_table(text.encode("utf-8"), "t.csv", table.schema, ValidationError, keep_raw=True)
+    assert _typed(decoded.rows) == _typed(table.rows)
+
+
+def test_render_of_a_foreign_value_raises_type_error():
+    with pytest.raises(TypeError):
+        render_table_csv(Table(_schema([ValueType.DECIMAL]), [(1.5,)]))
+
+
+def test_render_keeps_exact_types_apart():
+    # bool before int, RawCell as text, Decimal on the 4-digit grid
+    table = Table(
+        _schema([ValueType.TEXT] * 4),
+        [(True, 3, Decimal("2.5000"), RawCell("")), ("", None, date(2012, 1, 2), "a,b")],
+    )
+    assert render_table_csv(table) == 'a,b,c,d\ntrue,3,2.5,""\n"",,2012-01-02,"a,b"\n'
+
+
+# --- carriage returns survive every stage ------------------------------------
+
+_CR_VALUES = ("Ann\r\nLee", "Bo\rKim", "\r")
+
+
+def test_quoted_carriage_returns_survive_the_staging_dump(tmp_path):
+    schema = _schema([ValueType.INTEGER, ValueType.TEXT], [False, True])
+    staging = StagingArea({"t": Table(schema, [(i, v) for i, v in enumerate(_CR_VALUES)])})
+    staging.add_quarantine("t", schema.column_names, "arity", ("9", "Cy\r\nDee\r", "x"))
+    dump_staging(staging, tmp_path / "st")
+    again = load_staging(tmp_path / "st")
+    assert again.tables["t"].rows == staging.tables["t"].rows
+    assert again.quarantine == staging.quarantine
+
+
+def test_invalid_utf8_staging_table_is_a_validation_error(tmp_path, capsys):
+    from uwh.cli import run
+
+    schema = _schema([ValueType.INTEGER, ValueType.TEXT], [False, True])
+    dump_staging(StagingArea({"t": Table(schema, [(1, "x")])}), tmp_path / "st")
+    (tmp_path / "st" / "t.csv").write_bytes(b"a,b\n1,\xff\n")
+    with pytest.raises(ValidationError, match="t.csv: not valid UTF-8"):
+        load_staging(tmp_path / "st")
+    assert run(["report", "--staging", str(tmp_path / "st")]) == 1
+    err = capsys.readouterr().err
+    assert "t.csv" in err and "Traceback" not in err
+
+
+def test_quoted_carriage_returns_survive_the_warehouse(tmp_path, seed42_transformed):
+    staging = seed42_transformed.clone()
+    student = staging.tables["student"]
+    name = student.schema.column_index("st_name")
+    enrolled = {row[0] for row in staging.tables["transcript"].rows}  # tr_st_id
+    rows = list(student.rows)
+    victims = [i for i, row in enumerate(rows) if row[0] in enrolled][: len(_CR_VALUES)]
+    for i, value in zip(victims, _CR_VALUES):
+        rows[i] = rows[i][:name] + (value,) + rows[i][name + 1 :]
+    staging.tables["student"] = Table(student.schema, rows)
+    snow = assemble_snowflake(staging.tables, staging.fact_table, staging.dimensions)
+    load(tmp_path / "wh", snow, staging, timestamp=TS)
+    handle = open_warehouse(tmp_path / "wh")
+    assert handle.relation("student").rows == rows
+    result = star_query(handle, StarQuery((Measure("COUNT", None),), ("st_name",)))
+    assert set(_CR_VALUES) <= {row[0] for row in result.rows}

@@ -261,31 +261,94 @@ def _crlf(lines: list[str]) -> str:
     return "\r\n".join(lines) + "\r\n"
 
 
+def _forge_checksums(work, name: str) -> None:
+    """Re-sign the catalog so file ``name`` passes its checksum as edited."""
+    from uwh.warehouse import canonical_json, sha256_hex
+
+    catalog = json.loads((work / "catalog.json").read_text())
+    for entry in catalog["relations"] + catalog["indexes"]:
+        if entry["file"] == name:
+            entry["checksum"] = sha256_hex((work / name).read_bytes())
+    catalog["self_checksum"] = ""
+    catalog["self_checksum"] = sha256_hex(canonical_json(catalog).encode())
+    (work / "catalog.json").write_text(canonical_json(catalog))
+
+
+def _assert_open_fails(work, capsys, name: str, words: str) -> None:
+    from uwh.cli import run
+
+    with pytest.raises(IntegrityError) as exc:
+        open_warehouse(work)
+    assert words in str(exc.value) and name in str(exc.value)
+    assert run(["query", "--warehouse", str(work), "--measure", "COUNT(*)"]) == 5
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "tamper", [_wrong_ordinals, _swapped_lines, _crlf], ids=["wrong-ordinals", "swapped-lines", "crlf"]
 )
 def test_tampered_sidecar_content_fails_cross_check(tmp_path, seed42_warehouse_dir, capsys, tamper):
     # a sidecar that matches its checksum but is not the index rendered
     # from the data is caught, even when it decodes to the same entries
-    from uwh.cli import run
-    from uwh.warehouse import canonical_json, sha256_hex
-
     work = tmp_path / "wh"
     shutil.copytree(seed42_warehouse_dir, work)
     victim = work / "student.st_id.idx"
     victim.write_bytes(tamper(victim.read_text().splitlines()).encode())
-    catalog = json.loads((work / "catalog.json").read_text())
-    for entry in catalog["indexes"]:
-        if entry["file"] == "student.st_id.idx":
-            entry["checksum"] = sha256_hex(victim.read_bytes())
-    catalog["self_checksum"] = ""
-    catalog["self_checksum"] = sha256_hex(canonical_json(catalog).encode())
-    (work / "catalog.json").write_text(canonical_json(catalog))
-    with pytest.raises(IntegrityError) as exc:
-        open_warehouse(work)
-    assert "disagrees" in str(exc.value) and "student.st_id.idx" in str(exc.value)
-    assert run(["query", "--warehouse", str(work), "--measure", "COUNT(*)"]) == 5
-    assert "student.st_id.idx" in capsys.readouterr().err
+    _forge_checksums(work, victim.name)
+    _assert_open_fails(work, capsys, victim.name, "disagrees")
+
+
+def _bad_integer(lines: list[bytes]) -> None:
+    lines[1] = b"12x" + lines[1][lines[1].index(b","):]  # st_id is INTEGER
+
+
+def _extra_field(lines: list[bytes]) -> None:
+    lines[1] += b",extra"
+
+
+def _last_row_removed(lines: list[bytes]) -> None:
+    del lines[-2]  # lines[-1] is the empty text after the final newline
+
+
+def _renamed_header_column(lines: list[bytes]) -> None:
+    lines[0] = lines[0].replace(b"st_name", b"st_nom")
+
+
+def _invalid_utf8(lines: list[bytes]) -> None:
+    lines[1] = lines[1].replace(b",", b",\xff", 1)
+
+
+def _unterminated_quote(lines: list[bytes]) -> None:
+    lines[1] = lines[1].replace(b",", b',"', 1)  # the file holds no other quote
+
+
+@pytest.mark.parametrize(
+    "tamper, words",
+    [
+        (_bad_integer, "does not parse as its declared type"),
+        (_extra_field, "row arity"),
+        (_last_row_removed, "row count"),
+        (_renamed_header_column, "header does not match"),
+        (_invalid_utf8, "not valid UTF-8"),
+        (_unterminated_quote, "unterminated quoted field"),
+    ],
+    ids=[
+        "bad-integer", "extra-field", "last-row-removed", "renamed-header-column", "invalid-utf8",
+        "unterminated-quote",
+    ],
+)
+def test_tampered_relation_fails_open(tmp_path, seed42_warehouse_dir, capsys, tamper, words):
+    # the relation's checksum and the catalog's self checksum are forged to
+    # match, so only decoding the relation can notice the edit
+    work = tmp_path / "wh"
+    shutil.copytree(seed42_warehouse_dir, work)
+    victim = work / "student.csv"
+    lines = victim.read_bytes().split(b"\n")
+    tamper(lines)
+    victim.write_bytes(b"\n".join(lines))
+    _forge_checksums(work, victim.name)
+    _assert_open_fails(work, capsys, victim.name, words)
 
 
 def test_handle_surface_is_read_only(seed42_handle):
