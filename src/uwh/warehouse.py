@@ -13,8 +13,10 @@ import bisect
 import hashlib
 import json
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import repeat
+from operator import add, itemgetter, mul
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .csvio import format_field, parse_csv
 from .errors import IntegrityError, MissingInputError, ParseError, PlanParseError, ReadOnlyError, ValidationError
@@ -471,14 +473,6 @@ def _coerce_filter_value(value, vtype: ValueType):
     raise ValidationError(f"filter literal {value!r} does not match column type {vtype.value}")
 
 
-def _predicate(op: str, literal):
-    """Filter test on one cell; Null on either side compares false."""
-    compare = COMPARISONS[op]
-    if literal is None:
-        return lambda v: False
-    return lambda v: v is not None and compare(v, literal)
-
-
 class Warehouse:
     """Read-only handle over a verified warehouse directory."""
 
@@ -579,8 +573,19 @@ def star_query(handle: Warehouse, query: StarQuery) -> Table:
 
     Join semantics: the unique arm path from the fact to each referenced
     dimension, one inner equijoin per edge; a one-to-many edge multiplies
-    rows, so aggregates operate at the expanded grain. Groups are emitted
+    rows, so aggregates are those of the expanded grain. Groups are emitted
     in ascending group-key order (Nulls first); no rows, no groups.
+
+    Execution aggregates before it expands (eager aggregation, Yan &
+    Larson, "Eager Aggregation and Lazy Aggregation", VLDB 1995). The fact
+    is filtered by one comprehension per filter and bucketed in one pass
+    by its group columns and its arms' join keys. Each arm is then
+    aggregated once, from its own relations and filters and only for the
+    join keys the buckets hold, into join key -> [(group part, row count,
+    partial per measure)]; a key no arm row survives is absent, as in an
+    inner join. Each bucket is combined with its keys' arm entries: COUNT,
+    SUM and AVG partials are multiplied by the other sides' row counts,
+    MIN and MAX are not.
     """
     if not query.measures:
         raise ValidationError("query needs at least one measure")
@@ -613,7 +618,7 @@ def star_query(handle: Warehouse, query: StarQuery) -> Table:
             raise ValidationError(f"filter operator {f.op} is not defined for {cdef.type.value}")
         require(rel)
         literal = _coerce_filter_value(f.value, cdef.type)
-        resolved_filters.append((rel, idx, _predicate(f.op, literal)))
+        resolved_filters.append((rel, idx, COMPARISONS[f.op], literal))
     resolved_measures = []
     for m in query.measures:
         if m.agg not in AGGREGATES:
@@ -632,18 +637,18 @@ def star_query(handle: Warehouse, query: StarQuery) -> Table:
         resolved_measures.append((m, rel, idx, cdef))
 
     filters_by_rel: dict[str, list] = {}
-    for rel, idx, fn in resolved_filters:
-        filters_by_rel.setdefault(rel, []).append((idx, fn))
+    for rel, idx, compare, literal in resolved_filters:
+        filters_by_rel.setdefault(rel, []).append((idx, compare, literal))
     referenced = {fact}
     referenced.update(rel for rel, _, _ in resolved_groups)
     referenced.update(rel for rel in filters_by_rel)
     referenced.update(rel for _, rel, _, _ in resolved_measures if rel is not None)
 
     # pass-through relations (ancestors nobody selects or filters on) are
-    # folded into composed join indexes instead of joining row by row
+    # folded into composed join indexes, so each kept relation hangs off
+    # the nearest kept ancestor
     kept = [rel for rel in needed if rel in referenced]
-    pos = {rel: i for i, rel in enumerate(kept)}
-    steps = []
+    arms: dict[str, list] = {}
     for rel in kept[1:]:
         chain = [parents[rel]]
         top = parents[rel]["parent"]
@@ -651,57 +656,29 @@ def star_query(handle: Warehouse, query: StarQuery) -> Table:
             chain.append(parents[top])
             top = parents[top]["parent"]
         chain.reverse()
-        parent_table = handle._relation(top)
-        key_of = _key_getter(tuple(parent_table.schema.column_index(c) for c in chain[0]["parent_columns"]))
-        steps.append((rel, pos[top], key_of, handle._join_index(chain).entries))
+        top_schema = handle._relation(top).schema
+        key_idxs = tuple(top_schema.column_index(c) for c in chain[0]["parent_columns"])
+        arms.setdefault(top, []).append((rel, key_idxs, handle._join_index(chain).entries))
 
-    fact_filters = filters_by_rel.get(fact)
-    if fact_filters:
-        contexts = [
-            (row,) for row in handle._relation(fact).rows if all(fn(row[i]) for i, fn in fact_filters)
-        ]
-    else:
-        contexts = [(row,) for row in handle._relation(fact).rows]
-    empty: tuple = ()
-    for rel, p, key_of, entries in steps:
-        rows = handle._relation(rel).rows
-        rel_filters = filters_by_rel.get(rel)
-        grown = []
-        if rel_filters:
-            for ctx in contexts:
-                for n in entries.get(key_of(ctx[p]), empty):
-                    rrow = rows[n]
-                    if all(fn(rrow[j]) for j, fn in rel_filters):
-                        grown.append(ctx + (rrow,))
-        else:
-            for ctx in contexts:
-                for n in entries.get(key_of(ctx[p]), empty):
-                    grown.append(ctx + (rows[n],))
-        contexts = grown
-
-    group_getters = [(pos[rel], idx) for rel, idx, _ in resolved_groups]
-    measure_getters = [(m, None if rel is None else pos[rel], idx) for m, rel, idx, _ in resolved_measures]
-
-    groups: dict[tuple, list] = {}
-    for ctx in contexts:
-        gkey = tuple(ctx[p][i] for p, i in group_getters)
-        accs = groups.get(gkey)
-        if accs is None:
-            accs = [_new_acc(m.agg) for m, _, _ in measure_getters]
-            groups[gkey] = accs
-        for acc, (m, p, i) in zip(accs, measure_getters):
-            v = None if p is None else ctx[p][i]
-            _update_acc(acc, m.agg, v, counts_rows=p is None)
+    groups = [(rel, idx) for rel, idx, _ in resolved_groups]
+    measures = [(m.agg, rel or fact, idx) for m, rel, idx, _ in resolved_measures]
+    aggregate, group_pos, measure_pos = _component(handle, fact, arms, filters_by_rel, groups, measures)
+    group_key = _key_getter(tuple(map(group_pos.index, range(len(groups)))))
+    at, slots_of = 0, {}  # measure position -> its slots in the partial
+    for k in measure_pos:
+        width = len(_AGGS[measures[k][0]].slots)
+        slots_of[k] = slice(at, at + width)
+        at += width
+    finish = [(slots_of[k], _AGGS[agg].finish) for k, (agg, _, _) in enumerate(measures)]
+    results = {}
+    for gpart, (_, partial) in aggregate(handle._relation(fact).rows):
+        results[group_key(gpart)] = tuple(done(partial[slots]) for slots, done in finish)
 
     out_columns = [ColumnDef(cdef.name, cdef.type, nullable=True) for _, _, cdef in resolved_groups]
     for m, _, _, cdef in resolved_measures:
         out_columns.append(ColumnDef(m.result_name(), _result_type(m.agg, cdef), nullable=True))
     schema = TableSchema("result", tuple(out_columns), primary_key=())
-    rows = []
-    for gkey in sorted(groups, key=_sort_key):
-        accs = groups[gkey]
-        rows.append(gkey + tuple(_finish_acc(acc, m.agg) for acc, (m, _, _) in zip(accs, measure_getters)))
-    return Table(schema, rows)
+    return Table(schema, [gkey + results[gkey] for gkey in sorted(results, key=_sort_key)])
 
 
 def _result_type(agg: str, cdef: ColumnDef | None) -> ValueType:
@@ -712,44 +689,152 @@ def _result_type(agg: str, cdef: ColumnDef | None) -> ValueType:
     return cdef.type
 
 
-def _new_acc(agg: str) -> list:
-    if agg == "COUNT":
-        return [0]
-    if agg in ("MIN", "MAX"):
-        return [None]
-    return [None, 0]  # SUM / AVG: running sum and non-null count
+def _component(handle: Warehouse, rel: str, arms: dict, filters: dict, groups: list, measures: list, keyed=False):
+    """``aggregate(rows)`` for ``rel`` and the kept relations below it, plus
+    the group-by positions its group parts hold and the measures its
+    partials hold, in order.
+
+    ``aggregate`` takes rows of ``rel`` and returns ``[(group part, (row
+    count, partial))]`` for the join of those rows with every arm below,
+    one entry per distinct group part. The rows are filtered, bucketed by
+    ``rel``'s group columns and each arm's join key, each arm is
+    aggregated for the keys the buckets hold, and each bucket is combined
+    with the entries of its arm keys; a key no arm row survives drops the
+    bucket, as an inner join does. A ``keyed`` component's rows carry
+    their join key as one extra last cell, and its group parts start with
+    it."""
+    key_idxs = [idx for r, idx in groups if r == rel]
+    if keyed:
+        key_idxs.insert(0, len(handle._relation(rel).schema.columns))
+    group_pos = [g for g, (r, _) in enumerate(groups) if r == rel]
+    measure_pos = [k for k, (_, r, _) in enumerate(measures) if r == rel]
+    parts = [_measure_part(agg, idx) for agg, r, idx in measures if r == rel]
+    own = len(key_idxs)
+    below = []
+    for child, join_idxs, entries in arms.get(rel, ()):
+        sub, sub_groups, sub_measures = _component(handle, child, arms, filters, groups, measures, keyed=True)
+        arm = _arm(handle._relation(child).rows, entries, sub)
+        scale_left = _scaler(_slots(measures, measure_pos))
+        scale_right = _scaler(_slots(measures, sub_measures))
+        below.append((len(key_idxs), len(key_idxs) + len(join_idxs), arm, scale_left, scale_right))
+        key_idxs.extend(join_idxs)
+        group_pos += sub_groups
+        measure_pos += sub_measures
+    merge = _merger(_slots(measures, measure_pos))
+    bucket_of = _key_getter(tuple(key_idxs))
+    own_filters = filters.get(rel, ())
+
+    def aggregate(rows: list) -> list:
+        for i, compare, literal in own_filters:  # Null on either side compares false
+            rows = [] if literal is None else [r for r in rows if r[i] is not None and compare(r[i], literal)]
+        buckets: dict[tuple, list] = {}
+        for row in rows:
+            key = bucket_of(row)
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = [row]
+            else:
+                bucket.append(row)
+        probes = [
+            (lo, hi, arm(dict.fromkeys(key[lo:hi] for key in buckets)).get, scale_left, scale_right)
+            for lo, hi, arm, scale_left, scale_right in below
+        ]
+        out: dict[tuple, tuple] = {}
+        for key, bucket in buckets.items():
+            combos = [(key[:own], len(bucket), sum([part(bucket) for part in parts], ()))]
+            for lo, hi, probe, scale_left, scale_right in probes:
+                entries = probe(key[lo:hi])
+                if entries is None:
+                    break
+                combos = [
+                    (g + g2, n * n2, (p if n2 == 1 else scale_left(p, n2)) + (p2 if n == 1 else scale_right(p2, n)))
+                    for g, n, p in combos
+                    for g2, (n2, p2) in entries
+                ]
+            else:
+                for g, n, p in combos:
+                    acc = out.get(g)
+                    out[g] = (n, p) if acc is None else (acc[0] + n, merge(acc[1], p))
+        return list(out.items())
+
+    return aggregate, group_pos, measure_pos
 
 
-def _update_acc(acc: list, agg: str, v, *, counts_rows: bool) -> None:
-    if agg == "COUNT":
-        if counts_rows or v is not None:
-            acc[0] += 1
-        return
-    if v is None:
-        return
-    if agg == "MIN":
-        if acc[0] is None or v < acc[0]:
-            acc[0] = v
-        return
-    if agg == "MAX":
-        if acc[0] is None or v > acc[0]:
-            acc[0] = v
-        return
-    acc[0] = v if acc[0] is None else acc[0] + v
-    acc[1] += 1
+def _arm(rows: list, entries: dict, aggregate):
+    """join keys -> {join key: ``aggregate`` of the arm rows the key
+    joins}, holding only the keys some arm row survives."""
+
+    def for_keys(keys) -> dict[tuple, list]:
+        by_key: dict[tuple, list] = {}
+        for g, entry in aggregate([rows[n] + (key,) for key in keys for n in entries.get(key, ())]):
+            by_key.setdefault(g[0], []).append((g[1:], entry))
+        return by_key
+
+    return for_keys
 
 
-def _finish_acc(acc: list, agg: str):
-    if agg == "COUNT":
-        return acc[0]
-    if agg in ("MIN", "MAX"):
-        return acc[0]
-    if agg == "SUM":
-        return acc[0]
-    if acc[1] == 0:
-        return None
-    total = acc[0] if isinstance(acc[0], Decimal) else Decimal(acc[0])
-    return (total / acc[1]).quantize(DEC4)
+def _measure_part(agg: str, idx: int | None):
+    """rows -> the measure's partial slots over them; COUNT(*) counts rows."""
+    if idx is None:
+        return lambda rows: (len(rows),)
+    of_values = _AGGS[agg].of_values
+    return lambda rows: of_values([r[idx] for r in rows if r[idx] is not None])
+
+
+def _slots(measures: list, positions: list) -> list:
+    """How each slot of a partial holding these measures merges."""
+    return [kind for k in positions for kind in _AGGS[measures[k][0]].slots]
+
+
+def _scaler(slots: list):
+    """(partial, n) -> the partial of n times its joined rows: additive
+    slots scale, MIN and MAX slots do not."""
+    if all(kind is add for kind in slots):
+        return lambda p, n: tuple(map(mul, p, repeat(n)))
+    scales = [mul if kind is add else _unscaled for kind in slots]
+    return lambda p, n: tuple(map(_apply, scales, p, repeat(n)))
+
+
+def _merger(slots: list):
+    """(partial, partial) -> the partial of both sets of joined rows."""
+    if all(kind is add for kind in slots):
+        return lambda a, b: tuple(map(add, a, b))
+    return lambda a, b: tuple(map(_apply, slots, a, b))
+
+
+def _apply(fn, *args):
+    return fn(*args)
+
+
+def _unscaled(slot, n: int):
+    return slot
+
+
+def _least(a, b):
+    return b if a is None else a if b is None else min(a, b)
+
+
+def _greatest(a, b):
+    return b if a is None else a if b is None else max(a, b)
+
+
+def _finish_avg(p: tuple):
+    return (Decimal(p[0]) / p[1]).quantize(DEC4) if p[1] else None
+
+
+class _Agg(NamedTuple):
+    slots: tuple  # how each partial slot merges: add, _least or _greatest
+    of_values: Callable  # non-Null values -> partial slots
+    finish: Callable  # partial slots -> result cell
+
+
+_AGGS = {
+    "COUNT": _Agg((add,), lambda vs: (len(vs),), itemgetter(0)),
+    "SUM": _Agg((add, add), lambda vs: (sum(vs), len(vs)), lambda p: p[0] if p[1] else None),
+    "AVG": _Agg((add, add), lambda vs: (sum(vs), len(vs)), _finish_avg),
+    "MIN": _Agg((_least,), lambda vs: (min(vs, default=None),), itemgetter(0)),
+    "MAX": _Agg((_greatest,), lambda vs: (max(vs, default=None),), itemgetter(0)),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from decimal import Decimal
 from fractions import Fraction
+from operator import itemgetter
 
 from uwh.schema import Table
 
@@ -229,17 +230,15 @@ def star_aggregate_bruteforce(handle, query) -> list[tuple]:
     for rel in needed[1:]:
         join = parents[rel]
         parent_rel = join["parent"]
-        parent_cols = [relations[parent_rel].schema.column_index(c) for c in join["parent_columns"]]
-        rel_cols = [relations[rel].schema.column_index(c) for c in join["columns"]]
+        parent_key = itemgetter(*[relations[parent_rel].schema.column_index(c) for c in join["parent_columns"]])
+        rel_key = itemgetter(*[relations[rel].schema.column_index(c) for c in join["columns"]])
         grown = []
         for ctx in ctxs:
-            prow = ctx[parent_rel]
-            pkey = [prow[i] for i in parent_cols]
-            for rrow in relations[rel].rows:  # linear scan, no hashing
-                if all(rrow[i] == v for i, v in zip(rel_cols, pkey)):
-                    new = dict(ctx)
-                    new[rel] = rrow
-                    grown.append(new)
+            pkey = parent_key(ctx[parent_rel])
+            for rrow in [r for r in relations[rel].rows if rel_key(r) == pkey]:  # linear scan, no hashing
+                new = dict(ctx)
+                new[rel] = rrow
+                grown.append(new)
         ctxs = grown
 
     def cell(ctx, attr):
