@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -44,8 +45,19 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+_TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
+
+
 def _now_timestamp() -> str:
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return datetime.now(timezone.utc).strftime(_TIMESTAMP_FORMAT)
+
+
+def _timestamp(text: str) -> str:
+    """A ``--timestamp`` value, in exactly the form ``_now_timestamp`` writes."""
+    if not re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", text, re.ASCII):
+        raise argparse.ArgumentTypeError(f"{text!r} is not of the form YYYY-MM-DDTHH:MM:SSZ")
+    datetime.strptime(text, _TIMESTAMP_FORMAT)  # ValueError for a date or time that does not exist
+    return text
 
 
 def _guard_writable(path: Path, what: str = "target") -> None:
@@ -239,7 +251,7 @@ def _cmd_report(args) -> int:
         "relations": {r["name"]: r["row_count"] for r in catalog["relations"]},
         "fact": catalog["fact"],
         "dimensions": catalog["dimensions"],
-        "indexes": [f"{i['relation']}({','.join(i['columns'])}) {i['kind']}" for i in catalog["indexes"]],
+        "indexes": [f"{i['relation']}({','.join(i['columns'])})" for i in catalog["indexes"]],
         "build": catalog["build"],
         "notices": handle.notices,
     }
@@ -261,7 +273,7 @@ def _cmd_report(args) -> int:
 
 
 def _add_timestamp(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--timestamp", default=None, help="pin the build timestamp (ISO-8601) for reproducible output")
+    p.add_argument("--timestamp", type=_timestamp, help="pin the timestamp (YYYY-MM-DDTHH:MM:SSZ) for reproducible output")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

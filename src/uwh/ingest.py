@@ -96,6 +96,7 @@ def extract_table(source: str | bytes, schema: TableSchema) -> tuple[Table, Tabl
             continue
         cells = []
         issue = None
+        raw = 0
         for col, pos in zip(schema.columns, order):
             text, quoted = rec[pos]
             cell = parse_cell(text, quoted, col.type)
@@ -103,7 +104,7 @@ def extract_table(source: str | bytes, schema: TableSchema) -> tuple[Table, Tabl
                 issue = f"null-in-nonnullable:{col.name}"
                 break
             if isinstance(cell, RawCell):
-                stats.raw_cells += 1
+                raw += 1
             cells.append(cell)
         if issue is not None:
             stats.reject(issue.split(":", 1)[0])
@@ -111,6 +112,7 @@ def extract_table(source: str | bytes, schema: TableSchema) -> tuple[Table, Tabl
             continue
         rows.append(tuple(cells))
         stats.rows_staged += 1
+        stats.raw_cells += raw  # raw cells of staged rows only
     return Table(schema, rows), stats, quarantine
 
 

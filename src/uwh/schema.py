@@ -187,23 +187,13 @@ class OrphanReport:
     def is_empty(self) -> bool:
         return not self.entries
 
-    def by_fk(self) -> dict[str, list[OrphanEntry]]:
-        grouped: dict[str, list[OrphanEntry]] = {}
-        for e in self.entries:
-            grouped.setdefault(e.fk, []).append(e)
-        return grouped
-
-
-def _tables_of(staging) -> Mapping[str, Table]:
-    return staging.tables if hasattr(staging, "tables") else staging
-
 
 def check_referential_integrity(staging) -> OrphanReport:
     """Every FK tuple with all components non-Null must match a target row.
 
     Accepts a StagingArea or any mapping of table name to Table.
     """
-    tables = _tables_of(staging)
+    tables: Mapping[str, Table] = getattr(staging, "tables", staging)
     report = OrphanReport()
     for table in tables.values():
         for fk in table.schema.foreign_keys:

@@ -308,9 +308,12 @@ def load_staging(in_dir: Path) -> StagingArea:
     lineage: list[LineageEvent] = []
     lpath = in_dir / "lineage.log"
     if lpath.is_file():
-        for line in lpath.read_text(encoding="utf-8").splitlines():
-            if line:
-                lineage.append(LineageEvent.from_line(line))
+        try:
+            text = lpath.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{lpath}: not valid UTF-8: {exc}") from exc
+        # "\n" alone ends an event; str.splitlines also splits at \r, \x85, U+2028 and more
+        lineage = [LineageEvent.from_line(line) for line in text.split("\n") if line]
 
     fact_table = None
     dimensions: list[tuple[str, str]] = []

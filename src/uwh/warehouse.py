@@ -9,7 +9,6 @@ operation.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -29,7 +28,7 @@ from .values import COMPARISONS, DEC4, RawCell, ValueType, make_decimal, parse_i
 from decimal import Decimal
 
 CATALOG_NAME = "catalog.json"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 AGGREGATES = ("COUNT", "SUM", "AVG", "MIN", "MAX")
 
@@ -165,32 +164,11 @@ def _sort_key(key: tuple) -> tuple:
 class Index:
     relation: str
     columns: tuple[str, ...]
-    kind: str  # hash | ordered
     unique: bool
     entries: dict[tuple, list[int]] = field(default_factory=dict)
-    _sorted_keys: list[tuple] | None = field(default=None, repr=False)
-    _marks: list[tuple] | None = field(default=None, repr=False)  # _sort_key of each sorted key
 
     def lookup(self, key: tuple) -> list[int]:
         return list(self.entries.get(tuple(key), ()))
-
-    def range_scan(self, lo: tuple, hi: tuple) -> list[int]:
-        if self.kind != "ordered":
-            raise ValidationError(f"index on {self.relation}({','.join(self.columns)}) does not support range scans")
-        keys = self.sorted_keys()
-        if self._marks is None:
-            self._marks = [_sort_key(k) for k in keys]
-        start = bisect.bisect_left(self._marks, _sort_key(tuple(lo)))
-        stop = bisect.bisect_right(self._marks, _sort_key(tuple(hi)))
-        out: list[int] = []
-        for k in keys[start:stop]:
-            out.extend(self.entries[k])
-        return out
-
-    def sorted_keys(self) -> list[tuple]:
-        if self._sorted_keys is None:
-            self._sorted_keys = sorted(self.entries, key=_sort_key)
-        return self._sorted_keys
 
 
 def _key_getter(idxs: tuple[int, ...]):
@@ -203,12 +181,10 @@ def _key_getter(idxs: tuple[int, ...]):
     return lambda row: ()
 
 
-def build_index(table: Table, columns: tuple[str, ...], kind: str, *, unique: bool = False) -> Index:
+def build_index(table: Table, columns: tuple[str, ...], *, unique: bool = False) -> Index:
     """Map each key tuple to the ordinals a full scan would return."""
-    if kind not in ("hash", "ordered"):
-        raise ValidationError(f"unknown index kind {kind!r}")
     key_of = _key_getter(tuple(table.schema.column_index(c) for c in columns))
-    index = Index(table.name, tuple(columns), kind, unique)
+    index = Index(table.name, tuple(columns), unique)
     for n, row in enumerate(table.rows):
         key = key_of(row)
         bucket = index.entries.get(key)
@@ -231,7 +207,7 @@ def render_index(index: Index) -> str:
     containing a tab is quoted so the key/ordinal split stays unambiguous.
     """
     lines = []
-    for key in index.sorted_keys():
+    for key in sorted(index.entries, key=_sort_key):
         encoded = ",".join(
             format_field(render_cell(v), isinstance(v, str) and (v == "" or "\t" in v)) for v in key
         )
@@ -243,7 +219,7 @@ def render_index(index: Index) -> str:
 def parse_index(text: str, descriptor: dict, schema: TableSchema) -> Index:
     from .staging import parse_cell
 
-    index = Index(descriptor["relation"], tuple(descriptor["columns"]), descriptor["kind"], descriptor["unique"])
+    index = Index(descriptor["relation"], tuple(descriptor["columns"]), descriptor["unique"])
     types = [schema.column(c).type for c in index.columns]
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line:
@@ -265,22 +241,12 @@ def parse_index(text: str, descriptor: dict, schema: TableSchema) -> Index:
 # Load
 
 
-def _index_plan(snowflake: SnowflakeSchema, tables: dict[str, Table]) -> list[tuple[str, tuple[str, ...], str, bool]]:
-    """(relation, columns, kind, unique) for every index the loader builds:
-    a unique hash index per dimension key, a hash index per fact
-    dimension-key column set, and an ordered index on the fact's
-    semester/year columns when it has them."""
-    plan: list[tuple[str, tuple[str, ...], str, bool]] = []
-    for dim in snowflake.dimensions:
-        plan.append((dim.name, (dim.key,), "hash", True))
-    for dim in snowflake.dimensions:
-        if dim.parent is None:
-            plan.append((snowflake.fact, dim.join_parent_columns, "hash", False))
-    fact_cols = tables[snowflake.fact].schema.column_names
-    semester = [c for c in fact_cols if c.lower().endswith("semester")]
-    year = [c for c in fact_cols if c.lower().endswith("year")]
-    if len(semester) == 1 and len(year) == 1:
-        plan.append((snowflake.fact, (semester[0], year[0]), "ordered", False))
+def _index_plan(snowflake: SnowflakeSchema) -> list[tuple[str, tuple[str, ...], bool]]:
+    """(relation, columns, unique) for every index the loader builds: a
+    unique index per dimension key, then one per fact dimension-key
+    column set."""
+    plan = [(dim.name, (dim.key,), True) for dim in snowflake.dimensions]
+    plan += [(snowflake.fact, dim.join_parent_columns, False) for dim in snowflake.dimensions if dim.parent is None]
     return plan
 
 
@@ -305,11 +271,8 @@ def load(
         if name not in tables:
             raise ValidationError(f"relation {name!r} is not in staging")
 
-    planned = [
-        (relation, columns, kind, unique, build_index(tables[relation], columns, kind, unique=unique))
-        for relation, columns, kind, unique in _index_plan(snowflake, tables)
-    ]
-    indexes = {(relation, columns): index for relation, columns, _, _, index in planned}
+    planned = [build_index(tables[relation], columns, unique=unique) for relation, columns, unique in _index_plan(snowflake)]
+    indexes = {(index.relation, index.columns): index for index in planned}
     # star-join soundness: every fact key resolves before anything is written;
     # a fact joins each arm on the dimension key, so its unique index decides
     for dim in snowflake.dimensions:
@@ -344,16 +307,15 @@ def load(
         )
 
     indexes_meta = []
-    for relation, columns, kind, unique, index in planned:
-        fname = f"{relation}.{'+'.join(columns)}.idx"
+    for index in planned:
+        fname = f"{index.relation}.{'+'.join(index.columns)}.idx"
         data = render_index(index).encode("utf-8")
         files[fname] = data
         indexes_meta.append(
             {
-                "relation": relation,
-                "columns": list(columns),
-                "kind": kind,
-                "unique": unique,
+                "relation": index.relation,
+                "columns": list(index.columns),
+                "unique": index.unique,
                 "file": fname,
                 "checksum": sha256_hex(data),
             }
@@ -537,8 +499,8 @@ class Warehouse:
     def _join_index(self, chain: list[dict]) -> Index:
         """Rows of the chain's bottom relation keyed by the first join's
         columns, for probing with the top parent's join columns. A one-join
-        chain is that edge's index: the catalog's when it has one, else a
-        hash index built here. A longer chain composes its edges, so the
+        chain is that edge's index: the catalog's when it has one, else one
+        built here. A longer chain composes its edges, so the
         pass-through relations between top and bottom are never joined."""
         sig = tuple((j["relation"], tuple(j["columns"])) for j in chain)
         index = self._joins.get(sig)
@@ -547,14 +509,14 @@ class Warehouse:
         if len(chain) == 1:
             index = self._indexes.get(sig[0])
             if index is None:
-                index = build_index(self._relation(sig[0][0]), sig[0][1], "hash")
+                index = build_index(self._relation(sig[0][0]), sig[0][1])
         else:
             upper = self._join_index(chain[:-1])
             lower = self._join_index(chain[-1:]).entries
             join = chain[-1]
             parent = self._relation(join["parent"])
             key_of = _key_getter(tuple(parent.schema.column_index(c) for c in join["parent_columns"]))
-            index = Index(join["relation"], upper.columns, "hash", False)
+            index = Index(join["relation"], upper.columns, False)
             for key, ordinals in upper.entries.items():
                 hits = []
                 for n in ordinals:
@@ -893,7 +855,7 @@ def open_warehouse(directory: Path) -> Warehouse:
         if table is None:
             raise IntegrityError(f"index {entry['file']} references unknown relation {entry['relation']!r}")
         path = directory / entry["file"]
-        index = indexes[key] = build_index(table, key[1], entry["kind"], unique=entry["unique"])
+        index = indexes[key] = build_index(table, key[1], unique=entry["unique"])
         if not path.is_file():
             notices.append(f"index sidecar {entry['file']} missing; rebuilt from data")
             continue

@@ -74,6 +74,37 @@ def test_inplace_stages_leave_only_dumped_files(tmp_path, cli_dirs, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["staging"]
 
 
+def test_plan_literal_with_a_line_separator_reaches_report_and_load(tmp_path, cli_dirs, capsys):
+    # the literal lands in lineage.log; every later stage must read it back
+    from uwh import canonical
+    from uwh.staging import load_staging
+
+    _, src, _ = cli_dirs
+    plan = tmp_path / "plan.uwh"
+    plan.write_text("CLEAN student.st_name WITH null_standardize('N\u2028A') ;\n" + canonical.canonical_plan_text())
+    staging = tmp_path / "staging"
+    assert _run(capsys, "extract", "--src", str(src), "--out", str(staging), "--timestamp", TS)[0] == 0
+    assert _run(capsys, "cleanse", "--staging", str(staging), "--timestamp", TS)[0] == 0
+    assert _run(capsys, "transform", "--staging", str(staging), "--plan", str(plan), "--timestamp", TS)[0] == 0
+    assert any("N\u2028A" in (e.statement_text or "") for e in load_staging(staging).lineage)
+    code, _, err = _run(capsys, "report", "--staging", str(staging))
+    assert code == 0, err
+    code, _, err = _run(capsys, "load", "--staging", str(staging), "--out", str(tmp_path / "wh"), "--timestamp", TS)
+    assert code == 0, err
+
+
+@pytest.mark.parametrize(
+    "stamp",
+    ["2026-01-01\tT", "2026-01-01T00:00:00", "2026-1-01T00:00:00Z", "2026-02-30T00:00:00Z", "2026-01-01T00:00:00Z\n", ""],
+)
+def test_malformed_timestamp_exits_one_and_writes_nothing(tmp_path, cli_dirs, capsys, stamp):
+    _, src, _ = cli_dirs
+    out = tmp_path / "staging"
+    code, _, err = _run(capsys, "extract", "--src", str(src), "--out", str(out), "--timestamp", stamp)
+    assert code == 1 and "--timestamp" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_stage_refuses_non_empty_directory_that_is_not_staging(tmp_path, cli_dirs, capsys):
     _, src, _ = cli_dirs
     out = tmp_path / "out"

@@ -274,6 +274,30 @@ def test_invalid_utf8_staging_table_is_a_validation_error(tmp_path, capsys):
     assert "t.csv" in err and "Traceback" not in err
 
 
+# characters str.splitlines breaks a line at, besides "\n"
+_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("brk", _LINE_BREAKS, ids=[f"U+{ord(b):04X}" for b in _LINE_BREAKS])
+def test_lineage_survives_the_staging_dump(tmp_path, brk):
+    from uwh.staging import LineageEvent
+
+    schema = _schema([ValueType.INTEGER], [False])
+    staging = StagingArea({"t": Table(schema, [(1,)])})
+    staging.log(LineageEvent("transform", "t", f"cleaned a{brk}b", 1, TS, 0, f"CLEAN t.a WITH null_standardize('N{brk}A')"))
+    staging.log(LineageEvent("extract", "t", "read=1", 1, TS))
+    dump_staging(staging, tmp_path / "st")
+    assert load_staging(tmp_path / "st").lineage == staging.lineage
+
+
+def test_invalid_utf8_lineage_is_a_validation_error(tmp_path):
+    schema = _schema([ValueType.INTEGER], [False])
+    dump_staging(StagingArea({"t": Table(schema, [(1,)])}), tmp_path / "st")
+    (tmp_path / "st" / "lineage.log").write_bytes(b"extract\tt\t1\tT\t\t\tread=\xff\n")
+    with pytest.raises(ValidationError, match="lineage.log: not valid UTF-8"):
+        load_staging(tmp_path / "st")
+
+
 def test_quoted_carriage_returns_survive_the_warehouse(tmp_path, seed42_transformed):
     staging = seed42_transformed.clone()
     student = staging.tables["student"]

@@ -130,6 +130,16 @@ def test_extract_unparseable_cell_stages_raw():
     assert check_row(schema, table.rows[0], allow_raw=True) is None
 
 
+def test_extract_counts_raw_cells_of_staged_rows_only():
+    # row 1 has a raw date before its Null name, so it is quarantined and
+    # its raw cell is not counted
+    schema = parse_schema_manifest("TABLE r\n  id INTEGER PK\n  day DATE NULL\n  name TEXT\n").tables["r"]
+    table, stats, quarantine = extract_table("id,day,name\n1,31/12/2011,\n2,31/12/2011,x\n", schema)
+    assert [row[0] for row in table.rows] == [2]
+    assert len(quarantine.rows) == 1
+    assert stats.raw_cells == 1
+
+
 def test_extract_null_in_nonnullable_quarantines():
     table, stats, quarantine = extract_table("item_id,item_name,item_category\n1,,X\n", _item_schema())
     assert stats.rows_rejected == 1 and not table.rows

@@ -85,7 +85,7 @@ def test_assemble_rejects_unconnected_dimension(seed42_transformed):
 
 def test_unique_hash_index_thousand_probes(seed42_handle):
     student = seed42_handle.relation("student")
-    index = build_index(student, ("st_id",), "hash", unique=True)
+    index = build_index(student, ("st_id",), unique=True)
     keys = [row[0] for row in student.rows]
     rng = random.Random(9)
     probes = [(k,) for k in keys] + [(rng.randint(-10_000, 10_000),) for _ in range(1000)]
@@ -97,28 +97,15 @@ def test_unique_index_rejects_duplicates():
     db = parse_schema_manifest("TABLE t\n  id INTEGER PK\n  v INTEGER\n")
     t = Table(db.tables["t"], [(1, 5), (2, 5)])
     with pytest.raises(ValidationError) as exc:
-        build_index(t, ("v",), "hash", unique=True)
+        build_index(t, ("v",), unique=True)
     assert "duplicate key" in str(exc.value)
 
 
 def test_empty_relation_index():
     db = parse_schema_manifest("TABLE t\n  id INTEGER PK\n")
-    index = build_index(Table(db.tables["t"], []), ("id",), "hash", unique=True)
+    index = build_index(Table(db.tables["t"], []), ("id",), unique=True)
     assert index.lookup((1,)) == []
     assert render_index(index) == ""
-
-
-def test_ordered_index_range_scan(seed42_handle):
-    fact = seed42_handle.relation("transcript")
-    index = seed42_handle.index("transcript", ("tr_semester", "tr_year"))
-    assert index.kind == "ordered"
-    got = sorted(index.range_scan(("FALL", 2011), ("FALL", 2011)))
-    sem = fact.schema.column_index("tr_semester")
-    yr = fact.schema.column_index("tr_year")
-    expected = [n for n, row in enumerate(fact.rows) if row[sem] == "FALL" and row[yr] == 2011]
-    assert got == expected
-    full = sorted(index.range_scan(("A", 0), ("Z", 9999)))
-    assert full == list(range(len(fact.rows)))
 
 
 def test_all_catalog_indexes_match_full_scan(seed42_handle):
@@ -140,9 +127,9 @@ def test_load_writes_expected_layout(seed42_warehouse_dir):
     csvs = {n for n in names if n.endswith(".csv")}
     assert len(csvs) == 8
     idx = {n for n in names if n.endswith(".idx")}
-    assert len(idx) == 10  # 7 dim keys + 2 fact key columns + 1 ordered
+    assert len(idx) == 9  # 7 dim keys + 2 fact key columns
     catalog = json.loads((seed42_warehouse_dir / "catalog.json").read_text())
-    assert catalog["format_version"] == 1
+    assert catalog["format_version"] == 2
     assert catalog["frozen"] is True
     assert catalog["fact"] == "transcript"
     assert len(catalog["relations"]) == 8
@@ -297,6 +284,23 @@ def test_tampered_sidecar_content_fails_cross_check(tmp_path, seed42_warehouse_d
     victim.write_bytes(tamper(victim.read_text().splitlines()).encode())
     _forge_checksums(work, victim.name)
     _assert_open_fails(work, capsys, victim.name, "disagrees")
+
+
+def test_version_1_catalog_is_refused(tmp_path, seed42_warehouse_dir, capsys):
+    # a format-1 catalog (index descriptors with a "kind") whose self
+    # checksum is forged to match is still refused: there is no shim
+    from uwh.warehouse import canonical_json, sha256_hex
+
+    work = tmp_path / "wh"
+    shutil.copytree(seed42_warehouse_dir, work)
+    catalog = json.loads((work / "catalog.json").read_text())
+    catalog["format_version"] = 1
+    for entry in catalog["indexes"]:
+        entry["kind"] = "hash"
+    catalog["self_checksum"] = ""
+    catalog["self_checksum"] = sha256_hex(canonical_json(catalog).encode())
+    (work / "catalog.json").write_text(canonical_json(catalog))
+    _assert_open_fails(work, capsys, "catalog.json", "format_version")
 
 
 def _bad_integer(lines: list[bytes]) -> None:
