@@ -112,7 +112,6 @@ class Anomaly:
     row_index: int
     column: str
     reason: str
-    text: str
 
 
 @dataclass
@@ -225,7 +224,7 @@ def apply_rule(table: Table, rule: CleanseRule) -> tuple[Table, RuleStats]:
             rows.append(row)
             continue
         if verdict == "anomaly":
-            anomalies.append(Anomaly(i, rule.column, new, render_cell(row[col_idx])))
+            anomalies.append(Anomaly(i, rule.column, new))
             rows.append(row)
             continue
         if isinstance(new, RawCell) and col_type is not ValueType.TEXT:
@@ -332,10 +331,6 @@ class ReconcileStats:
     iterations: int = 0
     per_fk: dict = field(default_factory=dict)  # label -> {policy, quarantined, nullified}
 
-    def bump(self, label: str, policy: str, action: str) -> None:
-        entry = self.per_fk.setdefault(label, {"policy": policy, "quarantined": 0, "nullified": 0})
-        entry[action] += 1
-
 
 def _validate_policy(staging: StagingArea, policy: ReconcilePolicy) -> None:
     labels = {}
@@ -370,37 +365,37 @@ def reconcile_foreign_keys(
         if report.is_empty():
             break
         stats.iterations += 1
-        drops: dict[str, set[int]] = {}
-        nulls: dict[str, dict[int, set[int]]] = {}
-        fk_of_row: dict[tuple[str, int], str] = {}
+        drops: dict[str, dict[int, str]] = {}  # row -> its last orphaned quarantine FK
+        nulls: dict[str, dict[int, dict[str, set[int]]]] = {}  # row -> orphaned nullify FK -> its columns
         for entry in report.entries:
             table = staging.tables[entry.table]
             action = policy.for_fk(entry.fk)
+            stats.per_fk.setdefault(entry.fk, {"policy": action, "quarantined": 0, "nullified": 0})
             if action == "nullify":
                 fk = next(f for f in table.schema.foreign_keys if f.label(entry.table) == entry.fk)
                 if all(table.schema.column(c).nullable for c in fk.columns):
                     cols = {table.schema.column_index(c) for c in fk.columns}
-                    nulls.setdefault(entry.table, {}).setdefault(entry.row_index, set()).update(cols)
-                    stats.bump(entry.fk, action, "nullified")
+                    nulls.setdefault(entry.table, {}).setdefault(entry.row_index, {})[entry.fk] = cols
                     continue
                 raise ValidationError(f"nullify policy on non-nullable FK {entry.fk}")
-            drops.setdefault(entry.table, set()).add(entry.row_index)
-            fk_of_row[(entry.table, entry.row_index)] = entry.fk
-            stats.bump(entry.fk, action, "quarantined")
+            drops.setdefault(entry.table, {})[entry.row_index] = entry.fk
+        # a quarantined row counts once, under the FK its reason names
         for name in set(drops) | set(nulls):
             table = staging.tables[name]
-            doomed = drops.get(name, set())
+            doomed = drops.get(name, {})
             nullable_fixes = nulls.get(name, {})
             rows = []
             for i, row in enumerate(table.rows):
-                if i in doomed:
-                    label = fk_of_row[(name, i)]
+                label = doomed.get(i)
+                if label is not None:
+                    stats.per_fk[label]["quarantined"] += 1
                     staging.add_quarantine(
                         name, table.schema.column_names, f"orphan:{label}", tuple(render_cell(c) for c in row)
                     )
                     continue
-                if i in nullable_fixes:
-                    row = tuple(None if j in nullable_fixes[i] else c for j, c in enumerate(row))
+                for fk_label, cols in nullable_fixes.get(i, {}).items():
+                    stats.per_fk[fk_label]["nullified"] += 1
+                    row = tuple(None if j in cols else c for j, c in enumerate(row))
                 rows.append(row)
             staging.tables[name] = Table(table.schema, rows)
     if stats.per_fk:  # no orphans leaves the staging byte-identical

@@ -6,8 +6,9 @@ dialect distinguishes a bare empty field (Null) from a quoted empty
 field (empty text), and stdlib readers erase that distinction. The
 parser reports a ``quoted`` flag per field and accepts LF, CRLF, and CR
 line ends; embedded newlines inside quoted fields are preserved.
-``iter_records`` yields the same records faster: it splits lines with
-no quote and no CR on commas and hands any other record to the parser.
+Every CSV read goes through ``iter_records``, which splits lines with no
+quote and no CR on commas and hands any other record to the parser;
+``parse_csv`` is the whole-text reference it is tested against.
 """
 
 from __future__ import annotations

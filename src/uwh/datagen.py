@@ -24,9 +24,9 @@ from datetime import date, timedelta
 from pathlib import Path
 
 from .canonical import canonical_schema
-from .csvio import format_row, parse_csv
+from .csvio import format_row
 from .errors import MissingInputError, ValidationError
-from .staging import write_dir_atomically
+from .staging import read_records, write_dir_atomically
 from .values import make_decimal, render_cell
 
 LEDGER_FILE = "dirt_ledger.csv"
@@ -74,18 +74,18 @@ class DirtLedger:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_csv(cls, text: str) -> "DirtLedger":
-        records = parse_csv(text)
-        if not records or tuple(t for t, _ in records[0]) != _LEDGER_COLUMNS:
-            raise ValidationError("not a dirt ledger file")
-        return cls([DirtEntry(*(t for t, _ in rec)) for rec in records[1:]])
+    def from_csv(cls, data: bytes, file: str) -> "DirtLedger":
+        rows = [fields for fields, _ in read_records(data, file, ValidationError)]
+        if not rows or tuple(rows[0]) != _LEDGER_COLUMNS or any(len(r) != len(_LEDGER_COLUMNS) for r in rows):
+            raise ValidationError(f"{file}: not a dirt ledger file")
+        return cls([DirtEntry(*r) for r in rows[1:]])
 
 
 def load_ledger(path: Path) -> DirtLedger:
     path = Path(path)
     if not path.is_file():
         raise MissingInputError(f"no dirt ledger at {path}")
-    return DirtLedger.from_csv(path.read_text(encoding="utf-8"))
+    return DirtLedger.from_csv(path.read_bytes(), path.name)
 
 
 # ---------------------------------------------------------------------------

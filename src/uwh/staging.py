@@ -17,7 +17,9 @@ Dumps are byte-deterministic given the same staging contents, and are
 written all or nothing by ``write_dir_atomically``, which the warehouse
 loader uses too. Table files are written by ``render_table_csv`` and read
 back by ``decode_table`` from the bytes of the file, so a quoted CR
-survives; the warehouse reads its relations with it too.
+survives. Every CSV read (source, staging, quarantine, dirt ledger and
+warehouse files) goes through ``read_records``, and every typed one
+through ``typed_rows``.
 """
 
 from __future__ import annotations
@@ -27,12 +29,14 @@ import json
 import os
 import shutil
 import tempfile
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
 from datetime import date
 from decimal import Decimal
 from pathlib import Path
 
-from .csvio import NEEDS_QUOTES, format_field, format_row, iter_records, parse_csv
+from .csvio import NEEDS_QUOTES, format_field, format_row, iter_records
+from .csvio import parse_csv  # noqa: F401  (unused here; the benchmark's tracer rebinds this name)
 from .errors import MissingInputError, UwhError, ValidationError
 from .manifest import parse_schema_manifest, render_manifest
 from .schema import DatabaseSchema, Table, TableSchema
@@ -146,46 +150,57 @@ def render_table_csv(table: Table) -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_records(data: bytes, file: str, error: type[UwhError]) -> Iterator[tuple[list[str], list[bool] | None]]:
+    """The records of the bytes of ``file``, as ``iter_records`` yields
+    them. Invalid UTF-8 and every CSV fault are an ``error`` naming ``file``."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{file}: not valid UTF-8: {exc}") from exc
+    try:
+        yield from iter_records(text)
+    except ValidationError as exc:
+        raise error(f"{file}: {exc}") from exc
+
+
+def typed_rows(records, columns, raw: Callable[[str], object]) -> Iterator[tuple[list[str], tuple | None]]:
+    """(field texts, cells) per record; ``cells`` is None when the arity is
+    not that of ``columns``. Each cell follows ``parse_cell`` for its
+    column, but text that does not parse as the column's type becomes
+    ``raw(text)``. Quote-free records use one converter per column."""
+    converters = [cell_converter(c.type, raw) for c in columns]
+    n = len(columns)
+    for fields, quoted in records:
+        if len(fields) != n:
+            yield fields, None
+        elif quoted is None:
+            yield fields, tuple([convert(t) for convert, t in zip(converters, fields)])
+        else:
+            cells = (parse_cell(t, q, c.type) for t, q, c in zip(fields, quoted, columns))
+            yield fields, tuple([raw(v) if isinstance(v, RawCell) else v for v in cells])
+
+
 def decode_table(data: bytes, file: str, schema: TableSchema, error: type[UwhError], *, keep_raw: bool) -> Table:
     """Decode the bytes of table file ``file``: its header must name the
     schema's columns in order, and each cell follows ``parse_cell``.
 
     A cell that does not parse as its column's type stays a ``RawCell``
     when ``keep_raw`` and is an ``error`` otherwise, as is any other
-    fault, each naming ``file``. The fields of a record without quotes
-    go through one converter per column, those of any other record
-    through ``parse_cell`` itself.
+    fault, each naming ``file``.
     """
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise error(f"{file}: not valid UTF-8: {exc}") from exc
-
-    def checked_records():
-        try:
-            yield from iter_records(text)
-        except ValidationError as exc:
-            raise error(f"{file}: {exc}") from exc
 
     def unparsable(text: str):
         raise error(f"{file}: cell does not parse as its declared type")
 
-    raw = RawCell if keep_raw else unparsable
-    columns = schema.columns
-    converters = [cell_converter(c.type, raw) for c in columns]
-    records = checked_records()
+    records = read_records(data, file, error)
     header, _ = next(records, (None, None))
     if header != list(schema.column_names):
         raise error(f"{file}: header does not match the schema")
     rows: list[tuple] = []
-    for fields, quoted in records:
-        if len(fields) != len(columns):
-            raise error(f"{file}: row arity {len(fields)} does not match the schema's {len(columns)} columns")
-        if quoted is None:
-            rows.append(tuple([convert(t) for convert, t in zip(converters, fields)]))
-            continue
-        cells = (parse_cell(t, q, c.type) for t, q, c in zip(fields, quoted, columns))
-        rows.append(tuple(raw(v) if isinstance(v, RawCell) else v for v in cells))
+    for fields, cells in typed_rows(records, schema.columns, RawCell if keep_raw else unparsable):
+        if cells is None:
+            raise error(f"{file}: row arity {len(fields)} does not match the schema's {len(schema.columns)} columns")
+        rows.append(cells)
     return Table(schema, rows)
 
 
@@ -291,19 +306,15 @@ def load_staging(in_dir: Path) -> StagingArea:
     qdir = in_dir / "quarantine"
     if qdir.is_dir():
         for path in sorted(qdir.glob("*.csv")):
-            try:
-                records = parse_csv(path.read_bytes().decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise ValidationError(f"{path}: not valid UTF-8: {exc}") from exc
-            if not records:
+            file = f"quarantine/{path.name}"
+            records = read_records(path.read_bytes(), file, ValidationError)
+            header, _ = next(records, (None, None))
+            if header is None:
                 continue
-            header = [t for t, _ in records[0]]
-            if not header or header[0] != "_reason":
-                raise ValidationError(f"{path}: quarantine header must start with _reason")
-            q = Quarantine(tuple(header[1:]))
-            for rec in records[1:]:
-                q.rows.append(QRow(rec[0][0], tuple(t for t, _ in rec[1:])))
-            quarantine[path.stem] = q
+            if header[0] != "_reason":
+                raise ValidationError(f"{file}: quarantine header must start with _reason")
+            rows = [QRow(fields[0], tuple(fields[1:])) for fields, _ in records]
+            quarantine[path.stem] = Quarantine(tuple(header[1:]), rows)
 
     lineage: list[LineageEvent] = []
     lpath = in_dir / "lineage.log"

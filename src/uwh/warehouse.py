@@ -62,12 +62,6 @@ class SnowflakeSchema:
     def relation_names(self) -> list[str]:
         return [self.fact] + [d.name for d in self.dimensions]
 
-    def dimension(self, name: str) -> DimensionInfo:
-        for d in self.dimensions:
-            if d.name == name:
-                return d
-        raise KeyError(name)
-
 
 def assemble_snowflake(tables: dict[str, Table], fact_decl: str, dim_decls: list[tuple[str, str]]) -> SnowflakeSchema:
     """Validate the one-fact/seven-dimension shape and derive the arm graph

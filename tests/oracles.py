@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the engine's own machinery: joins are
 nested-loop scans without hash maps, referential checks scan full target
-tables, and means are exact rational arithmetic.
+tables, means are exact rational arithmetic, and extraction parses the
+whole file before it types any cell.
 """
 
 from __future__ import annotations
@@ -12,7 +13,12 @@ from decimal import Decimal
 from fractions import Fraction
 from operator import itemgetter
 
-from uwh.schema import Table
+from uwh.csvio import parse_csv
+from uwh.errors import ValidationError
+from uwh.ingest import TableExtraction
+from uwh.schema import Table, TableSchema
+from uwh.staging import QRow, Quarantine, parse_cell
+from uwh.values import RawCell
 
 
 def orphan_rows_nested_loop(tables: dict[str, Table]) -> set[tuple[str, str, int]]:
@@ -37,6 +43,42 @@ def orphan_rows_nested_loop(tables: dict[str, Table]) -> set[tuple[str, str, int
                 if not hit:
                     found.add((table.name, fk.label(table.name), n))
     return found
+
+
+def extract_table_reference(source: str | bytes, schema: TableSchema) -> tuple[Table, TableExtraction, Quarantine]:
+    """``extract_table`` as whole-text ``parse_csv``, then ``parse_cell`` on
+    every cell of each record, taken in schema order."""
+    if isinstance(source, bytes):
+        try:
+            source = source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{schema.name}: input is not valid UTF-8: {exc}") from exc
+    records = parse_csv(source)
+    if not records:
+        raise ValidationError(f"{schema.name}: missing header row")
+    header = [t for t, _ in records[0]]
+    if sorted(header) != sorted(schema.column_names) or len(set(header)) != len(header):
+        raise ValidationError(f"{schema.name}: header does not name the schema's columns")
+    order = [header.index(c) for c in schema.column_names]
+    stats = TableExtraction(schema.name)
+    quarantine = Quarantine(schema.column_names)
+    rows: list[tuple] = []
+    for rec in records[1:]:
+        stats.rows_read += 1
+        if len(rec) != len(schema.columns):
+            stats.reject("arity")
+            quarantine.rows.append(QRow("arity", tuple(t for t, _ in rec)))
+            continue
+        cells = tuple(parse_cell(*rec[pos], col.type) for col, pos in zip(schema.columns, order))
+        missing = [col.name for col, v in zip(schema.columns, cells) if v is None and not col.nullable]
+        if missing:
+            stats.reject("null-in-nonnullable")
+            quarantine.rows.append(QRow(f"null-in-nonnullable:{missing[0]}", tuple(rec[pos][0] for pos in order)))
+            continue
+        rows.append(cells)
+        stats.rows_staged += 1
+        stats.raw_cells += sum(isinstance(v, RawCell) for v in cells)
+    return Table(schema, rows), stats, quarantine
 
 
 def left_merge_nested_loop(

@@ -269,6 +269,9 @@ def test_cleanse_staging_dirt_accounting(seed42_staging, seed42_ledger):
         + sum(t["rows_rejected"] for t in seed42_staging.reports["extraction"].values())
     )
     assert touched >= len(seed42_ledger.entries)
+    # reconcile counts each quarantined row once, under the FK it names
+    orphans = [r for q in cleaned.quarantine.values() for r in q.rows if r.reason.startswith("orphan:")]
+    assert sum(e["quarantined"] for e in report.reconcile.values()) == len(orphans)
 
 
 def test_cleanse_staging_idempotent_on_seed42(seed42_cleansed):

@@ -274,6 +274,16 @@ def test_invalid_utf8_staging_table_is_a_validation_error(tmp_path, capsys):
     assert "t.csv" in err and "Traceback" not in err
 
 
+def test_invalid_utf8_quarantine_file_is_a_validation_error(tmp_path):
+    schema = _schema([ValueType.INTEGER], [False])
+    staging = StagingArea({"t": Table(schema, [(1,)])})
+    staging.add_quarantine("t", schema.column_names, "arity", ("1", "2"))
+    dump_staging(staging, tmp_path / "st")
+    (tmp_path / "st" / "quarantine" / "t.csv").write_bytes(b"_reason,a\narity,\xff\n")
+    with pytest.raises(ValidationError, match="quarantine/t.csv: not valid UTF-8"):
+        load_staging(tmp_path / "st")
+
+
 # characters str.splitlines breaks a line at, besides "\n"
 _LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 

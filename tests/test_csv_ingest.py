@@ -4,17 +4,18 @@ import json
 from datetime import date
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import extract_table_reference
 from uwh import canonical
 from uwh.csvio import format_row, parse_csv
-from uwh.errors import MissingInputError, ValidationError
+from uwh.errors import MissingInputError, UwhError, ValidationError
 from uwh.ingest import extract_database, extract_table
 from uwh.manifest import parse_schema_manifest
-from uwh.schema import check_row
+from uwh.schema import ColumnDef, TableSchema, check_row
 from uwh.staging import dump_staging, load_staging, render_table_csv, staging_fingerprint
-from uwh.values import RawCell
+from uwh.values import RawCell, ValueType
 
 ITEM_MANIFEST = "TABLE item\n  item_id INTEGER PK\n  item_name TEXT\n  item_category TEXT NULL\n"
 
@@ -154,6 +155,75 @@ def test_extract_quoted_empty_is_empty_text_not_null():
 def test_extract_non_utf8_is_hard_error():
     with pytest.raises(ValidationError):
         extract_table(b"item_id,item_name,item_category\n1,\xff,X\n", _item_schema())
+
+
+# --- extract_table against the whole-text reference -------------------------
+
+_NAMES = ("a", "b", "c", "d")
+# texts each type accepts or rejects, bare empty (Null), and bare texts
+# that hold a separator, a quote or a line end
+_TEXTS = st.one_of(
+    st.sampled_from(["", "0", "-7", "12x", "1.5", "2.12345", "2012-02-29", "2013-02-29", "true", "FALSE", "yes", "N/A"]),
+    st.text(st.sampled_from(list('ab ,"\r\n')), max_size=4),
+)
+
+
+def _quoted(text: str) -> str:
+    return '"' + text.replace('"', '""') + '"'
+
+
+@st.composite
+def _extract_cases(draw):
+    k = draw(st.integers(1, 4))
+    columns = tuple(
+        ColumnDef(n, draw(st.sampled_from(list(ValueType))), draw(st.booleans())) for n in _NAMES[:k]
+    )
+    schema = TableSchema("t", columns, (_NAMES[0],))
+    header = list(draw(st.permutations(_NAMES[:k])))
+    fault = draw(st.sampled_from([None] * 12 + ["unknown", "duplicate", "missing"]))
+    if fault == "unknown":
+        header[draw(st.integers(0, k - 1))] = "x"
+    elif fault == "duplicate":
+        header.append(header[0])
+    elif fault == "missing":
+        header.pop()
+    lines = [",".join(draw(st.sampled_from([h, _quoted(h)])) for h in header)]
+    for _ in range(draw(st.integers(0, 6))):
+        arity = draw(st.sampled_from([k] * 6 + [k - 1, k + 1]))
+        fields = [draw(_TEXTS) for _ in range(arity)]
+        lines.append(",".join(_quoted(t) if draw(st.booleans()) else t for t in fields))
+    ends = st.sampled_from(["\n", "\r\n", "\r", "\n\n"])
+    text = "".join(line + draw(ends) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final line end
+    if draw(st.booleans()):
+        return schema, text
+    data = text.encode("utf-8")
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return schema, data
+
+
+def _extraction(extract, source, schema):
+    try:
+        table, stats, quarantine = extract(source, schema)
+    except UwhError as exc:
+        return type(exc)
+    typed = [[(type(v), v) for v in row] for row in table.rows]
+    return typed, stats, quarantine
+
+
+_PAIR = TableSchema("t", (ColumnDef("a", ValueType.INTEGER, False), ColumnDef("b", ValueType.TEXT, False)), ("a",))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_extract_cases())
+@example((_PAIR, "b,a\n,1\nx,2x\n"))  # a Null in a permuted header: quarantine texts in schema order
+@example((_PAIR, 'b,a\r\n"",\r\n"x\ny",3\r\n'))
+def test_extract_matches_whole_text_reference(case):
+    schema, source = case
+    assert _extraction(extract_table, source, schema) == _extraction(extract_table_reference, source, schema)
 
 
 # --- extract_database -------------------------------------------------------

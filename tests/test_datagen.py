@@ -99,6 +99,17 @@ def test_ledger_roundtrip(tmp_path):
     }
 
 
+@pytest.mark.parametrize(
+    "data",
+    [b"", b"table,row_key\n", b"table,row_key,column,original,corrupted,kind\nt,1,c,a,b\n", b"table,\xff\n"],
+    ids=["empty", "wrong-header", "short-row", "invalid-utf8"],
+)
+def test_malformed_ledger_is_a_validation_error(tmp_path, data):
+    (tmp_path / "dirt_ledger.csv").write_bytes(data)
+    with pytest.raises(ValidationError, match="dirt_ledger.csv"):
+        load_ledger(tmp_path / "dirt_ledger.csv")
+
+
 def test_config_validation():
     with pytest.raises(ValidationError):
         GenConfig(dirty_rate=1.5).validate()

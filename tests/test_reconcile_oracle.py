@@ -60,16 +60,20 @@ def _oracle_fixpoint(tables: dict[str, Table], policy: ReconcilePolicy):
     with an orphaned quarantine FK is quarantined, its reason the last such
     FK in declaration order; otherwise each orphaned nullify FK is set to
     Null. Returns the tables, the quarantine rows, the (table, id, FK
-    label) nullified, and the number of rounds."""
+    label) nullified, the number of rounds, and per orphaned FK its policy
+    and the rows it quarantined (by reason) and nullified (kept rows)."""
     tables = dict(tables)
     quarantine: dict[str, list[QRow]] = {}
     nullified: set[tuple[str, int, str]] = set()
+    per_fk: dict[str, dict] = {}
     rounds = 0
     while True:
         orphans = orphan_rows_nested_loop(tables)
         if not orphans:
-            return tables, quarantine, nullified, rounds
+            return tables, quarantine, nullified, rounds, per_fk
         rounds += 1
+        for _, label, _ in orphans:
+            per_fk.setdefault(label, {"policy": policy.for_fk(label), "quarantined": 0, "nullified": 0})
         for name, table in tables.items():
             schema = table.schema
             rows = []
@@ -79,9 +83,11 @@ def _oracle_fixpoint(tables: dict[str, Table], policy: ReconcilePolicy):
                 if dropped:
                     reason = f"orphan:{dropped[-1].label(name)}"
                     quarantine.setdefault(name, []).append(QRow(reason, tuple(map(render_cell, row))))
+                    per_fk[dropped[-1].label(name)]["quarantined"] += 1
                     continue
                 for fk in hit:
                     nullified.add((name, row[0], fk.label(name)))
+                    per_fk[fk.label(name)]["nullified"] += 1
                     cols = {schema.column_index(c) for c in fk.columns}
                     row = tuple(None if j in cols else v for j, v in enumerate(row))
                 rows.append(row)
@@ -93,11 +99,12 @@ def _oracle_fixpoint(tables: dict[str, Table], policy: ReconcilePolicy):
 def test_reconcile_equals_oracle_fixpoint(graph):
     tables, policy = graph
     out, stats = reconcile_foreign_keys(StagingArea(dict(tables)), policy)
-    want_tables, want_quarantine, nullified, rounds = _oracle_fixpoint(tables, policy)
+    want_tables, want_quarantine, nullified, rounds, per_fk = _oracle_fixpoint(tables, policy)
 
     assert {name: t.rows for name, t in out.tables.items()} == {name: t.rows for name, t in want_tables.items()}
     assert {name: q.rows for name, q in out.quarantine.items()} == want_quarantine
     assert stats.iterations == rounds
+    assert stats.per_fk == per_fk
     for name, row_id, label in nullified:  # a row nullified, then quarantined in a later round, is gone
         table = out.tables[name]
         fk = next(f for f in table.schema.foreign_keys if f.label(name) == label)

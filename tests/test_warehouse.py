@@ -355,6 +355,19 @@ def test_tampered_relation_fails_open(tmp_path, seed42_warehouse_dir, capsys, ta
     _assert_open_fails(work, capsys, victim.name, words)
 
 
+def test_crlf_relation_with_forged_checksums_opens(tmp_path, seed42_warehouse_dir):
+    # accepted, as README says: CRLF line ends decode to the same rows, so
+    # the sidecars rebuilt from them still match
+    work = tmp_path / "wh"
+    shutil.copytree(seed42_warehouse_dir, work)
+    victim = work / "student.csv"
+    data = victim.read_bytes()
+    assert b"\r" not in data
+    victim.write_bytes(data.replace(b"\n", b"\r\n"))
+    _forge_checksums(work, victim.name)
+    assert open_warehouse(work).relation("student").rows == open_warehouse(seed42_warehouse_dir).relation("student").rows
+
+
 def test_handle_surface_is_read_only(seed42_handle):
     mutators = [n for n in dir(seed42_handle) if not n.startswith("_")
                 and any(w in n.lower() for w in ("write", "insert", "update", "delete", "drop", "set", "append", "remove"))]
