@@ -2,8 +2,10 @@
 
 Rule-driven repair and standardization, exact-duplicate collapse, and
 foreign-key reconciliation. Rules are pure cell transformations applied
-in listed order; anything a rule cannot repair quarantines its row, so
-no anomaly survives silently into cleansed staging.
+in listed order, in one pass over each table's rows; anything a rule
+cannot repair quarantines its row, so no anomaly survives silently into
+cleansed staging. Quarantined rows go by rule, then by row. Reconcile
+rounds after the first recheck only the FKs into tables that changed.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 
 from .errors import ParseError, ValidationError
-from .schema import Table, TableSchema, check_referential_integrity, check_row
+from .schema import Table, TableSchema, check_referential_integrity, key_getter, row_checker
 from .staging import DEFAULT_TIMESTAMP, LineageEvent, QRow, StagingArea
 from .values import (
     RawCell,
@@ -202,39 +204,44 @@ def _cell_fn(rule: CleanseRule, col_type: ValueType):
     raise ValueError(f"unknown rule kind {kind!r}")
 
 
-def apply_rule(table: Table, rule: CleanseRule) -> tuple[Table, RuleStats]:
-    """Apply one rule to its column; anomalous rows are flagged, not removed.
-
-    Raw cells whose repaired text now parses as the declared type become
-    typed values (the raw marker is cleared).
-    """
-    if rule.table != table.name:
-        raise ValidationError(f"rule {rule.label()} applied to table {table.name!r}")
-    rule = check_rule(rule, table.schema)
-    col_idx = table.schema.column_index(rule.column)
-    col_type = table.schema.column(rule.column).type
+def _compile_rule(rule: CleanseRule, schema: TableSchema):
+    """The rule's RuleStats and its row step: row -> the row after the rule,
+    or the reason (a str) of the anomaly it finds. A changed raw cell whose
+    text now parses as the declared type becomes that typed value."""
+    if rule.table != schema.name:
+        raise ValidationError(f"rule {rule.label()} applied to table {schema.name!r}")
+    rule = check_rule(rule, schema)
+    col_idx = schema.column_index(rule.column)
+    col_type = schema.columns[col_idx].type
     fn = _cell_fn(rule, col_type)
     stats = RuleStats(rule)
-    rows: list[tuple] = []
-    anomalies: list[Anomaly] = []
-    for i, row in enumerate(table.rows):
-        stats.cells_examined += 1
+
+    def step(row: tuple):
         verdict, new = fn(row[col_idx])
         if verdict == "same":
-            rows.append(row)
-            continue
+            return row
         if verdict == "anomaly":
-            anomalies.append(Anomaly(i, rule.column, new))
-            rows.append(row)
-            continue
+            return new
         if isinstance(new, RawCell) and col_type is not ValueType.TEXT:
             try:
                 new = parse_typed(str(new), col_type)
             except ValueError:
                 pass
-        rows.append(row[:col_idx] + (new,) + row[col_idx + 1:])
         stats.cells_changed += 1
-    stats.anomalies = anomalies
+        return row[:col_idx] + (new,) + row[col_idx + 1:]
+
+    return stats, step
+
+
+def apply_rule(table: Table, rule: CleanseRule) -> tuple[Table, RuleStats]:
+    """Apply one rule to its column; anomalous rows are flagged, not removed."""
+    stats, step = _compile_rule(rule, table.schema)
+    stats.cells_examined = len(table.rows)
+    rows = list(map(step, table.rows))
+    for i, out in enumerate(rows):
+        if out.__class__ is str:
+            stats.anomalies.append(Anomaly(i, rule.column, out))
+            rows[i] = table.rows[i]
     return Table(table.schema, rows), stats
 
 
@@ -249,40 +256,40 @@ class TableCleanseSlice:
 
 
 def cleanse_table(table: Table, rules: list[CleanseRule]) -> tuple[Table, TableCleanseSlice]:
-    """Apply rules in order, quarantining rows a rule flags; afterwards any
-    row that still fails strict conformance (surviving raw cell, Null in a
-    non-nullable column) is quarantined too."""
+    """Each row runs the rules in order until one flags it, which quarantines
+    it; a row that passes them all but fails strict conformance (surviving
+    raw cell, Null in a non-nullable column) is quarantined after those."""
     slice_ = TableCleanseSlice(table.name, rows_in=len(table.rows))
-    current = table
-    for rule in rules:
-        current, stats = apply_rule(current, rule)
-        doomed = {a.row_index: a for a in stats.anomalies}
-        if doomed:
-            kept = []
-            for i, row in enumerate(current.rows):
-                if i in doomed:
-                    a = doomed[i]
-                    slice_.quarantined.append(
-                        QRow(f"{a.reason}:{a.column}", tuple(render_cell(c) for c in row))
-                    )
-                    stats.cells_quarantined += 1
-                else:
-                    kept.append(row)
-            current = Table(current.schema, kept)
-        slice_.rule_stats.append(stats)
-    kept = []
-    for row in current.rows:
-        issue = check_row(current.schema, row, allow_raw=False)
-        if issue is None:
-            kept.append(row)
+    compiled = [(*_compile_rule(rule, table.schema), []) for rule in rules]
+    check = row_checker(table.schema)
+    kept: list[tuple] = []
+    failed: list[QRow] = []
+    for row in table.rows:
+        for stats, step, flagged in compiled:
+            out = step(row)
+            if out.__class__ is str:
+                flagged.append(QRow(f"{out}:{stats.rule.column}", tuple(map(render_cell, row))))
+                break
+            row = out
         else:
-            slice_.quarantined.append(QRow(str(issue), tuple(render_cell(c) for c in row)))
-    current = Table(current.schema, kept)
-    slice_.rows_out = len(current.rows)
+            issue = check(row)
+            if issue is None:
+                kept.append(row)
+            else:
+                failed.append(QRow(str(issue), tuple(map(render_cell, row))))
+    reaching = len(table.rows)
+    for stats, _, flagged in compiled:
+        stats.cells_examined = reaching
+        stats.cells_quarantined = len(flagged)
+        reaching -= len(flagged)
+        slice_.rule_stats.append(stats)
+        slice_.quarantined += flagged
+    slice_.quarantined += failed
+    slice_.rows_out = len(kept)
     slice_.rows_quarantined = len(slice_.quarantined)
     if slice_.rows_in != slice_.rows_out + slice_.rows_quarantined:
         raise AssertionError(f"{table.name}: cleanse conservation violated")
-    return current, slice_
+    return Table(table.schema, kept), slice_
 
 
 @dataclass
@@ -300,14 +307,15 @@ def dedup(table: Table) -> tuple[Table, DedupSlice]:
     seen_rows: set[tuple] = set()
     seen_pks: set[tuple] = set()
     kept: list[tuple] = []
+    pk_of = key_getter(table.schema.pk_indexes())
     for row in table.rows:
         if row in seen_rows:
             slice_.exact_removed += 1
             continue
-        pk = table.pk_of(row)
+        pk = pk_of(row)
         if pk in seen_pks:
             slice_.pk_conflicts += 1
-            slice_.quarantined.append(QRow("pk-conflict", tuple(render_cell(c) for c in row)))
+            slice_.quarantined.append(QRow("pk-conflict", tuple(map(render_cell, row))))
             continue
         seen_rows.add(row)
         seen_pks.add(pk)
@@ -360,10 +368,8 @@ def reconcile_foreign_keys(
     _validate_policy(staging, policy)
     staging = staging.clone()
     stats = ReconcileStats()
-    while True:
-        report = check_referential_integrity(staging.tables)
-        if report.is_empty():
-            break
+    report = check_referential_integrity(staging.tables)
+    while not report.is_empty():
         stats.iterations += 1
         drops: dict[str, dict[int, str]] = {}  # row -> its last orphaned quarantine FK
         nulls: dict[str, dict[int, dict[str, set[int]]]] = {}  # row -> orphaned nullify FK -> its columns
@@ -380,24 +386,29 @@ def reconcile_foreign_keys(
                 raise ValidationError(f"nullify policy on non-nullable FK {entry.fk}")
             drops.setdefault(entry.table, {})[entry.row_index] = entry.fk
         # a quarantined row counts once, under the FK its reason names
-        for name in set(drops) | set(nulls):
+        changed = set(drops) | set(nulls)
+        for name in changed:
             table = staging.tables[name]
+            columns = table.schema.column_names
             doomed = drops.get(name, {})
-            nullable_fixes = nulls.get(name, {})
-            rows = []
-            for i, row in enumerate(table.rows):
-                label = doomed.get(i)
-                if label is not None:
-                    stats.per_fk[label]["quarantined"] += 1
-                    staging.add_quarantine(
-                        name, table.schema.column_names, f"orphan:{label}", tuple(render_cell(c) for c in row)
-                    )
+            rows = list(table.rows)
+            for i, fixes in nulls.get(name, {}).items():
+                if i in doomed:
                     continue
-                for fk_label, cols in nullable_fixes.get(i, {}).items():
+                row = rows[i]
+                for fk_label, cols in fixes.items():
                     stats.per_fk[fk_label]["nullified"] += 1
                     row = tuple(None if j in cols else c for j, c in enumerate(row))
-                rows.append(row)
+                rows[i] = row
+            for i in sorted(doomed):
+                label = doomed[i]
+                stats.per_fk[label]["quarantined"] += 1
+                staging.add_quarantine(name, columns, f"orphan:{label}", tuple(map(render_cell, rows[i])))
+            if doomed:
+                rows = [row for i, row in enumerate(rows) if i not in doomed]
             staging.tables[name] = Table(table.schema, rows)
+        # only an FK into a changed table can gain an orphan (a nulled column may be its target)
+        report = check_referential_integrity(staging.tables, targets=changed)
     if stats.per_fk:  # no orphans leaves the staging byte-identical
         staging.log(
             LineageEvent(
@@ -474,12 +485,13 @@ def cleanse_staging(
     for name in list(staging.tables):
         table = staging.tables[name]
         table_rules = [r for r in rules if r.table == name]
+        columns = table.schema.column_names
         cleaned, slice_ = cleanse_table(table, table_rules)
         for qr in slice_.quarantined:
-            staging.add_quarantine(name, table.schema.column_names, qr.reason, qr.fields)
+            staging.add_quarantine(name, columns, qr.reason, qr.fields)
         deduped, dslice = dedup(cleaned)
         for qr in dslice.quarantined:
-            staging.add_quarantine(name, table.schema.column_names, qr.reason, qr.fields)
+            staging.add_quarantine(name, columns, qr.reason, qr.fields)
         staging.tables[name] = deduped
         report.tables[name] = {
             "rows_in": slice_.rows_in,

@@ -8,6 +8,9 @@ fatal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from datetime import date
+from decimal import Decimal
+from operator import itemgetter
 from typing import Mapping
 
 from .values import RawCell, ValueType, is_identifier, value_tag
@@ -76,8 +79,15 @@ class Table:
     def name(self) -> str:
         return self.schema.name
 
-    def pk_of(self, row: tuple) -> tuple:
-        return tuple(row[i] for i in self.schema.pk_indexes())
+
+def key_getter(idxs: tuple[int, ...]):
+    """row -> the key tuple of the cells at positions ``idxs``."""
+    if len(idxs) == 1:
+        i = idxs[0]
+        return lambda row: (row[i],)
+    if idxs:
+        return itemgetter(*idxs)
+    return lambda row: ()
 
 
 @dataclass(frozen=True)
@@ -150,26 +160,43 @@ def validate_schema(db: DatabaseSchema) -> list[Diagnostic]:
     return diags
 
 
+# the exact class of a conformant cell of each type
+_EXACT_TYPES = {
+    ValueType.INTEGER: int,
+    ValueType.DECIMAL: Decimal,
+    ValueType.TEXT: str,
+    ValueType.BOOLEAN: bool,
+    ValueType.DATE: date,
+}
+
+
+def row_checker(schema: TableSchema, *, allow_raw: bool = False):
+    """``check_row`` for one schema, compiled: a cell of its column's exact
+    class passes at once, any other takes the ``value_tag`` test."""
+    columns = [(c.name, c.type, _EXACT_TYPES[c.type], c.nullable) for c in schema.columns]
+
+    def check(row: tuple) -> RowIssue | None:
+        if len(row) != len(columns):
+            return RowIssue(None, "arity")
+        for (name, vtype, exact, nullable), cell in zip(columns, row):
+            if cell.__class__ is exact or (cell is None and nullable) or (allow_raw and isinstance(cell, RawCell)):
+                continue
+            if cell is None:
+                return RowIssue(name, "null-in-nonnullable")
+            if isinstance(cell, RawCell) or value_tag(cell) is not vtype:
+                return RowIssue(name, "type")
+        return None
+
+    return check
+
+
 def check_row(schema: TableSchema, row: tuple, *, allow_raw: bool = False) -> RowIssue | None:
     """None when the row conforms; otherwise the first violation found.
 
     ``allow_raw`` admits RawCell text in non-TEXT columns, which is the
     state of staged tables between extraction and cleansing.
     """
-    if len(row) != len(schema.columns):
-        return RowIssue(None, "arity")
-    for col, cell in zip(schema.columns, row):
-        if cell is None:
-            if not col.nullable:
-                return RowIssue(col.name, "null-in-nonnullable")
-            continue
-        if isinstance(cell, RawCell):
-            if allow_raw:
-                continue
-            return RowIssue(col.name, "type")
-        if value_tag(cell) is not col.type:
-            return RowIssue(col.name, "type")
-    return None
+    return row_checker(schema, allow_raw=allow_raw)(row)
 
 
 @dataclass(frozen=True)
@@ -188,26 +215,24 @@ class OrphanReport:
         return not self.entries
 
 
-def check_referential_integrity(staging) -> OrphanReport:
+def check_referential_integrity(tables, targets=None) -> OrphanReport:
     """Every FK tuple with all components non-Null must match a target row.
 
-    Accepts a StagingArea or any mapping of table name to Table.
+    Accepts a StagingArea or any mapping of table name to Table. With
+    ``targets``, only the FKs into those tables are checked.
     """
-    tables: Mapping[str, Table] = getattr(staging, "tables", staging)
+    tables: Mapping[str, Table] = getattr(tables, "tables", tables)
     report = OrphanReport()
     for table in tables.values():
         for fk in table.schema.foreign_keys:
             target = tables.get(fk.target_table)
-            if target is None:
-                continue  # dangling FK declarations are a schema problem, not a data one
-            local_idx = tuple(table.schema.column_index(c) for c in fk.columns)
-            remote_idx = tuple(target.schema.column_index(c) for c in fk.target_columns)
-            present = {tuple(row[i] for i in remote_idx) for row in target.rows}
+            if target is None or (targets is not None and fk.target_table not in targets):
+                continue  # a dangling FK declaration is a schema problem, not a data one
+            local = key_getter(tuple(table.schema.column_index(c) for c in fk.columns))
+            remote = key_getter(tuple(target.schema.column_index(c) for c in fk.target_columns))
+            present = set(map(remote, target.rows))
             label = fk.label(table.name)
-            for n, row in enumerate(table.rows):
-                key = tuple(row[i] for i in local_idx)
-                if any(v is None for v in key):
-                    continue
-                if key not in present:
+            for n, key in enumerate(map(local, table.rows)):
+                if key not in present and None not in key:
                     report.entries.append(OrphanEntry(table.name, label, n, key))
     return report

@@ -31,8 +31,6 @@ import shutil
 import tempfile
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
-from datetime import date
-from decimal import Decimal
 from pathlib import Path
 
 from .csvio import NEEDS_QUOTES, format_field, format_row, iter_records
@@ -40,7 +38,7 @@ from .csvio import parse_csv  # noqa: F401  (unused here; the benchmark's tracer
 from .errors import MissingInputError, UwhError, ValidationError
 from .manifest import parse_schema_manifest, render_manifest
 from .schema import DatabaseSchema, Table, TableSchema
-from .values import RawCell, ValueType, cell_converter, decimal_text, parse_typed, render_cell
+from .values import CELL_TEXT, RawCell, ValueType, cell_converter, parse_typed, render_cell
 
 DEFAULT_TIMESTAMP = "1970-01-01T00:00:00Z"
 
@@ -131,15 +129,7 @@ def _render_other(cell) -> str:
 
 
 # the CSV field of a cell, by the cell's exact type
-_FIELD_RENDERERS = {
-    type(None): lambda cell: "",
-    bool: lambda cell: "true" if cell else "false",
-    int: str,
-    Decimal: decimal_text,
-    str: _render_text,
-    RawCell: _render_text,
-    date: date.isoformat,
-}
+_FIELD_RENDERERS = {**CELL_TEXT, str: _render_text, RawCell: _render_text}
 
 
 def render_table_csv(table: Table) -> str:

@@ -329,8 +329,9 @@ def exec_clean(staging: StagingArea, stmt: Clean, *, timestamp: str = DEFAULT_TI
     cleaned, slice_ = cleanse_table(table, [rule])
     out = staging.clone()
     out.tables[stmt.table] = cleaned
+    columns = table.schema.column_names
     for qr in slice_.quarantined:
-        out.add_quarantine(stmt.table, table.schema.column_names, qr.reason, qr.fields)
+        out.add_quarantine(stmt.table, columns, qr.reason, qr.fields)
     changed = sum(s.cells_changed for s in slice_.rule_stats)
     out.log(
         LineageEvent(

@@ -237,12 +237,23 @@ def decimal_text(d: Decimal) -> str:
     return s
 
 
+# render_cell by the cell's exact class. A subclass (RawCell, datetime) takes
+# the isinstance chain; None and bool cannot be subclassed, so it omits them.
+CELL_TEXT = {
+    type(None): lambda value: "",
+    bool: lambda value: "true" if value else "false",
+    int: str,
+    Decimal: decimal_text,
+    str: str,
+    date: date.isoformat,
+}
+
+
 def render_cell(value: object) -> str:
     """Canonical text form of a cell (Null renders as the empty string)."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
+    render = CELL_TEXT.get(value.__class__)
+    if render is not None:
+        return render(value)
     if isinstance(value, int):
         return str(value)
     if isinstance(value, Decimal):

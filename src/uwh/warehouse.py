@@ -21,7 +21,7 @@ from .csvio import format_field, parse_csv
 from .errors import IntegrityError, MissingInputError, ParseError, PlanParseError, ReadOnlyError, ValidationError
 from .lexer import tokenize
 from .plan import _ORDERED_TYPES, _Parser
-from .schema import ColumnDef, Table, TableSchema
+from .schema import ColumnDef, Table, TableSchema, key_getter
 from .staging import StagingArea, decode_table, render_table_csv, write_dir_atomically
 from .values import COMPARISONS, DEC4, RawCell, ValueType, make_decimal, parse_iso_date, render_cell, value_tag
 
@@ -165,19 +165,9 @@ class Index:
         return list(self.entries.get(tuple(key), ()))
 
 
-def _key_getter(idxs: tuple[int, ...]):
-    """row -> the key tuple of the cells at positions ``idxs``."""
-    if len(idxs) == 1:
-        i = idxs[0]
-        return lambda row: (row[i],)
-    if idxs:
-        return itemgetter(*idxs)
-    return lambda row: ()
-
-
 def build_index(table: Table, columns: tuple[str, ...], *, unique: bool = False) -> Index:
     """Map each key tuple to the ordinals a full scan would return."""
-    key_of = _key_getter(tuple(table.schema.column_index(c) for c in columns))
+    key_of = key_getter(tuple(table.schema.column_index(c) for c in columns))
     index = Index(table.name, tuple(columns), unique)
     for n, row in enumerate(table.rows):
         key = key_of(row)
@@ -509,7 +499,7 @@ class Warehouse:
             lower = self._join_index(chain[-1:]).entries
             join = chain[-1]
             parent = self._relation(join["parent"])
-            key_of = _key_getter(tuple(parent.schema.column_index(c) for c in join["parent_columns"]))
+            key_of = key_getter(tuple(parent.schema.column_index(c) for c in join["parent_columns"]))
             index = Index(join["relation"], upper.columns, False)
             for key, ordinals in upper.entries.items():
                 hits = []
@@ -619,7 +609,7 @@ def star_query(handle: Warehouse, query: StarQuery) -> Table:
     groups = [(rel, idx) for rel, idx, _ in resolved_groups]
     measures = [(m.agg, rel or fact, idx) for m, rel, idx, _ in resolved_measures]
     aggregate, group_pos, measure_pos = _component(handle, fact, arms, filters_by_rel, groups, measures)
-    group_key = _key_getter(tuple(map(group_pos.index, range(len(groups)))))
+    group_key = key_getter(tuple(map(group_pos.index, range(len(groups)))))
     at, slots_of = 0, {}  # measure position -> its slots in the partial
     for k in measure_pos:
         width = len(_AGGS[measures[k][0]].slots)
@@ -677,7 +667,7 @@ def _component(handle: Warehouse, rel: str, arms: dict, filters: dict, groups: l
         group_pos += sub_groups
         measure_pos += sub_measures
     merge = _merger(_slots(measures, measure_pos))
-    bucket_of = _key_getter(tuple(key_idxs))
+    bucket_of = key_getter(tuple(key_idxs))
     own_filters = filters.get(rel, ())
 
     def aggregate(rows: list) -> list:

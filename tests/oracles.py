@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the engine's own machinery: joins are
 nested-loop scans without hash maps, referential checks scan full target
-tables, means are exact rational arithmetic, and extraction parses the
-whole file before it types any cell.
+tables, means are exact rational arithmetic, extraction parses the whole
+file before it types any cell, and cleansing applies one rule at a time to
+the whole table.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ from decimal import Decimal
 from fractions import Fraction
 from operator import itemgetter
 
+from uwh.cleanse import RuleStats, TableCleanseSlice, _cell_fn, check_rule
 from uwh.csvio import parse_csv
 from uwh.errors import ValidationError
 from uwh.ingest import TableExtraction
-from uwh.schema import Table, TableSchema
+from uwh.schema import RowIssue, Table, TableSchema
 from uwh.staging import QRow, Quarantine, parse_cell
-from uwh.values import RawCell
+from uwh.values import RawCell, ValueType, parse_typed, render_cell, value_tag
 
 
 def orphan_rows_nested_loop(tables: dict[str, Table]) -> set[tuple[str, str, int]]:
@@ -79,6 +81,77 @@ def extract_table_reference(source: str | bytes, schema: TableSchema) -> tuple[T
         stats.rows_staged += 1
         stats.raw_cells += sum(isinstance(v, RawCell) for v in cells)
     return Table(schema, rows), stats, quarantine
+
+
+def check_row_reference(schema: TableSchema, row: tuple, *, allow_raw: bool = False) -> RowIssue | None:
+    """``check_row`` as a ``value_tag`` test of every cell."""
+    if len(row) != len(schema.columns):
+        return RowIssue(None, "arity")
+    for col, cell in zip(schema.columns, row):
+        if cell is None:
+            if not col.nullable:
+                return RowIssue(col.name, "null-in-nonnullable")
+            continue
+        if isinstance(cell, RawCell):
+            if allow_raw:
+                continue
+            return RowIssue(col.name, "type")
+        if value_tag(cell) is not col.type:
+            return RowIssue(col.name, "type")
+    return None
+
+
+def cleanse_table_reference(table: Table, rules: list) -> tuple[Table, TableCleanseSlice]:
+    """``cleanse_table`` as one whole-table pass per rule: each pass applies
+    the rule to every remaining row, then quarantines the rows it flagged;
+    a last pass quarantines the rows that fail ``check_row_reference``."""
+    slice_ = TableCleanseSlice(table.name, rows_in=len(table.rows))
+    rows = list(table.rows)
+    for rule in rules:
+        rule = check_rule(rule, table.schema)
+        col_idx = table.schema.column_index(rule.column)
+        col_type = table.schema.column(rule.column).type
+        fn = _cell_fn(rule, col_type)
+        stats = RuleStats(rule)
+        applied: list[tuple] = []
+        flagged: dict[int, str] = {}
+        for i, row in enumerate(rows):
+            stats.cells_examined += 1
+            verdict, new = fn(row[col_idx])
+            if verdict == "same":
+                applied.append(row)
+                continue
+            if verdict == "anomaly":
+                flagged[i] = new
+                applied.append(row)
+                continue
+            if isinstance(new, RawCell) and col_type is not ValueType.TEXT:
+                try:
+                    new = parse_typed(str(new), col_type)
+                except ValueError:
+                    pass
+            applied.append(row[:col_idx] + (new,) + row[col_idx + 1:])
+            stats.cells_changed += 1
+        rows = []
+        for i, row in enumerate(applied):
+            if i in flagged:
+                slice_.quarantined.append(
+                    QRow(f"{flagged[i]}:{rule.column}", tuple(render_cell(c) for c in row))
+                )
+                stats.cells_quarantined += 1
+            else:
+                rows.append(row)
+        slice_.rule_stats.append(stats)
+    kept = []
+    for row in rows:
+        issue = check_row_reference(table.schema, row)
+        if issue is None:
+            kept.append(row)
+        else:
+            slice_.quarantined.append(QRow(str(issue), tuple(render_cell(c) for c in row)))
+    slice_.rows_out = len(kept)
+    slice_.rows_quarantined = len(slice_.quarantined)
+    return Table(table.schema, kept), slice_
 
 
 def left_merge_nested_loop(
@@ -193,8 +266,6 @@ def ledger_recovery_failures(cleansed, ledger) -> list[tuple]:
     """Dirt-ledger entries the cleansed staging neither repaired nor
     quarantined. Repair means the cell equals the recorded original;
     duplicates must collapse back to a single row."""
-    from uwh.values import render_cell
-
     failures = []
     for e in ledger.entries:
         table = cleansed.tables[e.table]

@@ -3,9 +3,13 @@ from __future__ import annotations
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import cleanse_table_reference
 from uwh import canonical
 from uwh.cleanse import (
+    RULE_KINDS,
     CleanseRule,
     ReconcilePolicy,
     apply_rule,
@@ -21,7 +25,7 @@ from uwh.errors import ValidationError
 from uwh.manifest import parse_schema_manifest
 from uwh.schema import Table, check_referential_integrity
 from uwh.staging import StagingArea, staging_fingerprint
-from uwh.values import RawCell, make_decimal
+from uwh.values import RawCell, ValueType, make_decimal
 
 PEOPLE = parse_schema_manifest(
     "TABLE people\n"
@@ -154,6 +158,97 @@ def test_cleanse_empty_table():
     assert all(s.cells_examined == 0 for s in slice_.rule_stats)
 
 
+# one column of each type, with a non-nullable TEXT column for the strict check
+MIXED = parse_schema_manifest(
+    "TABLE t\n"
+    "  id INTEGER PK\n"
+    "  name TEXT NULL\n"
+    "  code TEXT\n"
+    "  flag BOOLEAN NULL\n"
+    "  born DATE NULL\n"
+    "  score DECIMAL NULL\n"
+    "  qty INTEGER NULL\n"
+).tables["t"]
+
+_TOKENS = ("", "N/A", "NULL", "-", "?")
+_WORDS = ("ann", "Ann", "BOB", "x")
+_RAW_TEXT = (" 12 ", "12", "3.5", " 88.5 ", "abc", "true", "yes", "2011-01-02", "31/12/2011", "12/31/2011",
+             "31/02/2011", "March 3, 2011", "soon", "N/A", "  ", "a  b")
+_PADDED = st.sampled_from(_WORDS + _TOKENS + ("  ann  lee ", "bob\t ray", " x", "ann lee  "))
+_INTS = st.integers(-5, 120)
+_DECS = st.decimals(-5, 120, places=1, allow_nan=False, allow_infinity=False).map(make_decimal)
+_DATES = st.dates(date(2010, 1, 1), date(2012, 12, 31))
+_TYPED = {
+    ValueType.INTEGER: _INTS,
+    ValueType.TEXT: _PADDED,
+    ValueType.BOOLEAN: st.booleans(),
+    ValueType.DATE: _DATES,
+    ValueType.DECIMAL: _DECS,
+}
+_DOMAIN_ARGS = {
+    ValueType.INTEGER: st.sampled_from((0, 1, 12, 100)),
+    ValueType.TEXT: st.sampled_from(_WORDS + ("ann lee",)),
+    ValueType.BOOLEAN: st.booleans(),
+    ValueType.DATE: st.sampled_from((date(2011, 1, 2), date(2011, 12, 31), "2011-03-03")),
+    ValueType.DECIMAL: st.sampled_from((0, 12, make_decimal("88.5"), make_decimal("3.5"))),
+}
+
+
+@st.composite
+def _rules(draw):
+    kind = draw(st.sampled_from(RULE_KINDS))
+    columns = MIXED.columns
+    if kind == "case":
+        columns = [c for c in columns if c.type is ValueType.TEXT]
+    elif kind == "normalize_date":
+        columns = [c for c in columns if c.type is ValueType.DATE]
+    elif kind == "range":
+        columns = [c for c in columns if c.type in (ValueType.INTEGER, ValueType.DECIMAL)]
+    col = draw(st.sampled_from(columns))
+    if kind == "case":
+        args = (draw(st.sampled_from(("upper", "lower", "title"))),)
+    elif kind == "normalize_date":
+        args = tuple(draw(st.lists(st.sampled_from(("iso", "day_first", "month_first", "month_name")), min_size=1)))
+    elif kind == "null_standardize":
+        args = tuple(draw(st.lists(st.sampled_from(_TOKENS), min_size=1)))
+    elif kind == "domain":
+        args = tuple(draw(st.lists(_DOMAIN_ARGS[col.type], min_size=1, max_size=3)))
+    elif kind == "range":
+        bound = _INTS if col.type is ValueType.INTEGER else st.one_of(_INTS, _DECS)
+        args = tuple(sorted(draw(st.lists(bound, min_size=2, max_size=2))))
+    else:
+        args = ()
+    return make_rule("t", col.name, kind, args)
+
+
+def _cell(col):
+    raw = st.sampled_from(_RAW_TEXT).map(RawCell)
+    return st.one_of(st.none(), raw, _TYPED[col.type])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_cleanse_table_matches_rule_by_rule_reference(data):
+    """The one-pass cleanse_table against one whole-table pass per rule:
+    same rows, same quarantine rows in the same order, same per-rule counts."""
+    rules = data.draw(st.lists(_rules(), max_size=6))
+    rows = data.draw(st.lists(st.tuples(*(_cell(c) for c in MIXED.columns)), max_size=12))
+    table = Table(MIXED, rows)
+    got, got_slice = cleanse_table(table, rules)
+    want, want_slice = cleanse_table_reference(table, rules)
+    assert got.rows == want.rows
+    assert [type(v) for r in got.rows for v in r] == [type(v) for r in want.rows for v in r]
+    assert got_slice.quarantined == want_slice.quarantined
+    assert [(s.rule, s.cells_examined, s.cells_changed, s.cells_quarantined) for s in got_slice.rule_stats] == [
+        (s.rule, s.cells_examined, s.cells_changed, s.cells_quarantined) for s in want_slice.rule_stats
+    ]
+    assert (got_slice.rows_in, got_slice.rows_out, got_slice.rows_quarantined) == (
+        want_slice.rows_in,
+        want_slice.rows_out,
+        want_slice.rows_quarantined,
+    )
+
+
 # --- dedup -------------------------------------------------------------------
 
 
@@ -246,6 +341,28 @@ def test_reconcile_cascades_to_fixpoint():
     )
     out, stats = reconcile_foreign_keys(staging)
     assert [r[0] for r in out.tables["c"].rows] == [7]
+    assert stats.iterations == 2
+    assert check_referential_integrity(out.tables).is_empty()
+
+
+def test_reconcile_rechecks_fks_into_a_nullified_column():
+    """Nullify removes no row, yet the nulled column may be another FK's
+    target: the next round must check the FKs into that table too."""
+    db = parse_schema_manifest(
+        "TABLE p\n  id INTEGER PK\n"
+        "TABLE c\n  id INTEGER PK\n  code INTEGER NULL FK p(id)\n"
+        "TABLE b\n  id INTEGER PK\n  c_code INTEGER FK c(code)\n"
+    )
+    staging = StagingArea(
+        tables={
+            "p": Table(db.tables["p"], [(1,)]),
+            "c": Table(db.tables["c"], [(1, 1), (2, 9)]),  # code 9 is no p
+            "b": Table(db.tables["b"], [(5, 1), (6, 9)]),  # 6 -> c.code 9, until it is nulled
+        }
+    )
+    out, stats = reconcile_foreign_keys(staging, ReconcilePolicy(overrides={"c.code->p(id)": "nullify"}))
+    assert out.tables["c"].rows == [(1, 1), (2, None)]
+    assert [r[0] for r in out.tables["b"].rows] == [5]
     assert stats.iterations == 2
     assert check_referential_integrity(out.tables).is_empty()
 

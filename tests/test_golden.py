@@ -1,4 +1,5 @@
-"""Golden bytes: the SHA-256 of every file the seed-42 fixtures write.
+"""Golden bytes: the SHA-256 of every file the seed-42 fixtures write, and
+of the cleansed staging dump of a 100-student drop at dirty-rate 0.25.
 
 The fixtures pin their timestamp, so these files are deterministic. A
 change that moves a byte of a warehouse or a staging dump fails here; if
@@ -10,6 +11,13 @@ from __future__ import annotations
 import hashlib
 
 import pytest
+
+from conftest import TS
+from uwh import canonical
+from uwh.cleanse import cleanse_staging
+from uwh.datagen import GenConfig, generate
+from uwh.ingest import extract_database
+from uwh.staging import dump_staging
 
 WAREHOUSE = {
     "account.ac_id.idx": "32729ac56222811fd21925d021f4e76eab39205a13eb8c4749fc7c68ca178ec2",
@@ -54,6 +62,83 @@ STAGING = {
     "transcript.csv": "9f4643f672acb8931105b8b4bcfadcedf15fa5e228f734fea3830c58207e1f20",
 }
 
+# the seed-42 staging after cleanse: quarantine files, reasons, report, lineage
+CLEANSED = {
+    "account.csv": "a8924bb965df2144106af0f3f84e1cc946cf6a8f88fb66afe7f421e4d12b20f2",
+    "activities.csv": "0564691ae606a625f28fd10a7fdb406f7abc267e41a863e3f56a081814e9a825",
+    "alumni.csv": "7e4cdc238eec67ac0e94cb9c5bae2dee8e71951bc09dc487a94c82628f4ecd7e",
+    "assets.csv": "cdabc4a40ca74de1375e7e458291b40abd8228f9dc6c71406a9201c29a45fb0b",
+    "course.csv": "c80ca09cca5b68c7570b90c322f81b815097c981188fcfe1a3f53fef868c0444",
+    "department.csv": "3ab8dad8ce56c1860c97ba31264d8ac7ebcc228a41fcaf5118cedd3a54b9df3b",
+    "instructor.csv": "7ef1d3662cb0c0e4e8169613ebb94fd11257c5cbde90e7c97233a9b0b4f0bdcf",
+    "item.csv": "8051a26016531ee9d656a176d5e04e94f09763806673ab52c68be4a4f19d24a2",
+    "lineage.log": "77f6233f358887a060a610902dc46c765ce435d656e2c28e4340bd94b12d6c4b",
+    "major.csv": "5289cf1fbeb071c2079573af31a0ab04cb3eba2e2fde9c2f345b148d27ece4c2",
+    "meta.json": "4b86e6b6607b8adc749531cfbc20a3aadb465d4c2ae639e13d67775cc91223df",
+    "quarantine/account.csv": "489baaf9291af5d660ea0010fe47a0dffba0ccf3c5af6f6baa82012bb2086a18",
+    "quarantine/activities.csv": "b700ddc3d2f15cf40f943e7f7129f94a2c1ffd510905c9060675227ab1ae12dc",
+    "quarantine/alumni.csv": "f71e51b24f664b41cbf0b0c9a94efb02c843cddd6f1d8f0b8fb5a7549dfc5d1a",
+    "quarantine/assets.csv": "7d0b36805a40eed33492c8d47940702ae1501c3797da4e71a2fb0f05b73f5b3b",
+    "quarantine/item.csv": "1d824645827d0850e6b76c2408d71740351e6147d6a0bfc6be6a0c3bcb26bc40",
+    "quarantine/receipt.csv": "c8d53c3eed689d30d735c559338b481950643da9f5f4242696f4307dfead22f6",
+    "quarantine/registrationActivities.csv": "b95b9a9cfdf5755ef2b482105a6a4f143875c980c6825ccf5f4cf03bcdc28ce0",
+    "quarantine/student.csv": "6d2440da5c69b3a30284976674d2cdd16c1f7005a709a0284200b1a19258d483",
+    "quarantine/transcript.csv": "1c5d00cab2bfa4f9e07ed3e360eade9df7a23cb222d5dc8820afeb3ca0412790",
+    "receipt.csv": "a1c45e92351521a44e9d7e34c80ec6f5fa47f4fd89ee0ea66d971df059ffc1c3",
+    "registrationActivities.csv": "57b684971a16c9594164c3dbf24e11fb963d4db222849b7b3f3418f722be29c5",
+    "schema.manifest": "ef46d220f164c2cf7a0a7788f35b66b1cb429cefce558b260e420c55bddd57c3",
+    "section.csv": "7342c6f31ff27dc5ad8d43bf05f100a0a7bde6ace7f7aa5ac2fa96e20b99ce44",
+    "student.csv": "ff4489f940ef77ad82f8d6e96a618328ec1c330cc101e53993aa4ad249b813ac",
+    "transcript.csv": "20d8acf5b42b80ec57e83168d20017721666cc46b38c505de3d8524f77055644",
+}
+
+# a 100-student drop at dirty-rate 0.25, after cleanse
+CLEANSED_DIRTY = {
+    "account.csv": "97141b8e3a5c092fa8f150b431e2c2d0908e805df0117981f54ebc381f26c3f4",
+    "activities.csv": "ce826ae9de32846aeded895caa1d66724adaa3304829038dced42b1dd6fe4e98",
+    "alumni.csv": "ec6c642f3f675129ba93a858b407089d7ffadea7de0e911ecb7ccff3fd29f443",
+    "assets.csv": "ef1ad36e3f7dfb168cf5968a38fb55b8f18c7245df9ed45e8ef444e36a01b9a2",
+    "course.csv": "c80ca09cca5b68c7570b90c322f81b815097c981188fcfe1a3f53fef868c0444",
+    "department.csv": "3ab8dad8ce56c1860c97ba31264d8ac7ebcc228a41fcaf5118cedd3a54b9df3b",
+    "instructor.csv": "7ef1d3662cb0c0e4e8169613ebb94fd11257c5cbde90e7c97233a9b0b4f0bdcf",
+    "item.csv": "099956571fc59324f459d382a5adbd41b2932e8a052e6a98b580eb8f6de89eab",
+    "lineage.log": "52d931f78b18fca72ca8df2bb202c880f003c8788a15c7b68449457a71e31151",
+    "major.csv": "5289cf1fbeb071c2079573af31a0ab04cb3eba2e2fde9c2f345b148d27ece4c2",
+    "meta.json": "a9110df8acb5708d3f59b4efe500f82361638ac39f08532ae118384078e401a7",
+    "quarantine/account.csv": "787884500af3df950dba28e6fc3ba6c155f305ba1e149c6a71f91c86b7e8a509",
+    "quarantine/activities.csv": "733c0b73a754a4d5a6c5b37cf3e20cb49220e3a793725dd1000decf4c33d780e",
+    "quarantine/alumni.csv": "f2211e0bfc1c0710a9e0821259a3268cdc84a9fbccfa8df1304015106cd91074",
+    "quarantine/item.csv": "6644daccd699019aff358697b5fa508134db413ba011bb1e73bd0533c2ee2c42",
+    "quarantine/receipt.csv": "d558d514ba69cb06ee100f00226a92742e99f5bd34b3b58a1903e0aa7a1957c7",
+    "quarantine/registrationActivities.csv": "fd4a0b5d76e6fae759d65329e97e0ad878ef269d30d263193996a01883335cdf",
+    "quarantine/student.csv": "c89309b061728a3931ed6f5eeb5809d96c094ec43a9960b8fe7310b92e5dfc2c",
+    "quarantine/transcript.csv": "f656c76d79b94aba981f3c59bc2328be7b8a01e3df5768c619ea4e87e9d69d7c",
+    "receipt.csv": "cff24163796bb59418e57a89fbb84d8223b25673106e21ff6d2def1047115897",
+    "registrationActivities.csv": "095ad20274d1ae0b09f4adf7cc10d589ea4c454f16895cd33f9c13110b2ddbb1",
+    "schema.manifest": "ef46d220f164c2cf7a0a7788f35b66b1cb429cefce558b260e420c55bddd57c3",
+    "section.csv": "7342c6f31ff27dc5ad8d43bf05f100a0a7bde6ace7f7aa5ac2fa96e20b99ce44",
+    "student.csv": "f694c6e7e778f53be44a9e8828536e30d0af849075c783609830605b622d2f33",
+    "transcript.csv": "72c5f63a9a4f3c5aa0b495a500f5109e978e3ff7a29585ac32557d191e78240a",
+}
+
+
+@pytest.fixture(scope="module")
+def seed42_cleansed_dir(tmp_path_factory, seed42_cleansed):
+    out = tmp_path_factory.mktemp("seed42-cleansed-dump") / "staging"
+    dump_staging(seed42_cleansed, out)
+    return out
+
+
+@pytest.fixture(scope="module")
+def dirty_cleansed_dir(tmp_path_factory):
+    src = tmp_path_factory.mktemp("dirty-src")
+    generate(GenConfig(seed=42, students=100, courses_per_dept=5, semesters=3, dirty_rate=0.25), src)
+    staging, _ = extract_database(src, canonical.canonical_schema(), timestamp=TS)
+    cleansed, _ = cleanse_staging(staging, list(canonical.canonical_rules()), timestamp=TS)
+    out = tmp_path_factory.mktemp("dirty-cleansed-dump") / "staging"
+    dump_staging(cleansed, out)
+    return out
+
 
 def _digests(root) -> dict[str, str]:
     return {
@@ -63,6 +148,14 @@ def _digests(root) -> dict[str, str]:
     }
 
 
-@pytest.mark.parametrize("fixture, golden", [("seed42_warehouse_dir", WAREHOUSE), ("seed42_staging_dir", STAGING)])
+@pytest.mark.parametrize(
+    "fixture, golden",
+    [
+        ("seed42_warehouse_dir", WAREHOUSE),
+        ("seed42_staging_dir", STAGING),
+        ("seed42_cleansed_dir", CLEANSED),
+        ("dirty_cleansed_dir", CLEANSED_DIRTY),
+    ],
+)
 def test_fixture_bytes_match_golden_digests(request, fixture, golden):
     assert _digests(request.getfixturevalue(fixture)) == golden

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
-from datetime import date
+from datetime import date, datetime
 from decimal import Decimal
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import orphan_rows_nested_loop
+from oracles import check_row_reference, orphan_rows_nested_loop
+from test_reconcile_oracle import fk_graphs
 from uwh import canonical
 from uwh.schema import (
     ColumnDef,
@@ -134,6 +135,29 @@ def test_referential_integrity_matches_nested_loop_oracle(seed42_staging):
     assert got, "seed-42 dirty staging should contain orphans before reconciliation"
 
 
+
+def _check_targets(tables, targets):
+    """The report restricted to ``targets`` is the full report's entries
+    for the FKs into those tables, in the same order."""
+    into = {fk.label(t.name): fk.target_table for t in tables.values() for fk in t.schema.foreign_keys}
+    full = check_referential_integrity(tables).entries
+    got = check_referential_integrity(tables, targets=set(targets)).entries
+    assert got == [e for e in full if into[e.fk] in targets]
+
+
+def test_referential_integrity_targets_filter_seed42(seed42_staging):
+    tables = seed42_staging.tables
+    for targets in ([], ["student"], ["section", "course"], ["account", "activities", "item"], list(tables)):
+        _check_targets(tables, targets)
+
+
+@settings(max_examples=80)
+@given(graph=fk_graphs(), data=st.data())
+def test_referential_integrity_targets_filter_random_graphs(graph, data):
+    tables, _ = graph
+    _check_targets(tables, data.draw(st.lists(st.sampled_from(sorted(tables)), unique=True)))
+
+
 _cells = {
     ValueType.INTEGER: st.integers(min_value=-(2**31), max_value=2**31),
     ValueType.TEXT: st.text(max_size=12),
@@ -143,18 +167,45 @@ _cells = {
 }
 
 
+# cells that do not conform to a column of each type; a Null does not conform
+# to a non-nullable column, and a datetime is a date to value_tag
+_misfits = {
+    ValueType.INTEGER: st.booleans(),
+    ValueType.TEXT: st.integers(0, 9),
+    ValueType.DECIMAL: st.integers(-9, 9),
+    ValueType.BOOLEAN: st.integers(0, 1),
+    ValueType.DATE: st.datetimes(datetime(1990, 1, 1), datetime(2030, 1, 1)),
+}
+
+
+# the canonical schema has no BOOLEAN column
+ALL_TYPES = _table(
+    "all_types",
+    [ColumnDef(f"{t.value.lower()}_{n}", t, n == "null") for t in ValueType for n in ("set", "null")],
+    ["integer_set"],
+)
+
+
 @settings(max_examples=60)
 @given(data=st.data())
 def test_conformant_rows_always_pass_check_row(data):
-    """Schemas that validate never reject rows drawn from their own types."""
+    """Schemas that validate never reject rows drawn from their own types,
+    and on any row, conformant or not, the compiled check_row gives the
+    value_tag reference's verdict."""
     db = canonical.canonical_schema()
     assert validate_schema(db) == []
-    for schema in list(db)[:4]:
+    for schema in [*db, ALL_TYPES]:
         row = tuple(
             data.draw(st.none() | _cells[c.type]) if c.nullable else data.draw(_cells[c.type])
             for c in schema.columns
         )
         assert check_row(schema, row) is None
+        misfit = {c.name: st.none() | st.text(max_size=3).map(RawCell) | _misfits[c.type] for c in schema.columns}
+        spoiled = tuple(data.draw(st.just(cell) | misfit[c.name]) for c, cell in zip(schema.columns, row))
+        spoiled = data.draw(st.sampled_from((spoiled, spoiled[:-1], spoiled + (None,))))
+        for allow_raw in (False, True):
+            want = check_row_reference(schema, spoiled, allow_raw=allow_raw)
+            assert check_row(schema, spoiled, allow_raw=allow_raw) == want
 
 
 def test_decimal_cells_compare_across_trailing_zeros():
