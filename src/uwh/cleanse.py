@@ -17,16 +17,7 @@ from decimal import Decimal
 from .errors import ParseError, ValidationError
 from .schema import Table, TableSchema, check_referential_integrity, key_getter, row_checker
 from .staging import DEFAULT_TIMESTAMP, LineageEvent, QRow, StagingArea
-from .values import (
-    RawCell,
-    ValueType,
-    make_decimal,
-    parse_date_flexible,
-    parse_iso_date,
-    parse_typed,
-    render_cell,
-    value_tag,
-)
+from .values import RawCell, ValueType, coerce_literal, parse_date_flexible, parse_typed, render_cell
 
 RULE_KINDS = ("trim", "collapse_whitespace", "case", "normalize_date", "null_standardize", "domain", "range")
 
@@ -76,17 +67,6 @@ def make_rule(table: str, column: str, kind: str, args: tuple) -> CleanseRule:
     return CleanseRule(table, column, kind, args)
 
 
-def _coerce_arg(value, vtype: ValueType):
-    tag = value_tag(value)
-    if tag is vtype:
-        return value
-    if vtype is ValueType.DECIMAL and tag is ValueType.INTEGER:
-        return make_decimal(value)
-    if vtype is ValueType.DATE and tag is ValueType.TEXT:
-        return parse_iso_date(value)
-    raise ValueError(f"argument {value!r} is not a {vtype.value}")
-
-
 def check_rule(rule: CleanseRule, schema: TableSchema) -> CleanseRule:
     """Type-compatibility against the column; returns the rule with coerced args."""
     if not schema.has_column(rule.column):
@@ -96,12 +76,10 @@ def check_rule(rule: CleanseRule, schema: TableSchema) -> CleanseRule:
         raise ValueError(f"case applies to TEXT columns, {rule.column} is {col.type.value}")
     if rule.kind == "normalize_date" and col.type is not ValueType.DATE:
         raise ValueError(f"normalize_date applies to DATE columns, {rule.column} is {col.type.value}")
-    if rule.kind == "range":
-        if col.type not in (ValueType.INTEGER, ValueType.DECIMAL):
-            raise ValueError(f"range applies to numeric columns, {rule.column} is {col.type.value}")
-        return CleanseRule(rule.table, rule.column, rule.kind, tuple(_coerce_arg(a, col.type) for a in rule.args))
-    if rule.kind == "domain":
-        return CleanseRule(rule.table, rule.column, rule.kind, tuple(_coerce_arg(a, col.type) for a in rule.args))
+    if rule.kind == "range" and col.type not in (ValueType.INTEGER, ValueType.DECIMAL):
+        raise ValueError(f"range applies to numeric columns, {rule.column} is {col.type.value}")
+    if rule.kind in ("range", "domain"):
+        return CleanseRule(rule.table, rule.column, rule.kind, tuple(coerce_literal(a, col.type) for a in rule.args))
     return rule
 
 
@@ -478,7 +456,10 @@ def cleanse_staging(
     for rule in rules:
         if rule.table not in staging.tables:
             raise ValidationError(f"rule {rule.label()} names unknown table {rule.table!r}")
-        check_rule(rule, staging.tables[rule.table].schema)
+        try:
+            check_rule(rule, staging.tables[rule.table].schema)
+        except ValueError as exc:
+            raise ValidationError(f"rule {rule.label()}: {exc}") from exc
 
     staging = staging.clone()
     report = CleanseReport()

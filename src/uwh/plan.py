@@ -22,7 +22,7 @@ from . import cleanse as cleanse_mod
 from .errors import ParseError, PlanParseError, PlanValidationError
 from .lexer import Token, tokenize
 from .schema import ColumnDef, DatabaseSchema, ForeignKey, TableSchema
-from .values import COMPARISONS, ValueType, decimal_text, make_decimal, parse_iso_date, render_cell, value_tag
+from .values import COMPARISONS, ORDERED_TYPES, ValueType, coerce_literal, decimal_text, make_decimal, render_cell, value_tag
 
 _POS = dict(default=0, compare=False, repr=False)
 
@@ -546,23 +546,22 @@ class _TypeProblem(Exception):
 
 
 def _coerce_literal(lit: Lit, target: ValueType) -> Lit:
-    v = lit.value
-    if v is None:
-        return lit
-    tag = value_tag(v)
-    if tag is target:
-        return lit
-    if target is ValueType.DECIMAL and tag is ValueType.INTEGER:
-        return replace(lit, value=make_decimal(v))
-    if target is ValueType.DATE and tag is ValueType.TEXT:
-        try:
-            return replace(lit, value=parse_iso_date(v))
-        except ValueError:
-            raise _TypeProblem(f"line {lit.line}: {v!r} is not a valid date literal")
-    raise _TypeProblem(f"line {lit.line}: literal {v!r} is not a {target.value}")
+    try:
+        return replace(lit, value=coerce_literal(lit.value, target))
+    except ValueError as exc:
+        raise _TypeProblem(f"line {lit.line}: {exc}") from None
 
 
-_ORDERED_TYPES = (ValueType.INTEGER, ValueType.DECIMAL, ValueType.TEXT, ValueType.DATE)
+def _unify(a: Expr, at: ValueType | None, b: Expr, bt: ValueType | None, mismatch: str):
+    """(a, b, their common type): when both are typed and the types differ,
+    a literal operand, ``b`` first, is coerced to the other's type."""
+    if at is None or bt is None or at is bt:
+        return a, b, at or bt
+    if isinstance(b, Lit):
+        return a, _coerce_literal(b, at), at
+    if isinstance(a, Lit):
+        return _coerce_literal(a, bt), b, bt
+    raise _TypeProblem(mismatch)
 
 
 class _ExprChecker:
@@ -587,17 +586,8 @@ class _ExprChecker:
         if isinstance(e, Cmp):
             left, lt = self.check(e.left)
             right, rt = self.check(e.right)
-            if lt is not None and rt is not None and lt is not rt:
-                if isinstance(right, Lit):
-                    right = _coerce_literal(right, lt)
-                    rt = lt
-                elif isinstance(left, Lit):
-                    left = _coerce_literal(left, rt)
-                    lt = rt
-                else:
-                    raise _TypeProblem(f"line {e.line}: cannot compare {lt.value} with {rt.value}")
-            t = lt or rt
-            if e.op not in ("=", "<>") and t is not None and t not in _ORDERED_TYPES:
+            left, right, t = _unify(left, lt, right, rt, f"line {e.line}: cannot compare {lt} with {rt}")
+            if e.op not in ("=", "<>") and t is not None and t not in ORDERED_TYPES:
                 raise _TypeProblem(f"line {e.line}: {e.op} is not defined for {t.value}")
             return replace(e, left=left, right=right), ValueType.BOOLEAN
         if isinstance(e, Logical):
@@ -617,15 +607,8 @@ class _ExprChecker:
             second, st = self.check(e.second)
             if ft is None and st is None:
                 raise _TypeProblem(f"line {e.line}: COALESCE of two NULL literals has no type")
-            if ft is not None and st is not None and ft is not st:
-                if isinstance(second, Lit):
-                    second = _coerce_literal(second, ft)
-                elif isinstance(first, Lit):
-                    first = _coerce_literal(first, st)
-                    ft = st
-                else:
-                    raise _TypeProblem(f"line {e.line}: COALESCE operands differ: {ft.value} vs {st.value}")
-            return replace(e, first=first, second=second), ft or st
+            first, second, t = _unify(first, ft, second, st, f"line {e.line}: COALESCE operands differ: {ft} vs {st}")
+            return replace(e, first=first, second=second), t
         if isinstance(e, IsNull):
             inner, _ = self.check(e.operand)
             return replace(e, operand=inner), ValueType.BOOLEAN

@@ -204,26 +204,26 @@ def parse_cell(text: str, quoted: bool, vtype: ValueType):
         return RawCell(text)
 
 
-def dumps_staging(staging: StagingArea) -> dict[str, str]:
-    """All dump files as {relative path: content}, deterministically ordered."""
-    files: dict[str, str] = {}
-    files["schema.manifest"] = render_manifest(staging.schema())
+def dumps_staging(staging: StagingArea) -> dict[str, bytes]:
+    """All dump files as {relative path: bytes}, deterministically ordered.
+    Each file is encoded as soon as it is rendered."""
+    files = {"schema.manifest": render_manifest(staging.schema()).encode("utf-8")}
     for name, table in staging.tables.items():
-        files[f"{name}.csv"] = render_table_csv(table)
+        files[f"{name}.csv"] = render_table_csv(table).encode("utf-8")
     for name, q in staging.quarantine.items():
         if not q.rows:
             continue
         lines = [",".join(("_reason",) + q.columns)]
         for qr in q.rows:
             lines.append(format_row([(qr.reason, False)] + [(f, f == "") for f in qr.fields]))
-        files[f"quarantine/{name}.csv"] = "\n".join(lines) + "\n"
-    files["lineage.log"] = "".join(e.to_line() + "\n" for e in staging.lineage)
+        files[f"quarantine/{name}.csv"] = ("\n".join(lines) + "\n").encode("utf-8")
+    files["lineage.log"] = "".join(e.to_line() + "\n" for e in staging.lineage).encode("utf-8")
     meta = {
         "fact_table": staging.fact_table,
         "dimensions": [list(d) for d in staging.dimensions],
         "reports": staging.reports,
     }
-    files["meta.json"] = json.dumps(meta, sort_keys=True, indent=2) + "\n"
+    files["meta.json"] = (json.dumps(meta, sort_keys=True, indent=2) + "\n").encode("utf-8")
     return files
 
 
@@ -265,16 +265,20 @@ def dump_staging(staging: StagingArea, out_dir: Path) -> None:
     out_dir = Path(out_dir)
     if out_dir.exists() and not (out_dir / "schema.manifest").is_file() and any(out_dir.iterdir()):
         raise ValidationError(f"refusing to replace non-empty directory {out_dir}: it is not a staging dump")
-    files = {rel: text.encode("utf-8") for rel, text in dumps_staging(staging).items()}
-    write_dir_atomically(files, out_dir)
+    write_dir_atomically(dumps_staging(staging), out_dir)
 
 
 def staging_fingerprint(staging: StagingArea) -> str:
+    return dump_fingerprint(dumps_staging(staging))
+
+
+def dump_fingerprint(files: dict[str, bytes]) -> str:
+    """SHA-256 over the files of a dump, path and bytes, in path order."""
     h = hashlib.sha256()
-    for rel, content in sorted(dumps_staging(staging).items()):
+    for rel, data in sorted(files.items()):
         h.update(rel.encode())
         h.update(b"\x00")
-        h.update(content.encode())
+        h.update(data)
         h.update(b"\x00")
     return h.hexdigest()
 

@@ -7,6 +7,7 @@ staging exactly as it was: plan-level atomicity by construction.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 from decimal import Decimal
 
@@ -34,6 +35,7 @@ from .plan import (
     add_column_schema_effect,
     drop_schema_effect,
     merge_schema_effect,
+    pretty_plan,
     pretty_stmt,
     remove_column_schema_effect,
     resolve_join_order,
@@ -348,7 +350,8 @@ def exec_clean(staging: StagingArea, stmt: Clean, *, timestamp: str = DEFAULT_TI
 def execute_plan(staging: StagingArea, plan: Plan, *, timestamp: str = DEFAULT_TIMESTAMP) -> tuple[StagingArea, list[LineageEvent]]:
     """Validate then run the plan; on any error the input staging is
     returned to the caller untouched. The returned lineage slice has one
-    entry per executed statement, in order."""
+    entry per executed statement, in order. ``reports["transform"]["plan_hash"]``
+    is the SHA-256 of ``pretty_plan(plan)``; ``load`` records it."""
     checked = validate_plan(plan, staging.schema(), require_warehouse_decls=False)
     current = staging
     start = len(staging.lineage)
@@ -380,6 +383,8 @@ def execute_plan(staging: StagingArea, plan: Plan, *, timestamp: str = DEFAULT_T
             for ev in current.lineage[before:]
         ]
         current.lineage[before:] = stamped
+    current = current.clone()
+    current.reports["transform"] = {"plan_hash": hashlib.sha256(pretty_plan(plan).encode("utf-8")).hexdigest()}
     return current, current.lineage[start:]
 
 

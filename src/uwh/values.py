@@ -101,6 +101,26 @@ def value_tag(value: object) -> ValueType | None:
     raise TypeError(f"not a cell value: {value!r}")
 
 
+# the types whose values <, <=, >, >=, MIN and MAX order
+ORDERED_TYPES = (ValueType.INTEGER, ValueType.DECIMAL, ValueType.TEXT, ValueType.DATE)
+
+
+def coerce_literal(value, vtype: ValueType):
+    """A literal as a value of ``vtype``: INTEGER widens to DECIMAL, ISO date
+    TEXT becomes a DATE, and any other mismatch, Null too, is a ValueError."""
+    tag = value_tag(value)
+    if tag is vtype:
+        return value
+    if vtype is ValueType.DECIMAL and tag is ValueType.INTEGER:
+        return make_decimal(value)
+    if vtype is ValueType.DATE and tag is ValueType.TEXT:
+        try:
+            return parse_iso_date(value)
+        except ValueError:
+            raise ValueError(f"{value!r} is not a valid date literal") from None
+    raise ValueError(f"literal {value!r} does not match type {vtype.value}")
+
+
 def parse_typed(text: str, vtype: ValueType):
     """Parse ``text`` as ``vtype``; raise ValueError if it does not conform."""
     if vtype is ValueType.TEXT:

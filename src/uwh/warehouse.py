@@ -20,10 +20,11 @@ from typing import Callable, NamedTuple
 from .csvio import format_field, parse_csv
 from .errors import IntegrityError, MissingInputError, ParseError, PlanParseError, ReadOnlyError, ValidationError
 from .lexer import tokenize
-from .plan import _ORDERED_TYPES, _Parser
+from .plan import _Parser
 from .schema import ColumnDef, Table, TableSchema, key_getter
-from .staging import StagingArea, decode_table, render_table_csv, write_dir_atomically
-from .values import COMPARISONS, DEC4, RawCell, ValueType, make_decimal, parse_iso_date, render_cell, value_tag
+from .staging import StagingArea, decode_table, dump_fingerprint, dumps_staging, write_dir_atomically
+from .staging import render_table_csv  # noqa: F401  (unused here; the benchmark's tracer rebinds this name)
+from .values import COMPARISONS, DEC4, ORDERED_TYPES, RawCell, ValueType, coerce_literal, render_cell, value_tag
 
 from decimal import Decimal
 
@@ -234,26 +235,23 @@ def _index_plan(snowflake: SnowflakeSchema) -> list[tuple[str, tuple[str, ...], 
     return plan
 
 
-def load(
-    out_dir: Path,
-    snowflake: SnowflakeSchema,
-    staging: StagingArea,
-    *,
-    timestamp: str,
-    plan_hash: str = "",
-    source_hash: str = "",
-) -> dict:
-    """Persist the snowflake relations, their indexes, and the frozen
-    catalog, all or nothing. Refuses to write into a non-empty directory."""
+def load(out_dir: Path, staging: StagingArea, *, timestamp: str) -> dict:
+    """Persist the snowflake that ``staging`` declares, its indexes, and
+    the frozen catalog, all or nothing. Refuses to write into a non-empty
+    directory.
+
+    The staging is rendered once: each relation file holds the bytes of
+    its staging dump file, and ``build.source_hash`` is the fingerprint of
+    the whole dump. ``build.plan_hash`` is the one the transform recorded."""
+    if staging.fact_table is None or not staging.dimensions:
+        raise ValidationError("staging carries no fact/dimension declarations; run transform first")
+    snowflake = assemble_snowflake(staging.tables, staging.fact_table, staging.dimensions)
     out_dir = Path(out_dir)
     if (out_dir / CATALOG_NAME).exists():
         raise ReadOnlyError(f"{out_dir} already holds a warehouse catalog; it is frozen and cannot be rewritten")
     if out_dir.exists() and any(out_dir.iterdir()):
         raise ValidationError(f"refusing to load into non-empty directory {out_dir}")
     tables = staging.tables
-    for name in snowflake.relation_names():
-        if name not in tables:
-            raise ValidationError(f"relation {name!r} is not in staging")
 
     planned = [build_index(tables[relation], columns, unique=unique) for relation, columns, unique in _index_plan(snowflake)]
     indexes = {(index.relation, index.columns): index for index in planned}
@@ -271,39 +269,26 @@ def load(
                 f"fact row {n} has dangling dimension key {tuple(map(render_cell, key))} into {dim.name}"
             )
 
-    files: dict[str, bytes] = {}
-    relations_meta = []
-    for name in snowflake.relation_names():
-        table = tables[name]
-        data = render_table_csv(table).encode("utf-8")
-        files[f"{name}.csv"] = data
-        relations_meta.append(
-            {
-                "name": name,
-                "file": f"{name}.csv",
-                "checksum": sha256_hex(data),
-                "row_count": len(table.rows),
-                "columns": [
-                    {"name": c.name, "type": c.type.value, "nullable": c.nullable} for c in table.schema.columns
-                ],
-                "primary_key": list(table.schema.primary_key),
-            }
-        )
+    dump = dumps_staging(staging)
+    files = {f"{name}.csv": dump[f"{name}.csv"] for name in snowflake.relation_names()}
+    relations_meta = [
+        {
+            "name": name,
+            "file": f"{name}.csv",
+            "checksum": sha256_hex(files[f"{name}.csv"]),
+            "row_count": len(tables[name].rows),
+            "columns": [{"name": c.name, "type": c.type.value, "nullable": c.nullable} for c in tables[name].schema.columns],
+            "primary_key": list(tables[name].schema.primary_key),
+        }
+        for name in snowflake.relation_names()
+    ]
 
     indexes_meta = []
     for index in planned:
         fname = f"{index.relation}.{'+'.join(index.columns)}.idx"
-        data = render_index(index).encode("utf-8")
-        files[fname] = data
-        indexes_meta.append(
-            {
-                "relation": index.relation,
-                "columns": list(index.columns),
-                "unique": index.unique,
-                "file": fname,
-                "checksum": sha256_hex(data),
-            }
-        )
+        files[fname] = data = render_index(index).encode("utf-8")
+        entry = {"relation": index.relation, "columns": list(index.columns), "unique": index.unique, "file": fname}
+        indexes_meta.append({**entry, "checksum": sha256_hex(data)})
 
     catalog = {
         "format_version": FORMAT_VERSION,
@@ -321,7 +306,11 @@ def load(
         ],
         "relations": relations_meta,
         "indexes": indexes_meta,
-        "build": {"plan_hash": plan_hash, "source_hash": source_hash, "timestamp": timestamp},
+        "build": {  # a transform report that is absent or malformed gives no plan hash
+            "plan_hash": staging.reports["transform"]["plan_hash"] if _fits(staging.reports, _PLAN_REPORT) else "",
+            "source_hash": dump_fingerprint(dump),
+            "timestamp": timestamp,
+        },
         "self_checksum": "",
     }
     catalog["self_checksum"] = sha256_hex(canonical_json(catalog).encode("utf-8"))
@@ -404,19 +393,12 @@ def _attribute(p: _Parser) -> str:
 def _coerce_filter_value(value, vtype: ValueType):
     if value is None:
         return None
-    tag = value_tag(value)
-    if tag is vtype:
-        return value
-    if vtype is ValueType.DECIMAL and tag is ValueType.INTEGER:
-        return make_decimal(value)
-    if vtype is ValueType.INTEGER and tag is ValueType.DECIMAL and value == value.to_integral_value():
+    if vtype is ValueType.INTEGER and value_tag(value) is ValueType.DECIMAL and value == value.to_integral_value():
         return int(value)
-    if vtype is ValueType.DATE and tag is ValueType.TEXT:
-        try:
-            return parse_iso_date(value)
-        except ValueError as exc:
-            raise ValidationError(f"filter literal {value!r} is not a date") from exc
-    raise ValidationError(f"filter literal {value!r} does not match column type {vtype.value}")
+    try:
+        return coerce_literal(value, vtype)
+    except ValueError as exc:
+        raise ValidationError(f"filter {exc}") from None
 
 
 class Warehouse:
@@ -560,7 +542,7 @@ def star_query(handle: Warehouse, query: StarQuery) -> Table:
     resolved_filters = []
     for f in query.filters:
         rel, idx, cdef = handle.resolve_attribute(f.attribute)
-        if f.op not in ("=", "<>") and cdef.type not in _ORDERED_TYPES:
+        if f.op not in ("=", "<>") and cdef.type not in ORDERED_TYPES:
             raise ValidationError(f"filter operator {f.op} is not defined for {cdef.type.value}")
         require(rel)
         literal = _coerce_filter_value(f.value, cdef.type)
@@ -577,7 +559,7 @@ def star_query(handle: Warehouse, query: StarQuery) -> Table:
         rel, idx, cdef = handle.resolve_attribute(m.column)
         if m.agg in ("SUM", "AVG") and cdef.type not in (ValueType.INTEGER, ValueType.DECIMAL):
             raise ValidationError(f"{m.agg} needs a numeric column, {m.column} is {cdef.type.value}")
-        if m.agg in ("MIN", "MAX") and cdef.type not in _ORDERED_TYPES:
+        if m.agg in ("MIN", "MAX") and cdef.type not in ORDERED_TYPES:
             raise ValidationError(f"{m.agg} is not defined for {cdef.type.value}")
         require(rel)
         resolved_measures.append((m, rel, idx, cdef))
@@ -787,9 +769,54 @@ _AGGS = {
 # Open
 
 
-def _schema_from_catalog(entry: dict) -> TableSchema:
-    columns = tuple(ColumnDef(c["name"], ValueType(c["type"]), c["nullable"]) for c in entry["columns"])
-    return TableSchema(entry["name"], columns, tuple(entry.get("primary_key", ())))
+# shapes, as _fits reads them
+_PLAN_REPORT = {"transform": {"plan_hash": str}}  # staging reports that hold a plan hash
+_NAMES = [str]
+_COLUMN = {"name": str, "type": frozenset(t.value for t in ValueType), "nullable": bool}
+_CATALOG_SHAPE = {  # the catalog fields that open, star_query and report read
+    "fact": str,
+    "relations": [{"name": str, "file": str, "checksum": str, "row_count": int, "columns": [_COLUMN], "primary_key": _NAMES}],
+    "indexes": [{"relation": str, "columns": _NAMES, "unique": bool, "file": str, "checksum": str}],
+    "joins": [{"relation": str, "columns": _NAMES, "parent": str, "parent_columns": _NAMES}],
+    "build": {"plan_hash": str, "source_hash": str, "timestamp": str},
+}
+
+
+def _fits(value, shape) -> bool:
+    """Whether ``value`` has ``shape``: a dict of required keys, a one-item
+    list for a list of such items, a set of allowed texts, or a type,
+    matched exactly."""
+    if isinstance(shape, dict):
+        return isinstance(value, dict) and all(k in value and _fits(value[k], s) for k, s in shape.items())
+    if isinstance(shape, list):
+        return isinstance(value, list) and all(_fits(v, shape[0]) for v in value)
+    if isinstance(shape, frozenset):
+        return isinstance(value, str) and value in shape
+    return type(value) is shape
+
+
+def _catalog_fault(catalog: dict) -> str | None:
+    """How a catalog that passed its self checksum is malformed, if it is:
+    a field out of shape, an index or join naming a relation or column
+    the relations lack, or a join chain that does not reach the fact."""
+    wrong = [key for key, shape in _CATALOG_SHAPE.items() if not _fits(catalog.get(key), shape)]
+    if wrong:
+        return f"{wrong[0]!r} is missing or out of shape"
+    columns = {r["name"]: {c["name"] for c in r["columns"]} for r in catalog["relations"]}
+    named = [(catalog["fact"], [])] + [(i["relation"], i["columns"]) for i in catalog["indexes"]]
+    for j in catalog["joins"]:
+        named += [(j["relation"], j["columns"]), (j["parent"], j["parent_columns"])]
+    for relation, names in named:
+        if relation not in columns or not columns[relation].issuperset(names):
+            return f"no relation {relation} with columns ({','.join(names)})"
+    parents = {j["relation"]: j["parent"] for j in catalog["joins"]}
+    for start in parents:
+        relation = start
+        for _ in parents:  # a chain without a cycle takes at most one step per join
+            relation = parents.get(relation, relation)
+        if relation != catalog["fact"]:
+            return f"the join chain from {start} does not reach the fact"
+    return None
 
 
 def open_warehouse(directory: Path) -> Warehouse:
@@ -816,6 +843,9 @@ def open_warehouse(directory: Path) -> Warehouse:
         raise IntegrityError(f"{CATALOG_NAME} failed its self checksum")
     if catalog.get("frozen") is not True:
         raise IntegrityError(f"{CATALOG_NAME}: warehouse is not marked frozen")
+    fault = _catalog_fault(catalog)
+    if fault:
+        raise IntegrityError(f"{CATALOG_NAME} is malformed: {fault}")
 
     relations: dict[str, Table] = {}
     for entry in catalog["relations"]:
@@ -825,7 +855,8 @@ def open_warehouse(directory: Path) -> Warehouse:
         data = path.read_bytes()
         if sha256_hex(data) != entry["checksum"]:
             raise IntegrityError(f"checksum mismatch in {entry['file']}")
-        schema = _schema_from_catalog(entry)
+        columns = tuple(ColumnDef(c["name"], ValueType(c["type"]), c["nullable"]) for c in entry["columns"])
+        schema = TableSchema(entry["name"], columns, tuple(entry["primary_key"]))
         table = decode_table(data, entry["file"], schema, IntegrityError, keep_raw=False)
         if len(table.rows) != entry["row_count"]:
             raise IntegrityError(f"{entry['file']}: row count {len(table.rows)} != cataloged {entry['row_count']}")
@@ -835,11 +866,11 @@ def open_warehouse(directory: Path) -> Warehouse:
     indexes: dict = {}
     for entry in catalog["indexes"]:
         key = (entry["relation"], tuple(entry["columns"]))
-        table = relations.get(entry["relation"])
-        if table is None:
-            raise IntegrityError(f"index {entry['file']} references unknown relation {entry['relation']!r}")
         path = directory / entry["file"]
-        index = indexes[key] = build_index(table, key[1], unique=entry["unique"])
+        try:
+            index = indexes[key] = build_index(relations[key[0]], key[1], unique=entry["unique"])
+        except ValidationError as exc:  # marked unique over duplicate keys
+            raise IntegrityError(f"{CATALOG_NAME} is malformed: {exc}") from exc
         if not path.is_file():
             notices.append(f"index sidecar {entry['file']} missing; rebuilt from data")
             continue

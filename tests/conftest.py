@@ -13,7 +13,7 @@ from uwh.datagen import GenConfig, generate, load_ledger
 from uwh.ingest import extract_database
 from uwh.staging import dump_staging
 from uwh.transform import execute_plan
-from uwh.warehouse import assemble_snowflake, load, open_warehouse
+from uwh.warehouse import load, open_warehouse
 
 TS = "2026-01-01T00:00:00Z"
 
@@ -57,10 +57,7 @@ def seed42_transformed(seed42_cleansed):
 @pytest.fixture(scope="session")
 def seed42_warehouse_dir(tmp_path_factory, seed42_transformed):
     out = tmp_path_factory.mktemp("seed42-wh") / "wh"
-    snow = assemble_snowflake(
-        seed42_transformed.tables, seed42_transformed.fact_table, seed42_transformed.dimensions
-    )
-    load(out, snow, seed42_transformed, timestamp=TS, plan_hash="", source_hash="")
+    load(out, seed42_transformed, timestamp=TS)
     return out
 
 

@@ -35,7 +35,6 @@ from uwh.warehouse import (
     Filter,
     Measure,
     StarQuery,
-    assemble_snowflake,
     load,
     open_warehouse,
     star_query,
@@ -51,8 +50,7 @@ def _build_pipeline(src):
     staging, report = extract_database(src, DB, timestamp=TS)
     cleansed, _ = cleanse_staging(staging, RULES, timestamp=TS)
     transformed, _ = execute_plan(cleansed, PLAN, timestamp=TS)
-    snow = assemble_snowflake(transformed.tables, transformed.fact_table, transformed.dimensions)
-    return staging, cleansed, transformed, snow
+    return staging, cleansed, transformed
 
 
 @pytest.fixture(scope="module")
@@ -61,9 +59,9 @@ def small_warehouse(tmp_path_factory):
     base = tmp_path_factory.mktemp("acceptance-small")
     src = base / "src"
     generate(GenConfig(seed=42, students=30, semesters=3, dirty_rate=0.05), src)
-    _, _, transformed, snow = _build_pipeline(src)
+    _, _, transformed = _build_pipeline(src)
     wh = base / "wh"
-    load(wh, snow, transformed, timestamp=TS)
+    load(wh, transformed, timestamp=TS)
     return base, src, wh, open_warehouse(wh)
 
 
@@ -71,9 +69,9 @@ def test_criterion_01_structural_counts(tmp_path):
     src = tmp_path / "src"
     generate(GenConfig(seed=42, students=100, semesters=3, dirty_rate=0.05), src)
     started = time.perf_counter()
-    staging, cleansed, transformed, snow = _build_pipeline(src)
+    staging, cleansed, transformed = _build_pipeline(src)
     wh = tmp_path / "wh"
-    load(wh, snow, transformed, timestamp=TS)
+    load(wh, transformed, timestamp=TS)
     elapsed = time.perf_counter() - started
     assert len(staging.tables) == 14
     catalog = json.loads((wh / "catalog.json").read_text())
@@ -324,9 +322,9 @@ def test_criterion_10_desk_scale_performance(tmp_path):
     src = tmp_path / "src"
     generate(GenConfig(seed=42, students=10_000, semesters=3, dirty_rate=0.02), src)
     started = time.perf_counter()
-    staging, cleansed, transformed, snow = _build_pipeline(src)
+    staging, cleansed, transformed = _build_pipeline(src)
     wh = tmp_path / "wh"
-    load(wh, snow, transformed, timestamp=TS)
+    load(wh, transformed, timestamp=TS)
     build_elapsed = time.perf_counter() - started
     staged_rows = sum(len(t.rows) for t in staging.tables.values())
     assert staged_rows >= 100_000

@@ -10,7 +10,7 @@ import pytest
 from uwh.datagen import GenConfig, generate
 from uwh.errors import ValidationError
 from uwh.staging import dump_staging, dumps_staging
-from uwh.warehouse import assemble_snowflake, load
+from uwh.warehouse import load
 
 TS = "2026-01-01T00:00:00Z"
 SMALL = GenConfig(seed=5, students=20, courses_per_dept=3, semesters=2, dirty_rate=0.1)
@@ -41,21 +41,16 @@ def _assert_holds(target: Path, expected) -> None:
     assert [p.name for p in target.parent.iterdir() if p.name.startswith(f".{target.name}-partial-")] == []
 
 
-def _load(out: Path, staging) -> dict:
-    snow = assemble_snowflake(staging.tables, staging.fact_table, staging.dimensions)
-    return load(out, snow, staging, timestamp=TS)
-
-
 def test_failed_load_leaves_no_warehouse(tmp_path, monkeypatch, seed42_transformed):
     probe = tmp_path / "probe"
-    _load(probe, seed42_transformed)
+    load(probe, seed42_transformed, timestamp=TS)
     files = len(list(probe.iterdir()))
     for n in range(1, files + 1):
         out = tmp_path / f"wh{n}"
         with monkeypatch.context() as m:
             _fail_on_write(m, n)
             with pytest.raises(OSError, match="injected"):
-                _load(out, seed42_transformed)
+                load(out, seed42_transformed, timestamp=TS)
         _assert_holds(out, None)
 
 
@@ -92,8 +87,7 @@ def test_dump_replaces_a_staging_dump_exactly(tmp_path, seed42_staging, seed42_t
     target = tmp_path / "staging"
     dump_staging(seed42_staging, target)
     dump_staging(seed42_transformed, target)
-    expected = {rel: text.encode("utf-8") for rel, text in dumps_staging(seed42_transformed).items()}
-    _assert_holds(target, expected)
+    _assert_holds(target, dumps_staging(seed42_transformed))
 
 
 def test_dump_refuses_non_empty_directory_that_is_not_staging(tmp_path, seed42_staging):

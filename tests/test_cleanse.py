@@ -118,6 +118,15 @@ def test_rule_type_compat_is_checked():
         check_rule(make_rule("people", "name", "normalize_date", ("iso",)), PEOPLE)
 
 
+def test_rule_args_coerce_to_the_column_type():
+    rule = check_rule(make_rule("people", "score", "range", (0, 100)), PEOPLE)
+    assert rule.args == (make_decimal("0"), make_decimal("100"))
+    assert check_rule(make_rule("people", "born", "domain", ("2011-01-02",)), PEOPLE).args == (date(2011, 1, 2),)
+    for bad in [None, "2011-02-30"]:  # a NULL argument is refused, as is a date that does not exist
+        with pytest.raises(ValueError):
+            check_rule(make_rule("people", "born", "domain", (bad,)), PEOPLE)
+
+
 def test_make_rule_arg_validation():
     with pytest.raises(ValueError):
         make_rule("t", "c", "who_knows", ())

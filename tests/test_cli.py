@@ -46,19 +46,91 @@ def cli_dirs(tmp_path_factory):
     return base, src, wh
 
 
-def test_stagewise_pipeline_matches_build(tmp_path, cli_dirs, capsys):
-    base, src, wh = cli_dirs
-    staging = tmp_path / "staging"
+def _files(root) -> dict:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _stagewise(capsys, src, staging, wh) -> None:
     assert _run(capsys, "extract", "--src", str(src), "--out", str(staging), "--timestamp", TS)[0] == 0
     assert _run(capsys, "cleanse", "--staging", str(staging), "--timestamp", TS)[0] == 0
     assert _run(capsys, "transform", "--staging", str(staging), "--timestamp", TS)[0] == 0
+    assert _run(capsys, "load", "--staging", str(staging), "--out", str(wh), "--timestamp", TS)[0] == 0
+
+
+def test_stagewise_pipeline_matches_build(tmp_path, cli_dirs, capsys):
+    # load takes everything it records from the staging, the plan hash too,
+    # so both paths write the same bytes
+    base, src, wh = cli_dirs
     wh2 = tmp_path / "wh2"
-    assert _run(capsys, "load", "--staging", str(staging), "--out", str(wh2), "--timestamp", TS)[0] == 0
-    a = json.loads((wh / "catalog.json").read_text())
-    b = json.loads((wh2 / "catalog.json").read_text())
-    # same relations and row counts; build hashes differ (plan hash is recorded only by build)
-    assert a["relations"] == b["relations"]
-    assert a["dimensions"] == b["dimensions"]
+    _stagewise(capsys, src, tmp_path / "staging", wh2)
+    assert _files(wh2) == _files(wh)
+    assert json.loads((wh2 / "catalog.json").read_text())["build"]["plan_hash"] != ""
+
+
+def test_kept_staging_equals_stagewise_staging(tmp_path, cli_dirs, capsys):
+    _, src, wh = cli_dirs
+    kept = tmp_path / "kept"
+    assert _run(capsys, "build", "--src", str(src), "--out", str(tmp_path / "wh"), "--keep-staging", str(kept),
+                "--timestamp", TS)[0] == 0
+    staging = tmp_path / "staging"
+    _stagewise(capsys, src, staging, tmp_path / "wh2")
+    assert _files(kept) == _files(staging)
+    assert _files(tmp_path / "wh") == _files(wh)
+
+
+def test_build_renders_each_staged_table_once(tmp_path, cli_dirs, monkeypatch):
+    # counted wherever a caller looks the renderer up, as the benchmark's tracer does
+    import uwh.staging
+    import uwh.warehouse
+
+    _, src, _ = cli_dirs
+    rendered = []
+    real = uwh.staging.render_table_csv
+
+    def counting(table):
+        rendered.append(table.name)
+        return real(table)
+
+    for module in (uwh.staging, uwh.warehouse):
+        monkeypatch.setattr(module, "render_table_csv", counting)
+    assert run(["build", "--src", str(src), "--out", str(tmp_path / "wh"), "--timestamp", TS]) == 0
+    assert len(rendered) == 8 and len(set(rendered)) == 8
+
+
+def test_load_of_an_untransformed_staging_exits_one(tmp_path, cli_dirs, capsys):
+    _, src, _ = cli_dirs
+    staging = tmp_path / "staging"
+    assert _run(capsys, "extract", "--src", str(src), "--out", str(staging), "--timestamp", TS)[0] == 0
+    wh = tmp_path / "wh"
+    code, _, err = _run(capsys, "load", "--staging", str(staging), "--out", str(wh), "--timestamp", TS)
+    assert code == 1 and "run transform first" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["staging"]
+
+
+@pytest.mark.parametrize(
+    "rule, words",
+    [
+        ("CLEAN student.st_nope WITH trim ;", "no column 'st_nope'"),
+        ("CLEAN student.st_name WITH range(0, 1) ;", "range applies to numeric columns"),
+    ],
+    ids=["unknown-column", "range-on-text"],
+)
+def test_rule_that_does_not_fit_the_schema_exits_one(tmp_path, cli_dirs, capsys, rule, words):
+    _, src, _ = cli_dirs
+    rules = tmp_path / "bad.rules"
+    rules.write_text(rule + "\n")
+    staging = tmp_path / "staging"
+    assert _run(capsys, "extract", "--src", str(src), "--out", str(staging), "--timestamp", TS)[0] == 0
+    before = _files(staging)
+    code, _, err = _run(capsys, "cleanse", "--staging", str(staging), "--rules", str(rules), "--timestamp", TS)
+    assert code == 1 and err.startswith("error: rule student.") and words in err
+    assert "Traceback" not in err
+    assert _files(staging) == before
+    wh = tmp_path / "wh"
+    code, _, err = _run(capsys, "build", "--src", str(src), "--rules", str(rules), "--out", str(wh), "--timestamp", TS)
+    assert code == 1 and err.startswith("error: rule student.") and words in err
+    assert "Traceback" not in err
+    assert not wh.exists()
 
 
 def test_inplace_stages_leave_only_dumped_files(tmp_path, cli_dirs, capsys):

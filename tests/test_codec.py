@@ -17,7 +17,7 @@ from uwh.errors import IntegrityError, ValidationError
 from uwh.schema import ColumnDef, Table, TableSchema
 from uwh.staging import StagingArea, decode_table, dump_staging, load_staging, parse_cell, render_table_csv
 from uwh.values import INT64_MAX, INT64_MIN, RawCell, ValueType, make_decimal, parse_typed, render_cell
-from uwh.warehouse import Measure, StarQuery, assemble_snowflake, load, open_warehouse, star_query
+from uwh.warehouse import Measure, StarQuery, load, open_warehouse, star_query
 
 TS = "2026-01-01T00:00:00Z"
 NAMES = ("a", "b", "c", "d")
@@ -318,8 +318,7 @@ def test_quoted_carriage_returns_survive_the_warehouse(tmp_path, seed42_transfor
     for i, value in zip(victims, _CR_VALUES):
         rows[i] = rows[i][:name] + (value,) + rows[i][name + 1 :]
     staging.tables["student"] = Table(student.schema, rows)
-    snow = assemble_snowflake(staging.tables, staging.fact_table, staging.dimensions)
-    load(tmp_path / "wh", snow, staging, timestamp=TS)
+    load(tmp_path / "wh", staging, timestamp=TS)
     handle = open_warehouse(tmp_path / "wh")
     assert handle.relation("student").rows == rows
     result = star_query(handle, StarQuery((Measure("COUNT", None),), ("st_name",)))

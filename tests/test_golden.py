@@ -24,7 +24,7 @@ WAREHOUSE = {
     "account.csv": "a8924bb965df2144106af0f3f84e1cc946cf6a8f88fb66afe7f421e4d12b20f2",
     "alumni.al_id.idx": "c0738ac63850558b8d3cacb01b5a7033d3eefb74a784ccc94add7cb3d519b0cb",
     "alumni.csv": "7e4cdc238eec67ac0e94cb9c5bae2dee8e71951bc09dc487a94c82628f4ecd7e",
-    "catalog.json": "448db877934c0e9fce3439e64418d154326122edd1fe3ac162cd33bf19ed5b69",
+    "catalog.json": "795cc5fc9f00950066efe58e730641b5a6ec17b94d2232aa09f7d360a53d5ea6",
     "instructor.csv": "7ef1d3662cb0c0e4e8169613ebb94fd11257c5cbde90e7c97233a9b0b4f0bdcf",
     "instructor.in_id.idx": "f497f5e583cf4604de23c6a4db96b9ee7d8cd4a36b8bbbb62457fb471f4521f2",
     "major.csv": "5289cf1fbeb071c2079573af31a0ab04cb3eba2e2fde9c2f345b148d27ece4c2",

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from uwh.values import (
     RawCell,
     ValueType,
+    coerce_literal,
     decimal_text,
     make_decimal,
     parse_date_flexible,
@@ -116,3 +117,40 @@ def test_iso_date_strictness():
         parse_iso_date("2011-1-02")
     with pytest.raises(ValueError):
         parse_iso_date("20111231")
+
+
+@pytest.mark.parametrize(
+    "value, vtype, coerced",
+    [
+        (3, ValueType.INTEGER, 3),
+        (3, ValueType.DECIMAL, Decimal("3.0000")),
+        (Decimal("2.5"), ValueType.DECIMAL, Decimal("2.5")),
+        ("2012-02-29", ValueType.DATE, date(2012, 2, 29)),
+        (date(2012, 2, 29), ValueType.DATE, date(2012, 2, 29)),
+        ("x", ValueType.TEXT, "x"),
+        (True, ValueType.BOOLEAN, True),
+    ],
+)
+def test_coerce_literal_accepts(value, vtype, coerced):
+    result = coerce_literal(value, vtype)
+    assert result == coerced and value_tag(result) is vtype
+
+
+@pytest.mark.parametrize(
+    "value, vtype",
+    [
+        (None, ValueType.INTEGER),
+        (None, ValueType.TEXT),
+        (Decimal("3"), ValueType.INTEGER),  # only a query filter narrows DECIMAL
+        ("3", ValueType.INTEGER),
+        (3, ValueType.TEXT),
+        (True, ValueType.INTEGER),
+        (1, ValueType.BOOLEAN),
+        ("2012-02-30", ValueType.DATE),
+        ("2012-2-28", ValueType.DATE),
+        (date(2012, 2, 28), ValueType.TEXT),
+    ],
+)
+def test_coerce_literal_rejects(value, vtype):
+    with pytest.raises(ValueError):
+        coerce_literal(value, vtype)

@@ -138,35 +138,26 @@ def test_load_writes_expected_layout(seed42_warehouse_dir):
 
 
 def test_load_is_deterministic(tmp_path, seed42_transformed, seed42_warehouse_dir):
-    snow = assemble_snowflake(
-        seed42_transformed.tables, seed42_transformed.fact_table, seed42_transformed.dimensions
-    )
     out = tmp_path / "wh2"
-    load(out, snow, seed42_transformed, timestamp=TS, plan_hash="", source_hash="")
+    load(out, seed42_transformed, timestamp=TS)
     a = (seed42_warehouse_dir / "catalog.json").read_bytes()
     b = (out / "catalog.json").read_bytes()
     assert a == b
 
 
 def test_load_refuses_existing_catalog(tmp_path, seed42_transformed):
-    snow = assemble_snowflake(
-        seed42_transformed.tables, seed42_transformed.fact_table, seed42_transformed.dimensions
-    )
     out = tmp_path / "wh"
-    load(out, snow, seed42_transformed, timestamp=TS)
+    load(out, seed42_transformed, timestamp=TS)
     with pytest.raises(ReadOnlyError):
-        load(out, snow, seed42_transformed, timestamp=TS)
+        load(out, seed42_transformed, timestamp=TS)
 
 
 def test_load_refuses_nonempty_dir(tmp_path, seed42_transformed):
-    snow = assemble_snowflake(
-        seed42_transformed.tables, seed42_transformed.fact_table, seed42_transformed.dimensions
-    )
     out = tmp_path / "full"
     out.mkdir()
     (out / "junk.txt").write_text("x")
     with pytest.raises(ValidationError):
-        load(out, snow, seed42_transformed, timestamp=TS)
+        load(out, seed42_transformed, timestamp=TS)
 
 
 def test_load_asserts_fact_keys_resolve(tmp_path, seed42_transformed):
@@ -176,9 +167,8 @@ def test_load_asserts_fact_keys_resolve(tmp_path, seed42_transformed):
     rows = list(fact.rows)
     rows[0] = rows[0][:st] + (999999,) + rows[0][st + 1:]
     staging.tables["transcript"] = Table(fact.schema, rows)
-    snow = assemble_snowflake(staging.tables, staging.fact_table, staging.dimensions)
     with pytest.raises(ValidationError) as exc:
-        load(tmp_path / "wh", snow, staging, timestamp=TS)
+        load(tmp_path / "wh", staging, timestamp=TS)
     assert "dangling dimension key" in str(exc.value)
 
 
@@ -303,6 +293,79 @@ def test_version_1_catalog_is_refused(tmp_path, seed42_warehouse_dir, capsys):
     _assert_open_fails(work, capsys, "catalog.json", "format_version")
 
 
+def _fact_index(catalog: dict) -> dict:
+    return next(i for i in catalog["indexes"] if i["relation"] == catalog["fact"])
+
+
+def _arm_join(catalog: dict) -> dict:
+    return next(j for j in catalog["joins"] if j["parent"] != catalog["fact"])
+
+
+_CATALOG_FORGERIES = {
+    "unknown-type": lambda c: c["relations"][0]["columns"][0].update(type="FLOAT"),
+    "relation-without-file": lambda c: c["relations"][0].pop("file"),
+    "index-without-columns": lambda c: c["indexes"][0].pop("columns"),
+    "row-count-as-text": lambda c: c["relations"][1].update(row_count=str(c["relations"][1]["row_count"])),
+    "index-on-unknown-column": lambda c: c["indexes"][0].update(columns=["nope"]),
+    "non-unique-index-marked-unique": lambda c: _fact_index(c).update(unique=True),
+    "fact-not-a-relation": lambda c: c.update(fact="payroll"),
+    "fact-missing": lambda c: c.pop("fact"),
+    "joins-not-a-list": lambda c: c.update(joins={}),
+    "join-on-unknown-column": lambda c: c["joins"][0].update(columns=["nope"]),
+    "join-to-unknown-relation": lambda c: _arm_join(c).update(parent="payroll"),
+    "join-chain-cycle": lambda c: _arm_join(c).update(parent=_arm_join(c)["relation"], parent_columns=_arm_join(c)["columns"]),
+}
+
+
+def _forged(tmp_path, warehouse_dir, forge):
+    """A copy of the warehouse whose catalog ``forge`` edited and re-signed."""
+    from uwh.warehouse import canonical_json, sha256_hex
+
+    work = tmp_path / "wh"
+    shutil.copytree(warehouse_dir, work)
+    catalog = json.loads((work / "catalog.json").read_text())
+    forge(catalog)
+    catalog["self_checksum"] = ""
+    catalog["self_checksum"] = sha256_hex(canonical_json(catalog).encode())
+    (work / "catalog.json").write_text(canonical_json(catalog))
+    return work
+
+
+@pytest.mark.parametrize("forge", _CATALOG_FORGERIES.values(), ids=_CATALOG_FORGERIES.keys())
+def test_forged_catalog_fails_open(tmp_path, seed42_warehouse_dir, capsys, forge):
+    # a catalog can pass its self checksum and still be malformed: open
+    # refuses it as an integrity failure naming the catalog, never a crash
+    _assert_open_fails(_forged(tmp_path, seed42_warehouse_dir, forge), capsys, "catalog.json", "malformed")
+
+
+def test_join_cycle_in_catalog_is_named(tmp_path, seed42_warehouse_dir):
+    # a cycle in the joins would make a query walk it forever
+    work = _forged(tmp_path, seed42_warehouse_dir, _CATALOG_FORGERIES["join-chain-cycle"])
+    with pytest.raises(IntegrityError, match="does not reach the fact"):
+        open_warehouse(work)
+
+
+def test_catalog_build_record_comes_from_the_staging(seed42_warehouse_dir, seed42_transformed):
+    import hashlib
+
+    from uwh import canonical
+    from uwh.plan import pretty_plan
+    from uwh.staging import staging_fingerprint
+
+    build = json.loads((seed42_warehouse_dir / "catalog.json").read_text())["build"]
+    assert build["source_hash"] == staging_fingerprint(seed42_transformed)
+    assert build["plan_hash"] == hashlib.sha256(pretty_plan(canonical.canonical_plan()).encode()).hexdigest()
+    assert build["timestamp"] == TS
+
+
+@pytest.mark.parametrize("reports", [{}, {"transform": "x"}, {"transform": {"plan_hash": 5}}, []])
+def test_load_without_a_well_formed_transform_report_records_no_plan_hash(tmp_path, seed42_transformed, reports):
+    staging = seed42_transformed.clone()
+    staging.reports = reports
+    assert load(tmp_path / "wh", staging, timestamp=TS)["build"]["plan_hash"] == ""
+    assert open_warehouse(tmp_path / "wh").catalog["build"]["plan_hash"] == ""
+
+
 def _bad_integer(lines: list[bytes]) -> None:
     lines[1] = b"12x" + lines[1][lines[1].index(b","):]  # st_id is INTEGER
 
@@ -425,6 +488,25 @@ def test_multi_arm_query_matches_bruteforce(seed42_handle):
 def test_min_max_on_text_and_date(seed42_handle):
     q = StarQuery((Measure("MIN", "st_name"), Measure("MAX", "al_gradDate")), ("dep_name",))
     assert star_query(seed42_handle, q).rows == star_aggregate_bruteforce(seed42_handle, q)
+
+
+def test_filter_literals_coerce_to_the_column_type(seed42_handle):
+    def count(*filters):
+        return star_query(seed42_handle, StarQuery((Measure("COUNT", None),), (), filters)).rows
+
+    # an integral DECIMAL narrows to INTEGER in a filter, and ISO text becomes a DATE
+    assert count(Filter("tr_year", "=", make_decimal("2012"))) == count(Filter("tr_year", "=", 2012))
+    assert count(Filter("al_gradDate", ">=", "2010-01-01")) == star_aggregate_bruteforce(
+        seed42_handle, StarQuery((Measure("COUNT", None),), (), (Filter("al_gradDate", ">=", "2010-01-01"),))
+    )
+    for bad in [
+        Filter("tr_year", "=", make_decimal("2012.5")),
+        Filter("tr_year", "=", "2012"),
+        Filter("al_gradDate", "=", "2010-02-30"),
+        Filter("st_name", "=", 3),
+    ]:
+        with pytest.raises(ValidationError, match="filter"):
+            count(bad)
 
 
 def test_query_validation_errors(seed42_handle):
