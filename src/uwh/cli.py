@@ -68,6 +68,8 @@ def _read_text(path: Path, what: str) -> str:
         return path.read_text(encoding="utf-8")
     except OSError as exc:
         raise MissingInputError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not valid UTF-8: {exc}") from exc
 
 
 def _load_schema(args) -> object:

@@ -19,7 +19,12 @@ loader uses too. Table files are written by ``render_table_csv`` and read
 back by ``decode_table`` from the bytes of the file, so a quoted CR
 survives. Every CSV read (source, staging, quarantine, dirt ledger and
 warehouse files) goes through ``read_records``, and every typed one
-through ``typed_rows``.
+through ``typed_rows``, which keeps one memo per column from field text
+to cell (dictionary encoding): each distinct text of a column is
+converted once, and equal cells are one shared object. Text that does
+not parse as its column's type is not kept; it is handed to the
+caller's ``raw`` at each occurrence, so extract counts every raw cell
+and the warehouse reader fails at the first bad one.
 """
 
 from __future__ import annotations
@@ -153,18 +158,40 @@ def read_records(data: bytes, file: str, error: type[UwhError]) -> Iterator[tupl
         raise error(f"{file}: {exc}") from exc
 
 
+class _ColumnMemo(dict):
+    """One column's cells by field text, for the life of one decode: a miss
+    converts the text and keeps its cell, except for text the column's
+    type does not parse, whose cell is ``raw(text)`` and is not kept."""
+
+    __slots__ = ("convert", "raw")
+
+    def __init__(self, vtype: ValueType, raw: Callable[[str], object]):
+        super().__init__()
+        self.convert = cell_converter(vtype)
+        self.raw = raw
+
+    def __missing__(self, text: str):
+        cell = self.convert(text)
+        if cell.__class__ is RawCell:
+            return self.raw(text)
+        self[text] = cell
+        return cell
+
+
 def typed_rows(records, columns, raw: Callable[[str], object]) -> Iterator[tuple[list[str], tuple | None]]:
     """(field texts, cells) per record; ``cells`` is None when the arity is
     not that of ``columns``. Each cell follows ``parse_cell`` for its
     column, but text that does not parse as the column's type becomes
-    ``raw(text)``. Quote-free records use one converter per column."""
-    converters = [cell_converter(c.type, raw) for c in columns]
+    ``raw(text)``, called for every occurrence. Quote-free records look
+    each field up in its column's memo (``_ColumnMemo``)."""
+    memos = [_ColumnMemo(c.type, raw) for c in columns]
+    lookup = dict.__getitem__
     n = len(columns)
     for fields, quoted in records:
         if len(fields) != n:
             yield fields, None
         elif quoted is None:
-            yield fields, tuple([convert(t) for convert, t in zip(converters, fields)])
+            yield fields, tuple(map(lookup, memos, fields))
         else:
             cells = (parse_cell(t, q, c.type) for t, q, c in zip(fields, quoted, columns))
             yield fields, tuple([raw(v) if isinstance(v, RawCell) else v for v in cells])
@@ -283,12 +310,45 @@ def dump_fingerprint(files: dict[str, bytes]) -> str:
     return h.hexdigest()
 
 
+def _dump_text(path: Path) -> str:
+    """The text of staging dump file ``path``; invalid UTF-8 is a
+    ``ValidationError`` naming the file."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path.name}: not valid UTF-8: {exc}") from exc
+
+
+def _parse_meta(text: str) -> tuple[str | None, list[tuple[str, str]], dict]:
+    """The fact table, dimensions and reports that ``meta.json`` holds.
+    Text that is not JSON, or not of that shape, is a ``ValidationError``."""
+    try:
+        meta = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"meta.json: not valid JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ValidationError("meta.json: not a JSON object")
+    fact_table = meta.get("fact_table")
+    dimensions = meta.get("dimensions", [])
+    reports = meta.get("reports", {})
+    if not (fact_table is None or isinstance(fact_table, str)):
+        raise ValidationError("meta.json: fact_table must be a table name or null")
+    pairs = isinstance(dimensions, list) and all(
+        isinstance(d, list) and len(d) == 2 and all(isinstance(v, str) for v in d) for d in dimensions
+    )
+    if not pairs:
+        raise ValidationError("meta.json: dimensions must be a list of [table, key] pairs")
+    if not isinstance(reports, dict):
+        raise ValidationError("meta.json: reports must be an object")
+    return fact_table, [tuple(d) for d in dimensions], reports
+
+
 def load_staging(in_dir: Path) -> StagingArea:
     in_dir = Path(in_dir)
     manifest_path = in_dir / "schema.manifest"
     if not manifest_path.is_file():
         raise MissingInputError(f"not a staging directory (no schema.manifest): {in_dir}")
-    db = parse_schema_manifest(manifest_path.read_text(encoding="utf-8"))
+    db = parse_schema_manifest(_dump_text(manifest_path))
     tables: dict[str, Table] = {}
     for name, schema in db.tables.items():
         path = in_dir / f"{name}.csv"
@@ -313,21 +373,12 @@ def load_staging(in_dir: Path) -> StagingArea:
     lineage: list[LineageEvent] = []
     lpath = in_dir / "lineage.log"
     if lpath.is_file():
-        try:
-            text = lpath.read_bytes().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"{lpath}: not valid UTF-8: {exc}") from exc
         # "\n" alone ends an event; str.splitlines also splits at \r, \x85, U+2028 and more
-        lineage = [LineageEvent.from_line(line) for line in text.split("\n") if line]
+        lineage = [LineageEvent.from_line(line) for line in _dump_text(lpath).split("\n") if line]
 
-    fact_table = None
-    dimensions: list[tuple[str, str]] = []
-    reports: dict = {}
+    fact_table, dimensions, reports = None, [], {}
     mpath = in_dir / "meta.json"
     if mpath.is_file():
-        meta = json.loads(mpath.read_text(encoding="utf-8"))
-        fact_table = meta.get("fact_table")
-        dimensions = [tuple(d) for d in meta.get("dimensions", [])]
-        reports = meta.get("reports", {})
+        fact_table, dimensions, reports = _parse_meta(_dump_text(mpath))
 
     return StagingArea(tables, quarantine, lineage, fact_table, dimensions, reports)

@@ -148,11 +148,11 @@ def parse_typed(text: str, vtype: ValueType):
     raise TypeError(f"unknown value type {vtype!r}")
 
 
-def cell_converter(vtype: ValueType, raw: Callable[[str], object]) -> Callable[[str], object]:
+def cell_converter(vtype: ValueType) -> Callable[[str], object]:
     """The cell rule for the unquoted fields of a ``vtype`` column, as one
     function of the field text: a bare empty field is Null, text that
-    ``parse_typed`` accepts is its value, and any other text is passed
-    to ``raw``, whose result becomes the cell."""
+    ``parse_typed`` accepts is its value, and any other text becomes a
+    ``RawCell``."""
     if vtype is ValueType.TEXT:
         return lambda text: text or None
     if vtype is ValueType.BOOLEAN:
@@ -161,7 +161,7 @@ def cell_converter(vtype: ValueType, raw: Callable[[str], object]) -> Callable[[
             value = literals.get(text.lower())
             if value is not None:
                 return value
-            return raw(text) if text else None
+            return RawCell(text) if text else None
 
     elif vtype is ValueType.INTEGER:
 
@@ -172,7 +172,7 @@ def cell_converter(vtype: ValueType, raw: Callable[[str], object]) -> Callable[[
                     return n
             elif not text:
                 return None
-            return raw(text)
+            return RawCell(text)
 
     elif vtype is ValueType.DECIMAL:
 
@@ -184,7 +184,7 @@ def cell_converter(vtype: ValueType, raw: Callable[[str], object]) -> Callable[[
                     pass
             elif not text:
                 return None
-            return raw(text)
+            return RawCell(text)
 
     elif vtype is ValueType.DATE:
 
@@ -196,7 +196,7 @@ def cell_converter(vtype: ValueType, raw: Callable[[str], object]) -> Callable[[
                     pass
             elif not text:
                 return None
-            return raw(text)
+            return RawCell(text)
 
     else:
         raise TypeError(f"unknown value type {vtype!r}")

@@ -184,19 +184,30 @@ def build_index(table: Table, columns: tuple[str, ...], *, unique: bool = False)
     return index
 
 
+def _key_field(value) -> str:
+    return format_field(render_cell(value), isinstance(value, str) and (value == "" or "\t" in value))
+
+
+# a key component's field by its exact class; any other class takes _key_field
+_KEY_FIELDS = {int: str, type(None): lambda value: ""}
+
+
 def render_index(index: Index) -> str:
-    """Sidecar format: one ``key<TAB>ordinal`` line per entry, key-sorted.
+    """Sidecar format: one ``key<TAB>ordinal`` line per entry, key-sorted,
+    Null first.
 
     Key components use the CSV cell encoding joined by commas, so Null
     (bare empty) and empty text (quoted empty) stay distinct; text
     containing a tab is quoted so the key/ordinal split stays unambiguous.
     """
+    entries = index.entries
+    # keys without a Null sort by plain tuple order, which _sort_key keeps
+    keys = sorted(entries, key=_sort_key) if any(None in key for key in entries) else sorted(entries)
+    field_of = _KEY_FIELDS.get
     lines = []
-    for key in sorted(index.entries, key=_sort_key):
-        encoded = ",".join(
-            format_field(render_cell(v), isinstance(v, str) and (v == "" or "\t" in v)) for v in key
-        )
-        for ordinal in index.entries[key]:
+    for key in keys:
+        encoded = ",".join([field_of(v.__class__, _key_field)(v) for v in key])
+        for ordinal in entries[key]:
             lines.append(f"{encoded}\t{ordinal}")
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from uwh.cleanse import RuleStats, TableCleanseSlice, _cell_fn, check_rule
-from uwh.csvio import parse_csv
+from uwh.csvio import format_field, parse_csv
 from uwh.errors import ValidationError
 from uwh.ingest import TableExtraction
 from uwh.schema import RowIssue, Table, TableSchema
@@ -245,6 +245,18 @@ def difficulty_recompute(pairs: list[tuple[object, object]], hi: int, lo: int) -
 def full_scan_ordinals(table: Table, columns: tuple[str, ...], key: tuple) -> list[int]:
     idxs = [table.schema.column_index(c) for c in columns]
     return [n for n, row in enumerate(table.rows) if tuple(row[i] for i in idxs) == tuple(key)]
+
+
+def render_index_reference(index) -> str:
+    """The sidecar text of ``index``: keys sorted Null first, each key
+    component through ``render_cell`` and ``format_field``, with empty
+    text and text holding a tab quoted."""
+    lines = []
+    for key in sorted(index.entries, key=_nulls_first_key):
+        encoded = ",".join(format_field(render_cell(v), isinstance(v, str) and (v == "" or "\t" in v)) for v in key)
+        for ordinal in index.entries[key]:
+            lines.append(f"{encoded}\t{ordinal}")
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def round_half_even_4(fr: Fraction) -> Decimal:

@@ -376,6 +376,63 @@ def test_invalid_plan_semantics_exit_one(cli_dirs, tmp_path, capsys):
     assert code == 1 and "payroll" in err
 
 
+@pytest.fixture(scope="module")
+def extracted_dir(tmp_path_factory, cli_dirs):
+    _, src, _ = cli_dirs
+    staging = tmp_path_factory.mktemp("extracted") / "s"
+    assert run(["extract", "--src", str(src), "--out", str(staging), "--timestamp", TS]) == 0
+    return staging
+
+
+def _copy(staging, tmp_path):
+    import shutil
+
+    return shutil.copytree(staging, tmp_path / "s")
+
+
+@pytest.mark.parametrize(
+    "name, tamper, words",
+    [
+        ("meta.json", lambda data: b"{broken", "meta.json: not valid JSON"),
+        ("meta.json", lambda data: b"[]", "meta.json: not a JSON object"),
+        ("meta.json", lambda data: b'{"dimensions": 5}', "meta.json: dimensions must be"),
+        ("meta.json", lambda data: b'{"dimensions": [["student"]]}', "meta.json: dimensions must be"),
+        ("meta.json", lambda data: b'{"fact_table": 5}', "meta.json: fact_table must be"),
+        ("meta.json", lambda data: b'{"reports": []}', "meta.json: reports must be"),
+        ("meta.json", lambda data: data + b"\xff", "meta.json: not valid UTF-8"),
+        ("schema.manifest", lambda data: data.replace(b"TABLE", b"TABLE \xff", 1), "schema.manifest: not valid UTF-8"),
+    ],
+    ids=["not-json", "list", "dimensions-5", "dimension-not-a-pair", "fact-5", "reports-list", "meta-utf8", "manifest-utf8"],
+)
+def test_malformed_staging_file_exits_one(tmp_path, extracted_dir, capsys, name, tamper, words):
+    staging = _copy(extracted_dir, tmp_path)
+    (staging / name).write_bytes(tamper((staging / name).read_bytes()))
+    code, _, err = _run(capsys, "report", "--staging", str(staging))
+    assert code == 1 and err.startswith("error: ") and words in err and "Traceback" not in err
+    code, _, err = _run(capsys, "load", "--staging", str(staging), "--out", str(tmp_path / "wh"), "--timestamp", TS)
+    assert code == 1 and words in err
+    assert not (tmp_path / "wh").exists()
+
+
+@pytest.mark.parametrize("stage, option", [("extract", "--schema"), ("transform", "--plan"), ("cleanse", "--rules")])
+def test_option_file_that_is_not_utf8_exits_one_and_writes_nothing(tmp_path, cli_dirs, extracted_dir, capsys, stage, option):
+    _, src, _ = cli_dirs
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"TABLE t\n  a\xff INTEGER PK\n")
+    out = tmp_path / "out"
+    if stage == "extract":
+        argv = ["extract", "--src", str(src)]
+    else:
+        staging = _copy(extracted_dir, tmp_path)
+        before = _files(staging)
+        argv = [stage, "--staging", str(staging)]
+    code, _, err = _run(capsys, *argv, option, str(bad), "--out", str(out), "--timestamp", TS)
+    assert code == 1 and f"{bad}: not valid UTF-8" in err
+    assert not out.exists()
+    if stage != "extract":
+        assert _files(staging) == before
+
+
 def test_build_failure_leaves_no_partial_warehouse(tmp_path, capsys):
     src = tmp_path / "src"
     assert run(["gen", "--out", str(src), "--students", "10"]) == 0

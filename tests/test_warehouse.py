@@ -5,14 +5,17 @@ import random
 import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import full_scan_ordinals, star_aggregate_bruteforce
+from oracles import full_scan_ordinals, render_index_reference, star_aggregate_bruteforce
 from uwh.errors import IntegrityError, MissingInputError, ReadOnlyError, ValidationError
 from uwh.manifest import parse_schema_manifest
 from uwh.schema import Table
-from uwh.values import make_decimal
+from uwh.values import INT64_MAX, INT64_MIN, make_decimal
 from uwh.warehouse import (
     Filter,
+    Index,
     Measure,
     StarQuery,
     assemble_snowflake,
@@ -106,6 +109,31 @@ def test_empty_relation_index():
     index = build_index(Table(db.tables["t"], []), ("id",), unique=True)
     assert index.lookup((1,)) == []
     assert render_index(index) == ""
+
+
+_KEY_PARTS = [
+    st.integers(INT64_MIN, INT64_MAX),
+    st.decimals(allow_nan=False, allow_infinity=False, places=4, min_value=-10**6, max_value=10**6).map(make_decimal),
+    st.dates(),
+    st.booleans(),
+    st.text(st.sampled_from(list('a ,"\t\r\n')), max_size=4),
+]
+
+
+@st.composite
+def _indexes(draw):
+    # one type per key column, as in a relation, and a few values per column
+    # plus Null, so that keys share prefixes and differ at a Null
+    pools = [draw(st.lists(draw(st.sampled_from(_KEY_PARTS)), min_size=1, max_size=3)) + [None] for _ in range(draw(st.integers(1, 3)))]
+    keys = draw(st.lists(st.tuples(*map(st.sampled_from, pools)), max_size=8, unique=True))
+    entries = {key: draw(st.lists(st.integers(0, 99), min_size=1, max_size=3)) for key in keys}
+    return Index("t", tuple(f"c{i}" for i in range(len(pools))), False, entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_indexes())
+def test_render_index_matches_the_reference(index):
+    assert render_index(index) == render_index_reference(index)
 
 
 def test_all_catalog_indexes_match_full_scan(seed42_handle):
@@ -274,6 +302,20 @@ def test_tampered_sidecar_content_fails_cross_check(tmp_path, seed42_warehouse_d
     victim.write_bytes(tamper(victim.read_text().splitlines()).encode())
     _forge_checksums(work, victim.name)
     _assert_open_fails(work, capsys, victim.name, "disagrees")
+
+
+def test_repeated_bad_cell_in_a_relation_fails_open(tmp_path, seed42_warehouse_dir, capsys):
+    # the decoder keeps no cell for unparsable text, so the bad text fails
+    # open wherever it occurs, after a good text of its column too
+    work = tmp_path / "wh"
+    shutil.copytree(seed42_warehouse_dir, work)
+    victim = work / "major.csv"
+    header, first, *rest = victim.read_text().splitlines()
+    assert header.endswith(",mj_dep_id")
+    rows = [first] + [row.rsplit(",", 1)[0] + ",x1" for row in rest]
+    victim.write_text("\n".join([header] + rows) + "\n")
+    _forge_checksums(work, victim.name)
+    _assert_open_fails(work, capsys, victim.name, "does not parse as its declared type")
 
 
 def test_version_1_catalog_is_refused(tmp_path, seed42_warehouse_dir, capsys):
