@@ -187,8 +187,6 @@ def _cmd_build(args) -> int:
 
 def _cmd_query(args) -> int:
     handle = open_warehouse(Path(args.warehouse))
-    for notice in handle.notices:
-        print(f"notice: {notice}", file=sys.stderr)
     measures = tuple(parse_measure(m) for m in args.measure)
     group_by = tuple(g.strip() for arg in (args.group_by or []) for g in arg.split(",") if g.strip())
     filters = tuple(parse_filter(f) for f in (args.filter or []))
@@ -231,7 +229,6 @@ def _cmd_report(args) -> int:
         "dimensions": catalog["dimensions"],
         "indexes": [f"{i['relation']}({','.join(i['columns'])})" for i in catalog["indexes"]],
         "build": catalog["build"],
-        "notices": handle.notices,
     }
     if args.json:
         print(json.dumps(payload, sort_keys=True, indent=2))

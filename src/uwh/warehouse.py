@@ -1,10 +1,11 @@
 """Stage 4: load and index, plus the read-only query surface.
 
 A warehouse directory is eight CSV relations (one fact, seven
-dimensions), index sidecars, and ``catalog.json``. The catalog records a
-SHA-256 checksum for every file plus one for itself, so any single-byte
-tamper is detected at open time; an opened warehouse exposes no mutating
-operation.
+dimensions) and ``catalog.json``. The catalog records a SHA-256 checksum
+for every relation plus one for itself, so any single-byte tamper is
+detected at open time. Indexes are derived state: only their descriptors
+persist, and ``open`` rebuilds each from the relation data. An opened
+warehouse exposes no mutating operation.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .values import COMPARISONS, DEC4, ORDERED_TYPES, RawCell, ValueType, coerce
 from decimal import Decimal
 
 CATALOG_NAME = "catalog.json"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 AGGREGATES = ("COUNT", "SUM", "AVG", "MIN", "MAX")
 
@@ -162,9 +163,6 @@ class Index:
     unique: bool
     entries: dict[tuple, list[int]] = field(default_factory=dict)
 
-    def lookup(self, key: tuple) -> list[int]:
-        return list(self.entries.get(tuple(key), ()))
-
 
 def build_index(table: Table, columns: tuple[str, ...], *, unique: bool = False) -> Index:
     """Map each key tuple to the ordinals a full scan would return."""
@@ -192,9 +190,8 @@ def _key_field(value) -> str:
 _KEY_FIELDS = {int: str, type(None): lambda value: ""}
 
 
-def render_index(index: Index) -> str:
-    """Sidecar format: one ``key<TAB>ordinal`` line per entry, key-sorted,
-    Null first.
+def render_index(index: Index) -> str:  # unused here; the benchmark's tracer rebinds this name
+    """One ``key<TAB>ordinal`` line per entry, key-sorted, Null first.
 
     Key components use the CSV cell encoding joined by commas, so Null
     (bare empty) and empty text (quoted empty) stay distinct; text
@@ -212,7 +209,7 @@ def render_index(index: Index) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def parse_index(text: str, descriptor: dict, schema: TableSchema) -> Index:
+def parse_index(text: str, descriptor: dict, schema: TableSchema) -> Index:  # unused here, like render_index
     from .staging import parse_cell
 
     index = Index(descriptor["relation"], tuple(descriptor["columns"]), descriptor["unique"])
@@ -247,9 +244,9 @@ def _index_plan(snowflake: SnowflakeSchema) -> list[tuple[str, tuple[str, ...], 
 
 
 def load(out_dir: Path, staging: StagingArea, *, timestamp: str) -> dict:
-    """Persist the snowflake that ``staging`` declares, its indexes, and
-    the frozen catalog, all or nothing. Refuses to write into a non-empty
-    directory.
+    """Persist the snowflake that ``staging`` declares and the frozen
+    catalog, which describes its indexes, all or nothing. Refuses to write
+    into a non-empty directory.
 
     The staging is rendered once: each relation file holds the bytes of
     its staging dump file, and ``build.source_hash`` is the fingerprint of
@@ -294,13 +291,6 @@ def load(out_dir: Path, staging: StagingArea, *, timestamp: str) -> dict:
         for name in snowflake.relation_names()
     ]
 
-    indexes_meta = []
-    for index in planned:
-        fname = f"{index.relation}.{'+'.join(index.columns)}.idx"
-        files[fname] = data = render_index(index).encode("utf-8")
-        entry = {"relation": index.relation, "columns": list(index.columns), "unique": index.unique, "file": fname}
-        indexes_meta.append({**entry, "checksum": sha256_hex(data)})
-
     catalog = {
         "format_version": FORMAT_VERSION,
         "frozen": True,
@@ -316,7 +306,7 @@ def load(out_dir: Path, staging: StagingArea, *, timestamp: str) -> dict:
             for d in snowflake.dimensions
         ],
         "relations": relations_meta,
-        "indexes": indexes_meta,
+        "indexes": [{"relation": i.relation, "columns": list(i.columns), "unique": i.unique} for i in planned],
         "build": {  # a transform report that is absent or malformed gives no plan hash
             "plan_hash": staging.reports["transform"]["plan_hash"] if _fits(staging.reports, _PLAN_REPORT) else "",
             "source_hash": dump_fingerprint(dump),
@@ -415,10 +405,9 @@ def _coerce_filter_value(value, vtype: ValueType):
 class Warehouse:
     """Read-only handle over a verified warehouse directory."""
 
-    def __init__(self, directory: Path, catalog: dict, relations: dict[str, Table], indexes: dict, notices: list[str]):
+    def __init__(self, directory: Path, catalog: dict, relations: dict[str, Table], indexes: dict):
         self.directory = Path(directory)
         self.catalog = catalog
-        self.notices = list(notices)
         self._relations = relations
         self._indexes = indexes
         self._joins: dict[tuple, Index] = {}  # star-join indexes by chain
@@ -787,7 +776,7 @@ _COLUMN = {"name": str, "type": frozenset(t.value for t in ValueType), "nullable
 _CATALOG_SHAPE = {  # the catalog fields that open, star_query and report read
     "fact": str,
     "relations": [{"name": str, "file": str, "checksum": str, "row_count": int, "columns": [_COLUMN], "primary_key": _NAMES}],
-    "indexes": [{"relation": str, "columns": _NAMES, "unique": bool, "file": str, "checksum": str}],
+    "indexes": [{"relation": str, "columns": _NAMES, "unique": bool}],
     "joins": [{"relation": str, "columns": _NAMES, "parent": str, "parent_columns": _NAMES}],
     "build": {"plan_hash": str, "source_hash": str, "timestamp": str},
 }
@@ -808,11 +797,15 @@ def _fits(value, shape) -> bool:
 
 def _catalog_fault(catalog: dict) -> str | None:
     """How a catalog that passed its self checksum is malformed, if it is:
-    a field out of shape, an index or join naming a relation or column
+    a field out of shape, a relation file other than ``<name>.csv`` in
+    the warehouse directory, an index or join naming a relation or column
     the relations lack, or a join chain that does not reach the fact."""
     wrong = [key for key, shape in _CATALOG_SHAPE.items() if not _fits(catalog.get(key), shape)]
     if wrong:
         return f"{wrong[0]!r} is missing or out of shape"
+    for r in catalog["relations"]:
+        if r["file"] != f"{r['name']}.csv" or "/" in r["file"] or "\\" in r["file"]:
+            return f"relation {r['name']} has file {r['file']!r}, not {r['name']}.csv in the warehouse directory"
     columns = {r["name"]: {c["name"] for c in r["columns"]} for r in catalog["relations"]}
     named = [(catalog["fact"], [])] + [(i["relation"], i["columns"]) for i in catalog["indexes"]]
     for j in catalog["joins"]:
@@ -831,11 +824,10 @@ def _catalog_fault(catalog: dict) -> str | None:
 
 
 def open_warehouse(directory: Path) -> Warehouse:
-    """Verify every checksum, load relations and indexes, and hand back a
-    read-only view. Each index is rebuilt from the relation data, and its
-    sidecar must equal that index rendered, byte for byte. A missing
-    sidecar is noticed and the rebuilt index used; any other discrepancy
-    is an integrity error naming the file."""
+    """Verify every checksum, load the relations, build every cataloged
+    index from them, and hand back a read-only view. Any discrepancy,
+    including duplicate keys under an index the catalog marks unique, is
+    an integrity error naming the file."""
     directory = Path(directory)
     catalog_path = directory / CATALOG_NAME
     if not catalog_path.is_file():
@@ -873,25 +865,15 @@ def open_warehouse(directory: Path) -> Warehouse:
             raise IntegrityError(f"{entry['file']}: row count {len(table.rows)} != cataloged {entry['row_count']}")
         relations[entry["name"]] = table
 
-    notices: list[str] = []
     indexes: dict = {}
     for entry in catalog["indexes"]:
         key = (entry["relation"], tuple(entry["columns"]))
-        path = directory / entry["file"]
         try:
-            index = indexes[key] = build_index(relations[key[0]], key[1], unique=entry["unique"])
+            indexes[key] = build_index(relations[key[0]], key[1], unique=entry["unique"])
         except ValidationError as exc:  # marked unique over duplicate keys
             raise IntegrityError(f"{CATALOG_NAME} is malformed: {exc}") from exc
-        if not path.is_file():
-            notices.append(f"index sidecar {entry['file']} missing; rebuilt from data")
-            continue
-        data = path.read_bytes()
-        if sha256_hex(data) != entry["checksum"]:
-            raise IntegrityError(f"checksum mismatch in {entry['file']}")
-        if data != render_index(index).encode("utf-8"):
-            raise IntegrityError(f"index {entry['file']} disagrees with relation data")
 
-    return Warehouse(directory, catalog, relations, indexes, notices)
+    return Warehouse(directory, catalog, relations, indexes)
 
 
 def is_warehouse_dir(directory: Path) -> bool:

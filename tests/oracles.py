@@ -248,7 +248,7 @@ def full_scan_ordinals(table: Table, columns: tuple[str, ...], key: tuple) -> li
 
 
 def render_index_reference(index) -> str:
-    """The sidecar text of ``index``: keys sorted Null first, each key
+    """The ``render_index`` text of ``index``: keys sorted Null first, each key
     component through ``render_cell`` and ``format_field``, with empty
     text and text holding a tab quoted."""
     lines = []

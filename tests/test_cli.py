@@ -307,18 +307,6 @@ def test_write_flavored_commands_on_warehouse_exit_four(cli_dirs, capsys, tmp_pa
         assert "frozen" in err or "read-only" in err
 
 
-def test_missing_sidecar_query_succeeds_with_notice(cli_dirs, tmp_path, capsys):
-    import shutil
-
-    _, _, wh = cli_dirs
-    work = tmp_path / "wh"
-    shutil.copytree(wh, work)
-    (work / "student.st_id.idx").unlink()
-    code, out, err = _run(capsys, "query", "--warehouse", str(work), "--measure", "COUNT(*)")
-    assert code == 0
-    assert "rebuilt" in err and "student.st_id.idx" in err
-
-
 def test_tampered_warehouse_exits_five(cli_dirs, tmp_path, capsys):
     import shutil
 

@@ -20,24 +20,15 @@ from uwh.ingest import extract_database
 from uwh.staging import dump_staging
 
 WAREHOUSE = {
-    "account.ac_id.idx": "32729ac56222811fd21925d021f4e76eab39205a13eb8c4749fc7c68ca178ec2",
     "account.csv": "a8924bb965df2144106af0f3f84e1cc946cf6a8f88fb66afe7f421e4d12b20f2",
-    "alumni.al_id.idx": "c0738ac63850558b8d3cacb01b5a7033d3eefb74a784ccc94add7cb3d519b0cb",
     "alumni.csv": "7e4cdc238eec67ac0e94cb9c5bae2dee8e71951bc09dc487a94c82628f4ecd7e",
-    "catalog.json": "795cc5fc9f00950066efe58e730641b5a6ec17b94d2232aa09f7d360a53d5ea6",
+    "catalog.json": "5a0a2ed999cb3cdd807389a0e8707e0367dba5385e57c9ab82f9eaee1f6f5928",
     "instructor.csv": "7ef1d3662cb0c0e4e8169613ebb94fd11257c5cbde90e7c97233a9b0b4f0bdcf",
-    "instructor.in_id.idx": "f497f5e583cf4604de23c6a4db96b9ee7d8cd4a36b8bbbb62457fb471f4521f2",
     "major.csv": "5289cf1fbeb071c2079573af31a0ab04cb3eba2e2fde9c2f345b148d27ece4c2",
-    "major.mj_id.idx": "50170d62b481c25d316e4b5aefb8afe32d2cb442fb83666d7a783a308983f632",
     "receipt.csv": "b801bfa449f6794108a94235b2d24f7d06610a8ad906129acd1bdc0386d0b81d",
-    "receipt.re_id.idx": "4ce4cec47d4bfd6edbf0c9fcddfeba15649990bbb12246da98a912396728a743",
     "registeredActivities.csv": "0401c6fed442235668daad2377af1854d02989ad2b4fed53746a101dc82b8074",
-    "registeredActivities.reg_id.idx": "714dcafdb42bb85752d038877b99969923f3fd1819e51d02ec227912f047b8db",
     "student.csv": "57f6995d5147bc193b506b9200d37c4f2e719bd3a055ecf5c1a5a9cf13fc8ffb",
-    "student.st_id.idx": "e672c6b435c2c26140b8567ec965c5ce899c5788bf326776daee1b50816e846d",
     "transcript.csv": "14f45d1126938be5d87194b869d90bf173596946d559fd5bad39605089f88d37",
-    "transcript.se_in_id.idx": "638c5d6dbeb4fa3311ee0e24215d04573ae18f9a64133a662a6d45871d1a2d8c",
-    "transcript.tr_st_id.idx": "fb1b918b7c82c764c9d4529a4e95ad50ed9c0dfb72e362af1f74ad3f4f5c9d6e",
 }
 
 STAGING = {

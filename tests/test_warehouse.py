@@ -93,7 +93,7 @@ def test_unique_hash_index_thousand_probes(seed42_handle):
     rng = random.Random(9)
     probes = [(k,) for k in keys] + [(rng.randint(-10_000, 10_000),) for _ in range(1000)]
     for key in probes:
-        assert index.lookup(key) == full_scan_ordinals(student, ("st_id",), key)
+        assert index.entries.get(key, []) == full_scan_ordinals(student, ("st_id",), key)
 
 
 def test_unique_index_rejects_duplicates():
@@ -107,7 +107,7 @@ def test_unique_index_rejects_duplicates():
 def test_empty_relation_index():
     db = parse_schema_manifest("TABLE t\n  id INTEGER PK\n")
     index = build_index(Table(db.tables["t"], []), ("id",), unique=True)
-    assert index.lookup((1,)) == []
+    assert index.entries.get((1,), []) == []
     assert render_index(index) == ""
 
 
@@ -143,21 +143,20 @@ def test_all_catalog_indexes_match_full_scan(seed42_handle):
         keys = list(index.entries)
         sample = keys if len(keys) <= 200 else rng.sample(keys, 200)
         for key in sample:
-            assert index.lookup(key) == full_scan_ordinals(table, index.columns, key)
+            assert index.entries.get(key, []) == full_scan_ordinals(table, index.columns, key)
 
 
 # --- load -----------------------------------------------------------------------
 
 
 def test_load_writes_expected_layout(seed42_warehouse_dir):
-    names = {p.name for p in seed42_warehouse_dir.iterdir()}
-    assert "catalog.json" in names
-    csvs = {n for n in names if n.endswith(".csv")}
-    assert len(csvs) == 8
-    idx = {n for n in names if n.endswith(".idx")}
-    assert len(idx) == 9  # 7 dim keys + 2 fact key columns
     catalog = json.loads((seed42_warehouse_dir / "catalog.json").read_text())
-    assert catalog["format_version"] == 2
+    names = {p.name for p in seed42_warehouse_dir.iterdir()}
+    # the catalog and the relations; indexes persist only as descriptors
+    assert names == {"catalog.json"} | {f"{r['name']}.csv" for r in catalog["relations"]}
+    assert len(catalog["indexes"]) == 9  # 7 dim keys + 2 fact key columns
+    assert all(set(i) == {"relation", "columns", "unique"} for i in catalog["indexes"])
+    assert catalog["format_version"] == 3
     assert catalog["frozen"] is True
     assert catalog["fact"] == "transcript"
     assert len(catalog["relations"]) == 8
@@ -205,7 +204,6 @@ def test_load_asserts_fact_keys_resolve(tmp_path, seed42_transformed):
 
 def test_open_verifies_and_counts(seed42_handle):
     assert len(seed42_handle.relation_names()) == 8
-    assert seed42_handle.notices == []
     assert seed42_handle.catalog["frozen"] is True
 
 
@@ -239,39 +237,12 @@ def test_missing_relation_file_fails_open(tmp_path, seed42_warehouse_dir):
     assert "alumni.csv" in str(exc.value)
 
 
-def test_missing_sidecar_rebuilds_with_notice(tmp_path, seed42_warehouse_dir):
-    work = tmp_path / "wh"
-    shutil.copytree(seed42_warehouse_dir, work)
-    (work / "student.st_id.idx").unlink()
-    handle = open_warehouse(work)
-    assert any("student.st_id.idx" in n for n in handle.notices)
-    index = handle.index("student", ("st_id",))
-    student = handle.relation("student")
-    for row in student.rows:
-        assert index.lookup((row[0],)) == full_scan_ordinals(student, ("st_id",), (row[0],))
-
-
-def _wrong_ordinals(lines: list[str]) -> str:
-    lines[0] = lines[0].rsplit("\t", 1)[0] + "\t7"
-    lines[1] = lines[1].rsplit("\t", 1)[0] + "\t0"
-    return "\n".join(lines) + "\n"
-
-
-def _swapped_lines(lines: list[str]) -> str:
-    lines[0], lines[1] = lines[1], lines[0]
-    return "\n".join(lines) + "\n"
-
-
-def _crlf(lines: list[str]) -> str:
-    return "\r\n".join(lines) + "\r\n"
-
-
 def _forge_checksums(work, name: str) -> None:
     """Re-sign the catalog so file ``name`` passes its checksum as edited."""
     from uwh.warehouse import canonical_json, sha256_hex
 
     catalog = json.loads((work / "catalog.json").read_text())
-    for entry in catalog["relations"] + catalog["indexes"]:
+    for entry in catalog["relations"]:
         if entry["file"] == name:
             entry["checksum"] = sha256_hex((work / name).read_bytes())
     catalog["self_checksum"] = ""
@@ -290,20 +261,6 @@ def _assert_open_fails(work, capsys, name: str, words: str) -> None:
     assert name in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize(
-    "tamper", [_wrong_ordinals, _swapped_lines, _crlf], ids=["wrong-ordinals", "swapped-lines", "crlf"]
-)
-def test_tampered_sidecar_content_fails_cross_check(tmp_path, seed42_warehouse_dir, capsys, tamper):
-    # a sidecar that matches its checksum but is not the index rendered
-    # from the data is caught, even when it decodes to the same entries
-    work = tmp_path / "wh"
-    shutil.copytree(seed42_warehouse_dir, work)
-    victim = work / "student.st_id.idx"
-    victim.write_bytes(tamper(victim.read_text().splitlines()).encode())
-    _forge_checksums(work, victim.name)
-    _assert_open_fails(work, capsys, victim.name, "disagrees")
-
-
 def test_repeated_bad_cell_in_a_relation_fails_open(tmp_path, seed42_warehouse_dir, capsys):
     # the decoder keeps no cell for unparsable text, so the bad text fails
     # open wherever it occurs, after a good text of its column too
@@ -318,20 +275,26 @@ def test_repeated_bad_cell_in_a_relation_fails_open(tmp_path, seed42_warehouse_d
     _assert_open_fails(work, capsys, victim.name, "does not parse as its declared type")
 
 
-def test_version_1_catalog_is_refused(tmp_path, seed42_warehouse_dir, capsys):
-    # a format-1 catalog (index descriptors with a "kind") whose self
-    # checksum is forged to match is still refused: there is no shim
-    from uwh.warehouse import canonical_json, sha256_hex
+@pytest.mark.parametrize("version", [1, 2], ids=["format-1", "format-2"])
+def test_old_format_catalog_is_refused(tmp_path, seed42_warehouse_dir, seed42_handle, capsys, version):
+    # a warehouse as format 1 or 2 wrote it (a sidecar per index, named
+    # with its checksum in the descriptor; format 1's descriptors also held
+    # a "kind"), its self checksum forged to match, is refused: no shim
+    from uwh.warehouse import sha256_hex
 
-    work = tmp_path / "wh"
-    shutil.copytree(seed42_warehouse_dir, work)
-    catalog = json.loads((work / "catalog.json").read_text())
-    catalog["format_version"] = 1
-    for entry in catalog["indexes"]:
-        entry["kind"] = "hash"
-    catalog["self_checksum"] = ""
-    catalog["self_checksum"] = sha256_hex(canonical_json(catalog).encode())
-    (work / "catalog.json").write_text(canonical_json(catalog))
+    sidecars = {(i.relation, i.columns): render_index(i).encode() for i in seed42_handle.indexes()}
+
+    def downgrade(catalog: dict) -> None:
+        catalog["format_version"] = version
+        for entry in catalog["indexes"]:
+            entry["file"] = f"{entry['relation']}.{'+'.join(entry['columns'])}.idx"
+            entry["checksum"] = sha256_hex(sidecars[entry["relation"], tuple(entry["columns"])])
+            if version == 1:
+                entry["kind"] = "hash"
+
+    work = _forged(tmp_path, seed42_warehouse_dir, downgrade)
+    for entry in json.loads((work / "catalog.json").read_text())["indexes"]:
+        (work / entry["file"]).write_bytes(sidecars[entry["relation"], tuple(entry["columns"])])
     _assert_open_fails(work, capsys, "catalog.json", "format_version")
 
 
@@ -343,9 +306,17 @@ def _arm_join(catalog: dict) -> dict:
     return next(j for j in catalog["joins"] if j["parent"] != catalog["fact"])
 
 
+def _file_outside_directory(catalog: dict) -> None:
+    # out of the warehouse directory and back to the same bytes, so the
+    # checksum matches and only the file name is wrong
+    relation = catalog["relations"][0]
+    relation["file"] = f"../wh/{relation['file']}"
+
+
 _CATALOG_FORGERIES = {
     "unknown-type": lambda c: c["relations"][0]["columns"][0].update(type="FLOAT"),
     "relation-without-file": lambda c: c["relations"][0].pop("file"),
+    "relation-file-outside-directory": _file_outside_directory,
     "index-without-columns": lambda c: c["indexes"][0].pop("columns"),
     "row-count-as-text": lambda c: c["relations"][1].update(row_count=str(c["relations"][1]["row_count"])),
     "index-on-unknown-column": lambda c: c["indexes"][0].update(columns=["nope"]),
@@ -462,7 +433,7 @@ def test_tampered_relation_fails_open(tmp_path, seed42_warehouse_dir, capsys, ta
 
 def test_crlf_relation_with_forged_checksums_opens(tmp_path, seed42_warehouse_dir):
     # accepted, as README says: CRLF line ends decode to the same rows, so
-    # the sidecars rebuilt from them still match
+    # the indexes built from them and every query answer as before
     work = tmp_path / "wh"
     shutil.copytree(seed42_warehouse_dir, work)
     victim = work / "student.csv"
