@@ -29,7 +29,7 @@ from .errors import (
 )
 from .ingest import ExtractionReport, extract_database, extract_table
 from .manifest import parse_schema_manifest, render_manifest
-from .plan import parse_plan, pretty_plan, validate_plan
+from .plan import parse_plan, pretty_plan
 from .schema import (
     ColumnDef,
     DatabaseSchema,
@@ -41,7 +41,7 @@ from .schema import (
     validate_schema,
 )
 from .staging import StagingArea, dump_staging, load_staging, staging_fingerprint
-from .transform import eval_expr, execute_plan
+from .transform import execute_plan, validate_plan
 from .values import RawCell, ValueType, make_decimal
 from .warehouse import (
     Filter,

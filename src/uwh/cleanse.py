@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 
 from .errors import ParseError, ValidationError
+from .plan import Clean, parse_plan, pretty_stmt
 from .schema import Table, TableSchema, check_referential_integrity, key_getter, row_checker
 from .staging import DEFAULT_TIMESTAMP, LineageEvent, QRow, StagingArea
 from .values import RawCell, ValueType, coerce_literal, parse_date_flexible, parse_typed, render_cell
@@ -509,8 +510,6 @@ def cleanse_staging(
 
 def parse_rules(text: str) -> list[CleanseRule]:
     """Rules file: CLEAN statements, parsed by the plan parser."""
-    from .plan import Clean, parse_plan, pretty_stmt  # plan imports this module
-
     rules: list[CleanseRule] = []
     for stmt in parse_plan(text).statements:
         if not isinstance(stmt, Clean):

@@ -21,9 +21,9 @@ from .datagen import GenConfig, generate
 from .errors import MissingInputError, ReadOnlyError, UwhError, ValidationError
 from .ingest import extract_database
 from .manifest import parse_schema_manifest
-from .plan import parse_plan, validate_plan
+from .plan import parse_plan
 from .staging import dump_staging, load_staging, render_table_csv
-from .transform import execute_plan
+from .transform import execute_plan, validate_plan
 from .warehouse import StarQuery, is_warehouse_dir, load, open_warehouse, parse_filter, parse_measure, star_query
 from .staging import staging_fingerprint  # noqa: F401  (unused here; the benchmark's tracer rebinds this name)
 from .warehouse import assemble_snowflake  # noqa: F401  (unused here; the benchmark's tracer rebinds this name)

@@ -1,27 +1,24 @@
-"""The transform-plan language: AST, recursive-descent parser, validator,
-and canonical pretty-printer.
+"""The transform-plan language: AST, recursive-descent parser, canonical
+pretty-printer, and expression typing.
 
 A plan is an ordered statement list over the staging schema:
 DROP TABLE, MERGE ... INTO ... ON ... KEEP, ADD COLUMN ... AS <expr>,
 REMOVE COLUMN, CLEAN ... WITH <rule>, FACT, and DIMENSION ... KEY.
 
-``validate_plan`` simulates the schema effect of each statement against a
-shadow schema, type-checks every expression, and (by default) requires
-the one-fact/seven-dimension shape the warehouse loader expects. The
-schema-effect helpers live here so the executor cannot drift from what
-validation approved.
+What a statement means lives in ``transform``: its ``exec_*`` step checks
+and applies it, and validation is those steps run on the schema's empty
+tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
-from typing import Iterable
+from typing import Iterator
 
-from . import cleanse as cleanse_mod
-from .errors import ParseError, PlanParseError, PlanValidationError
+from .errors import ParseError, PlanParseError, ValidationError
 from .lexer import Token, tokenize
-from .schema import ColumnDef, DatabaseSchema, ForeignKey, TableSchema
+from .schema import TableSchema
 from .values import COMPARISONS, ORDERED_TYPES, ValueType, coerce_literal, decimal_text, make_decimal, render_cell, value_tag
 
 _POS = dict(default=0, compare=False, repr=False)
@@ -522,34 +519,22 @@ def pretty_plan(plan: Plan) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Validation and schema effects
+# Expression traversal and typing
 
 
-@dataclass(frozen=True)
-class PlanDiagnostic:
-    index: int  # statement index, 0-based; -1 for plan-level problems
-    message: str
-
-    def __str__(self) -> str:
-        where = "plan" if self.index < 0 else f"statement {self.index}"
-        return f"{where}: {self.message}"
-
-
-@dataclass(frozen=True)
-class CheckedPlan:
-    plan: Plan
-    final_schema: DatabaseSchema
-
-
-class _TypeProblem(Exception):
-    pass
+def subexpressions(e: Expr) -> Iterator[Expr]:
+    """``e`` and every expression nested in it, parents first."""
+    yield e
+    for part in vars(e).values():
+        if isinstance(part, Expr):
+            yield from subexpressions(part)
 
 
 def _coerce_literal(lit: Lit, target: ValueType) -> Lit:
     try:
         return replace(lit, value=coerce_literal(lit.value, target))
     except ValueError as exc:
-        raise _TypeProblem(f"line {lit.line}: {exc}") from None
+        raise ValidationError(f"line {lit.line}: {exc}") from None
 
 
 def _unify(a: Expr, at: ValueType | None, b: Expr, bt: ValueType | None, mismatch: str):
@@ -561,352 +546,64 @@ def _unify(a: Expr, at: ValueType | None, b: Expr, bt: ValueType | None, mismatc
         return a, _coerce_literal(b, at), at
     if isinstance(a, Lit):
         return _coerce_literal(a, bt), b, bt
-    raise _TypeProblem(mismatch)
+    raise ValidationError(mismatch)
 
 
-class _ExprChecker:
-    """Types an expression against one table's schema, coercing literals."""
-
-    def __init__(self, table: TableSchema):
-        self.table = table
-
-    def col_type(self, col: Col) -> ValueType:
-        if col.table != self.table.name:
-            raise _TypeProblem(f"line {col.line}: column reference {col} is outside table {self.table.name!r}")
-        if not self.table.has_column(col.name):
-            raise _TypeProblem(f"line {col.line}: unknown column {col}")
-        return self.table.column(col.name).type
-
-    def check(self, e: Expr) -> tuple[Expr, ValueType | None]:
-        """Returns (possibly coerced expr, type); type None for the NULL literal."""
-        if isinstance(e, Lit):
-            return e, (None if e.value is None else value_tag(e.value))
-        if isinstance(e, Col):
-            return e, self.col_type(e)
-        if isinstance(e, Cmp):
-            left, lt = self.check(e.left)
-            right, rt = self.check(e.right)
-            left, right, t = _unify(left, lt, right, rt, f"line {e.line}: cannot compare {lt} with {rt}")
-            if e.op not in ("=", "<>") and t is not None and t not in ORDERED_TYPES:
-                raise _TypeProblem(f"line {e.line}: {e.op} is not defined for {t.value}")
-            return replace(e, left=left, right=right), ValueType.BOOLEAN
-        if isinstance(e, Logical):
-            left, lt = self.check(e.left)
-            right, rt = self.check(e.right)
-            for side in (lt, rt):
-                if side is not ValueType.BOOLEAN:
-                    raise _TypeProblem(f"line {e.line}: {e.op} needs BOOLEAN operands")
-            return replace(e, left=left, right=right), ValueType.BOOLEAN
-        if isinstance(e, Not):
-            inner, t = self.check(e.operand)
-            if t is not ValueType.BOOLEAN:
-                raise _TypeProblem(f"line {e.line}: NOT needs a BOOLEAN operand")
-            return replace(e, operand=inner), ValueType.BOOLEAN
-        if isinstance(e, Coalesce):
-            first, ft = self.check(e.first)
-            second, st = self.check(e.second)
-            if ft is None and st is None:
-                raise _TypeProblem(f"line {e.line}: COALESCE of two NULL literals has no type")
-            first, second, t = _unify(first, ft, second, st, f"line {e.line}: COALESCE operands differ: {ft} vs {st}")
-            return replace(e, first=first, second=second), t
-        if isinstance(e, IsNull):
-            inner, _ = self.check(e.operand)
-            return replace(e, operand=inner), ValueType.BOOLEAN
-        if isinstance(e, PaidOnDue):
-            for col in (e.payment, e.due):
-                if self.col_type(col) is not ValueType.DATE:
-                    raise _TypeProblem(f"line {col.line}: PAID_ON_DUE needs DATE columns, {col} is not")
-            return e, ValueType.BOOLEAN
-        if isinstance(e, Difficulty):
-            gt = self.col_type(e.grade)
-            if gt not in (ValueType.DECIMAL, ValueType.INTEGER):
-                raise _TypeProblem(f"line {e.line}: DIFFICULTY grade column must be numeric")
-            self.col_type(e.group)
-            if e.hi <= e.lo:
-                raise _TypeProblem(f"line {e.line}: DIFFICULTY thresholds need hi > lo")
-            return e, ValueType.TEXT
-        raise TypeError(f"not an expression: {e!r}")
+def _col_type(col: Col, table: TableSchema) -> ValueType:
+    if col.table != table.name:
+        raise ValidationError(f"line {col.line}: column reference {col} is outside table {table.name!r}")
+    if not table.has_column(col.name):
+        raise ValidationError(f"line {col.line}: unknown column {col}")
+    return table.column(col.name).type
 
 
-def resolve_merge_base(shadow: dict[str, TableSchema], stmt: Merge) -> str:
-    """The table whose rows the merge preserves: the target when it already
-    exists, otherwise the last listed source (which the merge renames)."""
-    return stmt.target if stmt.target in shadow else stmt.sources[-1]
-
-
-def resolve_join_order(stmt: Merge, base: str) -> list[tuple[str, list[JoinCond]]]:
-    """Join steps in dependency order; every source must link to the join
-    chain through at least one condition."""
-    remaining = [s for s in stmt.sources if s != base]
-    joined = {base}
-    conds = list(stmt.conditions)
-    order: list[tuple[str, list[JoinCond]]] = []
-    while remaining:
-        for source in list(remaining):
-            usable = [
-                c
-                for c in conds
-                if (c.left.table == source and c.right.table in joined)
-                or (c.right.table == source and c.left.table in joined)
-            ]
-            if not usable:
-                continue
-            order.append((source, usable))
-            for c in usable:
-                conds.remove(c)
-            joined.add(source)
-            remaining.remove(source)
-            break
-        else:
-            raise PlanValidationError(
-                [PlanDiagnostic(-1, f"merge sources {remaining} are not connected to {base!r} by ON conditions")]
-            )
-    if conds:
-        raise PlanValidationError(
-            [PlanDiagnostic(-1, f"join condition {conds[0].left} = {conds[0].right} does not connect a new table")]
-        )
-    return order
-
-
-def merge_schema_effect(shadow: dict[str, TableSchema], stmt: Merge) -> tuple[str, TableSchema, list[str]]:
-    """(base name, merged schema, consumed tables); assumes validity."""
-    base_name = resolve_merge_base(shadow, stmt)
-    base = shadow[base_name]
-    consumed = [s for s in stmt.sources if s != base_name]
-    survivors = set(shadow) - set(consumed)
-    if base_name != stmt.target:
-        survivors = (survivors - {base_name}) | {stmt.target}
-
-    columns = list(base.columns)
-    fks: list[ForeignKey] = []
-    for fk in base.foreign_keys:
-        target = stmt.target if fk.target_table == base_name else fk.target_table
-        if target in survivors:
-            fks.append(replace(fk, target_table=target))
-    for col in stmt.keep:
-        src_schema = shadow[col.table]
-        cdef = src_schema.column(col.name)
-        columns.append(ColumnDef(cdef.name, cdef.type, nullable=True))
-        for fk in src_schema.foreign_keys:
-            if fk.columns == (col.name,):
-                target = stmt.target if fk.target_table == base_name else fk.target_table
-                if target in survivors:
-                    fks.append(replace(fk, target_table=target))
-    merged = TableSchema(stmt.target, tuple(columns), base.primary_key, tuple(fks))
-
-    for name in consumed:
-        del shadow[name]
-    if base_name != stmt.target:
-        del shadow[base_name]
-    shadow[stmt.target] = merged
-    _prune_dangling_fks(shadow, renamed={base_name: stmt.target} if base_name != stmt.target else {})
-    return base_name, merged, consumed
-
-
-def drop_schema_effect(shadow: dict[str, TableSchema], name: str) -> None:
-    del shadow[name]
-    _prune_dangling_fks(shadow)
-
-
-def add_column_schema_effect(shadow: dict[str, TableSchema], stmt: AddColumn) -> None:
-    t = shadow[stmt.table]
-    shadow[stmt.table] = replace(t, columns=t.columns + (ColumnDef(stmt.name, stmt.type, nullable=True),))
-
-
-def remove_column_schema_effect(shadow: dict[str, TableSchema], stmt: RemoveColumn) -> None:
-    t = shadow[stmt.table]
-    columns = tuple(c for c in t.columns if c.name != stmt.name)
-    fks = tuple(fk for fk in t.foreign_keys if stmt.name not in fk.columns)
-    shadow[stmt.table] = replace(t, columns=columns, foreign_keys=fks)
-
-
-def _prune_dangling_fks(shadow: dict[str, TableSchema], renamed: dict[str, str] | None = None) -> None:
-    renamed = renamed or {}
-    for name, t in list(shadow.items()):
-        fks = []
-        changed = False
-        for fk in t.foreign_keys:
-            target = renamed.get(fk.target_table, fk.target_table)
-            if target not in shadow:
-                changed = True
-                continue
-            if target != fk.target_table:
-                fk = replace(fk, target_table=target)
-                changed = True
-            fks.append(fk)
-        if changed:
-            shadow[name] = replace(t, foreign_keys=tuple(fks))
-
-
-def _later_column_uses(statements: Iterable[Statement], table: str, column: str) -> bool:
-    for stmt in statements:
-        if isinstance(stmt, Merge):
-            for c in stmt.conditions:
-                if (c.left.table, c.left.name) == (table, column) or (c.right.table, c.right.name) == (table, column):
-                    return True
-            if any((k.table, k.name) == (table, column) for k in stmt.keep):
-                return True
-        elif isinstance(stmt, AddColumn):
-            if stmt.table == table and any(
-                (c.table, c.name) == (table, column) for c in _columns_in(stmt.derivation)
-            ):
-                return True
-        elif isinstance(stmt, (RemoveColumn, Clean)):
-            if (stmt.table, stmt.name) == (table, column):
-                return True
-        elif isinstance(stmt, Dimension):
-            if (stmt.table, stmt.key) == (table, column):
-                return True
-    return False
-
-
-def _columns_in(e: Expr) -> list[Col]:
-    if isinstance(e, Col):
-        return [e]
+def type_expr(e: Expr, table: TableSchema) -> tuple[Expr, ValueType | None]:
+    """(``e`` with its literals coerced, its type) against one table's
+    columns; the type is None for the NULL literal. Raises ValidationError."""
     if isinstance(e, Lit):
-        return []
+        return e, (None if e.value is None else value_tag(e.value))
+    if isinstance(e, Col):
+        return e, _col_type(e, table)
     if isinstance(e, Cmp):
-        return _columns_in(e.left) + _columns_in(e.right)
+        left, lt = type_expr(e.left, table)
+        right, rt = type_expr(e.right, table)
+        left, right, t = _unify(left, lt, right, rt, f"line {e.line}: cannot compare {lt} with {rt}")
+        if e.op not in ("=", "<>") and t is not None and t not in ORDERED_TYPES:
+            raise ValidationError(f"line {e.line}: {e.op} is not defined for {t.value}")
+        return replace(e, left=left, right=right), ValueType.BOOLEAN
     if isinstance(e, Logical):
-        return _columns_in(e.left) + _columns_in(e.right)
+        left, lt = type_expr(e.left, table)
+        right, rt = type_expr(e.right, table)
+        for side in (lt, rt):
+            if side is not ValueType.BOOLEAN:
+                raise ValidationError(f"line {e.line}: {e.op} needs BOOLEAN operands")
+        return replace(e, left=left, right=right), ValueType.BOOLEAN
     if isinstance(e, Not):
-        return _columns_in(e.operand)
+        inner, t = type_expr(e.operand, table)
+        if t is not ValueType.BOOLEAN:
+            raise ValidationError(f"line {e.line}: NOT needs a BOOLEAN operand")
+        return replace(e, operand=inner), ValueType.BOOLEAN
     if isinstance(e, Coalesce):
-        return _columns_in(e.first) + _columns_in(e.second)
+        first, ft = type_expr(e.first, table)
+        second, st = type_expr(e.second, table)
+        if ft is None and st is None:
+            raise ValidationError(f"line {e.line}: COALESCE of two NULL literals has no type")
+        first, second, t = _unify(first, ft, second, st, f"line {e.line}: COALESCE operands differ: {ft} vs {st}")
+        return replace(e, first=first, second=second), t
     if isinstance(e, IsNull):
-        return _columns_in(e.operand)
+        inner, _ = type_expr(e.operand, table)
+        return replace(e, operand=inner), ValueType.BOOLEAN
     if isinstance(e, PaidOnDue):
-        return [e.payment, e.due]
+        for col in (e.payment, e.due):
+            if _col_type(col, table) is not ValueType.DATE:
+                raise ValidationError(f"line {col.line}: PAID_ON_DUE needs DATE columns, {col} is not")
+        return e, ValueType.BOOLEAN
     if isinstance(e, Difficulty):
-        return [e.grade, e.group]
-    return []
-
-
-def validate_plan(plan: Plan, db: DatabaseSchema, *, require_warehouse_decls: bool = True) -> CheckedPlan:
-    """Simulate the plan against a shadow schema; raises PlanValidationError.
-
-    With ``require_warehouse_decls`` the plan must declare exactly one fact
-    and seven dimensions over tables of the final schema.
-    """
-    shadow: dict[str, TableSchema] = dict(db.tables)
-    checked: list[Statement] = []
-
-    def fail(i: int, msg: str):
-        raise PlanValidationError([PlanDiagnostic(i, msg)])
-
-    for i, stmt in enumerate(plan.statements):
-        rest = plan.statements[i + 1:]
-        if isinstance(stmt, DropTable):
-            if stmt.table not in shadow:
-                fail(i, f"unknown table {stmt.table!r}")
-            drop_schema_effect(shadow, stmt.table)
-            checked.append(stmt)
-        elif isinstance(stmt, Merge):
-            if len(set(stmt.sources)) != len(stmt.sources):
-                fail(i, "duplicate source table in MERGE")
-            if stmt.target in stmt.sources:
-                fail(i, f"target {stmt.target!r} cannot also be a source")
-            for s in stmt.sources:
-                if s not in shadow:
-                    fail(i, f"unknown source table {s!r}")
-            base = resolve_merge_base(shadow, stmt)
-            participants = set(stmt.sources) | ({stmt.target} if stmt.target in shadow else set())
-            for cond in stmt.conditions:
-                for side in (cond.left, cond.right):
-                    if side.table not in participants:
-                        fail(i, f"join condition references {side.table!r}, which is not part of the merge")
-                    if not shadow[side.table].has_column(side.name):
-                        fail(i, f"unknown column {side}")
-                if cond.left.table == cond.right.table:
-                    fail(i, f"join condition must relate two tables, got {cond.left} = {cond.right}")
-                lt = shadow[cond.left.table].column(cond.left.name).type
-                rt = shadow[cond.right.table].column(cond.right.name).type
-                if lt is not rt:
-                    fail(i, f"join condition type mismatch: {cond.left} is {lt.value}, {cond.right} is {rt.value}")
-            try:
-                resolve_join_order(stmt, base)
-            except PlanValidationError as exc:
-                fail(i, exc.diagnostics[0].message)
-            base_cols = set(shadow[base].column_names)
-            kept: set[str] = set()
-            for col in stmt.keep:
-                if col.table not in stmt.sources or col.table == base:
-                    fail(i, f"KEEP column {col} must come from a merged source table")
-                if not shadow[col.table].has_column(col.name):
-                    fail(i, f"unknown KEEP column {col}")
-                if col.name in base_cols or col.name in kept:
-                    fail(i, f"KEEP column name {col.name!r} collides")
-                kept.add(col.name)
-            merge_schema_effect(shadow, stmt)
-            checked.append(stmt)
-        elif isinstance(stmt, AddColumn):
-            if stmt.table not in shadow:
-                fail(i, f"unknown table {stmt.table!r}")
-            t = shadow[stmt.table]
-            if t.has_column(stmt.name):
-                fail(i, f"column {stmt.table}.{stmt.name} already exists")
-            try:
-                derivation, dtype = _ExprChecker(t).check(stmt.derivation)
-            except _TypeProblem as exc:
-                fail(i, str(exc))
-            if dtype is not None and dtype is not stmt.type:
-                fail(i, f"derivation evaluates to {dtype.value}, column declared {stmt.type.value}")
-            stmt = replace(stmt, derivation=derivation)
-            add_column_schema_effect(shadow, stmt)
-            checked.append(stmt)
-        elif isinstance(stmt, RemoveColumn):
-            if stmt.table not in shadow:
-                fail(i, f"unknown table {stmt.table!r}")
-            t = shadow[stmt.table]
-            if not t.has_column(stmt.name):
-                fail(i, f"unknown column {stmt.table}.{stmt.name}")
-            if stmt.name in t.primary_key:
-                fail(i, f"cannot remove key column {stmt.table}.{stmt.name}")
-            for other in shadow.values():
-                for fk in other.foreign_keys:
-                    if fk.target_table == stmt.table and stmt.name in fk.target_columns:
-                        fail(i, f"column {stmt.table}.{stmt.name} is referenced by {fk.label(other.name)}")
-            if _later_column_uses(rest, stmt.table, stmt.name):
-                fail(i, f"column {stmt.table}.{stmt.name} is used by a later statement")
-            remove_column_schema_effect(shadow, stmt)
-            checked.append(stmt)
-        elif isinstance(stmt, Clean):
-            if stmt.table not in shadow:
-                fail(i, f"unknown table {stmt.table!r}")
-            t = shadow[stmt.table]
-            if not t.has_column(stmt.name):
-                fail(i, f"unknown column {stmt.table}.{stmt.name}")
-            try:
-                rule = cleanse_mod.make_rule(stmt.table, stmt.name, stmt.kind, stmt.args)
-                cleanse_mod.check_rule(rule, t)
-            except ValueError as exc:
-                fail(i, str(exc))
-            checked.append(stmt)
-        elif isinstance(stmt, (Fact, Dimension)):
-            checked.append(stmt)  # resolved against the final schema below
-        else:
-            fail(i, f"unsupported statement {stmt!r}")
-
-    facts = [(i, s) for i, s in enumerate(checked) if isinstance(s, Fact)]
-    dims = [(i, s) for i, s in enumerate(checked) if isinstance(s, Dimension)]
-    for i, s in facts:
-        if s.table not in shadow:
-            fail(i, f"FACT table {s.table!r} does not exist in the final schema")
-    seen_dims: set[str] = set()
-    for i, s in dims:
-        if s.table not in shadow:
-            fail(i, f"DIMENSION table {s.table!r} does not exist in the final schema")
-        if not shadow[s.table].has_column(s.key):
-            fail(i, f"DIMENSION key {s.table}.{s.key} does not exist")
-        if s.table in seen_dims:
-            fail(i, f"duplicate DIMENSION {s.table!r}")
-        seen_dims.add(s.table)
-    if facts and any(s.table == f.table for _, f in facts for _, s in dims):
-        raise PlanValidationError([PlanDiagnostic(-1, "the fact table cannot also be a dimension")])
-    if require_warehouse_decls:
-        if len(facts) != 1:
-            raise PlanValidationError([PlanDiagnostic(-1, f"expected exactly 1 FACT statement, found {len(facts)}")])
-        if len(dims) != 7:
-            raise PlanValidationError([PlanDiagnostic(-1, f"expected 7 dimensions, found {len(dims)}")])
-
-    return CheckedPlan(Plan(tuple(checked)), DatabaseSchema(shadow))
+        gt = _col_type(e.grade, table)
+        if gt not in (ValueType.DECIMAL, ValueType.INTEGER):
+            raise ValidationError(f"line {e.line}: DIFFICULTY grade column must be numeric")
+        _col_type(e.group, table)
+        if e.hi <= e.lo:
+            raise ValidationError(f"line {e.line}: DIFFICULTY thresholds need hi > lo")
+        return e, ValueType.TEXT
+    raise TypeError(f"not an expression: {e!r}")

@@ -1,18 +1,27 @@
-"""Stage 3: execute a validated plan against the staging buffer.
+"""Stage 3: check and run a transform plan against the staging buffer.
 
-Statements run in plan order. Every operation is functional (the input
-staging is never mutated), so a failure anywhere leaves the caller's
-staging exactly as it was: plan-level atomicity by construction.
+Each ``exec_*`` step is the one place its statement is checked and
+applied: it raises ``ValidationError`` when the statement does not fit
+the staging it receives, then changes rows and schema itself.
+``validate_plan`` is those same steps run on the schema's empty tables,
+plus the two checks that need the whole plan (a removed column used
+later, and the FACT/DIMENSION rules). ``execute_plan`` validates first,
+so its real run can fail only on the data, such as an ambiguous merge.
+
+Every operation is functional (the input staging is never mutated), so a
+failure anywhere leaves the caller's staging exactly as it was:
+plan-level atomicity by construction.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from decimal import Decimal
+from typing import Iterable
 
-from .cleanse import cleanse_table, make_rule
-from .errors import ValidationError
+from .cleanse import check_rule, cleanse_table, make_rule
+from .errors import PlanValidationError, ValidationError
 from .plan import (
     AddColumn,
     Clean,
@@ -25,6 +34,7 @@ from .plan import (
     Expr,
     Fact,
     IsNull,
+    JoinCond,
     Lit,
     Logical,
     Merge,
@@ -32,62 +42,118 @@ from .plan import (
     PaidOnDue,
     Plan,
     RemoveColumn,
-    add_column_schema_effect,
-    drop_schema_effect,
-    merge_schema_effect,
+    Statement,
     pretty_plan,
     pretty_stmt,
-    remove_column_schema_effect,
-    resolve_join_order,
-    resolve_merge_base,
-    validate_plan,
+    subexpressions,
+    type_expr,
 )
-from .schema import Table, TableSchema
+from .schema import ColumnDef, DatabaseSchema, Table, TableSchema
 from .staging import DEFAULT_TIMESTAMP, LineageEvent, StagingArea
 from .values import COMPARISONS, ValueType, make_decimal
 
 
 def exec_drop(staging: StagingArea, name: str, *, timestamp: str = DEFAULT_TIMESTAMP) -> StagingArea:
     if name not in staging.tables:
-        raise ValidationError(f"cannot drop unknown table {name!r}")
+        raise ValidationError(f"unknown table {name!r}")
     out = staging.clone()
-    rows = len(out.tables[name].rows)
-    shadow = {n: t.schema for n, t in out.tables.items()}
-    drop_schema_effect(shadow, name)
-    del out.tables[name]
-    _apply_shadow(out, shadow)
+    rows = len(out.tables.pop(name).rows)
+    _prune_dangling_fks(out)
     out.log(LineageEvent("statement", name, f"dropped ({rows} rows)", rows, timestamp))
     return out
 
 
-def _apply_shadow(staging: StagingArea, shadow: dict[str, TableSchema]) -> None:
-    """Adopt pruned/retargeted FK declarations from a schema-effect helper."""
-    for name, schema in shadow.items():
-        table = staging.tables.get(name)
-        if table is not None and table.schema is not schema:
-            staging.tables[name] = Table(schema, table.rows)
+def _prune_dangling_fks(staging: StagingArea, renamed: dict[str, str] | None = None) -> None:
+    """Point FKs at the new name of a renamed table; drop those whose target is gone."""
+    renamed = renamed or {}
+    for name, table in list(staging.tables.items()):
+        fks = []
+        for fk in table.schema.foreign_keys:
+            target = renamed.get(fk.target_table, fk.target_table)
+            if target in staging.tables:
+                fks.append(fk if target == fk.target_table else replace(fk, target_table=target))
+        if tuple(fks) != table.schema.foreign_keys:
+            staging.tables[name] = Table(replace(table.schema, foreign_keys=tuple(fks)), table.rows)
+
+
+def resolve_join_order(stmt: Merge, base: str) -> list[tuple[str, list[JoinCond]]]:
+    """Join steps in dependency order; every source must link to the join
+    chain through at least one condition."""
+    remaining = [s for s in stmt.sources if s != base]
+    joined = {base}
+    conds = list(stmt.conditions)
+    order: list[tuple[str, list[JoinCond]]] = []
+    while remaining:
+        for source in list(remaining):
+            usable = [
+                c
+                for c in conds
+                if (c.left.table == source and c.right.table in joined)
+                or (c.right.table == source and c.left.table in joined)
+            ]
+            if not usable:
+                continue
+            order.append((source, usable))
+            for c in usable:
+                conds.remove(c)
+            joined.add(source)
+            remaining.remove(source)
+            break
+        else:
+            raise ValidationError(f"merge sources {remaining} are not connected to {base!r} by ON conditions")
+    if conds:
+        raise ValidationError(f"join condition {conds[0].left} = {conds[0].right} does not connect a new table")
+    return order
 
 
 def exec_merge(staging: StagingArea, stmt: Merge, *, timestamp: str = DEFAULT_TIMESTAMP) -> StagingArea:
     """Left-join the base table along the ON chain and append KEEP columns.
 
-    The base keeps its row count; each base row may match at most one row
-    per source (a duplicate join key in a source is an error); sources are
-    consumed.
+    The base is the target when it exists, otherwise the last listed
+    source, which the merge renames. The base keeps its row count; each
+    base row may match at most one row per source (a duplicate join key
+    in a source is an error); sources are consumed.
     """
-    shadow = {n: t.schema for n, t in staging.tables.items()}
-    base_name = resolve_merge_base(shadow, stmt)
+    tables = staging.tables
+    if len(set(stmt.sources)) != len(stmt.sources):
+        raise ValidationError("duplicate source table in MERGE")
+    if stmt.target in stmt.sources:
+        raise ValidationError(f"target {stmt.target!r} cannot also be a source")
     for s in stmt.sources:
-        if s not in staging.tables:
-            raise ValidationError(f"merge source {s!r} does not exist")
+        if s not in tables:
+            raise ValidationError(f"unknown source table {s!r}")
+    base_name = stmt.target if stmt.target in tables else stmt.sources[-1]
+    participants = set(stmt.sources) | {base_name}
+    for cond in stmt.conditions:
+        for side in (cond.left, cond.right):
+            if side.table not in participants:
+                raise ValidationError(f"join condition references {side.table!r}, which is not part of the merge")
+            if not tables[side.table].schema.has_column(side.name):
+                raise ValidationError(f"unknown column {side}")
+        if cond.left.table == cond.right.table:
+            raise ValidationError(f"join condition must relate two tables, got {cond.left} = {cond.right}")
+        lt = tables[cond.left.table].schema.column(cond.left.name).type
+        rt = tables[cond.right.table].schema.column(cond.right.name).type
+        if lt is not rt:
+            raise ValidationError(
+                f"join condition type mismatch: {cond.left} is {lt.value}, {cond.right} is {rt.value}"
+            )
     join_order = resolve_join_order(stmt, base_name)
+    base = tables[base_name]
+    kept: set[str] = set()
+    for col in stmt.keep:
+        if col.table not in stmt.sources or col.table == base_name:
+            raise ValidationError(f"KEEP column {col} must come from a merged source table")
+        if not tables[col.table].schema.has_column(col.name):
+            raise ValidationError(f"unknown KEEP column {col}")
+        if base.schema.has_column(col.name) or col.name in kept:
+            raise ValidationError(f"KEEP column name {col.name!r} collides")
+        kept.add(col.name)
 
-    base = staging.tables[base_name]
     # joined context per result row: table name -> that table's matched row (or None)
     contexts: list[dict[str, tuple | None]] = [{base_name: row} for row in base.rows]
-
     for source, conds in join_order:
-        src = staging.tables[source]
+        src = tables[source]
         src_schema = src.schema
         src_cols = []
         other_sides: list[Col] = []
@@ -105,7 +171,7 @@ def exec_merge(staging: StagingArea, stmt: Merge, *, timestamp: str = DEFAULT_TI
             built[key] = row
         other_getters = []
         for other in other_sides:
-            idx = staging.tables[other.table].schema.column_index(other.name)
+            idx = tables[other.table].schema.column_index(other.name)
             other_getters.append((other.table, idx))
         for ctx in contexts:
             probe = []
@@ -114,10 +180,9 @@ def exec_merge(staging: StagingArea, stmt: Merge, *, timestamp: str = DEFAULT_TI
                 probe.append(None if row is None else row[idx])
             ctx[source] = built.get(tuple(probe)) if None not in probe else None
 
-    _, merged_schema, consumed = merge_schema_effect(shadow, stmt)
     keep_getters = []
     for col in stmt.keep:
-        keep_getters.append((col.table, staging.tables[col.table].schema.column_index(col.name)))
+        keep_getters.append((col.table, tables[col.table].schema.column_index(col.name)))
     merged_rows = []
     for ctx in contexts:
         base_row = ctx[base_name]
@@ -127,13 +192,22 @@ def exec_merge(staging: StagingArea, stmt: Merge, *, timestamp: str = DEFAULT_TI
             extra.append(None if row is None else row[idx])
         merged_rows.append(base_row + tuple(extra))
 
+    # the merged table carries the base's FKs and the KEEP columns'
+    # single-column FKs; the prune below points those that named a renamed
+    # base at the target and drops those whose target the merge consumed
+    columns = list(base.schema.columns)
+    fks = list(base.schema.foreign_keys)
+    for col in stmt.keep:
+        src_schema = tables[col.table].schema
+        columns.append(ColumnDef(col.name, src_schema.column(col.name).type, nullable=True))
+        fks.extend(fk for fk in src_schema.foreign_keys if fk.columns == (col.name,))
     out = staging.clone()
-    for name in consumed:
+    for name in stmt.sources:
         del out.tables[name]
-    if base_name != stmt.target:
-        del out.tables[base_name]
-    out.tables[stmt.target] = Table(merged_schema, merged_rows)
-    _apply_shadow(out, shadow)
+    out.tables[stmt.target] = Table(
+        TableSchema(stmt.target, tuple(columns), base.schema.primary_key, tuple(fks)), merged_rows
+    )
+    _prune_dangling_fks(out, {base_name: stmt.target})
     out.log(
         LineageEvent(
             "statement",
@@ -245,44 +319,22 @@ def compile_expr(expr: Expr, schema: TableSchema):
     raise TypeError(f"not an expression: {expr!r}")
 
 
-def _aggregate_contexts(table: Table, expr: Expr) -> dict:
-    agg: dict = {}
-    stack = [expr]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, Difficulty):
-            agg[id(e)] = _difficulty_context(table, e)
-        elif isinstance(e, (Cmp, Logical)):
-            stack.extend([e.left, e.right])
-        elif isinstance(e, Coalesce):
-            stack.extend([e.first, e.second])
-        elif isinstance(e, (Not, IsNull)):
-            stack.append(e.operand)
-    return agg
-
-
-def eval_expr(expr: Expr, table: Table, row: tuple, agg: dict | None = None):
-    """Evaluate one type-checked expression against one row of ``table``."""
-    if agg is None:
-        agg = _aggregate_contexts(table, expr)
-    return compile_expr(expr, table.schema)(row, agg)
-
-
 def exec_add_column(staging: StagingArea, stmt: AddColumn, *, timestamp: str = DEFAULT_TIMESTAMP) -> StagingArea:
     table = staging.tables.get(stmt.table)
     if table is None:
         raise ValidationError(f"unknown table {stmt.table!r}")
     if table.schema.has_column(stmt.name):
         raise ValidationError(f"column {stmt.table}.{stmt.name} already exists")
-    agg = _aggregate_contexts(table, stmt.derivation)
-    fn = compile_expr(stmt.derivation, table.schema)
-    shadow = {n: t.schema for n, t in staging.tables.items()}
-    add_column_schema_effect(shadow, stmt)
-    new_schema = shadow[stmt.table]
+    derivation, dtype = type_expr(stmt.derivation, table.schema)
+    if dtype is not None and dtype is not stmt.type:
+        raise ValidationError(f"derivation evaluates to {dtype.value}, column declared {stmt.type.value}")
+    agg = {id(e): _difficulty_context(table, e) for e in subexpressions(derivation) if isinstance(e, Difficulty)}
+    fn = compile_expr(derivation, table.schema)
     value_of = _as_cell(stmt.type)
     rows = [row + (value_of(fn(row, agg)),) for row in table.rows]
+    schema = replace(table.schema, columns=table.schema.columns + (ColumnDef(stmt.name, stmt.type, nullable=True),))
     out = staging.clone()
-    out.tables[stmt.table] = Table(new_schema, rows)
+    out.tables[stmt.table] = Table(schema, rows)
     out.log(
         LineageEvent("statement", stmt.table, f"added column {stmt.name} ({len(rows)} rows)", len(rows), timestamp)
     )
@@ -309,11 +361,14 @@ def exec_remove_column(staging: StagingArea, stmt: RemoveColumn, *, timestamp: s
             if fk.target_table == stmt.table and stmt.name in fk.target_columns:
                 raise ValidationError(f"column {stmt.table}.{stmt.name} is referenced by {fk.label(other.name)}")
     idx = table.schema.column_index(stmt.name)
-    shadow = {n: t.schema for n, t in staging.tables.items()}
-    remove_column_schema_effect(shadow, stmt)
+    schema = replace(
+        table.schema,
+        columns=tuple(c for c in table.schema.columns if c.name != stmt.name),
+        foreign_keys=tuple(fk for fk in table.schema.foreign_keys if stmt.name not in fk.columns),
+    )
     rows = [row[:idx] + row[idx + 1:] for row in table.rows]
     out = staging.clone()
-    out.tables[stmt.table] = Table(shadow[stmt.table], rows)
+    out.tables[stmt.table] = Table(schema, rows)
     out.log(
         LineageEvent("statement", stmt.table, f"removed column {stmt.name} ({len(rows)} rows)", len(rows), timestamp)
     )
@@ -324,8 +379,10 @@ def exec_clean(staging: StagingArea, stmt: Clean, *, timestamp: str = DEFAULT_TI
     table = staging.tables.get(stmt.table)
     if table is None:
         raise ValidationError(f"unknown table {stmt.table!r}")
-    try:
-        rule = make_rule(stmt.table, stmt.name, stmt.kind, stmt.args)
+    if not table.schema.has_column(stmt.name):
+        raise ValidationError(f"unknown column {stmt.table}.{stmt.name}")
+    try:  # a malformed rule, or one that does not fit the column's type
+        rule = check_rule(make_rule(stmt.table, stmt.name, stmt.kind, stmt.args), table.schema)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     cleaned, slice_ = cleanse_table(table, [rule])
@@ -347,46 +404,125 @@ def exec_clean(staging: StagingArea, stmt: Clean, *, timestamp: str = DEFAULT_TI
     return out
 
 
+def _exec_statement(staging: StagingArea, stmt: Statement, timestamp: str) -> StagingArea:
+    if isinstance(stmt, DropTable):
+        return exec_drop(staging, stmt.table, timestamp=timestamp)
+    if isinstance(stmt, Merge):
+        return exec_merge(staging, stmt, timestamp=timestamp)
+    if isinstance(stmt, AddColumn):
+        return exec_add_column(staging, stmt, timestamp=timestamp)
+    if isinstance(stmt, RemoveColumn):
+        return exec_remove_column(staging, stmt, timestamp=timestamp)
+    if isinstance(stmt, Clean):
+        return exec_clean(staging, stmt, timestamp=timestamp)
+    out = staging.clone()
+    if isinstance(stmt, Fact):
+        out.fact_table = stmt.table
+        out.log(LineageEvent("statement", stmt.table, "declared fact", 0, timestamp))
+    elif isinstance(stmt, Dimension):
+        out.dimensions.append((stmt.table, stmt.key))
+        out.log(LineageEvent("statement", stmt.table, f"declared dimension key {stmt.key}", 0, timestamp))
+    else:
+        raise ValidationError(f"unsupported statement {stmt!r}")
+    return out
+
+
+@dataclass(frozen=True)
+class PlanDiagnostic:
+    index: int  # statement index, 0-based; -1 for plan-level problems
+    message: str
+
+    def __str__(self) -> str:
+        where = "plan" if self.index < 0 else f"statement {self.index}"
+        return f"{where}: {self.message}"
+
+
+def _later_column_uses(statements: Iterable[Statement], table: str, column: str) -> bool:
+    for stmt in statements:
+        if isinstance(stmt, Merge):
+            for c in stmt.conditions:
+                if (c.left.table, c.left.name) == (table, column) or (c.right.table, c.right.name) == (table, column):
+                    return True
+            if any((k.table, k.name) == (table, column) for k in stmt.keep):
+                return True
+        elif isinstance(stmt, AddColumn):
+            if stmt.table == table and any(
+                isinstance(e, Col) and (e.table, e.name) == (table, column) for e in subexpressions(stmt.derivation)
+            ):
+                return True
+        elif isinstance(stmt, (RemoveColumn, Clean)):
+            if (stmt.table, stmt.name) == (table, column):
+                return True
+        elif isinstance(stmt, Dimension):
+            if (stmt.table, stmt.key) == (table, column):
+                return True
+    return False
+
+
+def validate_plan(plan: Plan, db: DatabaseSchema, *, require_warehouse_decls: bool = True) -> DatabaseSchema:
+    """The schema ``plan`` leaves, found by running its statements' own
+    ``exec_*`` steps on ``db``'s tables with no rows. Raises
+    PlanValidationError naming the first statement that does not fit.
+
+    With ``require_warehouse_decls`` the plan must declare exactly one fact
+    and seven dimensions over tables of the final schema.
+    """
+
+    def fail(i: int, msg: str):
+        raise PlanValidationError([PlanDiagnostic(i, msg)])
+
+    statements = plan.statements
+    current = StagingArea({name: Table(schema, []) for name, schema in db.tables.items()})
+    for i, stmt in enumerate(statements):
+        try:
+            current = _exec_statement(current, stmt, DEFAULT_TIMESTAMP)
+        except ValidationError as exc:
+            raise PlanValidationError([PlanDiagnostic(i, str(exc))]) from None
+        if isinstance(stmt, RemoveColumn) and _later_column_uses(statements[i + 1:], stmt.table, stmt.name):
+            fail(i, f"column {stmt.table}.{stmt.name} is used by a later statement")
+
+    final = current.schema()
+    facts = [(i, s) for i, s in enumerate(statements) if isinstance(s, Fact)]
+    dims = [(i, s) for i, s in enumerate(statements) if isinstance(s, Dimension)]
+    for i, s in facts:
+        if s.table not in final.tables:
+            fail(i, f"FACT table {s.table!r} does not exist in the final schema")
+    seen_dims: set[str] = set()
+    for i, s in dims:
+        if s.table not in final.tables:
+            fail(i, f"DIMENSION table {s.table!r} does not exist in the final schema")
+        if not final.tables[s.table].has_column(s.key):
+            fail(i, f"DIMENSION key {s.table}.{s.key} does not exist")
+        if s.table in seen_dims:
+            fail(i, f"duplicate DIMENSION {s.table!r}")
+        seen_dims.add(s.table)
+    if facts and any(s.table == f.table for _, f in facts for _, s in dims):
+        fail(-1, "the fact table cannot also be a dimension")
+    if require_warehouse_decls:
+        if len(facts) != 1:
+            fail(-1, f"expected exactly 1 FACT statement, found {len(facts)}")
+        if len(dims) != 7:
+            fail(-1, f"expected 7 dimensions, found {len(dims)}")
+    return final
+
+
 def execute_plan(staging: StagingArea, plan: Plan, *, timestamp: str = DEFAULT_TIMESTAMP) -> tuple[StagingArea, list[LineageEvent]]:
     """Validate then run the plan; on any error the input staging is
     returned to the caller untouched. The returned lineage slice has one
     entry per executed statement, in order. ``reports["transform"]["plan_hash"]``
     is the SHA-256 of ``pretty_plan(plan)``; ``load`` records it."""
-    checked = validate_plan(plan, staging.schema(), require_warehouse_decls=False)
+    validate_plan(plan, staging.schema(), require_warehouse_decls=False)
     current = staging
     start = len(staging.lineage)
-    for i, stmt in enumerate(checked.plan.statements):
+    for i, stmt in enumerate(plan.statements):
         before = len(current.lineage)
-        if isinstance(stmt, DropTable):
-            current = exec_drop(current, stmt.table, timestamp=timestamp)
-        elif isinstance(stmt, Merge):
-            current = exec_merge(current, stmt, timestamp=timestamp)
-        elif isinstance(stmt, AddColumn):
-            current = exec_add_column(current, stmt, timestamp=timestamp)
-        elif isinstance(stmt, RemoveColumn):
-            current = exec_remove_column(current, stmt, timestamp=timestamp)
-        elif isinstance(stmt, Clean):
-            current = exec_clean(current, stmt, timestamp=timestamp)
-        elif isinstance(stmt, Fact):
-            current = current.clone()
-            current.fact_table = stmt.table
-            current.log(LineageEvent("statement", stmt.table, "declared fact", 0, timestamp))
-        elif isinstance(stmt, Dimension):
-            current = current.clone()
-            current.dimensions.append((stmt.table, stmt.key))
-            current.log(LineageEvent("statement", stmt.table, f"declared dimension key {stmt.key}", 0, timestamp))
-        else:  # pragma: no cover - parser produces no other statements
-            raise ValidationError(f"unsupported statement {stmt!r}")
+        current = _exec_statement(current, stmt, timestamp)
         # stamp statement provenance onto the entries this statement produced
-        stamped = [
-            ev if ev.statement_index is not None else _stamp(ev, i, pretty_stmt(plan.statements[i]))
+        text = pretty_stmt(stmt)
+        current.lineage[before:] = [
+            ev if ev.statement_index is not None else replace(ev, statement_index=i, statement_text=text)
             for ev in current.lineage[before:]
         ]
-        current.lineage[before:] = stamped
     current = current.clone()
     current.reports["transform"] = {"plan_hash": hashlib.sha256(pretty_plan(plan).encode("utf-8")).hexdigest()}
     return current, current.lineage[start:]
-
-
-def _stamp(ev: LineageEvent, index: int, text: str) -> LineageEvent:
-    return replace(ev, statement_index=index, statement_text=text)

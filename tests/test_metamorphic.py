@@ -1,0 +1,116 @@
+"""Metamorphic relations over extract and cleanse: an edit of the source
+CSVs whose effect on the dumps is known in advance, checked byte for byte
+on a generated drop (seed 5, 200 students, dirty-rate 0.1).
+"""
+
+from __future__ import annotations
+
+import json
+import random
+import shutil
+
+import pytest
+
+from conftest import TS
+from uwh import canonical
+from uwh.cleanse import cleanse_staging
+from uwh.csvio import format_row, iter_records
+from uwh.datagen import GenConfig, generate
+from uwh.ingest import extract_database
+from uwh.staging import dumps_staging
+
+
+def _dumps(src):
+    """(extract dump, cleanse dump, cleansed staging) of source directory ``src``."""
+    staging, _ = extract_database(src, canonical.canonical_schema(), timestamp=TS)
+    cleansed, _ = cleanse_staging(staging, list(canonical.canonical_rules()), timestamp=TS)
+    return dumps_staging(staging), dumps_staging(cleansed), cleansed
+
+
+@pytest.fixture(scope="module")
+def drop(tmp_path_factory):
+    src = tmp_path_factory.mktemp("metamorphic") / "src"
+    generate(GenConfig(seed=5, students=200, dirty_rate=0.1), src)
+    return src, *_dumps(src)
+
+
+def _copy(src, tmp_path):
+    out = tmp_path / "src"
+    shutil.copytree(src, out)
+    return out
+
+
+def _permute_columns(text: str, perm: list[int]) -> str:
+    lines = []
+    for fields, quoted in iter_records(text):
+        flags = quoted or [False] * len(fields)
+        lines.append(format_row([(fields[j], flags[j]) for j in perm]))
+    return "\n".join(lines) + "\n"
+
+
+def test_permuted_source_columns_give_identical_dumps(drop, tmp_path):
+    src, extracted, cleansed, _ = drop
+    permuted = _copy(src, tmp_path)
+    rng = random.Random(7)
+    for schema in canonical.canonical_schema():
+        n = len(schema.columns)
+        perm = list(range(n))
+        while n > 1 and perm == sorted(perm):  # every table with two or more columns moves
+            rng.shuffle(perm)
+        path = permuted / f"{schema.name}.csv"
+        path.write_text(_permute_columns(path.read_text(encoding="utf-8"), perm), encoding="utf-8")
+    assert (permuted / "student.csv").read_bytes() != (src / "student.csv").read_bytes()
+    extracted2, cleansed2, _ = _dumps(permuted)
+    assert extracted2 == extracted
+    assert cleansed2 == cleansed
+
+
+def _leaves(value, path=()):
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _leaves(v, path + (k,))
+    elif isinstance(value, list):
+        for k, v in enumerate(value):
+            yield from _leaves(v, path + (k,))
+    else:
+        yield path, value
+
+
+def test_exact_copy_of_surviving_student_changes_only_counts(drop, tmp_path):
+    src, _, cleansed, cleansed_staging = drop
+    survivors = {row[0] for row in cleansed_staging.tables["student"].rows}  # st_id
+    lines = (src / "student.csv").read_text(encoding="utf-8").split("\n")
+    at = next(
+        i for i, line in enumerate(lines[1:], 1)
+        if line and int(line.split(",")[0]) in survivors and lines.count(line) == 1
+    )
+    lines.insert(at + 1, lines[at])
+    copied = _copy(src, tmp_path)
+    (copied / "student.csv").write_text("\n".join(lines), encoding="utf-8")
+    _, cleansed2, _ = _dumps(copied)
+
+    # every table and quarantine file is byte-identical
+    assert sorted(cleansed2) == sorted(cleansed)
+    assert [f for f in cleansed if cleansed[f] != cleansed2[f]] == ["lineage.log", "meta.json"]
+
+    # the report moves by one row: read, staged, into cleanse and past each
+    # student rule, then removed as an exact duplicate
+    before = dict(_leaves(json.loads(cleansed["meta.json"])))
+    after = dict(_leaves(json.loads(cleansed2["meta.json"])))
+    assert before.keys() == after.keys()
+    moved = {path for path in before if before[path] != after[path]}
+    rules = len(cleansed_staging.reports["cleanse"]["tables"]["student"]["rules"])
+    assert moved == {
+        ("reports", "extraction", "student", "rows_read"),
+        ("reports", "extraction", "student", "rows_staged"),
+        ("reports", "cleanse", "tables", "student", "rows_in"),
+        ("reports", "cleanse", "dedup", "student", "exact_removed"),
+    } | {("reports", "cleanse", "tables", "student", "rules", r, "cells_examined") for r in range(rules)}
+    assert all(after[path] == before[path] + 1 for path in moved)
+
+    # lineage: only student's extract and cleanse lines change
+    old = cleansed["lineage.log"].decode("utf-8").splitlines()
+    new = cleansed2["lineage.log"].decode("utf-8").splitlines()
+    assert len(old) == len(new)
+    changed = [(a.split("\t")[:2], b.split("\t")[:2]) for a, b in zip(old, new) if a != b]
+    assert changed == [(["extract", "student"], ["extract", "student"]), (["cleanse", "student"], ["cleanse", "student"])]

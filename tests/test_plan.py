@@ -14,8 +14,9 @@ from uwh.plan import (
     RemoveColumn,
     parse_plan,
     pretty_plan,
-    validate_plan,
+    type_expr,
 )
+from uwh.transform import validate_plan
 from uwh.values import ValueType
 
 CANONICAL_DB = canonical.canonical_schema()
@@ -220,9 +221,9 @@ def _render_without(tokens, skip_index):
 
 
 def test_validate_canonical_plan_final_schema():
-    checked = validate_plan(canonical.canonical_plan(), CANONICAL_DB)
-    assert len(checked.final_schema.tables) == 8
-    assert set(checked.final_schema.tables) == {
+    final = validate_plan(canonical.canonical_plan(), CANONICAL_DB)
+    assert len(final.tables) == 8
+    assert set(final.tables) == {
         "student", "major", "account", "receipt", "registeredActivities",
         "transcript", "instructor", "alumni",
     }
@@ -282,12 +283,12 @@ def test_validate_coerces_date_and_decimal_literals():
         "ADD COLUMN student.x BOOLEAN AS student.st_dob >= '1990-01-01' ;\n"
         "ADD COLUMN transcript.y BOOLEAN AS transcript.tr_grade >= 80 ;"
     )
-    checked = validate_plan(plan, CANONICAL_DB, require_warehouse_decls=False)
-    cmp1 = checked.plan.statements[0].derivation
+    validate_plan(plan, CANONICAL_DB, require_warehouse_decls=False)
+    cmp1, t1 = type_expr(plan.statements[0].derivation, CANONICAL_DB.tables["student"])
     from datetime import date
 
-    assert cmp1.right.value == date(1990, 1, 1)
-    cmp2 = checked.plan.statements[1].derivation
+    assert cmp1.right.value == date(1990, 1, 1) and t1 is ValueType.BOOLEAN
+    cmp2, _ = type_expr(plan.statements[1].derivation, CANONICAL_DB.tables["transcript"])
     assert cmp2.right.value == Decimal("80")
 
 

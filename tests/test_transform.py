@@ -9,19 +9,21 @@ from oracles import difficulty_recompute, left_merge_nested_loop, paid_on_due_re
 from uwh import canonical
 from uwh.cleanse import cleanse_staging
 from uwh.datagen import GenConfig, generate
-from uwh.errors import ValidationError
+from uwh.errors import PlanValidationError, ValidationError
 from uwh.ingest import extract_database
 from uwh.manifest import parse_schema_manifest
-from uwh.plan import parse_plan
+from uwh.plan import AddColumn, Clean, DropTable, Merge, Plan, RemoveColumn, parse_plan
 from uwh.schema import Table
 from uwh.staging import StagingArea, staging_fingerprint
 from uwh.transform import (
-    eval_expr,
+    PlanDiagnostic,
     exec_add_column,
+    exec_clean,
     exec_drop,
     exec_merge,
     exec_remove_column,
     execute_plan,
+    validate_plan,
 )
 from uwh.values import make_decimal, render_cell
 
@@ -169,12 +171,19 @@ def test_merge_unmatched_base_rows_keep_nulls():
     assert out.tables["base"].rows == [(1, 10, "hit", "deep"), (2, 99, None, None), (3, None, None, None)]
 
 
-# --- eval_expr -----------------------------------------------------------------
+# --- derived-column expressions ------------------------------------------------
 
 
-def _receipt_table():
+def _derived(table, text):
+    """The cells ``ADD COLUMN`` derives for the rows of ``table``, in order."""
+    stmt = parse_plan(text).statements[0]
+    out = exec_add_column(StagingArea(tables={table.name: table}), stmt, timestamp=TS)
+    return [row[-1] for row in out.tables[table.name].rows]
+
+
+def _receipt_table(rows):
     db = parse_schema_manifest("TABLE r\n  id INTEGER PK\n  paid DATE NULL\n  due DATE NULL\n")
-    return Table(db.tables["r"], [])
+    return Table(db.tables["r"], rows)
 
 
 @pytest.mark.parametrize(
@@ -188,15 +197,18 @@ def _receipt_table():
     ],
 )
 def test_paid_on_due(payment, due, expected):
-    table = _receipt_table()
-    expr = parse_plan("ADD COLUMN r.x BOOLEAN AS PAID_ON_DUE(r.paid, r.due) ;").statements[0].derivation
-    assert eval_expr(expr, table, (1, payment, due)) is expected
+    table = _receipt_table([(1, payment, due)])
+    [got] = _derived(table, "ADD COLUMN r.x BOOLEAN AS PAID_ON_DUE(r.paid, r.due) ;")
+    assert got is expected
     assert paid_on_due_recompute(payment, due) is expected
 
 
 def _grades_table(rows):
     db = parse_schema_manifest("TABLE g\n  id INTEGER PK\n  code TEXT\n  grade DECIMAL NULL\n")
     return Table(db.tables["g"], rows)
+
+
+DIFFICULTY_80_65 = "ADD COLUMN g.d TEXT AS DIFFICULTY(g.grade GROUP BY g.code THRESHOLDS 80, 65) ;"
 
 
 def test_difficulty_buckets():
@@ -206,41 +218,25 @@ def test_difficulty_buckets():
         (5, "C", make_decimal("70")), (6, "C", make_decimal("75")),   # mean 72.5 -> medium
         (7, "D", None),                                               # all-Null group -> unknown
     ]
-    table = _grades_table(rows)
-    expr = parse_plan(
-        "ADD COLUMN g.d TEXT AS DIFFICULTY(g.grade GROUP BY g.code THRESHOLDS 80, 65) ;"
-    ).statements[0].derivation
-    got = {row[1]: eval_expr(expr, table, row) for row in rows}
+    got = dict(zip((r[1] for r in rows), _derived(_grades_table(rows), DIFFICULTY_80_65)))
     assert got == {"A": "low", "B": "high", "C": "medium", "D": "unknown"}
-    oracle = difficulty_recompute([(r[1], r[2]) for r in rows], 80, 65)
-    assert {k: v for k, v in got.items()} == oracle
+    assert got == difficulty_recompute([(r[1], r[2]) for r in rows], 80, 65)
 
 
 def test_difficulty_threshold_boundaries():
     rows = [(1, "A", make_decimal("80")), (2, "B", make_decimal("65")), (3, "C", make_decimal("64.9999"))]
-    table = _grades_table(rows)
-    expr = parse_plan(
-        "ADD COLUMN g.d TEXT AS DIFFICULTY(g.grade GROUP BY g.code THRESHOLDS 80, 65) ;"
-    ).statements[0].derivation
-    assert eval_expr(expr, table, rows[0]) == "low"  # mean >= hi
-    assert eval_expr(expr, table, rows[1]) == "medium"  # lo <= mean < hi
-    assert eval_expr(expr, table, rows[2]) == "high"
+    # mean >= hi, lo <= mean < hi, mean < lo
+    assert _derived(_grades_table(rows), DIFFICULTY_80_65) == ["low", "medium", "high"]
 
 
 def test_coalesce_and_null_comparisons():
     db = parse_schema_manifest("TABLE t\n  id INTEGER PK\n  a TEXT NULL\n  b TEXT NULL\n")
-    table = Table(db.tables["t"], [])
-    coalesce = parse_plan("ADD COLUMN t.x TEXT AS COALESCE(t.a, t.b) ;").statements[0].derivation
-    assert eval_expr(coalesce, table, (1, None, "x")) == "x"
-    assert eval_expr(coalesce, table, (1, "y", "x")) == "y"
-    assert eval_expr(coalesce, table, (1, None, None)) is None
+    table = Table(db.tables["t"], [(1, None, "x"), (2, "y", "x"), (3, None, None)])
+    assert _derived(table, "ADD COLUMN t.x TEXT AS COALESCE(t.a, t.b) ;") == ["x", "y", None]
     # comparisons with a Null operand are false, including <>
-    cmp_ = parse_plan("ADD COLUMN t.x BOOLEAN AS t.a <> t.b ;").statements[0].derivation
-    assert eval_expr(cmp_, table, (1, None, "x")) is False
-    eq = parse_plan("ADD COLUMN t.x BOOLEAN AS t.a = t.b ;").statements[0].derivation
-    assert eval_expr(eq, table, (1, None, None)) is False
-    isnull = parse_plan("ADD COLUMN t.x BOOLEAN AS IS_NULL(t.a) ;").statements[0].derivation
-    assert eval_expr(isnull, table, (1, None, "x")) is True
+    assert _derived(table, "ADD COLUMN t.x BOOLEAN AS t.a <> t.b ;") == [False, True, False]
+    assert _derived(table, "ADD COLUMN t.x BOOLEAN AS t.a = t.b ;") == [False, False, False]
+    assert _derived(table, "ADD COLUMN t.x BOOLEAN AS IS_NULL(t.a) ;") == [True, False, True]
 
 
 # --- add/remove column -----------------------------------------------------------
@@ -406,12 +402,70 @@ def test_execute_plan_failure_preserves_prestate(seed42_cleansed):
 
 
 def test_execute_plan_validates_first(seed42_cleansed):
-    from uwh.errors import PlanValidationError
-
     before = staging_fingerprint(seed42_cleansed)
     with pytest.raises(PlanValidationError):
         execute_plan(seed42_cleansed, parse_plan("DROP TABLE nowhere ;"), timestamp=TS)
     assert staging_fingerprint(seed42_cleansed) == before
+
+
+def _run_step(staging, stmt):
+    if isinstance(stmt, DropTable):
+        return exec_drop(staging, stmt.table, timestamp=TS)
+    step = {Merge: exec_merge, AddColumn: exec_add_column, RemoveColumn: exec_remove_column, Clean: exec_clean}
+    return step[type(stmt)](staging, stmt, timestamp=TS)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "DROP TABLE payroll ;",
+        "MERGE payroll, section INTO transcript ON transcript.tr_se_num = section.se_num KEEP section.se_room ;",
+        "MERGE course, section INTO transcript ON transcript.tr_se_num = section.se_num KEEP course.co_name ;",
+        "ADD COLUMN student.x BOOLEAN AS student.st_dob >= 'soon' ;",
+        "REMOVE COLUMN student.st_id ;",
+        "CLEAN student.ghost WITH trim ;",
+        "CLEAN student.st_id WITH case('upper') ;",
+        "CLEAN student.st_gender WITH sparkle ;",
+    ],
+)
+def test_steps_raise_what_validation_reports(seed42_cleansed, text):
+    """A step called directly fails with the message that validation,
+    which runs the same step on empty tables, puts in its diagnostic."""
+    stmt = parse_plan(text).statements[0]
+    with pytest.raises(PlanValidationError) as planned:
+        validate_plan(Plan((stmt,)), seed42_cleansed.schema(), require_warehouse_decls=False)
+    with pytest.raises(ValidationError) as direct:
+        _run_step(seed42_cleansed, stmt)
+    assert planned.value.diagnostics == [PlanDiagnostic(0, str(direct.value))]
+
+
+def _canonical_mutants():
+    """Every one-statement deletion and every adjacent swap of the canonical plan."""
+    stmts = canonical.canonical_plan().statements
+    for i in range(len(stmts)):
+        yield f"delete-{i}", stmts[:i] + stmts[i + 1:]
+    for i in range(len(stmts) - 1):
+        yield f"swap-{i}", stmts[:i] + (stmts[i + 1], stmts[i]) + stmts[i + 2:]
+
+
+MUTANTS = dict(_canonical_mutants())
+
+
+@pytest.mark.parametrize("mutant", MUTANTS)
+def test_validation_predicts_execution(seed42_cleansed, mutant):
+    plan = Plan(MUTANTS[mutant])
+    before = staging_fingerprint(seed42_cleansed)
+    try:
+        final = validate_plan(plan, seed42_cleansed.schema(), require_warehouse_decls=False)
+    except PlanValidationError as rejected:
+        with pytest.raises(PlanValidationError) as exc:
+            execute_plan(seed42_cleansed, plan, timestamp=TS)
+        assert exc.value.diagnostics == rejected.diagnostics
+        assert staging_fingerprint(seed42_cleansed) == before
+    else:
+        out, _ = execute_plan(seed42_cleansed, plan, timestamp=TS)
+        assert out.schema() == final
+        assert list(out.schema().tables) == list(final.tables)
 
 
 def test_merge_preserves_cardinality_across_seeds():
