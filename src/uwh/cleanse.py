@@ -88,20 +88,12 @@ def _title_case(s: str) -> str:
     return _WORD_RE.sub(lambda m: m.group(0).capitalize(), s)
 
 
-@dataclass(frozen=True)
-class Anomaly:
-    row_index: int
-    column: str
-    reason: str
-
-
 @dataclass
 class RuleStats:
     rule: CleanseRule
     cells_examined: int = 0
     cells_changed: int = 0
     cells_quarantined: int = 0
-    anomalies: list[Anomaly] = field(default_factory=list)
 
 
 _SAME = ("same", None)
@@ -213,13 +205,12 @@ def _compile_rule(rule: CleanseRule, schema: TableSchema):
 
 
 def apply_rule(table: Table, rule: CleanseRule) -> tuple[Table, RuleStats]:
-    """Apply one rule to its column; anomalous rows are flagged, not removed."""
+    """Apply one rule to its column; a row it flags is kept as it was, not removed."""
     stats, step = _compile_rule(rule, table.schema)
     stats.cells_examined = len(table.rows)
     rows = list(map(step, table.rows))
     for i, out in enumerate(rows):
         if out.__class__ is str:
-            stats.anomalies.append(Anomaly(i, rule.column, out))
             rows[i] = table.rows[i]
     return Table(table.schema, rows), stats
 

@@ -4,8 +4,9 @@ A warehouse directory is eight CSV relations (one fact, seven
 dimensions) and ``catalog.json``. The catalog records a SHA-256 checksum
 for every relation plus one for itself, so any single-byte tamper is
 detected at open time. Indexes are derived state: only their descriptors
-persist, and ``open`` rebuilds each from the relation data. An opened
-warehouse exposes no mutating operation.
+persist, ``open`` checks the keys of each one marked unique, and the star
+join builds an index the first time it probes it. An opened warehouse
+exposes no mutating operation.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from operator import add, itemgetter, mul
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .csvio import format_field, parse_csv
 from .errors import IntegrityError, MissingInputError, ParseError, PlanParseError, ReadOnlyError, ValidationError
@@ -105,35 +106,26 @@ def assemble_snowflake(tables: dict[str, Table], fact_decl: str, dim_decls: list
                 edges.append((name, fk.columns, fk.target_table, fk.target_columns))
 
     assigned: dict[str, DimensionInfo] = {}
-    frontier = {fact_decl}
+    reached = {fact_decl}  # the fact and every assigned dimension
     used = [False] * len(edges)
     while len(assigned) < 7:
-        attached_this_round = []
+        attached: dict[str, DimensionInfo] = {}
         for i, (a, a_cols, b, b_cols) in enumerate(edges):
-            if used[i]:
+            # both ends reached is a cycle in the arm graph; neither, not yet
+            if used[i] or (a in reached) == (b in reached):
                 continue
-            # orient the edge so that `near` is already reachable
-            near = None
-            if a in frontier or a in assigned or a == fact_decl:
-                near, far, near_cols, far_cols = a, b, a_cols, b_cols
-            if b in frontier or b in assigned or b == fact_decl:
-                if near is not None:
-                    continue  # both ends reachable: a cycle in the arm graph
-                near, far, near_cols, far_cols = b, a, b_cols, a_cols
-            if near is None or far in assigned or far == fact_decl:
-                continue
-            if far in [d.name for d in attached_this_round]:
+            # orient the edge so that `near` is the reached end
+            near, far, near_cols, far_cols = (a, b, a_cols, b_cols) if a in reached else (b, a, b_cols, a_cols)
+            if far in attached:
                 raise ValidationError(f"dimension {far!r} connects through more than one arm")
             parent = None if near == fact_decl else near
-            info = DimensionInfo(far, keys[far], parent, far_cols, near_cols)
-            attached_this_round.append(info)
+            attached[far] = DimensionInfo(far, keys[far], parent, far_cols, near_cols)
             used[i] = True
-        if not attached_this_round:
+        if not attached:
             missing = sorted(set(dim_names) - set(assigned))
             raise ValidationError(f"dimensions {missing} are not connected to the fact by foreign keys")
-        for info in attached_this_round:
-            assigned[info.name] = info
-            frontier.add(info.name)
+        assigned.update(attached)
+        reached.update(attached)
     for i, (a, a_cols, b, b_cols) in enumerate(edges):
         if not used[i] and a in relations and b in relations:
             raise ValidationError(f"foreign key {a}->{b} makes the dimension graph cyclic or ambiguous")
@@ -160,23 +152,21 @@ def _sort_key(key: tuple) -> tuple:
 class Index:
     relation: str
     columns: tuple[str, ...]
-    unique: bool
     entries: dict[tuple, list[int]] = field(default_factory=dict)
 
 
-def build_index(table: Table, columns: tuple[str, ...], *, unique: bool = False) -> Index:
+def _keys(table: Table, columns) -> Iterator[tuple]:
+    """The key tuple over ``columns`` of each row of ``table``, in row order."""
+    return map(key_getter(tuple(map(table.schema.column_index, columns))), table.rows)
+
+
+def build_index(table: Table, columns: tuple[str, ...]) -> Index:
     """Map each key tuple to the ordinals a full scan would return."""
-    key_of = key_getter(tuple(table.schema.column_index(c) for c in columns))
-    index = Index(table.name, tuple(columns), unique)
-    for n, row in enumerate(table.rows):
-        key = key_of(row)
+    index = Index(table.name, tuple(columns))
+    for n, key in enumerate(_keys(table, columns)):
         bucket = index.entries.get(key)
         if bucket is None:
             index.entries[key] = [n]
-        elif unique:
-            raise ValidationError(
-                f"unique index on {table.name}({','.join(columns)}): duplicate key {tuple(map(render_cell, key))}"
-            )
         else:
             bucket.append(n)
     return index
@@ -212,7 +202,7 @@ def render_index(index: Index) -> str:  # unused here; the benchmark's tracer re
 def parse_index(text: str, descriptor: dict, schema: TableSchema) -> Index:  # unused here, like render_index
     from .staging import parse_cell
 
-    index = Index(descriptor["relation"], tuple(descriptor["columns"]), descriptor["unique"])
+    index = Index(descriptor["relation"], tuple(descriptor["columns"]))
     types = [schema.column(c).type for c in index.columns]
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line:
@@ -235,9 +225,9 @@ def parse_index(text: str, descriptor: dict, schema: TableSchema) -> Index:  # u
 
 
 def _index_plan(snowflake: SnowflakeSchema) -> list[tuple[str, tuple[str, ...], bool]]:
-    """(relation, columns, unique) for every index the loader builds: a
-    unique index per dimension key, then one per fact dimension-key
-    column set."""
+    """(relation, columns, unique) for every index descriptor the catalog
+    records: a unique index per dimension key, then one per fact
+    dimension-key column set."""
     plan = [(dim.name, (dim.key,), True) for dim in snowflake.dimensions]
     plan += [(snowflake.fact, dim.join_parent_columns, False) for dim in snowflake.dimensions if dim.parent is None]
     return plan
@@ -261,21 +251,19 @@ def load(out_dir: Path, staging: StagingArea, *, timestamp: str) -> dict:
         raise ValidationError(f"refusing to load into non-empty directory {out_dir}")
     tables = staging.tables
 
-    planned = [build_index(tables[relation], columns, unique=unique) for relation, columns, unique in _index_plan(snowflake)]
-    indexes = {(index.relation, index.columns): index for index in planned}
     # star-join soundness: every fact key resolves before anything is written;
-    # a fact joins each arm on the dimension key, so its unique index decides
+    # a fact joins each arm on the dimension key, which assemble_snowflake
+    # found non-Null, so a Null fact key dangles too
+    fact = tables[snowflake.fact]
     for dim in snowflake.dimensions:
         if dim.parent is not None:
             continue
-        present = indexes[dim.name, dim.join_columns].entries
-        fact_keys = indexes[snowflake.fact, dim.join_parent_columns].entries
-        dangling = [(ordinals[0], key) for key, ordinals in fact_keys.items() if None in key or key not in present]
-        if dangling:
-            n, key = min(dangling)
-            raise ValidationError(
-                f"fact row {n} has dangling dimension key {tuple(map(render_cell, key))} into {dim.name}"
-            )
+        present = set(_keys(tables[dim.name], dim.join_columns))
+        for n, key in enumerate(_keys(fact, dim.join_parent_columns)):
+            if key not in present:
+                raise ValidationError(
+                    f"fact row {n} has dangling dimension key {tuple(map(render_cell, key))} into {dim.name}"
+                )
 
     dump = dumps_staging(staging)
     files = {f"{name}.csv": dump[f"{name}.csv"] for name in snowflake.relation_names()}
@@ -306,7 +294,7 @@ def load(out_dir: Path, staging: StagingArea, *, timestamp: str) -> dict:
             for d in snowflake.dimensions
         ],
         "relations": relations_meta,
-        "indexes": [{"relation": i.relation, "columns": list(i.columns), "unique": i.unique} for i in planned],
+        "indexes": [{"relation": r, "columns": list(c), "unique": u} for r, c, u in _index_plan(snowflake)],
         "build": {  # a transform report that is absent or malformed gives no plan hash
             "plan_hash": staging.reports["transform"]["plan_hash"] if _fits(staging.reports, _PLAN_REPORT) else "",
             "source_hash": dump_fingerprint(dump),
@@ -405,11 +393,10 @@ def _coerce_filter_value(value, vtype: ValueType):
 class Warehouse:
     """Read-only handle over a verified warehouse directory."""
 
-    def __init__(self, directory: Path, catalog: dict, relations: dict[str, Table], indexes: dict):
+    def __init__(self, directory: Path, catalog: dict, relations: dict[str, Table]):
         self.directory = Path(directory)
         self.catalog = catalog
         self._relations = relations
-        self._indexes = indexes
         self._joins: dict[tuple, Index] = {}  # star-join indexes by chain
 
     # --- inspection -------------------------------------------------------
@@ -422,15 +409,6 @@ class Warehouse:
     def relation(self, name: str) -> Table:
         t = self._relation(name)
         return Table(t.schema, list(t.rows))
-
-    def index(self, relation: str, columns: tuple[str, ...]) -> Index:
-        try:
-            return self._indexes[(relation, tuple(columns))]
-        except KeyError:
-            raise ValidationError(f"no index on {relation}({','.join(columns)})") from None
-
-    def indexes(self) -> list[Index]:
-        return list(self._indexes.values())
 
     def _relation(self, name: str) -> Table:
         try:
@@ -465,24 +443,22 @@ class Warehouse:
     def _join_index(self, chain: list[dict]) -> Index:
         """Rows of the chain's bottom relation keyed by the first join's
         columns, for probing with the top parent's join columns. A one-join
-        chain is that edge's index: the catalog's when it has one, else one
-        built here. A longer chain composes its edges, so the
-        pass-through relations between top and bottom are never joined."""
+        chain is that edge's index, built on first use. A longer chain
+        composes its edges, so the pass-through relations between top and
+        bottom are never joined."""
         sig = tuple((j["relation"], tuple(j["columns"])) for j in chain)
         index = self._joins.get(sig)
         if index is not None:
             return index
         if len(chain) == 1:
-            index = self._indexes.get(sig[0])
-            if index is None:
-                index = build_index(self._relation(sig[0][0]), sig[0][1])
+            index = build_index(self._relation(sig[0][0]), sig[0][1])
         else:
             upper = self._join_index(chain[:-1])
             lower = self._join_index(chain[-1:]).entries
             join = chain[-1]
             parent = self._relation(join["parent"])
             key_of = key_getter(tuple(parent.schema.column_index(c) for c in join["parent_columns"]))
-            index = Index(join["relation"], upper.columns, False)
+            index = Index(join["relation"], upper.columns)
             for key, ordinals in upper.entries.items():
                 hits = []
                 for n in ordinals:
@@ -491,9 +467,6 @@ class Warehouse:
                     index.entries[key] = hits
         self._joins[sig] = index
         return index
-
-    def star_query(self, query: StarQuery) -> Table:
-        return star_query(self, query)
 
 
 def star_query(handle: Warehouse, query: StarQuery) -> Table:
@@ -824,10 +797,11 @@ def _catalog_fault(catalog: dict) -> str | None:
 
 
 def open_warehouse(directory: Path) -> Warehouse:
-    """Verify every checksum, load the relations, build every cataloged
-    index from them, and hand back a read-only view. Any discrepancy,
-    including duplicate keys under an index the catalog marks unique, is
-    an integrity error naming the file."""
+    """Verify every checksum, load the relations, check the keys of every
+    index the catalog marks unique, and hand back a read-only view. Any
+    discrepancy, including a duplicate key under a unique index, is an
+    integrity error naming the file. No index is built here; the star
+    join builds the ones it probes."""
     directory = Path(directory)
     catalog_path = directory / CATALOG_NAME
     if not catalog_path.is_file():
@@ -865,15 +839,19 @@ def open_warehouse(directory: Path) -> Warehouse:
             raise IntegrityError(f"{entry['file']}: row count {len(table.rows)} != cataloged {entry['row_count']}")
         relations[entry["name"]] = table
 
-    indexes: dict = {}
     for entry in catalog["indexes"]:
-        key = (entry["relation"], tuple(entry["columns"]))
-        try:
-            indexes[key] = build_index(relations[key[0]], key[1], unique=entry["unique"])
-        except ValidationError as exc:  # marked unique over duplicate keys
-            raise IntegrityError(f"{CATALOG_NAME} is malformed: {exc}") from exc
+        if not entry["unique"]:
+            continue
+        seen: set[tuple] = set()
+        for key in _keys(relations[entry["relation"]], entry["columns"]):
+            if key in seen:
+                raise IntegrityError(
+                    f"{CATALOG_NAME} is malformed: unique index on {entry['relation']}({','.join(entry['columns'])}): "
+                    f"duplicate key {tuple(map(render_cell, key))}"
+                )
+            seen.add(key)
 
-    return Warehouse(directory, catalog, relations, indexes)
+    return Warehouse(directory, catalog, relations)
 
 
 def is_warehouse_dir(directory: Path) -> bool:

@@ -88,7 +88,7 @@ def test_assemble_rejects_unconnected_dimension(seed42_transformed):
 
 def test_unique_hash_index_thousand_probes(seed42_handle):
     student = seed42_handle.relation("student")
-    index = build_index(student, ("st_id",), unique=True)
+    index = build_index(student, ("st_id",))
     keys = [row[0] for row in student.rows]
     rng = random.Random(9)
     probes = [(k,) for k in keys] + [(rng.randint(-10_000, 10_000),) for _ in range(1000)]
@@ -96,17 +96,9 @@ def test_unique_hash_index_thousand_probes(seed42_handle):
         assert index.entries.get(key, []) == full_scan_ordinals(student, ("st_id",), key)
 
 
-def test_unique_index_rejects_duplicates():
-    db = parse_schema_manifest("TABLE t\n  id INTEGER PK\n  v INTEGER\n")
-    t = Table(db.tables["t"], [(1, 5), (2, 5)])
-    with pytest.raises(ValidationError) as exc:
-        build_index(t, ("v",), unique=True)
-    assert "duplicate key" in str(exc.value)
-
-
 def test_empty_relation_index():
     db = parse_schema_manifest("TABLE t\n  id INTEGER PK\n")
-    index = build_index(Table(db.tables["t"], []), ("id",), unique=True)
+    index = build_index(Table(db.tables["t"], []), ("id",))
     assert index.entries.get((1,), []) == []
     assert render_index(index) == ""
 
@@ -127,7 +119,7 @@ def _indexes(draw):
     pools = [draw(st.lists(draw(st.sampled_from(_KEY_PARTS)), min_size=1, max_size=3)) + [None] for _ in range(draw(st.integers(1, 3)))]
     keys = draw(st.lists(st.tuples(*map(st.sampled_from, pools)), max_size=8, unique=True))
     entries = {key: draw(st.lists(st.integers(0, 99), min_size=1, max_size=3)) for key in keys}
-    return Index("t", tuple(f"c{i}" for i in range(len(pools))), False, entries)
+    return Index("t", tuple(f"c{i}" for i in range(len(pools))), entries)
 
 
 @settings(max_examples=300, deadline=None)
@@ -136,9 +128,19 @@ def test_render_index_matches_the_reference(index):
     assert render_index(index) == render_index_reference(index)
 
 
+def descriptor_indexes(handle) -> list[Index]:
+    """An index built for every catalog descriptor."""
+    return [build_index(handle.relation(i["relation"]), tuple(i["columns"])) for i in handle.catalog["indexes"]]
+
+
+def catalog_indexes(handle) -> list[Index]:
+    """The descriptors' indexes, then the star join's index for every catalog join."""
+    return descriptor_indexes(handle) + [handle._join_index([join]) for join in handle.catalog["joins"]]
+
+
 def test_all_catalog_indexes_match_full_scan(seed42_handle):
     rng = random.Random(4)
-    for index in seed42_handle.indexes():
+    for index in catalog_indexes(seed42_handle):
         table = seed42_handle.relation(index.relation)
         keys = list(index.entries)
         sample = keys if len(keys) <= 200 else rng.sample(keys, 200)
@@ -187,16 +189,38 @@ def test_load_refuses_nonempty_dir(tmp_path, seed42_transformed):
         load(out, seed42_transformed, timestamp=TS)
 
 
-def test_load_asserts_fact_keys_resolve(tmp_path, seed42_transformed):
-    staging = seed42_transformed.clone()
+def _with_fact_cells(staging, column: str, cells: dict[int, object]):
+    """A copy of ``staging`` whose fact rows ``n`` hold ``cells[n]`` in ``column``."""
+    staging = staging.clone()
     fact = staging.tables["transcript"]
-    st = fact.schema.column_index("tr_st_id")
+    i = fact.schema.column_index(column)
     rows = list(fact.rows)
-    rows[0] = rows[0][:st] + (999999,) + rows[0][st + 1:]
+    for n, cell in cells.items():
+        rows[n] = rows[n][:i] + (cell,) + rows[n][i + 1:]
     staging.tables["transcript"] = Table(fact.schema, rows)
+    return staging
+
+
+def test_load_asserts_fact_keys_resolve(tmp_path, seed42_transformed):
+    staging = _with_fact_cells(seed42_transformed, "tr_st_id", {0: 999999})
     with pytest.raises(ValidationError) as exc:
         load(tmp_path / "wh", staging, timestamp=TS)
     assert "dangling dimension key" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "column, cells, message",
+    [  # the lowest fact ordinal is named; a Null fact key dangles too
+        ("tr_st_id", {7: 888888, 3: 999999}, "fact row 3 has dangling dimension key ('999999',) into student"),
+        ("se_in_id", {5: None}, "fact row 5 has dangling dimension key ('',) into instructor"),
+    ],
+    ids=["two-dangling-rows", "null-key"],
+)
+def test_load_names_the_dangling_fact_row(tmp_path, seed42_transformed, column, cells, message):
+    with pytest.raises(ValidationError) as exc:
+        load(tmp_path / "wh", _with_fact_cells(seed42_transformed, column, cells), timestamp=TS)
+    assert str(exc.value) == message
+    assert not (tmp_path / "wh").exists()
 
 
 # --- open -----------------------------------------------------------------------
@@ -282,7 +306,7 @@ def test_old_format_catalog_is_refused(tmp_path, seed42_warehouse_dir, seed42_ha
     # a "kind"), its self checksum forged to match, is refused: no shim
     from uwh.warehouse import sha256_hex
 
-    sidecars = {(i.relation, i.columns): render_index(i).encode() for i in seed42_handle.indexes()}
+    sidecars = {(i.relation, i.columns): render_index(i).encode() for i in descriptor_indexes(seed42_handle)}
 
     def downgrade(catalog: dict) -> None:
         catalog["format_version"] = version
@@ -349,6 +373,22 @@ def test_forged_catalog_fails_open(tmp_path, seed42_warehouse_dir, capsys, forge
     # a catalog can pass its self checksum and still be malformed: open
     # refuses it as an integrity failure naming the catalog, never a crash
     _assert_open_fails(_forged(tmp_path, seed42_warehouse_dir, forge), capsys, "catalog.json", "malformed")
+
+
+def test_duplicate_key_under_a_unique_index_fails_open(tmp_path, seed42_warehouse_dir, capsys):
+    # the relation's data, not the catalog, breaks the unique descriptor:
+    # one st_id repeated in student.csv, both checksums forged to match
+    work = tmp_path / "wh"
+    shutil.copytree(seed42_warehouse_dir, work)
+    victim = work / "student.csv"
+    header, first, second, *rest = victim.read_text().splitlines()
+    assert header.startswith("st_id,")
+    st_id = first.split(",", 1)[0]
+    victim.write_text("\n".join([header, first, st_id + "," + second.split(",", 1)[1], *rest]) + "\n")
+    _forge_checksums(work, victim.name)
+    _assert_open_fails(
+        work, capsys, "catalog.json", f"malformed: unique index on student(st_id): duplicate key ('{st_id}',)"
+    )
 
 
 def test_join_cycle_in_catalog_is_named(tmp_path, seed42_warehouse_dir):
