@@ -227,7 +227,7 @@ def _cmd_report(args) -> int:
         "relations": {r["name"]: r["row_count"] for r in catalog["relations"]},
         "fact": catalog["fact"],
         "dimensions": catalog["dimensions"],
-        "indexes": [f"{i['relation']}({','.join(i['columns'])})" for i in catalog["indexes"]],
+        "indexes": [f"{j['relation']}({','.join(j['columns'])})" for j in catalog["joins"]],
         "build": catalog["build"],
     }
     if args.json:

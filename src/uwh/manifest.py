@@ -45,7 +45,8 @@ def parse_schema_manifest(text: str) -> DatabaseSchema:
         tables[current] = TableSchema(current, tuple(columns), tuple(pk), tuple(fks))
         current = None
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # "\n" alone ends a line; str.splitlines would also split a comment at \x85 or U+2028
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = _strip_comment(raw).strip()
         if not line:
             continue

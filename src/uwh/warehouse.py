@@ -3,10 +3,10 @@
 A warehouse directory is eight CSV relations (one fact, seven
 dimensions) and ``catalog.json``. The catalog records a SHA-256 checksum
 for every relation plus one for itself, so any single-byte tamper is
-detected at open time. Indexes are derived state: only their descriptors
-persist, ``open`` checks the keys of each one marked unique, and the star
-join builds an index the first time it probes it. An opened warehouse
-exposes no mutating operation.
+detected at open time. Indexes are derived state: the catalog's joins
+describe the indexes the star join builds, each the first time it probes
+it, and ``open`` checks that every dimension key is unique. An opened
+warehouse exposes no mutating operation.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
 from .csvio import format_field, parse_csv
-from .errors import IntegrityError, MissingInputError, ParseError, PlanParseError, ReadOnlyError, ValidationError
+from .errors import IntegrityError, MissingInputError, ParseError, ReadOnlyError, ValidationError
 from .lexer import tokenize
 from .plan import _Parser
 from .schema import ColumnDef, Table, TableSchema, key_getter
@@ -31,7 +31,7 @@ from .values import COMPARISONS, DEC4, ORDERED_TYPES, RawCell, ValueType, coerce
 from decimal import Decimal
 
 CATALOG_NAME = "catalog.json"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 AGGREGATES = ("COUNT", "SUM", "AVG", "MIN", "MAX")
 
@@ -224,19 +224,10 @@ def parse_index(text: str, descriptor: dict, schema: TableSchema) -> Index:  # u
 # Load
 
 
-def _index_plan(snowflake: SnowflakeSchema) -> list[tuple[str, tuple[str, ...], bool]]:
-    """(relation, columns, unique) for every index descriptor the catalog
-    records: a unique index per dimension key, then one per fact
-    dimension-key column set."""
-    plan = [(dim.name, (dim.key,), True) for dim in snowflake.dimensions]
-    plan += [(snowflake.fact, dim.join_parent_columns, False) for dim in snowflake.dimensions if dim.parent is None]
-    return plan
-
-
 def load(out_dir: Path, staging: StagingArea, *, timestamp: str) -> dict:
     """Persist the snowflake that ``staging`` declares and the frozen
-    catalog, which describes its indexes, all or nothing. Refuses to write
-    into a non-empty directory.
+    catalog, whose joins describe the star join's indexes, all or nothing.
+    Refuses to write into a non-empty directory.
 
     The staging is rendered once: each relation file holds the bytes of
     its staging dump file, and ``build.source_hash`` is the fingerprint of
@@ -294,7 +285,6 @@ def load(out_dir: Path, staging: StagingArea, *, timestamp: str) -> dict:
             for d in snowflake.dimensions
         ],
         "relations": relations_meta,
-        "indexes": [{"relation": r, "columns": list(c), "unique": u} for r, c, u in _index_plan(snowflake)],
         "build": {  # a transform report that is absent or malformed gives no plan hash
             "plan_hash": staging.reports["transform"]["plan_hash"] if _fits(staging.reports, _PLAN_REPORT) else "",
             "source_hash": dump_fingerprint(dump),
@@ -355,8 +345,8 @@ def parse_measure(text: str) -> Measure:
 
 
 def parse_filter(text: str) -> Filter:
-    p = _Parser(tokenize(text))
     try:
+        p = _Parser(tokenize(text))
         attr = _attribute(p)
         op = p.peek().lexeme
         if op not in COMPARISONS:
@@ -365,7 +355,7 @@ def parse_filter(text: str) -> Filter:
         value = p.literal()
         if p.peek().kind != "eof":
             raise p.error("end of filter")
-    except PlanParseError as exc:
+    except ParseError as exc:
         raise ParseError(f"bad filter {text!r}: {exc.raw_message}") from None
     return Filter(attr, op, value)
 
@@ -746,10 +736,10 @@ _AGGS = {
 _PLAN_REPORT = {"transform": {"plan_hash": str}}  # staging reports that hold a plan hash
 _NAMES = [str]
 _COLUMN = {"name": str, "type": frozenset(t.value for t in ValueType), "nullable": bool}
-_CATALOG_SHAPE = {  # the catalog fields that open, star_query and report read
+_CATALOG_SHAPE = {  # the catalog fields that open, star_query and report read; joins describe the indexes
     "fact": str,
+    "dimensions": [{"name": str, "key": str}],
     "relations": [{"name": str, "file": str, "checksum": str, "row_count": int, "columns": [_COLUMN], "primary_key": _NAMES}],
-    "indexes": [{"relation": str, "columns": _NAMES, "unique": bool}],
     "joins": [{"relation": str, "columns": _NAMES, "parent": str, "parent_columns": _NAMES}],
     "build": {"plan_hash": str, "source_hash": str, "timestamp": str},
 }
@@ -771,8 +761,8 @@ def _fits(value, shape) -> bool:
 def _catalog_fault(catalog: dict) -> str | None:
     """How a catalog that passed its self checksum is malformed, if it is:
     a field out of shape, a relation file other than ``<name>.csv`` in
-    the warehouse directory, an index or join naming a relation or column
-    the relations lack, or a join chain that does not reach the fact."""
+    the warehouse directory, a dimension key or join naming a missing
+    relation or column, or a join chain that does not reach the fact."""
     wrong = [key for key, shape in _CATALOG_SHAPE.items() if not _fits(catalog.get(key), shape)]
     if wrong:
         return f"{wrong[0]!r} is missing or out of shape"
@@ -780,7 +770,7 @@ def _catalog_fault(catalog: dict) -> str | None:
         if r["file"] != f"{r['name']}.csv" or "/" in r["file"] or "\\" in r["file"]:
             return f"relation {r['name']} has file {r['file']!r}, not {r['name']}.csv in the warehouse directory"
     columns = {r["name"]: {c["name"] for c in r["columns"]} for r in catalog["relations"]}
-    named = [(catalog["fact"], [])] + [(i["relation"], i["columns"]) for i in catalog["indexes"]]
+    named = [(catalog["fact"], [])] + [(d["name"], [d["key"]]) for d in catalog["dimensions"]]
     for j in catalog["joins"]:
         named += [(j["relation"], j["columns"]), (j["parent"], j["parent_columns"])]
     for relation, names in named:
@@ -797,11 +787,11 @@ def _catalog_fault(catalog: dict) -> str | None:
 
 
 def open_warehouse(directory: Path) -> Warehouse:
-    """Verify every checksum, load the relations, check the keys of every
-    index the catalog marks unique, and hand back a read-only view. Any
-    discrepancy, including a duplicate key under a unique index, is an
-    integrity error naming the file. No index is built here; the star
-    join builds the ones it probes."""
+    """Verify every checksum, load the relations, check that every
+    dimension key is unique, and hand back a read-only view. Any
+    discrepancy, including a duplicate dimension key, is an integrity
+    error naming the file. No index is built here; the star join builds
+    the ones it probes."""
     directory = Path(directory)
     catalog_path = directory / CATALOG_NAME
     if not catalog_path.is_file():
@@ -839,14 +829,12 @@ def open_warehouse(directory: Path) -> Warehouse:
             raise IntegrityError(f"{entry['file']}: row count {len(table.rows)} != cataloged {entry['row_count']}")
         relations[entry["name"]] = table
 
-    for entry in catalog["indexes"]:
-        if not entry["unique"]:
-            continue
+    for dim in catalog["dimensions"]:
         seen: set[tuple] = set()
-        for key in _keys(relations[entry["relation"]], entry["columns"]):
+        for key in _keys(relations[dim["name"]], (dim["key"],)):
             if key in seen:
                 raise IntegrityError(
-                    f"{CATALOG_NAME} is malformed: unique index on {entry['relation']}({','.join(entry['columns'])}): "
+                    f"{CATALOG_NAME} is malformed: unique index on {dim['name']}({dim['key']}): "
                     f"duplicate key {tuple(map(render_cell, key))}"
                 )
             seen.add(key)

@@ -449,9 +449,13 @@ def test_report_warehouse(cli_dirs, capsys):
     _, _, wh = cli_dirs
     code, out, _ = _run(capsys, "report", "--warehouse", str(wh))
     assert code == 0 and "warehouse report" in out and "transcript" in out
+    assert sum(line.startswith("index ") for line in out.splitlines()) == 7
     code, out, _ = _run(capsys, "report", "--warehouse", str(wh), "--json")
     payload = json.loads(out)
     assert payload["fact"] == "transcript" and len(payload["relations"]) == 8
+    # the indexes are the ones the star join builds, one per catalog join
+    joins = json.loads((wh / "catalog.json").read_text())["joins"]
+    assert payload["indexes"] == [f"{j['relation']}({','.join(j['columns'])})" for j in joins]
 
 
 def test_report_requires_exactly_one_target(capsys):

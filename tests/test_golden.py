@@ -22,7 +22,7 @@ from uwh.staging import dump_staging
 WAREHOUSE = {
     "account.csv": "a8924bb965df2144106af0f3f84e1cc946cf6a8f88fb66afe7f421e4d12b20f2",
     "alumni.csv": "7e4cdc238eec67ac0e94cb9c5bae2dee8e71951bc09dc487a94c82628f4ecd7e",
-    "catalog.json": "5a0a2ed999cb3cdd807389a0e8707e0367dba5385e57c9ab82f9eaee1f6f5928",
+    "catalog.json": "2f4a2b488ca49d918e32d27363b485df3826064e6cbc317a7e640ba0f2ec93fe",
     "instructor.csv": "7ef1d3662cb0c0e4e8169613ebb94fd11257c5cbde90e7c97233a9b0b4f0bdcf",
     "major.csv": "5289cf1fbeb071c2079573af31a0ab04cb3eba2e2fde9c2f345b148d27ece4c2",
     "receipt.csv": "b801bfa449f6794108a94235b2d24f7d06610a8ad906129acd1bdc0386d0b81d",

@@ -18,6 +18,12 @@ def test_single_table_manifest():
     assert item.columns[0].type is ValueType.INTEGER
 
 
+def test_comment_runs_to_the_newline():
+    # "\x85" and U+2028 end a line for str.splitlines, not for the manifest
+    db = parse_schema_manifest("TABLE a -- note\u2028x\r\n  id INTEGER PK -- old\x85y INTEGER\r\n")
+    assert db.tables["a"].column_names == ("id",)
+
+
 def test_missing_primary_key_reports_table_line():
     text = "-- comment\nTABLE t\n  a INTEGER\n"
     with pytest.raises(ManifestError) as exc:

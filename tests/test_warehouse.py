@@ -128,14 +128,10 @@ def test_render_index_matches_the_reference(index):
     assert render_index(index) == render_index_reference(index)
 
 
-def descriptor_indexes(handle) -> list[Index]:
-    """An index built for every catalog descriptor."""
-    return [build_index(handle.relation(i["relation"]), tuple(i["columns"])) for i in handle.catalog["indexes"]]
-
-
 def catalog_indexes(handle) -> list[Index]:
-    """The descriptors' indexes, then the star join's index for every catalog join."""
-    return descriptor_indexes(handle) + [handle._join_index([join]) for join in handle.catalog["joins"]]
+    """An index on every dimension key, then the star join's index for every catalog join."""
+    keys = [build_index(handle.relation(d["name"]), (d["key"],)) for d in handle.catalog["dimensions"]]
+    return keys + [handle._join_index([join]) for join in handle.catalog["joins"]]
 
 
 def test_all_catalog_indexes_match_full_scan(seed42_handle):
@@ -154,11 +150,10 @@ def test_all_catalog_indexes_match_full_scan(seed42_handle):
 def test_load_writes_expected_layout(seed42_warehouse_dir):
     catalog = json.loads((seed42_warehouse_dir / "catalog.json").read_text())
     names = {p.name for p in seed42_warehouse_dir.iterdir()}
-    # the catalog and the relations; indexes persist only as descriptors
+    # the catalog and the relations; the joins describe the indexes
     assert names == {"catalog.json"} | {f"{r['name']}.csv" for r in catalog["relations"]}
-    assert len(catalog["indexes"]) == 9  # 7 dim keys + 2 fact key columns
-    assert all(set(i) == {"relation", "columns", "unique"} for i in catalog["indexes"])
-    assert catalog["format_version"] == 3
+    assert "indexes" not in catalog
+    assert catalog["format_version"] == 4
     assert catalog["frozen"] is True
     assert catalog["fact"] == "transcript"
     assert len(catalog["relations"]) == 8
@@ -299,31 +294,48 @@ def test_repeated_bad_cell_in_a_relation_fails_open(tmp_path, seed42_warehouse_d
     _assert_open_fails(work, capsys, victim.name, "does not parse as its declared type")
 
 
-@pytest.mark.parametrize("version", [1, 2], ids=["format-1", "format-2"])
+def _old_descriptors(catalog: dict) -> list[dict]:
+    """The index descriptors formats 1 to 3 recorded: a unique index per
+    dimension key, then one per fact column set a dimension joins on."""
+    descriptors = [{"relation": d["name"], "columns": [d["key"]], "unique": True} for d in catalog["dimensions"]]
+    fact = catalog["fact"]
+    return descriptors + [
+        {"relation": fact, "columns": j["parent_columns"], "unique": False} for j in catalog["joins"] if j["parent"] == fact
+    ]
+
+
+@pytest.mark.parametrize("version", [1, 2, 3], ids=["format-1", "format-2", "format-3"])
 def test_old_format_catalog_is_refused(tmp_path, seed42_warehouse_dir, seed42_handle, capsys, version):
-    # a warehouse as format 1 or 2 wrote it (a sidecar per index, named
-    # with its checksum in the descriptor; format 1's descriptors also held
-    # a "kind"), its self checksum forged to match, is refused: no shim
+    # a warehouse as an older format wrote it, its self checksum forged to
+    # match, is refused: no shim. Format 3 kept a {relation, columns,
+    # unique} descriptor per index; formats 1 and 2 also wrote a sidecar
+    # per index, named with its checksum in the descriptor, and format 1's
+    # descriptors also held a "kind"
     from uwh.warehouse import sha256_hex
 
-    sidecars = {(i.relation, i.columns): render_index(i).encode() for i in descriptor_indexes(seed42_handle)}
+    sidecars = {}
 
     def downgrade(catalog: dict) -> None:
         catalog["format_version"] = version
+        catalog["indexes"] = _old_descriptors(catalog)
+        if version == 3:
+            return
         for entry in catalog["indexes"]:
             entry["file"] = f"{entry['relation']}.{'+'.join(entry['columns'])}.idx"
-            entry["checksum"] = sha256_hex(sidecars[entry["relation"], tuple(entry["columns"])])
+            index = build_index(seed42_handle.relation(entry["relation"]), tuple(entry["columns"]))
+            sidecars[entry["file"]] = render_index(index).encode()
+            entry["checksum"] = sha256_hex(sidecars[entry["file"]])
             if version == 1:
                 entry["kind"] = "hash"
 
     work = _forged(tmp_path, seed42_warehouse_dir, downgrade)
-    for entry in json.loads((work / "catalog.json").read_text())["indexes"]:
-        (work / entry["file"]).write_bytes(sidecars[entry["relation"], tuple(entry["columns"])])
+    for name, data in sidecars.items():
+        (work / name).write_bytes(data)
     _assert_open_fails(work, capsys, "catalog.json", "format_version")
 
 
-def _fact_index(catalog: dict) -> dict:
-    return next(i for i in catalog["indexes"] if i["relation"] == catalog["fact"])
+def _dimension(catalog: dict, name: str) -> dict:
+    return next(d for d in catalog["dimensions"] if d["name"] == name)
 
 
 def _arm_join(catalog: dict) -> dict:
@@ -341,10 +353,10 @@ _CATALOG_FORGERIES = {
     "unknown-type": lambda c: c["relations"][0]["columns"][0].update(type="FLOAT"),
     "relation-without-file": lambda c: c["relations"][0].pop("file"),
     "relation-file-outside-directory": _file_outside_directory,
-    "index-without-columns": lambda c: c["indexes"][0].pop("columns"),
+    "dimensions-not-a-list": lambda c: c.update(dimensions=5),
     "row-count-as-text": lambda c: c["relations"][1].update(row_count=str(c["relations"][1]["row_count"])),
-    "index-on-unknown-column": lambda c: c["indexes"][0].update(columns=["nope"]),
-    "non-unique-index-marked-unique": lambda c: _fact_index(c).update(unique=True),
+    "dimension-key-on-unknown-column": lambda c: c["dimensions"][0].update(key="nope"),
+    "dimension-key-not-unique": lambda c: _dimension(c, "student").update(key="st_major_id"),
     "fact-not-a-relation": lambda c: c.update(fact="payroll"),
     "fact-missing": lambda c: c.pop("fact"),
     "joins-not-a-list": lambda c: c.update(joins={}),
@@ -376,7 +388,7 @@ def test_forged_catalog_fails_open(tmp_path, seed42_warehouse_dir, capsys, forge
 
 
 def test_duplicate_key_under_a_unique_index_fails_open(tmp_path, seed42_warehouse_dir, capsys):
-    # the relation's data, not the catalog, breaks the unique descriptor:
+    # the relation's data, not the catalog, breaks the unique dimension key:
     # one st_id repeated in student.csv, both checksums forged to match
     work = tmp_path / "wh"
     shutil.copytree(seed42_warehouse_dir, work)
@@ -622,6 +634,6 @@ def test_parse_filter_forms():
     assert parse_filter("student.st_gender <> 'M'") == Filter("student.st_gender", "<>", "M")
     from uwh.errors import ParseError
 
-    for bad in ("tr_year ~ 3", "= 3", "tr_year = ", "tr_year = 1 extra"):
-        with pytest.raises(ParseError):
+    for bad in ("tr_year ~ 3", "= 3", "tr_year = ", "tr_year = 1 extra", "st_name = 'a"):
+        with pytest.raises(ParseError, match="bad filter"):
             parse_filter(bad)
