@@ -7,106 +7,98 @@ The manifest is plain text, one table per block::
       st_name TEXT
       st_major_id INTEGER FK major(mj_id)
 
-Column flags appear in the fixed order ``TYPE [PK] [NULL] [FK t(c)]``;
-``--`` starts a comment. Nullability is opt-in via the NULL flag.
+Each line is read with ``lexer.tokenize``. A name is an identifier (a
+letter or ``_``, then letters, digits and ``_``); words that are keywords
+elsewhere, such as ``date``, ``key`` or ``NULL``, are names too. ``TABLE``,
+the type names and the flags match only in capitals; a line that starts
+with ``TABLE`` opens a block, so ``TABLE`` cannot name a column. Column
+flags appear in the fixed order ``TYPE [PK] [NULL] [FK t(c)]``, an FK
+target is ``table(column)`` with no space inside a name, and ``--``
+starts a comment that runs to ``"\\n"``. Nullability is opt-in via the
+NULL flag.
 """
 
 from __future__ import annotations
 
-import re
-
-from .errors import ManifestError
+from .errors import ManifestError, ParseError
+from .lexer import tokenize
+from .plan import _Parser
 from .schema import ColumnDef, DatabaseSchema, ForeignKey, TableSchema, validate_schema
-from .values import ValueType, is_identifier
-
-_FK_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\(([A-Za-z_][A-Za-z0-9_]*)\)\Z")
+from .values import ValueType
 
 _TYPE_NAMES = {t.value for t in ValueType}
+_NAME_KINDS = ("ident", "kw")
 
 
-def _strip_comment(line: str) -> str:
-    pos = line.find("--")
-    return line if pos < 0 else line[:pos]
+def _name(p: _Parser, spelled: str | None = None) -> str | None:
+    """Take the next token's text if it is a name (spelled ``spelled``, when that is given), else None."""
+    tok = p.peek()
+    if tok.kind in _NAME_KINDS and spelled in (None, tok.lexeme):
+        return p.advance().lexeme
+    return None
 
 
 def parse_schema_manifest(text: str) -> DatabaseSchema:
     """Parse and validate a manifest; raises ManifestError with a line number."""
-    tables: dict[str, TableSchema] = {}
+    blocks: dict[str, tuple[list[ColumnDef], list[str], list[ForeignKey]]] = {}
     table_lines: dict[str, int] = {}
-    current: str | None = None
-    columns: list[ColumnDef] = []
-    pk: list[str] = []
-    fks: list[ForeignKey] = []
-
-    def close_current() -> None:
-        nonlocal current
-        if current is None:
-            return
-        tables[current] = TableSchema(current, tuple(columns), tuple(pk), tuple(fks))
-        current = None
-
-    # "\n" alone ends a line; str.splitlines would also split a comment at \x85 or U+2028
+    current = None  # the open block's columns, primary key and foreign keys
+    # "\n" alone ends a line; any other whitespace, U+2028 and \x85 included, separates words
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
+        line = " ".join(raw.split())
+        try:
+            p = _Parser(tokenize(line))
+        except ParseError as exc:
+            raise ManifestError(exc.raw_message, lineno) from None
+        if p.peek().kind == "eof":
             continue
-        parts = line.split()
-        if parts[0] == "TABLE":
-            if len(parts) != 2:
+        if _name(p, "TABLE"):
+            tok = p.peek()
+            name = _name(p)
+            if name is None and tok.kind != "eof":
+                raise ManifestError(f"bad table name {tok.lexeme!r}", lineno)
+            if name is None or p.peek().kind != "eof":
                 raise ManifestError("expected 'TABLE <name>'", lineno)
-            name = parts[1]
-            if not is_identifier(name):
-                raise ManifestError(f"bad table name {name!r}", lineno)
-            close_current()
-            if name in tables:
+            if name in blocks:
                 raise ManifestError(f"duplicate table {name!r}", lineno)
-            current = name
+            current = blocks[name] = ([], [], [])
             table_lines[name] = lineno
-            columns, pk, fks = [], [], []
             continue
         if current is None:
             raise ManifestError(f"column line outside a TABLE block: {line!r}", lineno)
-        columns_line = parts
-        col_name = columns_line[0]
-        if not is_identifier(col_name):
-            raise ManifestError(f"bad column name {col_name!r}", lineno)
-        if len(columns_line) < 2:
+        columns, pk, fks = current
+        col_name = _name(p)
+        if col_name is None:
+            raise ManifestError(f"bad column name {p.peek().lexeme!r}", lineno)
+        tok = p.peek()
+        if tok.kind == "eof":
             raise ManifestError(f"column {col_name!r} is missing a type", lineno)
-        type_name = columns_line[1]
+        type_name = _name(p)
         if type_name not in _TYPE_NAMES:
-            raise ManifestError(f"unknown type name {type_name!r}", lineno)
-        vtype = ValueType(type_name)
-        rest = columns_line[2:]
-        is_pk = nullable = False
-        if rest and rest[0] == "PK":
-            is_pk = True
-            rest = rest[1:]
-        if rest and rest[0] == "NULL":
-            nullable = True
-            rest = rest[1:]
-        fk = None
-        if rest and rest[0] == "FK":
-            if len(rest) < 2:
+            raise ManifestError(f"unknown type name {tok.lexeme!r}", lineno)
+        if _name(p, "PK"):
+            pk.append(col_name)
+        nullable = _name(p, "NULL") is not None
+        tok = p.peek()
+        if _name(p, "FK"):
+            target = p.tokens[p.pos : -1]
+            if not target:
                 raise ManifestError("FK flag needs a target like 'FK table(column)'", lineno)
-            m = _FK_RE.match("".join(rest[1:]))
-            if not m:
-                raise ManifestError(f"bad FK target {' '.join(rest[1:])!r}", lineno)
-            fk = ForeignKey((col_name,), m.group(1), (m.group(2),))
-            rest = []
-        if rest:
-            raise ManifestError(f"unexpected tokens {' '.join(rest)!r}", lineno)
+            shape = [t.lexeme if t.kind == "symbol" else t.kind in _NAME_KINDS for t in target]
+            if shape != [True, "(", True, ")"]:  # a name ( a name ), then the end of the line
+                raise ManifestError(f"bad FK target {line[target[0].column - 1 :]!r}", lineno)
+            fks.append(ForeignKey((col_name,), target[0].lexeme, (target[2].lexeme,)))
+        elif tok.kind != "eof":
+            raise ManifestError(f"unexpected tokens {line[tok.column - 1 :]!r}", lineno)
         if any(c.name == col_name for c in columns):
             raise ManifestError(f"duplicate column {col_name!r}", lineno)
-        columns.append(ColumnDef(col_name, vtype, nullable))
-        if is_pk:
-            pk.append(col_name)
-        if fk is not None:
-            fks.append(fk)
-    close_current()
+        columns.append(ColumnDef(col_name, ValueType(type_name), nullable))
 
-    if not tables:
+    if not blocks:
         raise ManifestError("manifest declares no tables", 1)
-    db = DatabaseSchema(tables)
+    db = DatabaseSchema(
+        {name: TableSchema(name, tuple(cols), tuple(key), tuple(fks)) for name, (cols, key, fks) in blocks.items()}
+    )
     diags = validate_schema(db)
     if diags:
         first = diags[0]

@@ -432,8 +432,6 @@ class _Parser:
 def parse_plan(text: str) -> Plan:
     try:
         tokens = tokenize(text)
-    except PlanParseError:
-        raise
     except ParseError as exc:
         raise PlanParseError(exc.raw_message, exc.line, exc.column) from None
     return _Parser(tokens).plan()

@@ -762,7 +762,8 @@ def _catalog_fault(catalog: dict) -> str | None:
     """How a catalog that passed its self checksum is malformed, if it is:
     a field out of shape, a relation file other than ``<name>.csv`` in
     the warehouse directory, a dimension key or join naming a missing
-    relation or column, or a join chain that does not reach the fact."""
+    relation or column, a join chain that does not reach the fact, or
+    ``dimensions`` not naming each relation but the fact exactly once."""
     wrong = [key for key, shape in _CATALOG_SHAPE.items() if not _fits(catalog.get(key), shape)]
     if wrong:
         return f"{wrong[0]!r} is missing or out of shape"
@@ -783,6 +784,8 @@ def _catalog_fault(catalog: dict) -> str | None:
             relation = parents.get(relation, relation)
         if relation != catalog["fact"]:
             return f"the join chain from {start} does not reach the fact"
+    if sorted(d["name"] for d in catalog["dimensions"]) != sorted(columns.keys() - {catalog["fact"]}):
+        return "'dimensions' does not name each relation but the fact exactly once"
     return None
 
 

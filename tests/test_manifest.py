@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uwh import canonical
 from uwh.errors import ManifestError
 from uwh.manifest import parse_schema_manifest, render_manifest
-from uwh.schema import validate_schema
+from uwh.schema import ColumnDef, DatabaseSchema, ForeignKey, TableSchema, validate_schema
 from uwh.values import ValueType
 
 
@@ -79,3 +83,66 @@ def test_manifest_roundtrip_canonical():
     db = canonical.canonical_schema()
     again = parse_schema_manifest(render_manifest(db))
     assert again == db
+
+
+def test_fk_target_with_a_space_inside_a_name_is_refused():
+    # whitespace inside a name is not glued away: "ma jor(mj_ id)" is not major(mj_id)
+    text = "TABLE major\n  mj_id INTEGER PK\nTABLE m\n  id INTEGER PK\n  m INTEGER FK ma jor(mj_ id)\n"
+    with pytest.raises(ManifestError, match="bad FK target") as exc:
+        parse_schema_manifest(text)
+    assert exc.value.line == 5
+
+
+def test_first_bad_line_wins_over_a_later_illegal_character():
+    with pytest.raises(ManifestError, match="unknown type name 'FLOAT'") as exc:
+        parse_schema_manifest("TABLE t\n  id FLOAT PK\n  a TEXT\n  b@ TEXT\n")
+    assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("space", ["\x0c", "\xa0"], ids=["form-feed", "nbsp"])
+def test_any_whitespace_separates_words(space):
+    db = parse_schema_manifest(f"TABLE{space}t\n  id{space}INTEGER PK{space}\n  a TEXT{space}NULL\n")
+    assert db.tables["t"] == TableSchema(
+        "t", (ColumnDef("id", ValueType.INTEGER), ColumnDef("a", ValueType.TEXT, True)), ("id",)
+    )
+
+
+@pytest.mark.parametrize("line", ["a integer PK", "a 'INTEGER' PK", "a INTEGER pk", "a INTEGER PK null"])
+def test_type_names_and_flags_are_capitals(line):
+    with pytest.raises(ManifestError) as exc:
+        parse_schema_manifest(f"TABLE t\n  {line}\n")
+    assert exc.value.line == 2
+
+
+# keyword-spelled words are names; only a line's leading TABLE opens a block
+_NAME_POOL = ["t", "st_id", "_x9", "date", "key", "group", "NULL", "PK", "FK", "table", "INTEGER"]
+
+
+@st.composite
+def _schemas(draw) -> DatabaseSchema:
+    names = draw(st.lists(st.sampled_from(_NAME_POOL), min_size=1, max_size=3, unique=True))
+    columns = {}
+    for name in names:
+        cols = [
+            ColumnDef(c, draw(st.sampled_from(list(ValueType))), draw(st.booleans()))
+            for c in draw(st.lists(st.sampled_from(_NAME_POOL), min_size=1, max_size=4, unique=True))
+        ]
+        columns[name] = [replace(cols[0], nullable=False)] + cols[1:]
+    tables = {}
+    for name, cols in columns.items():
+        pk = tuple(c.name for i, c in enumerate(cols) if not c.nullable and (i == 0 or draw(st.booleans())))
+        fks = []
+        for c in cols:
+            targets = [(t, tc.name) for t, tcs in columns.items() for tc in tcs if tc.type is c.type]
+            target = draw(st.none() | st.sampled_from(targets))
+            if target is not None:
+                fks.append(ForeignKey((c.name,), target[0], (target[1],)))
+        tables[name] = TableSchema(name, tuple(cols), pk, tuple(fks))
+    return DatabaseSchema(tables)
+
+
+@settings(max_examples=200, deadline=None)
+@given(db=_schemas())
+def test_manifest_roundtrip_with_crlf_line_ends(db):
+    assert validate_schema(db) == []
+    assert parse_schema_manifest(render_manifest(db).replace("\n", "\r\n")) == db

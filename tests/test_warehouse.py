@@ -357,6 +357,8 @@ _CATALOG_FORGERIES = {
     "row-count-as-text": lambda c: c["relations"][1].update(row_count=str(c["relations"][1]["row_count"])),
     "dimension-key-on-unknown-column": lambda c: c["dimensions"][0].update(key="nope"),
     "dimension-key-not-unique": lambda c: _dimension(c, "student").update(key="st_major_id"),
+    "dimension-missing": lambda c: c["dimensions"].remove(_dimension(c, "student")),
+    "dimension-twice": lambda c: c["dimensions"].append(dict(_dimension(c, "student"))),
     "fact-not-a-relation": lambda c: c.update(fact="payroll"),
     "fact-missing": lambda c: c.pop("fact"),
     "joins-not-a-list": lambda c: c.update(joins={}),
