@@ -1,5 +1,5 @@
-"""The transform-plan language: AST, recursive-descent parser, canonical
-pretty-printer, and expression typing.
+"""The transform-plan language: AST, recursive-descent parser and canonical
+pretty-printer.
 
 A plan is an ordered statement list over the staging schema:
 DROP TABLE, MERGE ... INTO ... ON ... KEEP, ADD COLUMN ... AS <expr>,
@@ -12,14 +12,12 @@ tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Iterator
 
-from .errors import ParseError, PlanParseError, ValidationError
+from .errors import ParseError, PlanParseError
 from .lexer import Token, tokenize
-from .schema import TableSchema
-from .values import COMPARISONS, ORDERED_TYPES, ValueType, coerce_literal, decimal_text, make_decimal, render_cell, value_tag
+from .values import COMPARISONS, ValueType, decimal_text, make_decimal, render_cell
 
 _POS = dict(default=0, compare=False, repr=False)
 
@@ -224,10 +222,16 @@ class _Parser:
             raise self.error("identifier")
         return self.advance()
 
+    def expect_name(self) -> Token:
+        """An identifier or a keyword-spelled word, where only a column name can stand."""
+        if self.peek().kind not in ("ident", "kw"):
+            raise self.error("identifier")
+        return self.advance()
+
     def qcol(self) -> Col:
         table = self.expect_ident()
         self.expect_symbol(".")
-        name = self.expect_ident()
+        name = self.expect_name()
         return Col(table.lexeme, name.lexeme, table.line, table.column)
 
     def literal(self):
@@ -405,7 +409,7 @@ class _Parser:
             self.advance()
             name = self.expect_ident()
             self.expect_kw("KEY")
-            key = self.expect_ident()
+            key = self.expect_name()
             self.expect_symbol(";")
             return Dimension(name.lexeme, key.lexeme, tok.line)
         raise self.error("statement keyword (DROP, MERGE, ADD, REMOVE, CLEAN, FACT, DIMENSION)")
@@ -446,12 +450,9 @@ def _lit_text(value: object) -> str:
         return "NULL"
     if isinstance(value, bool):
         return "TRUE" if value else "FALSE"
-    if isinstance(value, (int, Decimal)):
-        return render_cell(value)
     if isinstance(value, str):
         return "'" + value.replace("'", "''") + "'"
-    # coerced date literals render back as quoted ISO text
-    return "'" + render_cell(value) + "'"
+    return render_cell(value)
 
 
 def _wrap(e: Expr, text: str, parent_logical: bool) -> str:
@@ -514,94 +515,3 @@ def pretty_stmt(stmt: Statement) -> str:
 
 def pretty_plan(plan: Plan) -> str:
     return "".join(pretty_stmt(s) + "\n" for s in plan.statements)
-
-
-# ---------------------------------------------------------------------------
-# Expression traversal and typing
-
-
-def subexpressions(e: Expr) -> Iterator[Expr]:
-    """``e`` and every expression nested in it, parents first."""
-    yield e
-    for part in vars(e).values():
-        if isinstance(part, Expr):
-            yield from subexpressions(part)
-
-
-def _coerce_literal(lit: Lit, target: ValueType) -> Lit:
-    try:
-        return replace(lit, value=coerce_literal(lit.value, target))
-    except ValueError as exc:
-        raise ValidationError(f"line {lit.line}: {exc}") from None
-
-
-def _unify(a: Expr, at: ValueType | None, b: Expr, bt: ValueType | None, mismatch: str):
-    """(a, b, their common type): when both are typed and the types differ,
-    a literal operand, ``b`` first, is coerced to the other's type."""
-    if at is None or bt is None or at is bt:
-        return a, b, at or bt
-    if isinstance(b, Lit):
-        return a, _coerce_literal(b, at), at
-    if isinstance(a, Lit):
-        return _coerce_literal(a, bt), b, bt
-    raise ValidationError(mismatch)
-
-
-def _col_type(col: Col, table: TableSchema) -> ValueType:
-    if col.table != table.name:
-        raise ValidationError(f"line {col.line}: column reference {col} is outside table {table.name!r}")
-    if not table.has_column(col.name):
-        raise ValidationError(f"line {col.line}: unknown column {col}")
-    return table.column(col.name).type
-
-
-def type_expr(e: Expr, table: TableSchema) -> tuple[Expr, ValueType | None]:
-    """(``e`` with its literals coerced, its type) against one table's
-    columns; the type is None for the NULL literal. Raises ValidationError."""
-    if isinstance(e, Lit):
-        return e, (None if e.value is None else value_tag(e.value))
-    if isinstance(e, Col):
-        return e, _col_type(e, table)
-    if isinstance(e, Cmp):
-        left, lt = type_expr(e.left, table)
-        right, rt = type_expr(e.right, table)
-        left, right, t = _unify(left, lt, right, rt, f"line {e.line}: cannot compare {lt} with {rt}")
-        if e.op not in ("=", "<>") and t is not None and t not in ORDERED_TYPES:
-            raise ValidationError(f"line {e.line}: {e.op} is not defined for {t.value}")
-        return replace(e, left=left, right=right), ValueType.BOOLEAN
-    if isinstance(e, Logical):
-        left, lt = type_expr(e.left, table)
-        right, rt = type_expr(e.right, table)
-        for side in (lt, rt):
-            if side is not ValueType.BOOLEAN:
-                raise ValidationError(f"line {e.line}: {e.op} needs BOOLEAN operands")
-        return replace(e, left=left, right=right), ValueType.BOOLEAN
-    if isinstance(e, Not):
-        inner, t = type_expr(e.operand, table)
-        if t is not ValueType.BOOLEAN:
-            raise ValidationError(f"line {e.line}: NOT needs a BOOLEAN operand")
-        return replace(e, operand=inner), ValueType.BOOLEAN
-    if isinstance(e, Coalesce):
-        first, ft = type_expr(e.first, table)
-        second, st = type_expr(e.second, table)
-        if ft is None and st is None:
-            raise ValidationError(f"line {e.line}: COALESCE of two NULL literals has no type")
-        first, second, t = _unify(first, ft, second, st, f"line {e.line}: COALESCE operands differ: {ft} vs {st}")
-        return replace(e, first=first, second=second), t
-    if isinstance(e, IsNull):
-        inner, _ = type_expr(e.operand, table)
-        return replace(e, operand=inner), ValueType.BOOLEAN
-    if isinstance(e, PaidOnDue):
-        for col in (e.payment, e.due):
-            if _col_type(col, table) is not ValueType.DATE:
-                raise ValidationError(f"line {col.line}: PAID_ON_DUE needs DATE columns, {col} is not")
-        return e, ValueType.BOOLEAN
-    if isinstance(e, Difficulty):
-        gt = _col_type(e.grade, table)
-        if gt not in (ValueType.DECIMAL, ValueType.INTEGER):
-            raise ValidationError(f"line {e.line}: DIFFICULTY grade column must be numeric")
-        _col_type(e.group, table)
-        if e.hi <= e.lo:
-            raise ValidationError(f"line {e.line}: DIFFICULTY thresholds need hi > lo")
-        return e, ValueType.TEXT
-    raise TypeError(f"not an expression: {e!r}")

@@ -4,9 +4,10 @@ Each ``exec_*`` step is the one place its statement is checked and
 applied: it raises ``ValidationError`` when the statement does not fit
 the staging it receives, then changes rows and schema itself.
 ``validate_plan`` is those same steps run on the schema's empty tables,
-plus the two checks that need the whole plan (a removed column used
-later, and the FACT/DIMENSION rules). ``execute_plan`` validates first,
-so its real run can fail only on the data, such as an ambiguous merge.
+plus the one check that needs the whole plan (the FACT/DIMENSION rules);
+a statement that names a column an earlier one removed fails in its own
+step. ``execute_plan`` validates first, so its real run can fail only on
+the data, such as an ambiguous merge.
 
 Every operation is functional (the input staging is never mutated), so a
 failure anywhere leaves the caller's staging exactly as it was:
@@ -18,7 +19,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, replace
 from decimal import Decimal
-from typing import Iterable
+from operator import itemgetter
 
 from .cleanse import check_rule, cleanse_table, make_rule
 from .errors import PlanValidationError, ValidationError
@@ -45,12 +46,10 @@ from .plan import (
     Statement,
     pretty_plan,
     pretty_stmt,
-    subexpressions,
-    type_expr,
 )
 from .schema import ColumnDef, DatabaseSchema, Table, TableSchema
 from .staging import DEFAULT_TIMESTAMP, LineageEvent, StagingArea
-from .values import COMPARISONS, ValueType, make_decimal
+from .values import COMPARISONS, ORDERED_TYPES, ValueType, coerce_literal, make_decimal, value_tag
 
 
 def exec_drop(staging: StagingArea, name: str, *, timestamp: str = DEFAULT_TIMESTAMP) -> StagingArea:
@@ -220,7 +219,7 @@ def exec_merge(staging: StagingArea, stmt: Merge, *, timestamp: str = DEFAULT_TI
     return out
 
 
-def _difficulty_context(table: Table, expr: Difficulty) -> dict:
+def _difficulty_labels(rows: list[tuple], g_idx: int, k_idx: int, hi: Decimal, lo: Decimal) -> dict:
     """Group mean of the grade column per group key, bucketed to a label.
 
     The mean is an exact Decimal sum divided once at context precision,
@@ -228,11 +227,9 @@ def _difficulty_context(table: Table, expr: Difficulty) -> dict:
     with exact rational arithmetic. Null grades are excluded; an all-Null
     or empty group is 'unknown'; a Null group key forms its own group.
     """
-    g_idx = table.schema.column_index(expr.grade.name)
-    k_idx = table.schema.column_index(expr.group.name)
     sums: dict[object, Decimal] = {}
     counts: dict[object, int] = {}
-    for row in table.rows:
+    for row in rows:
         key = row[k_idx]
         grade = row[g_idx]
         if grade is None:
@@ -247,76 +244,120 @@ def _difficulty_context(table: Table, expr: Difficulty) -> dict:
             labels[key] = "unknown"
             continue
         mean = sums[key] / count
-        if mean >= expr.hi:
+        if mean >= hi:
             labels[key] = "low"
-        elif mean >= expr.lo:
+        elif mean >= lo:
             labels[key] = "medium"
         else:
             labels[key] = "high"
-    return {"column": k_idx, "labels": labels}
+    return labels
 
 
-def compile_expr(expr: Expr, schema: TableSchema):
-    """Closure evaluating a type-checked expression for one row.
+def _column(col: Col, schema: TableSchema) -> tuple[int, ValueType]:
+    if col.table != schema.name:
+        raise ValidationError(f"line {col.line}: column reference {col} is outside table {schema.name!r}")
+    if not schema.has_column(col.name):
+        raise ValidationError(f"line {col.line}: unknown column {col}")
+    return schema.column_index(col.name), schema.column(col.name).type
 
-    Aggregate context (for DIFFICULTY) is prepared once per statement by
-    the caller and passed per evaluation.
-    """
+
+def _operands(expr: Expr, a: Expr, b: Expr, table: Table, mismatch: str):
+    """``a`` and ``b`` compiled, and their common type: when both are typed
+    and the types differ, a literal operand, ``b`` first, is coerced to the
+    other's type; otherwise ``mismatch`` is formatted with the two types."""
+    (fa, at), (fb, bt) = compile_expr(a, table), compile_expr(b, table)
+    if at is None or bt is None or at is bt:
+        return fa, fb, at or bt
+    if isinstance(b, Lit):
+        return fa, _coerced(b, at), at
+    if isinstance(a, Lit):
+        return _coerced(a, bt), fb, bt
+    raise ValidationError(f"line {expr.line}: " + mismatch.format(at, bt))
+
+
+def _coerced(lit: Lit, target: ValueType):
+    try:
+        value = coerce_literal(lit.value, target)
+    except ValueError as exc:
+        raise ValidationError(f"line {lit.line}: {exc}") from None
+    return lambda row: value
+
+
+def compile_expr(expr: Expr, table: Table):
+    """(row -> value, type) for an expression over ``table``'s rows, in one
+    walk: each column reference is checked, each operand typed (the NULL
+    literal has type None), a literal that meets a typed operand is coerced
+    to its type, and DIFFICULTY's labels are computed from ``table.rows``.
+    Raises ValidationError."""
     if isinstance(expr, Lit):
         value = expr.value
-        return lambda row, agg: value
+        return (lambda row: value), (None if value is None else value_tag(value))
     if isinstance(expr, Col):
-        idx = schema.column_index(expr.name)
-        return lambda row, agg: row[idx]
+        idx, vtype = _column(expr, table.schema)
+        return itemgetter(idx), vtype
     if isinstance(expr, Cmp):
-        left = compile_expr(expr.left, schema)
-        right = compile_expr(expr.right, schema)
+        left, right, t = _operands(expr, expr.left, expr.right, table, "cannot compare {} with {}")
+        if expr.op not in ("=", "<>") and t is not None and t not in ORDERED_TYPES:
+            raise ValidationError(f"line {expr.line}: {expr.op} is not defined for {t.value}")
         op = COMPARISONS[expr.op]
 
-        def cmp(row, agg):
-            a = left(row, agg)
-            b = right(row, agg)
+        def cmp(row):
+            a = left(row)
+            b = right(row)
             return a is not None and b is not None and op(a, b)
 
-        return cmp
+        return cmp, ValueType.BOOLEAN
     if isinstance(expr, Logical):
-        left = compile_expr(expr.left, schema)
-        right = compile_expr(expr.right, schema)
+        (left, lt), (right, rt) = compile_expr(expr.left, table), compile_expr(expr.right, table)
+        if lt is not ValueType.BOOLEAN or rt is not ValueType.BOOLEAN:
+            raise ValidationError(f"line {expr.line}: {expr.op} needs BOOLEAN operands")
         if expr.op == "AND":
-            return lambda row, agg: left(row, agg) and right(row, agg)
-        return lambda row, agg: left(row, agg) or right(row, agg)
+            return (lambda row: left(row) and right(row)), ValueType.BOOLEAN
+        return (lambda row: left(row) or right(row)), ValueType.BOOLEAN
     if isinstance(expr, Not):
-        inner = compile_expr(expr.operand, schema)
-        return lambda row, agg: not inner(row, agg)
+        inner, t = compile_expr(expr.operand, table)
+        if t is not ValueType.BOOLEAN:
+            raise ValidationError(f"line {expr.line}: NOT needs a BOOLEAN operand")
+        return (lambda row: not inner(row)), ValueType.BOOLEAN
     if isinstance(expr, Coalesce):
-        first = compile_expr(expr.first, schema)
-        second = compile_expr(expr.second, schema)
+        first, second, t = _operands(expr, expr.first, expr.second, table, "COALESCE operands differ: {} vs {}")
+        if t is None:
+            raise ValidationError(f"line {expr.line}: COALESCE of two NULL literals has no type")
 
-        def coalesce(row, agg):
-            v = first(row, agg)
-            return v if v is not None else second(row, agg)
+        def coalesce(row):
+            v = first(row)
+            return v if v is not None else second(row)
 
-        return coalesce
+        return coalesce, t
     if isinstance(expr, IsNull):
-        inner = compile_expr(expr.operand, schema)
-        return lambda row, agg: inner(row, agg) is None
+        inner, _ = compile_expr(expr.operand, table)
+        return (lambda row: inner(row) is None), ValueType.BOOLEAN
     if isinstance(expr, PaidOnDue):
-        p_idx = schema.column_index(expr.payment.name)
-        d_idx = schema.column_index(expr.due.name)
+        p_idx, d_idx = (_date_column(col, table.schema) for col in (expr.payment, expr.due))
 
-        def paid(row, agg):
+        def paid(row):
             p = row[p_idx]
             d = row[d_idx]
             return p is not None and d is not None and p <= d
 
-        return paid
+        return paid, ValueType.BOOLEAN
     if isinstance(expr, Difficulty):
-        def difficulty(row, agg):
-            ctx = agg[id(expr)]
-            return ctx["labels"].get(row[ctx["column"]], "unknown")
-
-        return difficulty
+        g_idx, gt = _column(expr.grade, table.schema)
+        if gt not in (ValueType.DECIMAL, ValueType.INTEGER):
+            raise ValidationError(f"line {expr.line}: DIFFICULTY grade column must be numeric")
+        k_idx, _ = _column(expr.group, table.schema)
+        if expr.hi <= expr.lo:
+            raise ValidationError(f"line {expr.line}: DIFFICULTY thresholds need hi > lo")
+        labels = _difficulty_labels(table.rows, g_idx, k_idx, expr.hi, expr.lo)
+        return (lambda row: labels.get(row[k_idx], "unknown")), ValueType.TEXT
     raise TypeError(f"not an expression: {expr!r}")
+
+
+def _date_column(col: Col, schema: TableSchema) -> int:
+    idx, vtype = _column(col, schema)
+    if vtype is not ValueType.DATE:
+        raise ValidationError(f"line {col.line}: PAID_ON_DUE needs DATE columns, {col} is not")
+    return idx
 
 
 def exec_add_column(staging: StagingArea, stmt: AddColumn, *, timestamp: str = DEFAULT_TIMESTAMP) -> StagingArea:
@@ -325,13 +366,11 @@ def exec_add_column(staging: StagingArea, stmt: AddColumn, *, timestamp: str = D
         raise ValidationError(f"unknown table {stmt.table!r}")
     if table.schema.has_column(stmt.name):
         raise ValidationError(f"column {stmt.table}.{stmt.name} already exists")
-    derivation, dtype = type_expr(stmt.derivation, table.schema)
+    fn, dtype = compile_expr(stmt.derivation, table)
     if dtype is not None and dtype is not stmt.type:
         raise ValidationError(f"derivation evaluates to {dtype.value}, column declared {stmt.type.value}")
-    agg = {id(e): _difficulty_context(table, e) for e in subexpressions(derivation) if isinstance(e, Difficulty)}
-    fn = compile_expr(derivation, table.schema)
     value_of = _as_cell(stmt.type)
-    rows = [row + (value_of(fn(row, agg)),) for row in table.rows]
+    rows = [row + (value_of(fn(row)),) for row in table.rows]
     schema = replace(table.schema, columns=table.schema.columns + (ColumnDef(stmt.name, stmt.type, nullable=True),))
     out = staging.clone()
     out.tables[stmt.table] = Table(schema, rows)
@@ -437,28 +476,6 @@ class PlanDiagnostic:
         return f"{where}: {self.message}"
 
 
-def _later_column_uses(statements: Iterable[Statement], table: str, column: str) -> bool:
-    for stmt in statements:
-        if isinstance(stmt, Merge):
-            for c in stmt.conditions:
-                if (c.left.table, c.left.name) == (table, column) or (c.right.table, c.right.name) == (table, column):
-                    return True
-            if any((k.table, k.name) == (table, column) for k in stmt.keep):
-                return True
-        elif isinstance(stmt, AddColumn):
-            if stmt.table == table and any(
-                isinstance(e, Col) and (e.table, e.name) == (table, column) for e in subexpressions(stmt.derivation)
-            ):
-                return True
-        elif isinstance(stmt, (RemoveColumn, Clean)):
-            if (stmt.table, stmt.name) == (table, column):
-                return True
-        elif isinstance(stmt, Dimension):
-            if (stmt.table, stmt.key) == (table, column):
-                return True
-    return False
-
-
 def validate_plan(plan: Plan, db: DatabaseSchema, *, require_warehouse_decls: bool = True) -> DatabaseSchema:
     """The schema ``plan`` leaves, found by running its statements' own
     ``exec_*`` steps on ``db``'s tables with no rows. Raises
@@ -478,8 +495,6 @@ def validate_plan(plan: Plan, db: DatabaseSchema, *, require_warehouse_decls: bo
             current = _exec_statement(current, stmt, DEFAULT_TIMESTAMP)
         except ValidationError as exc:
             raise PlanValidationError([PlanDiagnostic(i, str(exc))]) from None
-        if isinstance(stmt, RemoveColumn) and _later_column_uses(statements[i + 1:], stmt.table, stmt.name):
-            fail(i, f"column {stmt.table}.{stmt.name} is used by a later statement")
 
     final = current.schema()
     facts = [(i, s) for i, s in enumerate(statements) if isinstance(s, Fact)]

@@ -365,7 +365,7 @@ def _attribute(p: _Parser) -> str:
     name = p.expect_ident().lexeme
     if p.at_symbol("."):
         p.advance()
-        name += "." + p.expect_ident().lexeme
+        name += "." + p.expect_name().lexeme
     return name
 
 

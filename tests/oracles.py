@@ -3,13 +3,15 @@
 Everything here deliberately avoids the engine's own machinery: joins are
 nested-loop scans without hash maps, referential checks scan full target
 tables, means are exact rational arithmetic, extraction parses the whole
-file before it types any cell, and cleansing applies one rule at a time to
-the whole table.
+file before it types any cell, cleansing applies one rule at a time to
+the whole table, and a derivation is walked afresh for every row.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from datetime import date
 from decimal import Decimal
 from fractions import Fraction
 from operator import itemgetter
@@ -18,6 +20,7 @@ from uwh.cleanse import RuleStats, TableCleanseSlice, _cell_fn, check_rule
 from uwh.csvio import format_field, parse_csv
 from uwh.errors import ValidationError
 from uwh.ingest import TableExtraction
+from uwh.plan import Cmp, Coalesce, Col, Difficulty, IsNull, Lit, Logical, Not, PaidOnDue
 from uwh.schema import RowIssue, Table, TableSchema
 from uwh.staging import QRow, Quarantine, parse_cell
 from uwh.values import RawCell, ValueType, parse_typed, render_cell, value_tag
@@ -240,6 +243,82 @@ def difficulty_recompute(pairs: list[tuple[object, object]], hi: int, lo: int) -
         else:
             labels[key] = "high"
     return labels
+
+
+_ORDER = {"=": operator.eq, "<>": operator.ne, "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _reference_type(e, schema: TableSchema) -> ValueType | None:
+    """The type of a well-typed expression; None for the NULL literal."""
+    if isinstance(e, Lit):
+        return None if e.value is None else value_tag(e.value)
+    if isinstance(e, Col):
+        return schema.column(e.name).type
+    if isinstance(e, Coalesce):
+        a, b = _reference_type(e.first, schema), _reference_type(e.second, schema)
+        if a is None or b is None or a is b:
+            return a or b
+        return a if isinstance(e.second, Lit) else b
+    if isinstance(e, Difficulty):
+        return ValueType.TEXT
+    return ValueType.BOOLEAN
+
+
+def _reference_pair(a, b, table: Table, row: tuple) -> tuple:
+    """Both operands' values; when both are typed and the types differ, the
+    literal one (``b`` if both are) is read as the other's type: an INTEGER
+    as a DECIMAL, ISO text as a DATE."""
+    va, vb = _reference_value(a, table, row), _reference_value(b, table, row)
+    at, bt = _reference_type(a, table.schema), _reference_type(b, table.schema)
+    if at is not None and bt is not None and at is not bt:
+        if isinstance(b, Lit):
+            vb = Decimal(vb) if at is ValueType.DECIMAL else date.fromisoformat(vb)
+        else:
+            va = Decimal(va) if bt is ValueType.DECIMAL else date.fromisoformat(va)
+    return va, vb
+
+
+def _reference_value(e, table: Table, row: tuple):
+    schema = table.schema
+    if isinstance(e, Lit):
+        return e.value
+    if isinstance(e, Col):
+        return row[schema.column_index(e.name)]
+    if isinstance(e, Cmp):
+        a, b = _reference_pair(e.left, e.right, table, row)
+        return a is not None and b is not None and _ORDER[e.op](a, b)
+    if isinstance(e, Logical):
+        # a Null BOOLEAN cell is neither false nor SQL's unknown: Null AND x
+        # is Null, Null OR x is x, and NOT Null is TRUE
+        a = _reference_value(e.left, table, row)
+        if e.op == "AND":
+            return False if a is False else None if a is None else _reference_value(e.right, table, row)
+        return True if a is True else _reference_value(e.right, table, row)
+    if isinstance(e, Not):
+        return _reference_value(e.operand, table, row) is not True
+    if isinstance(e, Coalesce):
+        a, b = _reference_pair(e.first, e.second, table, row)
+        return b if a is None else a
+    if isinstance(e, IsNull):
+        return _reference_value(e.operand, table, row) is None
+    if isinstance(e, PaidOnDue):
+        return paid_on_due_recompute(row[schema.column_index(e.payment.name)], row[schema.column_index(e.due.name)])
+    if isinstance(e, Difficulty):
+        g, k = schema.column_index(e.grade.name), schema.column_index(e.group.name)
+        labels = difficulty_recompute([(r[k], r[g]) for r in table.rows], Fraction(e.hi), Fraction(e.lo))
+        return labels[row[k]]
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def derivation_reference(expr, table: Table, declared: ValueType) -> list:
+    """The cells ``ADD COLUMN ... <declared> AS expr`` gives ``table``'s rows,
+    for a well-typed ``expr``: a comparison with a Null operand is false, and
+    DIFFICULTY buckets exact-rational group means. A DECIMAL cell is put on
+    the 4-digit grid."""
+    cells = [_reference_value(expr, table, row) for row in table.rows]
+    if declared is ValueType.DECIMAL:
+        cells = [None if v is None else Decimal(v).quantize(Decimal("0.0001")) for v in cells]
+    return cells
 
 
 def full_scan_ordinals(table: Table, columns: tuple[str, ...], key: tuple) -> list[int]:

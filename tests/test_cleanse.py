@@ -425,6 +425,10 @@ def test_rules_file_errors():
         parse_rules("CLEAN student.st_name WITH frobnicate ;")
 
 
+def test_rules_file_names_a_keyword_spelled_column():
+    assert parse_rules("CLEAN t.group WITH trim ;") == [CleanseRule("t", "group", "trim", ())]
+
+
 def test_report_json_and_text(seed42_staging):
     _, report = cleanse_staging(seed42_staging, list(canonical.canonical_rules()), timestamp="T")
     payload = report.to_json_dict()

@@ -1,0 +1,66 @@
+"""Every name a ``uwh`` module imports is used in that module.
+
+With no linter in the toolchain, this stands in for pyflakes' F401. The one
+exception is a name kept only so the benchmark's tracer can rebind it: its
+import line says ``noqa: F401`` and ``perfbench/tracer.py`` lists the
+(module, name) pair among its spans or aggregates.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_ROOT = Path(__file__).resolve().parent.parent
+_SRC = _ROOT / "src" / "uwh"
+
+_spec = importlib.util.spec_from_file_location("perfbench_tracer", _ROOT / "perfbench" / "tracer.py")
+tracer = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracer)
+_TRACED = {(m, a) for m, a, *_ in tracer.SPANS + tracer.AGGREGATES}
+
+_MODULES = sorted(p.stem for p in _SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _imports(tree: ast.Module):
+    """(bound name, line) for each name an import statement binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def unused_imports(module: str) -> list[str]:
+    """The names ``uwh.<module>`` imports, uses nowhere and does not keep for the tracer."""
+    text = (_SRC / f"{module}.py").read_text(encoding="utf-8")
+    tree = ast.parse(text)
+    lines = text.splitlines()
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = []
+    for name, lineno in _imports(tree):
+        if name in used:
+            continue
+        if "noqa: F401" in lines[lineno - 1] and (f"uwh.{module}", name) in _TRACED:
+            continue
+        unused.append(f"{module}.py:{lineno}: {name}")
+    return unused
+
+
+@pytest.mark.parametrize("module", _MODULES)
+def test_imported_names_are_used(module):
+    assert unused_imports(module) == []
+
+
+def test_a_noqa_import_needs_a_tracer_entry(tmp_path, monkeypatch):
+    """``noqa`` alone does not excuse a name: the tracer must rebind it."""
+    (tmp_path / "probe.py").write_text(
+        "from .csvio import parse_csv  # noqa: F401\nfrom .values import render_cell\n", encoding="utf-8"
+    )
+    monkeypatch.setitem(globals(), "_SRC", tmp_path)
+    assert unused_imports("probe") == ["probe.py:1: parse_csv", "probe.py:2: render_cell"]

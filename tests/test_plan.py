@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from datetime import date
 from decimal import Decimal
 
 import pytest
@@ -7,16 +8,20 @@ import pytest
 from uwh import canonical
 from uwh.errors import PlanParseError, PlanValidationError
 from uwh.lexer import tokenize
+from uwh.manifest import parse_schema_manifest
 from uwh.plan import (
     AddColumn,
     Clean,
+    Cmp,
+    Col,
     Difficulty,
+    Dimension,
     RemoveColumn,
     parse_plan,
     pretty_plan,
-    type_expr,
 )
-from uwh.transform import validate_plan
+from uwh.schema import Table
+from uwh.transform import compile_expr, validate_plan
 from uwh.values import ValueType
 
 CANONICAL_DB = canonical.canonical_schema()
@@ -255,7 +260,8 @@ def test_validate_remove_column_used_later():
     plan = parse_plan("REMOVE COLUMN receipt.re_dueDate ;\nADD COLUMN receipt.x BOOLEAN AS PAID_ON_DUE(receipt.re_dateOfPayment, receipt.re_dueDate) ;")
     with pytest.raises(PlanValidationError) as exc:
         validate_plan(plan, CANONICAL_DB, require_warehouse_decls=False)
-    assert "used by a later statement" in exc.value.diagnostics[0].message
+    [diag] = exc.value.diagnostics
+    assert diag.index == 1 and "unknown column receipt.re_dueDate" in diag.message
 
 
 def test_validate_remove_fk_target_column():
@@ -284,12 +290,48 @@ def test_validate_coerces_date_and_decimal_literals():
         "ADD COLUMN transcript.y BOOLEAN AS transcript.tr_grade >= 80 ;"
     )
     validate_plan(plan, CANONICAL_DB, require_warehouse_decls=False)
-    cmp1, t1 = type_expr(plan.statements[0].derivation, CANONICAL_DB.tables["student"])
-    from datetime import date
 
-    assert cmp1.right.value == date(1990, 1, 1) and t1 is ValueType.BOOLEAN
-    cmp2, _ = type_expr(plan.statements[1].derivation, CANONICAL_DB.tables["transcript"])
-    assert cmp2.right.value == Decimal("80")
+    def evaluate(stmt, column, value):
+        schema = CANONICAL_DB.tables[stmt.table]
+        fn, vtype = compile_expr(stmt.derivation, Table(schema, []))
+        row = [None] * len(schema.columns)
+        row[schema.column_index(column)] = value
+        return fn(tuple(row)), vtype
+
+    # an uncoerced '1990-01-01' would make the DATE comparison raise TypeError
+    assert evaluate(plan.statements[0], "st_dob", date(1990, 1, 1)) == (True, ValueType.BOOLEAN)
+    assert evaluate(plan.statements[0], "st_dob", date(1989, 12, 31)) == (False, ValueType.BOOLEAN)
+    assert evaluate(plan.statements[1], "tr_grade", Decimal("80.0000"))[0] is True
+    assert evaluate(plan.statements[1], "tr_grade", Decimal("79.9999"))[0] is False
+
+
+def test_validate_coerces_the_second_of_two_literals():
+    validate_plan(parse_plan("ADD COLUMN student.x DECIMAL AS COALESCE(2.5, 3) ;"), CANONICAL_DB, require_warehouse_decls=False)
+    with pytest.raises(PlanValidationError) as exc:
+        validate_plan(parse_plan("ADD COLUMN student.x INTEGER AS COALESCE(3, 2.5) ;"), CANONICAL_DB, require_warehouse_decls=False)
+    assert "literal Decimal('2.5000') does not match type INTEGER" in exc.value.diagnostics[0].message
+
+
+def test_paid_on_due_checks_its_payment_column_before_its_due_column():
+    plan = parse_plan("ADD COLUMN receipt.x BOOLEAN AS PAID_ON_DUE(receipt.re_amount, receipt.ghost) ;")
+    with pytest.raises(PlanValidationError) as exc:
+        validate_plan(plan, CANONICAL_DB, require_warehouse_decls=False)
+    assert "PAID_ON_DUE needs DATE columns, receipt.re_amount is not" in exc.value.diagnostics[0].message
+
+
+def test_keyword_spelled_column_names_after_the_dot():
+    plan = parse_plan(
+        "ADD COLUMN t.key BOOLEAN AS t.date = t.group ;\n"
+        "CLEAN t.date WITH trim ;\n"
+        "REMOVE COLUMN t.group ;\n"
+        "DIMENSION t KEY date ;"
+    )
+    assert plan.statements[0].derivation == Cmp("=", Col("t", "date"), Col("t", "group"))
+    assert plan.statements[1:] == (Clean("t", "date", "trim"), RemoveColumn("t", "group"), Dimension("t", "date"))
+    assert parse_plan(pretty_plan(plan)) == plan
+    db = parse_schema_manifest("TABLE t\n  id INTEGER PK\n  date TEXT\n  group TEXT\n")
+    final = validate_plan(plan, db, require_warehouse_decls=False)
+    assert final.tables["t"].column_names == ("id", "date", "key")
 
 
 def test_validate_merge_keep_collision():

@@ -4,8 +4,10 @@ import hashlib
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import difficulty_recompute, left_merge_nested_loop, paid_on_due_recompute
+from oracles import derivation_reference, difficulty_recompute, left_merge_nested_loop, paid_on_due_recompute
 from uwh import canonical
 from uwh.cleanse import cleanse_staging
 from uwh.datagen import GenConfig, generate
@@ -25,7 +27,7 @@ from uwh.transform import (
     execute_plan,
     validate_plan,
 )
-from uwh.values import make_decimal, render_cell
+from uwh.values import ValueType, make_decimal, render_cell
 
 TS = "T"
 
@@ -239,6 +241,100 @@ def test_coalesce_and_null_comparisons():
     assert _derived(table, "ADD COLUMN t.x BOOLEAN AS IS_NULL(t.a) ;") == [True, False, True]
 
 
+_H = parse_schema_manifest(
+    "TABLE h\n  id INTEGER PK\n  i INTEGER NULL\n  j INTEGER NULL\n  d DECIMAL NULL\n  e DECIMAL NULL\n"
+    "  s TEXT NULL\n  u TEXT NULL\n  b BOOLEAN NULL\n  c BOOLEAN NULL\n  dt DATE NULL\n  du DATE NULL\n"
+).tables["h"]
+_INTEGER, _DECIMAL, _TEXT, _BOOLEAN, _DATE = ValueType
+_COLUMNS = {_INTEGER: "ij", _DECIMAL: "de", _TEXT: "su", _BOOLEAN: "bc", _DATE: ("dt", "du")}
+_CELLS = {
+    _INTEGER: st.integers(-3, 3),
+    _DECIMAL: st.sampled_from(["-1.5", "0", "2.25", "3"]).map(make_decimal),
+    _TEXT: st.sampled_from(["", " x ", "b", "B"]),
+    _BOOLEAN: st.booleans(),
+    _DATE: st.sampled_from([date(2011, 9, 14), date(2011, 9, 15), date(2012, 2, 29)]),
+}
+_LITERALS = {_INTEGER: ("0", "3", "-2"), _DECIMAL: ("2.25", "-1.5"), _TEXT: ("''", "' x '", "'b'"), _BOOLEAN: ("TRUE", "FALSE")}
+_COERCED = {_DECIMAL: ("3", "-2"), _DATE: ("'2011-09-15'", "'2012-02-29'")}  # literals of another type
+
+
+@st.composite
+def _typed(draw, vtype, depth):
+    """(text, is a literal) of a well-typed expression of ``vtype``."""
+    kinds = ["column"] + (["literal"] if vtype in _LITERALS else [])
+    if depth:
+        kinds += ["coalesce"] + {_BOOLEAN: ["cmp", "logical", "not", "is_null", "paid"], _TEXT: ["difficulty"]}.get(vtype, [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "column":
+        return f"h.{draw(st.sampled_from(_COLUMNS[vtype]))}", False
+    if kind == "literal":
+        return draw(st.sampled_from(_LITERALS[vtype])), True
+    if kind == "coalesce":
+        a, b = draw(_pair(vtype, depth - 1))
+        return f"COALESCE({a}, {b})", False
+    if kind == "cmp":
+        t = draw(st.sampled_from(list(ValueType)))
+        a, b = draw(_pair(t, depth - 1))
+        op = draw(st.sampled_from(["=", "<>"] if t is _BOOLEAN else ["=", "<>", "<", "<=", ">", ">="]))
+        return f"({a}) {op} ({b})", False
+    if kind == "logical":
+        (a, _), (b, _) = draw(_typed(_BOOLEAN, depth - 1)), draw(_typed(_BOOLEAN, depth - 1))
+        return f"({a}) {draw(st.sampled_from(['AND', 'OR']))} ({b})", False
+    if kind == "not":
+        return f"NOT ({draw(_typed(_BOOLEAN, depth - 1))[0]})", False
+    if kind == "is_null":
+        t = draw(st.sampled_from(list(ValueType)))
+        return f"IS_NULL({draw(st.just('NULL') | _typed(t, depth - 1).map(lambda x: x[0]))})", False
+    if kind == "paid":
+        return f"PAID_ON_DUE(h.{draw(st.sampled_from(['dt', 'du']))}, h.{draw(st.sampled_from(['dt', 'du']))})", False
+    grade = draw(st.sampled_from("ijde"))
+    group = draw(st.sampled_from([c.name for c in _H.columns]))
+    hi, lo = draw(st.sampled_from([("3", "1"), ("2.25", "-1"), ("0", "-0.5")]))
+    return f"DIFFICULTY(h.{grade} GROUP BY h.{group} THRESHOLDS {hi}, {lo})", False
+
+
+@st.composite
+def _pair(draw, vtype, depth):
+    """Two operand texts that unify to ``vtype``: either may be NULL, and a
+    literal of another type stands where the coercion rule (``b`` first)
+    turns it into ``vtype``."""
+    (a, a_lit), (b, b_lit) = draw(_typed(vtype, depth)), draw(_typed(vtype, depth))
+    slots = ["as is", "NULL first", "NULL second"]
+    if vtype in _COERCED:
+        slots += ["coerced second"] + (["coerced first"] if not b_lit else [])
+    if vtype in _COERCED and vtype in _LITERALS:
+        slots += ["literal, coerced second"]
+    slot = draw(st.sampled_from(slots))
+    if slot == "NULL first":
+        a = "NULL"
+    elif slot == "NULL second":
+        b = "NULL"
+    elif slot == "coerced first":
+        a = draw(st.sampled_from(_COERCED[vtype]))
+    elif slot == "coerced second":
+        b = draw(st.sampled_from(_COERCED[vtype]))
+    elif slot == "literal, coerced second":
+        a, b = draw(st.sampled_from(_LITERALS[vtype])), draw(st.sampled_from(_COERCED[vtype]))
+    return a, b
+
+
+_H_ROWS = st.lists(st.tuples(*(st.none() | _CELLS[c.type] for c in _H.columns[1:])), max_size=6).map(
+    # the first row holds a Null of each type
+    lambda rows: [(n, *cells) for n, cells in enumerate([(None,) * (len(_H.columns) - 1)] + rows)]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_add_column_matches_reference_evaluator(data):
+    vtype = data.draw(st.sampled_from(list(ValueType)), label="type")
+    body = data.draw(st.just("NULL") | _typed(vtype, 3).map(lambda x: x[0]), label="derivation")
+    table = Table(_H, data.draw(_H_ROWS, label="rows"))
+    stmt = parse_plan(f"ADD COLUMN h.x {vtype.value} AS {body} ;").statements[0]
+    got = [row[-1] for row in exec_add_column(StagingArea(tables={"h": table}), stmt).tables["h"].rows]
+    assert list(map(repr, got)) == list(map(repr, derivation_reference(stmt.derivation, table, vtype)))
+
+
 # --- add/remove column -----------------------------------------------------------
 
 
@@ -305,6 +401,25 @@ def test_add_column_name_collision():
     staging = StagingArea(tables={"t": Table(db.tables["t"], [])})
     with pytest.raises(ValidationError):
         exec_add_column(staging, parse_plan("ADD COLUMN t.id INTEGER AS 5 ;").statements[0])
+
+
+def test_a_removed_column_can_be_added_back(seed42_cleansed):
+    plan = parse_plan(
+        "REMOVE COLUMN student.st_address ;\n"
+        "ADD COLUMN student.st_address TEXT AS student.st_name ;\n"
+        "CLEAN student.st_address WITH trim ;"
+    )
+    validate_plan(plan, seed42_cleansed.schema(), require_warehouse_decls=False)
+    staging = seed42_cleansed.clone()
+    student = staging.tables["student"]
+    name = student.schema.column_index("st_name")
+    padded = [row if row[name] is None else row[:name] + (f" {row[name]}  ",) + row[name + 1:] for row in student.rows]
+    staging.tables["student"] = Table(student.schema, padded)
+    student = execute_plan(staging, plan, timestamp=TS)[0].tables["student"]
+    address = student.schema.column_index("st_address")
+    names = [row[name] for row in padded]
+    assert [row[address] for row in student.rows] == [None if n is None else n.strip() for n in names]
+    assert any(n is not None for n in names)
 
 
 def test_remove_columns_canonical_sequence(seed42_cleansed):

@@ -628,6 +628,14 @@ def test_parse_measure_forms():
             parse_measure(bad)
 
 
+def test_parse_measure_keyword_spelled_column_after_the_dot():
+    assert parse_measure("MAX(t.date)") == Measure("MAX", "t.date")
+
+
+def test_parse_filter_keyword_spelled_column_after_the_dot():
+    assert parse_filter("t.date = 1") == Filter("t.date", "=", 1)
+
+
 def test_parse_filter_forms():
     assert parse_filter("tr_year = 2012") == Filter("tr_year", "=", 2012)
     assert parse_filter("dep_name = 'Biology'") == Filter("dep_name", "=", "Biology")
