@@ -223,13 +223,19 @@ class _Parser:
         return self.advance()
 
     def expect_name(self) -> Token:
-        """An identifier or a keyword-spelled word, where only a column name can stand."""
+        """An identifier or a keyword-spelled word, where only a table or
+        column name can stand."""
         if self.peek().kind not in ("ident", "kw"):
             raise self.error("identifier")
         return self.advance()
 
+    def at_qcol(self) -> bool:
+        """At ``name .``, a column reference whose table name may be spelled like a keyword."""
+        nxt = self.tokens[min(self.pos + 1, len(self.tokens) - 1)]
+        return self.peek().kind in ("ident", "kw") and nxt.kind == "symbol" and nxt.lexeme == "."
+
     def qcol(self) -> Col:
-        table = self.expect_ident()
+        table = self.expect_name()
         self.expect_symbol(".")
         name = self.expect_name()
         return Col(table.lexeme, name.lexeme, table.line, table.column)
@@ -291,6 +297,8 @@ class _Parser:
             inner = self.expr()
             self.expect_symbol(")")
             return inner
+        if tok.kind == "ident" or self.at_qcol():
+            return self.qcol()
         if tok.kind == "kw" and tok.norm == "COALESCE":
             self.advance()
             self.expect_symbol("(")
@@ -326,8 +334,6 @@ class _Parser:
             lo = self.threshold_number()
             self.expect_symbol(")")
             return Difficulty(grade, group, hi, lo, tok.line, tok.column)
-        if tok.kind == "ident":
-            return self.qcol()
         if tok.kind in ("number", "string") or (tok.kind == "kw" and tok.norm in ("TRUE", "FALSE", "NULL")):
             line, column = tok.line, tok.column
             return Lit(self.literal(), line, column)
@@ -345,19 +351,19 @@ class _Parser:
         if self.at_kw("DROP"):
             self.advance()
             self.expect_kw("TABLE")
-            name = self.expect_ident()
+            name = self.expect_name()
             self.expect_symbol(";")
             return DropTable(name.lexeme, tok.line)
         if self.at_kw("MERGE"):
             self.advance()
-            sources = [self.expect_ident().lexeme]
+            sources = [self.expect_name().lexeme]
             self.expect_symbol(",")
-            sources.append(self.expect_ident().lexeme)
+            sources.append(self.expect_name().lexeme)
             while self.at_symbol(","):
                 self.advance()
-                sources.append(self.expect_ident().lexeme)
+                sources.append(self.expect_name().lexeme)
             self.expect_kw("INTO")
-            target = self.expect_ident().lexeme
+            target = self.expect_name().lexeme
             self.expect_kw("ON")
             conds = [self.join_cond()]
             while self.at_kw("AND"):
@@ -402,12 +408,12 @@ class _Parser:
             return Clean(col.table, col.name, kind, tuple(args), tok.line)
         if self.at_kw("FACT"):
             self.advance()
-            name = self.expect_ident()
+            name = self.expect_name()
             self.expect_symbol(";")
             return Fact(name.lexeme, tok.line)
         if self.at_kw("DIMENSION"):
             self.advance()
-            name = self.expect_ident()
+            name = self.expect_name()
             self.expect_kw("KEY")
             key = self.expect_name()
             self.expect_symbol(";")

@@ -3,11 +3,12 @@
 Each ``exec_*`` step is the one place its statement is checked and
 applied: it raises ``ValidationError`` when the statement does not fit
 the staging it receives, then changes rows and schema itself.
-``validate_plan`` is those same steps run on the schema's empty tables,
-plus the one check that needs the whole plan (the FACT/DIMENSION rules);
-a statement that names a column an earlier one removed fails in its own
-step. ``execute_plan`` validates first, so its real run can fail only on
-the data, such as an ambiguous merge.
+``execute_plan`` runs the steps in order and then checks the FACT and
+DIMENSION declarations against the tables they leave; the first
+statement that does not fit, in its schema or in its data (such as an
+ambiguous merge), is reported by its index. ``validate_plan`` is
+``execute_plan`` run on the schema's empty tables. A statement that
+names a column an earlier one removed fails in its own step.
 
 Every operation is functional (the input staging is never mutated), so a
 failure anywhere leaves the caller's staging exactly as it was:
@@ -19,7 +20,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, replace
 from decimal import Decimal
+from itertools import repeat
 from operator import itemgetter
+from typing import NoReturn
 
 from .cleanse import check_rule, cleanse_table, make_rule
 from .errors import PlanValidationError, ValidationError
@@ -47,9 +50,9 @@ from .plan import (
     pretty_plan,
     pretty_stmt,
 )
-from .schema import ColumnDef, DatabaseSchema, Table, TableSchema
+from .schema import ColumnDef, DatabaseSchema, Table, TableSchema, key_getter
 from .staging import DEFAULT_TIMESTAMP, LineageEvent, StagingArea
-from .values import COMPARISONS, ORDERED_TYPES, ValueType, coerce_literal, make_decimal, value_tag
+from .values import COMPARISONS, ORDERED_TYPES, RawCell, ValueType, coerce_literal, make_decimal, value_tag
 
 
 def exec_drop(staging: StagingArea, name: str, *, timestamp: str = DEFAULT_TIMESTAMP) -> StagingArea:
@@ -149,47 +152,23 @@ def exec_merge(staging: StagingArea, stmt: Merge, *, timestamp: str = DEFAULT_TI
             raise ValidationError(f"KEEP column name {col.name!r} collides")
         kept.add(col.name)
 
-    # joined context per result row: table name -> that table's matched row (or None)
-    contexts: list[dict[str, tuple | None]] = [{base_name: row} for row in base.rows]
+    # matched[t][n]: the row of t that base row n joined, or None
+    matched: dict[str, list] = {base_name: base.rows}
     for source, conds in join_order:
-        src = tables[source]
-        src_schema = src.schema
-        src_cols = []
-        other_sides: list[Col] = []
-        for c in conds:
-            mine, other = (c.left, c.right) if c.left.table == source else (c.right, c.left)
-            src_cols.append(src_schema.column_index(mine.name))
-            other_sides.append(other)
+        sides = [(c.left, c.right) if c.left.table == source else (c.right, c.left) for c in conds]
+        key_of = key_getter(tuple(tables[source].schema.column_index(mine.name) for mine, _ in sides))
+        probes = [_cells(matched[other.table], tables[other.table].schema.column_index(other.name)) for _, other in sides]
         built: dict[tuple, tuple] = {}
-        for row in src.rows:
-            key = tuple(row[i] for i in src_cols)
-            if any(v is None for v in key):
+        for row in tables[source].rows:
+            key = key_of(row)
+            if None in key:
                 continue
             if key in built:
                 raise ValidationError(f"ambiguous merge: {source!r} has more than one row with join key {key!r}")
             built[key] = row
-        other_getters = []
-        for other in other_sides:
-            idx = tables[other.table].schema.column_index(other.name)
-            other_getters.append((other.table, idx))
-        for ctx in contexts:
-            probe = []
-            for tname, idx in other_getters:
-                row = ctx.get(tname)
-                probe.append(None if row is None else row[idx])
-            ctx[source] = built.get(tuple(probe)) if None not in probe else None
-
-    keep_getters = []
-    for col in stmt.keep:
-        keep_getters.append((col.table, tables[col.table].schema.column_index(col.name)))
-    merged_rows = []
-    for ctx in contexts:
-        base_row = ctx[base_name]
-        extra = []
-        for tname, idx in keep_getters:
-            row = ctx.get(tname)
-            extra.append(None if row is None else row[idx])
-        merged_rows.append(base_row + tuple(extra))
+        matched[source] = [None if None in probe else built.get(probe) for probe in zip(*probes)]
+    extras = [_cells(matched[col.table], tables[col.table].schema.column_index(col.name)) for col in stmt.keep]
+    merged_rows = [row + extra for row, extra in zip(base.rows, zip(*extras) if extras else repeat(()))]
 
     # the merged table carries the base's FKs and the KEEP columns'
     # single-column FKs; the prune below points those that named a renamed
@@ -207,16 +186,14 @@ def exec_merge(staging: StagingArea, stmt: Merge, *, timestamp: str = DEFAULT_TI
         TableSchema(stmt.target, tuple(columns), base.schema.primary_key, tuple(fks)), merged_rows
     )
     _prune_dangling_fks(out, {base_name: stmt.target})
-    out.log(
-        LineageEvent(
-            "statement",
-            stmt.target,
-            f"merged {', '.join(stmt.sources)} into {stmt.target} ({len(merged_rows)} rows)",
-            len(merged_rows),
-            timestamp,
-        )
-    )
+    detail = f"merged {', '.join(stmt.sources)} into {stmt.target} ({len(merged_rows)} rows)"
+    out.log(LineageEvent("statement", stmt.target, detail, len(merged_rows), timestamp))
     return out
+
+
+def _cells(rows: list, idx: int) -> list:
+    """Column ``idx`` of ``rows``, Null where a row is None (no match)."""
+    return [None if row is None else row[idx] for row in rows]
 
 
 def _difficulty_labels(rows: list[tuple], g_idx: int, k_idx: int, hi: Decimal, lo: Decimal) -> dict:
@@ -253,12 +230,20 @@ def _difficulty_labels(rows: list[tuple], g_idx: int, k_idx: int, hi: Decimal, l
     return labels
 
 
-def _column(col: Col, schema: TableSchema) -> tuple[int, ValueType]:
+def _column(col: Col, table: Table) -> tuple[int, ValueType]:
+    """Position and type of ``col`` in ``table``. A non-TEXT column must
+    hold no RawCell: text that did not parse as the column's type."""
+    schema = table.schema
     if col.table != schema.name:
         raise ValidationError(f"line {col.line}: column reference {col} is outside table {schema.name!r}")
     if not schema.has_column(col.name):
         raise ValidationError(f"line {col.line}: unknown column {col}")
-    return schema.column_index(col.name), schema.column(col.name).type
+    idx, vtype = schema.column_index(col.name), schema.column(col.name).type
+    if vtype is not ValueType.TEXT:
+        raw = next((row[idx] for row in table.rows if isinstance(row[idx], RawCell)), None)
+        if raw is not None:
+            raise ValidationError(f"line {col.line}: {col} holds {str(raw)!r}, not a {vtype.value}; cleanse the staging first")
+    return idx, vtype
 
 
 def _operands(expr: Expr, a: Expr, b: Expr, table: Table, mismatch: str):
@@ -293,7 +278,7 @@ def compile_expr(expr: Expr, table: Table):
         value = expr.value
         return (lambda row: value), (None if value is None else value_tag(value))
     if isinstance(expr, Col):
-        idx, vtype = _column(expr, table.schema)
+        idx, vtype = _column(expr, table)
         return itemgetter(idx), vtype
     if isinstance(expr, Cmp):
         left, right, t = _operands(expr, expr.left, expr.right, table, "cannot compare {} with {}")
@@ -333,7 +318,7 @@ def compile_expr(expr: Expr, table: Table):
         inner, _ = compile_expr(expr.operand, table)
         return (lambda row: inner(row) is None), ValueType.BOOLEAN
     if isinstance(expr, PaidOnDue):
-        p_idx, d_idx = (_date_column(col, table.schema) for col in (expr.payment, expr.due))
+        p_idx, d_idx = (_date_column(col, table) for col in (expr.payment, expr.due))
 
         def paid(row):
             p = row[p_idx]
@@ -342,10 +327,10 @@ def compile_expr(expr: Expr, table: Table):
 
         return paid, ValueType.BOOLEAN
     if isinstance(expr, Difficulty):
-        g_idx, gt = _column(expr.grade, table.schema)
+        g_idx, gt = _column(expr.grade, table)
         if gt not in (ValueType.DECIMAL, ValueType.INTEGER):
             raise ValidationError(f"line {expr.line}: DIFFICULTY grade column must be numeric")
-        k_idx, _ = _column(expr.group, table.schema)
+        k_idx, _ = _column(expr.group, table)
         if expr.hi <= expr.lo:
             raise ValidationError(f"line {expr.line}: DIFFICULTY thresholds need hi > lo")
         labels = _difficulty_labels(table.rows, g_idx, k_idx, expr.hi, expr.lo)
@@ -353,8 +338,8 @@ def compile_expr(expr: Expr, table: Table):
     raise TypeError(f"not an expression: {expr!r}")
 
 
-def _date_column(col: Col, schema: TableSchema) -> int:
-    idx, vtype = _column(col, schema)
+def _date_column(col: Col, table: Table) -> int:
+    idx, vtype = _column(col, table)
     if vtype is not ValueType.DATE:
         raise ValidationError(f"line {col.line}: PAID_ON_DUE needs DATE columns, {col} is not")
     return idx
@@ -476,68 +461,70 @@ class PlanDiagnostic:
         return f"{where}: {self.message}"
 
 
+def _refuse(index: int, message: str) -> NoReturn:
+    raise PlanValidationError([PlanDiagnostic(index, message)]) from None
+
+
 def validate_plan(plan: Plan, db: DatabaseSchema, *, require_warehouse_decls: bool = True) -> DatabaseSchema:
-    """The schema ``plan`` leaves, found by running its statements' own
-    ``exec_*`` steps on ``db``'s tables with no rows. Raises
-    PlanValidationError naming the first statement that does not fit.
+    """The schema ``plan`` leaves, found by running it on ``db``'s tables
+    with no rows. Raises PlanValidationError naming the first statement
+    that does not fit.
 
     With ``require_warehouse_decls`` the plan must declare exactly one fact
-    and seven dimensions over tables of the final schema.
+    and seven dimensions.
     """
-
-    def fail(i: int, msg: str):
-        raise PlanValidationError([PlanDiagnostic(i, msg)])
-
-    statements = plan.statements
-    current = StagingArea({name: Table(schema, []) for name, schema in db.tables.items()})
-    for i, stmt in enumerate(statements):
-        try:
-            current = _exec_statement(current, stmt, DEFAULT_TIMESTAMP)
-        except ValidationError as exc:
-            raise PlanValidationError([PlanDiagnostic(i, str(exc))]) from None
-
-    final = current.schema()
-    facts = [(i, s) for i, s in enumerate(statements) if isinstance(s, Fact)]
-    dims = [(i, s) for i, s in enumerate(statements) if isinstance(s, Dimension)]
-    for i, s in facts:
-        if s.table not in final.tables:
-            fail(i, f"FACT table {s.table!r} does not exist in the final schema")
-    seen_dims: set[str] = set()
-    for i, s in dims:
-        if s.table not in final.tables:
-            fail(i, f"DIMENSION table {s.table!r} does not exist in the final schema")
-        if not final.tables[s.table].has_column(s.key):
-            fail(i, f"DIMENSION key {s.table}.{s.key} does not exist")
-        if s.table in seen_dims:
-            fail(i, f"duplicate DIMENSION {s.table!r}")
-        seen_dims.add(s.table)
-    if facts and any(s.table == f.table for _, f in facts for _, s in dims):
-        fail(-1, "the fact table cannot also be a dimension")
+    empty = StagingArea({name: Table(schema, []) for name, schema in db.tables.items()})
+    final = execute_plan(empty, plan)[0].schema()
     if require_warehouse_decls:
-        if len(facts) != 1:
-            fail(-1, f"expected exactly 1 FACT statement, found {len(facts)}")
-        if len(dims) != 7:
-            fail(-1, f"expected 7 dimensions, found {len(dims)}")
+        facts = sum(isinstance(s, Fact) for s in plan.statements)
+        dims = sum(isinstance(s, Dimension) for s in plan.statements)
+        if facts != 1:
+            _refuse(-1, f"expected exactly 1 FACT statement, found {facts}")
+        if dims != 7:
+            _refuse(-1, f"expected 7 dimensions, found {dims}")
     return final
 
 
+def _check_declarations(statements: tuple[Statement, ...], tables: dict[str, Table]) -> None:
+    """Refuse the first FACT, then DIMENSION, that does not fit the final ``tables``."""
+    facts = [(i, s) for i, s in enumerate(statements) if isinstance(s, Fact)]
+    dims = [(i, s) for i, s in enumerate(statements) if isinstance(s, Dimension)]
+    for i, s in facts:
+        if s.table not in tables:
+            _refuse(i, f"FACT table {s.table!r} does not exist in the final schema")
+    seen_dims: set[str] = set()
+    for i, s in dims:
+        if s.table not in tables:
+            _refuse(i, f"DIMENSION table {s.table!r} does not exist in the final schema")
+        if not tables[s.table].schema.has_column(s.key):
+            _refuse(i, f"DIMENSION key {s.table}.{s.key} does not exist")
+        if s.table in seen_dims:
+            _refuse(i, f"duplicate DIMENSION {s.table!r}")
+        seen_dims.add(s.table)
+    if any(f.table in seen_dims for _, f in facts):
+        _refuse(-1, "the fact table cannot also be a dimension")
+
+
 def execute_plan(staging: StagingArea, plan: Plan, *, timestamp: str = DEFAULT_TIMESTAMP) -> tuple[StagingArea, list[LineageEvent]]:
-    """Validate then run the plan; on any error the input staging is
-    returned to the caller untouched. The returned lineage slice has one
-    entry per executed statement, in order. ``reports["transform"]["plan_hash"]``
+    """Run the plan's statements in order, then check its FACT and
+    DIMENSION declarations against the tables it leaves. The first
+    statement that does not fit, in its schema or its data, raises
+    PlanValidationError naming it; the input staging is then returned to
+    the caller untouched. The returned lineage slice has one entry per
+    executed statement, in order. ``reports["transform"]["plan_hash"]``
     is the SHA-256 of ``pretty_plan(plan)``; ``load`` records it."""
-    validate_plan(plan, staging.schema(), require_warehouse_decls=False)
     current = staging
     start = len(staging.lineage)
     for i, stmt in enumerate(plan.statements):
         before = len(current.lineage)
-        current = _exec_statement(current, stmt, timestamp)
-        # stamp statement provenance onto the entries this statement produced
+        try:
+            current = _exec_statement(current, stmt, timestamp)
+        except ValidationError as exc:
+            _refuse(i, str(exc))
+        # stamp statement provenance onto the entry this statement produced
         text = pretty_stmt(stmt)
-        current.lineage[before:] = [
-            ev if ev.statement_index is not None else replace(ev, statement_index=i, statement_text=text)
-            for ev in current.lineage[before:]
-        ]
+        current.lineage[before:] = [replace(ev, statement_index=i, statement_text=text) for ev in current.lineage[before:]]
+    _check_declarations(plan.statements, current.tables)
     current = current.clone()
     current.reports["transform"] = {"plan_hash": hashlib.sha256(pretty_plan(plan).encode("utf-8")).hexdigest()}
     return current, current.lineage[start:]

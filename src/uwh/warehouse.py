@@ -362,7 +362,7 @@ def parse_filter(text: str) -> Filter:
 
 def _attribute(p: _Parser) -> str:
     """``column`` or ``relation.column``."""
-    name = p.expect_ident().lexeme
+    name = p.expect_name().lexeme
     if p.at_symbol("."):
         p.advance()
         name += "." + p.expect_name().lexeme
@@ -762,8 +762,9 @@ def _catalog_fault(catalog: dict) -> str | None:
     """How a catalog that passed its self checksum is malformed, if it is:
     a field out of shape, a relation file other than ``<name>.csv`` in
     the warehouse directory, a dimension key or join naming a missing
-    relation or column, a join chain that does not reach the fact, or
-    ``dimensions`` not naming each relation but the fact exactly once."""
+    relation or column, a join whose column lists are empty or differ in
+    length, a join chain that does not reach the fact, or ``dimensions``
+    or ``joins`` not naming each relation but the fact exactly once."""
     wrong = [key for key, shape in _CATALOG_SHAPE.items() if not _fits(catalog.get(key), shape)]
     if wrong:
         return f"{wrong[0]!r} is missing or out of shape"
@@ -773,6 +774,8 @@ def _catalog_fault(catalog: dict) -> str | None:
     columns = {r["name"]: {c["name"] for c in r["columns"]} for r in catalog["relations"]}
     named = [(catalog["fact"], [])] + [(d["name"], [d["key"]]) for d in catalog["dimensions"]]
     for j in catalog["joins"]:
+        if not j["columns"] or len(j["columns"]) != len(j["parent_columns"]):
+            return f"the join of {j['relation']} to {j['parent']} does not pair its columns"
         named += [(j["relation"], j["columns"]), (j["parent"], j["parent_columns"])]
     for relation, names in named:
         if relation not in columns or not columns[relation].issuperset(names):
@@ -784,8 +787,10 @@ def _catalog_fault(catalog: dict) -> str | None:
             relation = parents.get(relation, relation)
         if relation != catalog["fact"]:
             return f"the join chain from {start} does not reach the fact"
-    if sorted(d["name"] for d in catalog["dimensions"]) != sorted(columns.keys() - {catalog["fact"]}):
-        return "'dimensions' does not name each relation but the fact exactly once"
+    others = sorted(columns.keys() - {catalog["fact"]})
+    for section, key in (("dimensions", "name"), ("joins", "relation")):
+        if sorted(e[key] for e in catalog[section]) != others:
+            return f"{section!r} does not name each relation but the fact exactly once"
     return None
 
 

@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from uwh import canonical
 from uwh.cli import run
+from uwh.staging import dump_staging, load_staging
+from uwh.values import RawCell
 
 TS = "2026-01-01T00:00:00Z"
 
@@ -95,6 +98,23 @@ def test_build_renders_each_staged_table_once(tmp_path, cli_dirs, monkeypatch):
         monkeypatch.setattr(module, "render_table_csv", counting)
     assert run(["build", "--src", str(src), "--out", str(tmp_path / "wh"), "--timestamp", TS]) == 0
     assert len(rendered) == 8 and len(set(rendered)) == 8
+
+
+def test_build_runs_each_merge_twice(tmp_path, cli_dirs, monkeypatch):
+    # once on the schema's empty tables to validate the plan, once on the data
+    import uwh.transform
+
+    _, src, _ = cli_dirs
+    merged = []
+    real = uwh.transform.exec_merge
+
+    def counting(staging, stmt, **kwargs):
+        merged.append(stmt.target)
+        return real(staging, stmt, **kwargs)
+
+    monkeypatch.setattr(uwh.transform, "exec_merge", counting)
+    assert run(["build", "--src", str(src), "--out", str(tmp_path / "wh"), "--timestamp", TS]) == 0
+    assert merged == ["transcript", "registeredActivities"] * 2
 
 
 def test_load_of_an_untransformed_staging_exits_one(tmp_path, cli_dirs, capsys):
@@ -376,6 +396,24 @@ def _copy(staging, tmp_path):
     import shutil
 
     return shutil.copytree(staging, tmp_path / "s")
+
+
+def test_transform_of_raw_cells_exits_one(tmp_path, extracted_dir, capsys):
+    # a derivation over a cell that extract could not parse, before cleanse
+    staging = load_staging(extracted_dir)
+    receipt = staging.tables["receipt"]
+    idx = receipt.schema.column_index("re_dateOfPayment")
+    receipt.rows[0] = receipt.rows[0][:idx] + (RawCell("soon"),) + receipt.rows[0][idx + 1:]
+    dump_staging(staging, tmp_path / "s")
+    paid = "ADD COLUMN receipt.re_paidOnDueDate BOOLEAN\n  AS PAID_ON_DUE(receipt.re_dateOfPayment, receipt.re_dueDate) ;\n"
+    plan = tmp_path / "paid-first.plan"
+    plan.write_text(paid + canonical.canonical_plan_text().replace(paid, ""))
+    out = tmp_path / "out"
+    code, _, err = _run(capsys, "transform", "--staging", str(tmp_path / "s"), "--plan", str(plan), "--out", str(out))
+    assert code == 1 and "Traceback" not in err
+    assert err.startswith("error: plan validation failed: statement 0: line 2: receipt.re_dateOfPayment holds 'soon'")
+    assert "cleanse the staging first" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

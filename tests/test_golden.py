@@ -1,5 +1,6 @@
-"""Golden bytes: the SHA-256 of every file the seed-42 fixtures write, and
-of the cleansed staging dump of a 100-student drop at dirty-rate 0.25.
+"""Golden bytes: the SHA-256 of every file the seed-42 fixtures write, of
+their transformed staging dump, and of the cleansed staging dump of a
+100-student drop at dirty-rate 0.25.
 
 The fixtures pin their timestamp, so these files are deterministic. A
 change that moves a byte of a warehouse or a staging dump fails here; if
@@ -83,6 +84,30 @@ CLEANSED = {
     "transcript.csv": "20d8acf5b42b80ec57e83168d20017721666cc46b38c505de3d8524f77055644",
 }
 
+# the seed-42 staging after the canonical plan: lineage stamping, plan hash
+TRANSFORMED = {
+    "account.csv": "a8924bb965df2144106af0f3f84e1cc946cf6a8f88fb66afe7f421e4d12b20f2",
+    "alumni.csv": "7e4cdc238eec67ac0e94cb9c5bae2dee8e71951bc09dc487a94c82628f4ecd7e",
+    "instructor.csv": "7ef1d3662cb0c0e4e8169613ebb94fd11257c5cbde90e7c97233a9b0b4f0bdcf",
+    "lineage.log": "8b9495c2600d945b868c4b9b860c799197f1da294a82d161ea30c9fe44a6603f",
+    "major.csv": "5289cf1fbeb071c2079573af31a0ab04cb3eba2e2fde9c2f345b148d27ece4c2",
+    "meta.json": "49ddfc2ca5fb2633c86e7cbecb06dc2d18fcf987f75ffb576653ec9df5aeee1d",
+    "quarantine/account.csv": "489baaf9291af5d660ea0010fe47a0dffba0ccf3c5af6f6baa82012bb2086a18",
+    "quarantine/activities.csv": "b700ddc3d2f15cf40f943e7f7129f94a2c1ffd510905c9060675227ab1ae12dc",
+    "quarantine/alumni.csv": "f71e51b24f664b41cbf0b0c9a94efb02c843cddd6f1d8f0b8fb5a7549dfc5d1a",
+    "quarantine/assets.csv": "7d0b36805a40eed33492c8d47940702ae1501c3797da4e71a2fb0f05b73f5b3b",
+    "quarantine/item.csv": "1d824645827d0850e6b76c2408d71740351e6147d6a0bfc6be6a0c3bcb26bc40",
+    "quarantine/receipt.csv": "c8d53c3eed689d30d735c559338b481950643da9f5f4242696f4307dfead22f6",
+    "quarantine/registrationActivities.csv": "b95b9a9cfdf5755ef2b482105a6a4f143875c980c6825ccf5f4cf03bcdc28ce0",
+    "quarantine/student.csv": "6d2440da5c69b3a30284976674d2cdd16c1f7005a709a0284200b1a19258d483",
+    "quarantine/transcript.csv": "1c5d00cab2bfa4f9e07ed3e360eade9df7a23cb222d5dc8820afeb3ca0412790",
+    "receipt.csv": "b801bfa449f6794108a94235b2d24f7d06610a8ad906129acd1bdc0386d0b81d",
+    "registeredActivities.csv": "0401c6fed442235668daad2377af1854d02989ad2b4fed53746a101dc82b8074",
+    "schema.manifest": "28ba07c08ea4fa4f6239af7db6373a75854d873c7d7796223bb1f30adfd6d685",
+    "student.csv": "57f6995d5147bc193b506b9200d37c4f2e719bd3a055ecf5c1a5a9cf13fc8ffb",
+    "transcript.csv": "14f45d1126938be5d87194b869d90bf173596946d559fd5bad39605089f88d37",
+}
+
 # a 100-student drop at dirty-rate 0.25, after cleanse
 CLEANSED_DIRTY = {
     "account.csv": "97141b8e3a5c092fa8f150b431e2c2d0908e805df0117981f54ebc381f26c3f4",
@@ -121,6 +146,13 @@ def seed42_cleansed_dir(tmp_path_factory, seed42_cleansed):
 
 
 @pytest.fixture(scope="module")
+def seed42_transformed_dir(tmp_path_factory, seed42_transformed):
+    out = tmp_path_factory.mktemp("seed42-transformed-dump") / "staging"
+    dump_staging(seed42_transformed, out)
+    return out
+
+
+@pytest.fixture(scope="module")
 def dirty_cleansed_dir(tmp_path_factory):
     src = tmp_path_factory.mktemp("dirty-src")
     generate(GenConfig(seed=42, students=100, courses_per_dept=5, semesters=3, dirty_rate=0.25), src)
@@ -146,6 +178,7 @@ def _digests(root) -> dict[str, str]:
         ("seed42_staging_dir", STAGING),
         ("seed42_cleansed_dir", CLEANSED),
         ("dirty_cleansed_dir", CLEANSED_DIRTY),
+        ("seed42_transformed_dir", TRANSFORMED),
     ],
 )
 def test_fixture_bytes_match_golden_digests(request, fixture, golden):

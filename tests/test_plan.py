@@ -16,6 +16,14 @@ from uwh.plan import (
     Col,
     Difficulty,
     Dimension,
+    DropTable,
+    Fact,
+    IsNull,
+    JoinCond,
+    Lit,
+    Logical,
+    Merge,
+    Not,
     RemoveColumn,
     parse_plan,
     pretty_plan,
@@ -332,6 +340,41 @@ def test_keyword_spelled_column_names_after_the_dot():
     db = parse_schema_manifest("TABLE t\n  id INTEGER PK\n  date TEXT\n  group TEXT\n")
     final = validate_plan(plan, db, require_warehouse_decls=False)
     assert final.tables["t"].column_names == ("id", "date", "key")
+
+
+@pytest.mark.parametrize(
+    "text, stmt",
+    [
+        ("DROP TABLE group ;", DropTable("group")),
+        ("FACT date ;", Fact("date")),
+        ("DIMENSION key KEY key ;", Dimension("key", "key")),
+        ("REMOVE COLUMN group.x ;", RemoveColumn("group", "x")),
+        ("CLEAN group.date WITH trim ;", Clean("group", "date", "trim")),
+        (
+            "MERGE date, key INTO group ON group.x = key.x AND key.y = date.y KEEP date.z ;",
+            Merge(
+                ("date", "key"),
+                "group",
+                (JoinCond(Col("group", "x"), Col("key", "x")), JoinCond(Col("key", "y"), Col("date", "y"))),
+                (Col("date", "z"),),
+            ),
+        ),
+        (
+            "ADD COLUMN group.b BOOLEAN AS group.x = 1 AND NOT IS_NULL(group.date) ;",
+            AddColumn(
+                "group",
+                "b",
+                ValueType.BOOLEAN,
+                Logical("AND", Cmp("=", Col("group", "x"), Lit(1)), Not(IsNull(Col("group", "date")))),
+            ),
+        ),
+    ],
+    ids=["drop", "fact", "dimension", "remove", "clean", "merge", "derivation"],
+)
+def test_keyword_spelled_table_names(text, stmt):
+    plan = parse_plan(text)
+    assert plan.statements == (stmt,)
+    assert parse_plan(pretty_plan(plan)) == plan
 
 
 def test_validate_merge_keep_collision():

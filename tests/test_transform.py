@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 from datetime import date
 
 import pytest
@@ -27,7 +28,7 @@ from uwh.transform import (
     execute_plan,
     validate_plan,
 )
-from uwh.values import ValueType, make_decimal, render_cell
+from uwh.values import RawCell, ValueType, make_decimal, render_cell
 
 TS = "T"
 
@@ -173,6 +174,74 @@ def test_merge_unmatched_base_rows_keep_nulls():
     assert out.tables["base"].rows == [(1, 10, "hit", "deep"), (2, 99, None, None), (3, None, None, None)]
 
 
+_SMALL = st.one_of(st.none(), st.integers(0, 2))
+
+MERGE_DB = parse_schema_manifest(
+    "TABLE b\n  id INTEGER PK\n  x INTEGER NULL\n  y INTEGER NULL\n"
+    "TABLE s1\n  sid INTEGER PK\n  a INTEGER NULL\n  c INTEGER NULL\n  link INTEGER NULL\n"
+    "TABLE s2\n  tid INTEGER PK\n  ref INTEGER NULL\n  tag TEXT NULL\n"
+)
+
+
+def _first_per_key(rows, width):
+    """``rows`` without a later row whose first ``width`` cells repeat an
+    earlier all-non-Null key (a source may hold any number of Null keys)."""
+    seen = set()
+    out = []
+    for row in rows:
+        key = row[:width]
+        if None not in key:
+            if key in seen:
+                continue
+            seen.add(key)
+        out.append(row)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    base=st.lists(st.tuples(_SMALL, _SMALL), max_size=8),
+    s1=st.lists(st.tuples(_SMALL, _SMALL, _SMALL), max_size=6),
+    s2=st.lists(st.tuples(_SMALL, st.sampled_from(["p", "q", None])), max_size=4),
+)
+def test_exec_merge_matches_nested_loop_oracle_on_random_tables(base, s1, s2):
+    """Two sources, s2 listed first but joined second; s1 on a two-column
+    condition; Null keys on both sides and base rows that match nothing."""
+    tables = {
+        "b": Table(MERGE_DB.tables["b"], [(i, *row) for i, row in enumerate(base)]),
+        "s1": Table(MERGE_DB.tables["s1"], [(i, *row) for i, row in enumerate(_first_per_key(s1, 2))]),
+        "s2": Table(MERGE_DB.tables["s2"], [(i, *row) for i, row in enumerate(_first_per_key(s2, 1))]),
+    }
+    stmt = parse_plan(
+        "MERGE s2, s1 INTO b ON b.x = s1.a AND b.y = s1.c AND s1.link = s2.ref KEEP s1.sid, s2.tag, s1.a ;"
+    ).statements[0]
+    out = exec_merge(StagingArea(tables=dict(tables)), stmt, timestamp=TS)
+    expected = left_merge_nested_loop(
+        tables,
+        "b",
+        ["s2", "s1"],
+        [(("b", "x"), ("s1", "a")), (("b", "y"), ("s1", "c")), (("s1", "link"), ("s2", "ref"))],
+        [("s1", "sid"), ("s2", "tag"), ("s1", "a")],
+    )
+    assert out.tables["b"].rows == expected
+
+
+def test_merge_with_no_keep_columns_keeps_every_base_row():
+    # the grammar asks for a KEEP column; the AST does not
+    stmt = parse_plan("MERGE s2, s1 INTO b ON b.x = s1.a AND b.y = s1.c AND s1.link = s2.ref KEEP s1.sid ;")
+    stmt = replace(stmt.statements[0], keep=())
+    rows = [(0, 1, 1), (1, None, 2)]
+    staging = StagingArea(
+        tables={
+            "b": Table(MERGE_DB.tables["b"], rows),
+            "s1": Table(MERGE_DB.tables["s1"], [(0, 1, 1, 5)]),
+            "s2": Table(MERGE_DB.tables["s2"], [(0, 5, "p")]),
+        }
+    )
+    out = exec_merge(staging, stmt, timestamp=TS)
+    assert out.tables["b"].rows == rows and list(out.tables) == ["b"]
+
+
 # --- derived-column expressions ------------------------------------------------
 
 
@@ -208,6 +277,34 @@ def test_paid_on_due(payment, due, expected):
 def _grades_table(rows):
     db = parse_schema_manifest("TABLE g\n  id INTEGER PK\n  code TEXT\n  grade DECIMAL NULL\n")
     return Table(db.tables["g"], rows)
+
+
+@pytest.mark.parametrize(
+    "text, words",
+    [
+        ("ADD COLUMN r.x BOOLEAN AS PAID_ON_DUE(r.paid, r.due) ;", "r.paid holds 'soon', not a DATE"),
+        ("ADD COLUMN r.x BOOLEAN AS r.paid <= r.due ;", "r.paid holds 'soon', not a DATE"),
+        ("ADD COLUMN r.x TEXT AS DIFFICULTY(r.grade GROUP BY r.id THRESHOLDS 80, 65) ;", "r.grade holds 'eighty'"),
+    ],
+    ids=["paid-on-due", "comparison", "difficulty"],
+)
+def test_derivation_over_a_raw_cell_is_refused(text, words):
+    db = parse_schema_manifest("TABLE r\n  id INTEGER PK\n  paid DATE NULL\n  due DATE NULL\n  grade DECIMAL NULL\n")
+    table = Table(db.tables["r"], [(1, RawCell("soon"), date(2011, 9, 15), RawCell("eighty"))])
+    with pytest.raises(ValidationError) as exc:
+        _derived(table, text)
+    assert words in str(exc.value) and "cleanse the staging first" in str(exc.value)
+
+
+def test_clean_repairs_raw_cells_a_derivation_then_reads():
+    db = parse_schema_manifest("TABLE r\n  id INTEGER PK\n  paid DATE NULL\n  due DATE NULL\n")
+    staging = StagingArea(tables={"r": Table(db.tables["r"], [(1, RawCell("01/09/2011"), date(2011, 9, 15))])})
+    plan = parse_plan(
+        "CLEAN r.paid WITH normalize_date('day_first', 'iso') ;\n"
+        "ADD COLUMN r.x BOOLEAN AS PAID_ON_DUE(r.paid, r.due) ;\n"
+    )
+    out, _ = execute_plan(staging, plan, timestamp=TS)
+    assert out.tables["r"].rows == [(1, date(2011, 9, 1), date(2011, 9, 15), True)]
 
 
 DIFFICULTY_80_65 = "ADD COLUMN g.d TEXT AS DIFFICULTY(g.grade GROUP BY g.code THRESHOLDS 80, 65) ;"
@@ -501,7 +598,8 @@ def test_execute_plan_is_deterministic(seed42_cleansed):
 
 def test_execute_plan_failure_preserves_prestate(seed42_cleansed):
     before = staging_fingerprint(seed42_cleansed)
-    # statement 3 fails at runtime: joining sections by semester only is ambiguous
+    # statement 2 fits the schema but fails on the data: joining sections by
+    # semester only is ambiguous; it is named before the later schema fault
     text = (
         "DROP TABLE assets ;\n"
         "DROP TABLE item ;\n"
@@ -509,9 +607,11 @@ def test_execute_plan_failure_preserves_prestate(seed42_cleansed):
         " ON transcript.tr_semester = section.se_semester"
         " AND section.se_code = course.co_code"
         " KEEP course.co_name ;\n"
+        "DROP TABLE nowhere ;\n"
     )
-    with pytest.raises(ValidationError):
+    with pytest.raises(PlanValidationError) as exc:
         execute_plan(seed42_cleansed, parse_plan(text), timestamp=TS)
+    assert str(exc.value).startswith("plan validation failed: statement 2: ambiguous merge: 'section' has more than one row")
     assert staging_fingerprint(seed42_cleansed) == before
     assert "assets" in seed42_cleansed.tables
 

@@ -342,6 +342,10 @@ def _arm_join(catalog: dict) -> dict:
     return next(j for j in catalog["joins"] if j["parent"] != catalog["fact"])
 
 
+def _join(catalog: dict, relation: str) -> dict:
+    return next(j for j in catalog["joins"] if j["relation"] == relation)
+
+
 def _file_outside_directory(catalog: dict) -> None:
     # out of the warehouse directory and back to the same bytes, so the
     # checksum matches and only the file name is wrong
@@ -365,6 +369,9 @@ _CATALOG_FORGERIES = {
     "join-on-unknown-column": lambda c: c["joins"][0].update(columns=["nope"]),
     "join-to-unknown-relation": lambda c: _arm_join(c).update(parent="payroll"),
     "join-chain-cycle": lambda c: _arm_join(c).update(parent=_arm_join(c)["relation"], parent_columns=_arm_join(c)["columns"]),
+    "join-twice": lambda c: c["joins"].append(dict(_join(c, "major"))),
+    "join-parent-columns-longer": lambda c: _join(c, "major")["parent_columns"].append("st_id"),
+    "join-without-columns": lambda c: _join(c, "major").update(columns=[], parent_columns=[]),
 }
 
 
@@ -634,6 +641,16 @@ def test_parse_measure_keyword_spelled_column_after_the_dot():
 
 def test_parse_filter_keyword_spelled_column_after_the_dot():
     assert parse_filter("t.date = 1") == Filter("t.date", "=", 1)
+
+
+def test_parse_measure_keyword_spelled_bare_column():
+    assert parse_measure("MAX(date)") == Measure("MAX", "date")
+    assert parse_measure("MIN(group.key)") == Measure("MIN", "group.key")
+
+
+def test_parse_filter_keyword_spelled_bare_column():
+    assert parse_filter("date = 1") == Filter("date", "=", 1)
+    assert parse_filter("group.date <> 'x'") == Filter("group.date", "<>", "x")
 
 
 def test_parse_filter_forms():
