@@ -186,8 +186,15 @@ def exec_merge(staging: StagingArea, stmt: Merge, *, timestamp: str = DEFAULT_TI
         TableSchema(stmt.target, tuple(columns), base.schema.primary_key, tuple(fks)), merged_rows
     )
     _prune_dangling_fks(out, {base_name: stmt.target})
-    detail = f"merged {', '.join(stmt.sources)} into {stmt.target} ({len(merged_rows)} rows)"
-    out.log(LineageEvent("statement", stmt.target, detail, len(merged_rows), timestamp))
+    out.log(
+        LineageEvent(
+            "statement",
+            stmt.target,
+            f"merged {', '.join(stmt.sources)} into {stmt.target} ({len(merged_rows)} rows)",
+            len(merged_rows),
+            timestamp,
+        )
+    )
     return out
 
 
@@ -465,23 +472,18 @@ def _refuse(index: int, message: str) -> NoReturn:
     raise PlanValidationError([PlanDiagnostic(index, message)]) from None
 
 
-def validate_plan(plan: Plan, db: DatabaseSchema, *, require_warehouse_decls: bool = True) -> DatabaseSchema:
-    """The schema ``plan`` leaves, found by running it on ``db``'s tables
-    with no rows. Raises PlanValidationError naming the first statement
-    that does not fit.
-
-    With ``require_warehouse_decls`` the plan must declare exactly one fact
-    and seven dimensions.
-    """
+def validate_plan(plan: Plan, db: DatabaseSchema) -> DatabaseSchema:
+    """The schema ``plan`` leaves on ``db``'s tables with no rows. The plan
+    must declare exactly one fact and seven dimensions. Raises
+    PlanValidationError naming the first statement that does not fit."""
     empty = StagingArea({name: Table(schema, []) for name, schema in db.tables.items()})
     final = execute_plan(empty, plan)[0].schema()
-    if require_warehouse_decls:
-        facts = sum(isinstance(s, Fact) for s in plan.statements)
-        dims = sum(isinstance(s, Dimension) for s in plan.statements)
-        if facts != 1:
-            _refuse(-1, f"expected exactly 1 FACT statement, found {facts}")
-        if dims != 7:
-            _refuse(-1, f"expected 7 dimensions, found {dims}")
+    facts = sum(isinstance(s, Fact) for s in plan.statements)
+    dims = sum(isinstance(s, Dimension) for s in plan.statements)
+    if facts != 1:
+        _refuse(-1, f"expected exactly 1 FACT statement, found {facts}")
+    if dims != 7:
+        _refuse(-1, f"expected 7 dimensions, found {dims}")
     return final
 
 
@@ -516,14 +518,12 @@ def execute_plan(staging: StagingArea, plan: Plan, *, timestamp: str = DEFAULT_T
     current = staging
     start = len(staging.lineage)
     for i, stmt in enumerate(plan.statements):
-        before = len(current.lineage)
         try:
             current = _exec_statement(current, stmt, timestamp)
         except ValidationError as exc:
             _refuse(i, str(exc))
-        # stamp statement provenance onto the entry this statement produced
-        text = pretty_stmt(stmt)
-        current.lineage[before:] = [replace(ev, statement_index=i, statement_text=text) for ev in current.lineage[before:]]
+        # stamp statement provenance onto the one entry the step logged
+        current.lineage[-1] = replace(current.lineage[-1], statement_index=i, statement_text=pretty_stmt(stmt))
     _check_declarations(plan.statements, current.tables)
     current = current.clone()
     current.reports["transform"] = {"plan_hash": hashlib.sha256(pretty_plan(plan).encode("utf-8")).hexdigest()}

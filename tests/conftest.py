@@ -11,13 +11,22 @@ from uwh import canonical
 from uwh.cleanse import cleanse_staging
 from uwh.datagen import GenConfig, generate, load_ledger
 from uwh.ingest import extract_database
-from uwh.staging import dump_staging
+from uwh.schema import Table
+from uwh.staging import StagingArea, dump_staging
 from uwh.transform import execute_plan
 from uwh.warehouse import load, open_warehouse
 
 TS = "2026-01-01T00:00:00Z"
 
 SEED42 = GenConfig(seed=42, students=100, courses_per_dept=5, semesters=3, dirty_rate=0.05)
+
+
+def schema_after(plan, db):
+    """The schema ``plan`` leaves when run on ``db``'s tables with no rows:
+    ``validate_plan`` without its one-fact/seven-dimension count, for
+    plans that are only part of a warehouse plan."""
+    empty = StagingArea({name: Table(schema, []) for name, schema in db.tables.items()})
+    return execute_plan(empty, plan)[0].schema()
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ from decimal import Decimal
 
 import pytest
 
+from conftest import schema_after
 from uwh import canonical
 from uwh.errors import PlanParseError, PlanValidationError
 from uwh.lexer import tokenize
@@ -252,7 +253,7 @@ def test_validate_is_pure():
 def test_validate_add_on_dropped_table():
     plan = parse_plan("DROP TABLE assets ;\nADD COLUMN assets.x INTEGER AS 1 ;")
     with pytest.raises(PlanValidationError) as exc:
-        validate_plan(plan, CANONICAL_DB, require_warehouse_decls=False)
+        schema_after(plan, CANONICAL_DB)
     [diag] = exc.value.diagnostics
     assert diag.index == 1 and "unknown table" in diag.message
 
@@ -260,14 +261,14 @@ def test_validate_add_on_dropped_table():
 def test_validate_remove_key_column():
     plan = parse_plan("REMOVE COLUMN receipt.re_id ;")
     with pytest.raises(PlanValidationError) as exc:
-        validate_plan(plan, CANONICAL_DB, require_warehouse_decls=False)
+        schema_after(plan, CANONICAL_DB)
     assert "cannot remove key column" in exc.value.diagnostics[0].message
 
 
 def test_validate_remove_column_used_later():
     plan = parse_plan("REMOVE COLUMN receipt.re_dueDate ;\nADD COLUMN receipt.x BOOLEAN AS PAID_ON_DUE(receipt.re_dateOfPayment, receipt.re_dueDate) ;")
     with pytest.raises(PlanValidationError) as exc:
-        validate_plan(plan, CANONICAL_DB, require_warehouse_decls=False)
+        schema_after(plan, CANONICAL_DB)
     [diag] = exc.value.diagnostics
     assert diag.index == 1 and "unknown column receipt.re_dueDate" in diag.message
 
@@ -275,20 +276,20 @@ def test_validate_remove_column_used_later():
 def test_validate_remove_fk_target_column():
     plan = parse_plan("REMOVE COLUMN account.ac_id ;")
     with pytest.raises(PlanValidationError):
-        validate_plan(plan, CANONICAL_DB, require_warehouse_decls=False)
+        schema_after(plan, CANONICAL_DB)
 
 
 def test_validate_type_mismatch_in_derivation():
     plan = parse_plan("ADD COLUMN student.x INTEGER AS IS_NULL(student.st_phone) ;")
     with pytest.raises(PlanValidationError) as exc:
-        validate_plan(plan, CANONICAL_DB, require_warehouse_decls=False)
+        schema_after(plan, CANONICAL_DB)
     assert "BOOLEAN" in exc.value.diagnostics[0].message
 
 
 def test_validate_bad_date_literal_in_date_position():
     plan = parse_plan("ADD COLUMN student.x BOOLEAN AS student.st_dob = '2011-13-40' ;")
     with pytest.raises(PlanValidationError) as exc:
-        validate_plan(plan, CANONICAL_DB, require_warehouse_decls=False)
+        schema_after(plan, CANONICAL_DB)
     assert "not a valid date literal" in exc.value.diagnostics[0].message
 
 
@@ -297,7 +298,7 @@ def test_validate_coerces_date_and_decimal_literals():
         "ADD COLUMN student.x BOOLEAN AS student.st_dob >= '1990-01-01' ;\n"
         "ADD COLUMN transcript.y BOOLEAN AS transcript.tr_grade >= 80 ;"
     )
-    validate_plan(plan, CANONICAL_DB, require_warehouse_decls=False)
+    schema_after(plan, CANONICAL_DB)
 
     def evaluate(stmt, column, value):
         schema = CANONICAL_DB.tables[stmt.table]
@@ -314,16 +315,16 @@ def test_validate_coerces_date_and_decimal_literals():
 
 
 def test_validate_coerces_the_second_of_two_literals():
-    validate_plan(parse_plan("ADD COLUMN student.x DECIMAL AS COALESCE(2.5, 3) ;"), CANONICAL_DB, require_warehouse_decls=False)
+    schema_after(parse_plan("ADD COLUMN student.x DECIMAL AS COALESCE(2.5, 3) ;"), CANONICAL_DB)
     with pytest.raises(PlanValidationError) as exc:
-        validate_plan(parse_plan("ADD COLUMN student.x INTEGER AS COALESCE(3, 2.5) ;"), CANONICAL_DB, require_warehouse_decls=False)
+        schema_after(parse_plan("ADD COLUMN student.x INTEGER AS COALESCE(3, 2.5) ;"), CANONICAL_DB)
     assert "literal Decimal('2.5000') does not match type INTEGER" in exc.value.diagnostics[0].message
 
 
 def test_paid_on_due_checks_its_payment_column_before_its_due_column():
     plan = parse_plan("ADD COLUMN receipt.x BOOLEAN AS PAID_ON_DUE(receipt.re_amount, receipt.ghost) ;")
     with pytest.raises(PlanValidationError) as exc:
-        validate_plan(plan, CANONICAL_DB, require_warehouse_decls=False)
+        schema_after(plan, CANONICAL_DB)
     assert "PAID_ON_DUE needs DATE columns, receipt.re_amount is not" in exc.value.diagnostics[0].message
 
 
@@ -338,7 +339,7 @@ def test_keyword_spelled_column_names_after_the_dot():
     assert plan.statements[1:] == (Clean("t", "date", "trim"), RemoveColumn("t", "group"), Dimension("t", "date"))
     assert parse_plan(pretty_plan(plan)) == plan
     db = parse_schema_manifest("TABLE t\n  id INTEGER PK\n  date TEXT\n  group TEXT\n")
-    final = validate_plan(plan, db, require_warehouse_decls=False)
+    final = schema_after(plan, db)
     assert final.tables["t"].column_names == ("id", "date", "key")
 
 
@@ -382,13 +383,13 @@ def test_validate_merge_keep_collision():
         "MERGE course, section INTO transcript ON transcript.tr_se_num = section.se_num "
         "AND section.se_code = course.co_code KEEP section.se_semester ;"
     )
-    validate_plan(ok, CANONICAL_DB, require_warehouse_decls=False)
+    schema_after(ok, CANONICAL_DB)
     duplicated_keep = parse_plan(
         "MERGE course, section INTO transcript ON transcript.tr_se_num = section.se_num "
         "AND section.se_code = course.co_code KEEP course.co_name, course.co_name ;"
     )
     with pytest.raises(PlanValidationError) as exc:
-        validate_plan(duplicated_keep, CANONICAL_DB, require_warehouse_decls=False)
+        schema_after(duplicated_keep, CANONICAL_DB)
     assert "collides" in exc.value.diagnostics[0].message
 
 
@@ -398,7 +399,7 @@ def test_validate_keep_from_base_is_rejected():
         "AND section.se_code = course.co_code KEEP transcript.tr_grade ;"
     )
     with pytest.raises(PlanValidationError) as exc:
-        validate_plan(plan, CANONICAL_DB, require_warehouse_decls=False)
+        schema_after(plan, CANONICAL_DB)
     assert "merged source" in exc.value.diagnostics[0].message
 
 
@@ -408,7 +409,7 @@ def test_validate_merge_disconnected_source():
         "KEEP course.co_name ;"
     )
     with pytest.raises(PlanValidationError) as exc:
-        validate_plan(plan, CANONICAL_DB, require_warehouse_decls=False)
+        schema_after(plan, CANONICAL_DB)
     assert "not connected" in exc.value.diagnostics[0].message
 
 
@@ -418,14 +419,14 @@ def test_validate_merge_join_type_mismatch():
         "AND section.se_code = course.co_code KEEP course.co_name ;"
     )
     with pytest.raises(PlanValidationError) as exc:
-        validate_plan(plan, CANONICAL_DB, require_warehouse_decls=False)
+        schema_after(plan, CANONICAL_DB)
     assert "type mismatch" in exc.value.diagnostics[0].message
 
 
 def test_validate_fact_table_must_exist():
     plan = parse_plan("FACT nowhere ;")
     with pytest.raises(PlanValidationError) as exc:
-        validate_plan(plan, CANONICAL_DB, require_warehouse_decls=False)
+        schema_after(plan, CANONICAL_DB)
     assert "does not exist" in exc.value.diagnostics[0].message
 
 
@@ -448,5 +449,5 @@ def test_validate_requires_one_fact_seven_dims_for_warehouse():
 def test_validate_duplicate_dimension():
     text = "FACT transcript ;\n" + "DIMENSION student KEY st_id ;\n" * 2
     with pytest.raises(PlanValidationError) as exc:
-        validate_plan(parse_plan(text), CANONICAL_DB, require_warehouse_decls=False)
+        schema_after(parse_plan(text), CANONICAL_DB)
     assert "duplicate DIMENSION" in exc.value.diagnostics[0].message

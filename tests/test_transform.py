@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import schema_after
 from oracles import derivation_reference, difficulty_recompute, left_merge_nested_loop, paid_on_due_recompute
 from uwh import canonical
 from uwh.cleanse import cleanse_staging
@@ -26,7 +27,6 @@ from uwh.transform import (
     exec_merge,
     exec_remove_column,
     execute_plan,
-    validate_plan,
 )
 from uwh.values import RawCell, ValueType, make_decimal, render_cell
 
@@ -506,7 +506,7 @@ def test_a_removed_column_can_be_added_back(seed42_cleansed):
         "ADD COLUMN student.st_address TEXT AS student.st_name ;\n"
         "CLEAN student.st_address WITH trim ;"
     )
-    validate_plan(plan, seed42_cleansed.schema(), require_warehouse_decls=False)
+    schema_after(plan, seed42_cleansed.schema())
     staging = seed42_cleansed.clone()
     student = staging.tables["student"]
     name = student.schema.column_index("st_name")
@@ -648,7 +648,7 @@ def test_steps_raise_what_validation_reports(seed42_cleansed, text):
     which runs the same step on empty tables, puts in its diagnostic."""
     stmt = parse_plan(text).statements[0]
     with pytest.raises(PlanValidationError) as planned:
-        validate_plan(Plan((stmt,)), seed42_cleansed.schema(), require_warehouse_decls=False)
+        schema_after(Plan((stmt,)), seed42_cleansed.schema())
     with pytest.raises(ValidationError) as direct:
         _run_step(seed42_cleansed, stmt)
     assert planned.value.diagnostics == [PlanDiagnostic(0, str(direct.value))]
@@ -671,7 +671,7 @@ def test_validation_predicts_execution(seed42_cleansed, mutant):
     plan = Plan(MUTANTS[mutant])
     before = staging_fingerprint(seed42_cleansed)
     try:
-        final = validate_plan(plan, seed42_cleansed.schema(), require_warehouse_decls=False)
+        final = schema_after(plan, seed42_cleansed.schema())
     except PlanValidationError as rejected:
         with pytest.raises(PlanValidationError) as exc:
             execute_plan(seed42_cleansed, plan, timestamp=TS)
