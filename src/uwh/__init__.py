@@ -14,7 +14,7 @@ from .canonical import (
     canonical_schema,
     canonical_schema_text,
 )
-from .cleanse import CleanseRule, ReconcilePolicy, cleanse_staging, cleanse_table, dedup, parse_rules, reconcile_foreign_keys
+from .cleanse import CleanseRule, cleanse_staging, cleanse_table, dedup, parse_rules, reconcile_foreign_keys
 from .datagen import DirtLedger, GenConfig, generate
 from .errors import (
     IntegrityError,

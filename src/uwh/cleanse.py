@@ -5,7 +5,8 @@ foreign-key reconciliation. Rules are pure cell transformations applied
 in listed order, in one pass over each table's rows; anything a rule
 cannot repair quarantines its row, so no anomaly survives silently into
 cleansed staging. Quarantined rows go by rule, then by row. Reconcile
-rounds after the first recheck only the FKs into tables that changed.
+quarantines every orphaned row; rounds after the first recheck only the
+FKs into tables that shrank.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .errors import ParseError, ValidationError
 from .plan import Clean, parse_plan, pretty_stmt
 from .schema import Table, TableSchema, check_referential_integrity, key_getter, row_checker
 from .staging import DEFAULT_TIMESTAMP, LineageEvent, QRow, StagingArea
-from .values import RawCell, ValueType, coerce_literal, parse_date_flexible, parse_typed, render_cell
+from .values import RawCell, ValueType, cell_converter, coerce_literal, parse_date_flexible, render_cell
 
 RULE_KINDS = ("trim", "collapse_whitespace", "case", "normalize_date", "null_standardize", "domain", "range")
 
@@ -185,6 +186,7 @@ def _compile_rule(rule: CleanseRule, schema: TableSchema):
     col_idx = schema.column_index(rule.column)
     col_type = schema.columns[col_idx].type
     fn = _cell_fn(rule, col_type)
+    convert = cell_converter(col_type)
     stats = RuleStats(rule)
 
     def step(row: tuple):
@@ -193,11 +195,10 @@ def _compile_rule(rule: CleanseRule, schema: TableSchema):
             return row
         if verdict == "anomaly":
             return new
-        if isinstance(new, RawCell) and col_type is not ValueType.TEXT:
-            try:
-                new = parse_typed(str(new), col_type)
-            except ValueError:
-                pass
+        if new.__class__ is RawCell:
+            parsed = convert(new)  # None only for empty text, which stays raw
+            if parsed is not None:
+                new = parsed
         stats.cells_changed += 1
         return row[:col_idx] + (new,) + row[col_idx + 1:]
 
@@ -293,99 +294,43 @@ def dedup(table: Table) -> tuple[Table, DedupSlice]:
     return Table(table.schema, kept), slice_
 
 
-@dataclass(frozen=True)
-class ReconcilePolicy:
-    """Per-FK orphan handling: quarantine the row or null its FK columns."""
-
-    default: str = "quarantine"
-    overrides: dict = field(default_factory=dict)
-
-    def for_fk(self, label: str) -> str:
-        return self.overrides.get(label, self.default)
-
-
 @dataclass
 class ReconcileStats:
     iterations: int = 0
     per_fk: dict = field(default_factory=dict)  # label -> {policy, quarantined, nullified}
 
 
-def _validate_policy(staging: StagingArea, policy: ReconcilePolicy) -> None:
-    labels = {}
-    for table in staging.tables.values():
-        for fk in table.schema.foreign_keys:
-            labels[fk.label(table.name)] = (table, fk)
-    for label, action in policy.overrides.items():
-        if action not in ("quarantine", "nullify"):
-            raise ValidationError(f"unknown reconcile policy {action!r} for {label}")
-        if label not in labels:
-            raise ValidationError(f"reconcile policy names unknown foreign key {label!r}")
-        if action == "nullify":
-            table, fk = labels[label]
-            for c in fk.columns:
-                if not table.schema.column(c).nullable:
-                    raise ValidationError(f"nullify policy on non-nullable column {table.name}.{c}")
-    if policy.default not in ("quarantine", "nullify"):
-        raise ValidationError(f"unknown default reconcile policy {policy.default!r}")
-
-
-def reconcile_foreign_keys(
-    staging: StagingArea, policy: ReconcilePolicy | None = None, *, timestamp: str = DEFAULT_TIMESTAMP
-) -> tuple[StagingArea, ReconcileStats]:
-    """Quarantine or nullify every orphan FK row until the orphan report is
-    empty. Quarantining can orphan dependents, hence the fixpoint loop."""
-    policy = policy or ReconcilePolicy()
-    _validate_policy(staging, policy)
+def reconcile_foreign_keys(staging: StagingArea, *, timestamp: str = DEFAULT_TIMESTAMP) -> tuple[StagingArea, ReconcileStats]:
+    """Quarantine every orphan FK row until the orphan report is empty.
+    Quarantining can orphan dependents, hence the fixpoint loop. Each
+    orphaned FK's entry keeps the report shape ``{"policy": "quarantine",
+    "quarantined": n, "nullified": 0}``."""
     staging = staging.clone()
     stats = ReconcileStats()
     report = check_referential_integrity(staging.tables)
     while not report.is_empty():
         stats.iterations += 1
-        drops: dict[str, dict[int, str]] = {}  # row -> its last orphaned quarantine FK
-        nulls: dict[str, dict[int, dict[str, set[int]]]] = {}  # row -> orphaned nullify FK -> its columns
+        drops: dict[str, dict[int, str]] = {}  # row -> its last orphaned FK
         for entry in report.entries:
-            table = staging.tables[entry.table]
-            action = policy.for_fk(entry.fk)
-            stats.per_fk.setdefault(entry.fk, {"policy": action, "quarantined": 0, "nullified": 0})
-            if action == "nullify":
-                fk = next(f for f in table.schema.foreign_keys if f.label(entry.table) == entry.fk)
-                if all(table.schema.column(c).nullable for c in fk.columns):
-                    cols = {table.schema.column_index(c) for c in fk.columns}
-                    nulls.setdefault(entry.table, {}).setdefault(entry.row_index, {})[entry.fk] = cols
-                    continue
-                raise ValidationError(f"nullify policy on non-nullable FK {entry.fk}")
+            stats.per_fk.setdefault(entry.fk, {"policy": "quarantine", "quarantined": 0, "nullified": 0})
             drops.setdefault(entry.table, {})[entry.row_index] = entry.fk
         # a quarantined row counts once, under the FK its reason names
-        changed = set(drops) | set(nulls)
-        for name in changed:
+        for name, doomed in drops.items():
             table = staging.tables[name]
             columns = table.schema.column_names
-            doomed = drops.get(name, {})
-            rows = list(table.rows)
-            for i, fixes in nulls.get(name, {}).items():
-                if i in doomed:
-                    continue
-                row = rows[i]
-                for fk_label, cols in fixes.items():
-                    stats.per_fk[fk_label]["nullified"] += 1
-                    row = tuple(None if j in cols else c for j, c in enumerate(row))
-                rows[i] = row
-            for i in sorted(doomed):
-                label = doomed[i]
+            for i, label in sorted(doomed.items()):
                 stats.per_fk[label]["quarantined"] += 1
-                staging.add_quarantine(name, columns, f"orphan:{label}", tuple(map(render_cell, rows[i])))
-            if doomed:
-                rows = [row for i, row in enumerate(rows) if i not in doomed]
-            staging.tables[name] = Table(table.schema, rows)
-        # only an FK into a changed table can gain an orphan (a nulled column may be its target)
-        report = check_referential_integrity(staging.tables, targets=changed)
+                staging.add_quarantine(name, columns, f"orphan:{label}", tuple(map(render_cell, table.rows[i])))
+            staging.tables[name] = Table(table.schema, [row for i, row in enumerate(table.rows) if i not in doomed])
+        # only an FK into a table that shrank can gain an orphan
+        report = check_referential_integrity(staging.tables, targets=set(drops))
     if stats.per_fk:  # no orphans leaves the staging byte-identical
         staging.log(
             LineageEvent(
                 "reconcile",
                 "",
                 f"iterations={stats.iterations} fks={len(stats.per_fk)}",
-                sum(e["quarantined"] + e["nullified"] for e in stats.per_fk.values()),
+                sum(e["quarantined"] for e in stats.per_fk.values()),
                 timestamp,
             )
         )
@@ -431,18 +376,14 @@ class CleanseReport:
             if d["exact_removed"] or d["pk_conflicts"]:
                 lines.append(f"{name}: duplicates removed={d['exact_removed']} pk conflicts={d['pk_conflicts']}")
         for label, e in self.reconcile.items():
-            if e["quarantined"] or e["nullified"]:
+            if e["quarantined"]:
                 lines.append(f"{label}: policy={e['policy']} quarantined={e['quarantined']} nullified={e['nullified']}")
         lines.append(f"total cells changed={total_changed} cells quarantined={total_quarantined}")
         return "\n".join(lines) + "\n"
 
 
 def cleanse_staging(
-    staging: StagingArea,
-    rules: list[CleanseRule],
-    policy: ReconcilePolicy | None = None,
-    *,
-    timestamp: str = DEFAULT_TIMESTAMP,
+    staging: StagingArea, rules: list[CleanseRule], *, timestamp: str = DEFAULT_TIMESTAMP
 ) -> tuple[StagingArea, CleanseReport]:
     """Whole-staging pass: per-table rules then dedup, then FK reconciliation."""
     for rule in rules:
@@ -492,7 +433,7 @@ def cleanse_staging(
                 timestamp,
             )
         )
-    staging, rstats = reconcile_foreign_keys(staging, policy, timestamp=timestamp)
+    staging, rstats = reconcile_foreign_keys(staging, timestamp=timestamp)
     report.reconcile = rstats.per_fk
     report.reconcile_iterations = rstats.iterations
     staging.reports["cleanse"] = report.to_json_dict()

@@ -170,7 +170,7 @@ _EXACT_TYPES = {
 }
 
 
-def row_checker(schema: TableSchema, *, allow_raw: bool = False):
+def row_checker(schema: TableSchema):
     """``check_row`` for one schema, compiled: a cell of its column's exact
     class passes at once, any other takes the ``value_tag`` test."""
     columns = [(c.name, c.type, _EXACT_TYPES[c.type], c.nullable) for c in schema.columns]
@@ -179,7 +179,7 @@ def row_checker(schema: TableSchema, *, allow_raw: bool = False):
         if len(row) != len(columns):
             return RowIssue(None, "arity")
         for (name, vtype, exact, nullable), cell in zip(columns, row):
-            if cell.__class__ is exact or (cell is None and nullable) or (allow_raw and isinstance(cell, RawCell)):
+            if cell.__class__ is exact or (cell is None and nullable):
                 continue
             if cell is None:
                 return RowIssue(name, "null-in-nonnullable")
@@ -190,13 +190,10 @@ def row_checker(schema: TableSchema, *, allow_raw: bool = False):
     return check
 
 
-def check_row(schema: TableSchema, row: tuple, *, allow_raw: bool = False) -> RowIssue | None:
-    """None when the row conforms; otherwise the first violation found.
-
-    ``allow_raw`` admits RawCell text in non-TEXT columns, which is the
-    state of staged tables between extraction and cleansing.
-    """
-    return row_checker(schema, allow_raw=allow_raw)(row)
+def check_row(schema: TableSchema, row: tuple) -> RowIssue | None:
+    """None when the row conforms; otherwise the first violation found. A
+    RawCell, text that did not parse as its column's type, never conforms."""
+    return row_checker(schema)(row)
 
 
 @dataclass(frozen=True)
@@ -215,13 +212,9 @@ class OrphanReport:
         return not self.entries
 
 
-def check_referential_integrity(tables, targets=None) -> OrphanReport:
+def check_referential_integrity(tables: Mapping[str, Table], targets=None) -> OrphanReport:
     """Every FK tuple with all components non-Null must match a target row.
-
-    Accepts a StagingArea or any mapping of table name to Table. With
-    ``targets``, only the FKs into those tables are checked.
-    """
-    tables: Mapping[str, Table] = getattr(tables, "tables", tables)
+    With ``targets``, only the FKs into those tables are checked."""
     report = OrphanReport()
     for table in tables.values():
         for fk in table.schema.foreign_keys:

@@ -43,7 +43,7 @@ from .csvio import parse_csv  # noqa: F401  (unused here; the benchmark's tracer
 from .errors import MissingInputError, UwhError, ValidationError
 from .manifest import parse_schema_manifest, render_manifest
 from .schema import DatabaseSchema, Table, TableSchema
-from .values import CELL_TEXT, RawCell, ValueType, cell_converter, parse_typed, render_cell
+from .values import CELL_TEXT, RawCell, ValueType, cell_converter, render_cell
 
 DEFAULT_TIMESTAMP = "1970-01-01T00:00:00Z"
 
@@ -158,6 +158,10 @@ def read_records(data: bytes, file: str, error: type[UwhError]) -> Iterator[tupl
         raise error(f"{file}: {exc}") from exc
 
 
+# each type's converter, built once
+_CONVERTERS = {vtype: cell_converter(vtype) for vtype in ValueType}
+
+
 class _ColumnMemo(dict):
     """One column's cells by field text, for the life of one decode: a miss
     converts the text and keeps its cell, except for text the column's
@@ -167,7 +171,7 @@ class _ColumnMemo(dict):
 
     def __init__(self, vtype: ValueType, raw: Callable[[str], object]):
         super().__init__()
-        self.convert = cell_converter(vtype)
+        self.convert = _CONVERTERS[vtype]
         self.raw = raw
 
     def __missing__(self, text: str):
@@ -222,13 +226,12 @@ def decode_table(data: bytes, file: str, schema: TableSchema, error: type[UwhErr
 
 
 def parse_cell(text: str, quoted: bool, vtype: ValueType):
-    """Extraction cell rule: bare empty is Null; a failed parse stays raw."""
-    if text == "" and not quoted:
-        return None
-    try:
-        return parse_typed(text, vtype)
-    except ValueError:
-        return RawCell(text)
+    """Extraction cell rule: a quoted empty field is empty text in a TEXT
+    column and raw in any other; any other field takes its type's
+    converter, so a bare empty one is Null and a failed parse stays raw."""
+    if quoted and text == "":
+        return "" if vtype is ValueType.TEXT else RawCell("")
+    return _CONVERTERS[vtype](text)
 
 
 def dumps_staging(staging: StagingArea) -> dict[str, bytes]:

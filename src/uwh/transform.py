@@ -296,21 +296,37 @@ def compile_expr(expr: Expr, table: Table):
         def cmp(row):
             a = left(row)
             b = right(row)
-            return a is not None and b is not None and op(a, b)
+            return None if a is None or b is None else op(a, b)
 
         return cmp, ValueType.BOOLEAN
     if isinstance(expr, Logical):
         (left, lt), (right, rt) = compile_expr(expr.left, table), compile_expr(expr.right, table)
         if lt is not ValueType.BOOLEAN or rt is not ValueType.BOOLEAN:
             raise ValidationError(f"line {expr.line}: {expr.op} needs BOOLEAN operands")
-        if expr.op == "AND":
-            return (lambda row: left(row) and right(row)), ValueType.BOOLEAN
-        return (lambda row: left(row) or right(row)), ValueType.BOOLEAN
+        # SQL's three-valued logic: FALSE decides an AND and TRUE an OR,
+        # whatever the other operand is; otherwise a Null operand gives Null
+        decides = expr.op == "OR"
+
+        def logical(row):
+            a = left(row)
+            if a is decides:
+                return a
+            b = right(row)
+            if b is decides:
+                return b
+            return None if a is None or b is None else a
+
+        return logical, ValueType.BOOLEAN
     if isinstance(expr, Not):
         inner, t = compile_expr(expr.operand, table)
         if t is not ValueType.BOOLEAN:
             raise ValidationError(f"line {expr.line}: NOT needs a BOOLEAN operand")
-        return (lambda row: not inner(row)), ValueType.BOOLEAN
+
+        def negate(row):
+            v = inner(row)
+            return None if v is None else not v
+
+        return negate, ValueType.BOOLEAN
     if isinstance(expr, Coalesce):
         first, second, t = _operands(expr, expr.first, expr.second, table, "COALESCE operands differ: {} vs {}")
         if t is None:
@@ -407,6 +423,9 @@ def exec_remove_column(staging: StagingArea, stmt: RemoveColumn, *, timestamp: s
 
 
 def exec_clean(staging: StagingArea, stmt: Clean, *, timestamp: str = DEFAULT_TIMESTAMP) -> StagingArea:
+    """Apply one rule through the cleanse stage's row pass over the whole
+    table, so a row is also quarantined for a raw cell, or a Null in a
+    non-nullable column, in any other column."""
     table = staging.tables.get(stmt.table)
     if table is None:
         raise ValidationError(f"unknown table {stmt.table!r}")

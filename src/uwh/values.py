@@ -5,7 +5,8 @@ Cells are plain Python objects: ``None``, ``int``, ``decimal.Decimal``,
 grid of four fractional digits; every parser and constructor here
 quantizes onto that grid so sums and means never pick up binary drift.
 
-A cell that fails its declared-type parse at extraction is kept as a
+Each type's grammar is written once, in :func:`cell_converter`. A cell
+that fails its declared-type parse at extraction is kept as a
 :class:`RawCell` (a ``str`` subclass) so the cleansing stage can still
 repair it. Raw cells only ever appear in non-TEXT columns.
 """
@@ -121,38 +122,11 @@ def coerce_literal(value, vtype: ValueType):
     raise ValueError(f"literal {value!r} does not match type {vtype.value}")
 
 
-def parse_typed(text: str, vtype: ValueType):
-    """Parse ``text`` as ``vtype``; raise ValueError if it does not conform."""
-    if vtype is ValueType.TEXT:
-        return text
-    if vtype is ValueType.INTEGER:
-        if not _INT_RE.match(text):
-            raise ValueError(f"not an integer literal: {text!r}")
-        n = int(text)
-        if not INT64_MIN <= n <= INT64_MAX:
-            raise ValueError(f"integer out of 64-bit range: {text!r}")
-        return n
-    if vtype is ValueType.DECIMAL:
-        if not _DEC_RE.match(text):
-            raise ValueError(f"not a decimal literal: {text!r}")
-        return make_decimal(text)
-    if vtype is ValueType.BOOLEAN:
-        low = text.lower()
-        if low == "true":
-            return True
-        if low == "false":
-            return False
-        raise ValueError(f"not a boolean literal: {text!r}")
-    if vtype is ValueType.DATE:
-        return parse_iso_date(text)
-    raise TypeError(f"unknown value type {vtype!r}")
-
-
 def cell_converter(vtype: ValueType) -> Callable[[str], object]:
-    """The cell rule for the unquoted fields of a ``vtype`` column, as one
-    function of the field text: a bare empty field is Null, text that
-    ``parse_typed`` accepts is its value, and any other text becomes a
-    ``RawCell``."""
+    """The one grammar of ``vtype``, as a function of a field's text: empty
+    text is Null, text of the type is its value (a 64-bit INTEGER, a DECIMAL
+    of at most four fractional digits, a BOOLEAN in any letter case, an ISO
+    DATE), and any other text becomes a ``RawCell``."""
     if vtype is ValueType.TEXT:
         return lambda text: text or None
     if vtype is ValueType.BOOLEAN:

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the engine's own machinery: joins are
 nested-loop scans without hash maps, referential checks scan full target
 tables, means are exact rational arithmetic, extraction parses the whole
-file before it types any cell, cleansing applies one rule at a time to
+file before it types any cell with a grammar of its own (``parse_typed``,
+apart from the engine's ``values.cell_converter``), cleansing applies one rule at a time to
 the whole table, and a derivation is walked afresh for every row.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from datetime import date
 from decimal import Decimal
 from fractions import Fraction
@@ -22,8 +24,48 @@ from uwh.errors import ValidationError
 from uwh.ingest import TableExtraction
 from uwh.plan import Cmp, Coalesce, Col, Difficulty, IsNull, Lit, Logical, Not, PaidOnDue
 from uwh.schema import RowIssue, Table, TableSchema
-from uwh.staging import QRow, Quarantine, parse_cell
-from uwh.values import RawCell, ValueType, parse_typed, render_cell, value_tag
+from uwh.staging import QRow, Quarantine
+from uwh.values import INT64_MAX, INT64_MIN, RawCell, ValueType, make_decimal, parse_iso_date, render_cell, value_tag
+
+_INT_RE = re.compile(r"[+-]?[0-9]+\Z")
+_DEC_RE = re.compile(r"[+-]?[0-9]+(\.[0-9]{1,4})?\Z")
+
+
+def parse_typed(text: str, vtype: ValueType):
+    """Parse ``text`` as ``vtype``; raise ValueError if it does not conform."""
+    if vtype is ValueType.TEXT:
+        return text
+    if vtype is ValueType.INTEGER:
+        if not _INT_RE.match(text):
+            raise ValueError(f"not an integer literal: {text!r}")
+        n = int(text)
+        if not INT64_MIN <= n <= INT64_MAX:
+            raise ValueError(f"integer out of 64-bit range: {text!r}")
+        return n
+    if vtype is ValueType.DECIMAL:
+        if not _DEC_RE.match(text):
+            raise ValueError(f"not a decimal literal: {text!r}")
+        return make_decimal(text)
+    if vtype is ValueType.BOOLEAN:
+        low = text.lower()
+        if low == "true":
+            return True
+        if low == "false":
+            return False
+        raise ValueError(f"not a boolean literal: {text!r}")
+    if vtype is ValueType.DATE:
+        return parse_iso_date(text)
+    raise TypeError(f"unknown value type {vtype!r}")
+
+
+def parse_cell(text: str, quoted: bool, vtype: ValueType):
+    """Extraction cell rule: bare empty is Null; a failed parse stays raw."""
+    if text == "" and not quoted:
+        return None
+    try:
+        return parse_typed(text, vtype)
+    except ValueError:
+        return RawCell(text)
 
 
 def orphan_rows_nested_loop(tables: dict[str, Table]) -> set[tuple[str, str, int]]:
@@ -86,7 +128,7 @@ def extract_table_reference(source: str | bytes, schema: TableSchema) -> tuple[T
     return Table(schema, rows), stats, quarantine
 
 
-def check_row_reference(schema: TableSchema, row: tuple, *, allow_raw: bool = False) -> RowIssue | None:
+def check_row_reference(schema: TableSchema, row: tuple) -> RowIssue | None:
     """``check_row`` as a ``value_tag`` test of every cell."""
     if len(row) != len(schema.columns):
         return RowIssue(None, "arity")
@@ -96,8 +138,6 @@ def check_row_reference(schema: TableSchema, row: tuple, *, allow_raw: bool = Fa
                 return RowIssue(col.name, "null-in-nonnullable")
             continue
         if isinstance(cell, RawCell):
-            if allow_raw:
-                continue
             return RowIssue(col.name, "type")
         if value_tag(cell) is not col.type:
             return RowIssue(col.name, "type")
@@ -245,6 +285,7 @@ def difficulty_recompute(pairs: list[tuple[object, object]], hi: int, lo: int) -
     return labels
 
 
+_TRUTH = (False, None, True)  # ascending
 _ORDER = {"=": operator.eq, "<>": operator.ne, "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
@@ -286,16 +327,14 @@ def _reference_value(e, table: Table, row: tuple):
         return row[schema.column_index(e.name)]
     if isinstance(e, Cmp):
         a, b = _reference_pair(e.left, e.right, table, row)
-        return a is not None and b is not None and _ORDER[e.op](a, b)
+        return None if a is None or b is None else _ORDER[e.op](a, b)
     if isinstance(e, Logical):
-        # a Null BOOLEAN cell is neither false nor SQL's unknown: Null AND x
-        # is Null, Null OR x is x, and NOT Null is TRUE
-        a = _reference_value(e.left, table, row)
-        if e.op == "AND":
-            return False if a is False else None if a is None else _reference_value(e.right, table, row)
-        return True if a is True else _reference_value(e.right, table, row)
+        # SQL's three-valued logic: over FALSE < Null < TRUE, AND is the
+        # lesser operand and OR the greater
+        ranks = [_TRUTH.index(_reference_value(side, table, row)) for side in (e.left, e.right)]
+        return _TRUTH[min(ranks) if e.op == "AND" else max(ranks)]
     if isinstance(e, Not):
-        return _reference_value(e.operand, table, row) is not True
+        return _TRUTH[2 - _TRUTH.index(_reference_value(e.operand, table, row))]
     if isinstance(e, Coalesce):
         a, b = _reference_pair(e.first, e.second, table, row)
         return b if a is None else a
@@ -312,8 +351,10 @@ def _reference_value(e, table: Table, row: tuple):
 
 def derivation_reference(expr, table: Table, declared: ValueType) -> list:
     """The cells ``ADD COLUMN ... <declared> AS expr`` gives ``table``'s rows,
-    for a well-typed ``expr``: a comparison with a Null operand is false, and
-    DIFFICULTY buckets exact-rational group means. A DECIMAL cell is put on
+    for a well-typed ``expr``: comparisons, AND, OR and NOT follow SQL's
+    three-valued logic (a comparison with a Null operand is Null), PAID_ON_DUE
+    with a Null date is false, and DIFFICULTY buckets exact-rational group
+    means. A DECIMAL cell is put on
     the 4-digit grid."""
     cells = [_reference_value(expr, table, row) for row in table.rows]
     if declared is ValueType.DECIMAL:

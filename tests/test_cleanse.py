@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from datetime import date
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,6 @@ from uwh import canonical
 from uwh.cleanse import (
     RULE_KINDS,
     CleanseRule,
-    ReconcilePolicy,
     apply_rule,
     check_rule,
     cleanse_staging,
@@ -107,6 +107,14 @@ def test_repaired_raw_cell_reparses_to_declared_type():
     table, slice_ = cleanse_table(_people([(1, None, None, None, RawCell(" 88.5 "))]), rules)
     assert table.rows[0][4] == make_decimal("88.5")
     assert not isinstance(table.rows[0][4], RawCell)
+
+
+def test_trimmed_raw_cells_reparse_to_falsy_values():
+    schema = parse_schema_manifest("TABLE t\n  id INTEGER PK\n  n INTEGER NULL\n  b BOOLEAN NULL\n  d DECIMAL NULL\n").tables["t"]
+    rules = [make_rule("t", c, "trim", ()) for c in ("n", "b", "d")]
+    table, slice_ = cleanse_table(Table(schema, [(1, RawCell(" 0 "), RawCell(" false "), RawCell(" 0.0 "))]), rules)
+    assert not slice_.quarantined
+    assert [(type(v), v) for v in table.rows[0]] == [(int, 1), (int, 0), (bool, False), (Decimal, Decimal("0"))]
 
 
 def test_rule_type_compat_is_checked():
@@ -311,20 +319,6 @@ def test_reconcile_quarantines_orphans_by_default():
     assert staging.quarantine["receipt"].rows[0].reason.startswith("orphan:")
 
 
-def test_reconcile_nullify_policy():
-    label = "note.no_ac_id->account(ac_id)"
-    staging, stats = reconcile_foreign_keys(_orphan_staging(), ReconcilePolicy(overrides={label: "nullify"}))
-    assert staging.tables["note"].rows[1] == (21, None)
-    assert stats.per_fk[label]["nullified"] == 1
-    assert check_referential_integrity(staging.tables).is_empty()
-
-
-def test_reconcile_nullify_on_nonnullable_is_error():
-    label = "receipt.re_ac_id->account(ac_id)"
-    with pytest.raises(ValidationError):
-        reconcile_foreign_keys(_orphan_staging(), ReconcilePolicy(overrides={label: "nullify"}))
-
-
 def test_reconcile_without_orphans_is_byte_identical():
     staging = _orphan_staging()
     staging.tables["receipt"] = Table(staging.tables["receipt"].schema, [(10, 1)])
@@ -350,28 +344,6 @@ def test_reconcile_cascades_to_fixpoint():
     )
     out, stats = reconcile_foreign_keys(staging)
     assert [r[0] for r in out.tables["c"].rows] == [7]
-    assert stats.iterations == 2
-    assert check_referential_integrity(out.tables).is_empty()
-
-
-def test_reconcile_rechecks_fks_into_a_nullified_column():
-    """Nullify removes no row, yet the nulled column may be another FK's
-    target: the next round must check the FKs into that table too."""
-    db = parse_schema_manifest(
-        "TABLE p\n  id INTEGER PK\n"
-        "TABLE c\n  id INTEGER PK\n  code INTEGER NULL FK p(id)\n"
-        "TABLE b\n  id INTEGER PK\n  c_code INTEGER FK c(code)\n"
-    )
-    staging = StagingArea(
-        tables={
-            "p": Table(db.tables["p"], [(1,)]),
-            "c": Table(db.tables["c"], [(1, 1), (2, 9)]),  # code 9 is no p
-            "b": Table(db.tables["b"], [(5, 1), (6, 9)]),  # 6 -> c.code 9, until it is nulled
-        }
-    )
-    out, stats = reconcile_foreign_keys(staging, ReconcilePolicy(overrides={"c.code->p(id)": "nullify"}))
-    assert out.tables["c"].rows == [(1, 1), (2, None)]
-    assert [r[0] for r in out.tables["b"].rows] == [5]
     assert stats.iterations == 2
     assert check_referential_integrity(out.tables).is_empty()
 

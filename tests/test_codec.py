@@ -12,12 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from uwh.csvio import format_row, parse_csv
 from uwh.errors import IntegrityError, ValidationError
 from uwh.ingest import extract_table
 from uwh.schema import ColumnDef, Table, TableSchema
 from uwh.staging import StagingArea, decode_table, dump_staging, load_staging, parse_cell, render_table_csv
-from uwh.values import INT64_MAX, INT64_MIN, RawCell, ValueType, make_decimal, parse_typed, render_cell
+from uwh.values import INT64_MAX, INT64_MIN, RawCell, ValueType, make_decimal, render_cell
 from uwh.warehouse import Measure, StarQuery, load, open_warehouse, star_query
 
 TS = "2026-01-01T00:00:00Z"
@@ -36,7 +37,8 @@ def _typed(rows) -> list[list[tuple[type, object]]]:
 
 def _reference_decode(data: bytes, schema: TableSchema, error, keep_raw: bool) -> list[tuple]:
     """What the table readers did before the typed codec: parse the whole
-    text, then each cell with ``parse_cell``. Every fault is an ``error``."""
+    text, then each cell with the reference ``oracles.parse_cell``. Every
+    fault is an ``error``."""
     try:
         records = parse_csv(data.decode("utf-8"))
     except (UnicodeDecodeError, ValidationError) as exc:
@@ -47,7 +49,7 @@ def _reference_decode(data: bytes, schema: TableSchema, error, keep_raw: bool) -
     for rec in records[1:]:
         if len(rec) != len(schema.columns):
             raise error("arity")
-        row = tuple(parse_cell(t, q, c.type) for (t, q), c in zip(rec, schema.columns))
+        row = tuple(oracles.parse_cell(t, q, c.type) for (t, q), c in zip(rec, schema.columns))
         if not keep_raw and any(isinstance(v, RawCell) for v in row):
             raise error("raw")
         rows.append(row)
@@ -151,6 +153,27 @@ def test_decode_matches_parse_cell_on_edge_texts(vtype):
     assert len(decoded) == 2 * len(texts) + 1
 
 
+_GRAMMAR_EDGES = ["", " 0", "-0", "+1", "9223372036854775808", "1.23456", "TRUE", "2011-02-30"]
+
+
+def _edge_examples(test):
+    for text in _GRAMMAR_EDGES:
+        for quoted in (False, True):
+            test = example(text=text, quoted=quoted)(test)
+    return test
+
+
+@pytest.mark.parametrize("vtype", list(ValueType), ids=lambda t: t.value)
+@settings(max_examples=150, deadline=None)
+@given(text=st.one_of(*_VALUE_TEXT.values(), st.text(max_size=8)), quoted=st.booleans())
+@_edge_examples
+def test_parse_cell_matches_the_reference_grammar(vtype, text, quoted):
+    """The cell rule built on ``cell_converter`` gives the reference
+    grammar's cell, class included: a RawCell is not a str."""
+    got, want = parse_cell(text, quoted, vtype), oracles.parse_cell(text, quoted, vtype)
+    assert (type(got), got) == (type(want), want)
+
+
 def test_quote_inside_a_bare_field_does_not_open_a_quoted_one():
     # the record holds a"b and then a quoted field spanning two lines; a
     # quote-parity split would cut it after "c and fail
@@ -209,7 +232,7 @@ def test_equal_cells_of_a_column_are_one_object():
 def _unparsable(vtype: ValueType):
     def fails(text: str) -> bool:
         try:
-            parse_typed(text, vtype)
+            oracles.parse_typed(text, vtype)
         except ValueError:
             return True
         return False

@@ -126,9 +126,7 @@ def test_extract_unparseable_cell_stages_raw():
     assert stats.raw_cells == 1
     assert isinstance(table.rows[0][1], RawCell)
     assert table.rows[1][1] == date(2011, 12, 31)
-    # staged-with-raw passes relaxed conformance only
     assert check_row(schema, table.rows[0]) is not None
-    assert check_row(schema, table.rows[0], allow_raw=True) is None
 
 
 def test_extract_counts_raw_cells_of_staged_rows_only():

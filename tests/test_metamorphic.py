@@ -1,6 +1,7 @@
 """Metamorphic relations over extract and cleanse: an edit of the source
 CSVs whose effect on the dumps is known in advance, checked byte for byte
-on a generated drop (seed 5, 200 students, dirty-rate 0.1).
+on a generated drop (seed 5, 200 students, dirty-rate 0.1), and CRLF line
+ends checked against the seed-42 golden warehouse.
 """
 
 from __future__ import annotations
@@ -12,12 +13,15 @@ import shutil
 import pytest
 
 from conftest import TS
+from test_golden import WAREHOUSE, _digests
 from uwh import canonical
 from uwh.cleanse import cleanse_staging
 from uwh.csvio import format_row, iter_records
 from uwh.datagen import GenConfig, generate
 from uwh.ingest import extract_database
 from uwh.staging import dumps_staging
+from uwh.transform import execute_plan
+from uwh.warehouse import load
 
 
 def _dumps(src):
@@ -40,12 +44,14 @@ def _copy(src, tmp_path):
     return out
 
 
-def _permute_columns(text: str, perm: list[int]) -> str:
+def _permute_columns(text: str, perm: list[int] | None = None, end: str = "\n") -> str:
+    """The records of ``text``, each with its fields in ``perm`` order (as
+    they are by default), each ended by ``end``."""
     lines = []
     for fields, quoted in iter_records(text):
         flags = quoted or [False] * len(fields)
-        lines.append(format_row([(fields[j], flags[j]) for j in perm]))
-    return "\n".join(lines) + "\n"
+        lines.append(format_row([(fields[j], flags[j]) for j in perm or range(len(fields))]))
+    return end.join(lines) + end
 
 
 def test_permuted_source_columns_give_identical_dumps(drop, tmp_path):
@@ -114,3 +120,18 @@ def test_exact_copy_of_surviving_student_changes_only_counts(drop, tmp_path):
     assert len(old) == len(new)
     changed = [(a.split("\t")[:2], b.split("\t")[:2]) for a, b in zip(old, new) if a != b]
     assert changed == [(["extract", "student"], ["extract", "student"]), (["cleanse", "student"], ["cleanse", "student"])]
+
+
+def test_crlf_sources_give_the_golden_warehouse(seed42_src, tmp_path):
+    """CRLF line ends send every record through the general parser, and the
+    seed-42 warehouse built from them is the one ``test_golden`` pins."""
+    crlf = _copy(seed42_src, tmp_path)
+    for schema in canonical.canonical_schema():
+        path = crlf / f"{schema.name}.csv"
+        path.write_bytes(_permute_columns(path.read_text(encoding="utf-8"), end="\r\n").encode("utf-8"))
+    assert (crlf / "student.csv").read_bytes().count(b"\r\n") > 100
+    staging, _ = extract_database(crlf, canonical.canonical_schema(), timestamp=TS)
+    cleansed, _ = cleanse_staging(staging, list(canonical.canonical_rules()), timestamp=TS)
+    transformed, _ = execute_plan(cleansed, canonical.canonical_plan(), timestamp=TS)
+    load(tmp_path / "wh", transformed, timestamp=TS)
+    assert _digests(tmp_path / "wh") == WAREHOUSE

@@ -88,11 +88,10 @@ def test_check_row_arity():
     assert issue is not None and issue.reason == "arity"
 
 
-def test_check_row_raw_cells_only_with_allow_raw():
+def test_check_row_rejects_raw_cells():
     schema = _table("t", [ColumnDef("id", ValueType.INTEGER), ColumnDef("d", ValueType.DATE, nullable=True)], ["id"])
-    row = (1, RawCell("31/12/2011"))
-    assert check_row(schema, row) is not None
-    assert check_row(schema, row, allow_raw=True) is None
+    issue = check_row(schema, (1, RawCell("31/12/2011")))
+    assert issue is not None and str(issue) == "type:d"
 
 
 def test_referential_integrity_reports_orphan_transcript():
@@ -152,9 +151,8 @@ def test_referential_integrity_targets_filter_seed42(seed42_staging):
 
 
 @settings(max_examples=80)
-@given(graph=fk_graphs(), data=st.data())
-def test_referential_integrity_targets_filter_random_graphs(graph, data):
-    tables, _ = graph
+@given(tables=fk_graphs(), data=st.data())
+def test_referential_integrity_targets_filter_random_graphs(tables, data):
     _check_targets(tables, data.draw(st.lists(st.sampled_from(sorted(tables)), unique=True)))
 
 
@@ -203,9 +201,7 @@ def test_conformant_rows_always_pass_check_row(data):
         misfit = {c.name: st.none() | st.text(max_size=3).map(RawCell) | _misfits[c.type] for c in schema.columns}
         spoiled = tuple(data.draw(st.just(cell) | misfit[c.name]) for c, cell in zip(schema.columns, row))
         spoiled = data.draw(st.sampled_from((spoiled, spoiled[:-1], spoiled + (None,))))
-        for allow_raw in (False, True):
-            want = check_row_reference(schema, spoiled, allow_raw=allow_raw)
-            assert check_row(schema, spoiled, allow_raw=allow_raw) == want
+        assert check_row(schema, spoiled) == check_row_reference(schema, spoiled)
 
 
 def test_decimal_cells_compare_across_trailing_zeros():

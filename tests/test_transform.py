@@ -18,7 +18,7 @@ from uwh.ingest import extract_database
 from uwh.manifest import parse_schema_manifest
 from uwh.plan import AddColumn, Clean, DropTable, Merge, Plan, RemoveColumn, parse_plan
 from uwh.schema import Table
-from uwh.staging import StagingArea, staging_fingerprint
+from uwh.staging import QRow, StagingArea, staging_fingerprint
 from uwh.transform import (
     PlanDiagnostic,
     exec_add_column,
@@ -307,6 +307,17 @@ def test_clean_repairs_raw_cells_a_derivation_then_reads():
     assert out.tables["r"].rows == [(1, date(2011, 9, 1), date(2011, 9, 15), True)]
 
 
+def test_clean_quarantines_a_raw_cell_in_another_column():
+    """A plan CLEAN runs cleanse's row pass over the whole table, so a raw
+    cell left in any column quarantines its row."""
+    db = parse_schema_manifest("TABLE r\n  id INTEGER PK\n  paid DATE NULL\n  due DATE NULL\n")
+    rows = [(1, RawCell("01/09/2011"), RawCell("soon")), (2, None, date(2011, 1, 1))]
+    staging = StagingArea(tables={"r": Table(db.tables["r"], rows)})
+    out, _ = execute_plan(staging, parse_plan("CLEAN r.paid WITH normalize_date('day_first', 'iso') ;"), timestamp=TS)
+    assert out.tables["r"].rows == [(2, None, date(2011, 1, 1))]
+    assert out.quarantine["r"].rows == [QRow("type:due", ("1", "2011-09-01", "soon"))]
+
+
 DIFFICULTY_80_65 = "ADD COLUMN g.d TEXT AS DIFFICULTY(g.grade GROUP BY g.code THRESHOLDS 80, 65) ;"
 
 
@@ -332,10 +343,32 @@ def test_coalesce_and_null_comparisons():
     db = parse_schema_manifest("TABLE t\n  id INTEGER PK\n  a TEXT NULL\n  b TEXT NULL\n")
     table = Table(db.tables["t"], [(1, None, "x"), (2, "y", "x"), (3, None, None)])
     assert _derived(table, "ADD COLUMN t.x TEXT AS COALESCE(t.a, t.b) ;") == ["x", "y", None]
-    # comparisons with a Null operand are false, including <>
-    assert _derived(table, "ADD COLUMN t.x BOOLEAN AS t.a <> t.b ;") == [False, True, False]
-    assert _derived(table, "ADD COLUMN t.x BOOLEAN AS t.a = t.b ;") == [False, False, False]
+    # comparisons with a Null operand are Null, including <>
+    assert _derived(table, "ADD COLUMN t.x BOOLEAN AS t.a <> t.b ;") == [None, True, None]
+    assert _derived(table, "ADD COLUMN t.x BOOLEAN AS t.a = t.b ;") == [None, False, None]
     assert _derived(table, "ADD COLUMN t.x BOOLEAN AS IS_NULL(t.a) ;") == [True, False, True]
+
+
+def test_logic_is_three_valued():
+    """SQL's truth tables: every AND and OR pair over Null, FALSE, TRUE and
+    NOT of each, and a comparison with a Null operand is Null."""
+    db = parse_schema_manifest("TABLE t\n  id INTEGER PK\n  a BOOLEAN NULL\n  b BOOLEAN NULL\n")
+    values = (None, False, True)
+    pairs = [(a, b) for a in values for b in values]
+    table = Table(db.tables["t"], [(n, a, b) for n, (a, b) in enumerate(pairs)])
+    assert _derived(table, "ADD COLUMN t.x BOOLEAN AS t.a AND t.b ;") == [
+        None, False, None,
+        False, False, False,
+        None, False, True,
+    ]
+    assert _derived(table, "ADD COLUMN t.x BOOLEAN AS t.a OR t.b ;") == [
+        None, None, True,
+        None, False, True,
+        True, True, True,
+    ]
+    assert _derived(table, "ADD COLUMN t.x BOOLEAN AS NOT t.a ;")[::3] == [None, True, False]
+    assert _derived(table, "ADD COLUMN t.x BOOLEAN AS t.a = FALSE ;")[::3] == [None, True, False]
+    assert _derived(table, "ADD COLUMN t.x BOOLEAN AS t.a OR FALSE ;")[::3] == [None, False, True]
 
 
 _H = parse_schema_manifest(

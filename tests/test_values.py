@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import parse_typed
 from uwh.values import (
     RawCell,
     ValueType,
@@ -15,7 +16,6 @@ from uwh.values import (
     make_decimal,
     parse_date_flexible,
     parse_iso_date,
-    parse_typed,
     render_cell,
     value_tag,
 )
