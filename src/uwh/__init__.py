@@ -14,8 +14,8 @@ from .canonical import (
     canonical_schema,
     canonical_schema_text,
 )
-from .cleanse import CleanseRule, cleanse_staging, cleanse_table, dedup, parse_rules, reconcile_foreign_keys
-from .datagen import DirtLedger, GenConfig, generate
+from .cleanse import cleanse_staging, cleanse_table, dedup, parse_rules, reconcile_foreign_keys
+from .datagen import DirtLedger, GenConfig, generate, load_ledger
 from .errors import (
     IntegrityError,
     ManifestError,

@@ -12,7 +12,7 @@ FKs into tables that shrank.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from decimal import Decimal
 
 from .errors import ParseError, ValidationError
@@ -30,19 +30,13 @@ _WORD_RE = re.compile(r"[A-Za-z]+")
 _WS_RUN_RE = re.compile(r"\s+")
 
 
-@dataclass(frozen=True)
-class CleanseRule:
-    table: str
-    column: str
-    kind: str
-    args: tuple = ()
-
-    def label(self) -> str:
-        args = "" if not self.args else "(" + ", ".join(render_cell(a) for a in self.args) + ")"
-        return f"{self.table}.{self.column} {self.kind}{args}"
+def rule_label(rule: Clean) -> str:
+    """The rule as the cleanse report names it: ``table.column kind(args)``."""
+    args = "" if not rule.args else "(" + ", ".join(render_cell(a) for a in rule.args) + ")"
+    return f"{rule.table}.{rule.name} {rule.kind}{args}"
 
 
-def make_rule(table: str, column: str, kind: str, args: tuple) -> CleanseRule:
+def make_rule(table: str, column: str, kind: str, args: tuple) -> Clean:
     """Arg-shape validation; raises ValueError on a malformed rule."""
     if kind not in RULE_KINDS:
         raise ValueError(f"unknown rule kind {kind!r}")
@@ -66,134 +60,120 @@ def make_rule(table: str, column: str, kind: str, args: tuple) -> CleanseRule:
             raise ValueError("range needs two numeric bounds")
         if args[0] > args[1]:
             raise ValueError("range bounds must satisfy min <= max")
-    return CleanseRule(table, column, kind, args)
+    return Clean(table, column, kind, args)
 
 
-def check_rule(rule: CleanseRule, schema: TableSchema) -> CleanseRule:
-    """Type-compatibility against the column; returns the rule with coerced args."""
-    if not schema.has_column(rule.column):
-        raise ValueError(f"{schema.name} has no column {rule.column!r}")
-    col = schema.column(rule.column)
-    if rule.kind == "case" and col.type is not ValueType.TEXT:
-        raise ValueError(f"case applies to TEXT columns, {rule.column} is {col.type.value}")
-    if rule.kind == "normalize_date" and col.type is not ValueType.DATE:
-        raise ValueError(f"normalize_date applies to DATE columns, {rule.column} is {col.type.value}")
-    if rule.kind == "range" and col.type not in (ValueType.INTEGER, ValueType.DECIMAL):
-        raise ValueError(f"range applies to numeric columns, {rule.column} is {col.type.value}")
-    if rule.kind in ("range", "domain"):
-        return CleanseRule(rule.table, rule.column, rule.kind, tuple(coerce_literal(a, col.type) for a in rule.args))
-    return rule
+@dataclass
+class RuleStats:
+    rule: Clean
+    cells_examined: int = 0
+    cells_changed: int = 0
+    cells_quarantined: int = 0
+
+
+class _Flag(str):
+    """The reason a rule gives for a cell it cannot repair."""
+
+    __slots__ = ()
+
+
+# kind -> (the column types it applies to, their name in its error)
+_COLUMN_TYPES = {
+    "case": ((ValueType.TEXT,), "TEXT"),
+    "normalize_date": ((ValueType.DATE,), "DATE"),
+    "range": ((ValueType.INTEGER, ValueType.DECIMAL), "numeric"),
+}
 
 
 def _title_case(s: str) -> str:
     return _WORD_RE.sub(lambda m: m.group(0).capitalize(), s)
 
 
-@dataclass
-class RuleStats:
-    rule: CleanseRule
-    cells_examined: int = 0
-    cells_changed: int = 0
-    cells_quarantined: int = 0
+def compile_rule(rule: Clean, schema: TableSchema):
+    """Check a rule made by ``make_rule`` against its table's schema and
+    compile it, raising a ValueError that names the rule if it names an
+    unknown column, does not fit the column's type or has an argument of
+    another type. Returns its RuleStats, whose rule has its args coerced
+    to the column's type, and its row step: row -> the row after the rule,
+    or the _Flag of the anomaly it finds. A changed raw cell whose text
+    now parses as the declared type becomes that typed value."""
 
+    def fault(msg) -> ValueError:
+        return ValueError(f"rule {rule_label(rule)}: {msg}")
 
-_SAME = ("same", None)
-
-
-def _cell_fn(rule: CleanseRule, col_type: ValueType):
-    """Per-cell transformation: ('same', _), ('changed', v), or ('anomaly', reason)."""
+    if not schema.has_column(rule.name):
+        raise fault(f"{schema.name} has no column {rule.name!r}")
+    col_idx = schema.column_index(rule.name)
+    col_type = schema.columns[col_idx].type
     kind = rule.kind
+    types, what = _COLUMN_TYPES.get(kind, (ValueType, ""))
+    if col_type not in types:
+        raise fault(f"{kind} applies to {what} columns, {rule.name} is {col_type.value}")
+    if kind in ("range", "domain"):
+        try:
+            rule = replace(rule, args=tuple(coerce_literal(a, col_type) for a in rule.args))
+        except ValueError as exc:
+            raise fault(exc) from None
+    args = rule.args
 
+    # fn: cell -> the same cell object when the rule leaves it alone, the
+    # new cell when it changes it, or a _Flag
     if kind in ("trim", "collapse_whitespace"):
-        def fix(s: str) -> str:
-            return s.strip() if kind == "trim" else _WS_RUN_RE.sub(" ", s)
+        fix = str.strip if kind == "trim" else lambda s: _WS_RUN_RE.sub(" ", s)
 
         def fn(cell):
             if isinstance(cell, RawCell):
-                new = fix(str(cell))
-                return _SAME if new == str(cell) else ("changed", RawCell(new))
+                new = fix(cell)
+                return cell if new == cell else RawCell(new)
             if col_type is ValueType.TEXT and isinstance(cell, str):
                 new = fix(cell)
-                return _SAME if new == cell else ("changed", new)
-            return _SAME
-        return fn
+                return cell if new == cell else new
+            return cell
+    elif kind == "case":
+        fix = {"upper": str.upper, "lower": str.lower, "title": _title_case}[args[0]]
 
-    if kind == "case":
-        mode = rule.args[0]
         def fn(cell):
             if not isinstance(cell, str):
-                return _SAME
-            if mode == "upper":
-                new = cell.upper()
-            elif mode == "lower":
-                new = cell.lower()
-            else:
-                new = _title_case(cell)
-            return _SAME if new == cell else ("changed", new)
-        return fn
-
-    if kind == "normalize_date":
-        priority = rule.args
+                return cell
+            new = fix(cell)
+            return cell if new == cell else new
+    elif kind == "normalize_date":
         def fn(cell):
             if not isinstance(cell, RawCell):
-                return _SAME
-            parsed = parse_date_flexible(str(cell), priority)
-            if parsed is None:
-                return ("anomaly", "unparseable-date")
-            return ("changed", parsed)
-        return fn
+                return cell
+            parsed = parse_date_flexible(cell, args)
+            return _Flag("unparseable-date") if parsed is None else parsed
+    elif kind == "null_standardize":
+        tokens = set(args)
 
-    if kind == "null_standardize":
-        tokens = set(rule.args)
         def fn(cell):
-            if isinstance(cell, str) and cell.strip() in tokens:
-                return ("changed", None)
-            return _SAME
-        return fn
+            return None if isinstance(cell, str) and cell.strip() in tokens else cell
+    elif kind == "domain":
+        allowed = set(args)
 
-    if kind == "domain":
-        allowed = set(rule.args)
         def fn(cell):
             if cell is None:
-                return _SAME
-            if isinstance(cell, RawCell) or cell not in allowed:
-                return ("anomaly", "out-of-domain")
-            return _SAME
-        return fn
+                return cell
+            return _Flag("out-of-domain") if isinstance(cell, RawCell) or cell not in allowed else cell
+    else:  # range
+        lo, hi = args
 
-    if kind == "range":
-        lo, hi = rule.args
         def fn(cell):
             if cell is None:
-                return _SAME
+                return cell
             if isinstance(cell, RawCell):
-                return ("anomaly", "unparseable-number")
-            if lo <= cell <= hi:
-                return _SAME
-            return ("anomaly", "out-of-range")
-        return fn
+                return _Flag("unparseable-number")
+            return cell if lo <= cell <= hi else _Flag("out-of-range")
 
-    raise ValueError(f"unknown rule kind {kind!r}")
-
-
-def _compile_rule(rule: CleanseRule, schema: TableSchema):
-    """The rule's RuleStats and its row step: row -> the row after the rule,
-    or the reason (a str) of the anomaly it finds. A changed raw cell whose
-    text now parses as the declared type becomes that typed value."""
-    if rule.table != schema.name:
-        raise ValidationError(f"rule {rule.label()} applied to table {schema.name!r}")
-    rule = check_rule(rule, schema)
-    col_idx = schema.column_index(rule.column)
-    col_type = schema.columns[col_idx].type
-    fn = _cell_fn(rule, col_type)
     convert = cell_converter(col_type)
     stats = RuleStats(rule)
 
     def step(row: tuple):
-        verdict, new = fn(row[col_idx])
-        if verdict == "same":
+        cell = row[col_idx]
+        new = fn(cell)
+        if new is cell:
             return row
-        if verdict == "anomaly":
+        if new.__class__ is _Flag:
             return new
         if new.__class__ is RawCell:
             parsed = convert(new)  # None only for empty text, which stays raw
@@ -205,14 +185,11 @@ def _compile_rule(rule: CleanseRule, schema: TableSchema):
     return stats, step
 
 
-def apply_rule(table: Table, rule: CleanseRule) -> tuple[Table, RuleStats]:
+def apply_rule(table: Table, rule: Clean) -> tuple[Table, RuleStats]:
     """Apply one rule to its column; a row it flags is kept as it was, not removed."""
-    stats, step = _compile_rule(rule, table.schema)
+    stats, step = compile_rule(rule, table.schema)
     stats.cells_examined = len(table.rows)
-    rows = list(map(step, table.rows))
-    for i, out in enumerate(rows):
-        if out.__class__ is str:
-            rows[i] = table.rows[i]
+    rows = [row if out.__class__ is _Flag else out for row, out in zip(table.rows, map(step, table.rows))]
     return Table(table.schema, rows), stats
 
 
@@ -226,20 +203,20 @@ class TableCleanseSlice:
     quarantined: list[QRow] = field(default_factory=list)
 
 
-def cleanse_table(table: Table, rules: list[CleanseRule]) -> tuple[Table, TableCleanseSlice]:
+def cleanse_table(table: Table, rules: list[Clean]) -> tuple[Table, TableCleanseSlice]:
     """Each row runs the rules in order until one flags it, which quarantines
     it; a row that passes them all but fails strict conformance (surviving
     raw cell, Null in a non-nullable column) is quarantined after those."""
     slice_ = TableCleanseSlice(table.name, rows_in=len(table.rows))
-    compiled = [(*_compile_rule(rule, table.schema), []) for rule in rules]
+    compiled = [(*compile_rule(rule, table.schema), []) for rule in rules]
     check = row_checker(table.schema)
     kept: list[tuple] = []
     failed: list[QRow] = []
     for row in table.rows:
         for stats, step, flagged in compiled:
             out = step(row)
-            if out.__class__ is str:
-                flagged.append(QRow(f"{out}:{stats.rule.column}", tuple(map(render_cell, row))))
+            if out.__class__ is _Flag:
+                flagged.append(QRow(f"{out}:{stats.rule.name}", tuple(map(render_cell, row))))
                 break
             row = out
         else:
@@ -346,15 +323,7 @@ class CleanseReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "tables": {
-                name: {
-                    "rows_in": s["rows_in"],
-                    "rows_out": s["rows_out"],
-                    "rows_quarantined": s["rows_quarantined"],
-                    "rules": s["rules"],
-                }
-                for name, s in sorted(self.tables.items())
-            },
+            "tables": dict(sorted(self.tables.items())),
             "dedup": dict(sorted(self.dedup.items())),
             "reconcile": {"iterations": self.reconcile_iterations, "foreign_keys": dict(sorted(self.reconcile.items()))},
         }
@@ -383,24 +352,22 @@ class CleanseReport:
 
 
 def cleanse_staging(
-    staging: StagingArea, rules: list[CleanseRule], *, timestamp: str = DEFAULT_TIMESTAMP
+    staging: StagingArea, rules: list[Clean], *, timestamp: str = DEFAULT_TIMESTAMP
 ) -> tuple[StagingArea, CleanseReport]:
     """Whole-staging pass: per-table rules then dedup, then FK reconciliation."""
     for rule in rules:
         if rule.table not in staging.tables:
-            raise ValidationError(f"rule {rule.label()} names unknown table {rule.table!r}")
-        try:
-            check_rule(rule, staging.tables[rule.table].schema)
-        except ValueError as exc:
-            raise ValidationError(f"rule {rule.label()}: {exc}") from exc
-
+            raise ValidationError(f"rule {rule_label(rule)} names unknown table {rule.table!r}")
     staging = staging.clone()
     report = CleanseReport()
     for name in list(staging.tables):
         table = staging.tables[name]
         table_rules = [r for r in rules if r.table == name]
         columns = table.schema.column_names
-        cleaned, slice_ = cleanse_table(table, table_rules)
+        try:
+            cleaned, slice_ = cleanse_table(table, table_rules)
+        except ValueError as exc:
+            raise ValidationError(str(exc)) from exc
         for qr in slice_.quarantined:
             staging.add_quarantine(name, columns, qr.reason, qr.fields)
         deduped, dslice = dedup(cleaned)
@@ -413,7 +380,7 @@ def cleanse_staging(
             "rows_quarantined": slice_.rows_quarantined,
             "rules": [
                 {
-                    "rule": s.rule.label(),
+                    "rule": rule_label(s.rule),
                     "kind": s.rule.kind,
                     "cells_examined": s.cells_examined,
                     "cells_changed": s.cells_changed,
@@ -440,9 +407,9 @@ def cleanse_staging(
     return staging, report
 
 
-def parse_rules(text: str) -> list[CleanseRule]:
+def parse_rules(text: str) -> list[Clean]:
     """Rules file: CLEAN statements, parsed by the plan parser."""
-    rules: list[CleanseRule] = []
+    rules: list[Clean] = []
     for stmt in parse_plan(text).statements:
         if not isinstance(stmt, Clean):
             raise ParseError(f"a rules file holds only CLEAN statements, found {pretty_stmt(stmt)!r}", stmt.line)

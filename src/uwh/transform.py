@@ -24,7 +24,7 @@ from itertools import repeat
 from operator import itemgetter
 from typing import NoReturn
 
-from .cleanse import check_rule, cleanse_table, make_rule
+from .cleanse import cleanse_table, make_rule
 from .errors import PlanValidationError, ValidationError
 from .plan import (
     AddColumn,
@@ -344,6 +344,8 @@ def compile_expr(expr: Expr, table: Table):
         p_idx, d_idx = (_date_column(col, table) for col in (expr.payment, expr.due))
 
         def paid(row):
+            # FALSE, not Null, over a Null date: with no date there is no
+            # payment on or before the due date
             p = row[p_idx]
             d = row[d_idx]
             return p is not None and d is not None and p <= d
@@ -429,13 +431,10 @@ def exec_clean(staging: StagingArea, stmt: Clean, *, timestamp: str = DEFAULT_TI
     table = staging.tables.get(stmt.table)
     if table is None:
         raise ValidationError(f"unknown table {stmt.table!r}")
-    if not table.schema.has_column(stmt.name):
-        raise ValidationError(f"unknown column {stmt.table}.{stmt.name}")
-    try:  # a malformed rule, or one that does not fit the column's type
-        rule = check_rule(make_rule(stmt.table, stmt.name, stmt.kind, stmt.args), table.schema)
+    try:  # a malformed rule, or one that does not fit the column
+        cleaned, slice_ = cleanse_table(table, [make_rule(stmt.table, stmt.name, stmt.kind, stmt.args)])
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-    cleaned, slice_ = cleanse_table(table, [rule])
     out = staging.clone()
     out.tables[stmt.table] = cleaned
     columns = table.schema.column_names

@@ -5,7 +5,7 @@ nested-loop scans without hash maps, referential checks scan full target
 tables, means are exact rational arithmetic, extraction parses the whole
 file before it types any cell with a grammar of its own (``parse_typed``,
 apart from the engine's ``values.cell_converter``), cleansing applies one rule at a time to
-the whole table, and a derivation is walked afresh for every row.
+the whole table with a version of each rule kind of its own, and a derivation is walked afresh for every row.
 """
 
 from __future__ import annotations
@@ -13,19 +13,31 @@ from __future__ import annotations
 import math
 import operator
 import re
+from dataclasses import replace
 from datetime import date
 from decimal import Decimal
 from fractions import Fraction
 from operator import itemgetter
 
-from uwh.cleanse import RuleStats, TableCleanseSlice, _cell_fn, check_rule
+from uwh.cleanse import RuleStats, TableCleanseSlice
 from uwh.csvio import format_field, parse_csv
 from uwh.errors import ValidationError
 from uwh.ingest import TableExtraction
 from uwh.plan import Cmp, Coalesce, Col, Difficulty, IsNull, Lit, Logical, Not, PaidOnDue
 from uwh.schema import RowIssue, Table, TableSchema
 from uwh.staging import QRow, Quarantine
-from uwh.values import INT64_MAX, INT64_MIN, RawCell, ValueType, make_decimal, parse_iso_date, render_cell, value_tag
+from uwh.values import (
+    INT64_MAX,
+    INT64_MIN,
+    RawCell,
+    ValueType,
+    coerce_literal,
+    make_decimal,
+    parse_date_flexible,
+    parse_iso_date,
+    render_cell,
+    value_tag,
+)
 
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 _DEC_RE = re.compile(r"[+-]?[0-9]+(\.[0-9]{1,4})?\Z")
@@ -144,28 +156,70 @@ def check_row_reference(schema: TableSchema, row: tuple) -> RowIssue | None:
     return None
 
 
+_WHITESPACE_RUN_RE = re.compile(r"\s+")
+_LETTERS_RE = re.compile(r"[A-Za-z]+")
+
+
+def _rule_on_cell(kind: str, args: tuple, col_type: ValueType, cell):
+    """One cleansing rule on one cell, per the README's list of kinds:
+    ``(cell after the rule, None)``, or ``(None, reason)`` when the rule
+    flags the cell."""
+    if kind in ("trim", "collapse_whitespace"):
+        if not (isinstance(cell, RawCell) or (col_type is ValueType.TEXT and isinstance(cell, str))):
+            return cell, None
+        text = str(cell).strip() if kind == "trim" else _WHITESPACE_RUN_RE.sub(" ", str(cell))
+        return (RawCell(text) if isinstance(cell, RawCell) else text), None
+    if kind == "case":
+        if not isinstance(cell, str):
+            return cell, None
+        if args[0] == "upper":
+            return str(cell).upper(), None
+        if args[0] == "lower":
+            return str(cell).lower(), None
+        return _LETTERS_RE.sub(lambda m: m.group(0)[0].upper() + m.group(0)[1:].lower(), str(cell)), None
+    if kind == "normalize_date":
+        if not isinstance(cell, RawCell):
+            return cell, None
+        parsed = parse_date_flexible(str(cell), args)
+        return (None, "unparseable-date") if parsed is None else (parsed, None)
+    if kind == "null_standardize":
+        return (None if isinstance(cell, str) and cell.strip() in args else cell), None
+    if cell is None:
+        return cell, None
+    if kind == "domain":
+        return (None, "out-of-domain") if isinstance(cell, RawCell) or cell not in list(args) else (cell, None)
+    if kind == "range":
+        if isinstance(cell, RawCell):
+            return None, "unparseable-number"
+        return (cell, None) if args[0] <= cell <= args[1] else (None, "out-of-range")
+    raise AssertionError(f"unknown rule kind {kind!r}")
+
+
 def cleanse_table_reference(table: Table, rules: list) -> tuple[Table, TableCleanseSlice]:
     """``cleanse_table`` as one whole-table pass per rule: each pass applies
     the rule to every remaining row, then quarantines the rows it flagged;
-    a last pass quarantines the rows that fail ``check_row_reference``."""
+    a last pass quarantines the rows that fail ``check_row_reference``. A
+    cell counts as changed when the rule gives an unequal value; a changed
+    raw cell of a non-TEXT column whose text parses as the type takes the
+    typed value."""
     slice_ = TableCleanseSlice(table.name, rows_in=len(table.rows))
     rows = list(table.rows)
     for rule in rules:
-        rule = check_rule(rule, table.schema)
-        col_idx = table.schema.column_index(rule.column)
-        col_type = table.schema.column(rule.column).type
-        fn = _cell_fn(rule, col_type)
+        col_idx = table.schema.column_index(rule.name)
+        col_type = table.schema.column(rule.name).type
+        if rule.kind in ("domain", "range"):
+            rule = replace(rule, args=tuple(coerce_literal(a, col_type) for a in rule.args))
         stats = RuleStats(rule)
         applied: list[tuple] = []
         flagged: dict[int, str] = {}
         for i, row in enumerate(rows):
             stats.cells_examined += 1
-            verdict, new = fn(row[col_idx])
-            if verdict == "same":
+            new, reason = _rule_on_cell(rule.kind, rule.args, col_type, row[col_idx])
+            if reason is not None:
+                flagged[i] = reason
                 applied.append(row)
                 continue
-            if verdict == "anomaly":
-                flagged[i] = new
+            if new == row[col_idx]:
                 applied.append(row)
                 continue
             if isinstance(new, RawCell) and col_type is not ValueType.TEXT:
@@ -179,7 +233,7 @@ def cleanse_table_reference(table: Table, rules: list) -> tuple[Table, TableClea
         for i, row in enumerate(applied):
             if i in flagged:
                 slice_.quarantined.append(
-                    QRow(f"{flagged[i]}:{rule.column}", tuple(render_cell(c) for c in row))
+                    QRow(f"{flagged[i]}:{rule.name}", tuple(render_cell(c) for c in row))
                 )
                 stats.cells_quarantined += 1
             else:

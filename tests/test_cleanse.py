@@ -11,11 +11,10 @@ from oracles import cleanse_table_reference
 from uwh import canonical
 from uwh.cleanse import (
     RULE_KINDS,
-    CleanseRule,
     apply_rule,
-    check_rule,
     cleanse_staging,
     cleanse_table,
+    compile_rule,
     dedup,
     make_rule,
     parse_rules,
@@ -23,6 +22,7 @@ from uwh.cleanse import (
 )
 from uwh.errors import ValidationError
 from uwh.manifest import parse_schema_manifest
+from uwh.plan import Clean
 from uwh.schema import Table, check_referential_integrity
 from uwh.staging import StagingArea, staging_fingerprint
 from uwh.values import RawCell, ValueType, make_decimal
@@ -83,9 +83,10 @@ def test_domain_violation_quarantines_row():
 def test_range_violation_quarantines_row():
     rules = [make_rule("people", "score", "range", (0, 100))]
     table, slice_ = cleanse_table(
-        _people([(1, None, None, None, make_decimal("150")), (2, None, None, None, make_decimal("99"))]), rules
+        _people([(1, None, None, None, make_decimal("150")), (2, None, None, None, make_decimal("99")),
+                 (3, None, None, None, make_decimal("0")), (4, None, None, None, make_decimal("100"))]), rules
     )
-    assert [r[0] for r in table.rows] == [2]
+    assert [r[0] for r in table.rows] == [2, 3, 4]  # both bounds are inside the range
     assert slice_.quarantined[0].reason == "out-of-range:score"
 
 
@@ -118,21 +119,24 @@ def test_trimmed_raw_cells_reparse_to_falsy_values():
 
 
 def test_rule_type_compat_is_checked():
-    with pytest.raises(ValueError):
-        check_rule(make_rule("people", "name", "range", (0, 1)), PEOPLE)
-    with pytest.raises(ValueError):
-        check_rule(make_rule("people", "score", "case", ("upper",)), PEOPLE)
-    with pytest.raises(ValueError):
-        check_rule(make_rule("people", "name", "normalize_date", ("iso",)), PEOPLE)
+    with pytest.raises(ValueError, match=r"^rule people.name range\(0, 1\): range applies to numeric columns"):
+        compile_rule(make_rule("people", "name", "range", (0, 1)), PEOPLE)
+    with pytest.raises(ValueError, match=r"^rule people.score case\(upper\): case applies to TEXT columns, score is"):
+        compile_rule(make_rule("people", "score", "case", ("upper",)), PEOPLE)
+    with pytest.raises(ValueError, match="normalize_date applies to DATE columns, name is TEXT"):
+        compile_rule(make_rule("people", "name", "normalize_date", ("iso",)), PEOPLE)
+    with pytest.raises(ValueError, match=r"^rule people.ghost trim: people has no column 'ghost'$"):
+        compile_rule(make_rule("people", "ghost", "trim", ()), PEOPLE)
 
 
 def test_rule_args_coerce_to_the_column_type():
-    rule = check_rule(make_rule("people", "score", "range", (0, 100)), PEOPLE)
-    assert rule.args == (make_decimal("0"), make_decimal("100"))
-    assert check_rule(make_rule("people", "born", "domain", ("2011-01-02",)), PEOPLE).args == (date(2011, 1, 2),)
+    stats, _ = compile_rule(make_rule("people", "score", "range", (0, 100)), PEOPLE)
+    assert stats.rule.args == (make_decimal("0"), make_decimal("100"))
+    stats, _ = compile_rule(make_rule("people", "born", "domain", ("2011-01-02",)), PEOPLE)
+    assert stats.rule.args == (date(2011, 1, 2),)
     for bad in [None, "2011-02-30"]:  # a NULL argument is refused, as is a date that does not exist
-        with pytest.raises(ValueError):
-            check_rule(make_rule("people", "born", "domain", (bad,)), PEOPLE)
+        with pytest.raises(ValueError, match=r"^rule people.born domain\("):
+            compile_rule(make_rule("people", "born", "domain", (bad,)), PEOPLE)
 
 
 def test_make_rule_arg_validation():
@@ -383,7 +387,7 @@ def test_cleanse_staging_idempotent_on_seed42(seed42_cleansed):
 def test_rules_file_roundtrip():
     rules = parse_rules(canonical.canonical_rules_text())
     assert len(rules) == 110
-    assert rules[0] == CleanseRule("student", "st_name", "null_standardize", ("", "N/A", "NULL", "-", "?"))
+    assert rules[0] == Clean("student", "st_name", "null_standardize", ("", "N/A", "NULL", "-", "?"))
     for rule in rules:
         assert rule.kind in ("trim", "collapse_whitespace", "case", "normalize_date", "null_standardize", "domain", "range")
 
@@ -398,7 +402,7 @@ def test_rules_file_errors():
 
 
 def test_rules_file_names_a_keyword_spelled_column():
-    assert parse_rules("CLEAN t.group WITH trim ;") == [CleanseRule("t", "group", "trim", ())]
+    assert parse_rules("CLEAN t.group WITH trim ;") == [Clean("t", "group", "trim", ())]
 
 
 def test_report_json_and_text(seed42_staging):

@@ -1,4 +1,5 @@
-"""Every name a ``uwh`` module imports is used in that module.
+"""Every name a ``uwh`` module imports is used in that module, and every
+top-level function or class has a caller.
 
 With no linter in the toolchain, this stands in for pyflakes' F401. The one
 exception is a name kept only so the benchmark's tracer can rebind it: its
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -64,3 +66,39 @@ def test_a_noqa_import_needs_a_tracer_entry(tmp_path, monkeypatch):
     )
     monkeypatch.setitem(globals(), "_SRC", tmp_path)
     assert unused_imports("probe") == ["probe.py:1: parse_csv", "probe.py:2: render_cell"]
+
+
+def uncalled_definitions(src: Path) -> list[str]:
+    """The top-level functions and classes of the modules in ``src`` that no
+    other line there names, that its ``__init__.py`` does not export, and
+    that the tracer does not list."""
+    texts = {p: p.read_text(encoding="utf-8") for p in sorted(src.glob("*.py"))}
+    init = src / "__init__.py"
+    exported = {name for name, _ in _imports(ast.parse(texts[init]))} if init in texts else set()
+    traced = {a for _, a in _TRACED}
+    found = []
+    for path, text in texts.items():
+        for node in ast.parse(text).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name in exported or node.name in traced:
+                continue
+            word = re.compile(rf"\b{re.escape(node.name)}\b")
+            named = sum(len(word.findall(t)) for t in texts.values())
+            if named <= 1:  # only its own ``def`` or ``class`` line
+                found.append(f"{path.name}:{node.lineno}: {node.name}")
+    return found
+
+
+def test_every_definition_has_a_caller():
+    assert uncalled_definitions(_SRC) == []
+
+
+def test_an_uncalled_definition_is_refused(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .probe import exported\n", encoding="utf-8")
+    (tmp_path / "probe.py").write_text(
+        "def exported():\n    return _used()\n\n\ndef _used():\n    return 1\n\n\n"
+        "def dead():\n    return 2\n\n\nclass Dead:\n    pass\n\n\ndef apply_rule():\n    pass\n",
+        encoding="utf-8",
+    )
+    assert uncalled_definitions(tmp_path) == ["probe.py:9: dead", "probe.py:13: Dead"]

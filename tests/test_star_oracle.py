@@ -1,7 +1,9 @@
 """The star join checked against independent oracles: random queries
-against the nested-loop ``star_aggregate_bruteforce``, a ternary-logic
-partitioning identity (Rigger & Su, OOPSLA 2020), one targeted case per
-way a join multiplies rows, and the bench mix on fresh handles."""
+against the nested-loop ``star_aggregate_bruteforce`` and against the
+benchmark's stdlib ``sqlite3`` copy of the warehouse, a ternary-logic
+partitioning identity (Rigger & Su, OOPSLA 2020), a filter-versus-group
+identity, one targeted case per way a join multiplies rows, and the
+bench mix on fresh handles."""
 
 from __future__ import annotations
 
@@ -84,6 +86,45 @@ def test_random_queries_match_bruteforce(seed42_handle, columns, data):
     _assert_on_dec4_grid(got)
 
 
+
+@pytest.fixture(scope="module")
+def sqlite_oracle(seed42_handle):
+    return _perfbench_module("oracle").SqliteOracle(seed42_handle)
+
+
+def _bare(attr):
+    """The column of a ``relation.column`` attribute; each column name of
+    the warehouse is unique, and the sqlite oracle keys on it."""
+    return attr.rsplit(".", 1)[-1]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_random_queries_match_sqlite(seed42_handle, columns, sqlite_oracle, data):
+    query = data.draw(star_queries(columns))
+    spec = {
+        "measures": [(m.agg, m.column and _bare(m.column)) for m in query.measures],
+        "group_by": [_bare(g) for g in query.group_by],
+        "filters": [(_bare(f.attribute), f.op, f.value) for f in query.filters],
+    }
+    problems, _ = sqlite_oracle.check(spec, star_query(seed42_handle, query).rows)
+    assert problems == []
+
+
+@pytest.mark.parametrize("arms", [None, ("receipt", "registeredActivities")], ids=["any", "one-to-many"])
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_filter_on_a_value_is_its_group(seed42_handle, columns, arms, data):
+    """With the same measures and other filters, filtering on a = v gives
+    exactly the v row of GROUP BY a, without its group column."""
+    pool = [c for c in columns if c[2] and (arms is None or c[0].split(".")[0] in arms)]
+    attr, _, values = data.draw(st.sampled_from(pool))
+    v = data.draw(st.sampled_from(values))
+    drawn = data.draw(star_queries(columns))
+    filtered = star_query(seed42_handle, StarQuery(drawn.measures, (), drawn.filters + (Filter(attr, "=", v),)))
+    grouped = star_query(seed42_handle, StarQuery(drawn.measures, (attr,), drawn.filters))
+    assert filtered.rows == [row[1:] for row in grouped.rows if row[0] == v]
+
 def _count(handle, filters=(), group_by=()) -> list[tuple]:
     return star_query(handle, StarQuery((Measure("COUNT", None),), group_by, filters)).rows
 
@@ -162,15 +203,15 @@ def test_cli_fan_out_sum_prints_bruteforce_result(seed42_warehouse_dir, seed42_h
     assert out == render_table_csv(Table(schema, expected_rows))
 
 
-def _bench_queries():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "queries.py"
-    spec = importlib.util.spec_from_file_location("perfbench_queries", path)
+def _perfbench_module(name):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-QUERIES = _bench_queries()
+QUERIES = _perfbench_module("queries")
 TEMPLATE_IDS = [(cls, k) for cls in QUERIES.CLASSES for k in range(len(QUERIES.TEMPLATES[cls]))]
 
 

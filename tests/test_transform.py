@@ -371,6 +371,15 @@ def test_logic_is_three_valued():
     assert _derived(table, "ADD COLUMN t.x BOOLEAN AS t.a OR FALSE ;")[::3] == [None, False, True]
 
 
+
+def test_paid_on_due_over_a_null_date_is_false_while_the_comparison_is_null():
+    """A missing payment date is no payment on or before the due date, so
+    PAID_ON_DUE derives FALSE where the comparison it stands for is Null."""
+    db = parse_schema_manifest("TABLE r\n  id INTEGER PK\n  paid DATE NULL\n  due DATE NULL\n")
+    table = Table(db.tables["r"], [(1, None, date(2011, 9, 15)), (2, date(2011, 9, 14), None), (3, None, None)])
+    assert _derived(table, "ADD COLUMN r.x BOOLEAN AS PAID_ON_DUE(r.paid, r.due) ;") == [False, False, False]
+    assert _derived(table, "ADD COLUMN r.x BOOLEAN AS r.paid <= r.due ;") == [None, None, None]
+
 _H = parse_schema_manifest(
     "TABLE h\n  id INTEGER PK\n  i INTEGER NULL\n  j INTEGER NULL\n  d DECIMAL NULL\n  e DECIMAL NULL\n"
     "  s TEXT NULL\n  u TEXT NULL\n  b BOOLEAN NULL\n  c BOOLEAN NULL\n  dt DATE NULL\n  du DATE NULL\n"
