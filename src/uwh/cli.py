@@ -164,6 +164,9 @@ def _cmd_build(args) -> int:
     _guard_writable(out)
     if out.exists() and any(out.iterdir()):
         raise ValidationError(f"refusing to build into non-empty directory {out}")
+    kept = Path(args.keep_staging).resolve() if args.keep_staging else None
+    if kept and out.resolve() in (kept, *kept.parents):
+        raise ValidationError(f"--keep-staging {args.keep_staging} lies inside --out {out}, which must hold only the warehouse")
 
     staging, _ = extract_database(Path(args.src), schema, timestamp=args.timestamp)
     validate_plan(plan, staging.schema())

@@ -3,12 +3,14 @@
 Each ``exec_*`` step is the one place its statement is checked and
 applied: it raises ``ValidationError`` when the statement does not fit
 the staging it receives, then changes rows and schema itself.
-``execute_plan`` runs the steps in order and then checks the FACT and
-DIMENSION declarations against the tables they leave; the first
-statement that does not fit, in its schema or in its data (such as an
-ambiguous merge), is reported by its index. ``validate_plan`` is
-``execute_plan`` run on the schema's empty tables. A statement that
-names a column an earlier one removed fails in its own step.
+``execute_plan`` runs the steps in order; the first statement that does
+not fit, in its schema or in its data (such as an ambiguous merge), is
+reported by its index. A statement that names a column an earlier one
+removed fails in its own step. FACT and DIMENSION only record their
+declarations: ``validate_plan`` is ``execute_plan`` run on the schema's
+empty tables, followed by the snowflake check ``load`` makes
+(``warehouse.assemble_snowflake``), so a plan whose declarations do not
+form a snowflake is refused before any row work.
 
 Every operation is functional (the input staging is never mutated), so a
 failure anywhere leaves the caller's staging exactly as it was:
@@ -52,6 +54,7 @@ from .plan import (
 )
 from .schema import ColumnDef, DatabaseSchema, Table, TableSchema, key_getter
 from .staging import DEFAULT_TIMESTAMP, LineageEvent, StagingArea
+from .warehouse import assemble_snowflake
 from .values import COMPARISONS, ORDERED_TYPES, RawCell, ValueType, coerce_literal, make_decimal, value_tag
 
 
@@ -492,45 +495,27 @@ def _refuse(index: int, message: str) -> NoReturn:
 
 def validate_plan(plan: Plan, db: DatabaseSchema) -> DatabaseSchema:
     """The schema ``plan`` leaves on ``db``'s tables with no rows. The plan
-    must declare exactly one fact and seven dimensions. Raises
-    PlanValidationError naming the first statement that does not fit."""
+    must declare one fact and seven dimensions that ``load`` would accept
+    as a snowflake. Raises PlanValidationError naming the first statement
+    that does not fit, or the plan for a declaration that does not."""
     empty = StagingArea({name: Table(schema, []) for name, schema in db.tables.items()})
-    final = execute_plan(empty, plan)[0].schema()
+    final = execute_plan(empty, plan)[0]
     facts = sum(isinstance(s, Fact) for s in plan.statements)
-    dims = sum(isinstance(s, Dimension) for s in plan.statements)
     if facts != 1:
         _refuse(-1, f"expected exactly 1 FACT statement, found {facts}")
-    if dims != 7:
-        _refuse(-1, f"expected 7 dimensions, found {dims}")
-    return final
-
-
-def _check_declarations(statements: tuple[Statement, ...], tables: dict[str, Table]) -> None:
-    """Refuse the first FACT, then DIMENSION, that does not fit the final ``tables``."""
-    facts = [(i, s) for i, s in enumerate(statements) if isinstance(s, Fact)]
-    dims = [(i, s) for i, s in enumerate(statements) if isinstance(s, Dimension)]
-    for i, s in facts:
-        if s.table not in tables:
-            _refuse(i, f"FACT table {s.table!r} does not exist in the final schema")
-    seen_dims: set[str] = set()
-    for i, s in dims:
-        if s.table not in tables:
-            _refuse(i, f"DIMENSION table {s.table!r} does not exist in the final schema")
-        if not tables[s.table].schema.has_column(s.key):
-            _refuse(i, f"DIMENSION key {s.table}.{s.key} does not exist")
-        if s.table in seen_dims:
-            _refuse(i, f"duplicate DIMENSION {s.table!r}")
-        seen_dims.add(s.table)
-    if any(f.table in seen_dims for _, f in facts):
-        _refuse(-1, "the fact table cannot also be a dimension")
+    try:
+        assemble_snowflake(final.tables, final.fact_table, final.dimensions)
+    except ValidationError as exc:
+        _refuse(-1, str(exc))
+    return final.schema()
 
 
 def execute_plan(staging: StagingArea, plan: Plan, *, timestamp: str = DEFAULT_TIMESTAMP) -> tuple[StagingArea, list[LineageEvent]]:
-    """Run the plan's statements in order, then check its FACT and
-    DIMENSION declarations against the tables it leaves. The first
-    statement that does not fit, in its schema or its data, raises
-    PlanValidationError naming it; the input staging is then returned to
-    the caller untouched. The returned lineage slice has one entry per
+    """Run the plan's statements in order. The first statement that does
+    not fit, in its schema or its data, raises PlanValidationError naming
+    it; the input staging is then returned to the caller untouched. FACT
+    and DIMENSION are recorded, not checked: ``validate_plan`` and
+    ``load`` check them. The returned lineage slice has one entry per
     executed statement, in order. ``reports["transform"]["plan_hash"]``
     is the SHA-256 of ``pretty_plan(plan)``; ``load`` records it."""
     current = staging
@@ -542,7 +527,6 @@ def execute_plan(staging: StagingArea, plan: Plan, *, timestamp: str = DEFAULT_T
             _refuse(i, str(exc))
         # stamp statement provenance onto the one entry the step logged
         current.lineage[-1] = replace(current.lineage[-1], statement_index=i, statement_text=pretty_stmt(stmt))
-    _check_declarations(plan.statements, current.tables)
     current = current.clone()
     current.reports["transform"] = {"plan_hash": hashlib.sha256(pretty_plan(plan).encode("utf-8")).hexdigest()}
     return current, current.lineage[start:]

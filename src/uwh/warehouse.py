@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from operator import add, itemgetter, mul
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .csvio import format_field, parse_csv
 from .errors import IntegrityError, MissingInputError, ParseError, ReadOnlyError, ValidationError
@@ -72,7 +72,9 @@ def assemble_snowflake(tables: dict[str, Table], fact_decl: str, dim_decls: list
 
     Every dimension must connect to the fact through exactly one chain of
     FK edges (in either direction); dimension keys must be unique and
-    non-Null.
+    non-Null. This is the one check of a plan's FACT and DIMENSION
+    declarations: ``validate_plan`` makes it on empty tables, where the
+    key checks hold trivially, and ``load`` on the rows.
     """
     if fact_decl not in tables:
         raise ValidationError(f"fact table {fact_decl!r} does not exist")
@@ -88,15 +90,12 @@ def assemble_snowflake(tables: dict[str, Table], fact_decl: str, dim_decls: list
         schema = tables[name].schema
         if not schema.has_column(key):
             raise ValidationError(f"dimension key {name}.{key} does not exist")
-        idx = schema.column_index(key)
-        seen = set()
-        for row in tables[name].rows:
-            v = row[idx]
-            if v is None:
-                raise ValidationError(f"dimension key {name}.{key} contains Null")
-            if v in seen:
-                raise ValidationError(f"duplicate dimension key {name}.{key} = {render_cell(v)!r}")
-            seen.add(v)
+        values = list(_keys(tables[name], (key,)))
+        if (None,) in values:
+            raise ValidationError(f"dimension key {name}.{key} contains Null")
+        repeated = _repeated_key(values)
+        if repeated is not None:
+            raise ValidationError(f"duplicate dimension key {name}.{key} = {render_cell(repeated[0])!r}")
 
     relations = {fact_decl, *dim_names}
     edges: list[tuple[str, tuple[str, ...], str, tuple[str, ...]]] = []  # (child, child_cols, parent, parent_cols)
@@ -158,6 +157,16 @@ class Index:
 def _keys(table: Table, columns) -> Iterator[tuple]:
     """The key tuple over ``columns`` of each row of ``table``, in row order."""
     return map(key_getter(tuple(map(table.schema.column_index, columns))), table.rows)
+
+
+def _repeated_key(keys: Iterable[tuple]) -> tuple | None:
+    """The first key that ``keys`` yields a second time, if any."""
+    seen: set[tuple] = set()
+    for key in keys:
+        if key in seen:
+            return key
+        seen.add(key)
+    return None
 
 
 def build_index(table: Table, columns: tuple[str, ...]) -> Index:
@@ -483,31 +492,12 @@ def star_query(handle: Warehouse, query: StarQuery) -> Table:
     fact = handle.catalog["fact"]
     parents = handle._parents()
 
-    needed: list[str] = [fact]
-
-    def require(rel: str) -> None:
-        chain = []
-        cur = rel
-        while cur != fact:
-            if cur not in parents:
-                raise ValidationError(f"relation {rel!r} is not reachable from the fact")
-            chain.append(cur)
-            cur = parents[cur]["parent"]
-        for r in reversed(chain):
-            if r not in needed:
-                needed.append(r)
-
-    resolved_groups = []
-    for attr in query.group_by:
-        rel, idx, cdef = handle.resolve_attribute(attr)
-        require(rel)
-        resolved_groups.append((rel, idx, cdef))
+    resolved_groups = [handle.resolve_attribute(attr) for attr in query.group_by]
     resolved_filters = []
     for f in query.filters:
         rel, idx, cdef = handle.resolve_attribute(f.attribute)
         if f.op not in ("=", "<>") and cdef.type not in ORDERED_TYPES:
             raise ValidationError(f"filter operator {f.op} is not defined for {cdef.type.value}")
-        require(rel)
         literal = _coerce_filter_value(f.value, cdef.type)
         resolved_filters.append((rel, idx, COMPARISONS[f.op], literal))
     resolved_measures = []
@@ -524,23 +514,20 @@ def star_query(handle: Warehouse, query: StarQuery) -> Table:
             raise ValidationError(f"{m.agg} needs a numeric column, {m.column} is {cdef.type.value}")
         if m.agg in ("MIN", "MAX") and cdef.type not in ORDERED_TYPES:
             raise ValidationError(f"{m.agg} is not defined for {cdef.type.value}")
-        require(rel)
         resolved_measures.append((m, rel, idx, cdef))
 
     filters_by_rel: dict[str, list] = {}
     for rel, idx, compare, literal in resolved_filters:
         filters_by_rel.setdefault(rel, []).append((idx, compare, literal))
-    referenced = {fact}
-    referenced.update(rel for rel, _, _ in resolved_groups)
-    referenced.update(rel for rel in filters_by_rel)
-    referenced.update(rel for _, rel, _, _ in resolved_measures if rel is not None)
+    referenced = dict.fromkeys([fact, *(rel for rel, _, _ in resolved_groups), *filters_by_rel])
+    referenced.update(dict.fromkeys(rel for _, rel, _, _ in resolved_measures if rel is not None))
 
     # pass-through relations (ancestors nobody selects or filters on) are
-    # folded into composed join indexes, so each kept relation hangs off
-    # the nearest kept ancestor
-    kept = [rel for rel in needed if rel in referenced]
+    # folded into composed join indexes, so each referenced relation hangs
+    # off its nearest referenced ancestor; open refused any catalog whose
+    # join chains do not all reach the fact
     arms: dict[str, list] = {}
-    for rel in kept[1:]:
+    for rel in list(referenced)[1:]:
         chain = [parents[rel]]
         top = parents[rel]["parent"]
         while top not in referenced:
@@ -838,14 +825,12 @@ def open_warehouse(directory: Path) -> Warehouse:
         relations[entry["name"]] = table
 
     for dim in catalog["dimensions"]:
-        seen: set[tuple] = set()
-        for key in _keys(relations[dim["name"]], (dim["key"],)):
-            if key in seen:
-                raise IntegrityError(
-                    f"{CATALOG_NAME} is malformed: unique index on {dim['name']}({dim['key']}): "
-                    f"duplicate key {tuple(map(render_cell, key))}"
-                )
-            seen.add(key)
+        repeated = _repeated_key(_keys(relations[dim["name"]], (dim["key"],)))
+        if repeated is not None:
+            raise IntegrityError(
+                f"{CATALOG_NAME} is malformed: unique index on {dim['name']}({dim['key']}): "
+                f"duplicate key {tuple(map(render_cell, repeated))}"
+            )
 
     return Warehouse(directory, catalog, relations)
 

@@ -23,8 +23,8 @@ SEED42 = GenConfig(seed=42, students=100, courses_per_dept=5, semesters=3, dirty
 
 def schema_after(plan, db):
     """The schema ``plan`` leaves when run on ``db``'s tables with no rows:
-    ``validate_plan`` without its one-fact/seven-dimension count, for
-    plans that are only part of a warehouse plan."""
+    ``validate_plan`` without its check of the FACT and DIMENSION
+    declarations, for plans that are only part of a warehouse plan."""
     empty = StagingArea({name: Table(schema, []) for name, schema in db.tables.items()})
     return execute_plan(empty, plan)[0].schema()
 

@@ -384,6 +384,35 @@ def test_invalid_plan_semantics_exit_one(cli_dirs, tmp_path, capsys):
     assert code == 1 and "payroll" in err
 
 
+def test_plan_whose_dimension_loses_its_arm_is_refused_before_any_row_work(tmp_path, cli_dirs, extracted_dir, capsys):
+    _, src, _ = cli_dirs
+    plan = tmp_path / "p.plan"
+    plan.write_text(canonical.canonical_plan_text() + "REMOVE COLUMN alumni.al_st_id ;\n")
+    words = "error: plan validation failed: plan: dimensions ['alumni'] are not connected to the fact by foreign keys\n"
+    staging = _copy(extracted_dir, tmp_path)
+    assert _run(capsys, "cleanse", "--staging", str(staging), "--timestamp", TS)[0] == 0
+    before = _files(staging)
+    code, _, err = _run(capsys, "transform", "--staging", str(staging), "--plan", str(plan), "--timestamp", TS)
+    assert (code, err) == (1, words)
+    assert _files(staging) == before
+    out = tmp_path / "wh"
+    code, _, err = _run(capsys, "build", "--src", str(src), "--plan", str(plan), "--out", str(out),
+                        "--keep-staging", str(tmp_path / "kept"), "--timestamp", TS)
+    assert (code, err) == (1, words)
+    assert not out.exists() and not (tmp_path / "kept").exists()
+
+
+@pytest.mark.parametrize("sub", [None, "st"], ids=["same", "inside"])
+def test_build_refuses_kept_staging_inside_the_warehouse(tmp_path, cli_dirs, capsys, sub):
+    _, src, _ = cli_dirs
+    out = tmp_path / "wh"
+    kept = out if sub is None else out / sub
+    code, _, err = _run(capsys, "build", "--src", str(src), "--out", str(out), "--keep-staging", str(kept),
+                        "--timestamp", TS)
+    assert code == 1 and err == f"error: --keep-staging {kept} lies inside --out {out}, which must hold only the warehouse\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.fixture(scope="module")
 def extracted_dir(tmp_path_factory, cli_dirs):
     _, src, _ = cli_dirs

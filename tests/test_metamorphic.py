@@ -1,7 +1,8 @@
 """Metamorphic relations over extract and cleanse: an edit of the source
 CSVs whose effect on the dumps is known in advance, checked byte for byte
-on a generated drop (seed 5, 200 students, dirty-rate 0.1), and CRLF line
-ends checked against the seed-42 golden warehouse.
+on a generated drop (seed 5, 200 students, dirty-rate 0.1), CRLF line
+ends checked against the seed-42 golden warehouse, and shuffled source
+rows checked against the seed-42 relations as row multisets.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import json
 import random
 import shutil
+from collections import Counter
 
 import pytest
 
@@ -135,3 +137,34 @@ def test_crlf_sources_give_the_golden_warehouse(seed42_src, tmp_path):
     transformed, _ = execute_plan(cleansed, canonical.canonical_plan(), timestamp=TS)
     load(tmp_path / "wh", transformed, timestamp=TS)
     assert _digests(tmp_path / "wh") == WAREHOUSE
+
+
+def _shuffle_rows(text: str, rng: random.Random) -> str:
+    """``text`` with its data rows, not its header, in a random order."""
+    header, *rows = [format_row(list(zip(fields, quoted or [False] * len(fields)))) for fields, quoted in iter_records(text)]
+    rng.shuffle(rows)
+    return "\n".join([header, *rows]) + "\n"
+
+
+def _pk_conflicts(staging) -> int:
+    return sum(qr.reason == "pk-conflict" for q in staging.quarantine.values() for qr in q.rows)
+
+
+def test_shuffled_source_rows_give_the_same_relations(seed42_src, seed42_transformed, tmp_path):
+    """Row order is not data: each warehouse relation holds the same rows,
+    counted with repeats. This holds only while no two source rows share a
+    key with different content, since dedup keeps the first of those and
+    quarantines the rest as pk-conflict, so the test checks that first."""
+    shuffled = _copy(seed42_src, tmp_path)
+    rng = random.Random(7)
+    for schema in canonical.canonical_schema():
+        path = shuffled / f"{schema.name}.csv"
+        path.write_text(_shuffle_rows(path.read_text(encoding="utf-8"), rng), encoding="utf-8")
+    assert (shuffled / "student.csv").read_bytes() != (seed42_src / "student.csv").read_bytes()
+    _, _, cleansed = _dumps(shuffled)
+    transformed, _ = execute_plan(cleansed, canonical.canonical_plan(), timestamp=TS)
+    assert _pk_conflicts(seed42_transformed) == _pk_conflicts(transformed) == 0
+    relations = [seed42_transformed.fact_table, *(name for name, _ in seed42_transformed.dimensions)]
+    assert [transformed.fact_table, *(name for name, _ in transformed.dimensions)] == relations
+    for name in relations:
+        assert Counter(transformed.tables[name].rows) == Counter(seed42_transformed.tables[name].rows), name

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import schema_after
 from uwh import canonical
-from uwh.errors import PlanParseError, PlanValidationError
+from uwh.errors import PlanParseError, PlanValidationError, ValidationError
 from uwh.lexer import tokenize
 from uwh.manifest import parse_schema_manifest
 from uwh.plan import (
@@ -25,13 +25,16 @@ from uwh.plan import (
     Logical,
     Merge,
     Not,
+    Plan,
     RemoveColumn,
     parse_plan,
     pretty_plan,
 )
 from uwh.schema import Table
-from uwh.transform import compile_expr, validate_plan
+from uwh.staging import StagingArea
+from uwh.transform import PlanDiagnostic, compile_expr, execute_plan, validate_plan
 from uwh.values import ValueType
+from uwh.warehouse import load
 
 CANONICAL_DB = canonical.canonical_schema()
 
@@ -424,10 +427,10 @@ def test_validate_merge_join_type_mismatch():
 
 
 def test_validate_fact_table_must_exist():
-    plan = parse_plan("FACT nowhere ;")
+    plan = parse_plan(canonical.canonical_plan_text().replace("FACT transcript ;", "FACT nowhere ;"))
     with pytest.raises(PlanValidationError) as exc:
-        schema_after(plan, CANONICAL_DB)
-    assert "does not exist" in exc.value.diagnostics[0].message
+        validate_plan(plan, CANONICAL_DB)
+    assert exc.value.diagnostics == [PlanDiagnostic(-1, "fact table 'nowhere' does not exist")]
 
 
 def test_validate_requires_one_fact_seven_dims_for_warehouse():
@@ -447,7 +450,76 @@ def test_validate_requires_one_fact_seven_dims_for_warehouse():
 
 
 def test_validate_duplicate_dimension():
-    text = "FACT transcript ;\n" + "DIMENSION student KEY st_id ;\n" * 2
+    text = canonical.canonical_plan_text().replace("DIMENSION alumni KEY al_id ;", "DIMENSION student KEY st_id ;")
     with pytest.raises(PlanValidationError) as exc:
-        schema_after(parse_plan(text), CANONICAL_DB)
-    assert "duplicate DIMENSION" in exc.value.diagnostics[0].message
+        validate_plan(parse_plan(text), CANONICAL_DB)
+    assert exc.value.diagnostics == [PlanDiagnostic(-1, "dimensions must be seven distinct non-fact tables")]
+
+
+# --- the snowflake a plan declares ----------------------------------------------
+
+_DIMS = [f"d{i}" for i in range(1, 8)]
+
+
+def _star(**extra: str):
+    """A fact f and dimensions d1..d7, each joined straight to the fact on
+    its key id; ``extra`` adds column lines to a table."""
+    text = "TABLE f\n  id INTEGER PK\n" + "".join(f"  {d}_id INTEGER FK {d}(id)\n" for d in _DIMS) + extra.get("f", "")
+    for d in _DIMS:
+        text += f"TABLE {d}\n  id INTEGER PK\n  code INTEGER NULL\n" + extra.get(d, "")
+    return parse_schema_manifest(text)
+
+
+_DECLARED = "FACT f ;\n" + "".join(f"DIMENSION {d} KEY id ;\n" for d in _DIMS)
+
+
+def test_validate_small_snowflake():
+    final = validate_plan(parse_plan(_DECLARED), _star())
+    assert set(final.tables) == {"f", *_DIMS}
+
+
+@pytest.mark.parametrize(
+    "extra, plan, message",
+    [
+        ({"f": "  again INTEGER FK d1(id)\n"}, _DECLARED, "dimension 'd1' connects through more than one arm"),
+        ({"d1": "  d2_id INTEGER FK d2(id)\n"}, _DECLARED, "foreign key d1->d2 makes the dimension graph cyclic or ambiguous"),
+        (
+            {"f": "  d1_code INTEGER NULL FK d1(code)\n"},
+            "REMOVE COLUMN f.d1_id ;\n" + _DECLARED,
+            "fact key column(s) ('d1_code',) must reference the dimension key d1.id",
+        ),
+        ({}, "REMOVE COLUMN f.d7_id ;\n" + _DECLARED, "dimensions ['d7'] are not connected to the fact by foreign keys"),
+        ({}, _DECLARED.replace("DIMENSION d7", "DIMENSION d1"), "dimensions must be seven distinct non-fact tables"),
+        ({}, _DECLARED.replace("DIMENSION d7", "DIMENSION f"), "dimensions must be seven distinct non-fact tables"),
+        ({}, _DECLARED.replace("FACT f", "FACT nowhere"), "fact table 'nowhere' does not exist"),
+        ({}, "DROP TABLE d7 ;\n" + _DECLARED, "dimension table 'd7' does not exist"),
+        ({}, _DECLARED.replace("DIMENSION d3 KEY id", "DIMENSION d3 KEY nope"), "dimension key d3.nope does not exist"),
+    ],
+    ids=["two-arms", "cycle", "fact-key", "unconnected", "repeated", "fact-as-dimension", "no-fact-table",
+         "no-dimension-table", "no-dimension-key"],
+)
+def test_validate_refuses_a_declared_snowflake_that_load_would_refuse(extra, plan, message):
+    with pytest.raises(PlanValidationError) as exc:
+        validate_plan(parse_plan(plan), _star(**extra))
+    assert exc.value.diagnostics == [PlanDiagnostic(-1, message)]
+    assert str(exc.value) == f"plan validation failed: plan: {message}"
+
+
+def test_validate_counts_fact_statements_the_parser_would_refuse():
+    plan = parse_plan(_DECLARED)
+    with pytest.raises(PlanValidationError) as exc:
+        validate_plan(Plan(plan.statements + (Fact("f"),)), _star())
+    assert exc.value.diagnostics == [PlanDiagnostic(-1, "expected exactly 1 FACT statement, found 2")]
+
+
+def test_execute_plan_leaves_the_declarations_to_validate_and_load(tmp_path):
+    """The library's execute_plan runs a plan whose declarations do not form
+    a snowflake; validate_plan and load refuse it."""
+    plan = parse_plan("REMOVE COLUMN f.d7_id ;\n" + _DECLARED)
+    db = _star()
+    staging = StagingArea({name: Table(schema, []) for name, schema in db.tables.items()})
+    out, _ = execute_plan(staging, plan)
+    assert out.fact_table == "f" and len(out.dimensions) == 7
+    with pytest.raises(ValidationError, match=r"dimensions \['d7'\] are not connected"):
+        load(tmp_path / "wh", out, timestamp="2026-01-01T00:00:00Z")
+    assert list(tmp_path.iterdir()) == []

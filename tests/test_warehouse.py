@@ -71,6 +71,18 @@ def test_assemble_rejects_duplicate_dimension_key(seed42_transformed):
     assert "duplicate dimension key" in str(exc.value)
 
 
+def test_load_refuses_a_null_dimension_key(tmp_path, seed42_transformed):
+    staging = seed42_transformed.clone()
+    major = staging.tables["major"]
+    key = major.schema.column_index("mj_id")
+    row = major.rows[0]
+    staging.tables["major"] = Table(major.schema, list(major.rows) + [row[:key] + (None,) + row[key + 1:]])
+    with pytest.raises(ValidationError) as exc:
+        load(tmp_path / "wh", staging, timestamp=TS)
+    assert str(exc.value) == "dimension key major.mj_id contains Null"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_assemble_rejects_unconnected_dimension(seed42_transformed):
     staging = seed42_transformed.clone()
     # strip alumni's FK so it cannot reach the fact
