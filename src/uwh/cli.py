@@ -167,6 +167,8 @@ def _cmd_build(args) -> int:
     kept = Path(args.keep_staging).resolve() if args.keep_staging else None
     if kept and out.resolve() in (kept, *kept.parents):
         raise ValidationError(f"--keep-staging {args.keep_staging} lies inside --out {out}, which must hold only the warehouse")
+    if kept and kept in out.resolve().parents:
+        raise ValidationError(f"--out {out} lies inside --keep-staging {args.keep_staging}, which a later stage replaces whole")
 
     staging, _ = extract_database(Path(args.src), schema, timestamp=args.timestamp)
     validate_plan(plan, staging.schema())

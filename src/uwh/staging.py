@@ -291,10 +291,14 @@ def write_dir_atomically(files: dict[str, bytes], out: Path) -> None:
 
 def dump_staging(staging: StagingArea, out_dir: Path) -> None:
     """Write the staging dump to ``out_dir`` atomically. Only an absent or
-    empty directory, or an earlier staging dump, may be replaced."""
+    empty directory, or an earlier staging dump holding no directory but
+    ``quarantine/``, may be replaced."""
     out_dir = Path(out_dir)
     if out_dir.exists() and not (out_dir / "schema.manifest").is_file() and any(out_dir.iterdir()):
         raise ValidationError(f"refusing to replace non-empty directory {out_dir}: it is not a staging dump")
+    for path in out_dir.iterdir() if out_dir.is_dir() else ():
+        if path.is_dir() and path.name != "quarantine":
+            raise ValidationError(f"refusing to replace staging dump {out_dir}: it holds the directory {path}")
     write_dir_atomically(dumps_staging(staging), out_dir)
 
 

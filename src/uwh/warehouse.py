@@ -4,15 +4,16 @@ A warehouse directory is eight CSV relations (one fact, seven
 dimensions) and ``catalog.json``. The catalog records a SHA-256 checksum
 for every relation plus one for itself, so any single-byte tamper is
 detected at open time. Indexes are derived state: the catalog's joins
-describe the indexes the star join builds, each the first time it probes
-it, and ``open`` checks that every dimension key is unique. An opened
-warehouse exposes no mutating operation.
+describe the indexes and ordinal lists the star join builds, each the
+first time it reads them, and ``open`` checks that every dimension key is
+unique. An opened warehouse exposes no mutating operation.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import add, itemgetter, mul
@@ -396,7 +397,10 @@ class Warehouse:
         self.directory = Path(directory)
         self.catalog = catalog
         self._relations = relations
-        self._joins: dict[tuple, Index] = {}  # star-join indexes by chain
+        self._indexes: dict[tuple, Index] = {}  # star-join indexes by (relation, columns)
+        self._links: dict[tuple, list] = {}  # star-join ordinal lists by (steps, many)
+        self._rows: dict[tuple, list] = {}  # the rows those ordinals name, by steps
+        self._gaps: set[tuple] = set()  # the steps of the single-valued lists that hold a None
 
     # --- inspection -------------------------------------------------------
     def relation_names(self) -> list[str]:
@@ -439,33 +443,40 @@ class Warehouse:
     def _parents(self) -> dict[str, dict]:
         return {j["relation"]: j for j in self.catalog["joins"]}
 
-    def _join_index(self, chain: list[dict]) -> Index:
-        """Rows of the chain's bottom relation keyed by the first join's
-        columns, for probing with the top parent's join columns. A one-join
-        chain is that edge's index, built on first use. A longer chain
-        composes its edges, so the pass-through relations between top and
-        bottom are never joined."""
-        sig = tuple((j["relation"], tuple(j["columns"])) for j in chain)
-        index = self._joins.get(sig)
-        if index is not None:
-            return index
-        if len(chain) == 1:
-            index = build_index(self._relation(sig[0][0]), sig[0][1])
-        else:
-            upper = self._join_index(chain[:-1])
-            lower = self._join_index(chain[-1:]).entries
-            join = chain[-1]
-            parent = self._relation(join["parent"])
-            key_of = key_getter(tuple(parent.schema.column_index(c) for c in join["parent_columns"]))
-            index = Index(join["relation"], upper.columns)
-            for key, ordinals in upper.entries.items():
-                hits = []
-                for n in ordinals:
-                    hits.extend(lower.get(key_of(parent.rows[n]), ()))
-                if hits:
-                    index.entries[key] = hits
-        self._joins[sig] = index
+    def _index(self, relation: str, columns: tuple[str, ...]) -> Index:
+        index = self._indexes.get((relation, columns))
+        if index is None:
+            index = self._indexes[relation, columns] = build_index(self._relation(relation), columns)
         return index
+
+    def _ordinals(self, steps: tuple, many: bool = False) -> list:
+        """For each row of the first step's relation, the ordinal of the
+        row of the last step's relation it joins, or None; with ``many``,
+        the list of them. A step ``(relation, columns, target, target
+        columns)`` is an equijoin; every step but a ``many`` one joins a
+        unique key. Built on first use from the target's index and composed
+        step by step, so a relation in between is never read."""
+        links = self._links.get((steps, many))
+        if links is None:
+            relation, columns, target, target_columns = steps[-1]
+            get = self._index(target, target_columns).entries.get
+            keys = _keys(self._relation(relation), columns)
+            links = [get(key, ()) for key in keys] if many else [(get(key) or (None,))[0] for key in keys]
+            if len(steps) > 1:
+                miss = () if many else None
+                links = [miss if n is None else links[n] for n in self._ordinals(steps[:-1])]
+            if not many and None in links:
+                self._gaps.add(steps)
+            self._links[steps, many] = links
+        return links
+
+    def _joined_rows(self, steps: tuple) -> list:
+        """The rows that ``_ordinals(steps)`` names, or None."""
+        rows = self._rows.get(steps)
+        if rows is None:
+            table = self._relation(steps[-1][2]).rows
+            rows = self._rows[steps] = [None if n is None else table[n] for n in self._ordinals(steps)]
+        return rows
 
 
 def star_query(handle: Warehouse, query: StarQuery) -> Table:
@@ -476,16 +487,26 @@ def star_query(handle: Warehouse, query: StarQuery) -> Table:
     rows, so aggregates are those of the expanded grain. Groups are emitted
     in ascending group-key order (Nulls first); no rows, no groups.
 
-    Execution aggregates before it expands (eager aggregation, Yan &
-    Larson, "Eager Aggregation and Lazy Aggregation", VLDB 1995). The fact
-    is filtered by one comprehension per filter and bucketed in one pass
-    by its group columns and its arms' join keys. Each arm is then
-    aggregated once, from its own relations and filters and only for the
-    join keys the buckets hold, into join key -> [(group part, row count,
-    partial per measure)]; a key no arm row survives is absent, as in an
-    inner join. Each bucket is combined with its keys' arm entries: COUNT,
-    SUM and AVG partials are multiplied by the other sides' row counts,
-    MIN and MAX are not.
+    Execution reads to-one relations through join indices (Valduriez,
+    "Join Indices", TODS 1987) and aggregates one-to-many arms before they
+    expand (eager aggregation, Yan & Larson, VLDB 1995):
+
+    - A relation joined on its dimension key (student, major, instructor)
+      is to-one. The handle keeps, from first use, a fact-aligned list of
+      its row ordinals, None where the join misses, composed down the
+      chain (fact -> student -> major). Its group, filter and measure
+      columns are read through that list, so the fact is bucketed by its
+      group values alone; a fact row whose chain misses drops.
+    - Any other join starts a one-to-many arm (account, receipt, ...). One
+      pass over the arm's deepest rows, which reach the rows above through
+      child -> parent ordinal lists, aggregates it into (anchor, group
+      part) -> (row count, partials); the anchor is the row of the to-one
+      relation it hangs from. The fact side is bucketed by its group
+      values and anchors, and each bucket combined with its anchors' arm
+      entries; a fact side that only counts rows instead weighs each arm
+      row by its anchor's fact row count. COUNT, SUM and AVG partials are
+      multiplied by the other side's row count, MIN and MAX are not. An
+      anchor no arm row survives drops its fact rows, as an inner join does.
     """
     if not query.measures:
         raise ValidationError("query needs at least one measure")
@@ -519,28 +540,50 @@ def star_query(handle: Warehouse, query: StarQuery) -> Table:
     filters_by_rel: dict[str, list] = {}
     for rel, idx, compare, literal in resolved_filters:
         filters_by_rel.setdefault(rel, []).append((idx, compare, literal))
-    referenced = dict.fromkeys([fact, *(rel for rel, _, _ in resolved_groups), *filters_by_rel])
-    referenced.update(dict.fromkeys(rel for _, rel, _, _ in resolved_measures if rel is not None))
+    referenced = [fact, *(rel for rel, _, _ in resolved_groups), *filters_by_rel]
+    referenced += [rel for _, rel, _, _ in resolved_measures if rel is not None]
 
-    # pass-through relations (ancestors nobody selects or filters on) are
-    # folded into composed join indexes, so each referenced relation hangs
-    # off its nearest referenced ancestor; open refused any catalog whose
-    # join chains do not all reach the fact
-    arms: dict[str, list] = {}
-    for rel in list(referenced)[1:]:
-        chain = [parents[rel]]
-        top = parents[rel]["parent"]
-        while top not in referenced:
-            chain.append(parents[top])
-            top = parents[top]["parent"]
-        chain.reverse()
-        top_schema = handle._relation(top).schema
-        key_idxs = tuple(top_schema.column_index(c) for c in chain[0]["parent_columns"])
-        arms.setdefault(top, []).append((rel, key_idxs, handle._join_index(chain).entries))
+    # the join of each relation on a referenced relation's chain to the
+    # fact, by parent; open refused any catalog whose chains do not all
+    # reach the fact, or whose dimension keys repeat
+    below: dict[str, dict] = {}
+    for rel in referenced:
+        while rel != fact:
+            join = parents[rel]
+            below.setdefault(join["parent"], {})[rel] = join
+            rel = join["parent"]
+    keys = {d["name"]: [d["key"]] for d in handle.catalog["dimensions"]}
+
+    def plan(root: dict | None) -> tuple:
+        """(grain, {relation: steps from the grain}, [(anchor relation, arm
+        plan)], steps to the parent's anchor) for the fact, or for the arm
+        that join ``root`` hangs from its parent. A relation joined on its
+        key is read through an ordinal list. An arm's grain descends to a
+        child joined on the grain's key, so that one pass over the child's
+        rows reads the relations above it as to-one."""
+        grain = fact if root is None else root["relation"]
+        steps, arms = {grain: ()}, []
+        while root is not None:
+            down = [j for j in below.get(grain, {}).values() if j["parent_columns"] == keys[grain]]
+            if not down:
+                break
+            grain = down[0]["relation"]
+            steps = {grain: (), **{rel: (_step(down[0]),) + path for rel, path in steps.items()}}
+        flat = list(steps)
+        for rel in flat:
+            for child, join in below.get(rel, {}).items():
+                if child in steps:
+                    continue
+                if join["columns"] == keys[child]:
+                    steps[child] = steps[rel] + (_step(join, down=True),)
+                    flat.append(child)
+                else:
+                    arms.append((rel, plan(join)))
+        return grain, steps, arms, root and steps[root["relation"]] + (_step(root),)
 
     groups = [(rel, idx) for rel, idx, _ in resolved_groups]
     measures = [(m.agg, rel or fact, idx) for m, rel, idx, _ in resolved_measures]
-    aggregate, group_pos, measure_pos = _component(handle, fact, arms, filters_by_rel, groups, measures)
+    entries, group_pos, measure_pos = _aggregate(handle, plan(None), filters_by_rel, groups, measures)
     group_key = key_getter(tuple(map(group_pos.index, range(len(groups)))))
     at, slots_of = 0, {}  # measure position -> its slots in the partial
     for k in measure_pos:
@@ -549,7 +592,7 @@ def star_query(handle: Warehouse, query: StarQuery) -> Table:
         at += width
     finish = [(slots_of[k], _AGGS[agg].finish) for k, (agg, _, _) in enumerate(measures)]
     results = {}
-    for gpart, (_, partial) in aggregate(handle._relation(fact).rows):
+    for (_, gpart), (_, partial) in entries.items():
         results[group_key(gpart)] = tuple(done(partial[slots]) for slots, done in finish)
 
     out_columns = [ColumnDef(cdef.name, cdef.type, nullable=True) for _, _, cdef in resolved_groups]
@@ -567,96 +610,109 @@ def _result_type(agg: str, cdef: ColumnDef | None) -> ValueType:
     return cdef.type
 
 
-def _component(handle: Warehouse, rel: str, arms: dict, filters: dict, groups: list, measures: list, keyed=False):
-    """``aggregate(rows)`` for ``rel`` and the kept relations below it, plus
-    the group-by positions its group parts hold and the measures its
-    partials hold, in order.
+def _step(join: dict, down: bool = False) -> tuple:
+    """A catalog join as a step of ``Warehouse._ordinals``, from the joined
+    relation up to its parent or from the parent ``down`` to it."""
+    up = (join["relation"], tuple(join["columns"]), join["parent"], tuple(join["parent_columns"]))
+    return up[2:] + up[:2] if down else up
 
-    ``aggregate`` takes rows of ``rel`` and returns ``[(group part, (row
-    count, partial))]`` for the join of those rows with every arm below,
-    one entry per distinct group part. The rows are filtered, bucketed by
-    ``rel``'s group columns and each arm's join key, each arm is
-    aggregated for the keys the buckets hold, and each bucket is combined
-    with the entries of its arm keys; a key no arm row survives drops the
-    bucket, as an inner join does. A ``keyed`` component's rows carry
-    their join key as one extra last cell, and its group parts start with
-    it."""
-    key_idxs = [idx for r, idx in groups if r == rel]
-    if keyed:
-        key_idxs.insert(0, len(handle._relation(rel).schema.columns))
-    group_pos = [g for g, (r, _) in enumerate(groups) if r == rel]
-    measure_pos = [k for k, (_, r, _) in enumerate(measures) if r == rel]
-    parts = [_measure_part(agg, idx) for agg, r, idx in measures if r == rel]
-    own = len(key_idxs)
-    below = []
-    for child, join_idxs, entries in arms.get(rel, ()):
-        sub, sub_groups, sub_measures = _component(handle, child, arms, filters, groups, measures, keyed=True)
-        arm = _arm(handle._relation(child).rows, entries, sub)
-        scale_left = _scaler(_slots(measures, measure_pos))
-        scale_right = _scaler(_slots(measures, sub_measures))
-        below.append((len(key_idxs), len(key_idxs) + len(join_idxs), arm, scale_left, scale_right))
-        key_idxs.extend(join_idxs)
+
+def _aggregate(handle: Warehouse, plan: tuple, filters: dict, groups: list, measures: list, weights=None):
+    """``{(anchor, group part): (row count, partial)}`` for the rows a
+    ``plan`` of ``star_query`` joins, plus the group-by positions its group
+    parts hold and the measures its partials hold, in order. The anchor is
+    the row ordinal of the parent's anchor relation, or None for the fact
+    and for an arm given ``weights``, the number of joined rows above each
+    parent anchor row, which its rows then stand for."""
+    grain, steps, arms, up = plan
+    rows = {rel: handle._joined_rows(path) if path else handle._relation(rel).rows for rel, path in steps.items()}
+    live = range(len(rows[grain]))
+    for rel, path in steps.items():  # rows[rel][n] is the row of rel that grain row n joins
+        table = rows[rel]
+        if path in handle._gaps:  # a row the chain misses joins nothing
+            live = [n for n in live if table[n] is not None]
+        for i, compare, literal in filters.get(rel, ()):  # Null on either side compares false
+            live = [n for n in ([] if literal is None else live) if (v := table[n][i]) is not None and compare(v, literal)]
+    parts, weight = [], None  # the bucket key: the parent's anchor, the group part, the arms' anchors
+    lead = up is not None and weights is None
+    if up is not None:  # a row joins each parent row its key matches
+        links, joined = handle._ordinals(up, many=True), live
+        if lead:
+            live = [n for n in joined for _ in links[n]]
+            parts.append([x for n in joined for x in links[n]])
+        else:  # the anchor leaves the key: a row stands for the joined rows above all its anchors
+            weight = {n: w for n in joined if (w := sum([weights.get(x, 0) for x in links[n]]))}
+            live = list(weight)
+
+    own = [(g, rel, idx) for g, (rel, idx) in enumerate(groups) if rel in steps]
+    group_pos = [g for g, _, _ in own]
+    measure_pos = [k for k, (_, rel, _) in enumerate(measures) if rel in steps]
+    counted = all(measures[k][2] is None for k in measure_pos)  # COUNT(*) only: a partial is the row count
+    anchors = [list(map(handle._ordinals(steps[rel]).__getitem__, live)) if steps[rel] else live for rel, _ in arms]
+    if up is None and not own and len(arms) == 1 and counted:  # the fact side is a row count per anchor
+        sub, sub_groups, sub_measures = _aggregate(handle, arms[0][1], filters, groups, measures, Counter(anchors[0]))
+        width = len(measure_pos)
+        return {key: (n, (n,) * width + p) for key, (n, p) in sub.items()}, group_pos + sub_groups, measure_pos + sub_measures
+    parts += [_column(rows[rel], idx, live) for _, rel, idx in own] + anchors
+    keys = zip(*parts) if len(parts) > 1 else parts[0] if parts else repeat((), len(live))
+    if counted and weight is None:
+        buckets = [(key, n, (n,) * len(measure_pos)) for key, n in Counter(keys).items()]
+    else:
+        ordinals: dict = defaultdict(list)
+        for key, n in zip(keys, live):
+            ordinals[key].append(n)
+        total = len if weight is None else lambda ns: sum([weight[n] for n in ns])
+        parts_of = [_measure_part(agg, idx, rows[rel], weight) for agg, rel, idx in map(measures.__getitem__, measure_pos)]
+        buckets = [(key, total(ns), sum([part(ns) for part in parts_of], ())) for key, ns in ordinals.items()]
+
+    probes = []
+    for _, arm in arms:
+        sub, sub_groups, sub_measures = _aggregate(handle, arm, filters, groups, measures)
+        by_anchor: dict = {}
+        for (anchor, g), entry in sub.items():
+            by_anchor.setdefault(anchor, []).append((g, entry))
+        probes.append((by_anchor.get, _scaler(_slots(measures, measure_pos)), _scaler(_slots(measures, sub_measures))))
         group_pos += sub_groups
         measure_pos += sub_measures
     merge = _merger(_slots(measures, measure_pos))
-    bucket_of = key_getter(tuple(key_idxs))
-    own_filters = filters.get(rel, ())
-
-    def aggregate(rows: list) -> list:
-        for i, compare, literal in own_filters:  # Null on either side compares false
-            rows = [] if literal is None else [r for r in rows if r[i] is not None and compare(r[i], literal)]
-        buckets: dict[tuple, list] = {}
-        for row in rows:
-            key = bucket_of(row)
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = [row]
-            else:
-                bucket.append(row)
-        probes = [
-            (lo, hi, arm(dict.fromkeys(key[lo:hi] for key in buckets)).get, scale_left, scale_right)
-            for lo, hi, arm, scale_left, scale_right in below
-        ]
-        out: dict[tuple, tuple] = {}
-        for key, bucket in buckets.items():
-            combos = [(key[:own], len(bucket), sum([part(bucket) for part in parts], ()))]
-            for lo, hi, probe, scale_left, scale_right in probes:
-                entries = probe(key[lo:hi])
-                if entries is None:
-                    break
-                combos = [
-                    (g + g2, n * n2, (p if n2 == 1 else scale_left(p, n2)) + (p2 if n == 1 else scale_right(p2, n)))
-                    for g, n, p in combos
-                    for g2, (n2, p2) in entries
-                ]
-            else:
-                for g, n, p in combos:
-                    acc = out.get(g)
-                    out[g] = (n, p) if acc is None else (acc[0] + n, merge(acc[1], p))
-        return list(out.items())
-
-    return aggregate, group_pos, measure_pos
+    single, width = len(parts) == 1, lead + len(own)
+    out: dict[tuple, tuple] = {}
+    for key, n, p in buckets:
+        key = (key,) if single else key
+        anchor = key[0] if lead else None
+        combos = [(key[lead:width], n, p)]
+        for at, (probe, scale_left, scale_right) in enumerate(probes, width):
+            entries = probe(key[at])
+            if entries is None:
+                break
+            combos = [
+                (g + g2, n * n2, (p if n2 == 1 else scale_left(p, n2)) + (p2 if n == 1 else scale_right(p2, n)))
+                for g, n, p in combos
+                for g2, (n2, p2) in entries
+            ]
+        else:
+            for g, n, p in combos:
+                acc = out.get((anchor, g))
+                out[anchor, g] = (n, p) if acc is None else (acc[0] + n, merge(acc[1], p))
+    return out, group_pos, measure_pos
 
 
-def _arm(rows: list, entries: dict, aggregate):
-    """join keys -> {join key: ``aggregate`` of the arm rows the key
-    joins}, holding only the keys some arm row survives."""
-
-    def for_keys(keys) -> dict[tuple, list]:
-        by_key: dict[tuple, list] = {}
-        for g, entry in aggregate([rows[n] + (key,) for key in keys for n in entries.get(key, ())]):
-            by_key.setdefault(g[0], []).append((g[1:], entry))
-        return by_key
-
-    return for_keys
+def _column(rows: list, idx: int, ordinals) -> list:
+    return [rows[n][idx] for n in ordinals]
 
 
-def _measure_part(agg: str, idx: int | None):
-    """rows -> the measure's partial slots over them; COUNT(*) counts rows."""
+def _measure_part(agg: str, idx: int | None, rows: list, weight: dict | None):
+    """A bucket's grain ordinals -> the measure's partial slots over the
+    non-Null cells ``idx`` of the ``rows`` they join, each standing for its
+    ``weight`` in joined rows if given; COUNT(*) (no ``idx``) counts the
+    rows."""
     if idx is None:
-        return lambda rows: (len(rows),)
-    of_values = _AGGS[agg].of_values
-    return lambda rows: of_values([r[idx] for r in rows if r[idx] is not None])
+        return lambda ns: (len(ns),)
+    if weight is None:
+        of_values = _AGGS[agg].of_values
+        return lambda ns: of_values([v for n in ns if (v := rows[n][idx]) is not None])
+    of_weighted = _AGGS[agg].of_weighted
+    return lambda ns: of_weighted([(v, weight[n]) for n in ns if (v := rows[n][idx]) is not None])
 
 
 def _slots(measures: list, positions: list) -> list:
@@ -703,15 +759,20 @@ def _finish_avg(p: tuple):
 class _Agg(NamedTuple):
     slots: tuple  # how each partial slot merges: add, _least or _greatest
     of_values: Callable  # non-Null values -> partial slots
+    of_weighted: Callable  # [(non-Null value, rows it stands for)] -> partial slots
     finish: Callable  # partial slots -> result cell
 
 
+def _weighted_sum(pairs: list) -> tuple:
+    return (sum([v * w for v, w in pairs]), sum([w for _, w in pairs]))
+
+
 _AGGS = {
-    "COUNT": _Agg((add,), lambda vs: (len(vs),), itemgetter(0)),
-    "SUM": _Agg((add, add), lambda vs: (sum(vs), len(vs)), lambda p: p[0] if p[1] else None),
-    "AVG": _Agg((add, add), lambda vs: (sum(vs), len(vs)), _finish_avg),
-    "MIN": _Agg((_least,), lambda vs: (min(vs, default=None),), itemgetter(0)),
-    "MAX": _Agg((_greatest,), lambda vs: (max(vs, default=None),), itemgetter(0)),
+    "COUNT": _Agg((add,), lambda vs: (len(vs),), lambda pairs: (sum([w for _, w in pairs]),), itemgetter(0)),
+    "SUM": _Agg((add, add), lambda vs: (sum(vs), len(vs)), _weighted_sum, lambda p: p[0] if p[1] else None),
+    "AVG": _Agg((add, add), lambda vs: (sum(vs), len(vs)), _weighted_sum, _finish_avg),
+    "MIN": _Agg((_least,), lambda vs: (min(vs, default=None),), lambda pairs: (min([v for v, _ in pairs], default=None),), itemgetter(0)),
+    "MAX": _Agg((_greatest,), lambda vs: (max(vs, default=None),), lambda pairs: (max([v for v, _ in pairs], default=None),), itemgetter(0)),
 }
 
 

@@ -413,6 +413,31 @@ def test_build_refuses_kept_staging_inside_the_warehouse(tmp_path, cli_dirs, cap
     assert list(tmp_path.iterdir()) == []
 
 
+def test_build_refuses_warehouse_inside_kept_staging(tmp_path, cli_dirs, capsys):
+    # an in-place stage on the kept dump would replace it whole, warehouse and all
+    _, src, _ = cli_dirs
+    kept = tmp_path / "s"
+    out = kept / "wh"
+    code, _, err = _run(capsys, "build", "--src", str(src), "--out", str(out), "--keep-staging", str(kept),
+                        "--timestamp", TS)
+    assert code == 1 and err == f"error: --out {out} lies inside --keep-staging {kept}, which a later stage replaces whole\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_stage_refuses_to_replace_a_dump_holding_a_directory(tmp_path, extracted_dir, capsys):
+    staging = _copy(extracted_dir, tmp_path)
+    assert _run(capsys, "cleanse", "--staging", str(staging), "--timestamp", TS)[0] == 0
+    assert _run(capsys, "transform", "--staging", str(staging), "--timestamp", TS)[0] == 0
+    wh = staging / "wh"
+    assert _run(capsys, "load", "--staging", str(staging), "--out", str(wh), "--timestamp", TS)[0] == 0
+    before = _files(staging)
+    rules = tmp_path / "empty.rules"
+    rules.write_text("")
+    code, _, err = _run(capsys, "cleanse", "--staging", str(staging), "--rules", str(rules), "--timestamp", TS)
+    assert code == 1 and err == f"error: refusing to replace staging dump {staging}: it holds the directory {wh}\n"
+    assert _files(staging) == before
+
+
 @pytest.fixture(scope="module")
 def extracted_dir(tmp_path_factory, cli_dirs):
     _, src, _ = cli_dirs

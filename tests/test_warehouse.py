@@ -141,15 +141,46 @@ def test_render_index_matches_the_reference(index):
 
 
 def catalog_indexes(handle) -> list[Index]:
-    """An index on every dimension key, then the star join's index for every catalog join."""
+    """An index on every dimension key, then the star join's indexes for
+    every catalog join: on the joined relation's columns and on its
+    parent's."""
     keys = [build_index(handle.relation(d["name"]), (d["key"],)) for d in handle.catalog["dimensions"]]
-    return keys + [handle._join_index([join]) for join in handle.catalog["joins"]]
+    joins = handle.catalog["joins"]
+    return (
+        keys
+        + [handle._index(j["relation"], tuple(j["columns"])) for j in joins]
+        + [handle._index(j["parent"], tuple(j["parent_columns"])) for j in joins]
+    )
 
 
-def test_all_catalog_indexes_match_full_scan(seed42_handle):
+def _joined_ordinals(handle, steps: tuple, n: int) -> list[int]:
+    """By full scans, the rows of the last step's relation that row ``n`` of
+    the first step's relation joins along ``steps``."""
+    ordinals = [n]
+    for relation, columns, target, target_columns in steps:
+        table = handle.relation(relation)
+        idxs = [table.schema.column_index(c) for c in columns]
+        keys = [tuple(table.rows[o][i] for i in idxs) for o in ordinals]
+        ordinals = [m for key in keys for m in full_scan_ordinals(handle.relation(target), target_columns, key)]
+    return ordinals
+
+
+def test_all_catalog_indexes_match_full_scan(seed42_warehouse_dir):
+    handle = open_warehouse(seed42_warehouse_dir)
+    for name in handle.relation_names():  # a query on each relation builds every ordinal list it needs
+        star_query(handle, StarQuery((Measure("COUNT", None),), (f"{name}.{handle.relation(name).schema.columns[0].name}",)))
+    joined = {frozenset(step[0::2]) for steps, _ in handle._links for step in steps}
+    assert joined == {frozenset((j["relation"], j["parent"])) for j in handle.catalog["joins"]}
+    for (steps, many), links in handle._links.items():
+        assert len(links) == handle.row_count(steps[0][0])
+        for n, got in enumerate(links):
+            assert (list(got) if many else [] if got is None else [got]) == _joined_ordinals(handle, steps, n)
+    for steps, rows in handle._rows.items():  # the rows those ordinals name
+        target = handle.relation(steps[-1][2]).rows
+        assert rows == [None if n is None else target[n] for n in handle._links[steps, False]]
     rng = random.Random(4)
-    for index in catalog_indexes(seed42_handle):
-        table = seed42_handle.relation(index.relation)
+    for index in catalog_indexes(handle):
+        table = handle.relation(index.relation)
         keys = list(index.entries)
         sample = keys if len(keys) <= 200 else rng.sample(keys, 200)
         for key in sample:
