@@ -17,14 +17,14 @@ from pathlib import Path
 
 from . import canonical
 from .cleanse import cleanse_staging, parse_rules
-from .datagen import GenConfig, generate
+from .datagen import GEN_OUTPUT, GenConfig, generate
 from .errors import MissingInputError, ReadOnlyError, UwhError, ValidationError
 from .ingest import extract_database
 from .manifest import parse_schema_manifest
 from .plan import parse_plan
-from .staging import dump_staging, load_staging, render_table_csv
+from .staging import CATALOG_NAME, STAGING_DUMP, check_target, dump_staging, load_staging, render_table_csv
 from .transform import execute_plan, validate_plan
-from .warehouse import StarQuery, is_warehouse_dir, load, open_warehouse, parse_filter, parse_measure, star_query
+from .warehouse import WAREHOUSE, StarQuery, load, open_warehouse, parse_filter, parse_measure, star_query
 from .staging import staging_fingerprint  # noqa: F401  (unused here; the benchmark's tracer rebinds this name)
 from .warehouse import assemble_snowflake  # noqa: F401  (unused here; the benchmark's tracer rebinds this name)
 from .warehouse import sha256_hex  # noqa: F401  (unused here; the benchmark's tracer rebinds this name)
@@ -51,13 +51,6 @@ def _timestamp(text: str) -> str:
         raise argparse.ArgumentTypeError(f"{text!r} is not of the form YYYY-MM-DDTHH:MM:SSZ")
     datetime.strptime(text, _TIMESTAMP_FORMAT)  # ValueError for a date or time that does not exist
     return text
-
-
-def _guard_writable(path: Path, what: str = "target") -> None:
-    if is_warehouse_dir(path):
-        raise ReadOnlyError(
-            f"{what} {path} holds a frozen warehouse (catalog.json); warehouses are read-only"
-        )
 
 
 def _read_text(path: Path, what: str) -> str:
@@ -92,17 +85,17 @@ def _load_rules(args):
 
 def _staging_arg(path: Path):
     path = Path(path)
-    _guard_writable(path, "staging directory")
+    if (path / CATALOG_NAME).is_file():
+        raise ReadOnlyError(f"staging directory {path} holds a frozen warehouse ({CATALOG_NAME}); warehouses are read-only")
     return load_staging(path)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each reads its inputs, then checks each output before its first stage
 
 
 def _cmd_gen(args) -> int:
     out = Path(args.out)
-    _guard_writable(out)
     config = GenConfig(
         seed=args.seed,
         students=args.students,
@@ -110,6 +103,7 @@ def _cmd_gen(args) -> int:
         semesters=args.semesters,
         dirty_rate=args.dirty_rate,
     )
+    check_target(out, GEN_OUTPUT)
     ledger = generate(config, out)
     print(f"generated 14 tables under {out} ({len(ledger.entries)} dirt entries)", file=sys.stderr)
     return 0
@@ -118,7 +112,7 @@ def _cmd_gen(args) -> int:
 def _cmd_extract(args) -> int:
     schema = _load_schema(args)
     out = Path(args.out)
-    _guard_writable(out)
+    check_target(out, STAGING_DUMP)
     staging, report = extract_database(Path(args.src), schema, timestamp=args.timestamp)
     dump_staging(staging, out)
     total = sum(t.rows_staged for t in report.tables.values())
@@ -130,8 +124,8 @@ def _cmd_extract(args) -> int:
 def _cmd_cleanse(args) -> int:
     staging = _staging_arg(args.staging)
     rules = _load_rules(args)
-    out = Path(args.out) if args.out else Path(args.staging)
-    _guard_writable(out)
+    out = Path(args.out or args.staging)
+    check_target(out, STAGING_DUMP)
     cleaned, report = cleanse_staging(staging, rules, timestamp=args.timestamp)
     dump_staging(cleaned, out)
     print(report.to_text(), end="", file=sys.stderr)
@@ -141,9 +135,9 @@ def _cmd_cleanse(args) -> int:
 def _cmd_transform(args) -> int:
     staging = _staging_arg(args.staging)
     plan = _load_plan(args)
+    out = Path(args.out or args.staging)
+    check_target(out, STAGING_DUMP)
     validate_plan(plan, staging.schema())
-    out = Path(args.out) if args.out else Path(args.staging)
-    _guard_writable(out)
     transformed, lineage = execute_plan(staging, plan, timestamp=args.timestamp)
     dump_staging(transformed, out)
     print(f"executed {len(lineage)} statements; staging now holds {len(transformed.tables)} tables", file=sys.stderr)
@@ -151,8 +145,11 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_load(args) -> int:
-    catalog = load(Path(args.out), _staging_arg(args.staging), timestamp=args.timestamp)
-    print(f"loaded {len(catalog['relations'])} relations into {Path(args.out)}", file=sys.stderr)
+    staging = _staging_arg(args.staging)
+    out = Path(args.out)
+    check_target(out, WAREHOUSE)
+    catalog = load(out, staging, timestamp=args.timestamp)
+    print(f"loaded {len(catalog['relations'])} relations into {out}", file=sys.stderr)
     return 0
 
 
@@ -161,25 +158,22 @@ def _cmd_build(args) -> int:
     plan = _load_plan(args)
     rules = _load_rules(args)
     out = Path(args.out)
-    _guard_writable(out)
-    if out.exists() and any(out.iterdir()):
-        raise ValidationError(f"refusing to build into non-empty directory {out}")
-    kept = Path(args.keep_staging).resolve() if args.keep_staging else None
-    if kept and out.resolve() in (kept, *kept.parents):
-        raise ValidationError(f"--keep-staging {args.keep_staging} lies inside --out {out}, which must hold only the warehouse")
-    if kept and kept in out.resolve().parents:
-        raise ValidationError(f"--out {out} lies inside --keep-staging {args.keep_staging}, which a later stage replaces whole")
+    check_target(out, WAREHOUSE)
+    kept = Path(args.keep_staging) if args.keep_staging else None
+    if kept:
+        if out.resolve() in (kept.resolve(), *kept.resolve().parents):
+            raise ValidationError(f"--keep-staging {args.keep_staging} lies inside --out {out}, which must hold only the warehouse")
+        if kept.resolve() in out.resolve().parents:
+            raise ValidationError(f"--out {out} lies inside --keep-staging {args.keep_staging}, which a later stage replaces whole")
+        check_target(kept, STAGING_DUMP)
 
     staging, _ = extract_database(Path(args.src), schema, timestamp=args.timestamp)
     validate_plan(plan, staging.schema())
     cleaned, _ = cleanse_staging(staging, rules, timestamp=args.timestamp)
     transformed, _ = execute_plan(cleaned, plan, timestamp=args.timestamp)
-    # staging first: a refused --keep-staging directory stops the build
-    # before the warehouse exists
-    if args.keep_staging:
-        staging_dir = Path(args.keep_staging)
-        _guard_writable(staging_dir)
-        dump_staging(transformed, staging_dir)
+    # staging first: a build that fails while loading leaves the dump
+    if kept:
+        dump_staging(transformed, kept)
     catalog = load(out, transformed, timestamp=args.timestamp)
     quarantined = sum(len(q.rows) for q in transformed.quarantine.values())
     print(

@@ -26,11 +26,12 @@ from pathlib import Path
 from .canonical import canonical_schema
 from .csvio import format_row
 from .errors import MissingInputError, ValidationError
-from .staging import read_records, write_dir_atomically
+from .staging import Output, read_records, write_dir_atomically
 from .values import make_decimal, render_cell
 
 LEDGER_FILE = "dirt_ledger.csv"
 MANIFEST_FILE = "gen_manifest.json"
+GEN_OUTPUT = Output("gen output", "gen output", MANIFEST_FILE)
 
 _LEDGER_COLUMNS = ("table", "row_key", "column", "original", "corrupted", "kind")
 
@@ -488,13 +489,10 @@ def _inject_dirt(
 
 
 def generate(config: GenConfig, out_dir: Path) -> DirtLedger:
-    """Write all 14 CSVs plus the dirt ledger and a row-count manifest,
-    atomically. Only an absent or empty directory, or an earlier gen
-    output (one holding the manifest), may be replaced."""
+    """Write all 14 CSVs plus the dirt ledger and a row-count manifest to
+    ``out_dir``, atomically; the writer checks that ``out_dir`` may be
+    replaced (``staging.check_target``)."""
     config.validate()
-    out_dir = Path(out_dir)
-    if out_dir.exists() and not (out_dir / MANIFEST_FILE).is_file() and any(out_dir.iterdir()):
-        raise ValidationError(f"refusing to replace non-empty directory {out_dir}: it is not gen output")
     rng = random.Random(config.seed)
     db = canonical_schema()
     typed = _build_rows(config, rng)
@@ -533,5 +531,5 @@ def generate(config: GenConfig, out_dir: Path) -> DirtLedger:
         "dirt_entries": len(ledger.entries),
     }
     files[MANIFEST_FILE] = (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode("utf-8")
-    write_dir_atomically(files, out_dir)
+    write_dir_atomically(files, out_dir, GEN_OUTPUT)
     return ledger

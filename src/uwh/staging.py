@@ -14,17 +14,18 @@ On disk a staging dump is a directory::
     meta.json              fact/dimension declarations and stage reports
 
 Dumps are byte-deterministic given the same staging contents, and are
-written all or nothing by ``write_dir_atomically``, which the warehouse
-loader uses too. Table files are written by ``render_table_csv`` and read
-back by ``decode_table`` from the bytes of the file, so a quoted CR
-survives. Every CSV read (source, staging, quarantine, dirt ledger and
-warehouse files) goes through ``read_records``, and every typed one
-through ``typed_rows``, which keeps one memo per column from field text
-to cell (dictionary encoding): each distinct text of a column is
-converted once, and equal cells are one shared object. Text that does
-not parse as its column's type is not kept; it is handed to the
-caller's ``raw`` at each occurrence, so extract counts every raw cell
-and the warehouse reader fails at the first bad one.
+written all or nothing by ``write_dir_atomically`` once ``check_target``
+allows it, as are gen output and warehouses. Table files are written by
+``render_table_csv`` and read back by ``decode_table`` from the bytes of
+the file, so a quoted CR survives. Every CSV read (source, staging,
+quarantine, dirt ledger and warehouse files) goes through
+``read_records``, and every typed one through ``typed_rows``, which
+keeps one memo per column from field text to cell (dictionary encoding):
+each distinct text of a column is converted once, and equal cells are
+one shared object. Text that does not parse as its column's type is not
+kept; it is handed to the caller's ``raw`` at each occurrence, so
+extract counts every raw cell and the warehouse reader fails at the
+first bad one.
 """
 
 from __future__ import annotations
@@ -37,15 +38,17 @@ import tempfile
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .csvio import NEEDS_QUOTES, format_field, format_row, iter_records
 from .csvio import parse_csv  # noqa: F401  (unused here; the benchmark's tracer rebinds this name)
-from .errors import MissingInputError, UwhError, ValidationError
+from .errors import MissingInputError, ReadOnlyError, UwhError, ValidationError
 from .manifest import parse_schema_manifest, render_manifest
 from .schema import DatabaseSchema, Table, TableSchema
 from .values import CELL_TEXT, RawCell, ValueType, cell_converter, render_cell
 
 DEFAULT_TIMESTAMP = "1970-01-01T00:00:00Z"
+CATALOG_NAME = "catalog.json"  # the file that makes a directory a frozen warehouse
 
 
 @dataclass(frozen=True)
@@ -257,14 +260,47 @@ def dumps_staging(staging: StagingArea) -> dict[str, bytes]:
     return files
 
 
-def write_dir_atomically(files: dict[str, bytes], out: Path) -> None:
-    """Make directory ``out`` hold exactly ``files`` ({relative path: bytes}).
+class Output(NamedTuple):  # a kind of directory that a command writes
+    name: str
+    noun: str  # the name with its article, if it takes one
+    marker: str | None  # the file an earlier output holds; None: none is replaced
+    subdirs: tuple[str, ...] = ()  # the directories an output holds
+
+
+STAGING_DUMP = Output("staging dump", "a staging dump", "schema.manifest", ("quarantine",))
+
+
+def check_target(out: Path, kind: Output) -> None:
+    """The one rule for whether ``kind`` may be written to ``out``. Refused:
+    a warehouse or a path inside one (``ReadOnlyError``), a file, and a
+    non-empty directory that is not an earlier output of ``kind`` or holds
+    a directory ``kind`` does not write (``ValidationError``)."""
+    absolute = Path(os.path.abspath(out))
+    for directory in (absolute, *absolute.parents):
+        if (directory / CATALOG_NAME).is_file():
+            where = "is" if directory == absolute else "lies inside"
+            raise ReadOnlyError(f"refusing to write {out}: it {where} a frozen warehouse; warehouses are read-only")
+    out = Path(out)
+    entries = list(out.iterdir()) if out.exists() else []  # NotADirectoryError for a file
+    if entries and kind.marker is None:
+        raise ValidationError(f"refusing to write {kind.noun} into non-empty directory {out}")
+    if entries and not (out / kind.marker).is_file():
+        raise ValidationError(f"refusing to replace non-empty directory {out}: it is not {kind.noun}")
+    for entry in entries:
+        if entry.is_dir() and entry.name not in kind.subdirs:
+            raise ValidationError(f"refusing to replace {kind.name} {out}: it holds the directory {entry}")
+
+
+def write_dir_atomically(files: dict[str, bytes], out: Path, kind: Output) -> None:
+    """Make directory ``out`` hold exactly ``files`` ({relative path: bytes}),
+    an output of ``kind``, once ``check_target`` allows it.
 
     The files are written to a sibling ``.<name>-partial-*`` directory,
     which is then renamed to ``out``; an existing ``out`` is swapped out
     and removed. On any failure ``out`` is left as it was and the sibling
-    is removed. Callers decide whether an existing ``out`` may be replaced.
+    is removed. This is the only function that writes files.
     """
+    check_target(out, kind)
     out = Path(os.path.abspath(out))  # so that "." has a name and a parent
     out.parent.mkdir(parents=True, exist_ok=True)
     scratch = Path(tempfile.mkdtemp(prefix=f".{out.name}-partial-", dir=out.parent))
@@ -290,16 +326,9 @@ def write_dir_atomically(files: dict[str, bytes], out: Path) -> None:
 
 
 def dump_staging(staging: StagingArea, out_dir: Path) -> None:
-    """Write the staging dump to ``out_dir`` atomically. Only an absent or
-    empty directory, or an earlier staging dump holding no directory but
-    ``quarantine/``, may be replaced."""
-    out_dir = Path(out_dir)
-    if out_dir.exists() and not (out_dir / "schema.manifest").is_file() and any(out_dir.iterdir()):
-        raise ValidationError(f"refusing to replace non-empty directory {out_dir}: it is not a staging dump")
-    for path in out_dir.iterdir() if out_dir.is_dir() else ():
-        if path.is_dir() and path.name != "quarantine":
-            raise ValidationError(f"refusing to replace staging dump {out_dir}: it holds the directory {path}")
-    write_dir_atomically(dumps_staging(staging), out_dir)
+    """Write the staging dump to ``out_dir`` atomically; the writer checks
+    that ``out_dir`` may be replaced."""
+    write_dir_atomically(dumps_staging(staging), out_dir, STAGING_DUMP)
 
 
 def staging_fingerprint(staging: StagingArea) -> str:

@@ -21,18 +21,18 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .csvio import format_field, parse_csv
-from .errors import IntegrityError, MissingInputError, ParseError, ReadOnlyError, ValidationError
+from .errors import IntegrityError, MissingInputError, ParseError, ValidationError
 from .lexer import tokenize
 from .plan import _Parser
 from .schema import ColumnDef, Table, TableSchema, key_getter
-from .staging import StagingArea, decode_table, dump_fingerprint, dumps_staging, write_dir_atomically
+from .staging import CATALOG_NAME, Output, StagingArea, decode_table, dump_fingerprint, dumps_staging, write_dir_atomically
 from .staging import render_table_csv  # noqa: F401  (unused here; the benchmark's tracer rebinds this name)
 from .values import COMPARISONS, DEC4, ORDERED_TYPES, RawCell, ValueType, coerce_literal, render_cell, value_tag
 
 from decimal import Decimal
 
-CATALOG_NAME = "catalog.json"
 FORMAT_VERSION = 4
+WAREHOUSE = Output("warehouse", "a warehouse", None)
 
 AGGREGATES = ("COUNT", "SUM", "AVG", "MIN", "MAX")
 
@@ -237,7 +237,8 @@ def parse_index(text: str, descriptor: dict, schema: TableSchema) -> Index:  # u
 def load(out_dir: Path, staging: StagingArea, *, timestamp: str) -> dict:
     """Persist the snowflake that ``staging`` declares and the frozen
     catalog, whose joins describe the star join's indexes, all or nothing.
-    Refuses to write into a non-empty directory.
+    The writer refuses an ``out_dir`` that is not empty or lies inside a
+    warehouse (``staging.check_target``).
 
     The staging is rendered once: each relation file holds the bytes of
     its staging dump file, and ``build.source_hash`` is the fingerprint of
@@ -245,11 +246,6 @@ def load(out_dir: Path, staging: StagingArea, *, timestamp: str) -> dict:
     if staging.fact_table is None or not staging.dimensions:
         raise ValidationError("staging carries no fact/dimension declarations; run transform first")
     snowflake = assemble_snowflake(staging.tables, staging.fact_table, staging.dimensions)
-    out_dir = Path(out_dir)
-    if (out_dir / CATALOG_NAME).exists():
-        raise ReadOnlyError(f"{out_dir} already holds a warehouse catalog; it is frozen and cannot be rewritten")
-    if out_dir.exists() and any(out_dir.iterdir()):
-        raise ValidationError(f"refusing to load into non-empty directory {out_dir}")
     tables = staging.tables
 
     # star-join soundness: every fact key resolves before anything is written;
@@ -304,7 +300,7 @@ def load(out_dir: Path, staging: StagingArea, *, timestamp: str) -> dict:
     }
     catalog["self_checksum"] = sha256_hex(canonical_json(catalog).encode("utf-8"))
     files[CATALOG_NAME] = canonical_json(catalog).encode("utf-8")
-    write_dir_atomically(files, out_dir)
+    write_dir_atomically(files, out_dir, WAREHOUSE)
     return catalog
 
 
@@ -894,7 +890,3 @@ def open_warehouse(directory: Path) -> Warehouse:
             )
 
     return Warehouse(directory, catalog, relations)
-
-
-def is_warehouse_dir(directory: Path) -> bool:
-    return (Path(directory) / CATALOG_NAME).is_file()

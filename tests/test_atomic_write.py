@@ -1,5 +1,6 @@
 """Directory writes are all or nothing: a write that fails part-way
-leaves the target as it was and no ``.<name>-partial-*`` sibling."""
+leaves the target as it was and no ``.<name>-partial-*`` sibling. A
+write the replace rule refuses leaves every file as it was."""
 
 from __future__ import annotations
 
@@ -7,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from uwh.datagen import GenConfig, generate
-from uwh.errors import ValidationError
-from uwh.staging import dump_staging, dumps_staging
-from uwh.warehouse import load
+from uwh.cli import run
+from uwh.datagen import GEN_OUTPUT, GenConfig, generate
+from uwh.errors import ReadOnlyError, ValidationError
+from uwh.staging import STAGING_DUMP, dump_staging, dumps_staging, write_dir_atomically
+from uwh.warehouse import WAREHOUSE, load
 
 TS = "2026-01-01T00:00:00Z"
 SMALL = GenConfig(seed=5, students=20, courses_per_dept=3, semesters=2, dirty_rate=0.1)
@@ -132,3 +134,88 @@ def test_gen_refuses_non_empty_directory_that_is_not_gen_output(tmp_path):
     with pytest.raises(ValidationError, match="not gen output"):
         generate(SMALL, target)
     _assert_holds(target, before)
+
+
+def _tree(root: Path) -> dict[str, bytes | None]:
+    """Every path under ``root``: a file's bytes, or None for a directory."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+def _put(directory: Path, files: dict[str, bytes]) -> None:
+    for rel, data in files.items():
+        (directory / rel).parent.mkdir(parents=True, exist_ok=True)
+        (directory / rel).write_bytes(data)
+
+
+# the files of one earlier output of each kind
+_EARLIER = {
+    STAGING_DUMP: {"schema.manifest": b"old\n", "t.csv": b"old\n"},
+    GEN_OUTPUT: {"gen_manifest.json": b"old\n", "t.csv": b"old\n"},
+    WAREHOUSE: {"catalog.json": b"old\n", "t.csv": b"old\n"},
+}
+_KINDS = list(_EARLIER)
+
+
+def _target(tmp_path: Path, name: str, kind) -> Path:
+    """Make the target ``name`` of the rule table under ``tmp_path``."""
+    out = tmp_path / "out"
+    if name == "empty":
+        out.mkdir()
+    elif name.startswith("earlier"):
+        _put(out, _EARLIER[kind])
+        if name != "earlier":
+            _put(out, {f"{name.split()[-1]}/t.csv": b"dir\n"})
+    elif name == "foreign":
+        _put(out, {"notes.txt": b"keep me\n"})
+    elif name == "file":
+        out.write_bytes(b"keep me\n")
+    elif name == "warehouse":
+        _put(out, _EARLIER[WAREHOUSE])
+    elif name == "inside warehouse":
+        _put(tmp_path / "wh", _EARLIER[WAREHOUSE])
+        out = tmp_path / "wh" / "out"
+    return out
+
+
+# the outcome of writing each kind (staging dump, gen output, warehouse) to
+# each target: None when accepted, else the error it is refused with
+_RULE = {
+    "absent": (None, None, None),
+    "empty": (None, None, None),
+    "earlier": (None, None, ReadOnlyError),
+    "earlier + quarantine": (None, ValidationError, ReadOnlyError),
+    "earlier + wh": (ValidationError, ValidationError, ReadOnlyError),
+    "foreign": (ValidationError, ValidationError, ValidationError),
+    "file": (NotADirectoryError, NotADirectoryError, NotADirectoryError),
+    "warehouse": (ReadOnlyError, ReadOnlyError, ReadOnlyError),
+    "inside warehouse": (ReadOnlyError, ReadOnlyError, ReadOnlyError),
+}
+
+
+@pytest.mark.parametrize("kind", _KINDS, ids=[k.name for k in _KINDS])
+@pytest.mark.parametrize("name", list(_RULE))
+def test_the_replace_rule(tmp_path, name, kind):
+    out = _target(tmp_path, name, kind)
+    before = _tree(tmp_path)
+    new = {rel: b"new\n" for rel in _EARLIER[kind]}
+    error = _RULE[name][_KINDS.index(kind)]
+    if error is None:  # then ``out`` is ``tmp_path / "out"``, and holds exactly the new files
+        write_dir_atomically(new, out, kind)
+        rest = {path: data for path, data in before.items() if path.split("/")[0] != "out"}
+        assert _tree(tmp_path) == {**rest, "out": None, **{f"out/{rel}": data for rel, data in new.items()}}
+    else:
+        with pytest.raises(error):
+            write_dir_atomically(new, out, kind)
+        assert _tree(tmp_path) == before  # no partial sibling either
+
+
+def test_gen_refuses_its_earlier_output_once_a_warehouse_is_built_inside(tmp_path, capsys):
+    gen = tmp_path / "g"
+    small = ["--students", "20", "--courses-per-dept", "3", "--semesters", "2"]
+    assert run(["gen", "--out", str(gen), *small]) == 0
+    assert run(["build", "--src", str(gen), "--out", str(gen / "wh"), "--timestamp", TS]) == 0
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert run(["gen", "--out", str(gen), *small]) == 1
+    assert capsys.readouterr().err == f"error: refusing to replace gen output {gen}: it holds the directory {gen / 'wh'}\n"
+    assert _tree(tmp_path) == before

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
@@ -311,8 +312,9 @@ def test_bad_measure_exits_three(cli_dirs, capsys):
     assert code == 3
 
 
-def test_write_flavored_commands_on_warehouse_exit_four(cli_dirs, capsys, tmp_path):
+def test_write_flavored_commands_on_warehouse_exit_four(cli_dirs, extracted_dir, capsys, tmp_path):
     base, src, wh = cli_dirs
+    staging = str(extracted_dir)
     cases = [
         ["transform", "--staging", str(wh)],
         ["cleanse", "--staging", str(wh)],
@@ -320,11 +322,19 @@ def test_write_flavored_commands_on_warehouse_exit_four(cli_dirs, capsys, tmp_pa
         ["gen", "--out", str(wh)],
         ["build", "--src", str(src), "--out", str(wh)],
         ["load", "--staging", str(wh), "--out", str(tmp_path / "x")],
+        # inside a warehouse
+        ["extract", "--src", str(src), "--out", str(wh / "s")],
+        ["gen", "--out", str(wh / "g")],
+        ["build", "--src", str(src), "--out", str(wh / "x")],
+        ["load", "--staging", staging, "--out", str(wh / "x")],
+        ["cleanse", "--staging", staging, "--out", str(wh / "s")],
     ]
+    before = _files(wh)
     for argv in cases:
         code, _, err = _run(capsys, *argv)
         assert code == 4, argv
         assert "frozen" in err or "read-only" in err
+        assert _files(wh) == before and sorted(p.name for p in wh.iterdir()) == sorted(before), argv
 
 
 def test_tampered_warehouse_exits_five(cli_dirs, tmp_path, capsys):
@@ -436,6 +446,55 @@ def test_stage_refuses_to_replace_a_dump_holding_a_directory(tmp_path, extracted
     code, _, err = _run(capsys, "cleanse", "--staging", str(staging), "--rules", str(rules), "--timestamp", TS)
     assert code == 1 and err == f"error: refusing to replace staging dump {staging}: it holds the directory {wh}\n"
     assert _files(staging) == before
+
+
+_NOT_DUMP = "refusing to replace non-empty directory {docs}: it is not a staging dump"
+_HOLDS = "refusing to replace staging dump {nested}: it holds the directory {nested}/wh"
+_NOT_EMPTY = "refusing to write a warehouse into non-empty directory {docs}"
+_FROZEN = "refusing to write {wh}/s: it lies inside a frozen warehouse; warehouses are read-only"
+
+# each writing command with an output that the replace rule refuses: its
+# words, the exit code and the error message
+_REFUSED = [
+    ("gen --out {docs}", 1, "refusing to replace non-empty directory {docs}: it is not gen output"),
+    ("gen --out {wh}/s", 4, _FROZEN),
+    ("extract --src {src} --out {docs}", 1, _NOT_DUMP),
+    ("extract --src {nowhere} --out {docs}", 1, _NOT_DUMP),  # extract_database reads the source
+    ("cleanse --staging {staging} --out {docs}", 1, _NOT_DUMP),
+    ("cleanse --staging {nested}", 1, _HOLDS),
+    ("transform --staging {staging} --out {docs}", 1, _NOT_DUMP),
+    ("transform --staging {nested}", 1, _HOLDS),
+    ("load --staging {staging} --out {docs}", 1, _NOT_EMPTY),
+    ("load --staging {staging} --out {wh}/s", 4, _FROZEN),
+    ("build --src {src} --out {docs}", 1, _NOT_EMPTY),
+    ("build --src {src} --out {fresh} --keep-staging {docs}", 1, _NOT_DUMP),
+    ("build --src {src} --out {fresh} --keep-staging {wh}/s", 4, _FROZEN),
+]
+
+
+@pytest.mark.parametrize("words, code, message", _REFUSED, ids=[w for w, _, _ in _REFUSED])
+def test_a_refused_output_stops_the_command_before_its_first_stage(tmp_path, cli_dirs, extracted_dir, capsys,
+                                                                   monkeypatch, words, code, message):
+    import uwh.cli
+
+    _, src, wh = cli_dirs
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    (docs / "notes.txt").write_text("keep me\n")
+    nested = shutil.copytree(extracted_dir, tmp_path / "nested")
+    (nested / "wh").mkdir()
+    paths = {"src": src, "staging": extracted_dir, "wh": wh, "docs": docs, "nested": nested,
+             "fresh": tmp_path / "fresh", "nowhere": tmp_path / "nowhere"}
+
+    def stage(*args, **kwargs):
+        raise AssertionError("a stage ran")
+
+    for name in ("generate", "extract_database", "cleanse_staging", "validate_plan", "execute_plan", "load", "dump_staging"):
+        monkeypatch.setattr(uwh.cli, name, stage)
+    before = _files(tmp_path), _files(wh)
+    argv = [word.format(**paths) for word in words.split()]
+    assert _run(capsys, *argv)[::2] == (code, f"error: {message.format(**paths)}\n")
+    assert (_files(tmp_path), _files(wh)) == before
 
 
 @pytest.fixture(scope="module")

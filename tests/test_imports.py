@@ -5,6 +5,10 @@ With no linter in the toolchain, this stands in for pyflakes' F401. The one
 exception is a name kept only so the benchmark's tracer can rebind it: its
 import line says ``noqa: F401`` and ``perfbench/tracer.py`` lists the
 (module, name) pair among its spans or aggregates.
+
+It also checks that ``staging.write_dir_atomically`` is the one function
+that writes, renames or removes files, so every output directory is
+written whole, after the one check of whether it may be.
 """
 
 from __future__ import annotations
@@ -102,3 +106,57 @@ def test_an_uncalled_definition_is_refused(tmp_path):
         encoding="utf-8",
     )
     assert uncalled_definitions(tmp_path) == ["probe.py:9: dead", "probe.py:13: Dead"]
+
+
+_WRITERS = {"write_bytes", "write_text", "mkdir", "rmtree", "unlink", "rename"}
+
+
+def _writes(call: ast.Call) -> bool:
+    """Whether ``call`` writes, renames or removes a file: a call of one of
+    ``_WRITERS``, a one-argument ``.replace`` (``Path.replace``), or an
+    ``open`` whose mode writes or cannot be read off the call."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name == "replace":
+        return len(call.args) == 1 and not call.keywords
+    if name != "open":
+        return name in _WRITERS
+    position = 1 if isinstance(func, ast.Name) else 0  # open(file, mode) or path.open(mode)
+    modes = [k.value for k in call.keywords if k.arg == "mode"] + call.args[position:position + 1]
+    if not modes:
+        return False
+    mode = getattr(modes[0], "value", None)  # a constant's text; None for any other expression
+    return not isinstance(mode, str) or bool(set("wax+") & set(mode))
+
+
+def file_writers(src: Path) -> list[str]:
+    """Each call in the modules of ``src`` that writes, renames or removes a
+    file from any function but ``write_dir_atomically``."""
+    found = []
+
+    def visit(node, path: Path, function: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+            if isinstance(child, ast.Call) and _writes(child) and inner != "write_dir_atomically":
+                found.append(f"{path.name}:{child.lineno}: {inner}")
+            visit(child, path, inner)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, "<module>")
+    return found
+
+
+def test_only_the_atomic_writer_touches_files():
+    assert file_writers(_SRC) == []
+
+
+def test_a_file_write_outside_the_atomic_writer_is_refused(tmp_path):
+    (tmp_path / "probe.py").write_text(
+        "def write_dir_atomically(out, new):\n    new.mkdir()\n    new.replace(out)\n\n\n"
+        "def reads(path, text):\n    open(path).close()\n    path.open('rb').close()\n"
+        "    return text.replace('a', 'b')\n\n\n"
+        "def writes(path, mode):\n    path.write_text('x')\n    path.replace(path)\n"
+        "    open(path, 'a').close()\n    path.open(mode='r+b').close()\n    open(path, mode).close()\n",
+        encoding="utf-8",
+    )
+    assert file_writers(tmp_path) == [f"probe.py:{n}: writes" for n in (13, 14, 15, 16, 17)]
