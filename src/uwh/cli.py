@@ -175,7 +175,7 @@ def _cmd_build(args) -> int:
     if kept:
         dump_staging(transformed, kept)
     catalog = load(out, transformed, timestamp=args.timestamp)
-    quarantined = sum(len(q.rows) for q in transformed.quarantine.values())
+    quarantined = sum(map(len, transformed.quarantine.values()))
     print(
         f"warehouse ready at {out}: {len(catalog['relations'])} relations, "
         f"{len(transformed.tables[catalog['fact']].rows)} fact rows, {quarantined} rows quarantined",
@@ -201,7 +201,7 @@ def _cmd_report(args) -> int:
         staging = _staging_arg(args.staging)
         payload = {
             "tables": {name: len(t.rows) for name, t in staging.tables.items()},
-            "quarantine": {name: len(q.rows) for name, q in staging.quarantine.items() if q.rows},
+            "quarantine": {name: len(q) for name, q in staging.quarantine.items() if len(q)},
             "lineage_events": len(staging.lineage),
             "fact_table": staging.fact_table,
             "dimensions": [list(d) for d in staging.dimensions],

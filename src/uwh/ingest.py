@@ -15,7 +15,7 @@ from pathlib import Path
 from .csvio import parse_csv  # noqa: F401  (unused here; the benchmark's tracer rebinds this name)
 from .errors import MissingInputError, ValidationError
 from .schema import DatabaseSchema, Table, TableSchema
-from .staging import DEFAULT_TIMESTAMP, LineageEvent, QRow, Quarantine, StagingArea, read_records, typed_rows
+from .staging import DEFAULT_TIMESTAMP, LineageEvent, QRow, Quarantine, StagingArea, column_memos, read_records, typed_rows
 from .staging import parse_cell  # noqa: F401  (unused here; the benchmark's tracer rebinds this name)
 from .values import RawCell
 
@@ -90,7 +90,7 @@ def extract_table(source: str | bytes, schema: TableSchema) -> tuple[Table, Tabl
     stats = TableExtraction(schema.name)
     quarantine = Quarantine(schema.column_names)
     rows: list[tuple] = []
-    for fields, cells in typed_rows(records, [schema.column(name) for name in header], stats.raw):
+    for fields, cells in typed_rows(records, column_memos([schema.column(name) for name in header], stats.raw)):
         stats.rows_read += 1
         if cells is None:
             stats.reject("arity")

@@ -16,13 +16,24 @@ On disk a staging dump is a directory::
 Dumps are byte-deterministic given the same staging contents, and are
 written all or nothing by ``write_dir_atomically`` once ``check_target``
 allows it, as are gen output and warehouses. Table files are written by
-``render_table_csv`` and read back by ``decode_table`` from the bytes of
-the file, so a quoted CR survives. Every CSV read (source, staging,
-quarantine, dirt ledger and warehouse files) goes through
-``read_records``, and every typed one through ``typed_rows``, which
-keeps one memo per column from field text to cell (dictionary encoding):
-each distinct text of a column is converted once, and equal cells are
-one shared object. Text that does not parse as its column's type is not
+``render_table_csv``, which renders each distinct cell of a column once,
+and read back by ``decode_table`` from the bytes of the file, so a
+quoted CR survives.
+
+A stage re-encodes only what it changed. ``load_staging`` keeps the
+bytes of each canonical table file, one that rendering its table again
+gives back, in ``StagingArea.encoded``; ``dumps_staging`` writes them
+while the table is still that Table object, renders any other table,
+and keeps those bytes too. A quarantine file whose lines re-render as
+they stand stays those lines until its rows are read. A file edited by
+hand is not canonical, so it is parsed and rendered as before. This
+relies on stages never mutating what they received.
+
+Every CSV read (source, staging, quarantine, dirt ledger and warehouse
+files) goes through ``read_records``, and every typed one through
+``typed_rows``, which keeps one memo per column from field text to cell
+(dictionary encoding): each distinct text of a column is converted
+once, and equal cells are one shared object. Text that does not parse as its column's type is not
 kept; it is handed to the caller's ``raw`` at each occurrence, so
 extract counts every raw cell and the warehouse reader fails at the
 first bad one.
@@ -33,10 +44,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import shutil
 import tempfile
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -85,10 +98,60 @@ class QRow:
     fields: tuple[str, ...]
 
 
-@dataclass
+# The rows of a quarantine file that re-render as they stand, each on one
+# line: the reason bare or, when it holds a comma or a quote, quoted; each
+# other field bare and not empty, or quoted when empty or when it holds a
+# comma or a quote. A field that holds a CR or LF is not matched.
+_BARE = r'[^",\r\n]'
+_QUOTED = r'"[^",\r\n]*(?:,|"")(?:[^"\r\n]|"")*"'
+_CANONICAL_ROWS = re.compile(rf'(?:(?:{_BARE}*|{_QUOTED})(?:,(?:{_BARE}+|""|{_QUOTED}))+\n)*+')
+
+
 class Quarantine:
-    columns: tuple[str, ...]
-    rows: list[QRow] = field(default_factory=list)
+    """The rows a table's stages rejected, under the table's columns.
+
+    Rows loaded from a canonical quarantine file stay the bytes of its lines
+    until ``rows`` is read: ``len`` counts them, ``append`` adds a row after
+    them, and ``to_csv`` writes them as they were, then renders the rows
+    added since. Two quarantines are equal when their columns and rows are."""
+
+    def __init__(self, columns: tuple[str, ...], rows: list[QRow] | None = None, lines: bytes = b""):
+        self.columns = columns
+        self._rows = [] if rows is None else rows
+        self._lines = lines  # canonical lines, one row each, of the rows that come before ``_rows``
+        self._count = lines.count(b"\n")
+
+    @property
+    def rows(self) -> list[QRow]:
+        if self._lines:
+            lines = iter_records(self._lines.decode("utf-8"))
+            self._rows[:0] = [QRow(fields[0], tuple(fields[1:])) for fields, _ in lines]
+            self._lines, self._count = b"", 0
+        return self._rows
+
+    def __len__(self) -> int:
+        return self._count + len(self._rows)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Quarantine):
+            return NotImplemented
+        return self.columns == other.columns and self.rows == other.rows
+
+    def __repr__(self) -> str:
+        return f"Quarantine({self.columns!r}, {self.rows!r})"
+
+    def append(self, row: QRow) -> None:
+        self._rows.append(row)
+
+    def copy(self) -> "Quarantine":
+        return Quarantine(self.columns, list(self._rows), self._lines)
+
+    def to_csv(self) -> bytes:
+        """The bytes of the quarantine file: a ``_reason`` column, then the
+        table's; an empty field is quoted, except an empty reason."""
+        added = (format_row([(r.reason, False)] + [(f, f == "") for f in r.fields]) + "\n" for r in self._rows)
+        head = ",".join(("_reason", *self.columns)) + "\n"
+        return b"".join([head.encode("utf-8"), self._lines, *(line.encode("utf-8") for line in added)])
 
 
 @dataclass
@@ -99,6 +162,9 @@ class StagingArea:
     fact_table: str | None = None
     dimensions: list[tuple[str, str]] = field(default_factory=list)
     reports: dict = field(default_factory=dict)
+    # table name -> (Table, the bytes of its dump file): bytes a table was
+    # loaded from or last rendered to, written again while it is that Table
+    encoded: dict[str, tuple[Table, bytes]] = field(default_factory=dict, repr=False, compare=False)
 
     def schema(self) -> DatabaseSchema:
         return DatabaseSchema({t.name: t.schema for t in self.tables.values()})
@@ -108,10 +174,11 @@ class StagingArea:
         return replace(
             self,
             tables=dict(self.tables),
-            quarantine={k: Quarantine(q.columns, list(q.rows)) for k, q in self.quarantine.items()},
+            quarantine={k: q.copy() for k, q in self.quarantine.items()},
             lineage=list(self.lineage),
             dimensions=list(self.dimensions),
             reports=dict(self.reports),
+            encoded=dict(self.encoded),
         )
 
     def add_quarantine(self, table_name: str, columns: tuple[str, ...], reason: str, fields_: tuple[str, ...]) -> None:
@@ -119,7 +186,7 @@ class StagingArea:
         if q is None:
             q = Quarantine(columns)
             self.quarantine[table_name] = q
-        q.rows.append(QRow(reason, fields_))
+        q.append(QRow(reason, fields_))
 
     def log(self, event: LineageEvent) -> None:
         self.lineage.append(event)
@@ -140,21 +207,45 @@ def _render_other(cell) -> str:
 _FIELD_RENDERERS = {**CELL_TEXT, str: _render_text, RawCell: _render_text}
 
 
+def _field_text(cell) -> str:
+    return _FIELD_RENDERERS.get(cell.__class__, _render_other)(cell)
+
+
+def _column_fields(rows: list[tuple], i: int) -> Iterator[str]:
+    """The CSV field of cell ``i`` of each row, from a memo that renders
+    each distinct cell once. In a column of more than one class besides
+    None, a cell is keyed by its class too, so that cells of different
+    classes that compare equal (True, 1 and Decimal 1) stay apart."""
+    cell = itemgetter(i)
+    if len(set(map(type, map(cell, rows))) - {type(None)}) > 1:
+
+        def keys():
+            return zip(map(type, map(cell, rows)), map(cell, rows))
+
+        memo = {key: _field_text(key[1]) for key in set(keys())}
+        return map(memo.__getitem__, keys())
+    memo = {c: _field_text(c) for c in set(map(cell, rows))}
+    return map(memo.__getitem__, map(cell, rows))
+
+
 def render_table_csv(table: Table) -> str:
-    renderer = _FIELD_RENDERERS.get
-    lines = [",".join(table.schema.column_names)]
-    for row in table.rows:
-        lines.append(",".join([renderer(type(cell), _render_other)(cell) for cell in row]))
+    rows = table.rows
+    columns = [_column_fields(rows, i) for i in range(len(table.schema.columns))]
+    lines = [",".join(table.schema.column_names), *map(",".join, zip(*columns))]
     return "\n".join(lines) + "\n"
+
+
+def _utf8(data: bytes, file: str, error: type[UwhError]) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{file}: not valid UTF-8: {exc}") from exc
 
 
 def read_records(data: bytes, file: str, error: type[UwhError]) -> Iterator[tuple[list[str], list[bool] | None]]:
     """The records of the bytes of ``file``, as ``iter_records`` yields
     them. Invalid UTF-8 and every CSV fault are an ``error`` naming ``file``."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise error(f"{file}: not valid UTF-8: {exc}") from exc
+    text = _utf8(data, file, error)
     try:
         yield from iter_records(text)
     except ValidationError as exc:
@@ -170,10 +261,11 @@ class _ColumnMemo(dict):
     converts the text and keeps its cell, except for text the column's
     type does not parse, whose cell is ``raw(text)`` and is not kept."""
 
-    __slots__ = ("convert", "raw")
+    __slots__ = ("vtype", "convert", "raw")
 
     def __init__(self, vtype: ValueType, raw: Callable[[str], object]):
         super().__init__()
+        self.vtype = vtype
         self.convert = _CONVERTERS[vtype]
         self.raw = raw
 
@@ -185,32 +277,39 @@ class _ColumnMemo(dict):
         return cell
 
 
-def typed_rows(records, columns, raw: Callable[[str], object]) -> Iterator[tuple[list[str], tuple | None]]:
+def column_memos(columns, raw: Callable[[str], object]) -> list[_ColumnMemo]:
+    return [_ColumnMemo(c.type, raw) for c in columns]
+
+
+def typed_rows(records, memos: list[_ColumnMemo]) -> Iterator[tuple[list[str], tuple | None]]:
     """(field texts, cells) per record; ``cells`` is None when the arity is
-    not that of ``columns``. Each cell follows ``parse_cell`` for its
-    column, but text that does not parse as the column's type becomes
-    ``raw(text)``, called for every occurrence. Quote-free records look
-    each field up in its column's memo (``_ColumnMemo``)."""
-    memos = [_ColumnMemo(c.type, raw) for c in columns]
+    not the number of ``memos``, one per column (``column_memos``). Each
+    cell follows ``parse_cell`` for its column, but text that does not parse
+    as the column's type becomes ``raw(text)``, called for every occurrence.
+    Quote-free records look each field up in its column's memo, which then
+    holds each distinct text that parsed."""
     lookup = dict.__getitem__
-    n = len(columns)
+    n = len(memos)
     for fields, quoted in records:
         if len(fields) != n:
             yield fields, None
         elif quoted is None:
             yield fields, tuple(map(lookup, memos, fields))
         else:
-            cells = (parse_cell(t, q, c.type) for t, q, c in zip(fields, quoted, columns))
-            yield fields, tuple([raw(v) if isinstance(v, RawCell) else v for v in cells])
+            cells = [parse_cell(t, q, m.vtype) for t, q, m in zip(fields, quoted, memos)]
+            yield fields, tuple([m.raw(v) if isinstance(v, RawCell) else v for v, m in zip(cells, memos)])
 
 
-def decode_table(data: bytes, file: str, schema: TableSchema, error: type[UwhError], *, keep_raw: bool) -> Table:
+def decode_table(
+    data: bytes, file: str, schema: TableSchema, error: type[UwhError], *, keep_raw: bool
+) -> tuple[Table, list[_ColumnMemo]]:
     """Decode the bytes of table file ``file``: its header must name the
     schema's columns in order, and each cell follows ``parse_cell``.
 
     A cell that does not parse as its column's type stays a ``RawCell``
     when ``keep_raw`` and is an ``error`` otherwise, as is any other
-    fault, each naming ``file``.
+    fault, each naming ``file``. Also return each column's memo, which
+    holds every distinct text of the column that parsed (``typed_rows``).
     """
 
     def unparsable(text: str):
@@ -220,12 +319,29 @@ def decode_table(data: bytes, file: str, schema: TableSchema, error: type[UwhErr
     header, _ = next(records, (None, None))
     if header != list(schema.column_names):
         raise error(f"{file}: header does not match the schema")
+    memos = column_memos(schema.columns, RawCell if keep_raw else unparsable)
     rows: list[tuple] = []
-    for fields, cells in typed_rows(records, schema.columns, RawCell if keep_raw else unparsable):
+    for fields, cells in typed_rows(records, memos):
         if cells is None:
             raise error(f"{file}: row arity {len(fields)} does not match the schema's {len(schema.columns)} columns")
         rows.append(cells)
-    return Table(schema, rows)
+    return Table(schema, rows), memos
+
+
+def _canonical(data: bytes, memos: list[_ColumnMemo]) -> bool:
+    """Whether the bytes a table was decoded from are the bytes
+    ``render_table_csv`` gives for it, decided without rendering: they hold
+    no quote and no CR, end in LF and have no blank line, and each distinct
+    text in each column's memo renders back to itself (an unparsed text,
+    which the memo does not keep, always does)."""
+    return (
+        b'"' not in data
+        and b"\r" not in data
+        and data.endswith(b"\n")
+        and b"\n\n" not in data
+        and not data.startswith(b"\n")
+        and all(_field_text(cell) == text for memo in memos for text, cell in memo.items())
+    )
 
 
 def parse_cell(text: str, quoted: bool, vtype: ValueType):
@@ -239,17 +355,18 @@ def parse_cell(text: str, quoted: bool, vtype: ValueType):
 
 def dumps_staging(staging: StagingArea) -> dict[str, bytes]:
     """All dump files as {relative path: bytes}, deterministically ordered.
-    Each file is encoded as soon as it is rendered."""
+    A table that is still the Table of ``staging.encoded`` takes the bytes
+    kept there; any other is rendered, and its bytes are kept for the next
+    dump. A quarantine writes its loaded lines, then renders its new rows."""
     files = {"schema.manifest": render_manifest(staging.schema()).encode("utf-8")}
     for name, table in staging.tables.items():
-        files[f"{name}.csv"] = render_table_csv(table).encode("utf-8")
+        kept = staging.encoded.get(name)
+        if kept is None or kept[0] is not table:
+            kept = staging.encoded[name] = (table, render_table_csv(table).encode("utf-8"))
+        files[f"{name}.csv"] = kept[1]
     for name, q in staging.quarantine.items():
-        if not q.rows:
-            continue
-        lines = [",".join(("_reason",) + q.columns)]
-        for qr in q.rows:
-            lines.append(format_row([(qr.reason, False)] + [(f, f == "") for f in qr.fields]))
-        files[f"quarantine/{name}.csv"] = ("\n".join(lines) + "\n").encode("utf-8")
+        if len(q):
+            files[f"quarantine/{name}.csv"] = q.to_csv()
     files["lineage.log"] = "".join(e.to_line() + "\n" for e in staging.lineage).encode("utf-8")
     meta = {
         "fact_table": staging.fact_table,
@@ -349,10 +466,7 @@ def dump_fingerprint(files: dict[str, bytes]) -> str:
 def _dump_text(path: Path) -> str:
     """The text of staging dump file ``path``; invalid UTF-8 is a
     ``ValidationError`` naming the file."""
-    try:
-        return path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path.name}: not valid UTF-8: {exc}") from exc
+    return _utf8(path.read_bytes(), path.name, ValidationError)
 
 
 def _parse_meta(text: str) -> tuple[str | None, list[tuple[str, str]], dict]:
@@ -386,25 +500,23 @@ def load_staging(in_dir: Path) -> StagingArea:
         raise MissingInputError(f"not a staging directory (no schema.manifest): {in_dir}")
     db = parse_schema_manifest(_dump_text(manifest_path))
     tables: dict[str, Table] = {}
+    encoded: dict[str, tuple[Table, bytes]] = {}
     for name, schema in db.tables.items():
         path = in_dir / f"{name}.csv"
         if not path.is_file():
             raise MissingInputError(f"staging dump is missing table file {path.name}")
-        tables[name] = decode_table(path.read_bytes(), path.name, schema, ValidationError, keep_raw=True)
+        data = path.read_bytes()
+        tables[name], memos = decode_table(data, path.name, schema, ValidationError, keep_raw=True)
+        if _canonical(data, memos):
+            encoded[name] = (tables[name], data)
 
     quarantine: dict[str, Quarantine] = {}
     qdir = in_dir / "quarantine"
     if qdir.is_dir():
         for path in sorted(qdir.glob("*.csv")):
-            file = f"quarantine/{path.name}"
-            records = read_records(path.read_bytes(), file, ValidationError)
-            header, _ = next(records, (None, None))
-            if header is None:
-                continue
-            if header[0] != "_reason":
-                raise ValidationError(f"{file}: quarantine header must start with _reason")
-            rows = [QRow(fields[0], tuple(fields[1:])) for fields, _ in records]
-            quarantine[path.stem] = Quarantine(tuple(header[1:]), rows)
+            q = _decode_quarantine(path.read_bytes(), f"quarantine/{path.name}")
+            if q is not None:
+                quarantine[path.stem] = q
 
     lineage: list[LineageEvent] = []
     lpath = in_dir / "lineage.log"
@@ -417,4 +529,21 @@ def load_staging(in_dir: Path) -> StagingArea:
     if mpath.is_file():
         fact_table, dimensions, reports = _parse_meta(_dump_text(mpath))
 
-    return StagingArea(tables, quarantine, lineage, fact_table, dimensions, reports)
+    return StagingArea(tables, quarantine, lineage, fact_table, dimensions, reports, encoded)
+
+
+def _decode_quarantine(data: bytes, file: str) -> Quarantine | None:
+    """The quarantine in the bytes of ``file``; None when it has no header.
+    A header and rows that re-render as they stand (``_CANONICAL_ROWS``)
+    are kept as bytes; any other file is parsed into rows."""
+    head, newline, body = _utf8(data, file, ValidationError).partition("\n")
+    header = head.split(",")
+    if newline and header[0] == "_reason" and '"' not in head and "\r" not in head and _CANONICAL_ROWS.fullmatch(body):
+        return Quarantine(tuple(header[1:]), lines=data[data.index(b"\n") + 1:])
+    records = read_records(data, file, ValidationError)
+    header, _ = next(records, (None, None))
+    if header is None:
+        return None
+    if header[0] != "_reason":
+        raise ValidationError(f"{file}: quarantine header must start with _reason")
+    return Quarantine(tuple(header[1:]), [QRow(fields[0], tuple(fields[1:])) for fields, _ in records])

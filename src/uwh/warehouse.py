@@ -876,7 +876,7 @@ def open_warehouse(directory: Path) -> Warehouse:
             raise IntegrityError(f"checksum mismatch in {entry['file']}")
         columns = tuple(ColumnDef(c["name"], ValueType(c["type"]), c["nullable"]) for c in entry["columns"])
         schema = TableSchema(entry["name"], columns, tuple(entry["primary_key"]))
-        table = decode_table(data, entry["file"], schema, IntegrityError, keep_raw=False)
+        table, _ = decode_table(data, entry["file"], schema, IntegrityError, keep_raw=False)
         if len(table.rows) != entry["row_count"]:
             raise IntegrityError(f"{entry['file']}: row count {len(table.rows)} != cataloged {entry['row_count']}")
         relations[entry["name"]] = table

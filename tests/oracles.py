@@ -472,6 +472,40 @@ def ledger_recovery_failures(cleansed, ledger) -> list[tuple]:
     return failures
 
 
+def ledger_precision_failures(extracted, cleansed, ledger) -> list[str]:
+    """What cleansing did that the dirt ledger does not account for, the
+    reverse of ``ledger_recovery_failures``: a quarantined row whose reason
+    is not an orphaned foreign key and whose key has no ledger entry, and a
+    cell of a kept row that cleansing changed with no entry for its key
+    and column."""
+    dirty_rows = {(e.table, e.row_key) for e in ledger.entries}
+    dirty_cells = {(e.table, e.row_key, e.column) for e in ledger.entries}
+    failures = []
+    for name, q in cleansed.quarantine.items():
+        pk_pos = [q.columns.index(c) for c in cleansed.tables[name].schema.primary_key]
+        for qr in q.rows:
+            if qr.reason.startswith("orphan:"):
+                continue
+            key = "|".join(qr.fields[i] for i in pk_pos) if len(qr.fields) == len(q.columns) else None
+            if (name, key) not in dirty_rows:
+                failures.append(f"{name}[{key}]: quarantined for {qr.reason} with no dirt entry")
+    for name, table in cleansed.tables.items():
+        schema = table.schema
+        pk_idx = schema.pk_indexes()
+        before: dict[str, tuple] = {}
+        for row in extracted.tables[name].rows:
+            before.setdefault("|".join(render_cell(row[i]) for i in pk_idx), row)
+        for row in table.rows:
+            key = "|".join(render_cell(row[i]) for i in pk_idx)
+            old = before.get(key)
+            if old is None:
+                continue
+            for c, a, b in zip(schema.columns, old, row):
+                if render_cell(a) != render_cell(b) and (name, key, c.name) not in dirty_cells:
+                    failures.append(f"{name}[{key}].{c.name}: changed {render_cell(a)!r} -> {render_cell(b)!r} with no dirt entry")
+    return failures
+
+
 def _quarantined(cleansed, entry) -> bool:
     q = cleansed.quarantine.get(entry.table)
     if q is None:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cleanse_table_reference
+from oracles import cleanse_table_reference, ledger_precision_failures, ledger_recovery_failures
 from uwh import canonical
 from uwh.cleanse import (
     RULE_KINDS,
@@ -411,3 +411,18 @@ def test_report_json_and_text(seed42_staging):
     assert set(payload) == {"tables", "dedup", "reconcile"}
     text = report.to_text()
     assert "cleanse report" in text and "total cells changed" in text
+
+
+@pytest.mark.parametrize("seed, dirty_rate", [(42, 0.02), (7, 0.25)])
+def test_cleansing_touches_only_what_the_dirt_ledger_names(tmp_path, seed, dirty_rate):
+    # precision: no quarantine but an orphan's and no changed cell without a
+    # ledger entry; recall: every entry repaired or quarantined
+    from uwh.datagen import GenConfig, generate
+    from uwh.ingest import extract_database
+
+    ledger = generate(GenConfig(seed=seed, students=150, semesters=2, dirty_rate=dirty_rate), tmp_path / "src")
+    extracted, _ = extract_database(tmp_path / "src", canonical.canonical_schema())
+    cleansed, _ = cleanse_staging(extracted, list(canonical.canonical_rules()))
+    assert len(ledger.entries) > 0 and sum(map(len, cleansed.quarantine.values())) > 0
+    assert ledger_precision_failures(extracted, cleansed, ledger) == []
+    assert ledger_recovery_failures(cleansed, ledger) == []

@@ -7,6 +7,7 @@ import pytest
 
 from uwh import canonical
 from uwh.cli import run
+from uwh.schema import Table
 from uwh.staging import dump_staging, load_staging
 from uwh.values import RawCell
 
@@ -98,6 +99,11 @@ def test_build_renders_each_staged_table_once(tmp_path, cli_dirs, monkeypatch):
     for module in (uwh.staging, uwh.warehouse):
         monkeypatch.setattr(module, "render_table_csv", counting)
     assert run(["build", "--src", str(src), "--out", str(tmp_path / "wh"), "--timestamp", TS]) == 0
+    assert len(rendered) == 8 and len(set(rendered)) == 8
+    # the kept staging and the warehouse take the same rendered bytes
+    rendered.clear()
+    argv = ["build", "--src", str(src), "--out", str(tmp_path / "wh2"), "--keep-staging", str(tmp_path / "kept")]
+    assert run([*argv, "--timestamp", TS]) == 0
     assert len(rendered) == 8 and len(set(rendered)) == 8
 
 
@@ -516,7 +522,9 @@ def test_transform_of_raw_cells_exits_one(tmp_path, extracted_dir, capsys):
     staging = load_staging(extracted_dir)
     receipt = staging.tables["receipt"]
     idx = receipt.schema.column_index("re_dateOfPayment")
-    receipt.rows[0] = receipt.rows[0][:idx] + (RawCell("soon"),) + receipt.rows[0][idx + 1:]
+    rows = list(receipt.rows)
+    rows[0] = rows[0][:idx] + (RawCell("soon"),) + rows[0][idx + 1:]
+    staging.tables["receipt"] = Table(receipt.schema, rows)  # a new Table: the loaded one keeps its file's bytes
     dump_staging(staging, tmp_path / "s")
     paid = "ADD COLUMN receipt.re_paidOnDueDate BOOLEAN\n  AS PAID_ON_DUE(receipt.re_dateOfPayment, receipt.re_dueDate) ;\n"
     plan = tmp_path / "paid-first.plan"
@@ -624,3 +632,184 @@ def test_identical_invocations_identical_bytes(cli_dirs, tmp_path, capsys):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+# --- pass-through: a stage re-encodes only what it changed --------------------
+
+
+def _rendered_afresh(staging):
+    """A copy of ``staging`` that keeps no bytes: a dump renders each of its
+    tables and quarantines from the rows."""
+    from uwh.staging import Quarantine
+
+    copy = staging.clone()
+    copy.encoded.clear()
+    copy.quarantine = {name: Quarantine(q.columns, list(q.rows)) for name, q in staging.quarantine.items()}
+    return copy
+
+
+def _stage_outputs(staging_dir, stage, tmp_path) -> dict:
+    """The files ``stage`` writes for the dump in ``staging_dir``, run in
+    process on a copy of it that keeps no bytes."""
+    from uwh.cleanse import cleanse_staging
+    from uwh.staging import dumps_staging
+    from uwh.transform import execute_plan
+    from uwh.warehouse import load
+
+    staging = _rendered_afresh(load_staging(staging_dir))
+    if stage == "load":
+        load(tmp_path / "expected", staging, timestamp=TS)
+        return _files(tmp_path / "expected")
+    if stage == "cleanse":
+        staging, _ = cleanse_staging(staging, list(canonical.canonical_rules()), timestamp=TS)
+    else:
+        staging, _ = execute_plan(staging, canonical.canonical_plan(), timestamp=TS)
+    return dumps_staging(staging)
+
+
+def test_each_stage_writes_what_rendering_every_file_writes(tmp_path, cli_dirs, capsys):
+    from uwh.ingest import extract_database
+    from uwh.staging import dumps_staging
+
+    _, src, _ = cli_dirs
+    st, wh = tmp_path / "st", tmp_path / "wh"
+    assert _run(capsys, "extract", "--src", str(src), "--out", str(st), "--timestamp", TS)[0] == 0
+    assert _files(st) == dumps_staging(extract_database(src, canonical.canonical_schema(), timestamp=TS)[0])
+    for stage in ("cleanse", "transform", "load"):
+        expected = _stage_outputs(st, stage, tmp_path / stage)
+        assert load_staging(st).encoded, "no table of the dump is kept as bytes"
+        argv = ["--out", str(wh)] if stage == "load" else []
+        assert _run(capsys, stage, "--staging", str(st), *argv, "--timestamp", TS)[0] == 0
+        assert _files(wh if stage == "load" else st) == expected, stage
+        # and the dump reads back to the staging that renders it
+        assert dumps_staging(_rendered_afresh(load_staging(st))) == _files(st)
+
+
+def _edit_first_field(table, column, edit):
+    def apply(staging_dir):
+        path = staging_dir / f"{table}.csv"
+        header, row, rest = path.read_bytes().split(b"\n", 2)
+        fields = row.split(b",")
+        i = header.split(b",").index(column.encode())
+        fields[i] = edit(fields[i])
+        path.write_bytes(b"\n".join([header, b",".join(fields), rest]))
+
+    return apply
+
+
+def _edit_file(name, edit):
+    def apply(staging_dir):
+        path = staging_dir / name
+        path.write_bytes(edit(path.read_bytes()))
+
+    return apply
+
+
+def _bare_empty_quarantine_field(staging_dir):
+    import re
+
+    for path in sorted((staging_dir / "quarantine").glob("*.csv")):
+        data, n = re.subn(rb',""(?=[,\n])', b",", path.read_bytes(), count=1)
+        if n:
+            path.write_bytes(data)
+            return
+    raise AssertionError("no quarantine row holds an empty field")
+
+
+# edits a writer never makes; account is a table the canonical plan keeps as it is
+HAND_EDITS = {
+    "integer-007": _edit_first_field("account", "ac_id", lambda v: b"00" + v),
+    "decimal-1.50": _edit_first_field("account", "ac_balance", lambda v: v + (b"0" if b"." in v else b".0")),
+    "boolean-TRUE": _edit_first_field("receipt", "re_paidOnDueDate", bytes.upper),
+    "quarantine-bare-empty": _bare_empty_quarantine_field,
+    "crlf": _edit_file("account.csv", lambda d: d.replace(b"\n", b"\r\n", 1)),
+    "no-final-newline": _edit_file("account.csv", lambda d: d[:-1]),
+    "blank-line": _edit_file("account.csv", lambda d: d.replace(b"\n", b"\n\n", 1)),
+    "quarantine-crlf": _edit_file("quarantine/student.csv", lambda d: d.replace(b"\n", b"\r\n")),
+}
+
+
+@pytest.fixture(scope="module")
+def staged_dirs(tmp_path_factory, cli_dirs):
+    """A cleansed and a transformed dump of the dirty CLI drop."""
+    _, src, _ = cli_dirs
+    base = tmp_path_factory.mktemp("staged")
+    cleansed, transformed = base / "cleansed", base / "transformed"
+    assert run(["extract", "--src", str(src), "--out", str(cleansed), "--timestamp", TS]) == 0
+    assert run(["cleanse", "--staging", str(cleansed), "--timestamp", TS]) == 0
+    assert run(["transform", "--staging", str(cleansed), "--out", str(transformed), "--timestamp", TS]) == 0
+    return {"transform": cleansed, "load": transformed}
+
+
+@pytest.mark.parametrize(
+    "stage, edit",
+    # no BOOLEAN column comes before the transform
+    [(s, e) for s in ("transform", "load") for e in sorted(HAND_EDITS) if (s, e) != ("transform", "boolean-TRUE")],
+)
+def test_a_hand_edited_dump_is_rendered_as_before(tmp_path, staged_dirs, capsys, stage, edit):
+    st = shutil.copytree(staged_dirs[stage], tmp_path / "st")
+    before = _files(st)
+    HAND_EDITS[edit](st)
+    edited = _files(st)
+    changed = [name for name in edited if edited[name] != before.get(name)]
+    assert changed
+    expected = _stage_outputs(st, stage, tmp_path)
+    out = tmp_path / "wh"
+    argv = ["--out", str(out)] if stage == "load" else []
+    code, _, err = _run(capsys, stage, "--staging", str(st), *argv, "--timestamp", TS)
+    assert code == 0, err
+    assert _files(out if stage == "load" else st) == expected
+    if stage == "transform":  # each edited file is rendered again, not passed through
+        assert all(expected.get(name) != edited[name] for name in changed)
+
+
+@pytest.mark.parametrize(
+    "tamper, words",
+    [
+        (lambda data: data + b"arity,\xff\n", "not valid UTF-8"),
+        (lambda data: data + b'arity,"1\n', "unterminated quoted field"),
+        (lambda data: data.replace(b"_reason", b"reason", 1), "header must start with _reason"),
+    ],
+    ids=["utf8", "unterminated-quote", "header"],
+)
+def test_a_malformed_quarantine_file_exits_one(tmp_path, staged_dirs, capsys, tamper, words):
+    st = shutil.copytree(staged_dirs["load"], tmp_path / "st")
+    path = st / "quarantine" / "student.csv"
+    path.write_bytes(tamper(path.read_bytes()))
+    code, _, err = _run(capsys, "report", "--staging", str(st))
+    assert code == 1 and err.startswith("error: quarantine/student.csv: ") and words in err
+    code, _, err = _run(capsys, "load", "--staging", str(st), "--out", str(tmp_path / "wh"), "--timestamp", TS)
+    assert code == 1 and words in err and "Traceback" not in err
+    assert not (tmp_path / "wh").exists()
+
+
+def _snapshot(staging):
+    """Each table with its row list and a copy of the rows, and each quarantine with a copy."""
+    return (
+        {name: (t, t.rows, list(t.rows)) for name, t in staging.tables.items()},
+        {name: (q, len(q), q.copy()) for name, q in staging.quarantine.items()},
+    )
+
+
+@pytest.mark.parametrize("stage", ["cleanse_staging", "reconcile_foreign_keys", "execute_plan", "load"])
+def test_no_stage_mutates_the_staging_it_received(tmp_path, extracted_dir, staged_dirs, stage):
+    # a loaded table keeps its file's bytes while it is the same Table with the same rows
+    from uwh.cleanse import cleanse_staging, reconcile_foreign_keys
+    from uwh.transform import execute_plan
+    from uwh.warehouse import load
+
+    runs = {
+        "cleanse_staging": (extracted_dir, lambda s: cleanse_staging(s, list(canonical.canonical_rules()), timestamp=TS)),
+        "reconcile_foreign_keys": (extracted_dir, lambda s: reconcile_foreign_keys(s, timestamp=TS)),
+        "execute_plan": (staged_dirs["transform"], lambda s: execute_plan(s, canonical.canonical_plan(), timestamp=TS)),
+        "load": (staged_dirs["load"], lambda s: load(tmp_path / "wh", s, timestamp=TS)),
+    }
+    where, stage_fn = runs[stage]
+    staging = load_staging(where)
+    tables, quarantine = _snapshot(staging)
+    stage_fn(staging)
+    assert staging.tables.keys() == tables.keys() and staging.quarantine.keys() == quarantine.keys()
+    for name, (table, rows, copy) in tables.items():
+        assert staging.tables[name] is table and table.rows is rows and rows == copy, name
+    for name, (q, n, copy) in quarantine.items():
+        assert staging.quarantine[name] is q and len(q) == n and q == copy, name

@@ -17,7 +17,17 @@ from uwh.csvio import format_row, parse_csv
 from uwh.errors import IntegrityError, ValidationError
 from uwh.ingest import extract_table
 from uwh.schema import ColumnDef, Table, TableSchema
-from uwh.staging import StagingArea, decode_table, dump_staging, load_staging, parse_cell, render_table_csv
+from uwh.staging import (
+    QRow,
+    Quarantine,
+    StagingArea,
+    _canonical,
+    decode_table,
+    dump_staging,
+    load_staging,
+    parse_cell,
+    render_table_csv,
+)
 from uwh.values import INT64_MAX, INT64_MIN, RawCell, ValueType, make_decimal, render_cell
 from uwh.warehouse import Measure, StarQuery, load, open_warehouse, star_query
 
@@ -140,7 +150,22 @@ def test_decode_matches_parse_csv_and_parse_cell(case, staging):
     schema, data = case
     error = ValidationError if staging else IntegrityError
     expected = _outcome(_reference_decode, data, schema, error, staging)
-    assert _outcome(lambda: decode_table(data, "t.csv", schema, error, keep_raw=staging).rows) == expected
+    assert _outcome(lambda: decode_table(data, "t.csv", schema, error, keep_raw=staging)[0].rows) == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(_csv_files())
+@example((_schema([ValueType.INTEGER, ValueType.DECIMAL]), b"a,b\n007,1.5\n"))
+@example((_schema([ValueType.INTEGER, ValueType.DECIMAL]), b"a,b\n7,1.50\n"))
+@example((_schema([ValueType.BOOLEAN, ValueType.DATE]), b"a,b\nTRUE,2012-01-02\n"))
+@example((_schema([ValueType.INTEGER, ValueType.TEXT]), b"a,b\n-0,x\n+1,y\n"))
+def test_a_file_decoded_as_canonical_renders_back_to_its_bytes(case):
+    schema, data = case
+    try:
+        table, memos = decode_table(data, "t.csv", schema, ValidationError, keep_raw=True)
+    except ValidationError:
+        return
+    assert not _canonical(data, memos) or render_table_csv(table).encode("utf-8") == data
 
 
 @pytest.mark.parametrize("vtype", list(ValueType), ids=lambda t: t.value)
@@ -148,7 +173,7 @@ def test_decode_matches_parse_cell_on_edge_texts(vtype):
     texts = _EDGE_TEXTS[vtype]
     data = ("a\n" + "".join(f'{t}\n"{t}"\n' for t in texts) + '\n""\n').encode()
     schema = _schema([vtype])
-    decoded = decode_table(data, "t.csv", schema, ValidationError, keep_raw=True).rows
+    decoded = decode_table(data, "t.csv", schema, ValidationError, keep_raw=True)[0].rows
     assert _typed(decoded) == _typed(_reference_decode(data, schema, ValidationError, True))
     assert len(decoded) == 2 * len(texts) + 1
 
@@ -178,7 +203,7 @@ def test_quote_inside_a_bare_field_does_not_open_a_quoted_one():
     # the record holds a"b and then a quoted field spanning two lines; a
     # quote-parity split would cut it after "c and fail
     schema = _schema([ValueType.TEXT, ValueType.TEXT])
-    table = decode_table(b'a,b\na"b,"c\nd"\n1,2\n', "t.csv", schema, ValidationError, keep_raw=True)
+    table, _ = decode_table(b'a,b\na"b,"c\nd"\n1,2\n', "t.csv", schema, ValidationError, keep_raw=True)
     assert table.rows == [('a"b', "c\nd"), ("1", "2")]
 
 
@@ -214,14 +239,14 @@ def test_each_occurrence_of_a_bad_cell_is_a_raw_cell():
 def test_bare_empty_and_quoted_empty_stay_apart_in_one_column():
     schema = _schema([ValueType.INTEGER, ValueType.TEXT], [False, True])
     data = b'a,b\n1,\n2,""\n3,\n4,""\n5,x\n6,x\n'
-    rows = decode_table(data, "t.csv", schema, ValidationError, keep_raw=True).rows
+    rows = decode_table(data, "t.csv", schema, ValidationError, keep_raw=True)[0].rows
     assert rows == [(1, None), (2, ""), (3, None), (4, ""), (5, "x"), (6, "x")]
 
 
 def test_equal_cells_of_a_column_are_one_object():
     schema = _schema([ValueType.INTEGER, ValueType.DECIMAL, ValueType.DATE], [False, True, True])
     data = b"a,b,c\n1,2.5,2012-01-02\n2,2.5,2012-01-02\n3,2.50,2012-01-03\n"
-    rows = decode_table(data, "t.csv", schema, IntegrityError, keep_raw=False).rows
+    rows = decode_table(data, "t.csv", schema, IntegrityError, keep_raw=False)[0].rows
     assert rows[0][1] is rows[1][1] and rows[0][2] is rows[1][2]
     assert rows[2][1] == rows[0][1] and rows[2][2] != rows[0][2]
 
@@ -281,8 +306,10 @@ def _reference_render(table: Table) -> str:
 def test_render_matches_format_row_and_decode_inverts_it(table):
     text = render_table_csv(table)
     assert text == _reference_render(table)
-    decoded = decode_table(text.encode("utf-8"), "t.csv", table.schema, ValidationError, keep_raw=True)
+    decoded, memos = decode_table(text.encode("utf-8"), "t.csv", table.schema, ValidationError, keep_raw=True)
     assert _typed(decoded.rows) == _typed(table.rows)
+    # rendered bytes are canonical; only a quote or a CR keeps the check from seeing it
+    assert _canonical(text.encode("utf-8"), memos) == ('"' not in text and "\r" not in text)
 
 
 def test_render_of_a_foreign_value_raises_type_error():
@@ -297,6 +324,22 @@ def test_render_keeps_exact_types_apart():
         [(True, 3, Decimal("2.5000"), RawCell("")), ("", None, date(2012, 1, 2), "a,b")],
     )
     assert render_table_csv(table) == 'a,b,c,d\ntrue,3,2.5,""\n"",,2012-01-02,"a,b"\n'
+
+
+@pytest.mark.parametrize(
+    "cells, fields",
+    [
+        ((True, 1, Decimal("1.0000"), False, 0), "true,1,1,false,0"),
+        ((1, True, 0, False, Decimal("1.0000")), "1,true,0,false,1"),
+        ((0, False, Decimal("1.0000"), 1, True), "0,false,1,1,true"),
+    ],
+    ids=["bool-first", "int-first", "reversed"],
+)
+def test_render_memo_keeps_equal_cells_of_different_classes_apart(cells, fields):
+    # True == 1 == Decimal(1) and False == 0, with equal hashes, in one column
+    table = Table(_schema([ValueType.INTEGER]), [(c,) for c in cells])
+    assert [render_cell(c) for c in cells] == fields.split(",")
+    assert render_table_csv(table) == "a\n" + fields.replace(",", "\n") + "\n"
 
 
 # --- carriage returns survive every stage ------------------------------------
@@ -335,6 +378,67 @@ def test_invalid_utf8_quarantine_file_is_a_validation_error(tmp_path):
     (tmp_path / "st" / "quarantine" / "t.csv").write_bytes(b"_reason,a\narity,\xff\n")
     with pytest.raises(ValidationError, match="quarantine/t.csv: not valid UTF-8"):
         load_staging(tmp_path / "st")
+
+
+# quarantine fields as a file may hold them: bare, quoted where the writer
+# quotes, quoted where it does not, and faulty
+_QUARANTINE_FIELDS = ["", '""', "x", "a b", "é", '"a,b"', '"q"""', '"x"', 'a"b', '"\r"', '"x\ny"', '"', '""""', "TRUE"]
+
+
+@st.composite
+def _quarantine_files(draw):
+    header = draw(st.sampled_from(["_reason,a,b"] * 6 + ['"_reason",a,b', "reason,a,b", "_reason"]))
+    lines = [header]
+    for _ in range(draw(st.integers(0, 5))):
+        reason = draw(st.sampled_from(["arity", "", '"r,1"', "orphan:fk", '"q"""', 'x"y']))
+        fields = draw(st.lists(st.sampled_from(_QUARANTINE_FIELDS), min_size=0, max_size=3))
+        lines.append(",".join([reason, *fields]))
+    ends = st.sampled_from(["\n"] * 6 + ["\r\n", "\r", "\n\n"])
+    text = "".join(line + draw(ends) for line in lines)
+    if draw(st.integers(0, 5)) == 0:
+        text = text.rstrip("\r\n")
+    data = text.encode("utf-8")
+    if draw(st.integers(0, 19)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def quarantine_dump(tmp_path_factory):
+    out = tmp_path_factory.mktemp("quarantine") / "st"
+    dump_staging(StagingArea({"t": Table(_schema([ValueType.INTEGER], [False]), [(1,)])}), out)
+    (out / "quarantine").mkdir()
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(_quarantine_files())
+@example(b'_reason,a,b\narity,1,""\n')
+@example(b"_reason,a,b\narity,1,\n")
+@example(b'_reason,a,b\r\narity,1,""\r\n')
+@example(b'_reason,a,b\narity,"x\ny",2\n')
+def test_a_quarantine_file_loads_and_dumps_as_the_parser_reads_it(quarantine_dump, data):
+    """Lines kept as bytes count, read and dump as the rows the whole-text
+    parser reads; the dump is what rendering those rows gives."""
+    (quarantine_dump / "quarantine" / "t.csv").write_bytes(data)
+    try:
+        records = parse_csv(data.decode("utf-8"))
+    except (UnicodeDecodeError, ValidationError):
+        records = None
+    if records is None or (records and records[0][0][0] != "_reason"):
+        with pytest.raises(ValidationError):
+            load_staging(quarantine_dump)
+        return
+    q = load_staging(quarantine_dump).quarantine.get("t")
+    if not records:
+        assert q is None
+        return
+    rows = [QRow(rec[0][0], tuple(t for t, _ in rec[1:])) for rec in records[1:]]
+    assert len(q) == len(rows)
+    assert q.to_csv() == Quarantine(q.columns, rows).to_csv()
+    assert q.columns == tuple(t for t, _ in records[0][1:])
+    assert q.rows == rows and len(q) == len(rows)
 
 
 # characters str.splitlines breaks a line at, besides "\n"
