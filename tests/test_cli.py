@@ -7,7 +7,6 @@ import pytest
 
 from uwh import canonical
 from uwh.cli import run
-from uwh.schema import Table
 from uwh.staging import dump_staging, load_staging
 from uwh.values import RawCell
 
@@ -522,9 +521,7 @@ def test_transform_of_raw_cells_exits_one(tmp_path, extracted_dir, capsys):
     staging = load_staging(extracted_dir)
     receipt = staging.tables["receipt"]
     idx = receipt.schema.column_index("re_dateOfPayment")
-    rows = list(receipt.rows)
-    rows[0] = rows[0][:idx] + (RawCell("soon"),) + rows[0][idx + 1:]
-    staging.tables["receipt"] = Table(receipt.schema, rows)  # a new Table: the loaded one keeps its file's bytes
+    receipt.rows[0] = receipt.rows[0][:idx] + (RawCell("soon"),) + receipt.rows[0][idx + 1:]
     dump_staging(staging, tmp_path / "s")
     paid = "ADD COLUMN receipt.re_paidOnDueDate BOOLEAN\n  AS PAID_ON_DUE(receipt.re_dateOfPayment, receipt.re_dueDate) ;\n"
     plan = tmp_path / "paid-first.plan"

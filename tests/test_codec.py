@@ -5,6 +5,7 @@ warehouse."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from datetime import date
 from decimal import Decimal
 
@@ -24,6 +25,7 @@ from uwh.staging import (
     _canonical,
     decode_table,
     dump_staging,
+    dumps_staging,
     load_staging,
     parse_cell,
     render_table_csv,
@@ -324,22 +326,41 @@ def test_render_keeps_exact_types_apart():
         [(True, 3, Decimal("2.5000"), RawCell("")), ("", None, date(2012, 1, 2), "a,b")],
     )
     assert render_table_csv(table) == 'a,b,c,d\ntrue,3,2.5,""\n"",,2012-01-02,"a,b"\n'
-
-
-@pytest.mark.parametrize(
-    "cells, fields",
-    [
+    # True == 1 == Decimal(1) and False == 0, with equal hashes, in one column, in either order
+    for cells, fields in [
         ((True, 1, Decimal("1.0000"), False, 0), "true,1,1,false,0"),
         ((1, True, 0, False, Decimal("1.0000")), "1,true,0,false,1"),
         ((0, False, Decimal("1.0000"), 1, True), "0,false,1,1,true"),
-    ],
-    ids=["bool-first", "int-first", "reversed"],
-)
-def test_render_memo_keeps_equal_cells_of_different_classes_apart(cells, fields):
-    # True == 1 == Decimal(1) and False == 0, with equal hashes, in one column
-    table = Table(_schema([ValueType.INTEGER]), [(c,) for c in cells])
-    assert [render_cell(c) for c in cells] == fields.split(",")
-    assert render_table_csv(table) == "a\n" + fields.replace(",", "\n") + "\n"
+    ]:
+        column = Table(_schema([ValueType.INTEGER]), [(c,) for c in cells])
+        assert [render_cell(c) for c in cells] == fields.split(",")
+        assert render_table_csv(column) == "a\n" + fields.replace(",", "\n") + "\n"
+
+
+_IN_PLACE_EDITS = {
+    "assign-row": lambda t: t.rows.__setitem__(0, (9, "x")),
+    "append": lambda t: t.rows.append((3, "z")),
+    "delete": lambda t: t.rows.pop(),
+    "reverse": lambda t: t.rows.reverse(),
+    "new-rows": lambda t: setattr(t, "rows", [(9, "z")]),
+    "renamed-column": lambda t: setattr(t, "schema", replace(t.schema, columns=(t.schema.columns[0], ColumnDef("e", ValueType.TEXT)))),
+}
+
+
+@pytest.mark.parametrize("edit", list(_IN_PLACE_EDITS))
+@pytest.mark.parametrize("kept_by", ["load", "dump"])
+def test_a_table_edited_after_its_bytes_were_kept_is_rendered_again(tmp_path, edit, kept_by):
+    schema = _schema([ValueType.INTEGER, ValueType.TEXT], [False, True])
+    staging = StagingArea({"t": Table(schema, [(1, "x"), (2, "y")])})
+    dump_staging(staging, tmp_path / "st")  # keeps the bytes it rendered
+    if kept_by == "load":
+        staging = load_staging(tmp_path / "st")
+    table = staging.tables["t"]
+    assert staging.encoded["t"].encodes(table)
+    _IN_PLACE_EDITS[edit](table)
+    assert not staging.encoded["t"].encodes(table)
+    assert dumps_staging(staging)["t.csv"] == render_table_csv(table).encode("utf-8")
+    assert staging.encoded["t"].encodes(table)
 
 
 # --- carriage returns survive every stage ------------------------------------
