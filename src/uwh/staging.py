@@ -30,14 +30,15 @@ A quarantine file whose lines re-render as they stand stays those lines
 until its rows are read. A file edited by hand is not canonical, so it
 is parsed and rendered as before.
 
-Every CSV read (source, staging, quarantine, dirt ledger and warehouse
-files) goes through ``read_records``, and every typed one through
-``typed_rows``, which keeps one memo per column from field text to cell
-(dictionary encoding): each distinct text of a column is converted
-once, and equal cells are one shared object. Text that does not parse as its column's type is not
-kept; it is handed to the caller's ``raw`` at each occurrence, so
-extract counts every raw cell and the warehouse reader fails at the
-first bad one.
+Every CSV read (source, staging, quarantine and dirt ledger files) goes
+through ``read_records``, and every typed one through ``typed_rows``,
+which keeps one memo per column from field text to cell (dictionary
+encoding): each distinct text of a column is converted once, and equal
+cells are one shared object. A warehouse column file, one field per
+line, is typed the same way by ``decode_column``. Text that does not
+parse as its column's type is not kept; it is handed to the caller's
+``raw`` at each occurrence, so extract counts every raw cell and the
+warehouse reader fails at the first bad one.
 """
 
 from __future__ import annotations
@@ -120,11 +121,11 @@ class Quarantine:
     them, and ``to_csv`` writes them as they were, then renders the rows
     added since. Two quarantines are equal when their columns and rows are."""
 
-    def __init__(self, columns: tuple[str, ...], rows: list[QRow] | None = None, lines: bytes = b""):
+    def __init__(self, columns: tuple[str, ...], rows: list[QRow] | None = None, lines: bytes = b"", count: int | None = None):
         self.columns = columns
         self._rows = [] if rows is None else rows
         self._lines = lines  # canonical lines, one row each, of the rows that come before ``_rows``
-        self._count = lines.count(b"\n")
+        self._count = lines.count(b"\n") if count is None else count  # the rows ``_lines`` holds
 
     @property
     def rows(self) -> list[QRow]:
@@ -149,7 +150,7 @@ class Quarantine:
         self._rows.append(row)
 
     def copy(self) -> "Quarantine":
-        return Quarantine(self.columns, list(self._rows), self._lines)
+        return Quarantine(self.columns, list(self._rows), self._lines, self._count)
 
     def to_csv(self) -> bytes:
         """The bytes of the quarantine file: a ``_reason`` column, then the
@@ -253,11 +254,26 @@ def _column_fields(rows: list[tuple], i: int) -> Iterator[str]:
     return map(memo.__getitem__, map(cell, rows))
 
 
+def render_columns(table: Table) -> list[list[str]]:
+    """The CSV field of each cell of ``table``, column by column."""
+    rows = table.rows
+    return [list(_column_fields(rows, i)) for i in range(len(table.schema.columns))]
+
+
+def _table_csv(names: tuple[str, ...], columns) -> str:
+    """The table file of these columns of fields: a header, then one line per row."""
+    return "\n".join([",".join(names), *map(",".join, zip(*columns))]) + "\n"
+
+
 def render_table_csv(table: Table) -> str:
     rows = table.rows
-    columns = [_column_fields(rows, i) for i in range(len(table.schema.columns))]
-    lines = [",".join(table.schema.column_names), *map(",".join, zip(*columns))]
-    return "\n".join(lines) + "\n"
+    return _table_csv(table.schema.column_names, [_column_fields(rows, i) for i in range(len(table.schema.columns))])
+
+
+def column_csv(fields: list[str]) -> str:
+    """The column file of one column's fields: each followed by LF, so
+    that a bare empty line is Null; no rows, an empty file."""
+    return "\n".join(fields) + "\n" if fields else ""
 
 
 def _utf8(data: bytes, file: str, error: type[UwhError]) -> str:
@@ -353,6 +369,47 @@ def decode_table(
     return Table(schema, rows), memos
 
 
+# one field of a column file and its line end: quoted, or bare and free of
+# comma, quote and line ends; LF, CRLF and CR all end a line
+_QUOTED_FIELD = re.compile(r'"([^"]*(?:""[^"]*)*)"')
+_COLUMN_FIELD = re.compile(rf'(?:{_QUOTED_FIELD.pattern}|([^",\r\n]*))(?:\r\n|\n|\r)')
+
+
+def decode_column(data: bytes, file: str, vtype: ValueType, error: type[UwhError]) -> list:
+    """The cells of column file ``file``, one per field (``column_csv``).
+
+    A file with no quote, CR or comma that ends in LF is split on LF and
+    each line looked up in the column's memo. Any other file is read one
+    field at a time by ``_COLUMN_FIELD``, where a quoted empty field is
+    empty text in a TEXT column. A cell that does not parse as ``vtype``,
+    and any other fault, is an ``error`` naming ``file``."""
+
+    def unparsable(text: str):
+        raise error(f"{file}: cell does not parse as its declared type")
+
+    memo = _ColumnMemo(vtype, unparsable)
+    text = _utf8(data, file, error)
+    if text.endswith("\n") and '"' not in text and "\r" not in text and "," not in text:
+        return list(map(memo.__getitem__, text[:-1].split("\n")))
+    cells: list = []
+    pos, match = 0, _COLUMN_FIELD.match
+    while pos < len(text):
+        m = match(text, pos)
+        if m is None:
+            unterminated = text.startswith('"', pos) and not _QUOTED_FIELD.match(text, pos)
+            fault = "is an unterminated quoted field" if unterminated else "is not one field and a line end"
+            raise error(f"{file}: field {len(cells) + 1} {fault}")
+        quoted, bare = m.groups()
+        if bare is not None:
+            cells.append(memo[bare])
+        elif quoted:
+            cells.append(memo[quoted.replace('""', '"')])
+        else:  # quoted empty: empty text, and raw in any other type
+            cells.append("" if vtype is ValueType.TEXT else memo.raw(""))
+        pos = m.end()
+    return cells
+
+
 def _canonical(data: bytes, memos: list[_ColumnMemo]) -> bool:
     """Whether the bytes a table was decoded from are the bytes
     ``render_table_csv`` gives for it, decided without rendering: they hold
@@ -376,6 +433,18 @@ def parse_cell(text: str, quoted: bool, vtype: ValueType):
     if quoted and text == "":
         return "" if vtype is ValueType.TEXT else RawCell("")
     return _CONVERTERS[vtype](text)
+
+
+def kept_columns(staging: StagingArea, name: str) -> list[list[str]]:
+    """The fields of table ``name``, column by column (``render_columns``).
+    Unless ``staging.encoded`` holds the table's bytes, they are joined
+    from those fields and kept there, so a dump renders the table no more."""
+    table = staging.tables[name]
+    columns = render_columns(table)
+    kept = staging.encoded.get(name)
+    if kept is None or not kept.encodes(table):
+        staging.encoded[name] = Encoded.of(table, _table_csv(table.schema.column_names, columns).encode("utf-8"))
+    return columns
 
 
 def dumps_staging(staging: StagingArea) -> dict[str, bytes]:

@@ -1,12 +1,13 @@
 """Stage 4: load and index, plus the read-only query surface.
 
-A warehouse directory is eight CSV relations (one fact, seven
-dimensions) and ``catalog.json``. The catalog records a SHA-256 checksum
-for every relation plus one for itself, so any single-byte tamper is
-detected at open time. Indexes are derived state: the catalog's joins
-describe the indexes and ordinal lists the star join builds, each the
-first time it reads them, and ``open`` checks that every dimension key is
-unique. An opened warehouse exposes no mutating operation.
+A warehouse directory is eight relations (one fact, seven dimensions),
+each stored as one file per column, and ``catalog.json``. The catalog
+records a SHA-256 checksum for every column file plus one for itself, so
+any single-byte tamper is detected at open time. Indexes are derived
+state: the catalog's joins describe the indexes and ordinal lists the
+star join builds, each the first time it reads them, and ``open`` checks
+that every dimension key is unique. An opened warehouse exposes no
+mutating operation.
 """
 
 from __future__ import annotations
@@ -25,13 +26,24 @@ from .errors import IntegrityError, MissingInputError, ParseError, ValidationErr
 from .lexer import tokenize
 from .plan import _Parser
 from .schema import ColumnDef, Table, TableSchema, key_getter
-from .staging import CATALOG_NAME, Output, StagingArea, decode_table, dump_fingerprint, dumps_staging, write_dir_atomically
+from .staging import (
+    CATALOG_NAME,
+    Output,
+    StagingArea,
+    column_csv,
+    decode_column,
+    dump_fingerprint,
+    dump_staging,
+    dumps_staging,
+    kept_columns,
+    write_dir_atomically,
+)
 from .staging import render_table_csv  # noqa: F401  (unused here; the benchmark's tracer rebinds this name)
 from .values import COMPARISONS, DEC4, ORDERED_TYPES, RawCell, ValueType, coerce_literal, render_cell, value_tag
 
 from decimal import Decimal
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 WAREHOUSE = Output("warehouse", "a warehouse", None)
 
 AGGREGATES = ("COUNT", "SUM", "AVG", "MIN", "MAX")
@@ -234,15 +246,8 @@ def parse_index(text: str, descriptor: dict, schema: TableSchema) -> Index:  # u
 # Load
 
 
-def load(out_dir: Path, staging: StagingArea, *, timestamp: str) -> dict:
-    """Persist the snowflake that ``staging`` declares and the frozen
-    catalog, whose joins describe the star join's indexes, all or nothing.
-    The writer refuses an ``out_dir`` that is not empty or lies inside a
-    warehouse (``staging.check_target``).
-
-    The staging is rendered once: each relation file holds the bytes of
-    its staging dump file, and ``build.source_hash`` is the fingerprint of
-    the whole dump. ``build.plan_hash`` is the one the transform recorded."""
+def _checked_snowflake(staging: StagingArea) -> SnowflakeSchema:
+    """The snowflake ``staging`` declares, once every fact key resolves."""
     if staging.fact_table is None or not staging.dimensions:
         raise ValidationError("staging carries no fact/dimension declarations; run transform first")
     snowflake = assemble_snowflake(staging.tables, staging.fact_table, staging.dimensions)
@@ -261,21 +266,52 @@ def load(out_dir: Path, staging: StagingArea, *, timestamp: str) -> dict:
                 raise ValidationError(
                     f"fact row {n} has dangling dimension key {tuple(map(render_cell, key))} into {dim.name}"
                 )
+    return snowflake
+
+
+def load(out_dir: Path, staging: StagingArea, *, timestamp: str, keep_staging: Path | None = None) -> dict:
+    """Persist the snowflake that ``staging`` declares and the frozen
+    catalog, whose joins describe the star join's indexes, all or nothing.
+    The writer refuses an ``out_dir`` that is not empty or lies inside a
+    warehouse (``staging.check_target``).
+
+    Each relation is stored as one file per column, ``<relation>.<i>.col``
+    for its column at position ``i`` (``column_csv``), and each column's
+    catalog entry records its file and the file's SHA-256. The fields of
+    each relation are rendered once (``kept_columns``): they make its
+    column files and, unless ``staging.encoded`` already holds them, the
+    bytes of its staging dump file. ``build.source_hash`` is the
+    fingerprint of the whole dump, and ``build.plan_hash`` the one the
+    transform recorded. With ``keep_staging``, that dump is written there
+    before the warehouse, also when the snowflake fails its checks."""
+    files: dict[str, bytes] = {}
+    relations_meta = []
+    try:
+        snowflake = _checked_snowflake(staging)
+        for name in snowflake.relation_names():  # one relation's fields at a time
+            schema = staging.tables[name].schema
+            entries = []
+            for i, (column, fields) in enumerate(zip(schema.columns, kept_columns(staging, name))):
+                file = f"{name}.{i}.col"
+                files[file] = column_csv(fields).encode("utf-8")
+                entries.append({
+                    "name": column.name,
+                    "type": column.type.value,
+                    "nullable": column.nullable,
+                    "file": file,
+                    "checksum": sha256_hex(files[file]),
+                })
+            relations_meta.append({
+                "name": name,
+                "row_count": len(staging.tables[name].rows),
+                "columns": entries,
+                "primary_key": list(schema.primary_key),
+            })
+    finally:
+        if keep_staging is not None:
+            dump_staging(staging, keep_staging)
 
     dump = dumps_staging(staging)
-    files = {f"{name}.csv": dump[f"{name}.csv"] for name in snowflake.relation_names()}
-    relations_meta = [
-        {
-            "name": name,
-            "file": f"{name}.csv",
-            "checksum": sha256_hex(files[f"{name}.csv"]),
-            "row_count": len(tables[name].rows),
-            "columns": [{"name": c.name, "type": c.type.value, "nullable": c.nullable} for c in tables[name].schema.columns],
-            "primary_key": list(tables[name].schema.primary_key),
-        }
-        for name in snowflake.relation_names()
-    ]
-
     catalog = {
         "format_version": FORMAT_VERSION,
         "frozen": True,
@@ -779,11 +815,11 @@ _AGGS = {
 # shapes, as _fits reads them
 _PLAN_REPORT = {"transform": {"plan_hash": str}}  # staging reports that hold a plan hash
 _NAMES = [str]
-_COLUMN = {"name": str, "type": frozenset(t.value for t in ValueType), "nullable": bool}
+_COLUMN = {"name": str, "type": frozenset(t.value for t in ValueType), "nullable": bool, "file": str, "checksum": str}
 _CATALOG_SHAPE = {  # the catalog fields that open, star_query and report read; joins describe the indexes
     "fact": str,
     "dimensions": [{"name": str, "key": str}],
-    "relations": [{"name": str, "file": str, "checksum": str, "row_count": int, "columns": [_COLUMN], "primary_key": _NAMES}],
+    "relations": [{"name": str, "row_count": int, "columns": [_COLUMN], "primary_key": _NAMES}],
     "joins": [{"relation": str, "columns": _NAMES, "parent": str, "parent_columns": _NAMES}],
     "build": {"plan_hash": str, "source_hash": str, "timestamp": str},
 }
@@ -804,17 +840,22 @@ def _fits(value, shape) -> bool:
 
 def _catalog_fault(catalog: dict) -> str | None:
     """How a catalog that passed its self checksum is malformed, if it is:
-    a field out of shape, a relation file other than ``<name>.csv`` in
-    the warehouse directory, a dimension key or join naming a missing
-    relation or column, a join whose column lists are empty or differ in
-    length, a join chain that does not reach the fact, or ``dimensions``
-    or ``joins`` not naming each relation but the fact exactly once."""
+    a field out of shape, a relation without columns, a column file other
+    than ``<relation>.<position>.col`` in the warehouse directory, a
+    dimension key or join naming a missing relation or column, a join
+    whose column lists are empty or differ in length, a join chain that
+    does not reach the fact, or ``dimensions`` or ``joins`` not naming
+    each relation but the fact exactly once."""
     wrong = [key for key, shape in _CATALOG_SHAPE.items() if not _fits(catalog.get(key), shape)]
     if wrong:
         return f"{wrong[0]!r} is missing or out of shape"
     for r in catalog["relations"]:
-        if r["file"] != f"{r['name']}.csv" or "/" in r["file"] or "\\" in r["file"]:
-            return f"relation {r['name']} has file {r['file']!r}, not {r['name']}.csv in the warehouse directory"
+        if not r["columns"]:
+            return f"relation {r['name']} has no columns"
+        for i, c in enumerate(r["columns"]):
+            file = f"{r['name']}.{i}.col"
+            if c["file"] != file or "/" in file or "\\" in file:
+                return f"column {r['name']}.{c['name']} has file {c['file']!r}, not {file} in the warehouse directory"
     columns = {r["name"]: {c["name"] for c in r["columns"]} for r in catalog["relations"]}
     named = [(catalog["fact"], [])] + [(d["name"], [d["key"]]) for d in catalog["dimensions"]]
     for j in catalog["joins"]:
@@ -843,7 +884,12 @@ def open_warehouse(directory: Path) -> Warehouse:
     dimension key is unique, and hand back a read-only view. Any
     discrepancy, including a duplicate dimension key, is an integrity
     error naming the file. No index is built here; the star join builds
-    the ones it probes."""
+    the ones it probes.
+
+    Each column file is read whole, checksummed and typed in one pass
+    (``decode_column``); a cell that does not parse, or a line count
+    other than the relation's row count, fails here. The columns are then
+    zipped into the row tuples the handle holds."""
     directory = Path(directory)
     catalog_path = directory / CATALOG_NAME
     if not catalog_path.is_file():
@@ -868,18 +914,24 @@ def open_warehouse(directory: Path) -> Warehouse:
 
     relations: dict[str, Table] = {}
     for entry in catalog["relations"]:
-        path = directory / entry["file"]
-        if not path.is_file():
-            raise IntegrityError(f"missing relation file {entry['file']}")
-        data = path.read_bytes()
-        if sha256_hex(data) != entry["checksum"]:
-            raise IntegrityError(f"checksum mismatch in {entry['file']}")
-        columns = tuple(ColumnDef(c["name"], ValueType(c["type"]), c["nullable"]) for c in entry["columns"])
-        schema = TableSchema(entry["name"], columns, tuple(entry["primary_key"]))
-        table, _ = decode_table(data, entry["file"], schema, IntegrityError, keep_raw=False)
-        if len(table.rows) != entry["row_count"]:
-            raise IntegrityError(f"{entry['file']}: row count {len(table.rows)} != cataloged {entry['row_count']}")
-        relations[entry["name"]] = table
+        columns = []
+        for c in entry["columns"]:
+            path = directory / c["file"]
+            if not path.is_file():
+                raise IntegrityError(f"missing column file {c['file']}")
+            data = path.read_bytes()
+            if sha256_hex(data) != c["checksum"]:
+                raise IntegrityError(f"checksum mismatch in {c['file']}")
+            cells = decode_column(data, c["file"], ValueType(c["type"]), IntegrityError)
+            if len(cells) != entry["row_count"]:
+                raise IntegrityError(f"{c['file']}: row count {len(cells)} != cataloged {entry['row_count']}")
+            columns.append(cells)
+        schema = TableSchema(
+            entry["name"],
+            tuple(ColumnDef(c["name"], ValueType(c["type"]), c["nullable"]) for c in entry["columns"]),
+            tuple(entry["primary_key"]),
+        )
+        relations[entry["name"]] = Table(schema, list(zip(*columns)))
 
     for dim in catalog["dimensions"]:
         repeated = _repeated_key(_keys(relations[dim["name"]], (dim["key"],)))

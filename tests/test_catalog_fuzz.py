@@ -3,7 +3,9 @@ its self checksum, run through ``uwh query`` and ``uwh report`` in
 process. Each run exits 0, or prints an ``error:`` line and exits 1 or 5;
 no mutation raises out of ``cli.run``. The star join walks the catalog's
 joins without checking them again, so a fault that ``open`` misses would
-surface here as an exception.
+surface here as an exception. One input in five instead flips one byte of
+a column file under the catalog as built, and each run must exit 5 naming
+the file.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ SECTIONS = ["fact", "dimensions", "joins", "joins", "relations"]
 # shape, so that they reach the checks past it and the star join
 OPS = {str: ["relation", "column", "copy", "delete"], list: ["repeat", "reverse", "delete", "odd"]}
 
-ODD_VALUES = [None, 0, -1, 1.5, True, "", "x", "transcript", "../transcript.csv", [], [""], {}, {"name": "x"}]
+ODD_VALUES = [None, 0, -1, 1.5, True, "", "x", "transcript", "../transcript.0.col", [], [""], {}, {"name": "x"}]
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +113,16 @@ def _mutate(catalog: dict, data, columns: dict[str, list[str]]) -> None:
         parent[key] = copy.deepcopy(data.draw(st.sampled_from(ODD_VALUES)))
 
 
+def _flip_byte(directory, catalog: dict, data):
+    """Flip one drawn bit of one drawn column file; return its path and bytes before."""
+    files = sorted(c["file"] for r in catalog["relations"] for c in r["columns"])
+    path = directory / data.draw(st.sampled_from(files))
+    before = path.read_bytes()
+    pos = data.draw(st.integers(0, len(before) - 1))
+    path.write_bytes(before[:pos] + bytes([before[pos] ^ 1 << data.draw(st.integers(0, 7))]) + before[pos + 1 :])
+    return path, before
+
+
 def _run(argv: list[str]) -> tuple[int, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -123,12 +135,20 @@ def _run(argv: list[str]) -> tuple[int, str]:
 def test_mutated_catalog_is_refused_or_answered(warehouse, data):
     directory, original, columns = warehouse
     catalog = copy.deepcopy(original)
-    for _ in range(data.draw(st.integers(1, 3))):
+    flipped = _flip_byte(directory, original, data) if data.draw(st.integers(0, 4)) == 0 else None
+    for _ in range(0 if flipped else data.draw(st.integers(1, 3))):
         _mutate(catalog, data, columns)
     catalog["self_checksum"] = ""
     catalog["self_checksum"] = sha256_hex(canonical_json(catalog).encode("utf-8"))
     (directory / CATALOG_NAME).write_text(canonical_json(catalog), encoding="utf-8")
-    for argv in (["query", "--warehouse", str(directory), *data.draw(st.sampled_from(QUERIES))],
-                 ["report", "--warehouse", str(directory), "--json"]):
-        code, err = _run(argv)
-        assert code == 0 or (code in (1, 5) and err.startswith("error: ")), (argv, code, err)
+    try:
+        for argv in (["query", "--warehouse", str(directory), *data.draw(st.sampled_from(QUERIES))],
+                     ["report", "--warehouse", str(directory), "--json"]):
+            code, err = _run(argv)
+            if flipped:
+                assert code == 5 and err.startswith("error: ") and flipped[0].name in err, (argv, code, err)
+            else:
+                assert code == 0 or (code in (1, 5) and err.startswith("error: ")), (argv, code, err)
+    finally:
+        if flipped:
+            flipped[0].write_bytes(flipped[1])

@@ -83,23 +83,29 @@ def test_kept_staging_equals_stagewise_staging(tmp_path, cli_dirs, capsys):
 
 
 def test_build_renders_each_staged_table_once(tmp_path, cli_dirs, monkeypatch):
-    # counted wherever a caller looks the renderer up, as the benchmark's tracer does
+    # counted wherever a caller looks a renderer up, as the benchmark's
+    # tracer does: load renders each relation's columns, and the staging
+    # dump joins its table bytes from them
     import uwh.staging
     import uwh.warehouse
 
     _, src, _ = cli_dirs
     rendered = []
-    real = uwh.staging.render_table_csv
 
-    def counting(table):
-        rendered.append(table.name)
-        return real(table)
+    def counting(real):
+        def render(table):
+            rendered.append(table.name)
+            return real(table)
 
-    for module in (uwh.staging, uwh.warehouse):
-        monkeypatch.setattr(module, "render_table_csv", counting)
+        return render
+
+    table_csv = counting(uwh.staging.render_table_csv)
+    monkeypatch.setattr(uwh.staging, "render_table_csv", table_csv)
+    monkeypatch.setattr(uwh.warehouse, "render_table_csv", table_csv)
+    monkeypatch.setattr(uwh.staging, "render_columns", counting(uwh.staging.render_columns))
     assert run(["build", "--src", str(src), "--out", str(tmp_path / "wh"), "--timestamp", TS]) == 0
     assert len(rendered) == 8 and len(set(rendered)) == 8
-    # the kept staging and the warehouse take the same rendered bytes
+    # the kept staging and the warehouse take the same rendered fields
     rendered.clear()
     argv = ["build", "--src", str(src), "--out", str(tmp_path / "wh2"), "--keep-staging", str(tmp_path / "kept")]
     assert run([*argv, "--timestamp", TS]) == 0
@@ -348,13 +354,13 @@ def test_tampered_warehouse_exits_five(cli_dirs, tmp_path, capsys):
     _, _, wh = cli_dirs
     work = tmp_path / "wh"
     shutil.copytree(wh, work)
-    victim = work / "student.csv"
+    victim = work / "student.1.col"
     data = bytearray(victim.read_bytes())
     data[len(data) // 2] ^= 0x40
     victim.write_bytes(bytes(data))
     code, _, err = _run(capsys, "query", "--warehouse", str(work), "--measure", "COUNT(*)")
     assert code == 5
-    assert "student.csv" in err
+    assert "student.1.col" in err
 
 
 def test_missing_source_exits_two(tmp_path, capsys):

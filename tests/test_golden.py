@@ -21,15 +21,53 @@ from uwh.ingest import extract_database
 from uwh.staging import dump_staging
 
 WAREHOUSE = {
-    "account.csv": "a8924bb965df2144106af0f3f84e1cc946cf6a8f88fb66afe7f421e4d12b20f2",
-    "alumni.csv": "7e4cdc238eec67ac0e94cb9c5bae2dee8e71951bc09dc487a94c82628f4ecd7e",
-    "catalog.json": "2f4a2b488ca49d918e32d27363b485df3826064e6cbc317a7e640ba0f2ec93fe",
-    "instructor.csv": "7ef1d3662cb0c0e4e8169613ebb94fd11257c5cbde90e7c97233a9b0b4f0bdcf",
-    "major.csv": "5289cf1fbeb071c2079573af31a0ab04cb3eba2e2fde9c2f345b148d27ece4c2",
-    "receipt.csv": "b801bfa449f6794108a94235b2d24f7d06610a8ad906129acd1bdc0386d0b81d",
-    "registeredActivities.csv": "0401c6fed442235668daad2377af1854d02989ad2b4fed53746a101dc82b8074",
-    "student.csv": "57f6995d5147bc193b506b9200d37c4f2e719bd3a055ecf5c1a5a9cf13fc8ffb",
-    "transcript.csv": "14f45d1126938be5d87194b869d90bf173596946d559fd5bad39605089f88d37",
+    "account.0.col": "47824a6886d413dcae1b0e994faf1577638ea7e3d3af8fa8ad23c77776ee1561",
+    "account.1.col": "207da8a3ecbb424fe021607e364c6dd128d38609fa0cfe052bd0e625766594df",
+    "account.2.col": "48c1b8ee282dfd94442f058dd7f7316edaa7d826b4c1d8b308db465419ea7e72",
+    "account.3.col": "e8f8e1edd680601f51136ef89cfa4d5faa9b5870b24c7192e2eb63f1f68fe98e",
+    "alumni.0.col": "a45fed10a929d23f8f3e93a3f7dd1d47f823dc1a32dc9ca280d58e6eb0ecca8b",
+    "alumni.1.col": "ea910a3ee3dd76714cb8d747cddd473d249d7fa14ed525a89bd3fb08b0256c4d",
+    "alumni.2.col": "c09ba2db565bc02e3dfc3e3f9ecc8a1d1b53d760325a817e31c3c51be5eb41c5",
+    "alumni.3.col": "fa09f9d4d4af0ba4d3bbfed65a2fd2d2e2637816172800d61f73b470ef4ea68a",
+    "alumni.4.col": "9e526cd58ec96c443e850e34d2b1bcef82ce0691ae5e8d27c8c3c136ae2b7abf",
+    "catalog.json": "bd471c86444faa3c3f02308e86d2f775db6343df381ed3c37fb569b6a7aa27a7",
+    "instructor.0.col": "f8ff5e287f4c6daa02f6c83e838dff7bf31744f23739f31d94a12bd2b45e6a74",
+    "instructor.1.col": "4d168024decf9092935ff1499af30a1a5d38788affd0e381e292857ee7f40032",
+    "instructor.2.col": "53e46b942050dfdac0846e6b7e4328fe37ca890da409d56850af241b547d8272",
+    "instructor.3.col": "fae0187810731d5e876af814e03e8a46e69be5bb81ebaf3a3bce3e12ba081fef",
+    "major.0.col": "67149111d45cf106eb92ab5be7ec08179bddea7426ddde7cfe0ae68a7cffce74",
+    "major.1.col": "b1abf2f0d52c6045a891e2744985e9466d842898ce9eb14858a34df871d81c77",
+    "major.2.col": "da0b661408104dec2ce27a8a45d72d5ca9e0b83bdf8fbcd9251abe3474552c00",
+    "receipt.0.col": "d0ee7b276cdc878b34d940b9b07779f42dd91e5c151ccbdc1e536df597a1d328",
+    "receipt.1.col": "d82de3cbf7713700b10e3c199af45003c8eb79c9d3d2b54b564727f7a626e2b4",
+    "receipt.2.col": "b72dc28237db01cad0f459d0d382021b2b10c96a48f73674be13b736d70824fc",
+    "receipt.3.col": "e50c186cc8c45a04231a095abb053c32e47b4993a8ab26b767942443b55f3a9f",
+    "receipt.4.col": "10137fa999c6f0259d7359718bff61a0ab90c1b216211100f7818f2cab07d821",
+    "receipt.5.col": "4b8924273b157040078673a65ef9140fbbb6b4c09aed204cf1083f0346c1d52e",
+    "registeredActivities.0.col": "884a226aa1abc62489cb7d7606d967bd3c61e0d76a6b5b0cab6234b01085dbad",
+    "registeredActivities.1.col": "73fb32812ae36e63fa594c250c570d8c51b2bc32383904651f844b2cdec905a6",
+    "registeredActivities.2.col": "f459dceda3559bc6bc5cdf1302bd884612dcab39521d4e6def0449ac052cfbe9",
+    "registeredActivities.3.col": "5f3c16d53b0f89d3d748e1dd9301f04aa71fae7d51409ff98d8bd7ec8a4d6bcf",
+    "registeredActivities.4.col": "cf2d270d5e923acc6b2e726fcad98334f1485551bf0a8d7d097a683e3119e163",
+    "registeredActivities.5.col": "18edae1d1b7a088b5772c3ab909194f3846539e705622894c3c65918967ef77a",
+    "student.0.col": "207da8a3ecbb424fe021607e364c6dd128d38609fa0cfe052bd0e625766594df",
+    "student.1.col": "703fb7759606c5f7c782eb05ca815b80c88cd9694eb9fd52cad8a9f670e8fcf5",
+    "student.2.col": "298b552a285c372bf64583915ae7966905b09870d8333e7d7923968da56e6ddd",
+    "student.3.col": "2dd3e2ec66e3de35347f7e4f914367ba5727cc72d0b75839ee697c2e9fbd0047",
+    "student.4.col": "d9b090ce65f36bf5c7ebfb27253acf4781acce8c114073e1ff63a578460ac163",
+    "student.5.col": "5812bedccc61431cc48f932787e5b7ac352acfef4c59af16fc267718e2293fe8",
+    "student.6.col": "9ed53eba3543c5e622eda57dd14894ba1b0b682890341d9e1941176e76e25e0f",
+    "transcript.0.col": "cd7642cf345f01f3382b9ec09409622b0be4d5e417d44ec9bb4bf8c6f9c6a277",
+    "transcript.1.col": "612e615f414e67d6399e658ecda903ff92bf6ff8697cd00bd9859bdb4c074770",
+    "transcript.10.col": "229dae11abd80c8a4cf0d4e7463ab2c4884e121160771583d9927f49964e0b1b",
+    "transcript.2.col": "7584848f07f05252403f503b0de7e132d313362f6b7e746b5e7c5dd5cd2ab693",
+    "transcript.3.col": "f65e1b8bd2addabfb7651eb0a860e095e0307cc74db142884fa62b69a8c24778",
+    "transcript.4.col": "25c41286701a0651db485eff9e7405310ce45e24818f1ca2dae1fdf317a9a640",
+    "transcript.5.col": "169b44f167a58829d52440767c43a39230a8056144496fd230a5667c0e8d96c6",
+    "transcript.6.col": "82cf1dd618aabe023cc5f8bfab403a9fd43f1f32bc1f04aa877edf3651164901",
+    "transcript.7.col": "d3cb65c45e5891545af3f271a15b4293831e0bdb5dc899a4b2c59b94b8dea6dc",
+    "transcript.8.col": "65bbce155b00556bed5301ce18ac4e52cb7853c3a44045e299fd1d3d5d1b57cc",
+    "transcript.9.col": "4ac85bedee48406728859dedc6aec051a3f2ac181e456754e712d47953ac9d3f",
 }
 
 STAGING = {

@@ -8,7 +8,8 @@ import line says ``noqa: F401`` and ``perfbench/tracer.py`` lists the
 
 It also checks that ``staging.write_dir_atomically`` is the one function
 that writes, renames or removes files, so every output directory is
-written whole, after the one check of whether it may be.
+written whole, after the one check of whether it may be, and that every
+module parses as the oldest Python that ``pyproject.toml`` allows.
 """
 
 from __future__ import annotations
@@ -160,3 +161,15 @@ def test_a_file_write_outside_the_atomic_writer_is_refused(tmp_path):
         encoding="utf-8",
     )
     assert file_writers(tmp_path) == [f"probe.py:{n}: writes" for n in (13, 14, 15, 16, 17)]
+
+
+_OLDEST = re.search(r'requires-python = ">=3\.(\d+)"', (_ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in _SRC.glob("*.py")))
+def test_module_parses_as_the_oldest_python_allowed(module):
+    # This catches syntax only: the grammar of that version as ``ast`` knows
+    # it. A newer library feature, such as a regex construct that the older
+    # ``re`` refuses, still passes.
+    source = (_SRC / f"{module}.py").read_text(encoding="utf-8")
+    ast.parse(source, filename=f"{module}.py", feature_version=(3, int(_OLDEST.group(1))))

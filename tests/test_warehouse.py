@@ -193,10 +193,12 @@ def test_all_catalog_indexes_match_full_scan(seed42_warehouse_dir):
 def test_load_writes_expected_layout(seed42_warehouse_dir):
     catalog = json.loads((seed42_warehouse_dir / "catalog.json").read_text())
     names = {p.name for p in seed42_warehouse_dir.iterdir()}
-    # the catalog and the relations; the joins describe the indexes
-    assert names == {"catalog.json"} | {f"{r['name']}.csv" for r in catalog["relations"]}
+    # the catalog and one file per column of each relation; the joins describe the indexes
+    files = [c["file"] for r in catalog["relations"] for c in r["columns"]]
+    assert files == [f"{r['name']}.{i}.col" for r in catalog["relations"] for i in range(len(r["columns"]))]
+    assert names == {"catalog.json", *files}
     assert "indexes" not in catalog
-    assert catalog["format_version"] == 4
+    assert catalog["format_version"] == 5
     assert catalog["frozen"] is True
     assert catalog["fact"] == "transcript"
     assert len(catalog["relations"]) == 8
@@ -261,6 +263,20 @@ def test_load_names_the_dangling_fact_row(tmp_path, seed42_transformed, column, 
     assert not (tmp_path / "wh").exists()
 
 
+def test_load_writes_the_kept_staging_when_the_rows_fail(tmp_path, seed42_transformed):
+    # build --keep-staging: the dump comes before the warehouse, so a load
+    # that refuses the rows still leaves it
+    from uwh.staging import dumps_staging, load_staging
+
+    staging = _with_fact_cells(seed42_transformed, "tr_st_id", {0: 999999})
+    with pytest.raises(ValidationError, match="dangling dimension key"):
+        load(tmp_path / "wh", staging, timestamp=TS, keep_staging=tmp_path / "kept")
+    assert not (tmp_path / "wh").exists()
+    kept = load_staging(tmp_path / "kept")
+    assert kept.tables["transcript"].rows == staging.tables["transcript"].rows
+    assert dumps_staging(kept) == dumps_staging(staging)
+
+
 # --- open -----------------------------------------------------------------------
 
 
@@ -293,10 +309,10 @@ def test_single_byte_flip_fails_open(tmp_path, seed42_warehouse_dir):
 def test_missing_relation_file_fails_open(tmp_path, seed42_warehouse_dir):
     work = tmp_path / "wh"
     shutil.copytree(seed42_warehouse_dir, work)
-    (work / "alumni.csv").unlink()
+    (work / "alumni.0.col").unlink()
     with pytest.raises(IntegrityError) as exc:
         open_warehouse(work)
-    assert "alumni.csv" in str(exc.value)
+    assert "alumni.0.col" in str(exc.value)
 
 
 def _forge_checksums(work, name: str) -> None:
@@ -305,8 +321,9 @@ def _forge_checksums(work, name: str) -> None:
 
     catalog = json.loads((work / "catalog.json").read_text())
     for entry in catalog["relations"]:
-        if entry["file"] == name:
-            entry["checksum"] = sha256_hex((work / name).read_bytes())
+        for column in entry["columns"]:
+            if column["file"] == name:
+                column["checksum"] = sha256_hex((work / name).read_bytes())
     catalog["self_checksum"] = ""
     catalog["self_checksum"] = sha256_hex(canonical_json(catalog).encode())
     (work / "catalog.json").write_text(canonical_json(catalog))
@@ -323,16 +340,21 @@ def _assert_open_fails(work, capsys, name: str, words: str) -> None:
     assert name in err and "Traceback" not in err
 
 
+def _column_file(work, relation: str, column: str):
+    """The path of the file that holds ``relation.column``."""
+    catalog = json.loads((work / "catalog.json").read_text())
+    entry = next(r for r in catalog["relations"] if r["name"] == relation)
+    return work / next(c["file"] for c in entry["columns"] if c["name"] == column)
+
+
 def test_repeated_bad_cell_in_a_relation_fails_open(tmp_path, seed42_warehouse_dir, capsys):
     # the decoder keeps no cell for unparsable text, so the bad text fails
     # open wherever it occurs, after a good text of its column too
     work = tmp_path / "wh"
     shutil.copytree(seed42_warehouse_dir, work)
-    victim = work / "major.csv"
-    header, first, *rest = victim.read_text().splitlines()
-    assert header.endswith(",mj_dep_id")
-    rows = [first] + [row.rsplit(",", 1)[0] + ",x1" for row in rest]
-    victim.write_text("\n".join([header] + rows) + "\n")
+    victim = _column_file(work, "major", "mj_dep_id")
+    first, *rest = victim.read_text().splitlines()
+    victim.write_text("\n".join([first] + ["x1"] * len(rest)) + "\n")
     _forge_checksums(work, victim.name)
     _assert_open_fails(work, capsys, victim.name, "does not parse as its declared type")
 
@@ -347,19 +369,30 @@ def _old_descriptors(catalog: dict) -> list[dict]:
     ]
 
 
-@pytest.mark.parametrize("version", [1, 2, 3], ids=["format-1", "format-2", "format-3"])
+@pytest.mark.parametrize("version", [1, 2, 3, 4], ids=["format-1", "format-2", "format-3", "format-4"])
 def test_old_format_catalog_is_refused(tmp_path, seed42_warehouse_dir, seed42_handle, capsys, version):
     # a warehouse as an older format wrote it, its self checksum forged to
-    # match, is refused: no shim. Format 3 kept a {relation, columns,
-    # unique} descriptor per index; formats 1 and 2 also wrote a sidecar
-    # per index, named with its checksum in the descriptor, and format 1's
-    # descriptors also held a "kind"
+    # match, is refused: no shim. Formats 1 to 4 stored each relation as
+    # one CSV file, named with its checksum in the relation's entry.
+    # Format 3 also kept a {relation, columns, unique} descriptor per
+    # index; formats 1 and 2 also wrote a sidecar per index, named with its
+    # checksum in the descriptor, and format 1's descriptors also held a
+    # "kind"
+    from uwh.staging import render_table_csv
     from uwh.warehouse import sha256_hex
 
     sidecars = {}
 
     def downgrade(catalog: dict) -> None:
         catalog["format_version"] = version
+        for entry in catalog["relations"]:
+            entry["file"] = f"{entry['name']}.csv"
+            sidecars[entry["file"]] = render_table_csv(seed42_handle.relation(entry["name"])).encode()
+            entry["checksum"] = sha256_hex(sidecars[entry["file"]])
+            for column in entry["columns"]:
+                del column["file"], column["checksum"]
+        if version == 4:
+            return
         catalog["indexes"] = _old_descriptors(catalog)
         if version == 3:
             return
@@ -372,6 +405,8 @@ def test_old_format_catalog_is_refused(tmp_path, seed42_warehouse_dir, seed42_ha
                 entry["kind"] = "hash"
 
     work = _forged(tmp_path, seed42_warehouse_dir, downgrade)
+    for path in work.glob("*.col"):
+        path.unlink()
     for name, data in sidecars.items():
         (work / name).write_bytes(data)
     _assert_open_fails(work, capsys, "catalog.json", "format_version")
@@ -392,14 +427,24 @@ def _join(catalog: dict, relation: str) -> dict:
 def _file_outside_directory(catalog: dict) -> None:
     # out of the warehouse directory and back to the same bytes, so the
     # checksum matches and only the file name is wrong
-    relation = catalog["relations"][0]
-    relation["file"] = f"../wh/{relation['file']}"
+    column = catalog["relations"][0]["columns"][0]
+    column["file"] = f"../wh/{column['file']}"
+
+
+def _column_files_swapped(catalog: dict) -> None:
+    # each file keeps its checksum, so only the position rule tells that
+    # the fact's second column would be read from the file of its third
+    first, second = catalog["relations"][0]["columns"][1:3]
+    for key in ("file", "checksum"):
+        first[key], second[key] = second[key], first[key]
 
 
 _CATALOG_FORGERIES = {
     "unknown-type": lambda c: c["relations"][0]["columns"][0].update(type="FLOAT"),
-    "relation-without-file": lambda c: c["relations"][0].pop("file"),
+    "relation-without-file": lambda c: c["relations"][0]["columns"][0].pop("file"),
     "relation-file-outside-directory": _file_outside_directory,
+    "column-file-off-position": _column_files_swapped,
+    "relation-without-columns": lambda c: c["relations"][0].update(columns=[]),
     "dimensions-not-a-list": lambda c: c.update(dimensions=5),
     "row-count-as-text": lambda c: c["relations"][1].update(row_count=str(c["relations"][1]["row_count"])),
     "dimension-key-on-unknown-column": lambda c: c["dimensions"][0].update(key="nope"),
@@ -441,14 +486,12 @@ def test_forged_catalog_fails_open(tmp_path, seed42_warehouse_dir, capsys, forge
 
 def test_duplicate_key_under_a_unique_index_fails_open(tmp_path, seed42_warehouse_dir, capsys):
     # the relation's data, not the catalog, breaks the unique dimension key:
-    # one st_id repeated in student.csv, both checksums forged to match
+    # one st_id repeated in its column file, both checksums forged to match
     work = tmp_path / "wh"
     shutil.copytree(seed42_warehouse_dir, work)
-    victim = work / "student.csv"
-    header, first, second, *rest = victim.read_text().splitlines()
-    assert header.startswith("st_id,")
-    st_id = first.split(",", 1)[0]
-    victim.write_text("\n".join([header, first, st_id + "," + second.split(",", 1)[1], *rest]) + "\n")
+    victim = _column_file(work, "student", "st_id")
+    st_id, _, *rest = victim.read_text().splitlines()
+    victim.write_text("\n".join([st_id, st_id, *rest]) + "\n")
     _forge_checksums(work, victim.name)
     _assert_open_fails(
         work, capsys, "catalog.json", f"malformed: unique index on student(st_id): duplicate key ('{st_id}',)"
@@ -484,7 +527,7 @@ def test_load_without_a_well_formed_transform_report_records_no_plan_hash(tmp_pa
 
 
 def _bad_integer(lines: list[bytes]) -> None:
-    lines[1] = b"12x" + lines[1][lines[1].index(b","):]  # st_id is INTEGER
+    lines[1] = b"12x"  # st_id is INTEGER
 
 
 def _extra_field(lines: list[bytes]) -> None:
@@ -495,39 +538,33 @@ def _last_row_removed(lines: list[bytes]) -> None:
     del lines[-2]  # lines[-1] is the empty text after the final newline
 
 
-def _renamed_header_column(lines: list[bytes]) -> None:
-    lines[0] = lines[0].replace(b"st_name", b"st_nom")
-
-
 def _invalid_utf8(lines: list[bytes]) -> None:
-    lines[1] = lines[1].replace(b",", b",\xff", 1)
+    lines[1] += b"\xff"
 
 
 def _unterminated_quote(lines: list[bytes]) -> None:
-    lines[1] = lines[1].replace(b",", b',"', 1)  # the file holds no other quote
+    lines[1] = b'"' + lines[1]  # the file holds no other quote
 
 
+# a column file renamed or swapped in the catalog is a forged catalog
+# (``column-file-off-position``): the position rule refuses it
 @pytest.mark.parametrize(
     "tamper, words",
     [
         (_bad_integer, "does not parse as its declared type"),
-        (_extra_field, "row arity"),
+        (_extra_field, "is not one field and a line end"),
         (_last_row_removed, "row count"),
-        (_renamed_header_column, "header does not match"),
         (_invalid_utf8, "not valid UTF-8"),
         (_unterminated_quote, "unterminated quoted field"),
     ],
-    ids=[
-        "bad-integer", "extra-field", "last-row-removed", "renamed-header-column", "invalid-utf8",
-        "unterminated-quote",
-    ],
+    ids=["bad-integer", "extra-field", "last-row-removed", "invalid-utf8", "unterminated-quote"],
 )
 def test_tampered_relation_fails_open(tmp_path, seed42_warehouse_dir, capsys, tamper, words):
-    # the relation's checksum and the catalog's self checksum are forged to
-    # match, so only decoding the relation can notice the edit
+    # the column file's checksum and the catalog's self checksum are forged
+    # to match, so only decoding the column can notice the edit
     work = tmp_path / "wh"
     shutil.copytree(seed42_warehouse_dir, work)
-    victim = work / "student.csv"
+    victim = _column_file(work, "student", "st_id")
     lines = victim.read_bytes().split(b"\n")
     tamper(lines)
     victim.write_bytes(b"\n".join(lines))
@@ -536,15 +573,16 @@ def test_tampered_relation_fails_open(tmp_path, seed42_warehouse_dir, capsys, ta
 
 
 def test_crlf_relation_with_forged_checksums_opens(tmp_path, seed42_warehouse_dir):
-    # accepted, as README says: CRLF line ends decode to the same rows, so
-    # the indexes built from them and every query answer as before
+    # accepted, as README says: CRLF line ends in column files decode to
+    # the same rows, so the indexes built from them and every query answer
+    # as before
     work = tmp_path / "wh"
     shutil.copytree(seed42_warehouse_dir, work)
-    victim = work / "student.csv"
-    data = victim.read_bytes()
-    assert b"\r" not in data
-    victim.write_bytes(data.replace(b"\n", b"\r\n"))
-    _forge_checksums(work, victim.name)
+    for victim in sorted(work.glob("student.*.col")):
+        data = victim.read_bytes()
+        assert b"\r" not in data
+        victim.write_bytes(data.replace(b"\n", b"\r\n"))
+        _forge_checksums(work, victim.name)
     assert open_warehouse(work).relation("student").rows == open_warehouse(seed42_warehouse_dir).relation("student").rows
 
 
