@@ -18,7 +18,7 @@ from decimal import Decimal
 from .errors import ParseError, ValidationError
 from .plan import Clean, parse_plan, pretty_stmt
 from .schema import Table, TableSchema, check_referential_integrity, key_getter, row_checker
-from .staging import DEFAULT_TIMESTAMP, LineageEvent, QRow, StagingArea
+from .staging import DEFAULT_TIMESTAMP, QRow, StagingArea
 from .values import RawCell, ValueType, cell_converter, coerce_literal, parse_date_flexible, render_cell
 
 RULE_KINDS = ("trim", "collapse_whitespace", "case", "normalize_date", "null_standardize", "domain", "range")
@@ -274,14 +274,14 @@ def dedup(table: Table) -> tuple[Table, DedupSlice]:
 @dataclass
 class ReconcileStats:
     iterations: int = 0
-    per_fk: dict = field(default_factory=dict)  # label -> {policy, quarantined, nullified}
+    per_fk: dict = field(default_factory=dict)  # label -> {"quarantined": n}
 
 
-def reconcile_foreign_keys(staging: StagingArea, *, timestamp: str = DEFAULT_TIMESTAMP) -> tuple[StagingArea, ReconcileStats]:
+def reconcile_foreign_keys(staging: StagingArea) -> tuple[StagingArea, ReconcileStats]:
     """Quarantine every orphan FK row until the orphan report is empty.
     Quarantining can orphan dependents, hence the fixpoint loop. Each
-    orphaned FK's entry keeps the report shape ``{"policy": "quarantine",
-    "quarantined": n, "nullified": 0}``."""
+    orphaned FK's entry is ``{"quarantined": n}``, the rows quarantined
+    under its label."""
     staging = staging.clone()
     stats = ReconcileStats()
     report = check_referential_integrity(staging.tables)
@@ -289,7 +289,7 @@ def reconcile_foreign_keys(staging: StagingArea, *, timestamp: str = DEFAULT_TIM
         stats.iterations += 1
         drops: dict[str, dict[int, str]] = {}  # row -> its last orphaned FK
         for entry in report.entries:
-            stats.per_fk.setdefault(entry.fk, {"policy": "quarantine", "quarantined": 0, "nullified": 0})
+            stats.per_fk.setdefault(entry.fk, {"quarantined": 0})
             drops.setdefault(entry.table, {})[entry.row_index] = entry.fk
         # a quarantined row counts once, under the FK its reason names
         for name, doomed in drops.items():
@@ -301,16 +301,6 @@ def reconcile_foreign_keys(staging: StagingArea, *, timestamp: str = DEFAULT_TIM
             staging.tables[name] = Table(table.schema, [row for i, row in enumerate(table.rows) if i not in doomed])
         # only an FK into a table that shrank can gain an orphan
         report = check_referential_integrity(staging.tables, targets=set(drops))
-    if stats.per_fk:  # no orphans leaves the staging byte-identical
-        staging.log(
-            LineageEvent(
-                "reconcile",
-                "",
-                f"iterations={stats.iterations} fks={len(stats.per_fk)}",
-                sum(e["quarantined"] for e in stats.per_fk.values()),
-                timestamp,
-            )
-        )
     return staging, stats
 
 
@@ -346,7 +336,7 @@ class CleanseReport:
                 lines.append(f"{name}: duplicates removed={d['exact_removed']} pk conflicts={d['pk_conflicts']}")
         for label, e in self.reconcile.items():
             if e["quarantined"]:
-                lines.append(f"{label}: policy={e['policy']} quarantined={e['quarantined']} nullified={e['nullified']}")
+                lines.append(f"{label}: orphans quarantined={e['quarantined']}")
         lines.append(f"total cells changed={total_changed} cells quarantined={total_quarantined}")
         return "\n".join(lines) + "\n"
 
@@ -354,7 +344,9 @@ class CleanseReport:
 def cleanse_staging(
     staging: StagingArea, rules: list[Clean], *, timestamp: str = DEFAULT_TIMESTAMP
 ) -> tuple[StagingArea, CleanseReport]:
-    """Whole-staging pass: per-table rules then dedup, then FK reconciliation."""
+    """Whole-staging pass: per-table rules then dedup, then FK reconciliation.
+    The staging's ``reports["cleanse"]`` is the report's JSON form with the
+    stage's ``timestamp``."""
     for rule in rules:
         if rule.table not in staging.tables:
             raise ValidationError(f"rule {rule_label(rule)} names unknown table {rule.table!r}")
@@ -390,20 +382,10 @@ def cleanse_staging(
             ],
         }
         report.dedup[name] = {"exact_removed": dslice.exact_removed, "pk_conflicts": dslice.pk_conflicts}
-        staging.log(
-            LineageEvent(
-                "cleanse",
-                name,
-                f"in={slice_.rows_in} out={len(deduped.rows)}"
-                f" quarantined={slice_.rows_quarantined} deduped={dslice.exact_removed + dslice.pk_conflicts}",
-                len(deduped.rows),
-                timestamp,
-            )
-        )
-    staging, rstats = reconcile_foreign_keys(staging, timestamp=timestamp)
+    staging, rstats = reconcile_foreign_keys(staging)
     report.reconcile = rstats.per_fk
     report.reconcile_iterations = rstats.iterations
-    staging.reports["cleanse"] = report.to_json_dict()
+    staging.reports["cleanse"] = {"timestamp": timestamp, **report.to_json_dict()}
     return staging, report
 
 

@@ -24,7 +24,7 @@ from .manifest import parse_schema_manifest
 from .plan import parse_plan
 from .staging import CATALOG_NAME, STAGING_DUMP, check_target, dump_staging, load_staging, render_table_csv
 from .transform import execute_plan, validate_plan
-from .warehouse import WAREHOUSE, StarQuery, load, open_warehouse, parse_filter, parse_measure, star_query
+from .warehouse import WAREHOUSE, StarQuery, _fits, load, open_warehouse, parse_filter, parse_measure, star_query
 from .staging import staging_fingerprint  # noqa: F401  (unused here; the benchmark's tracer rebinds this name)
 from .warehouse import assemble_snowflake  # noqa: F401  (unused here; the benchmark's tracer rebinds this name)
 from .warehouse import sha256_hex  # noqa: F401  (unused here; the benchmark's tracer rebinds this name)
@@ -138,9 +138,9 @@ def _cmd_transform(args) -> int:
     out = Path(args.out or args.staging)
     check_target(out, STAGING_DUMP)
     validate_plan(plan, staging.schema())
-    transformed, lineage = execute_plan(staging, plan, timestamp=args.timestamp)
+    transformed, report = execute_plan(staging, plan, timestamp=args.timestamp)
     dump_staging(transformed, out)
-    print(f"executed {len(lineage)} statements; staging now holds {len(transformed.tables)} tables", file=sys.stderr)
+    print(f"executed {len(report['statements'])} statements; staging now holds {len(transformed.tables)} tables", file=sys.stderr)
     return 0
 
 
@@ -192,6 +192,10 @@ def _cmd_query(args) -> int:
     return 0
 
 
+# the transform report entries that ``report --staging`` prints
+_STATEMENTS = {"transform": {"statements": [{"statement": str, "rows": int}]}}
+
+
 def _cmd_report(args) -> int:
     if (args.staging is None) == (args.warehouse is None):
         raise ValidationError("report needs exactly one of --staging or --warehouse")
@@ -200,7 +204,6 @@ def _cmd_report(args) -> int:
         payload = {
             "tables": {name: len(t.rows) for name, t in staging.tables.items()},
             "quarantine": {name: len(q) for name, q in staging.quarantine.items() if len(q)},
-            "lineage_events": len(staging.lineage),
             "fact_table": staging.fact_table,
             "dimensions": [list(d) for d in staging.dimensions],
             "reports": staging.reports,
@@ -214,7 +217,9 @@ def _cmd_report(args) -> int:
                 print(f"{name}: {n} rows")
             for name, n in payload["quarantine"].items():
                 print(f"quarantine/{name}: {n} rows")
-            print(f"lineage events: {payload['lineage_events']}")
+            if _fits(staging.reports, _STATEMENTS):
+                for i, s in enumerate(staging.reports["transform"]["statements"]):
+                    print(f"statement {i}: {s['statement']} ({s['rows']} rows affected)")
             if staging.fact_table:
                 print(f"fact: {staging.fact_table}; dimensions: {', '.join(d for d, _ in staging.dimensions)}")
         return 0

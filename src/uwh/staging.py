@@ -1,17 +1,22 @@
 """The staging buffer between pipeline stages, and its on-disk form.
 
 A StagingArea holds typed tables, per-table quarantine of rejected rows,
-and an append-only lineage log. Stages never mutate a staging area they
-received; they build an updated copy, which makes plan-level atomicity a
-non-event.
+and one report per stage that ran. Stages never mutate a staging area
+they received; they build an updated copy, which makes plan-level
+atomicity a non-event.
 
 On disk a staging dump is a directory::
 
     schema.manifest        current table schemas
     <table>.csv            one data file per staged table
     quarantine/<table>.csv rejected rows with a _reason column
-    lineage.log            one event per line, tab-separated
     meta.json              fact/dimension declarations and stage reports
+
+``meta.json`` is the one record of what each stage did: ``reports`` holds
+a slice per stage that ran (``extraction``, ``cleanse``, ``transform``),
+each with the stage's ``timestamp`` and its counts, and the transform
+slice lists every executed statement. A reader ignores any file a dump
+does not write.
 
 Dumps are byte-deterministic given the same staging contents, and are
 written all or nothing by ``write_dir_atomically`` once ``check_target``
@@ -64,34 +69,6 @@ from .values import CELL_TEXT, RawCell, ValueType, cell_converter, render_cell
 
 DEFAULT_TIMESTAMP = "1970-01-01T00:00:00Z"
 CATALOG_NAME = "catalog.json"  # the file that makes a directory a frozen warehouse
-
-
-@dataclass(frozen=True)
-class LineageEvent:
-    stage: str
-    table: str
-    detail: str
-    rows_affected: int
-    timestamp: str
-    statement_index: int | None = None
-    statement_text: str | None = None
-
-    def to_line(self) -> str:
-        idx = "" if self.statement_index is None else str(self.statement_index)
-        stmt = (self.statement_text or "").replace("\t", " ").replace("\n", " ")
-        detail = self.detail.replace("\t", " ").replace("\n", " ")
-        return "\t".join([self.stage, self.table, str(self.rows_affected), self.timestamp, idx, stmt, detail])
-
-    @classmethod
-    def from_line(cls, line: str) -> "LineageEvent":
-        parts = line.split("\t", 6)
-        if len(parts) != 7:
-            raise ValidationError(f"malformed lineage line: {line!r}")
-        stage, table, rows, ts, idx, stmt, detail = parts
-        try:
-            return cls(stage, table, detail, int(rows), ts, int(idx) if idx else None, stmt or None)
-        except ValueError as exc:
-            raise ValidationError(f"malformed lineage line: {line!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -183,7 +160,6 @@ class Encoded(NamedTuple):
 class StagingArea:
     tables: dict[str, Table]
     quarantine: dict[str, Quarantine] = field(default_factory=dict)
-    lineage: list[LineageEvent] = field(default_factory=list)
     fact_table: str | None = None
     dimensions: list[tuple[str, str]] = field(default_factory=list)
     reports: dict = field(default_factory=dict)
@@ -199,7 +175,6 @@ class StagingArea:
             self,
             tables=dict(self.tables),
             quarantine={k: q.copy() for k, q in self.quarantine.items()},
-            lineage=list(self.lineage),
             dimensions=list(self.dimensions),
             reports=dict(self.reports),
             encoded=dict(self.encoded),
@@ -211,9 +186,6 @@ class StagingArea:
             q = Quarantine(columns)
             self.quarantine[table_name] = q
         q.append(QRow(reason, fields_))
-
-    def log(self, event: LineageEvent) -> None:
-        self.lineage.append(event)
 
 
 def _render_text(text: str) -> str:
@@ -341,30 +313,23 @@ def typed_rows(records, memos: list[_ColumnMemo]) -> Iterator[tuple[list[str], t
             yield fields, tuple([m.raw(v) if isinstance(v, RawCell) else v for v, m in zip(cells, memos)])
 
 
-def decode_table(
-    data: bytes, file: str, schema: TableSchema, error: type[UwhError], *, keep_raw: bool
-) -> tuple[Table, list[_ColumnMemo]]:
-    """Decode the bytes of table file ``file``: its header must name the
-    schema's columns in order, and each cell follows ``parse_cell``.
-
-    A cell that does not parse as its column's type stays a ``RawCell``
-    when ``keep_raw`` and is an ``error`` otherwise, as is any other
-    fault, each naming ``file``. Also return each column's memo, which
-    holds every distinct text of the column that parsed (``typed_rows``).
+def decode_table(data: bytes, file: str, schema: TableSchema) -> tuple[Table, list[_ColumnMemo]]:
+    """Decode the bytes of staging table file ``file``: its header must
+    name the schema's columns in order, and each cell follows
+    ``parse_cell``, so a cell that does not parse as its column's type
+    stays a ``RawCell``. Any fault is a ``ValidationError`` naming
+    ``file``. Also return each column's memo, which holds every distinct
+    text of the column that parsed (``typed_rows``).
     """
-
-    def unparsable(text: str):
-        raise error(f"{file}: cell does not parse as its declared type")
-
-    records = read_records(data, file, error)
+    records = read_records(data, file, ValidationError)
     header, _ = next(records, (None, None))
     if header != list(schema.column_names):
-        raise error(f"{file}: header does not match the schema")
-    memos = column_memos(schema.columns, RawCell if keep_raw else unparsable)
+        raise ValidationError(f"{file}: header does not match the schema")
+    memos = column_memos(schema.columns, RawCell)
     rows: list[tuple] = []
     for fields, cells in typed_rows(records, memos):
         if cells is None:
-            raise error(f"{file}: row arity {len(fields)} does not match the schema's {len(schema.columns)} columns")
+            raise ValidationError(f"{file}: row arity {len(fields)} does not match the schema's {len(schema.columns)} columns")
         rows.append(cells)
     return Table(schema, rows), memos
 
@@ -463,7 +428,6 @@ def dumps_staging(staging: StagingArea) -> dict[str, bytes]:
     for name, q in staging.quarantine.items():
         if len(q):
             files[f"quarantine/{name}.csv"] = q.to_csv()
-    files["lineage.log"] = "".join(e.to_line() + "\n" for e in staging.lineage).encode("utf-8")
     meta = {
         "fact_table": staging.fact_table,
         "dimensions": [list(d) for d in staging.dimensions],
@@ -607,7 +571,7 @@ def load_staging(in_dir: Path) -> StagingArea:
         if not path.is_file():
             raise MissingInputError(f"staging dump is missing table file {path.name}")
         data = path.read_bytes()
-        tables[name], memos = decode_table(data, path.name, schema, ValidationError, keep_raw=True)
+        tables[name], memos = decode_table(data, path.name, schema)
         if _canonical(data, memos):
             encoded[name] = Encoded.of(tables[name], data)
 
@@ -619,18 +583,12 @@ def load_staging(in_dir: Path) -> StagingArea:
             if q is not None:
                 quarantine[path.stem] = q
 
-    lineage: list[LineageEvent] = []
-    lpath = in_dir / "lineage.log"
-    if lpath.is_file():
-        # "\n" alone ends an event; str.splitlines also splits at \r, \x85, U+2028 and more
-        lineage = [LineageEvent.from_line(line) for line in _dump_text(lpath).split("\n") if line]
-
     fact_table, dimensions, reports = None, [], {}
     mpath = in_dir / "meta.json"
     if mpath.is_file():
         fact_table, dimensions, reports = _parse_meta(_dump_text(mpath))
 
-    return StagingArea(tables, quarantine, lineage, fact_table, dimensions, reports, encoded)
+    return StagingArea(tables, quarantine, fact_table, dimensions, reports, encoded)
 
 
 def _decode_quarantine(data: bytes, file: str) -> Quarantine | None:

@@ -26,7 +26,7 @@ from itertools import repeat
 from operator import itemgetter
 from typing import NoReturn
 
-from .cleanse import cleanse_table, make_rule
+from .cleanse import TableCleanseSlice, cleanse_table, make_rule
 from .errors import PlanValidationError, ValidationError
 from .plan import (
     AddColumn,
@@ -53,18 +53,17 @@ from .plan import (
     pretty_stmt,
 )
 from .schema import ColumnDef, DatabaseSchema, Table, TableSchema, key_getter
-from .staging import DEFAULT_TIMESTAMP, LineageEvent, StagingArea
+from .staging import DEFAULT_TIMESTAMP, StagingArea
 from .warehouse import assemble_snowflake
 from .values import COMPARISONS, ORDERED_TYPES, RawCell, ValueType, coerce_literal, make_decimal, value_tag
 
 
-def exec_drop(staging: StagingArea, name: str, *, timestamp: str = DEFAULT_TIMESTAMP) -> StagingArea:
+def exec_drop(staging: StagingArea, name: str) -> StagingArea:
     if name not in staging.tables:
         raise ValidationError(f"unknown table {name!r}")
     out = staging.clone()
-    rows = len(out.tables.pop(name).rows)
+    del out.tables[name]
     _prune_dangling_fks(out)
-    out.log(LineageEvent("statement", name, f"dropped ({rows} rows)", rows, timestamp))
     return out
 
 
@@ -111,7 +110,7 @@ def resolve_join_order(stmt: Merge, base: str) -> list[tuple[str, list[JoinCond]
     return order
 
 
-def exec_merge(staging: StagingArea, stmt: Merge, *, timestamp: str = DEFAULT_TIMESTAMP) -> StagingArea:
+def exec_merge(staging: StagingArea, stmt: Merge) -> StagingArea:
     """Left-join the base table along the ON chain and append KEEP columns.
 
     The base is the target when it exists, otherwise the last listed
@@ -189,15 +188,6 @@ def exec_merge(staging: StagingArea, stmt: Merge, *, timestamp: str = DEFAULT_TI
         TableSchema(stmt.target, tuple(columns), base.schema.primary_key, tuple(fks)), merged_rows
     )
     _prune_dangling_fks(out, {base_name: stmt.target})
-    out.log(
-        LineageEvent(
-            "statement",
-            stmt.target,
-            f"merged {', '.join(stmt.sources)} into {stmt.target} ({len(merged_rows)} rows)",
-            len(merged_rows),
-            timestamp,
-        )
-    )
     return out
 
 
@@ -373,7 +363,7 @@ def _date_column(col: Col, table: Table) -> int:
     return idx
 
 
-def exec_add_column(staging: StagingArea, stmt: AddColumn, *, timestamp: str = DEFAULT_TIMESTAMP) -> StagingArea:
+def exec_add_column(staging: StagingArea, stmt: AddColumn) -> StagingArea:
     table = staging.tables.get(stmt.table)
     if table is None:
         raise ValidationError(f"unknown table {stmt.table!r}")
@@ -387,9 +377,6 @@ def exec_add_column(staging: StagingArea, stmt: AddColumn, *, timestamp: str = D
     schema = replace(table.schema, columns=table.schema.columns + (ColumnDef(stmt.name, stmt.type, nullable=True),))
     out = staging.clone()
     out.tables[stmt.table] = Table(schema, rows)
-    out.log(
-        LineageEvent("statement", stmt.table, f"added column {stmt.name} ({len(rows)} rows)", len(rows), timestamp)
-    )
     return out
 
 
@@ -400,7 +387,7 @@ def _as_cell(vtype: ValueType):
     return lambda v: v
 
 
-def exec_remove_column(staging: StagingArea, stmt: RemoveColumn, *, timestamp: str = DEFAULT_TIMESTAMP) -> StagingArea:
+def exec_remove_column(staging: StagingArea, stmt: RemoveColumn) -> StagingArea:
     table = staging.tables.get(stmt.table)
     if table is None:
         raise ValidationError(f"unknown table {stmt.table!r}")
@@ -421,16 +408,14 @@ def exec_remove_column(staging: StagingArea, stmt: RemoveColumn, *, timestamp: s
     rows = [row[:idx] + row[idx + 1:] for row in table.rows]
     out = staging.clone()
     out.tables[stmt.table] = Table(schema, rows)
-    out.log(
-        LineageEvent("statement", stmt.table, f"removed column {stmt.name} ({len(rows)} rows)", len(rows), timestamp)
-    )
     return out
 
 
-def exec_clean(staging: StagingArea, stmt: Clean, *, timestamp: str = DEFAULT_TIMESTAMP) -> StagingArea:
+def exec_clean(staging: StagingArea, stmt: Clean) -> tuple[StagingArea, TableCleanseSlice]:
     """Apply one rule through the cleanse stage's row pass over the whole
     table, so a row is also quarantined for a raw cell, or a Null in a
-    non-nullable column, in any other column."""
+    non-nullable column, in any other column. Also return the pass's
+    slice, which counts the cells changed and the rows quarantined."""
     table = staging.tables.get(stmt.table)
     if table is None:
         raise ValidationError(f"unknown table {stmt.table!r}")
@@ -443,40 +428,37 @@ def exec_clean(staging: StagingArea, stmt: Clean, *, timestamp: str = DEFAULT_TI
     columns = table.schema.column_names
     for qr in slice_.quarantined:
         out.add_quarantine(stmt.table, columns, qr.reason, qr.fields)
-    changed = sum(s.cells_changed for s in slice_.rule_stats)
-    out.log(
-        LineageEvent(
-            "statement",
-            stmt.table,
-            f"cleaned {stmt.name} with {stmt.kind} (changed={changed} quarantined={slice_.rows_quarantined})",
-            changed + slice_.rows_quarantined,
-            timestamp,
-        )
-    )
-    return out
+    return out, slice_
 
 
-def _exec_statement(staging: StagingArea, stmt: Statement, timestamp: str) -> StagingArea:
+def _exec_statement(staging: StagingArea, stmt: Statement) -> tuple[StagingArea, dict]:
+    """The staging after ``stmt``, and the ``table`` it acted on and the
+    ``rows`` it affected: the rows it dropped, the rows of the table it
+    wrote, for a CLEAN the cells it changed plus the rows it quarantined
+    (each also given apart), and none for a declaration."""
     if isinstance(stmt, DropTable):
-        return exec_drop(staging, stmt.table, timestamp=timestamp)
-    if isinstance(stmt, Merge):
-        return exec_merge(staging, stmt, timestamp=timestamp)
-    if isinstance(stmt, AddColumn):
-        return exec_add_column(staging, stmt, timestamp=timestamp)
-    if isinstance(stmt, RemoveColumn):
-        return exec_remove_column(staging, stmt, timestamp=timestamp)
+        return exec_drop(staging, stmt.table), {"table": stmt.table, "rows": len(staging.tables[stmt.table].rows)}
     if isinstance(stmt, Clean):
-        return exec_clean(staging, stmt, timestamp=timestamp)
-    out = staging.clone()
+        out, slice_ = exec_clean(staging, stmt)
+        changed, quarantined = sum(s.cells_changed for s in slice_.rule_stats), slice_.rows_quarantined
+        return out, {"table": stmt.table, "rows": changed + quarantined, "cells_changed": changed, "rows_quarantined": quarantined}
     if isinstance(stmt, Fact):
+        out = staging.clone()
         out.fact_table = stmt.table
-        out.log(LineageEvent("statement", stmt.table, "declared fact", 0, timestamp))
-    elif isinstance(stmt, Dimension):
+        return out, {"table": stmt.table, "rows": 0}
+    if isinstance(stmt, Dimension):
+        out = staging.clone()
         out.dimensions.append((stmt.table, stmt.key))
-        out.log(LineageEvent("statement", stmt.table, f"declared dimension key {stmt.key}", 0, timestamp))
+        return out, {"table": stmt.table, "rows": 0}
+    if isinstance(stmt, Merge):
+        out, table = exec_merge(staging, stmt), stmt.target
+    elif isinstance(stmt, AddColumn):
+        out, table = exec_add_column(staging, stmt), stmt.table
+    elif isinstance(stmt, RemoveColumn):
+        out, table = exec_remove_column(staging, stmt), stmt.table
     else:
         raise ValidationError(f"unsupported statement {stmt!r}")
-    return out
+    return out, {"table": table, "rows": len(out.tables[table].rows)}
 
 
 @dataclass(frozen=True)
@@ -510,23 +492,28 @@ def validate_plan(plan: Plan, db: DatabaseSchema) -> DatabaseSchema:
     return final.schema()
 
 
-def execute_plan(staging: StagingArea, plan: Plan, *, timestamp: str = DEFAULT_TIMESTAMP) -> tuple[StagingArea, list[LineageEvent]]:
+def execute_plan(staging: StagingArea, plan: Plan, *, timestamp: str = DEFAULT_TIMESTAMP) -> tuple[StagingArea, dict]:
     """Run the plan's statements in order. The first statement that does
     not fit, in its schema or its data, raises PlanValidationError naming
     it; the input staging is then returned to the caller untouched. FACT
     and DIMENSION are recorded, not checked: ``validate_plan`` and
-    ``load`` check them. The returned lineage slice has one entry per
-    executed statement, in order. ``reports["transform"]["plan_hash"]``
-    is the SHA-256 of ``pretty_plan(plan)``; ``load`` records it."""
+    ``load`` check them.
+
+    Also return the stage's report, the staging's ``reports["transform"]``:
+    its ``timestamp``; ``plan_hash``, the SHA-256 of ``pretty_plan(plan)``,
+    which ``load`` records; and ``statements``, one entry per executed
+    statement, in order, with its ``statement`` text, ``table`` and
+    ``rows`` affected, and for a CLEAN its ``cells_changed`` and
+    ``rows_quarantined``."""
     current = staging
-    start = len(staging.lineage)
+    statements = []
     for i, stmt in enumerate(plan.statements):
         try:
-            current = _exec_statement(current, stmt, timestamp)
+            current, entry = _exec_statement(current, stmt)
         except ValidationError as exc:
             _refuse(i, str(exc))
-        # stamp statement provenance onto the one entry the step logged
-        current.lineage[-1] = replace(current.lineage[-1], statement_index=i, statement_text=pretty_stmt(stmt))
+        statements.append({"statement": pretty_stmt(stmt), **entry})
+    plan_hash = hashlib.sha256(pretty_plan(plan).encode("utf-8")).hexdigest()
     current = current.clone()
-    current.reports["transform"] = {"plan_hash": hashlib.sha256(pretty_plan(plan).encode("utf-8")).hexdigest()}
-    return current, current.lineage[start:]
+    current.reports["transform"] = report = {"timestamp": timestamp, "plan_hash": plan_hash, "statements": statements}
+    return current, report

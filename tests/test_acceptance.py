@@ -138,7 +138,7 @@ def test_criterion_03_merge_oracle(tmp_path):
         n = len(cleansed.tables["transcript"].rows)
         assert n <= 5000
         total_rows += n
-        merged = exec_merge(cleansed, stmt, timestamp=TS).tables["transcript"]
+        merged = exec_merge(cleansed, stmt).tables["transcript"]
         expected = left_merge_nested_loop(
             cleansed.tables, "transcript", ["department", "course", "section"], MERGE_CONDS, MERGE_KEEP
         )

@@ -367,8 +367,8 @@ def test_cleanse_staging_dirt_accounting(seed42_staging, seed42_ledger):
         sum(r["cells_changed"] for f in report.tables.values() for r in f["rules"])
         + sum(f["rows_quarantined"] for f in report.tables.values())
         + sum(d["exact_removed"] + d["pk_conflicts"] for d in report.dedup.values())
-        + sum(e["quarantined"] + e["nullified"] for e in report.reconcile.values())
-        + sum(t["rows_rejected"] for t in seed42_staging.reports["extraction"].values())
+        + sum(e["quarantined"] for e in report.reconcile.values())
+        + sum(t["rows_rejected"] for t in seed42_staging.reports["extraction"]["tables"].values())
     )
     assert touched >= len(seed42_ledger.entries)
     # reconcile counts each quarantined row once, under the FK it names
@@ -406,9 +406,10 @@ def test_rules_file_names_a_keyword_spelled_column():
 
 
 def test_report_json_and_text(seed42_staging):
-    _, report = cleanse_staging(seed42_staging, list(canonical.canonical_rules()), timestamp="T")
+    cleaned, report = cleanse_staging(seed42_staging, list(canonical.canonical_rules()), timestamp="T")
     payload = report.to_json_dict()
     assert set(payload) == {"tables", "dedup", "reconcile"}
+    assert cleaned.reports["cleanse"] == {"timestamp": "T", **payload}
     text = report.to_text()
     assert "cleanse report" in text and "total cells changed" in text
 

@@ -179,7 +179,7 @@ def test_inplace_stages_leave_only_dumped_files(tmp_path, cli_dirs, capsys):
 
 
 def test_plan_literal_with_a_line_separator_reaches_report_and_load(tmp_path, cli_dirs, capsys):
-    # the literal lands in lineage.log; every later stage must read it back
+    # the literal lands in the transform report; every later stage must read it back
     from uwh import canonical
     from uwh.staging import load_staging
 
@@ -190,9 +190,11 @@ def test_plan_literal_with_a_line_separator_reaches_report_and_load(tmp_path, cl
     assert _run(capsys, "extract", "--src", str(src), "--out", str(staging), "--timestamp", TS)[0] == 0
     assert _run(capsys, "cleanse", "--staging", str(staging), "--timestamp", TS)[0] == 0
     assert _run(capsys, "transform", "--staging", str(staging), "--plan", str(plan), "--timestamp", TS)[0] == 0
-    assert any("N\u2028A" in (e.statement_text or "") for e in load_staging(staging).lineage)
-    code, _, err = _run(capsys, "report", "--staging", str(staging))
+    statements = load_staging(staging).reports["transform"]["statements"]
+    assert statements[0]["statement"] == "CLEAN student.st_name WITH null_standardize('N\u2028A') ;"
+    code, out, err = _run(capsys, "report", "--staging", str(staging))
     assert code == 0, err
+    assert "statement 0: CLEAN student.st_name WITH null_standardize('N\u2028A') ;" in out
     code, _, err = _run(capsys, "load", "--staging", str(staging), "--out", str(tmp_path / "wh"), "--timestamp", TS)
     assert code == 0, err
 
@@ -607,6 +609,16 @@ def test_report_staging_text_and_json(cli_dirs, tmp_path, capsys):
     assert payload["reports"]["extraction"]
 
 
+@pytest.mark.parametrize("transform", [5, {"statements": 5}, {"statements": [{"statement": "DROP TABLE t ;"}]}])
+def test_report_staging_prints_no_statement_of_a_malformed_transform_report(tmp_path, extracted_dir, capsys, transform):
+    staging = _copy(extracted_dir, tmp_path)
+    meta = json.loads((staging / "meta.json").read_text())
+    meta["reports"]["transform"] = transform
+    (staging / "meta.json").write_text(json.dumps(meta))
+    code, out, err = _run(capsys, "report", "--staging", str(staging))
+    assert code == 0 and "staging report" in out and "statement" not in out, err
+
+
 def test_report_warehouse(cli_dirs, capsys):
     _, _, wh = cli_dirs
     code, out, _ = _run(capsys, "report", "--warehouse", str(wh))
@@ -803,7 +815,7 @@ def test_no_stage_mutates_the_staging_it_received(tmp_path, extracted_dir, stage
 
     runs = {
         "cleanse_staging": (extracted_dir, lambda s: cleanse_staging(s, list(canonical.canonical_rules()), timestamp=TS)),
-        "reconcile_foreign_keys": (extracted_dir, lambda s: reconcile_foreign_keys(s, timestamp=TS)),
+        "reconcile_foreign_keys": (extracted_dir, lambda s: reconcile_foreign_keys(s)),
         "execute_plan": (staged_dirs["transform"], lambda s: execute_plan(s, canonical.canonical_plan(), timestamp=TS)),
         "load": (staged_dirs["load"], lambda s: load(tmp_path / "wh", s, timestamp=TS)),
     }

@@ -30,7 +30,7 @@ WAREHOUSE = {
     "alumni.2.col": "c09ba2db565bc02e3dfc3e3f9ecc8a1d1b53d760325a817e31c3c51be5eb41c5",
     "alumni.3.col": "fa09f9d4d4af0ba4d3bbfed65a2fd2d2e2637816172800d61f73b470ef4ea68a",
     "alumni.4.col": "9e526cd58ec96c443e850e34d2b1bcef82ce0691ae5e8d27c8c3c136ae2b7abf",
-    "catalog.json": "bd471c86444faa3c3f02308e86d2f775db6343df381ed3c37fb569b6a7aa27a7",
+    "catalog.json": "b0cfee0767d27562120e9f4f8e080c441fce8b364460459cf82358c372a060c8",
     "instructor.0.col": "f8ff5e287f4c6daa02f6c83e838dff7bf31744f23739f31d94a12bd2b45e6a74",
     "instructor.1.col": "4d168024decf9092935ff1499af30a1a5d38788affd0e381e292857ee7f40032",
     "instructor.2.col": "53e46b942050dfdac0846e6b7e4328fe37ca890da409d56850af241b547d8272",
@@ -79,9 +79,8 @@ STAGING = {
     "department.csv": "2e42cb50ecec05ed62c0abeaa22097275a7395f780484bdba3cc6dab6d4b15fa",
     "instructor.csv": "6154df690fc45a954531cb792f53abb86b14482fe9fdb12116b986a5938cdcdc",
     "item.csv": "d7b356aea58a729ea09f7ae9c5d2b264f602c19e3c94640036aa397169e98704",
-    "lineage.log": "6f79bd64085955ab66a683e23ed395c483a87165b2d762ebbbf18662297b3d60",
     "major.csv": "db26fd38cb2454e13d734f095d7a926995643db675483306e276736704b94347",
-    "meta.json": "aac1062ffe4484d662b73f24c5140f0639e4c52012c58c08dc4a5c3ab6855209",
+    "meta.json": "dfcd634ae9f30daac82f946c390c3132d88b0d4bdae1039aed88ef690515e18e",
     "quarantine/receipt.csv": "33e1ee54de042f35a9fa783b10bd5ec3faeb0ac6e858adfd280c086ece1f8b21",
     "quarantine/student.csv": "7e02476563d50bea4774aef196fb71ba9217aa0e75e16e94bd3d834d7ee636f0",
     "receipt.csv": "b6eef44f133e4ce44fb8864f59a339211cd433d49ec1f3d8e9d5bd83c6f2da4e",
@@ -92,7 +91,7 @@ STAGING = {
     "transcript.csv": "9f4643f672acb8931105b8b4bcfadcedf15fa5e228f734fea3830c58207e1f20",
 }
 
-# the seed-42 staging after cleanse: quarantine files, reasons, report, lineage
+# the seed-42 staging after cleanse: quarantine files, reasons, report
 CLEANSED = {
     "account.csv": "a8924bb965df2144106af0f3f84e1cc946cf6a8f88fb66afe7f421e4d12b20f2",
     "activities.csv": "0564691ae606a625f28fd10a7fdb406f7abc267e41a863e3f56a081814e9a825",
@@ -102,9 +101,8 @@ CLEANSED = {
     "department.csv": "3ab8dad8ce56c1860c97ba31264d8ac7ebcc228a41fcaf5118cedd3a54b9df3b",
     "instructor.csv": "7ef1d3662cb0c0e4e8169613ebb94fd11257c5cbde90e7c97233a9b0b4f0bdcf",
     "item.csv": "8051a26016531ee9d656a176d5e04e94f09763806673ab52c68be4a4f19d24a2",
-    "lineage.log": "77f6233f358887a060a610902dc46c765ce435d656e2c28e4340bd94b12d6c4b",
     "major.csv": "5289cf1fbeb071c2079573af31a0ab04cb3eba2e2fde9c2f345b148d27ece4c2",
-    "meta.json": "4b86e6b6607b8adc749531cfbc20a3aadb465d4c2ae639e13d67775cc91223df",
+    "meta.json": "c2047e15a8eba2786c9f369358e9ad5dc2cb496b15e5385401a0ed7304f2a7f5",
     "quarantine/account.csv": "489baaf9291af5d660ea0010fe47a0dffba0ccf3c5af6f6baa82012bb2086a18",
     "quarantine/activities.csv": "b700ddc3d2f15cf40f943e7f7129f94a2c1ffd510905c9060675227ab1ae12dc",
     "quarantine/alumni.csv": "f71e51b24f664b41cbf0b0c9a94efb02c843cddd6f1d8f0b8fb5a7549dfc5d1a",
@@ -122,14 +120,13 @@ CLEANSED = {
     "transcript.csv": "20d8acf5b42b80ec57e83168d20017721666cc46b38c505de3d8524f77055644",
 }
 
-# the seed-42 staging after the canonical plan: lineage stamping, plan hash
+# the seed-42 staging after the canonical plan: statement entries, plan hash
 TRANSFORMED = {
     "account.csv": "a8924bb965df2144106af0f3f84e1cc946cf6a8f88fb66afe7f421e4d12b20f2",
     "alumni.csv": "7e4cdc238eec67ac0e94cb9c5bae2dee8e71951bc09dc487a94c82628f4ecd7e",
     "instructor.csv": "7ef1d3662cb0c0e4e8169613ebb94fd11257c5cbde90e7c97233a9b0b4f0bdcf",
-    "lineage.log": "8b9495c2600d945b868c4b9b860c799197f1da294a82d161ea30c9fe44a6603f",
     "major.csv": "5289cf1fbeb071c2079573af31a0ab04cb3eba2e2fde9c2f345b148d27ece4c2",
-    "meta.json": "49ddfc2ca5fb2633c86e7cbecb06dc2d18fcf987f75ffb576653ec9df5aeee1d",
+    "meta.json": "9c0b34b0058fee9b38cecab1881fca83e059f76a4619a27086bc11c748fdaff1",
     "quarantine/account.csv": "489baaf9291af5d660ea0010fe47a0dffba0ccf3c5af6f6baa82012bb2086a18",
     "quarantine/activities.csv": "b700ddc3d2f15cf40f943e7f7129f94a2c1ffd510905c9060675227ab1ae12dc",
     "quarantine/alumni.csv": "f71e51b24f664b41cbf0b0c9a94efb02c843cddd6f1d8f0b8fb5a7549dfc5d1a",
@@ -156,9 +153,8 @@ CLEANSED_DIRTY = {
     "department.csv": "3ab8dad8ce56c1860c97ba31264d8ac7ebcc228a41fcaf5118cedd3a54b9df3b",
     "instructor.csv": "7ef1d3662cb0c0e4e8169613ebb94fd11257c5cbde90e7c97233a9b0b4f0bdcf",
     "item.csv": "099956571fc59324f459d382a5adbd41b2932e8a052e6a98b580eb8f6de89eab",
-    "lineage.log": "52d931f78b18fca72ca8df2bb202c880f003c8788a15c7b68449457a71e31151",
     "major.csv": "5289cf1fbeb071c2079573af31a0ab04cb3eba2e2fde9c2f345b148d27ece4c2",
-    "meta.json": "a9110df8acb5708d3f59b4efe500f82361638ac39f08532ae118384078e401a7",
+    "meta.json": "cd059a5a0683a5b6927f90803366ec77b4b9cf752e98dc4daa6e3b1a48eea724",
     "quarantine/account.csv": "787884500af3df950dba28e6fc3ba6c155f305ba1e149c6a71f91c86b7e8a509",
     "quarantine/activities.csv": "733c0b73a754a4d5a6c5b37cf3e20cb49220e3a793725dd1000decf4c33d780e",
     "quarantine/alumni.csv": "f2211e0bfc1c0710a9e0821259a3268cdc84a9fbccfa8df1304015106cd91074",

@@ -1,8 +1,9 @@
 """Metamorphic relations over extract and cleanse: an edit of the source
 CSVs whose effect on the dumps is known in advance, checked byte for byte
-on a generated drop (seed 5, 200 students, dirty-rate 0.1), CRLF line
-ends checked against the seed-42 golden warehouse, and shuffled source
-rows checked against the seed-42 relations as row multisets.
+on a generated drop (seed 5, 200 students, dirty-rate 0.1), as is a
+change of ``--timestamp``; CRLF line ends checked against the seed-42
+golden warehouse, and shuffled source rows checked against the seed-42
+relations as row multisets.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from conftest import TS
 from test_golden import WAREHOUSE, _digests
 from uwh import canonical
 from uwh.cleanse import cleanse_staging
+from uwh.cli import run
 from uwh.csvio import format_row, iter_records
 from uwh.datagen import GenConfig, generate
 from uwh.ingest import extract_database
@@ -99,7 +101,7 @@ def test_exact_copy_of_surviving_student_changes_only_counts(drop, tmp_path):
 
     # every table and quarantine file is byte-identical
     assert sorted(cleansed2) == sorted(cleansed)
-    assert [f for f in cleansed if cleansed[f] != cleansed2[f]] == ["lineage.log", "meta.json"]
+    assert [f for f in cleansed if cleansed[f] != cleansed2[f]] == ["meta.json"]
 
     # the report moves by one row: read, staged, into cleanse and past each
     # student rule, then removed as an exact duplicate
@@ -109,19 +111,37 @@ def test_exact_copy_of_surviving_student_changes_only_counts(drop, tmp_path):
     moved = {path for path in before if before[path] != after[path]}
     rules = len(cleansed_staging.reports["cleanse"]["tables"]["student"]["rules"])
     assert moved == {
-        ("reports", "extraction", "student", "rows_read"),
-        ("reports", "extraction", "student", "rows_staged"),
+        ("reports", "extraction", "tables", "student", "rows_read"),
+        ("reports", "extraction", "tables", "student", "rows_staged"),
         ("reports", "cleanse", "tables", "student", "rows_in"),
         ("reports", "cleanse", "dedup", "student", "exact_removed"),
     } | {("reports", "cleanse", "tables", "student", "rules", r, "cells_examined") for r in range(rules)}
     assert all(after[path] == before[path] + 1 for path in moved)
 
-    # lineage: only student's extract and cleanse lines change
-    old = cleansed["lineage.log"].decode("utf-8").splitlines()
-    new = cleansed2["lineage.log"].decode("utf-8").splitlines()
-    assert len(old) == len(new)
-    changed = [(a.split("\t")[:2], b.split("\t")[:2]) for a, b in zip(old, new) if a != b]
-    assert changed == [(["extract", "student"], ["extract", "student"]), (["cleanse", "student"], ["cleanse", "student"])]
+
+def _stages(src, out, timestamp: str) -> dict[str, bytes]:
+    """The files of the staging dump that extract, cleanse and transform
+    write to ``out`` from ``src``, each run with ``--timestamp``."""
+    for argv in (
+        ["extract", "--src", str(src), "--out", str(out)],
+        ["cleanse", "--staging", str(out)],
+        ["transform", "--staging", str(out)],
+    ):
+        assert run([*argv, "--timestamp", timestamp]) == 0
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def test_the_timestamp_moves_only_the_timestamps_of_meta_json(drop, tmp_path):
+    src = drop[0]
+    first = _stages(src, tmp_path / "a", TS)
+    assert _stages(src, tmp_path / "b", TS) == first
+    later = _stages(src, tmp_path / "c", "2027-06-30T12:00:00Z")
+    assert [f for f in first if first[f] != later[f]] == ["meta.json"] and later.keys() == first.keys()
+    before = dict(_leaves(json.loads(first["meta.json"])))
+    after = dict(_leaves(json.loads(later["meta.json"])))
+    assert before.keys() == after.keys()
+    moved = {path: after[path] for path in before if before[path] != after[path]}
+    assert moved == {("reports", stage, "timestamp"): "2027-06-30T12:00:00Z" for stage in ("extraction", "cleanse", "transform")}
 
 
 def test_crlf_sources_give_the_golden_warehouse(seed42_src, tmp_path):

@@ -65,7 +65,7 @@ def _oracle_fixpoint(tables: dict[str, Table]):
             return tables, quarantine, rounds, per_fk
         rounds += 1
         for _, label, _ in orphans:
-            per_fk.setdefault(label, {"policy": "quarantine", "quarantined": 0, "nullified": 0})
+            per_fk.setdefault(label, {"quarantined": 0})
         for name, table in tables.items():
             rows = []
             for n, row in enumerate(table.rows):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import schema_after
+from conftest import TS as FIXTURE_TS, schema_after
 from oracles import derivation_reference, difficulty_recompute, left_merge_nested_loop, paid_on_due_recompute
 from uwh import canonical
 from uwh.cleanse import cleanse_staging
@@ -16,7 +16,7 @@ from uwh.datagen import GenConfig, generate
 from uwh.errors import PlanValidationError, ValidationError
 from uwh.ingest import extract_database
 from uwh.manifest import parse_schema_manifest
-from uwh.plan import AddColumn, Clean, DropTable, Merge, Plan, RemoveColumn, parse_plan
+from uwh.plan import AddColumn, Clean, DropTable, Merge, Plan, RemoveColumn, parse_plan, pretty_stmt
 from uwh.schema import Table
 from uwh.staging import QRow, StagingArea, staging_fingerprint
 from uwh.transform import (
@@ -59,8 +59,8 @@ MERGE_KEEP = [
 
 
 def test_exec_drop_assets_and_item(seed42_cleansed):
-    staging = exec_drop(seed42_cleansed, "assets", timestamp=TS)
-    staging = exec_drop(staging, "item", timestamp=TS)
+    staging = exec_drop(seed42_cleansed, "assets")
+    staging = exec_drop(staging, "item")
     assert "assets" not in staging.tables and "item" not in staging.tables
     assert len(staging.tables) == 12
     # the input staging is untouched
@@ -76,9 +76,9 @@ def test_exec_drop_unknown_table():
 def test_exec_drop_empty_table_logs_zero_rows():
     db = parse_schema_manifest("TABLE t\n  id INTEGER PK\n")
     staging = StagingArea(tables={"t": Table(db.tables["t"], [])})
-    out = exec_drop(staging, "t", timestamp=TS)
+    out, report = execute_plan(staging, parse_plan("DROP TABLE t ;"), timestamp=TS)
     assert not out.tables
-    assert out.lineage[-1].rows_affected == 0
+    assert report["statements"] == [{"statement": "DROP TABLE t ;", "table": "t", "rows": 0}]
 
 
 # --- merge ---------------------------------------------------------------------
@@ -87,7 +87,7 @@ def test_exec_drop_empty_table_logs_zero_rows():
 def test_exec_merge_matches_nested_loop_oracle(seed42_cleansed):
     stmt = parse_plan(CANONICAL_MERGE).statements[0]
     before = len(seed42_cleansed.tables["transcript"].rows)
-    out = exec_merge(seed42_cleansed, stmt, timestamp=TS)
+    out = exec_merge(seed42_cleansed, stmt)
     merged = out.tables["transcript"]
     assert len(merged.rows) == before  # left join preserves the base
     for name in ("department", "course", "section"):
@@ -105,7 +105,7 @@ def test_exec_merge_into_new_table(seed42_cleansed):
         " ON registrationActivities.reg_act_id = activities.act_id"
         " KEEP activities.act_name, activities.act_type, activities.ac_supervisor ;"
     ).statements[0]
-    out = exec_merge(seed42_cleansed, stmt, timestamp=TS)
+    out = exec_merge(seed42_cleansed, stmt)
     assert "registeredActivities" in out.tables
     assert "activities" not in out.tables and "registrationActivities" not in out.tables
     merged = out.tables["registeredActivities"]
@@ -136,7 +136,7 @@ def test_exec_merge_empty_base_widens_schema():
         }
     )
     stmt = parse_plan("MERGE side, other INTO base ON base.ref = side.sid AND other.oid = side.sid KEEP side.label ;").statements[0]
-    out = exec_merge(staging, stmt, timestamp=TS)
+    out = exec_merge(staging, stmt)
     assert out.tables["base"].rows == []
     assert out.tables["base"].schema.column_names == ("id", "ref", "label")
 
@@ -150,7 +150,7 @@ def test_exec_merge_ambiguous_join_is_an_error(seed42_cleansed):
         " KEEP course.co_name ;"
     ).statements[0]
     with pytest.raises(ValidationError) as exc:
-        exec_merge(seed42_cleansed, stmt, timestamp=TS)
+        exec_merge(seed42_cleansed, stmt)
     assert "more than one row" in str(exc.value)
 
 
@@ -170,7 +170,7 @@ def test_merge_unmatched_base_rows_keep_nulls():
     stmt = parse_plan(
         "MERGE s1, s2 INTO base ON base.ref = s1.sid AND s2.sid_ref = s1.sid KEEP s1.label, s2.tag ;"
     ).statements[0]
-    out = exec_merge(staging, stmt, timestamp=TS)
+    out = exec_merge(staging, stmt)
     assert out.tables["base"].rows == [(1, 10, "hit", "deep"), (2, 99, None, None), (3, None, None, None)]
 
 
@@ -215,7 +215,7 @@ def test_exec_merge_matches_nested_loop_oracle_on_random_tables(base, s1, s2):
     stmt = parse_plan(
         "MERGE s2, s1 INTO b ON b.x = s1.a AND b.y = s1.c AND s1.link = s2.ref KEEP s1.sid, s2.tag, s1.a ;"
     ).statements[0]
-    out = exec_merge(StagingArea(tables=dict(tables)), stmt, timestamp=TS)
+    out = exec_merge(StagingArea(tables=dict(tables)), stmt)
     expected = left_merge_nested_loop(
         tables,
         "b",
@@ -238,7 +238,7 @@ def test_merge_with_no_keep_columns_keeps_every_base_row():
             "s2": Table(MERGE_DB.tables["s2"], [(0, 5, "p")]),
         }
     )
-    out = exec_merge(staging, stmt, timestamp=TS)
+    out = exec_merge(staging, stmt)
     assert out.tables["b"].rows == rows and list(out.tables) == ["b"]
 
 
@@ -248,7 +248,7 @@ def test_merge_with_no_keep_columns_keeps_every_base_row():
 def _derived(table, text):
     """The cells ``ADD COLUMN`` derives for the rows of ``table``, in order."""
     stmt = parse_plan(text).statements[0]
-    out = exec_add_column(StagingArea(tables={table.name: table}), stmt, timestamp=TS)
+    out = exec_add_column(StagingArea(tables={table.name: table}), stmt)
     return [row[-1] for row in out.tables[table.name].rows]
 
 
@@ -313,9 +313,18 @@ def test_clean_quarantines_a_raw_cell_in_another_column():
     db = parse_schema_manifest("TABLE r\n  id INTEGER PK\n  paid DATE NULL\n  due DATE NULL\n")
     rows = [(1, RawCell("01/09/2011"), RawCell("soon")), (2, None, date(2011, 1, 1))]
     staging = StagingArea(tables={"r": Table(db.tables["r"], rows)})
-    out, _ = execute_plan(staging, parse_plan("CLEAN r.paid WITH normalize_date('day_first', 'iso') ;"), timestamp=TS)
+    out, report = execute_plan(staging, parse_plan("CLEAN r.paid WITH normalize_date('day_first', 'iso') ;"), timestamp=TS)
     assert out.tables["r"].rows == [(2, None, date(2011, 1, 1))]
     assert out.quarantine["r"].rows == [QRow("type:due", ("1", "2011-09-01", "soon"))]
+    # the rule changed the paid cell of the row the row check then quarantined
+    [entry] = report["statements"]
+    assert entry == {
+        "statement": "CLEAN r.paid WITH normalize_date('day_first', 'iso') ;",
+        "table": "r",
+        "rows": 2,
+        "cells_changed": 1,
+        "rows_quarantined": 1,
+    }
 
 
 DIFFICULTY_80_65 = "ADD COLUMN g.d TEXT AS DIFFICULTY(g.grade GROUP BY g.code THRESHOLDS 80, 65) ;"
@@ -481,7 +490,7 @@ def test_add_paid_on_due_column_matches_recompute(seed42_cleansed):
     stmt = parse_plan(
         "ADD COLUMN receipt.re_paidOnDueDate BOOLEAN AS PAID_ON_DUE(receipt.re_dateOfPayment, receipt.re_dueDate) ;"
     ).statements[0]
-    out = exec_add_column(seed42_cleansed, stmt, timestamp=TS)
+    out = exec_add_column(seed42_cleansed, stmt)
     table = out.tables["receipt"]
     schema = table.schema
     p = schema.column_index("re_dateOfPayment")
@@ -493,12 +502,12 @@ def test_add_paid_on_due_column_matches_recompute(seed42_cleansed):
 
 
 def test_add_difficulty_column_matches_recompute(seed42_cleansed):
-    merged = exec_merge(seed42_cleansed, parse_plan(CANONICAL_MERGE).statements[0], timestamp=TS)
+    merged = exec_merge(seed42_cleansed, parse_plan(CANONICAL_MERGE).statements[0])
     stmt = parse_plan(
         "ADD COLUMN transcript.tr_courseDifficulty TEXT"
         " AS DIFFICULTY(transcript.tr_grade GROUP BY transcript.co_code THRESHOLDS 80, 65) ;"
     ).statements[0]
-    out = exec_add_column(merged, stmt, timestamp=TS)
+    out = exec_add_column(merged, stmt)
     table = out.tables["transcript"]
     g = table.schema.column_index("tr_grade")
     k = table.schema.column_index("co_code")
@@ -512,7 +521,7 @@ def test_add_difficulty_column_matches_recompute(seed42_cleansed):
 def test_difficulty_is_order_independent(seed42_cleansed):
     import random
 
-    merged = exec_merge(seed42_cleansed, parse_plan(CANONICAL_MERGE).statements[0], timestamp=TS)
+    merged = exec_merge(seed42_cleansed, parse_plan(CANONICAL_MERGE).statements[0])
     stmt = parse_plan(
         "ADD COLUMN transcript.tr_courseDifficulty TEXT"
         " AS DIFFICULTY(transcript.tr_grade GROUP BY transcript.co_code THRESHOLDS 80, 65) ;"
@@ -521,8 +530,8 @@ def test_difficulty_is_order_independent(seed42_cleansed):
     rows = list(shuffled.tables["transcript"].rows)
     random.Random(5).shuffle(rows)
     shuffled.tables["transcript"] = Table(shuffled.tables["transcript"].schema, rows)
-    a = exec_add_column(merged, stmt, timestamp=TS).tables["transcript"]
-    b = exec_add_column(shuffled, stmt, timestamp=TS).tables["transcript"]
+    a = exec_add_column(merged, stmt).tables["transcript"]
+    b = exec_add_column(shuffled, stmt).tables["transcript"]
     key = lambda r: tuple(render_cell(c) for c in r)
     assert sorted(map(key, a.rows)) == sorted(map(key, b.rows))
 
@@ -530,7 +539,7 @@ def test_difficulty_is_order_independent(seed42_cleansed):
 def test_add_column_to_empty_table():
     db = parse_schema_manifest("TABLE t\n  id INTEGER PK\n")
     staging = StagingArea(tables={"t": Table(db.tables["t"], [])})
-    out = exec_add_column(staging, parse_plan("ADD COLUMN t.x INTEGER AS 5 ;").statements[0], timestamp=TS)
+    out = exec_add_column(staging, parse_plan("ADD COLUMN t.x INTEGER AS 5 ;").statements[0])
     assert out.tables["t"].schema.column_names == ("id", "x")
     assert out.tables["t"].rows == []
 
@@ -567,12 +576,9 @@ def test_remove_columns_canonical_sequence(seed42_cleansed):
         parse_plan(
             "ADD COLUMN receipt.re_paidOnDueDate BOOLEAN AS PAID_ON_DUE(receipt.re_dateOfPayment, receipt.re_dueDate) ;"
         ).statements[0],
-        timestamp=TS,
     )
-    staging = exec_remove_column(staging, parse_plan("REMOVE COLUMN receipt.re_dueDate ;").statements[0], timestamp=TS)
-    staging = exec_remove_column(
-        staging, parse_plan("REMOVE COLUMN receipt.re_dateOfPayment ;").statements[0], timestamp=TS
-    )
+    staging = exec_remove_column(staging, parse_plan("REMOVE COLUMN receipt.re_dueDate ;").statements[0])
+    staging = exec_remove_column(staging, parse_plan("REMOVE COLUMN receipt.re_dateOfPayment ;").statements[0])
     cols = staging.tables["receipt"].schema.column_names
     assert "re_dueDate" not in cols and "re_dateOfPayment" not in cols
     assert "re_paidOnDueDate" in cols
@@ -598,7 +604,7 @@ def _column_hash(table, name):
 def test_remove_column_leaves_others_untouched(seed42_cleansed):
     before = seed42_cleansed.tables["student"]
     hashes = {c: _column_hash(before, c) for c in before.schema.column_names if c != "st_phone"}
-    out = exec_remove_column(seed42_cleansed, parse_plan("REMOVE COLUMN student.st_phone ;").statements[0], timestamp=TS)
+    out = exec_remove_column(seed42_cleansed, parse_plan("REMOVE COLUMN student.st_phone ;").statements[0])
     after = out.tables["student"]
     assert len(after.schema.columns) == len(before.schema.columns) - 1
     for c, h in hashes.items():
@@ -611,7 +617,7 @@ def test_add_column_leaves_others_untouched(seed42_cleansed):
     stmt = parse_plan(
         "ADD COLUMN receipt.re_paidOnDueDate BOOLEAN AS PAID_ON_DUE(receipt.re_dateOfPayment, receipt.re_dueDate) ;"
     ).statements[0]
-    after = exec_add_column(seed42_cleansed, stmt, timestamp=TS).tables["receipt"]
+    after = exec_add_column(seed42_cleansed, stmt).tables["receipt"]
     assert len(after.schema.columns) == len(before.schema.columns) + 1
     for c, h in hashes.items():
         assert _column_hash(after, c) == h, c
@@ -626,10 +632,9 @@ def test_execute_canonical_plan_shape(seed42_transformed):
     assert [d for d, _ in seed42_transformed.dimensions] == [
         "student", "major", "instructor", "account", "receipt", "registeredActivities", "alumni",
     ]
-    lineage_stmts = [e for e in seed42_transformed.lineage if e.stage == "statement"]
-    assert len(lineage_stmts) == 19
-    assert [e.statement_index for e in lineage_stmts] == list(range(19))
-    assert all(e.statement_text for e in lineage_stmts)
+    report = seed42_transformed.reports["transform"]
+    assert report["timestamp"] == FIXTURE_TS
+    assert [s["statement"] for s in report["statements"]] == list(map(pretty_stmt, canonical.canonical_plan().statements))
 
 
 def test_execute_plan_is_deterministic(seed42_cleansed):
@@ -667,9 +672,9 @@ def test_execute_plan_validates_first(seed42_cleansed):
 
 def _run_step(staging, stmt):
     if isinstance(stmt, DropTable):
-        return exec_drop(staging, stmt.table, timestamp=TS)
+        return exec_drop(staging, stmt.table)
     step = {Merge: exec_merge, AddColumn: exec_add_column, RemoveColumn: exec_remove_column, Clean: exec_clean}
-    return step[type(stmt)](staging, stmt, timestamp=TS)
+    return step[type(stmt)](staging, stmt)
 
 
 @pytest.mark.parametrize(
@@ -736,5 +741,5 @@ def test_merge_preserves_cardinality_across_seeds():
         cleansed, _ = cleanse_staging(staging, list(canonical.canonical_rules()), timestamp=TS)
         stmt = parse_plan(CANONICAL_MERGE).statements[0]
         before = len(cleansed.tables["transcript"].rows)
-        out = exec_merge(cleansed, stmt, timestamp=TS)
+        out = exec_merge(cleansed, stmt)
         assert len(out.tables["transcript"].rows) == before
