@@ -294,10 +294,11 @@ def reconcile_foreign_keys(staging: StagingArea) -> tuple[StagingArea, Reconcile
         # a quarantined row counts once, under the FK its reason names
         for name, doomed in drops.items():
             table = staging.tables[name]
-            columns = table.schema.column_names
+            orphans = []
             for i, label in sorted(doomed.items()):
                 stats.per_fk[label]["quarantined"] += 1
-                staging.add_quarantine(name, columns, f"orphan:{label}", tuple(map(render_cell, table.rows[i])))
+                orphans.append(QRow(f"orphan:{label}", tuple(map(render_cell, table.rows[i]))))
+            staging.add_quarantine(name, table.schema.column_names, orphans)
             staging.tables[name] = Table(table.schema, [row for i, row in enumerate(table.rows) if i not in doomed])
         # only an FK into a table that shrank can gain an orphan
         report = check_referential_integrity(staging.tables, targets=set(drops))
@@ -360,11 +361,9 @@ def cleanse_staging(
             cleaned, slice_ = cleanse_table(table, table_rules)
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
-        for qr in slice_.quarantined:
-            staging.add_quarantine(name, columns, qr.reason, qr.fields)
+        staging.add_quarantine(name, columns, slice_.quarantined)
         deduped, dslice = dedup(cleaned)
-        for qr in dslice.quarantined:
-            staging.add_quarantine(name, columns, qr.reason, qr.fields)
+        staging.add_quarantine(name, columns, dslice.quarantined)
         staging.tables[name] = deduped
         report.tables[name] = {
             "rows_in": slice_.rows_in,

@@ -171,8 +171,11 @@ def _cmd_build(args) -> int:
     validate_plan(plan, staging.schema())
     cleaned, _ = cleanse_staging(staging, rules, timestamp=args.timestamp)
     transformed, _ = execute_plan(cleaned, plan, timestamp=args.timestamp)
-    # load writes the kept staging first: a build that fails while loading leaves the dump
-    catalog = load(out, transformed, timestamp=args.timestamp, keep_staging=kept)
+    try:  # a build that fails while loading still leaves the kept staging
+        catalog = load(out, transformed, timestamp=args.timestamp)
+    finally:
+        if kept:
+            dump_staging(transformed, kept)
     quarantined = sum(map(len, transformed.quarantine.values()))
     print(
         f"warehouse ready at {out}: {len(catalog['relations'])} relations, "

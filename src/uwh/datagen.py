@@ -76,7 +76,7 @@ class DirtLedger:
 
     @classmethod
     def from_csv(cls, data: bytes, file: str) -> "DirtLedger":
-        rows = [fields for fields, _ in read_records(data, file, ValidationError)]
+        rows = [fields for fields, _ in read_records(data, file)]
         if not rows or tuple(rows[0]) != _LEDGER_COLUMNS or any(len(r) != len(_LEDGER_COLUMNS) for r in rows):
             raise ValidationError(f"{file}: not a dirt ledger file")
         return cls([DirtEntry(*r) for r in rows[1:]])

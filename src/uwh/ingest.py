@@ -60,15 +60,13 @@ class ExtractionReport:
         }
 
 
-def extract_table(source: str | bytes, schema: TableSchema) -> tuple[Table, TableExtraction, Quarantine]:
-    """Extract one table from CSV text or bytes.
+def extract_table(source: bytes, schema: TableSchema) -> tuple[Table, TableExtraction, Quarantine]:
+    """Extract one table from the bytes of its CSV file.
 
     The header must name exactly the schema's columns, in any order;
     staged rows are normalized to schema order.
     """
-    if isinstance(source, str):
-        source = source.encode("utf-8")
-    records = read_records(source, schema.name, ValidationError)
+    records = read_records(source, schema.name)
     header, _ = next(records, (None, None))
     if header is None:
         raise ValidationError(f"{schema.name}: missing header row")
@@ -94,14 +92,14 @@ def extract_table(source: str | bytes, schema: TableSchema) -> tuple[Table, Tabl
         stats.rows_read += 1
         if cells is None:
             stats.reject("arity")
-            quarantine.rows.append(QRow("arity", tuple(fields)))
+            quarantine.append(QRow("arity", tuple(fields)))
             continue
         if permuted:
             cells = tuple([cells[pos] for pos in order])
         for i, name in required:
             if cells[i] is None:
                 stats.reject("null-in-nonnullable")
-                quarantine.rows.append(QRow(f"null-in-nonnullable:{name}", tuple(fields[pos] for pos in order)))
+                quarantine.append(QRow(f"null-in-nonnullable:{name}", tuple(fields[pos] for pos in order)))
                 stats.raw_cells -= sum(isinstance(v, RawCell) for v in cells)
                 break
         else:
@@ -129,7 +127,7 @@ def extract_database(
             raise MissingInputError(f"cannot read {path}: {exc}") from exc
         table, stats, quarantine = extract_table(data, schema)
         staging.tables[name] = table
-        if quarantine.rows:
+        if len(quarantine):
             staging.quarantine[name] = quarantine
         report.tables[name] = stats
     report.check_conservation()

@@ -35,7 +35,6 @@ class Expr:
 class Lit(Expr):
     value: object
     line: int = field(**_POS)
-    column: int = field(**_POS)
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,6 @@ class Col(Expr):
     table: str
     name: str
     line: int = field(**_POS)
-    column: int = field(**_POS)
 
     def __str__(self) -> str:
         return f"{self.table}.{self.name}"
@@ -55,7 +53,6 @@ class Cmp(Expr):
     left: Expr
     right: Expr
     line: int = field(**_POS)
-    column: int = field(**_POS)
 
 
 @dataclass(frozen=True)
@@ -64,14 +61,12 @@ class Logical(Expr):
     left: Expr
     right: Expr
     line: int = field(**_POS)
-    column: int = field(**_POS)
 
 
 @dataclass(frozen=True)
 class Not(Expr):
     operand: Expr
     line: int = field(**_POS)
-    column: int = field(**_POS)
 
 
 @dataclass(frozen=True)
@@ -79,14 +74,12 @@ class Coalesce(Expr):
     first: Expr
     second: Expr
     line: int = field(**_POS)
-    column: int = field(**_POS)
 
 
 @dataclass(frozen=True)
 class IsNull(Expr):
     operand: Expr
     line: int = field(**_POS)
-    column: int = field(**_POS)
 
 
 @dataclass(frozen=True)
@@ -94,7 +87,6 @@ class PaidOnDue(Expr):
     payment: Col
     due: Col
     line: int = field(**_POS)
-    column: int = field(**_POS)
 
 
 @dataclass(frozen=True)
@@ -104,7 +96,6 @@ class Difficulty(Expr):
     hi: Decimal
     lo: Decimal
     line: int = field(**_POS)
-    column: int = field(**_POS)
 
 
 @dataclass(frozen=True)
@@ -238,7 +229,7 @@ class _Parser:
         table = self.expect_name()
         self.expect_symbol(".")
         name = self.expect_name()
-        return Col(table.lexeme, name.lexeme, table.line, table.column)
+        return Col(table.lexeme, name.lexeme, table.line)
 
     def literal(self):
         tok = self.peek()
@@ -265,20 +256,20 @@ class _Parser:
         left = self.and_expr()
         while self.at_kw("OR"):
             tok = self.advance()
-            left = Logical("OR", left, self.and_expr(), tok.line, tok.column)
+            left = Logical("OR", left, self.and_expr(), tok.line)
         return left
 
     def and_expr(self) -> Expr:
         left = self.not_expr()
         while self.at_kw("AND"):
             tok = self.advance()
-            left = Logical("AND", left, self.not_expr(), tok.line, tok.column)
+            left = Logical("AND", left, self.not_expr(), tok.line)
         return left
 
     def not_expr(self) -> Expr:
         if self.at_kw("NOT"):
             tok = self.advance()
-            return Not(self.not_expr(), tok.line, tok.column)
+            return Not(self.not_expr(), tok.line)
         return self.cmp_expr()
 
     def cmp_expr(self) -> Expr:
@@ -287,7 +278,7 @@ class _Parser:
         if tok.kind == "symbol" and tok.lexeme in COMPARISONS:
             self.advance()
             right = self.primary()
-            return Cmp(tok.lexeme, left, right, tok.line, tok.column)
+            return Cmp(tok.lexeme, left, right, tok.line)
         return left
 
     def primary(self) -> Expr:
@@ -306,13 +297,13 @@ class _Parser:
             self.expect_symbol(",")
             second = self.expr()
             self.expect_symbol(")")
-            return Coalesce(first, second, tok.line, tok.column)
+            return Coalesce(first, second, tok.line)
         if tok.kind == "kw" and tok.norm == "IS_NULL":
             self.advance()
             self.expect_symbol("(")
             inner = self.expr()
             self.expect_symbol(")")
-            return IsNull(inner, tok.line, tok.column)
+            return IsNull(inner, tok.line)
         if tok.kind == "kw" and tok.norm == "PAID_ON_DUE":
             self.advance()
             self.expect_symbol("(")
@@ -320,7 +311,7 @@ class _Parser:
             self.expect_symbol(",")
             due = self.qcol()
             self.expect_symbol(")")
-            return PaidOnDue(payment, due, tok.line, tok.column)
+            return PaidOnDue(payment, due, tok.line)
         if tok.kind == "kw" and tok.norm == "DIFFICULTY":
             self.advance()
             self.expect_symbol("(")
@@ -333,10 +324,9 @@ class _Parser:
             self.expect_symbol(",")
             lo = self.threshold_number()
             self.expect_symbol(")")
-            return Difficulty(grade, group, hi, lo, tok.line, tok.column)
+            return Difficulty(grade, group, hi, lo, tok.line)
         if tok.kind in ("number", "string") or (tok.kind == "kw" and tok.norm in ("TRUE", "FALSE", "NULL")):
-            line, column = tok.line, tok.column
-            return Lit(self.literal(), line, column)
+            return Lit(self.literal(), tok.line)
         raise self.error("expression")
 
     def type_name(self) -> ValueType:

@@ -31,9 +31,10 @@ gives back, in ``StagingArea.encoded``; ``dumps_staging`` writes them
 while the table has the same columns and the same row objects in the
 same order, renders any other table, and keeps those bytes too. So a
 table whose rows were replaced, or edited in place, is rendered again.
-A quarantine file whose lines re-render as they stand stays those lines
-until its rows are read. A file edited by hand is not canonical, so it
-is parsed and rendered as before.
+A quarantine is the records of its file, one per row: a row is rendered
+once, when a stage adds it, and a file whose lines re-render as they
+stand is read as those lines. A file edited by hand is not canonical, so
+it is parsed and each row rendered again.
 
 Every CSV read (source, staging, quarantine and dirt ledger files) goes
 through ``read_records``, and every typed one through ``typed_rows``,
@@ -54,7 +55,7 @@ import os
 import re
 import shutil
 import tempfile
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from operator import is_, itemgetter
 from pathlib import Path
@@ -62,7 +63,7 @@ from typing import NamedTuple
 
 from .csvio import NEEDS_QUOTES, format_field, format_row, iter_records
 from .csvio import parse_csv  # noqa: F401  (unused here; the benchmark's tracer rebinds this name)
-from .errors import MissingInputError, ReadOnlyError, UwhError, ValidationError
+from .errors import IntegrityError, MissingInputError, ReadOnlyError, UwhError, ValidationError
 from .manifest import parse_schema_manifest, render_manifest
 from .schema import DatabaseSchema, Table, TableSchema
 from .values import CELL_TEXT, RawCell, ValueType, cell_converter, render_cell
@@ -90,51 +91,34 @@ _CANONICAL_ROW = rf'(?:{_BARE}*|{_QUOTED})(?:,(?:{_BARE}+|""|{_QUOTED}))+\n'
 _CANONICAL_ROWS = re.compile(rf"(?:(?=({_CANONICAL_ROW}))\1)*")
 
 
+@dataclass
 class Quarantine:
-    """The rows a table's stages rejected, under the table's columns.
+    """The rows a table's stages rejected, under the table's columns, as
+    the records of its quarantine file: one per row, without the line end.
+    ``append`` renders a row once; ``rows`` parses the records each time it
+    is read. Two quarantines are equal when their columns and records are.
+    Clones share a staging area's quarantines, so a stage adds rows with
+    ``StagingArea.add_quarantine``, never by appending to one."""
 
-    Rows loaded from a canonical quarantine file stay the bytes of its lines
-    until ``rows`` is read: ``len`` counts them, ``append`` adds a row after
-    them, and ``to_csv`` writes them as they were, then renders the rows
-    added since. Two quarantines are equal when their columns and rows are."""
-
-    def __init__(self, columns: tuple[str, ...], rows: list[QRow] | None = None, lines: bytes = b"", count: int | None = None):
-        self.columns = columns
-        self._rows = [] if rows is None else rows
-        self._lines = lines  # canonical lines, one row each, of the rows that come before ``_rows``
-        self._count = lines.count(b"\n") if count is None else count  # the rows ``_lines`` holds
+    columns: tuple[str, ...]
+    records: list[str] = field(default_factory=list)
 
     @property
     def rows(self) -> list[QRow]:
-        if self._lines:
-            lines = iter_records(self._lines.decode("utf-8"))
-            self._rows[:0] = [QRow(fields[0], tuple(fields[1:])) for fields, _ in lines]
-            self._lines, self._count = b"", 0
-        return self._rows
+        return [QRow(fields[0], tuple(fields[1:])) for fields, _ in iter_records("\n".join(self.records))]
 
     def __len__(self) -> int:
-        return self._count + len(self._rows)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Quarantine):
-            return NotImplemented
-        return self.columns == other.columns and self.rows == other.rows
-
-    def __repr__(self) -> str:
-        return f"Quarantine({self.columns!r}, {self.rows!r})"
+        return len(self.records)
 
     def append(self, row: QRow) -> None:
-        self._rows.append(row)
-
-    def copy(self) -> "Quarantine":
-        return Quarantine(self.columns, list(self._rows), self._lines, self._count)
+        """Add ``row`` as its record: a field is quoted when it holds a
+        comma, a quote or a line end, and any field but the reason also
+        when it is empty."""
+        self.records.append(format_row([(row.reason, False)] + [(f, f == "") for f in row.fields]))
 
     def to_csv(self) -> bytes:
-        """The bytes of the quarantine file: a ``_reason`` column, then the
-        table's; an empty field is quoted, except an empty reason."""
-        added = (format_row([(r.reason, False)] + [(f, f == "") for f in r.fields]) + "\n" for r in self._rows)
-        head = ",".join(("_reason", *self.columns)) + "\n"
-        return b"".join([head.encode("utf-8"), self._lines, *(line.encode("utf-8") for line in added)])
+        """The bytes of the quarantine file: a ``_reason`` column, then the table's."""
+        return ("\n".join([",".join(("_reason", *self.columns)), *self.records]) + "\n").encode("utf-8")
 
 
 class Encoded(NamedTuple):
@@ -170,22 +154,27 @@ class StagingArea:
         return DatabaseSchema({t.name: t.schema for t in self.tables.values()})
 
     def clone(self) -> "StagingArea":
-        """Shallow copy safe for functional updates; Table objects are shared."""
+        """Shallow copy safe for functional updates; Table and Quarantine
+        objects are shared."""
         return replace(
             self,
             tables=dict(self.tables),
-            quarantine={k: q.copy() for k, q in self.quarantine.items()},
+            quarantine=dict(self.quarantine),
             dimensions=list(self.dimensions),
             reports=dict(self.reports),
             encoded=dict(self.encoded),
         )
 
-    def add_quarantine(self, table_name: str, columns: tuple[str, ...], reason: str, fields_: tuple[str, ...]) -> None:
-        q = self.quarantine.get(table_name)
-        if q is None:
-            q = Quarantine(columns)
-            self.quarantine[table_name] = q
-        q.append(QRow(reason, fields_))
+    def add_quarantine(self, table_name: str, columns: tuple[str, ...], rows: Iterable[QRow]) -> None:
+        """Quarantine ``rows`` of table ``table_name``: install a new
+        quarantine holding the old one's records, then theirs, so that a
+        clone that shares the old one keeps it as it was. No rows, no change."""
+        new = Quarantine(columns)
+        for row in rows:
+            new.append(row)
+        if new.records:
+            old = self.quarantine.get(table_name)
+            self.quarantine[table_name] = new if old is None else Quarantine(old.columns, old.records + new.records)
 
 
 def _render_text(text: str) -> str:
@@ -255,14 +244,14 @@ def _utf8(data: bytes, file: str, error: type[UwhError]) -> str:
         raise error(f"{file}: not valid UTF-8: {exc}") from exc
 
 
-def read_records(data: bytes, file: str, error: type[UwhError]) -> Iterator[tuple[list[str], list[bool] | None]]:
+def read_records(data: bytes, file: str) -> Iterator[tuple[list[str], list[bool] | None]]:
     """The records of the bytes of ``file``, as ``iter_records`` yields
-    them. Invalid UTF-8 and every CSV fault are an ``error`` naming ``file``."""
-    text = _utf8(data, file, error)
+    them. Invalid UTF-8 and every CSV fault are a ``ValidationError`` naming ``file``."""
+    text = _utf8(data, file, ValidationError)
     try:
         yield from iter_records(text)
     except ValidationError as exc:
-        raise error(f"{file}: {exc}") from exc
+        raise ValidationError(f"{file}: {exc}") from exc
 
 
 # each type's converter, built once
@@ -321,7 +310,7 @@ def decode_table(data: bytes, file: str, schema: TableSchema) -> tuple[Table, li
     ``file``. Also return each column's memo, which holds every distinct
     text of the column that parsed (``typed_rows``).
     """
-    records = read_records(data, file, ValidationError)
+    records = read_records(data, file)
     header, _ = next(records, (None, None))
     if header != list(schema.column_names):
         raise ValidationError(f"{file}: header does not match the schema")
@@ -340,20 +329,20 @@ _QUOTED_FIELD = re.compile(r'"([^"]*(?:""[^"]*)*)"')
 _COLUMN_FIELD = re.compile(rf'(?:{_QUOTED_FIELD.pattern}|([^",\r\n]*))(?:\r\n|\n|\r)')
 
 
-def decode_column(data: bytes, file: str, vtype: ValueType, error: type[UwhError]) -> list:
+def decode_column(data: bytes, file: str, vtype: ValueType) -> list:
     """The cells of column file ``file``, one per field (``column_csv``).
 
     A file with no quote, CR or comma that ends in LF is split on LF and
     each line looked up in the column's memo. Any other file is read one
     field at a time by ``_COLUMN_FIELD``, where a quoted empty field is
     empty text in a TEXT column. A cell that does not parse as ``vtype``,
-    and any other fault, is an ``error`` naming ``file``."""
+    and any other fault, is an ``IntegrityError`` naming ``file``."""
 
     def unparsable(text: str):
-        raise error(f"{file}: cell does not parse as its declared type")
+        raise IntegrityError(f"{file}: cell does not parse as its declared type")
 
     memo = _ColumnMemo(vtype, unparsable)
-    text = _utf8(data, file, error)
+    text = _utf8(data, file, IntegrityError)
     if text.endswith("\n") and '"' not in text and "\r" not in text and "," not in text:
         return list(map(memo.__getitem__, text[:-1].split("\n")))
     cells: list = []
@@ -363,7 +352,7 @@ def decode_column(data: bytes, file: str, vtype: ValueType, error: type[UwhError
         if m is None:
             unterminated = text.startswith('"', pos) and not _QUOTED_FIELD.match(text, pos)
             fault = "is an unterminated quoted field" if unterminated else "is not one field and a line end"
-            raise error(f"{file}: field {len(cells) + 1} {fault}")
+            raise IntegrityError(f"{file}: field {len(cells) + 1} {fault}")
         quoted, bare = m.groups()
         if bare is not None:
             cells.append(memo[bare])
@@ -417,8 +406,7 @@ def dumps_staging(staging: StagingArea) -> dict[str, bytes]:
     A table that ``staging.encoded`` encodes (``Encoded.encodes``) takes
     the bytes kept there; any other, such as a table whose rows were
     replaced or edited in place, is rendered, and its bytes are kept for
-    the next dump. A quarantine writes its loaded lines, then renders its
-    new rows."""
+    the next dump. A quarantine writes its records."""
     files = {"schema.manifest": render_manifest(staging.schema()).encode("utf-8")}
     for name, table in staging.tables.items():
         kept = staging.encoded.get(name)
@@ -593,16 +581,20 @@ def load_staging(in_dir: Path) -> StagingArea:
 
 def _decode_quarantine(data: bytes, file: str) -> Quarantine | None:
     """The quarantine in the bytes of ``file``; None when it has no header.
-    A header and rows that re-render as they stand (``_CANONICAL_ROWS``)
-    are kept as bytes; any other file is parsed into rows."""
+    When the header and rows re-render as they stand (``_CANONICAL_ROWS``),
+    its records are the lines after the header; any other file is parsed,
+    and each row rendered again."""
     head, newline, body = _utf8(data, file, ValidationError).partition("\n")
     header = head.split(",")
     if newline and header[0] == "_reason" and '"' not in head and "\r" not in head and _CANONICAL_ROWS.fullmatch(body):
-        return Quarantine(tuple(header[1:]), lines=data[data.index(b"\n") + 1:])
-    records = read_records(data, file, ValidationError)
+        return Quarantine(tuple(header[1:]), body[:-1].split("\n") if body else [])
+    records = read_records(data, file)
     header, _ = next(records, (None, None))
     if header is None:
         return None
     if header[0] != "_reason":
         raise ValidationError(f"{file}: quarantine header must start with _reason")
-    return Quarantine(tuple(header[1:]), [QRow(fields[0], tuple(fields[1:])) for fields, _ in records])
+    q = Quarantine(tuple(header[1:]))
+    for fields, _ in records:
+        q.append(QRow(fields[0], tuple(fields[1:])))
+    return q

@@ -425,9 +425,7 @@ def exec_clean(staging: StagingArea, stmt: Clean) -> tuple[StagingArea, TableCle
         raise ValidationError(str(exc)) from exc
     out = staging.clone()
     out.tables[stmt.table] = cleaned
-    columns = table.schema.column_names
-    for qr in slice_.quarantined:
-        out.add_quarantine(stmt.table, columns, qr.reason, qr.fields)
+    out.add_quarantine(stmt.table, table.schema.column_names, slice_.quarantined)
     return out, slice_
 
 

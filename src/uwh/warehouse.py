@@ -33,7 +33,6 @@ from .staging import (
     column_csv,
     decode_column,
     dump_fingerprint,
-    dump_staging,
     dumps_staging,
     kept_columns,
     write_dir_atomically,
@@ -269,7 +268,7 @@ def _checked_snowflake(staging: StagingArea) -> SnowflakeSchema:
     return snowflake
 
 
-def load(out_dir: Path, staging: StagingArea, *, timestamp: str, keep_staging: Path | None = None) -> dict:
+def load(out_dir: Path, staging: StagingArea, *, timestamp: str) -> dict:
     """Persist the snowflake that ``staging`` declares and the frozen
     catalog, whose joins describe the star join's indexes, all or nothing.
     The writer refuses an ``out_dir`` that is not empty or lies inside a
@@ -280,36 +279,31 @@ def load(out_dir: Path, staging: StagingArea, *, timestamp: str, keep_staging: P
     catalog entry records its file and the file's SHA-256. The fields of
     each relation are rendered once (``kept_columns``): they make its
     column files and, unless ``staging.encoded`` already holds them, the
-    bytes of its staging dump file. ``build.source_hash`` is the
-    fingerprint of the whole dump, and ``build.plan_hash`` the one the
-    transform recorded. With ``keep_staging``, that dump is written there
-    before the warehouse, also when the snowflake fails its checks."""
+    bytes of its staging dump file, which a later dump of ``staging``
+    writes as they are. ``build.source_hash`` is the fingerprint of the
+    whole dump, and ``build.plan_hash`` the one the transform recorded."""
     files: dict[str, bytes] = {}
     relations_meta = []
-    try:
-        snowflake = _checked_snowflake(staging)
-        for name in snowflake.relation_names():  # one relation's fields at a time
-            schema = staging.tables[name].schema
-            entries = []
-            for i, (column, fields) in enumerate(zip(schema.columns, kept_columns(staging, name))):
-                file = f"{name}.{i}.col"
-                files[file] = column_csv(fields).encode("utf-8")
-                entries.append({
-                    "name": column.name,
-                    "type": column.type.value,
-                    "nullable": column.nullable,
-                    "file": file,
-                    "checksum": sha256_hex(files[file]),
-                })
-            relations_meta.append({
-                "name": name,
-                "row_count": len(staging.tables[name].rows),
-                "columns": entries,
-                "primary_key": list(schema.primary_key),
+    snowflake = _checked_snowflake(staging)
+    for name in snowflake.relation_names():  # one relation's fields at a time
+        schema = staging.tables[name].schema
+        entries = []
+        for i, (column, fields) in enumerate(zip(schema.columns, kept_columns(staging, name))):
+            file = f"{name}.{i}.col"
+            files[file] = column_csv(fields).encode("utf-8")
+            entries.append({
+                "name": column.name,
+                "type": column.type.value,
+                "nullable": column.nullable,
+                "file": file,
+                "checksum": sha256_hex(files[file]),
             })
-    finally:
-        if keep_staging is not None:
-            dump_staging(staging, keep_staging)
+        relations_meta.append({
+            "name": name,
+            "row_count": len(staging.tables[name].rows),
+            "columns": entries,
+            "primary_key": list(schema.primary_key),
+        })
 
     dump = dumps_staging(staging)
     catalog = {
@@ -922,7 +916,7 @@ def open_warehouse(directory: Path) -> Warehouse:
             data = path.read_bytes()
             if sha256_hex(data) != c["checksum"]:
                 raise IntegrityError(f"checksum mismatch in {c['file']}")
-            cells = decode_column(data, c["file"], ValueType(c["type"]), IntegrityError)
+            cells = decode_column(data, c["file"], ValueType(c["type"]))
             if len(cells) != entry["row_count"]:
                 raise IntegrityError(f"{c['file']}: row count {len(cells)} != cataloged {entry['row_count']}")
             columns.append(cells)

@@ -104,15 +104,14 @@ def orphan_rows_nested_loop(tables: dict[str, Table]) -> set[tuple[str, str, int
     return found
 
 
-def extract_table_reference(source: str | bytes, schema: TableSchema) -> tuple[Table, TableExtraction, Quarantine]:
+def extract_table_reference(source: bytes, schema: TableSchema) -> tuple[Table, TableExtraction, Quarantine]:
     """``extract_table`` as whole-text ``parse_csv``, then ``parse_cell`` on
     every cell of each record, taken in schema order."""
-    if isinstance(source, bytes):
-        try:
-            source = source.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"{schema.name}: input is not valid UTF-8: {exc}") from exc
-    records = parse_csv(source)
+    try:
+        text = source.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{schema.name}: input is not valid UTF-8: {exc}") from exc
+    records = parse_csv(text)
     if not records:
         raise ValidationError(f"{schema.name}: missing header row")
     header = [t for t, _ in records[0]]
@@ -126,13 +125,13 @@ def extract_table_reference(source: str | bytes, schema: TableSchema) -> tuple[T
         stats.rows_read += 1
         if len(rec) != len(schema.columns):
             stats.reject("arity")
-            quarantine.rows.append(QRow("arity", tuple(t for t, _ in rec)))
+            quarantine.append(QRow("arity", tuple(t for t, _ in rec)))
             continue
         cells = tuple(parse_cell(*rec[pos], col.type) for col, pos in zip(schema.columns, order))
         missing = [col.name for col, v in zip(schema.columns, cells) if v is None and not col.nullable]
         if missing:
             stats.reject("null-in-nonnullable")
-            quarantine.rows.append(QRow(f"null-in-nonnullable:{missing[0]}", tuple(rec[pos][0] for pos in order)))
+            quarantine.append(QRow(f"null-in-nonnullable:{missing[0]}", tuple(rec[pos][0] for pos in order)))
             continue
         rows.append(cells)
         stats.rows_staged += 1

@@ -82,6 +82,32 @@ def test_kept_staging_equals_stagewise_staging(tmp_path, cli_dirs, capsys):
     assert _files(tmp_path / "wh") == _files(wh)
 
 
+def test_build_that_fails_while_loading_leaves_the_kept_staging(tmp_path, cli_dirs, capsys):
+    # the kept staging is written after the warehouse, also when load refuses
+    # the rows: a Null instructor key, which a nullable se_in_id lets
+    # through, dangles in the fact
+    from uwh.csvio import format_row, parse_csv
+
+    _, src, _ = cli_dirs
+    schema = tmp_path / "schema.txt"
+    schema.write_text(canonical.canonical_schema_text().replace("se_in_id INTEGER FK", "se_in_id INTEGER NULL FK"))
+    src = shutil.copytree(src, tmp_path / "src")
+    records = parse_csv((src / "section.csv").read_text(encoding="utf-8"))
+    records[1][[t for t, _ in records[0]].index("se_in_id")] = ("", False)
+    (src / "section.csv").write_text("".join(format_row(r) + "\n" for r in records), encoding="utf-8")
+    out, kept = tmp_path / "wh", tmp_path / "kept"
+    code, _, err = _run(capsys, "build", "--schema", str(schema), "--src", str(src), "--out", str(out),
+                        "--keep-staging", str(kept), "--timestamp", TS)
+    assert code == 1 and "has dangling dimension key ('',) into instructor" in err
+    assert not out.exists()
+    staging = tmp_path / "staging"
+    argv = ["--schema", str(schema), "--src", str(src), "--out", str(staging), "--timestamp", TS]
+    assert _run(capsys, "extract", *argv)[0] == 0
+    assert _run(capsys, "cleanse", "--staging", str(staging), "--timestamp", TS)[0] == 0
+    assert _run(capsys, "transform", "--staging", str(staging), "--timestamp", TS)[0] == 0
+    assert _files(kept) == _files(staging)
+
+
 def test_build_renders_each_staged_table_once(tmp_path, cli_dirs, monkeypatch):
     # counted wherever a caller looks a renderer up, as the benchmark's
     # tracer does: load renders each relation's columns, and the staging
@@ -659,7 +685,11 @@ def _rendered_afresh(staging):
 
     copy = staging.clone()
     copy.encoded.clear()
-    copy.quarantine = {name: Quarantine(q.columns, list(q.rows)) for name, q in staging.quarantine.items()}
+    copy.quarantine = {}
+    for name, q in staging.quarantine.items():
+        copy.quarantine[name] = fresh = Quarantine(q.columns)
+        for row in q.rows:
+            fresh.append(row)
     return copy
 
 
@@ -799,10 +829,11 @@ def test_a_malformed_quarantine_file_exits_one(tmp_path, staged_dirs, capsys, ta
 
 
 def _snapshot(staging):
-    """Each table with its row list and a copy of the rows, and each quarantine with a copy."""
+    """Each table with its row list and a copy of the rows, and each
+    quarantine with its record list and a copy of the records."""
     return (
         {name: (t, t.rows, list(t.rows)) for name, t in staging.tables.items()},
-        {name: (q, len(q), q.copy()) for name, q in staging.quarantine.items()},
+        {name: (q, q.records, list(q.records)) for name, q in staging.quarantine.items()},
     )
 
 
@@ -826,5 +857,5 @@ def test_no_stage_mutates_the_staging_it_received(tmp_path, extracted_dir, stage
     assert staging.tables.keys() == tables.keys() and staging.quarantine.keys() == quarantine.keys()
     for name, (table, rows, copy) in tables.items():
         assert staging.tables[name] is table and table.rows is rows and rows == copy, name
-    for name, (q, n, copy) in quarantine.items():
-        assert staging.quarantine[name] is q and len(q) == n and q == copy, name
+    for name, (q, records, copy) in quarantine.items():
+        assert staging.quarantine[name] is q and q.records is records and records == copy, name

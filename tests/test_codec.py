@@ -193,7 +193,7 @@ def test_decode_column_matches_parse_cell(case):
     and a cell that does not parse is an error, as is any other fault."""
     vtype, data, cells = case
     expected = ("error", IntegrityError) if cells is None else ("rows", _typed([cells]))
-    assert _outcome(lambda: [decode_column(data, "t.col", vtype, IntegrityError)]) == expected
+    assert _outcome(lambda: [decode_column(data, "t.col", vtype)]) == expected
 
 
 @settings(max_examples=400, deadline=None)
@@ -278,7 +278,7 @@ def test_decode_faults_name_the_file(data, words):
 def test_decode_column_faults_name_the_file(data, words):
     # test_warehouse's tampered-relation cases cover the other faults through open
     with pytest.raises(IntegrityError) as exc:
-        decode_column(data, "t.0.col", ValueType.INTEGER, IntegrityError)
+        decode_column(data, "t.0.col", ValueType.INTEGER)
     assert str(exc.value).startswith("t.0.col: ") and words in str(exc.value)
 
 
@@ -300,8 +300,8 @@ def test_bare_empty_and_quoted_empty_stay_apart_in_one_column():
 
 
 def test_equal_cells_of_a_column_are_one_object():
-    decimals = decode_column(b"2.5\n2.5\n2.50\n", "t.1.col", ValueType.DECIMAL, IntegrityError)
-    dates = decode_column(b"2012-01-02\n2012-01-02\n2012-01-03\n", "t.2.col", ValueType.DATE, IntegrityError)
+    decimals = decode_column(b"2.5\n2.5\n2.50\n", "t.1.col", ValueType.DECIMAL)
+    dates = decode_column(b"2012-01-02\n2012-01-02\n2012-01-03\n", "t.2.col", ValueType.DATE)
     assert decimals[0] is decimals[1] and dates[0] is dates[1]
     assert decimals[2] == decimals[0] and dates[2] != dates[0]
 
@@ -424,7 +424,7 @@ _CR_VALUES = ("Ann\r\nLee", "Bo\rKim", "\r")
 def test_quoted_carriage_returns_survive_the_staging_dump(tmp_path):
     schema = _schema([ValueType.INTEGER, ValueType.TEXT], [False, True])
     staging = StagingArea({"t": Table(schema, [(i, v) for i, v in enumerate(_CR_VALUES)])})
-    staging.add_quarantine("t", schema.column_names, "arity", ("9", "Cy\r\nDee\r", "x"))
+    staging.add_quarantine("t", schema.column_names, [QRow("arity", ("9", "Cy\r\nDee\r", "x"))])
     dump_staging(staging, tmp_path / "st")
     again = load_staging(tmp_path / "st")
     assert again.tables["t"].rows == staging.tables["t"].rows
@@ -447,7 +447,7 @@ def test_invalid_utf8_staging_table_is_a_validation_error(tmp_path, capsys):
 def test_invalid_utf8_quarantine_file_is_a_validation_error(tmp_path):
     schema = _schema([ValueType.INTEGER], [False])
     staging = StagingArea({"t": Table(schema, [(1,)])})
-    staging.add_quarantine("t", schema.column_names, "arity", ("1", "2"))
+    staging.add_quarantine("t", schema.column_names, [QRow("arity", ("1", "2"))])
     dump_staging(staging, tmp_path / "st")
     (tmp_path / "st" / "quarantine" / "t.csv").write_bytes(b"_reason,a\narity,\xff\n")
     with pytest.raises(ValidationError, match="quarantine/t.csv: not valid UTF-8"):
@@ -493,8 +493,8 @@ def quarantine_dump(tmp_path_factory):
 @example(b'_reason,a,b\r\narity,1,""\r\n')
 @example(b'_reason,a,b\narity,"x\ny",2\n')
 def test_a_quarantine_file_loads_and_dumps_as_the_parser_reads_it(quarantine_dump, data):
-    """Lines kept as bytes count, read and dump as the rows the whole-text
-    parser reads; the dump is what rendering those rows gives."""
+    """A quarantine file loads as the records that rendering the rows the
+    whole-text parser reads gives, whether its lines are kept or parsed."""
     (quarantine_dump / "quarantine" / "t.csv").write_bytes(data)
     try:
         records = parse_csv(data.decode("utf-8"))
@@ -509,10 +509,55 @@ def test_a_quarantine_file_loads_and_dumps_as_the_parser_reads_it(quarantine_dum
         assert q is None
         return
     rows = [QRow(rec[0][0], tuple(t for t, _ in rec[1:])) for rec in records[1:]]
-    assert len(q) == len(rows)
-    assert q.to_csv() == Quarantine(q.columns, rows).to_csv()
-    assert q.columns == tuple(t for t, _ in records[0][1:])
+    rendered = Quarantine(tuple(t for t, _ in records[0][1:]))
+    for row in rows:
+        rendered.append(row)
+    assert q == rendered and q.to_csv() == rendered.to_csv()
     assert q.rows == rows and len(q) == len(rows)
+
+
+# quarantine texts: empty, and holding each character the writer quotes
+_QUARANTINE_TEXTS = st.text(st.sampled_from(list('ab ,"\r\né')), max_size=4)
+# a row with an empty reason and no fields renders an empty record, which
+# a quarantine file cannot hold; no stage quarantines one
+_QROWS = st.builds(QRow, _QUARANTINE_TEXTS, st.lists(_QUARANTINE_TEXTS, max_size=3).map(tuple)).filter(
+    lambda row: row.reason or row.fields
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_QROWS, max_size=4), min_size=1, max_size=3))
+def test_quarantined_rows_survive_the_staging_dump(batches):
+    staging = StagingArea({"t": Table(_schema([ValueType.INTEGER], [False]), [(1,)])})
+    for batch in batches:
+        staging.add_quarantine("t", ("a", "b"), batch)
+    rows = [row for batch in batches for row in batch]
+    q = staging.quarantine.get("t")
+    assert (q is None) == (not rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        dump_staging(staging, Path(tmp) / "st")
+        again = load_staging(Path(tmp) / "st").quarantine.get("t")
+    if q is None:
+        assert again is None
+        return
+    assert q.rows == rows and len(q) == len(rows)
+    assert again.rows == rows and len(again) == len(rows)
+    assert again.to_csv() == q.to_csv() and again == q
+
+
+def test_add_quarantine_on_a_clone_leaves_the_original_as_it_was():
+    staging = StagingArea({"t": Table(_schema([ValueType.INTEGER], [False]), [(1,)])})
+    staging.add_quarantine("t", ("a",), [QRow("arity", ("1", "2"))])
+    original = staging.quarantine["t"]
+    records = list(original.records)
+    clone = staging.clone()
+    assert clone.quarantine["t"] is original
+    clone.add_quarantine("t", ("a",), [QRow("orphan:fk", ("3",))])
+    assert staging.quarantine["t"] is original and original.records == records and len(original) == 1
+    assert len(clone.quarantine["t"]) == 2
+    assert clone.quarantine["t"].rows == [QRow("arity", ("1", "2")), QRow("orphan:fk", ("3",))]
+    clone.add_quarantine("t", ("a",), [])
+    assert len(clone.quarantine["t"]) == 2
 
 
 # characters str.splitlines breaks a line at, besides "\n"

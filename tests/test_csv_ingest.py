@@ -83,7 +83,7 @@ def test_format_row_minimal_quoting():
 
 def test_extract_three_conformant_rows():
     table, stats, quarantine = extract_table(
-        "item_id,item_name,item_category\n1,Pen,STATIONERY\n2,Ink,STATIONERY\n3,Clip,\n", _item_schema()
+        b"item_id,item_name,item_category\n1,Pen,STATIONERY\n2,Ink,STATIONERY\n3,Clip,\n", _item_schema()
     )
     assert stats.rows_read == 3 and stats.rows_staged == 3 and stats.rows_rejected == 0
     assert table.rows[2] == (3, "Clip", None)
@@ -92,7 +92,7 @@ def test_extract_three_conformant_rows():
 
 def test_extract_wrong_field_count_quarantines():
     table, stats, quarantine = extract_table(
-        "item_id,item_name,item_category\n1,Pen,X\n2,Ink\n3,Clip,Y\n", _item_schema()
+        b"item_id,item_name,item_category\n1,Pen,X\n2,Ink\n3,Clip,Y\n", _item_schema()
     )
     assert stats.rows_staged == 2 and stats.rows_rejected == 1
     assert stats.reasons == {"arity": 1}
@@ -101,28 +101,28 @@ def test_extract_wrong_field_count_quarantines():
 
 
 def test_extract_crlf_equals_lf():
-    lf, _, _ = extract_table("item_id,item_name,item_category\n1,Pen,X\n", _item_schema())
-    crlf, _, _ = extract_table("item_id,item_name,item_category\r\n1,Pen,X\r\n", _item_schema())
+    lf, _, _ = extract_table(b"item_id,item_name,item_category\n1,Pen,X\n", _item_schema())
+    crlf, _, _ = extract_table(b"item_id,item_name,item_category\r\n1,Pen,X\r\n", _item_schema())
     assert lf == crlf
 
 
 def test_extract_header_any_order():
-    table, _, _ = extract_table("item_name,item_id,item_category\nPen,1,X\n", _item_schema())
+    table, _, _ = extract_table(b"item_name,item_id,item_category\nPen,1,X\n", _item_schema())
     assert table.rows == [(1, "Pen", "X")]
 
 
 def test_extract_header_errors():
     with pytest.raises(ValidationError):
-        extract_table("item_id,item_name\n", _item_schema())  # missing column
+        extract_table(b"item_id,item_name\n", _item_schema())  # missing column
     with pytest.raises(ValidationError):
-        extract_table("item_id,item_name,item_name,item_category\n", _item_schema())  # duplicate
+        extract_table(b"item_id,item_name,item_name,item_category\n", _item_schema())  # duplicate
     with pytest.raises(ValidationError):
-        extract_table("item_id,item_name,item_category,extra\n", _item_schema())  # unknown
+        extract_table(b"item_id,item_name,item_category,extra\n", _item_schema())  # unknown
 
 
 def test_extract_unparseable_cell_stages_raw():
     schema = parse_schema_manifest("TABLE r\n  id INTEGER PK\n  day DATE NULL\n").tables["r"]
-    table, stats, _ = extract_table("id,day\n1,31/12/2011\n2,2011-12-31\n", schema)
+    table, stats, _ = extract_table(b"id,day\n1,31/12/2011\n2,2011-12-31\n", schema)
     assert stats.raw_cells == 1
     assert isinstance(table.rows[0][1], RawCell)
     assert table.rows[1][1] == date(2011, 12, 31)
@@ -133,20 +133,20 @@ def test_extract_counts_raw_cells_of_staged_rows_only():
     # row 1 has a raw date before its Null name, so it is quarantined and
     # its raw cell is not counted
     schema = parse_schema_manifest("TABLE r\n  id INTEGER PK\n  day DATE NULL\n  name TEXT\n").tables["r"]
-    table, stats, quarantine = extract_table("id,day,name\n1,31/12/2011,\n2,31/12/2011,x\n", schema)
+    table, stats, quarantine = extract_table(b"id,day,name\n1,31/12/2011,\n2,31/12/2011,x\n", schema)
     assert [row[0] for row in table.rows] == [2]
     assert len(quarantine.rows) == 1
     assert stats.raw_cells == 1
 
 
 def test_extract_null_in_nonnullable_quarantines():
-    table, stats, quarantine = extract_table("item_id,item_name,item_category\n1,,X\n", _item_schema())
+    table, stats, quarantine = extract_table(b"item_id,item_name,item_category\n1,,X\n", _item_schema())
     assert stats.rows_rejected == 1 and not table.rows
     assert quarantine.rows[0].reason.startswith("null-in-nonnullable")
 
 
 def test_extract_quoted_empty_is_empty_text_not_null():
-    table, stats, _ = extract_table('item_id,item_name,item_category\n1,"",X\n', _item_schema())
+    table, stats, _ = extract_table(b'item_id,item_name,item_category\n1,"",X\n', _item_schema())
     assert table.rows == [(1, "", "X")]
 
 
@@ -194,8 +194,6 @@ def _extract_cases(draw):
     text = "".join(line + draw(ends) for line in lines)
     if draw(st.booleans()):
         text = text.rstrip("\r\n")  # no final line end
-    if draw(st.booleans()):
-        return schema, text
     data = text.encode("utf-8")
     if draw(st.integers(0, 9)) == 0:
         at = draw(st.integers(0, len(data)))
@@ -217,8 +215,8 @@ _PAIR = TableSchema("t", (ColumnDef("a", ValueType.INTEGER, False), ColumnDef("b
 
 @settings(max_examples=500, deadline=None)
 @given(_extract_cases())
-@example((_PAIR, "b,a\n,1\nx,2x\n"))  # a Null in a permuted header: quarantine texts in schema order
-@example((_PAIR, 'b,a\r\n"",\r\n"x\ny",3\r\n'))
+@example((_PAIR, b"b,a\n,1\nx,2x\n"))  # a Null in a permuted header: quarantine texts in schema order
+@example((_PAIR, b'b,a\r\n"",\r\n"x\ny",3\r\n'))
 def test_extract_matches_whole_text_reference(case):
     schema, source = case
     assert _extraction(extract_table, source, schema) == _extraction(extract_table_reference, source, schema)
@@ -281,6 +279,6 @@ def test_table_csv_roundtrip_preserves_raw_cells(seed42_staging):
     for name in ("student", "receipt"):
         table = seed42_staging.tables[name]
         text = render_table_csv(table)
-        reloaded, stats, quarantine = extract_table(text, table.schema)
+        reloaded, stats, quarantine = extract_table(text.encode("utf-8"), table.schema)
         assert not quarantine.rows
         assert reloaded == table

@@ -263,20 +263,6 @@ def test_load_names_the_dangling_fact_row(tmp_path, seed42_transformed, column, 
     assert not (tmp_path / "wh").exists()
 
 
-def test_load_writes_the_kept_staging_when_the_rows_fail(tmp_path, seed42_transformed):
-    # build --keep-staging: the dump comes before the warehouse, so a load
-    # that refuses the rows still leaves it
-    from uwh.staging import dumps_staging, load_staging
-
-    staging = _with_fact_cells(seed42_transformed, "tr_st_id", {0: 999999})
-    with pytest.raises(ValidationError, match="dangling dimension key"):
-        load(tmp_path / "wh", staging, timestamp=TS, keep_staging=tmp_path / "kept")
-    assert not (tmp_path / "wh").exists()
-    kept = load_staging(tmp_path / "kept")
-    assert kept.tables["transcript"].rows == staging.tables["transcript"].rows
-    assert dumps_staging(kept) == dumps_staging(staging)
-
-
 # --- open -----------------------------------------------------------------------
 
 
