@@ -25,18 +25,18 @@ allows it, as are gen output and warehouses. Table files are written by
 and read back by ``decode_table`` from the bytes of the file, so a
 quoted CR survives.
 
-A stage re-encodes only what it changed. ``load_staging`` keeps the
-bytes of each canonical table file, one that rendering its table again
-gives back, in ``StagingArea.encoded``; ``dumps_staging`` writes them
-while the table has the same columns and the same row objects in the
-same order, renders any other table, and keeps those bytes too. So a
-table whose rows were replaced, or edited in place, is rendered again.
-A quarantine is the records of its file, one per row: a row is rendered
-once, when a stage adds it, and a file whose lines re-render as they
-stand is read as those lines. A file edited by hand is not canonical, so
-it is parsed and each row rendered again.
+A dump is signed: ``meta.json`` holds a ``format_version``, the SHA-256
+of each other file (``files``) and a self checksum, as a warehouse
+catalog does. ``load_staging`` checks every file it lists before it
+decodes any (``read_signed``, ``read_checked``, which ``open`` calls too),
+so an edited, missing or unsigned file is an ``IntegrityError``. A signed
+file is the writer's own output, so a stage keeps the bytes of every
+table it loaded (``StagingArea.encoded``); ``dumps_staging`` writes them
+while the table has the same columns and row objects in the same order,
+and renders any other table. A quarantine is the records of its file,
+each rendered once, when a stage adds its row.
 
-Every CSV read (source, staging, quarantine and dirt ledger files) goes
+Every CSV read of source, staging table and dirt ledger files goes
 through ``read_records``, and every typed one through ``typed_rows``,
 which keeps one memo per column from field text to cell (dictionary
 encoding): each distinct text of a column is converted once, and equal
@@ -76,19 +76,6 @@ CATALOG_NAME = "catalog.json"  # the file that makes a directory a frozen wareho
 class QRow:
     reason: str
     fields: tuple[str, ...]
-
-
-# The rows of a quarantine file that re-render as they stand, each on one
-# line: the reason bare or, when it holds a comma or a quote, quoted; each
-# other field bare and not empty, or quoted when empty or when it holds a
-# comma or a quote. A field that holds a CR or LF is not matched.
-_BARE = r'[^",\r\n]'
-_QUOTED = r'"[^",\r\n]*(?:,|"")(?:[^"\r\n]|"")*"'
-_CANONICAL_ROW = rf'(?:{_BARE}*|{_QUOTED})(?:,(?:{_BARE}+|""|{_QUOTED}))+\n'
-# A lookahead never backtracks, so each row is matched once and the
-# backreference consumes it: an atomic group on any Python 3, and three
-# times faster than backtracking over a long file.
-_CANONICAL_ROWS = re.compile(rf"(?:(?=({_CANONICAL_ROW}))\1)*")
 
 
 @dataclass
@@ -166,15 +153,32 @@ class StagingArea:
         )
 
     def add_quarantine(self, table_name: str, columns: tuple[str, ...], rows: Iterable[QRow]) -> None:
-        """Quarantine ``rows`` of table ``table_name``: install a new
-        quarantine holding the old one's records, then theirs, so that a
-        clone that shares the old one keeps it as it was. No rows, no change."""
-        new = Quarantine(columns)
+        """Quarantine ``rows`` of table ``table_name``, each holding a field
+        per name in ``columns``: install a new quarantine holding the old
+        one's records, then theirs, so that a clone that shares the old one
+        keeps it as it was. No rows, no change.
+
+        The header only grows: it is the old columns, then each of
+        ``columns`` they lack, in order. Each old record but an ``arity``
+        reject gains an empty field (``""``) per appended column, and each
+        new row is laid out in the header's order, with an empty field for
+        each column it lacks."""
+        rows = list(rows)
+        if not rows:
+            return
+        old = self.quarantine.get(table_name, Quarantine(tuple(columns)))
+        header = old.columns + tuple(c for c in columns if c not in old.columns)
+        pad = ',""' * (len(header) - len(old.columns))
+        records = list(old.records)
+        if pad:
+            records = [r if r.partition(",")[0] == "arity" else r + pad for r in records]
+        new = Quarantine(header, records)
+        if header != tuple(columns):
+            at = {c: i for i, c in enumerate(columns)}
+            rows = [QRow(row.reason, tuple(row.fields[at[c]] if c in at else "" for c in header)) for row in rows]
         for row in rows:
             new.append(row)
-        if new.records:
-            old = self.quarantine.get(table_name)
-            self.quarantine[table_name] = new if old is None else Quarantine(old.columns, old.records + new.records)
+        self.quarantine[table_name] = new
 
 
 def _render_text(text: str) -> str:
@@ -302,14 +306,12 @@ def typed_rows(records, memos: list[_ColumnMemo]) -> Iterator[tuple[list[str], t
             yield fields, tuple([m.raw(v) if isinstance(v, RawCell) else v for v, m in zip(cells, memos)])
 
 
-def decode_table(data: bytes, file: str, schema: TableSchema) -> tuple[Table, list[_ColumnMemo]]:
+def decode_table(data: bytes, file: str, schema: TableSchema) -> Table:
     """Decode the bytes of staging table file ``file``: its header must
     name the schema's columns in order, and each cell follows
     ``parse_cell``, so a cell that does not parse as its column's type
     stays a ``RawCell``. Any fault is a ``ValidationError`` naming
-    ``file``. Also return each column's memo, which holds every distinct
-    text of the column that parsed (``typed_rows``).
-    """
+    ``file``."""
     records = read_records(data, file)
     header, _ = next(records, (None, None))
     if header != list(schema.column_names):
@@ -320,7 +322,7 @@ def decode_table(data: bytes, file: str, schema: TableSchema) -> tuple[Table, li
         if cells is None:
             raise ValidationError(f"{file}: row arity {len(fields)} does not match the schema's {len(schema.columns)} columns")
         rows.append(cells)
-    return Table(schema, rows), memos
+    return Table(schema, rows)
 
 
 # one field of a column file and its line end: quoted, or bare and free of
@@ -364,22 +366,6 @@ def decode_column(data: bytes, file: str, vtype: ValueType) -> list:
     return cells
 
 
-def _canonical(data: bytes, memos: list[_ColumnMemo]) -> bool:
-    """Whether the bytes a table was decoded from are the bytes
-    ``render_table_csv`` gives for it, decided without rendering: they hold
-    no quote and no CR, end in LF and have no blank line, and each distinct
-    text in each column's memo renders back to itself (an unparsed text,
-    which the memo does not keep, always does)."""
-    return (
-        b'"' not in data
-        and b"\r" not in data
-        and data.endswith(b"\n")
-        and b"\n\n" not in data
-        and not data.startswith(b"\n")
-        and all(_field_text(cell) == text for memo in memos for text, cell in memo.items())
-    )
-
-
 def parse_cell(text: str, quoted: bool, vtype: ValueType):
     """Extraction cell rule: a quoted empty field is empty text in a TEXT
     column and raw in any other; any other field takes its type's
@@ -401,12 +387,67 @@ def kept_columns(staging: StagingArea, name: str) -> list[list[str]]:
     return columns
 
 
+def sha256_hex(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def canonical_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def sign(record: dict) -> bytes:
+    """The bytes of JSON object ``record`` (``meta.json``, ``catalog.json``)
+    with its ``self_checksum`` set: the SHA-256 of its canonical JSON
+    while that field is empty."""
+    record["self_checksum"] = ""
+    record["self_checksum"] = sha256_hex(canonical_json(record).encode("utf-8"))
+    return canonical_json(record).encode("utf-8")
+
+
+def _read(directory: Path, file: str) -> bytes:
+    path = directory / file
+    if not path.is_file():
+        raise IntegrityError(f"missing file {file}")
+    return path.read_bytes()
+
+
+def read_signed(directory: Path, file: str, version: int) -> dict:
+    """The JSON object ``sign`` wrote to ``file`` in ``directory``. Text that
+    is not a JSON object of format ``version`` with a matching self
+    checksum is an ``IntegrityError`` naming the file."""
+    try:
+        record = json.loads(_read(directory, file).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise IntegrityError(f"{file} is corrupt: {exc}") from exc
+    if not isinstance(record, dict) or record.get("format_version") != version:
+        raise IntegrityError(f"{file}: unsupported or missing format_version")
+    if sha256_hex(canonical_json({**record, "self_checksum": ""}).encode("utf-8")) != record.get("self_checksum"):
+        raise IntegrityError(f"{file} failed its self checksum")
+    return record
+
+
+def read_checked(directory: Path, file: str, checksum: str) -> bytes:
+    """The bytes of ``file`` in ``directory``, whose SHA-256 a signed record
+    gives as ``checksum``; a missing file or another digest is an
+    ``IntegrityError`` naming the file."""
+    data = _read(directory, file)
+    if sha256_hex(data) != checksum:
+        raise IntegrityError(f"checksum mismatch in {file}")
+    return data
+
+
+DUMP_FORMAT_VERSION = 1
+# the files a dump may list: the manifest, and table and quarantine files
+_DUMP_FILE = re.compile(r"schema\.manifest|(?:quarantine/)?[^/\\]+\.csv")
+
+
 def dumps_staging(staging: StagingArea) -> dict[str, bytes]:
-    """All dump files as {relative path: bytes}, deterministically ordered.
-    A table that ``staging.encoded`` encodes (``Encoded.encodes``) takes
-    the bytes kept there; any other, such as a table whose rows were
-    replaced or edited in place, is rendered, and its bytes are kept for
-    the next dump. A quarantine writes its records."""
+    """All dump files as {relative path: bytes}, deterministically ordered,
+    and ``meta.json`` signed over them. A table that ``staging.encoded``
+    encodes (``Encoded.encodes``) takes the bytes kept there; any other,
+    such as a table whose rows were replaced or edited in place, is
+    rendered, and its bytes are kept for the next dump. A quarantine
+    writes its records."""
     files = {"schema.manifest": render_manifest(staging.schema()).encode("utf-8")}
     for name, table in staging.tables.items():
         kept = staging.encoded.get(name)
@@ -416,12 +457,13 @@ def dumps_staging(staging: StagingArea) -> dict[str, bytes]:
     for name, q in staging.quarantine.items():
         if len(q):
             files[f"quarantine/{name}.csv"] = q.to_csv()
-    meta = {
+    files["meta.json"] = sign({
+        "format_version": DUMP_FORMAT_VERSION,
         "fact_table": staging.fact_table,
         "dimensions": [list(d) for d in staging.dimensions],
         "reports": staging.reports,
-    }
-    files["meta.json"] = (json.dumps(meta, sort_keys=True, indent=2) + "\n").encode("utf-8")
+        "files": {rel: sha256_hex(data) for rel, data in files.items()},
+    })
     return files
 
 
@@ -498,35 +540,14 @@ def dump_staging(staging: StagingArea, out_dir: Path) -> None:
 
 
 def staging_fingerprint(staging: StagingArea) -> str:
-    return dump_fingerprint(dumps_staging(staging))
+    """The self checksum of the dump of ``staging``, which covers the
+    SHA-256 of each file it writes."""
+    return json.loads(dumps_staging(staging)["meta.json"])["self_checksum"]
 
 
-def dump_fingerprint(files: dict[str, bytes]) -> str:
-    """SHA-256 over the files of a dump, path and bytes, in path order."""
-    h = hashlib.sha256()
-    for rel, data in sorted(files.items()):
-        h.update(rel.encode())
-        h.update(b"\x00")
-        h.update(data)
-        h.update(b"\x00")
-    return h.hexdigest()
-
-
-def _dump_text(path: Path) -> str:
-    """The text of staging dump file ``path``; invalid UTF-8 is a
-    ``ValidationError`` naming the file."""
-    return _utf8(path.read_bytes(), path.name, ValidationError)
-
-
-def _parse_meta(text: str) -> tuple[str | None, list[tuple[str, str]], dict]:
-    """The fact table, dimensions and reports that ``meta.json`` holds.
-    Text that is not JSON, or not of that shape, is a ``ValidationError``."""
-    try:
-        meta = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"meta.json: not valid JSON: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise ValidationError("meta.json: not a JSON object")
+def _parse_meta(meta: dict) -> tuple[str | None, list[tuple[str, str]], dict]:
+    """The fact table, dimensions and reports that ``meta.json`` holds; a
+    value not of that shape is a ``ValidationError``."""
     fact_table = meta.get("fact_table")
     dimensions = meta.get("dimensions", [])
     reports = meta.get("reports", {})
@@ -543,58 +564,58 @@ def _parse_meta(text: str) -> tuple[str | None, list[tuple[str, str]], dict]:
 
 
 def load_staging(in_dir: Path) -> StagingArea:
-    """The staging area dumped to ``in_dir``; every file is checked here.
-    The bytes of each canonical table file are kept in ``encoded``, and a
-    dump writes them again while the table keeps its row objects; editing
-    a loaded table, in place or not, makes the dump render it."""
+    """The staging area dumped to ``in_dir``. ``meta.json`` and every file
+    it lists are checked first, by the digest check ``open_warehouse``
+    makes too (``read_signed``, ``read_checked``): an unsigned, edited or
+    missing file is an ``IntegrityError``, and a file the dump does not
+    list is not read. Each listed file is then decoded, and any fault
+    there is a ``ValidationError``. Every table's bytes are kept in
+    ``encoded``, and a dump writes them again while the table keeps its
+    row objects; editing a loaded table, in place or not, makes the dump
+    render it."""
     in_dir = Path(in_dir)
-    manifest_path = in_dir / "schema.manifest"
-    if not manifest_path.is_file():
+    if not (in_dir / "schema.manifest").is_file():
         raise MissingInputError(f"not a staging directory (no schema.manifest): {in_dir}")
-    db = parse_schema_manifest(_dump_text(manifest_path))
-    tables: dict[str, Table] = {}
-    encoded: dict[str, Encoded] = {}
-    for name, schema in db.tables.items():
-        path = in_dir / f"{name}.csv"
-        if not path.is_file():
-            raise MissingInputError(f"staging dump is missing table file {path.name}")
-        data = path.read_bytes()
-        tables[name], memos = decode_table(data, path.name, schema)
-        if _canonical(data, memos):
-            encoded[name] = Encoded.of(tables[name], data)
+    meta = read_signed(in_dir, "meta.json", DUMP_FORMAT_VERSION)
+    listed = meta.get("files")
+    if not (isinstance(listed, dict) and all(_DUMP_FILE.fullmatch(f) and isinstance(d, str) for f, d in listed.items())):
+        raise IntegrityError("meta.json: files must map each table, quarantine and manifest file to its SHA-256")
+    files = {file: read_checked(in_dir, file, digest) for file, digest in listed.items()}
 
-    quarantine: dict[str, Quarantine] = {}
-    qdir = in_dir / "quarantine"
-    if qdir.is_dir():
-        for path in sorted(qdir.glob("*.csv")):
-            q = _decode_quarantine(path.read_bytes(), f"quarantine/{path.name}")
-            if q is not None:
-                quarantine[path.stem] = q
+    def listed_file(file: str) -> bytes:
+        if file not in files:
+            raise IntegrityError(f"meta.json does not list {file}")
+        return files[file]
 
-    fact_table, dimensions, reports = None, [], {}
-    mpath = in_dir / "meta.json"
-    if mpath.is_file():
-        fact_table, dimensions, reports = _parse_meta(_dump_text(mpath))
-
-    return StagingArea(tables, quarantine, fact_table, dimensions, reports, encoded)
+    db = parse_schema_manifest(_utf8(listed_file("schema.manifest"), "schema.manifest", ValidationError))
+    tables = {name: decode_table(listed_file(f"{name}.csv"), f"{name}.csv", schema) for name, schema in db.tables.items()}
+    encoded = {name: Encoded.of(table, files[f"{name}.csv"]) for name, table in tables.items()}
+    quarantine = {
+        file[len("quarantine/") : -len(".csv")]: _decode_quarantine(data, file)
+        for file, data in sorted(files.items())
+        if file.startswith("quarantine/")
+    }
+    return StagingArea(tables, quarantine, *_parse_meta(meta), encoded)
 
 
-def _decode_quarantine(data: bytes, file: str) -> Quarantine | None:
-    """The quarantine in the bytes of ``file``; None when it has no header.
-    When the header and rows re-render as they stand (``_CANONICAL_ROWS``),
-    its records are the lines after the header; any other file is parsed,
-    and each row rendered again."""
-    head, newline, body = _utf8(data, file, ValidationError).partition("\n")
+def _decode_quarantine(data: bytes, file: str) -> Quarantine:
+    """The quarantine that ``Quarantine.to_csv`` wrote to ``file``: a header
+    starting with ``_reason``, then one record per line, except that a
+    line leaving an odd number of quotes open is joined to the next, as a
+    quoted field holds the line end. A file that ends inside a quoted
+    field, or is not valid UTF-8, is a ``ValidationError``."""
+    head, _, body = _utf8(data, file, ValidationError).partition("\n")
     header = head.split(",")
-    if newline and header[0] == "_reason" and '"' not in head and "\r" not in head and _CANONICAL_ROWS.fullmatch(body):
-        return Quarantine(tuple(header[1:]), body[:-1].split("\n") if body else [])
-    records = read_records(data, file)
-    header, _ = next(records, (None, None))
-    if header is None:
-        return None
     if header[0] != "_reason":
         raise ValidationError(f"{file}: quarantine header must start with _reason")
-    q = Quarantine(tuple(header[1:]))
-    for fields, _ in records:
-        q.append(QRow(fields[0], tuple(fields[1:])))
-    return q
+    lines = body.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the final line end
+    records: list[str] = []
+    quoted = False  # whether the last record ends inside a quoted field
+    for line in lines:
+        records.append(records.pop() + "\n" + line if quoted else line)
+        quoted ^= line.count('"') % 2 == 1
+    if quoted:
+        raise ValidationError(f"{file}: unterminated quoted field")
+    return Quarantine(tuple(header[1:]), records)

@@ -12,8 +12,6 @@ mutating operation.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -32,9 +30,12 @@ from .staging import (
     StagingArea,
     column_csv,
     decode_column,
-    dump_fingerprint,
-    dumps_staging,
     kept_columns,
+    read_checked,
+    read_signed,
+    sha256_hex,
+    sign,
+    staging_fingerprint,
     write_dir_atomically,
 )
 from .staging import render_table_csv  # noqa: F401  (unused here; the benchmark's tracer rebinds this name)
@@ -46,14 +47,6 @@ FORMAT_VERSION = 5
 WAREHOUSE = Output("warehouse", "a warehouse", None)
 
 AGGREGATES = ("COUNT", "SUM", "AVG", "MIN", "MAX")
-
-
-def sha256_hex(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +273,9 @@ def load(out_dir: Path, staging: StagingArea, *, timestamp: str) -> dict:
     each relation are rendered once (``kept_columns``): they make its
     column files and, unless ``staging.encoded`` already holds them, the
     bytes of its staging dump file, which a later dump of ``staging``
-    writes as they are. ``build.source_hash`` is the fingerprint of the
-    whole dump, and ``build.plan_hash`` the one the transform recorded."""
+    writes as they are. ``build.source_hash`` is the self checksum of the
+    signed dump (``staging_fingerprint``), and ``build.plan_hash`` the
+    one the transform recorded."""
     files: dict[str, bytes] = {}
     relations_meta = []
     snowflake = _checked_snowflake(staging)
@@ -305,7 +299,6 @@ def load(out_dir: Path, staging: StagingArea, *, timestamp: str) -> dict:
             "primary_key": list(schema.primary_key),
         })
 
-    dump = dumps_staging(staging)
     catalog = {
         "format_version": FORMAT_VERSION,
         "frozen": True,
@@ -323,13 +316,11 @@ def load(out_dir: Path, staging: StagingArea, *, timestamp: str) -> dict:
         "relations": relations_meta,
         "build": {  # a transform report that is absent or malformed gives no plan hash
             "plan_hash": staging.reports["transform"]["plan_hash"] if _fits(staging.reports, _PLAN_REPORT) else "",
-            "source_hash": dump_fingerprint(dump),
+            "source_hash": staging_fingerprint(staging),
             "timestamp": timestamp,
         },
-        "self_checksum": "",
     }
-    catalog["self_checksum"] = sha256_hex(canonical_json(catalog).encode("utf-8"))
-    files[CATALOG_NAME] = canonical_json(catalog).encode("utf-8")
+    files[CATALOG_NAME] = sign(catalog)
     write_dir_atomically(files, out_dir, WAREHOUSE)
     return catalog
 
@@ -880,26 +871,16 @@ def open_warehouse(directory: Path) -> Warehouse:
     error naming the file. No index is built here; the star join builds
     the ones it probes.
 
-    Each column file is read whole, checksummed and typed in one pass
+    The catalog and each column file go through the digest check that
+    ``load_staging`` makes too (``read_signed``, ``read_checked``). Each
+    column file is read whole, checksummed and typed in one pass
     (``decode_column``); a cell that does not parse, or a line count
     other than the relation's row count, fails here. The columns are then
     zipped into the row tuples the handle holds."""
     directory = Path(directory)
-    catalog_path = directory / CATALOG_NAME
-    if not catalog_path.is_file():
+    if not (directory / CATALOG_NAME).is_file():
         raise MissingInputError(f"{directory} is not a warehouse (no {CATALOG_NAME})")
-    raw = catalog_path.read_bytes()
-    try:
-        catalog = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise IntegrityError(f"{CATALOG_NAME} is corrupt: {exc}") from exc
-    if not isinstance(catalog, dict) or catalog.get("format_version") != FORMAT_VERSION:
-        raise IntegrityError(f"{CATALOG_NAME}: unsupported or missing format_version")
-    recorded = catalog.get("self_checksum")
-    unsigned = dict(catalog)
-    unsigned["self_checksum"] = ""
-    if sha256_hex(canonical_json(unsigned).encode("utf-8")) != recorded:
-        raise IntegrityError(f"{CATALOG_NAME} failed its self checksum")
+    catalog = read_signed(directory, CATALOG_NAME, FORMAT_VERSION)
     if catalog.get("frozen") is not True:
         raise IntegrityError(f"{CATALOG_NAME}: warehouse is not marked frozen")
     fault = _catalog_fault(catalog)
@@ -910,13 +891,7 @@ def open_warehouse(directory: Path) -> Warehouse:
     for entry in catalog["relations"]:
         columns = []
         for c in entry["columns"]:
-            path = directory / c["file"]
-            if not path.is_file():
-                raise IntegrityError(f"missing column file {c['file']}")
-            data = path.read_bytes()
-            if sha256_hex(data) != c["checksum"]:
-                raise IntegrityError(f"checksum mismatch in {c['file']}")
-            cells = decode_column(data, c["file"], ValueType(c["type"]))
+            cells = decode_column(read_checked(directory, c["file"], c["checksum"]), c["file"], ValueType(c["type"]))
             if len(cells) != entry["row_count"]:
                 raise IntegrityError(f"{c['file']}: row count {len(cells)} != cataloged {entry['row_count']}")
             columns.append(cells)

@@ -10,6 +10,8 @@ the whole table with a version of each rule kind of its own, and a derivation is
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import operator
 import re
@@ -644,3 +646,23 @@ def star_aggregate_bruteforce(handle, query) -> list[tuple]:
                     cells.append(round_half_even_4(total / len(nonnull)))
         out.append(gkey + tuple(cells))
     return out
+
+
+def resign_dump(directory, edit=None) -> None:
+    """Sign the staging dump in ``directory`` again, as it now stands, after
+    a test changed it: ``meta.json`` lists the SHA-256 of every other file
+    in the directory, then ``edit``, if given, changes its record, and its
+    ``self_checksum`` is the SHA-256 of its JSON (sorted keys, two-space
+    indent, final LF) while that field is empty."""
+
+    def text(record) -> bytes:
+        return (json.dumps(record, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+    meta = json.loads((directory / "meta.json").read_text(encoding="utf-8"))
+    files = (p for p in sorted(directory.rglob("*")) if p.is_file() and p != directory / "meta.json")
+    meta["files"] = {p.relative_to(directory).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+    if edit is not None:
+        edit(meta)
+    meta["self_checksum"] = ""
+    meta["self_checksum"] = hashlib.sha256(text(meta)).hexdigest()
+    (directory / "meta.json").write_bytes(text(meta))

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uwh.cli import run
-from uwh.warehouse import CATALOG_NAME, canonical_json, sha256_hex
+from uwh.staging import CATALOG_NAME, canonical_json, sha256_hex
 
 QUERIES = [
     ["--measure", "COUNT(*)", "--group-by", "mj_name"],

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
 
 import pytest
 
+import oracles
 from uwh import canonical
 from uwh.cli import run
-from uwh.staging import dump_staging, load_staging
+from uwh.staging import dump_staging, dumps_staging, load_staging
 from uwh.values import RawCell
 
 TS = "2026-01-01T00:00:00Z"
@@ -192,8 +194,6 @@ def test_rule_that_does_not_fit_the_schema_exits_one(tmp_path, cli_dirs, capsys,
 
 
 def test_inplace_stages_leave_only_dumped_files(tmp_path, cli_dirs, capsys):
-    from uwh.staging import dumps_staging, load_staging
-
     _, src, _ = cli_dirs
     staging = tmp_path / "staging"
     assert _run(capsys, "extract", "--src", str(src), "--out", str(staging), "--timestamp", TS)[0] == 0
@@ -568,27 +568,56 @@ def test_transform_of_raw_cells_exits_one(tmp_path, extracted_dir, capsys):
     assert not out.exists()
 
 
+def _write(name, tamper):
+    """An edit of file ``name`` that leaves the dump's signature as it was."""
+
+    def apply(staging):
+        (staging / name).write_bytes(tamper((staging / name).read_bytes()))
+
+    return apply
+
+
+def _resigned(edit):
+    """An edit of the dump in place, signed again after it (``oracles.resign_dump``)."""
+
+    def apply(staging):
+        edit(staging)
+        oracles.resign_dump(staging)
+
+    return apply
+
+
+def _meta(key, value):
+    """A ``meta.json`` record with ``value`` at ``key``, signed."""
+    return lambda staging: oracles.resign_dump(staging, lambda meta: meta.__setitem__(key, value))
+
+
 @pytest.mark.parametrize(
-    "name, tamper, words",
+    "tamper, exit_code, words",
     [
-        ("meta.json", lambda data: b"{broken", "meta.json: not valid JSON"),
-        ("meta.json", lambda data: b"[]", "meta.json: not a JSON object"),
-        ("meta.json", lambda data: b'{"dimensions": 5}', "meta.json: dimensions must be"),
-        ("meta.json", lambda data: b'{"dimensions": [["student"]]}', "meta.json: dimensions must be"),
-        ("meta.json", lambda data: b'{"fact_table": 5}', "meta.json: fact_table must be"),
-        ("meta.json", lambda data: b'{"reports": []}', "meta.json: reports must be"),
-        ("meta.json", lambda data: data + b"\xff", "meta.json: not valid UTF-8"),
-        ("schema.manifest", lambda data: data.replace(b"TABLE", b"TABLE \xff", 1), "schema.manifest: not valid UTF-8"),
+        # a meta.json that cannot hold a signature is unsigned
+        (_write("meta.json", lambda data: b"{broken"), 5, "meta.json is corrupt: "),
+        (_write("meta.json", lambda data: b"[]"), 5, "meta.json: unsupported or missing format_version"),
+        (_meta("dimensions", 5), 1, "meta.json: dimensions must be"),
+        (_meta("dimensions", [["student"]]), 1, "meta.json: dimensions must be"),
+        (_meta("fact_table", 5), 1, "meta.json: fact_table must be"),
+        (_meta("reports", []), 1, "meta.json: reports must be"),
+        (_write("meta.json", lambda data: data + b"\xff"), 5, "meta.json is corrupt: "),
+        (_write("meta.json", lambda data: re.sub(rb'"self_checksum": "\w+"', b'"x": 0', data)), 5, "meta.json failed its self checksum"),
+        # a dump reads, and a stage writes, no file outside its directory
+        (_meta("files", {"schema.manifest": "0", "quarantine/../../s.csv": "0"}), 5, "meta.json: files must map"),
+        (_resigned(_write("schema.manifest", lambda data: data.replace(b"TABLE", b"TABLE \xff", 1))), 1, "schema.manifest: not valid UTF-8"),
     ],
-    ids=["not-json", "list", "dimensions-5", "dimension-not-a-pair", "fact-5", "reports-list", "meta-utf8", "manifest-utf8"],
+    ids=["not-json", "list", "dimensions-5", "dimension-not-a-pair", "fact-5", "reports-list", "meta-utf8", "unsigned", "file-outside", "manifest-utf8"],
 )
-def test_malformed_staging_file_exits_one(tmp_path, extracted_dir, capsys, name, tamper, words):
+def test_malformed_staging_file_exits_one(tmp_path, extracted_dir, capsys, tamper, exit_code, words):
+    # a fault in a signed file exits 1; a meta.json without a signature, 5
     staging = _copy(extracted_dir, tmp_path)
-    (staging / name).write_bytes(tamper((staging / name).read_bytes()))
+    tamper(staging)
     code, _, err = _run(capsys, "report", "--staging", str(staging))
-    assert code == 1 and err.startswith("error: ") and words in err and "Traceback" not in err
+    assert code == exit_code and err.startswith("error: ") and words in err and "Traceback" not in err
     code, _, err = _run(capsys, "load", "--staging", str(staging), "--out", str(tmp_path / "wh"), "--timestamp", TS)
-    assert code == 1 and words in err
+    assert code == exit_code and words in err
     assert not (tmp_path / "wh").exists()
 
 
@@ -638,9 +667,7 @@ def test_report_staging_text_and_json(cli_dirs, tmp_path, capsys):
 @pytest.mark.parametrize("transform", [5, {"statements": 5}, {"statements": [{"statement": "DROP TABLE t ;"}]}])
 def test_report_staging_prints_no_statement_of_a_malformed_transform_report(tmp_path, extracted_dir, capsys, transform):
     staging = _copy(extracted_dir, tmp_path)
-    meta = json.loads((staging / "meta.json").read_text())
-    meta["reports"]["transform"] = transform
-    (staging / "meta.json").write_text(json.dumps(meta))
+    oracles.resign_dump(staging, lambda meta: meta["reports"].__setitem__("transform", transform))
     code, out, err = _run(capsys, "report", "--staging", str(staging))
     assert code == 0 and "staging report" in out and "statement" not in out, err
 
@@ -697,7 +724,6 @@ def _stage_outputs(staging_dir, stage, tmp_path) -> dict:
     """The files ``stage`` writes for the dump in ``staging_dir``, run in
     process on a copy of it that keeps no bytes."""
     from uwh.cleanse import cleanse_staging
-    from uwh.staging import dumps_staging
     from uwh.transform import execute_plan
     from uwh.warehouse import load
 
@@ -714,7 +740,6 @@ def _stage_outputs(staging_dir, stage, tmp_path) -> dict:
 
 def test_each_stage_writes_what_rendering_every_file_writes(tmp_path, cli_dirs, capsys):
     from uwh.ingest import extract_database
-    from uwh.staging import dumps_staging
 
     _, src, _ = cli_dirs
     st, wh = tmp_path / "st", tmp_path / "wh"
@@ -751,8 +776,6 @@ def _edit_file(name, edit):
 
 
 def _bare_empty_quarantine_field(staging_dir):
-    import re
-
     for path in sorted((staging_dir / "quarantine").glob("*.csv")):
         data, n = re.subn(rb',""(?=[,\n])', b",", path.read_bytes(), count=1)
         if n:
@@ -786,26 +809,83 @@ def staged_dirs(tmp_path_factory, cli_dirs):
     return {"transform": cleansed, "load": transformed}
 
 
+def _without_volatile(files: dict) -> dict:
+    """``files`` with the catalog's ``source_hash`` and self checksum left
+    out: they sign the dump a warehouse was loaded from."""
+    files = dict(files)
+    if "catalog.json" in files:
+        catalog = json.loads(files["catalog.json"])
+        del catalog["build"]["source_hash"], catalog["self_checksum"]
+        files["catalog.json"] = catalog
+    return files
+
+
 @pytest.mark.parametrize(
     "stage, edit",
     # no BOOLEAN column comes before the transform
     [(s, e) for s in ("transform", "load") for e in sorted(HAND_EDITS) if (s, e) != ("transform", "boolean-TRUE")],
 )
 def test_a_hand_edited_dump_is_rendered_as_before(tmp_path, staged_dirs, capsys, stage, edit):
+    """A hand edit is refused until the dump is signed again. Signed, the
+    edited file reads as the cells it spells, and the stage writes what
+    rendering those cells writes: the load writes the same warehouse but
+    for the catalog's signature of its source dump, and the dump the
+    transform writes renders back to the same dump."""
     st = shutil.copytree(staged_dirs[stage], tmp_path / "st")
     before = _files(st)
     HAND_EDITS[edit](st)
     edited = _files(st)
     changed = [name for name in edited if edited[name] != before.get(name)]
-    assert changed
+    assert len(changed) == 1
+    out = tmp_path / "out"
+    argv = [stage, "--staging", str(st), "--out", str(out), "--timestamp", TS]
+    code, _, err = _run(capsys, *argv)
+    assert (code, err) == (5, f"error: checksum mismatch in {changed[0]}\n")
+    assert not out.exists() and _files(st) == edited
+    oracles.resign_dump(st)
     expected = _stage_outputs(st, stage, tmp_path)
-    out = tmp_path / "wh"
-    argv = ["--out", str(out)] if stage == "load" else []
-    code, _, err = _run(capsys, stage, "--staging", str(st), *argv, "--timestamp", TS)
+    code, _, err = _run(capsys, *argv)
     assert code == 0, err
-    assert _files(out if stage == "load" else st) == expected
-    if stage == "transform":  # each edited file is rendered again, not passed through
-        assert all(expected.get(name) != edited[name] for name in changed)
+    if stage == "load":
+        assert _without_volatile(_files(out)) == _without_volatile(expected)
+    else:
+        assert dumps_staging(_rendered_afresh(load_staging(out))) == expected
+
+
+# an edit of one tr_grade, as in a hand-corrected dump
+_GRADE_EDIT = _edit_first_field("transcript", "tr_grade", lambda v: b"77" if v != b"77" else b"78")
+
+
+@pytest.fixture(scope="module")
+def kept_dir(tmp_path_factory, cli_dirs):
+    _, src, _ = cli_dirs
+    base = tmp_path_factory.mktemp("kept")
+    argv = ["build", "--src", str(src), "--out", str(base / "wh"), "--keep-staging", str(base / "kept"), "--timestamp", TS]
+    assert run(argv) == 0
+    return base / "kept"
+
+
+@pytest.mark.parametrize(
+    "tamper, words",
+    [
+        (_GRADE_EDIT, "checksum mismatch in transcript.csv"),
+        (lambda st: (st / "transcript.csv").unlink(), "missing file transcript.csv"),
+        (lambda st: oracles.resign_dump(st, lambda meta: meta.pop("format_version")), "meta.json: unsupported or missing format_version"),
+    ],
+    ids=["edited-grade", "deleted-file", "no-format-version"],
+)
+@pytest.mark.parametrize("stage", ["cleanse", "transform", "load", "report"])
+def test_an_edited_dump_is_refused_by_every_stage(tmp_path, kept_dir, capsys, tamper, words, stage):
+    st = shutil.copytree(kept_dir, tmp_path / "st")
+    tamper(st)
+    tampered = _files(st)
+    argv = {
+        "load": ["load", "--staging", str(st), "--out", str(tmp_path / "wh"), "--timestamp", TS],
+        "report": ["report", "--staging", str(st)],
+    }.get(stage, [stage, "--staging", str(st), "--timestamp", TS])  # in place
+    code, out, err = _run(capsys, *argv)
+    assert (code, out, err) == (5, "", f"error: {words}\n")
+    assert _files(st) == tampered and not (tmp_path / "wh").exists()
 
 
 @pytest.mark.parametrize(
@@ -821,6 +901,7 @@ def test_a_malformed_quarantine_file_exits_one(tmp_path, staged_dirs, capsys, ta
     st = shutil.copytree(staged_dirs["load"], tmp_path / "st")
     path = st / "quarantine" / "student.csv"
     path.write_bytes(tamper(path.read_bytes()))
+    oracles.resign_dump(st)
     code, _, err = _run(capsys, "report", "--staging", str(st))
     assert code == 1 and err.startswith("error: quarantine/student.csv: ") and words in err
     code, _, err = _run(capsys, "load", "--staging", str(st), "--out", str(tmp_path / "wh"), "--timestamp", TS)

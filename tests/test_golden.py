@@ -30,7 +30,7 @@ WAREHOUSE = {
     "alumni.2.col": "c09ba2db565bc02e3dfc3e3f9ecc8a1d1b53d760325a817e31c3c51be5eb41c5",
     "alumni.3.col": "fa09f9d4d4af0ba4d3bbfed65a2fd2d2e2637816172800d61f73b470ef4ea68a",
     "alumni.4.col": "9e526cd58ec96c443e850e34d2b1bcef82ce0691ae5e8d27c8c3c136ae2b7abf",
-    "catalog.json": "b0cfee0767d27562120e9f4f8e080c441fce8b364460459cf82358c372a060c8",
+    "catalog.json": "462ccbcd31f907ad3fd777cdf07aab7d6da8c57d60a2180b03f75510345bf9f1",
     "instructor.0.col": "f8ff5e287f4c6daa02f6c83e838dff7bf31744f23739f31d94a12bd2b45e6a74",
     "instructor.1.col": "4d168024decf9092935ff1499af30a1a5d38788affd0e381e292857ee7f40032",
     "instructor.2.col": "53e46b942050dfdac0846e6b7e4328fe37ca890da409d56850af241b547d8272",
@@ -80,7 +80,7 @@ STAGING = {
     "instructor.csv": "6154df690fc45a954531cb792f53abb86b14482fe9fdb12116b986a5938cdcdc",
     "item.csv": "d7b356aea58a729ea09f7ae9c5d2b264f602c19e3c94640036aa397169e98704",
     "major.csv": "db26fd38cb2454e13d734f095d7a926995643db675483306e276736704b94347",
-    "meta.json": "dfcd634ae9f30daac82f946c390c3132d88b0d4bdae1039aed88ef690515e18e",
+    "meta.json": "a8c3647261add4f397e637d81c3ed5fccd8ab7e16344ab4eb9670365b286517a",
     "quarantine/receipt.csv": "33e1ee54de042f35a9fa783b10bd5ec3faeb0ac6e858adfd280c086ece1f8b21",
     "quarantine/student.csv": "7e02476563d50bea4774aef196fb71ba9217aa0e75e16e94bd3d834d7ee636f0",
     "receipt.csv": "b6eef44f133e4ce44fb8864f59a339211cd433d49ec1f3d8e9d5bd83c6f2da4e",
@@ -102,7 +102,7 @@ CLEANSED = {
     "instructor.csv": "7ef1d3662cb0c0e4e8169613ebb94fd11257c5cbde90e7c97233a9b0b4f0bdcf",
     "item.csv": "8051a26016531ee9d656a176d5e04e94f09763806673ab52c68be4a4f19d24a2",
     "major.csv": "5289cf1fbeb071c2079573af31a0ab04cb3eba2e2fde9c2f345b148d27ece4c2",
-    "meta.json": "c2047e15a8eba2786c9f369358e9ad5dc2cb496b15e5385401a0ed7304f2a7f5",
+    "meta.json": "6afa8584d7a05728e43124d87d565647322a2bc28d75f079dcb2e163d0b9166a",
     "quarantine/account.csv": "489baaf9291af5d660ea0010fe47a0dffba0ccf3c5af6f6baa82012bb2086a18",
     "quarantine/activities.csv": "b700ddc3d2f15cf40f943e7f7129f94a2c1ffd510905c9060675227ab1ae12dc",
     "quarantine/alumni.csv": "f71e51b24f664b41cbf0b0c9a94efb02c843cddd6f1d8f0b8fb5a7549dfc5d1a",
@@ -126,7 +126,7 @@ TRANSFORMED = {
     "alumni.csv": "7e4cdc238eec67ac0e94cb9c5bae2dee8e71951bc09dc487a94c82628f4ecd7e",
     "instructor.csv": "7ef1d3662cb0c0e4e8169613ebb94fd11257c5cbde90e7c97233a9b0b4f0bdcf",
     "major.csv": "5289cf1fbeb071c2079573af31a0ab04cb3eba2e2fde9c2f345b148d27ece4c2",
-    "meta.json": "9c0b34b0058fee9b38cecab1881fca83e059f76a4619a27086bc11c748fdaff1",
+    "meta.json": "2c69bb653e33e384e185c9668e92d15a8dc27fb4d9522b77b63054936eafa05f",
     "quarantine/account.csv": "489baaf9291af5d660ea0010fe47a0dffba0ccf3c5af6f6baa82012bb2086a18",
     "quarantine/activities.csv": "b700ddc3d2f15cf40f943e7f7129f94a2c1ffd510905c9060675227ab1ae12dc",
     "quarantine/alumni.csv": "f71e51b24f664b41cbf0b0c9a94efb02c843cddd6f1d8f0b8fb5a7549dfc5d1a",
@@ -154,7 +154,7 @@ CLEANSED_DIRTY = {
     "instructor.csv": "7ef1d3662cb0c0e4e8169613ebb94fd11257c5cbde90e7c97233a9b0b4f0bdcf",
     "item.csv": "099956571fc59324f459d382a5adbd41b2932e8a052e6a98b580eb8f6de89eab",
     "major.csv": "5289cf1fbeb071c2079573af31a0ab04cb3eba2e2fde9c2f345b148d27ece4c2",
-    "meta.json": "cd059a5a0683a5b6927f90803366ec77b4b9cf752e98dc4daa6e3b1a48eea724",
+    "meta.json": "9bd54b14797b063a65b9f7636e4f679ecd0f131a682ca64d313e7b1552faed30",
     "quarantine/account.csv": "787884500af3df950dba28e6fc3ba6c155f305ba1e149c6a71f91c86b7e8a509",
     "quarantine/activities.csv": "733c0b73a754a4d5a6c5b37cf3e20cb49220e3a793725dd1000decf4c33d780e",
     "quarantine/alumni.csv": "f2211e0bfc1c0710a9e0821259a3268cdc84a9fbccfa8df1304015106cd91074",

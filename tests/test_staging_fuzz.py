@@ -1,14 +1,17 @@
 """Byte mutations of a transformed seed-42 staging dump, run through
-``uwh report --staging`` and ``uwh load`` in process. Each run exits 0,
-or prints an ``error:`` line and exits with a documented code (1
-validation, 2 I/O, 3 parse, 5 integrity); no mutation raises out of
-``cli.run``.
+``uwh report --staging`` and ``uwh load`` in process. A mutated dump
+fails its digest check with exit 5 and writes no warehouse. Signed again
+after the mutation (``oracles.resign_dump``), it reaches the decoders:
+each run exits 0, or prints an ``error:`` line and exits with a
+documented code (1 validation, 2 I/O, 3 parse, 5 integrity); no mutation
+raises out of ``cli.run``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -16,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from uwh.cli import run
 from uwh.staging import dump_staging
 
@@ -51,20 +55,55 @@ def _run(argv: list[str]) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_mutated_staging_is_refused_or_read(dump, data):
+def _mutated(dump, data, names) -> tuple[Path, dict[str, bytes]]:
+    """A run directory and the dump's files, one to three of ``names`` mutated."""
     runs, original = dump
     files = dict(original)
     for _ in range(data.draw(st.integers(1, 3))):
-        name = data.draw(st.sampled_from(sorted(files)))
+        name = data.draw(st.sampled_from(names))
         files[name] = _mutate(files[name], data.draw)
+    return runs, files
+
+
+def _commands(staging: Path, work: Path) -> list[list[str]]:
+    return [["report", "--staging", str(staging), "--json"],
+            ["load", "--staging", str(staging), "--out", str(work / "wh"), "--timestamp", "2026-01-01T00:00:00Z"]]
+
+
+def _write(staging: Path, files: dict[str, bytes]) -> None:
+    for name, content in files.items():
+        (staging / name).parent.mkdir(parents=True, exist_ok=True)
+        (staging / name).write_bytes(content)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_a_mutated_dump_is_refused(dump, data):
+    # the self checksum covers meta.json's JSON value, which a change of
+    # white space alone leaves as it was
+    runs, files = _mutated(dump, data, sorted(dump[1]))
+    listed = {name for name in files if name != "meta.json"}
+    try:
+        same = all(files[n] == dump[1][n] for n in listed) and json.loads(files["meta.json"]) == json.loads(dump[1]["meta.json"])
+    except ValueError:
+        same = False
     with tempfile.TemporaryDirectory(dir=runs) as work:
         staging = Path(work) / "s"
-        for name, content in files.items():
-            (staging / name).parent.mkdir(parents=True, exist_ok=True)
-            (staging / name).write_bytes(content)
-        for argv in (["report", "--staging", str(staging), "--json"],
-                     ["load", "--staging", str(staging), "--out", str(Path(work) / "wh"), "--timestamp", "2026-01-01T00:00:00Z"]):
+        _write(staging, files)
+        for argv in _commands(staging, Path(work)):
+            code, err = _run(argv)
+            assert code == 0 if same else code == 5 and err.startswith("error: "), (argv, code, err)
+        assert (Path(work) / "wh").exists() == same
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_staging_is_refused_or_read(dump, data):
+    runs, files = _mutated(dump, data, sorted(set(dump[1]) - {"meta.json"}))
+    with tempfile.TemporaryDirectory(dir=runs) as work:
+        staging = Path(work) / "s"
+        _write(staging, files)
+        oracles.resign_dump(staging)
+        for argv in _commands(staging, Path(work)):
             code, err = _run(argv)
             assert code == 0 or (code in (1, 2, 3, 5) and err.startswith("error: ")), (argv, code, err)

@@ -327,6 +327,70 @@ def test_clean_quarantines_a_raw_cell_in_another_column():
     }
 
 
+def _assert_records_fit_the_header(q) -> None:
+    """Each record of quarantine ``q`` but an ``arity`` reject holds a
+    field per column of its header."""
+    for row in q.rows:
+        assert row.reason == "arity" or len(row.fields) == len(q.columns), (q.columns, row)
+
+
+def test_a_clean_after_add_column_grows_the_quarantine_header():
+    db = parse_schema_manifest("TABLE t\n  a INTEGER PK\n  b TEXT NULL\n")
+    staging = StagingArea(tables={"t": Table(db.tables["t"], [(2, "N/A")])})
+    staging.add_quarantine("t", ("a", "b"), [QRow("arity", ("1",)), QRow("orphan:t_fk", ("3", "y"))])
+    plan = parse_plan("ADD COLUMN t.c INTEGER AS t.a ; CLEAN t.b WITH domain('x') ;")
+    out, _ = execute_plan(staging, plan, timestamp=TS)
+    q = out.quarantine["t"]
+    assert q.to_csv() == b'_reason,a,b,c\narity,1\norphan:t_fk,3,y,""\nout-of-domain:b,2,N/A,2\n'
+    _assert_records_fit_the_header(q)
+    assert staging.quarantine["t"].columns == ("a", "b")  # the input keeps its own
+
+
+def test_a_clean_after_remove_column_keeps_the_quarantine_header():
+    db = parse_schema_manifest("TABLE t\n  a INTEGER PK\n  b TEXT NULL\n  c TEXT NULL\n")
+    staging = StagingArea(tables={"t": Table(db.tables["t"], [(2, "N/A", "z")])})
+    staging.add_quarantine("t", ("a", "b", "c"), [QRow("orphan:t_fk", ("3", "y", "w"))])
+    plan = parse_plan("REMOVE COLUMN t.b ; CLEAN t.c WITH domain('x') ;")
+    out, _ = execute_plan(staging, plan, timestamp=TS)
+    assert out.quarantine["t"].to_csv() == b'_reason,a,b,c\norphan:t_fk,3,y,w\nout-of-domain:c,2,"",z\n'
+
+
+@st.composite
+def _column_plans(draw) -> str:
+    """Statements on ``t(a INTEGER PK, b TEXT, c TEXT)`` that add and remove
+    TEXT columns and CLEAN one, each CLEAN quarantining the rows whose
+    cell is not in its domain."""
+    columns, fresh, statements = ["b", "c"], iter(f"n{i}" for i in range(99)), []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["add", "remove", "clean", "clean"] if columns else ["add"]))
+        if kind == "add":
+            name = next(fresh)
+            source = draw(st.sampled_from(["a", *columns]))
+            expr = f"t.{source}" if source != "a" else "'k'"
+            statements.append(f"ADD COLUMN t.{name} TEXT AS {expr} ;")
+            columns.append(name)
+        elif kind == "remove":
+            name = draw(st.sampled_from(columns))
+            statements.append(f"REMOVE COLUMN t.{name} ;")
+            columns.remove(name)
+        else:
+            allowed = ", ".join(f"'{v}'" for v in draw(st.lists(st.sampled_from("xyz"), min_size=1, max_size=2)))
+            statements.append(f"CLEAN t.{draw(st.sampled_from(columns))} WITH domain({allowed}) ;")
+    return " ".join(statements)
+
+
+@settings(max_examples=150, deadline=None)
+@given(plan=_column_plans(), cells=st.lists(st.tuples(st.sampled_from("xyz"), st.sampled_from("xyz")), min_size=1, max_size=6))
+def test_every_quarantine_record_fits_its_header_after_column_changes(plan, cells):
+    db = parse_schema_manifest("TABLE t\n  a INTEGER PK\n  b TEXT NULL\n  c TEXT NULL\n")
+    staging = StagingArea(tables={"t": Table(db.tables["t"], [(i, b, c) for i, (b, c) in enumerate(cells)])})
+    staging.add_quarantine("t", ("a", "b", "c"), [QRow("arity", ("1",)), QRow("pk-conflict", ("0", "", "x,y"))])
+    out, _ = execute_plan(staging, parse_plan(plan), timestamp=TS)
+    q = out.quarantine["t"]
+    assert q.columns[:3] == ("a", "b", "c") and len(set(q.columns)) == len(q.columns)
+    _assert_records_fit_the_header(q)
+
+
 DIFFICULTY_80_65 = "ADD COLUMN g.d TEXT AS DIFFICULTY(g.grade GROUP BY g.code THRESHOLDS 80, 65) ;"
 
 

@@ -303,7 +303,7 @@ def test_missing_relation_file_fails_open(tmp_path, seed42_warehouse_dir):
 
 def _forge_checksums(work, name: str) -> None:
     """Re-sign the catalog so file ``name`` passes its checksum as edited."""
-    from uwh.warehouse import canonical_json, sha256_hex
+    from uwh.staging import canonical_json, sha256_hex
 
     catalog = json.loads((work / "catalog.json").read_text())
     for entry in catalog["relations"]:
@@ -451,7 +451,7 @@ _CATALOG_FORGERIES = {
 
 def _forged(tmp_path, warehouse_dir, forge):
     """A copy of the warehouse whose catalog ``forge`` edited and re-signed."""
-    from uwh.warehouse import canonical_json, sha256_hex
+    from uwh.staging import canonical_json, sha256_hex
 
     work = tmp_path / "wh"
     shutil.copytree(warehouse_dir, work)
