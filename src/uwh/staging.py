@@ -66,7 +66,7 @@ from .csvio import parse_csv  # noqa: F401  (unused here; the benchmark's tracer
 from .errors import IntegrityError, MissingInputError, ReadOnlyError, UwhError, ValidationError
 from .manifest import parse_schema_manifest, render_manifest
 from .schema import DatabaseSchema, Table, TableSchema
-from .values import CELL_TEXT, RawCell, ValueType, cell_converter, render_cell
+from .values import CELL_TEXT, RawCell, ValueType, cell_converter, convert_all, render_cell
 
 DEFAULT_TIMESTAMP = "1970-01-01T00:00:00Z"
 CATALOG_NAME = "catalog.json"  # the file that makes a directory a frozen warehouse
@@ -331,22 +331,34 @@ _QUOTED_FIELD = re.compile(r'"([^"]*(?:""[^"]*)*)"')
 _COLUMN_FIELD = re.compile(rf'(?:{_QUOTED_FIELD.pattern}|([^",\r\n]*))(?:\r\n|\n|\r)')
 
 
+def _bare(text: str) -> bool:  # LF-ended lines free of quote, CR and comma
+    return text.endswith("\n") and '"' not in text and "\r" not in text and "," not in text
+
+
+def bare_count(data: bytes, file: str) -> int | None:
+    """The field count of column file ``file`` if it is bare, else None; invalid UTF-8 is an ``IntegrityError``."""
+    return text.count("\n") if _bare(text := _utf8(data, file, IntegrityError)) else None
+
+
 def decode_column(data: bytes, file: str, vtype: ValueType) -> list:
     """The cells of column file ``file``, one per field (``column_csv``).
 
-    A file with no quote, CR or comma that ends in LF is split on LF and
-    each line looked up in the column's memo. Any other file is read one
-    field at a time by ``_COLUMN_FIELD``, where a quoted empty field is
-    empty text in a TEXT column. A cell that does not parse as ``vtype``,
-    and any other fault, is an ``IntegrityError`` naming ``file``."""
+    A bare file is split on LF; its distinct texts fill the column's memo in
+    one pass (``convert_all``), or else one by one, and each line is looked
+    up there. Any other file is read one field at a time by ``_COLUMN_FIELD``,
+    where a quoted empty field is empty text in a TEXT column. A cell that
+    does not parse as ``vtype``, and any other fault, is an ``IntegrityError``
+    naming ``file``."""
 
     def unparsable(text: str):
         raise IntegrityError(f"{file}: cell does not parse as its declared type")
 
     memo = _ColumnMemo(vtype, unparsable)
     text = _utf8(data, file, IntegrityError)
-    if text.endswith("\n") and '"' not in text and "\r" not in text and "," not in text:
-        return list(map(memo.__getitem__, text[:-1].split("\n")))
+    if _bare(text):
+        lines = text[:-1].split("\n")
+        memo.update(convert_all(vtype, set(lines).difference(("",))) or ())
+        return list(map(memo.__getitem__, lines))
     cells: list = []
     pos, match = 0, _COLUMN_FIELD.match
     while pos < len(text):
@@ -412,17 +424,19 @@ def _read(directory: Path, file: str) -> bytes:
 
 
 def read_signed(directory: Path, file: str, version: int) -> dict:
-    """The JSON object ``sign`` wrote to ``file`` in ``directory``. Text that
-    is not a JSON object of format ``version`` with a matching self
-    checksum is an ``IntegrityError`` naming the file."""
+    """The JSON object ``sign`` wrote to ``file`` in ``directory``. Bytes that
+    are not the canonical JSON of an object of format ``version`` with a
+    matching self checksum are an ``IntegrityError`` naming the file."""
     try:
-        record = json.loads(_read(directory, file).decode("utf-8"))
+        record = json.loads((data := _read(directory, file)).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise IntegrityError(f"{file} is corrupt: {exc}") from exc
     if not isinstance(record, dict) or record.get("format_version") != version:
         raise IntegrityError(f"{file}: unsupported or missing format_version")
     if sha256_hex(canonical_json({**record, "self_checksum": ""}).encode("utf-8")) != record.get("self_checksum"):
         raise IntegrityError(f"{file} failed its self checksum")
+    if canonical_json(record).encode("utf-8") != data:
+        raise IntegrityError(f"{file} is malformed: not the canonical JSON its writer signed")
     return record
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import operator
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from datetime import date
 from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
 from enum import Enum
@@ -36,9 +36,8 @@ COMPARISONS = {
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
-_INT_RE = re.compile(r"[+-]?[0-9]+\Z")
-_DEC_RE = re.compile(r"[+-]?[0-9]+(\.[0-9]{1,4})?\Z")
-_ISO_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}\Z")
+_INT, _DEC, _ISO_DATE = r"[+-]?[0-9]+", r"[+-]?[0-9]+(?:\.[0-9]{1,4})?", r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
+_INT_RE, _DEC_RE, _ISO_DATE_RE = (re.compile(rf"{grammar}\Z") for grammar in (_INT, _DEC, _ISO_DATE))
 _NUMERIC_DATE_RE = re.compile(r"([0-9]{1,2})[/-]([0-9]{1,2})[/-]([0-9]{4})\Z")
 _MONTH_NAME_DATE_RE = re.compile(r"([A-Za-z]+)\s+([0-9]{1,2}),\s*([0-9]{4})\Z")
 
@@ -175,6 +174,28 @@ def cell_converter(vtype: ValueType) -> Callable[[str], object]:
     else:
         raise TypeError(f"unknown value type {vtype!r}")
     return convert
+
+
+# per type, its grammar over LF-ended lines, and one C-level pass that converts texts it matches
+_BATCH = {
+    ValueType.INTEGER: (re.compile(rf"(?:{_INT}\n)*\Z"), lambda texts: map(int, texts)),
+    ValueType.DECIMAL: (re.compile(rf"(?:{_DEC}\n)*\Z"), lambda texts: map(Decimal.quantize, map(Decimal, texts), [DEC4] * len(texts))),
+    ValueType.DATE: (re.compile(rf"(?:{_ISO_DATE}\n)*\Z"), lambda texts: map(date.fromisoformat, texts)),
+}
+
+
+def convert_all(vtype: ValueType, texts: set[str]) -> Iterator[tuple[str, object]] | None:
+    """(text, cell) for each distinct non-empty field text, as ``cell_converter`` types it: one match checks
+    every text against the grammar, then one C-level pass converts them. None if a text does not parse,
+    or ``vtype`` has no pass."""
+    lines, convert = _BATCH.get(vtype, (None, None))
+    try:  # a date the calendar lacks, or a decimal wider than the context, raises
+        cells = list(convert(texts)) if lines and lines.match("\n".join([*texts, ""])) else None
+    except (ValueError, ArithmeticError):
+        return None
+    if cells is None or vtype is ValueType.INTEGER and cells and not INT64_MIN <= min(cells) <= max(cells) <= INT64_MAX:
+        return None
+    return zip(texts, cells)
 
 
 def parse_iso_date(text: str) -> date:

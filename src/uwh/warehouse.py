@@ -28,6 +28,7 @@ from .staging import (
     CATALOG_NAME,
     Output,
     StagingArea,
+    bare_count,
     column_csv,
     decode_column,
     kept_columns,
@@ -174,10 +175,10 @@ def _repeated_key(keys: Iterable[tuple]) -> tuple | None:
     return None
 
 
-def build_index(table: Table, columns: tuple[str, ...]) -> Index:
-    """Map each key tuple to the ordinals a full scan would return."""
-    index = Index(table.name, tuple(columns))
-    for n, key in enumerate(_keys(table, columns)):
+def build_index(relation: str, columns: tuple[str, ...], keys: Iterable[tuple]) -> Index:
+    """Map each key tuple to the ordinals a full scan would return, given each row's key in ``keys``."""
+    index = Index(relation, tuple(columns))
+    for n, key in enumerate(keys):
         bucket = index.entries.get(key)
         if bucket is None:
             index.entries[key] = [n]
@@ -410,13 +411,14 @@ def _coerce_filter_value(value, vtype: ValueType):
 class Warehouse:
     """Read-only handle over a verified warehouse directory."""
 
-    def __init__(self, directory: Path, catalog: dict, relations: dict[str, Table]):
+    def __init__(self, directory: Path, catalog: dict, schemas: dict[str, TableSchema], columns: dict[str, list]):
         self.directory = Path(directory)
         self.catalog = catalog
-        self._relations = relations
+        self._schemas = schemas
+        self._columns = columns  # by relation, each column's cells, or its verified bytes until first read
         self._indexes: dict[tuple, Index] = {}  # star-join indexes by (relation, columns)
         self._links: dict[tuple, list] = {}  # star-join ordinal lists by (steps, many)
-        self._rows: dict[tuple, list] = {}  # the rows those ordinals name, by steps
+        self._joined: dict[tuple, list] = {}  # the cells those ordinals name, by (steps, column)
         self._gaps: set[tuple] = set()  # the steps of the single-valued lists that hold a None
 
     # --- inspection -------------------------------------------------------
@@ -424,29 +426,45 @@ class Warehouse:
         return [r["name"] for r in self.catalog["relations"]]
 
     def row_count(self, name: str) -> int:
-        return len(self._relation(name).rows)
+        return next(r["row_count"] for r in self.catalog["relations"] if r["name"] == self._schema(name).name)
 
     def relation(self, name: str) -> Table:
-        t = self._relation(name)
-        return Table(t.schema, list(t.rows))
+        schema = self._schema(name)
+        return Table(schema, list(zip(*[self._cells(name, i) for i in range(len(schema.columns))])))
 
-    def _relation(self, name: str) -> Table:
-        try:
-            return self._relations[name]
-        except KeyError:
-            raise ValidationError(f"unknown relation {name!r}") from None
+    def _schema(self, name: str) -> TableSchema:
+        if name not in self._schemas:
+            raise ValidationError(f"unknown relation {name!r}")
+        return self._schemas[name]
+
+    def _cells(self, relation: str, i: int, steps: tuple = ()) -> list:
+        """Column ``i`` of ``relation``, typed on first read; with ``steps`` ending at ``relation``, the cells
+        of it that the first step's rows join (``_ordinals``), None on a miss. Each is kept from first use."""
+        if steps:
+            if (steps, i) not in self._joined:
+                column = self._cells(relation, i)
+                self._joined[steps, i] = [None if n is None else column[n] for n in self._ordinals(steps)]
+            return self._joined[steps, i]
+        cells = self._columns[relation][i]
+        if cells.__class__ is bytes:
+            cells = self._columns[relation][i] = decode_column(cells, f"{relation}.{i}.col", self._schemas[relation].columns[i].type)
+        return cells
+
+    def _keys(self, relation: str, columns: tuple[str, ...]) -> Iterator[tuple]:
+        """The key tuple over ``columns`` of each row of ``relation``, in row order."""
+        return zip(*[self._cells(relation, i) for i in map(self._schemas[relation].column_index, columns)])
 
     # --- attribute resolution ---------------------------------------------
     def resolve_attribute(self, attr: str) -> tuple[str, int, ColumnDef]:
         if "." in attr:
             rel, col = attr.split(".", 1)
-            table = self._relation(rel)
-            if not table.schema.has_column(col):
+            schema = self._schema(rel)
+            if not schema.has_column(col):
                 raise ValidationError(f"unknown attribute {attr!r}")
-            return rel, table.schema.column_index(col), table.schema.column(col)
+            return rel, schema.column_index(col), schema.column(col)
         hits = []
         for name in self.relation_names():
-            schema = self._relations[name].schema
+            schema = self._schemas[name]
             if schema.has_column(attr):
                 hits.append((name, schema.column_index(attr), schema.column(attr)))
         if not hits:
@@ -463,7 +481,7 @@ class Warehouse:
     def _index(self, relation: str, columns: tuple[str, ...]) -> Index:
         index = self._indexes.get((relation, columns))
         if index is None:
-            index = self._indexes[relation, columns] = build_index(self._relation(relation), columns)
+            index = self._indexes[relation, columns] = build_index(relation, columns, self._keys(relation, columns))
         return index
 
     def _ordinals(self, steps: tuple, many: bool = False) -> list:
@@ -477,7 +495,7 @@ class Warehouse:
         if links is None:
             relation, columns, target, target_columns = steps[-1]
             get = self._index(target, target_columns).entries.get
-            keys = _keys(self._relation(relation), columns)
+            keys = self._keys(relation, columns)
             links = [get(key, ()) for key in keys] if many else [(get(key) or (None,))[0] for key in keys]
             if len(steps) > 1:
                 miss = () if many else None
@@ -486,14 +504,6 @@ class Warehouse:
                 self._gaps.add(steps)
             self._links[steps, many] = links
         return links
-
-    def _joined_rows(self, steps: tuple) -> list:
-        """The rows that ``_ordinals(steps)`` names, or None."""
-        rows = self._rows.get(steps)
-        if rows is None:
-            table = self._relation(steps[-1][2]).rows
-            rows = self._rows[steps] = [None if n is None else table[n] for n in self._ordinals(steps)]
-        return rows
 
 
 def star_query(handle: Warehouse, query: StarQuery) -> Table:
@@ -642,14 +652,14 @@ def _aggregate(handle: Warehouse, plan: tuple, filters: dict, groups: list, meas
     and for an arm given ``weights``, the number of joined rows above each
     parent anchor row, which its rows then stand for."""
     grain, steps, arms, up = plan
-    rows = {rel: handle._joined_rows(path) if path else handle._relation(rel).rows for rel, path in steps.items()}
-    live = range(len(rows[grain]))
-    for rel, path in steps.items():  # rows[rel][n] is the row of rel that grain row n joins
-        table = rows[rel]
+    live = range(handle.row_count(grain))
+    for rel, path in steps.items():  # _cells(rel, i, path)[n] is the cell of rel that grain row n joins
+        links = handle._ordinals(path) if path else ()
         if path in handle._gaps:  # a row the chain misses joins nothing
-            live = [n for n in live if table[n] is not None]
+            live = [n for n in live if links[n] is not None]
         for i, compare, literal in filters.get(rel, ()):  # Null on either side compares false
-            live = [n for n in ([] if literal is None else live) if (v := table[n][i]) is not None and compare(v, literal)]
+            cells = handle._cells(rel, i, path)
+            live = [n for n in ([] if literal is None else live) if (v := cells[n]) is not None and compare(v, literal)]
     parts, weight = [], None  # the bucket key: the parent's anchor, the group part, the arms' anchors
     lead = up is not None and weights is None
     if up is not None:  # a row joins each parent row its key matches
@@ -670,7 +680,8 @@ def _aggregate(handle: Warehouse, plan: tuple, filters: dict, groups: list, meas
         sub, sub_groups, sub_measures = _aggregate(handle, arms[0][1], filters, groups, measures, Counter(anchors[0]))
         width = len(measure_pos)
         return {key: (n, (n,) * width + p) for key, (n, p) in sub.items()}, group_pos + sub_groups, measure_pos + sub_measures
-    parts += [_column(rows[rel], idx, live) for _, rel, idx in own] + anchors
+    columns = [handle._cells(rel, idx, steps[rel]) for _, rel, idx in own]  # with every row live, a column is its part
+    parts += (columns if live.__class__ is range else [list(map(c.__getitem__, live)) for c in columns]) + anchors
     keys = zip(*parts) if len(parts) > 1 else parts[0] if parts else repeat((), len(live))
     if counted and weight is None:
         buckets = [(key, n, (n,) * len(measure_pos)) for key, n in Counter(keys).items()]
@@ -679,7 +690,7 @@ def _aggregate(handle: Warehouse, plan: tuple, filters: dict, groups: list, meas
         for key, n in zip(keys, live):
             ordinals[key].append(n)
         total = len if weight is None else lambda ns: sum([weight[n] for n in ns])
-        parts_of = [_measure_part(agg, idx, rows[rel], weight) for agg, rel, idx in map(measures.__getitem__, measure_pos)]
+        parts_of = [_measure_part(agg, None if idx is None else handle._cells(rel, idx, steps[rel]), weight) for agg, rel, idx in map(measures.__getitem__, measure_pos)]
         buckets = [(key, total(ns), sum([part(ns) for part in parts_of], ())) for key, ns in ordinals.items()]
 
     probes = []
@@ -714,22 +725,16 @@ def _aggregate(handle: Warehouse, plan: tuple, filters: dict, groups: list, meas
     return out, group_pos, measure_pos
 
 
-def _column(rows: list, idx: int, ordinals) -> list:
-    return [rows[n][idx] for n in ordinals]
-
-
-def _measure_part(agg: str, idx: int | None, rows: list, weight: dict | None):
-    """A bucket's grain ordinals -> the measure's partial slots over the
-    non-Null cells ``idx`` of the ``rows`` they join, each standing for its
-    ``weight`` in joined rows if given; COUNT(*) (no ``idx``) counts the
-    rows."""
-    if idx is None:
+def _measure_part(agg: str, cells: list | None, weight: dict | None):
+    """A bucket's grain ordinals -> the measure's partial slots over the non-Null ``cells`` they join, each
+    standing for its ``weight`` in joined rows if given; COUNT(*) (no ``cells``) counts the rows."""
+    if cells is None:
         return lambda ns: (len(ns),)
     if weight is None:
         of_values = _AGGS[agg].of_values
-        return lambda ns: of_values([v for n in ns if (v := rows[n][idx]) is not None])
+        return lambda ns: of_values([v for n in ns if (v := cells[n]) is not None])
     of_weighted = _AGGS[agg].of_weighted
-    return lambda ns: of_weighted([(v, weight[n]) for n in ns if (v := rows[n][idx]) is not None])
+    return lambda ns: of_weighted([(v, weight[n]) for n in ns if (v := cells[n]) is not None])
 
 
 def _slots(measures: list, positions: list) -> list:
@@ -865,18 +870,18 @@ def _catalog_fault(catalog: dict) -> str | None:
 
 
 def open_warehouse(directory: Path) -> Warehouse:
-    """Verify every checksum, load the relations, check that every
-    dimension key is unique, and hand back a read-only view. Any
-    discrepancy, including a duplicate dimension key, is an integrity
-    error naming the file. No index is built here; the star join builds
-    the ones it probes.
+    """Verify every checksum and column file, check that every dimension
+    key is unique, and hand back a read-only view. Any discrepancy,
+    including a duplicate dimension key, is an integrity error naming the
+    file. No index is built here; the star join builds the ones it probes.
 
     The catalog and each column file go through the digest check that
     ``load_staging`` makes too (``read_signed``, ``read_checked``). Each
-    column file is read whole, checksummed and typed in one pass
-    (``decode_column``); a cell that does not parse, or a line count
-    other than the relation's row count, fails here. The columns are then
-    zipped into the row tuples the handle holds."""
+    column file is read whole and must be UTF-8 holding the relation's row
+    count of fields. A file that is not bare (``bare_count``) is typed
+    here (``decode_column``), and so is each dimension key, for its check.
+    Any other column stays as its verified bytes until the handle first
+    reads it, so a cell of it that does not parse fails that read."""
     directory = Path(directory)
     if not (directory / CATALOG_NAME).is_file():
         raise MissingInputError(f"{directory} is not a warehouse (no {CATALOG_NAME})")
@@ -887,27 +892,27 @@ def open_warehouse(directory: Path) -> Warehouse:
     if fault:
         raise IntegrityError(f"{CATALOG_NAME} is malformed: {fault}")
 
-    relations: dict[str, Table] = {}
+    schemas, columns = {}, {}  # by relation; a column is its cells or, until first read, its verified bytes
     for entry in catalog["relations"]:
-        columns = []
+        columns[entry["name"]] = cells = []
         for c in entry["columns"]:
-            cells = decode_column(read_checked(directory, c["file"], c["checksum"]), c["file"], ValueType(c["type"]))
-            if len(cells) != entry["row_count"]:
-                raise IntegrityError(f"{c['file']}: row count {len(cells)} != cataloged {entry['row_count']}")
-            columns.append(cells)
-        schema = TableSchema(
-            entry["name"],
-            tuple(ColumnDef(c["name"], ValueType(c["type"]), c["nullable"]) for c in entry["columns"]),
-            tuple(entry["primary_key"]),
-        )
-        relations[entry["name"]] = Table(schema, list(zip(*columns)))
+            data = read_checked(directory, c["file"], c["checksum"])
+            count = bare_count(data, c["file"])
+            if count is None:
+                count = len(data := decode_column(data, c["file"], ValueType(c["type"])))
+            if count != entry["row_count"]:
+                raise IntegrityError(f"{c['file']}: row count {count} != cataloged {entry['row_count']}")
+            cells.append(data)
+        defs = tuple(ColumnDef(c["name"], ValueType(c["type"]), c["nullable"]) for c in entry["columns"])
+        schemas[entry["name"]] = TableSchema(entry["name"], defs, tuple(entry["primary_key"]))
 
-    for dim in catalog["dimensions"]:
-        repeated = _repeated_key(_keys(relations[dim["name"]], (dim["key"],)))
+    handle = Warehouse(directory, catalog, schemas, columns)
+    for dim in catalog["dimensions"]:  # typed on this first read
+        repeated = _repeated_key(handle._keys(dim["name"], (dim["key"],)))
         if repeated is not None:
             raise IntegrityError(
                 f"{CATALOG_NAME} is malformed: unique index on {dim['name']}({dim['key']}): "
                 f"duplicate key {tuple(map(render_cell, repeated))}"
             )
 
-    return Warehouse(directory, catalog, relations)
+    return handle

@@ -194,6 +194,62 @@ def test_decode_column_matches_parse_cell(case):
     assert _outcome(lambda: [decode_column(data, "t.col", vtype)]) == expected
 
 
+# texts that int, Decimal or date.fromisoformat accept but the grammar
+# refuses, and one the grammar matches but fromisoformat refuses
+_LENIENT = ["1_000", " 7", "\u0663", "1e5", "NaN", "Infinity", "20240101", "2024-02-30"]
+_SIGN = st.sampled_from(["", "-", "+"])
+_BARE_TEXT = {
+    ValueType.INTEGER: st.one_of(
+        st.builds("{}{}".format, _SIGN, st.integers(0, 10**20)),
+        st.sampled_from([str(INT64_MAX), str(INT64_MIN), str(INT64_MAX + 1), "12345678901234567890"]),
+    ),
+    # up to 20 integer digits and up to 5 fractional ones, one more than the grammar allows
+    ValueType.DECIMAL: st.builds("{}{}{}".format, _SIGN, st.integers(0, 10**20), st.from_regex(r"(\.[0-9]{1,5})?", fullmatch=True)),
+    ValueType.DATE: st.one_of(st.dates().map(date.isoformat), st.builds("{:04d}-{:02d}-{:02d}".format, st.integers(0, 9999), st.integers(0, 13), st.integers(0, 32))),
+    ValueType.TEXT: st.text(st.sampled_from(list("ab Z\t-.+:é09")), min_size=1, max_size=6),
+}
+
+
+@st.composite
+def _bare_column_files(draw):
+    """A bare column file (no quote, CR or comma; each line ended by LF)
+    of one type, with Null lines and texts at the edge of its grammar."""
+    vtype = draw(st.sampled_from(list(_BARE_TEXT)))
+    texts = st.one_of(_BARE_TEXT[vtype], st.just(""), st.sampled_from(_LENIENT))
+    return vtype, "".join(t + "\n" for t in draw(st.lists(texts, max_size=8))).encode()
+
+
+def _decoded(data: bytes, vtype: ValueType):
+    try:
+        return "rows", _typed([decode_column(data, "t.col", vtype)])
+    except IntegrityError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_bare_column_files())
+@example((ValueType.INTEGER, b"\n\n\n"))
+@example((ValueType.DECIMAL, b"1.5\n\n-2\n1.5\n"))
+@example((ValueType.INTEGER, b"7\n1_000\n"))
+@example((ValueType.DATE, b"2024-02-29\n2024-02-30\n"))
+def test_batch_typing_of_a_bare_column_equals_the_memo_path(case):
+    """A bare column typed in one pass over its distinct texts
+    (``convert_all``) gives the cells, cell classes and error that typing
+    each text on its own in the memo gives; the pass refuses exactly the
+    columns the memo path refuses."""
+    from unittest import mock
+
+    from uwh.values import convert_all
+
+    vtype, data = case
+    with mock.patch("uwh.staging.convert_all", return_value=None):
+        memo = _decoded(data, vtype)
+    assert _decoded(data, vtype) == memo
+    if vtype is not ValueType.TEXT:  # TEXT has no batch pass; each text is its own cell
+        texts = sorted(set(data.decode().split("\n")) - {""})
+        assert (convert_all(vtype, texts) is None) == (memo[0] == "error")
+
+
 @pytest.mark.parametrize("vtype", list(ValueType), ids=lambda t: t.value)
 def test_decode_matches_parse_cell_on_edge_texts(vtype):
     texts = _EDGE_TEXTS[vtype]

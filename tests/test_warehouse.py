@@ -98,9 +98,15 @@ def test_assemble_rejects_unconnected_dimension(seed42_transformed):
 # --- indexes --------------------------------------------------------------------
 
 
+def table_index(table: Table, columns: tuple[str, ...]) -> Index:
+    """``build_index`` over the rows of ``table``."""
+    idxs = [table.schema.column_index(c) for c in columns]
+    return build_index(table.name, columns, [tuple(row[i] for i in idxs) for row in table.rows])
+
+
 def test_unique_hash_index_thousand_probes(seed42_handle):
     student = seed42_handle.relation("student")
-    index = build_index(student, ("st_id",))
+    index = table_index(student, ("st_id",))
     keys = [row[0] for row in student.rows]
     rng = random.Random(9)
     probes = [(k,) for k in keys] + [(rng.randint(-10_000, 10_000),) for _ in range(1000)]
@@ -110,7 +116,7 @@ def test_unique_hash_index_thousand_probes(seed42_handle):
 
 def test_empty_relation_index():
     db = parse_schema_manifest("TABLE t\n  id INTEGER PK\n")
-    index = build_index(Table(db.tables["t"], []), ("id",))
+    index = table_index(Table(db.tables["t"], []), ("id",))
     assert index.entries.get((1,), []) == []
     assert render_index(index) == ""
 
@@ -144,7 +150,7 @@ def catalog_indexes(handle) -> list[Index]:
     """An index on every dimension key, then the star join's indexes for
     every catalog join: on the joined relation's columns and on its
     parent's."""
-    keys = [build_index(handle.relation(d["name"]), (d["key"],)) for d in handle.catalog["dimensions"]]
+    keys = [table_index(handle.relation(d["name"]), (d["key"],)) for d in handle.catalog["dimensions"]]
     joins = handle.catalog["joins"]
     return (
         keys
@@ -175,9 +181,12 @@ def test_all_catalog_indexes_match_full_scan(seed42_warehouse_dir):
         assert len(links) == handle.row_count(steps[0][0])
         for n, got in enumerate(links):
             assert (list(got) if many else [] if got is None else [got]) == _joined_ordinals(handle, steps, n)
-    for steps, rows in handle._rows.items():  # the rows those ordinals name
+    assert handle._joined
+    for (steps, i), cells in handle._joined.items():  # the cells of a column those ordinals name
+        assert len(cells) == handle.row_count(steps[0][0])
         target = handle.relation(steps[-1][2]).rows
-        assert rows == [None if n is None else target[n] for n in handle._links[steps, False]]
+        for n, got in enumerate(cells):
+            assert [got] == ([target[m][i] for m in _joined_ordinals(handle, steps, n)] or [None])
     rng = random.Random(4)
     for index in catalog_indexes(handle):
         table = handle.relation(index.relation)
@@ -333,16 +342,67 @@ def _column_file(work, relation: str, column: str):
     return work / next(c["file"] for c in entry["columns"] if c["name"] == column)
 
 
-def test_repeated_bad_cell_in_a_relation_fails_open(tmp_path, seed42_warehouse_dir, capsys):
-    # the decoder keeps no cell for unparsable text, so the bad text fails
-    # open wherever it occurs, after a good text of its column too
+def test_repeated_bad_cell_in_a_relation_fails_its_first_read(tmp_path, seed42_warehouse_dir, capsys):
+    # a bare column that is not a dimension key is typed when it is first
+    # read, not at open; the decoder keeps no cell for unparsable text, so
+    # the bad text fails that read wherever it occurs, after a good text of
+    # its column too
+    from uwh.cli import run
+
     work = tmp_path / "wh"
     shutil.copytree(seed42_warehouse_dir, work)
     victim = _column_file(work, "major", "mj_dep_id")
     first, *rest = victim.read_text().splitlines()
     victim.write_text("\n".join([first] + ["x1"] * len(rest)) + "\n")
     _forge_checksums(work, victim.name)
-    _assert_open_fails(work, capsys, victim.name, "does not parse as its declared type")
+    handle = open_warehouse(work)
+    assert run(["report", "--warehouse", str(work)]) == 0
+    untouched = ["query", "--measure", "COUNT(*)", "--group-by", "mj_name", "--filter", "mj_id > 1"]
+    capsys.readouterr()
+    assert run([*untouched, "--warehouse", str(seed42_warehouse_dir)]) == 0
+    expected = capsys.readouterr().out
+    assert run([*untouched, "--warehouse", str(work)]) == 0
+    assert capsys.readouterr().out == expected
+    assert run(["query", "--warehouse", str(work), "--measure", "COUNT(*)", "--group-by", "mj_dep_id"]) == 5
+    err = capsys.readouterr().err
+    assert victim.name in err and "does not parse as its declared type" in err and "Traceback" not in err
+    with pytest.raises(IntegrityError, match=f"{victim.name}: cell does not parse as its declared type"):
+        handle.relation("major")
+
+
+def _decoded_files(monkeypatch) -> list[str]:
+    """The column files that ``open_warehouse`` and the handle type from now on."""
+    import uwh.warehouse as W
+
+    files, decode = [], W.decode_column
+
+    def counted(data, file, vtype):
+        files.append(file)
+        return decode(data, file, vtype)
+
+    monkeypatch.setattr(W, "decode_column", counted)
+    return files
+
+
+def test_open_types_only_the_dimension_keys(seed42_warehouse_dir, monkeypatch):
+    files = _decoded_files(monkeypatch)
+    handle = open_warehouse(seed42_warehouse_dir)
+    keys = [_column_file(seed42_warehouse_dir, d["name"], d["key"]).name for d in handle.catalog["dimensions"]]
+    assert len(keys) == 7 and sorted(files) == sorted(keys)
+
+
+def test_a_query_types_each_column_it_reads_once_per_handle(seed42_warehouse_dir, monkeypatch):
+    handle = open_warehouse(seed42_warehouse_dir)
+    files = _decoded_files(monkeypatch)
+    query = StarQuery(
+        (Measure("AVG", "tr_grade"), Measure("SUM", "re_amount")), ("dep_name", "act_type"), (Filter("tr_year", ">=", 2000),)
+    )
+    first = star_query(handle, query).rows
+    read = {"transcript": ["tr_grade", "tr_year", "dep_name", "tr_st_id"], "account": ["ac_st_id"],
+            "receipt": ["re_amount", "re_ac_id"], "registeredActivities": ["act_type", "reg_st_id"]}
+    assert sorted(files) == sorted(_column_file(seed42_warehouse_dir, r, c).name for r, cs in read.items() for c in cs)
+    files.clear()
+    assert star_query(handle, query).rows == first and files == []
 
 
 def _old_descriptors(catalog: dict) -> list[dict]:
@@ -384,7 +444,7 @@ def test_old_format_catalog_is_refused(tmp_path, seed42_warehouse_dir, seed42_ha
             return
         for entry in catalog["indexes"]:
             entry["file"] = f"{entry['relation']}.{'+'.join(entry['columns'])}.idx"
-            index = build_index(seed42_handle.relation(entry["relation"]), tuple(entry["columns"]))
+            index = table_index(seed42_handle.relation(entry["relation"]), tuple(entry["columns"]))
             sidecars[entry["file"]] = render_index(index).encode()
             entry["checksum"] = sha256_hex(sidecars[entry["file"]])
             if version == 1:
@@ -446,20 +506,24 @@ _CATALOG_FORGERIES = {
     "join-twice": lambda c: c["joins"].append(dict(_join(c, "major"))),
     "join-parent-columns-longer": lambda c: _join(c, "major")["parent_columns"].append("st_id"),
     "join-without-columns": lambda c: _join(c, "major").update(columns=[], parent_columns=[]),
+    # no value changes, so only the signed bytes tell
+    "catalog-white-space": lambda c: lambda text: text.replace('": ', '" : ', 1),
 }
 
 
 def _forged(tmp_path, warehouse_dir, forge):
-    """A copy of the warehouse whose catalog ``forge`` edited and re-signed."""
+    """A copy of the warehouse whose catalog ``forge`` edited and re-signed;
+    a ``forge`` that returns a function edits the signed text with it."""
     from uwh.staging import canonical_json, sha256_hex
 
     work = tmp_path / "wh"
     shutil.copytree(warehouse_dir, work)
     catalog = json.loads((work / "catalog.json").read_text())
-    forge(catalog)
+    edit = forge(catalog)
     catalog["self_checksum"] = ""
     catalog["self_checksum"] = sha256_hex(canonical_json(catalog).encode())
-    (work / "catalog.json").write_text(canonical_json(catalog))
+    text = canonical_json(catalog)
+    (work / "catalog.json").write_text(edit(text) if callable(edit) else text)
     return work
 
 
@@ -534,23 +598,30 @@ def _unterminated_quote(lines: list[bytes]) -> None:
 
 # a column file renamed or swapped in the catalog is a forged catalog
 # (``column-file-off-position``): the position rule refuses it
+# st_id is a dimension key, which open types; tr_grade is typed on first
+# read, but open still checks its UTF-8 and its line count
 @pytest.mark.parametrize(
-    "tamper, words",
+    "column, tamper, words",
     [
-        (_bad_integer, "does not parse as its declared type"),
-        (_extra_field, "is not one field and a line end"),
-        (_last_row_removed, "row count"),
-        (_invalid_utf8, "not valid UTF-8"),
-        (_unterminated_quote, "unterminated quoted field"),
+        ("st_id", _bad_integer, "does not parse as its declared type"),
+        ("st_id", _extra_field, "is not one field and a line end"),
+        ("st_id", _last_row_removed, "row count"),
+        ("st_id", _invalid_utf8, "not valid UTF-8"),
+        ("st_id", _unterminated_quote, "unterminated quoted field"),
+        ("tr_grade", _last_row_removed, "row count"),
+        ("tr_grade", _invalid_utf8, "not valid UTF-8"),
     ],
-    ids=["bad-integer", "extra-field", "last-row-removed", "invalid-utf8", "unterminated-quote"],
+    ids=[
+        "bad-integer", "extra-field", "last-row-removed", "invalid-utf8", "unterminated-quote",
+        "tr_grade-last-row-removed", "tr_grade-invalid-utf8",
+    ],
 )
-def test_tampered_relation_fails_open(tmp_path, seed42_warehouse_dir, capsys, tamper, words):
+def test_tampered_relation_fails_open(tmp_path, seed42_warehouse_dir, capsys, column, tamper, words):
     # the column file's checksum and the catalog's self checksum are forged
     # to match, so only decoding the column can notice the edit
     work = tmp_path / "wh"
     shutil.copytree(seed42_warehouse_dir, work)
-    victim = _column_file(work, "student", "st_id")
+    victim = _column_file(work, "transcript" if column == "tr_grade" else "student", column)
     lines = victim.read_bytes().split(b"\n")
     tamper(lines)
     victim.write_bytes(b"\n".join(lines))
