@@ -65,22 +65,9 @@ def _read_text(path: Path, what: str) -> str:
         raise ValidationError(f"{path}: not valid UTF-8: {exc}") from exc
 
 
-def _load_schema(args) -> object:
-    if args.schema is None:
-        return canonical.canonical_schema()
-    return parse_schema_manifest(_read_text(args.schema, "schema manifest"))
-
-
-def _load_plan(args):
-    if args.plan is None:
-        return canonical.canonical_plan()
-    return parse_plan(_read_text(args.plan, "transform plan"))
-
-
-def _load_rules(args):
-    if args.rules is None:
-        return list(canonical.canonical_rules())
-    return parse_rules(_read_text(args.rules, "rules file"))
+def _load(path, what: str, parse, canonical_default):
+    """The ``what`` that ``parse`` reads from the file at ``path``, or ``canonical_default()`` when no path is given."""
+    return canonical_default() if path is None else parse(_read_text(path, what))
 
 
 def _staging_arg(path: Path):
@@ -110,7 +97,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    schema = _load_schema(args)
+    schema = _load(args.schema, "schema manifest", parse_schema_manifest, canonical.canonical_schema)
     out = Path(args.out)
     check_target(out, STAGING_DUMP)
     staging, report = extract_database(Path(args.src), schema, timestamp=args.timestamp)
@@ -123,7 +110,7 @@ def _cmd_extract(args) -> int:
 
 def _cmd_cleanse(args) -> int:
     staging = _staging_arg(args.staging)
-    rules = _load_rules(args)
+    rules = _load(args.rules, "rules file", parse_rules, canonical.canonical_rules)
     out = Path(args.out or args.staging)
     check_target(out, STAGING_DUMP)
     cleaned, report = cleanse_staging(staging, rules, timestamp=args.timestamp)
@@ -134,7 +121,7 @@ def _cmd_cleanse(args) -> int:
 
 def _cmd_transform(args) -> int:
     staging = _staging_arg(args.staging)
-    plan = _load_plan(args)
+    plan = _load(args.plan, "transform plan", parse_plan, canonical.canonical_plan)
     out = Path(args.out or args.staging)
     check_target(out, STAGING_DUMP)
     validate_plan(plan, staging.schema())
@@ -154,9 +141,9 @@ def _cmd_load(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    schema = _load_schema(args)
-    plan = _load_plan(args)
-    rules = _load_rules(args)
+    schema = _load(args.schema, "schema manifest", parse_schema_manifest, canonical.canonical_schema)
+    plan = _load(args.plan, "transform plan", parse_plan, canonical.canonical_plan)
+    rules = _load(args.rules, "rules file", parse_rules, canonical.canonical_rules)
     out = Path(args.out)
     check_target(out, WAREHOUSE)
     kept = Path(args.keep_staging) if args.keep_staging else None

@@ -39,12 +39,12 @@ each rendered once, when a stage adds its row.
 Every CSV read of source, staging table and dirt ledger files goes
 through ``read_records``, and every typed one through ``typed_rows``,
 which keeps one memo per column from field text to cell (dictionary
-encoding): each distinct text of a column is converted once, and equal
-cells are one shared object. A warehouse column file, one field per
-line, is typed the same way by ``decode_column``. Text that does not
-parse as its column's type is not kept; it is handed to the caller's
-``raw`` at each occurrence, so extract counts every raw cell and the
-warehouse reader fails at the first bad one.
+encoding), for quoted and bare fields alike: each distinct text of a
+column is converted once, and equal cells are one shared object. Text
+that does not parse is not kept; it is handed to the caller's ``raw`` at
+each occurrence, so extract counts every raw cell. ``decode_column``
+reads a warehouse column file and types its distinct texts in one pass
+(``convert_all``), failing if any does not parse.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from operator import is_, itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from .csvio import NEEDS_QUOTES, format_field, format_row, iter_records
+from .csvio import format_field, format_row, is_bare, iter_records, parse_column, split_records
 from .csvio import parse_csv  # noqa: F401  (unused here; the benchmark's tracer rebinds this name)
 from .errors import IntegrityError, MissingInputError, ReadOnlyError, UwhError, ValidationError
 from .manifest import parse_schema_manifest, render_manifest
@@ -168,7 +168,7 @@ class StagingArea:
             return
         old = self.quarantine.get(table_name, Quarantine(tuple(columns)))
         header = old.columns + tuple(c for c in columns if c not in old.columns)
-        pad = ',""' * (len(header) - len(old.columns))
+        pad = ("," + format_field("", True)) * (len(header) - len(old.columns))
         records = list(old.records)
         if pad:
             records = [r if r.partition(",")[0] == "arity" else r + pad for r in records]
@@ -181,19 +181,13 @@ class StagingArea:
         self.quarantine[table_name] = new
 
 
-def _render_text(text: str) -> str:
-    if text == "" or NEEDS_QUOTES(text):  # quoted empty text is not Null
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def _render_other(cell) -> str:
     text = render_cell(cell)  # raises TypeError for a foreign value
     return format_field(text, isinstance(cell, str) and text == "")
 
 
-# the CSV field of a cell, by the cell's exact type
-_FIELD_RENDERERS = {**CELL_TEXT, str: _render_text, RawCell: _render_text}
+# the CSV field of a cell, by the cell's exact type; empty text is quoted, as it is not Null
+_FIELD_RENDERERS = {**CELL_TEXT, **dict.fromkeys((str, RawCell), lambda text: format_field(text, text == ""))}
 
 
 def _field_text(cell) -> str:
@@ -292,8 +286,8 @@ def typed_rows(records, memos: list[_ColumnMemo]) -> Iterator[tuple[list[str], t
     not the number of ``memos``, one per column (``column_memos``). Each
     cell follows ``parse_cell`` for its column, but text that does not parse
     as the column's type becomes ``raw(text)``, called for every occurrence.
-    Quote-free records look each field up in its column's memo, which then
-    holds each distinct text that parsed."""
+    Each field is looked up in its column's memo, which then holds each
+    distinct text that parsed."""
     lookup = dict.__getitem__
     n = len(memos)
     for fields, quoted in records:
@@ -301,9 +295,9 @@ def typed_rows(records, memos: list[_ColumnMemo]) -> Iterator[tuple[list[str], t
             yield fields, None
         elif quoted is None:
             yield fields, tuple(map(lookup, memos, fields))
-        else:
-            cells = [parse_cell(t, q, m.vtype) for t, q, m in zip(fields, quoted, memos)]
-            yield fields, tuple([m.raw(v) if isinstance(v, RawCell) else v for v, m in zip(cells, memos)])
+        else:  # a quoted empty field is empty text in a TEXT column, and raw in any other
+            cells = [m[t] if t or not q else "" if m.vtype is ValueType.TEXT else m.raw(t) for t, q, m in zip(fields, quoted, memos)]
+            yield fields, tuple(cells)
 
 
 def decode_table(data: bytes, file: str, schema: TableSchema) -> Table:
@@ -325,57 +319,34 @@ def decode_table(data: bytes, file: str, schema: TableSchema) -> Table:
     return Table(schema, rows)
 
 
-# one field of a column file and its line end: quoted, or bare and free of
-# comma, quote and line ends; LF, CRLF and CR all end a line
-_QUOTED_FIELD = re.compile(r'"([^"]*(?:""[^"]*)*)"')
-_COLUMN_FIELD = re.compile(rf'(?:{_QUOTED_FIELD.pattern}|([^",\r\n]*))(?:\r\n|\n|\r)')
-
-
-def _bare(text: str) -> bool:  # LF-ended lines free of quote, CR and comma
-    return text.endswith("\n") and '"' not in text and "\r" not in text and "," not in text
-
-
 def bare_count(data: bytes, file: str) -> int | None:
     """The field count of column file ``file`` if it is bare, else None; invalid UTF-8 is an ``IntegrityError``."""
-    return text.count("\n") if _bare(text := _utf8(data, file, IntegrityError)) else None
+    return text.count("\n") if is_bare(text := _utf8(data, file, IntegrityError)) else None
 
 
 def decode_column(data: bytes, file: str, vtype: ValueType) -> list:
     """The cells of column file ``file``, one per field (``column_csv``).
 
-    A bare file is split on LF; its distinct texts fill the column's memo in
-    one pass (``convert_all``), or else one by one, and each line is looked
-    up there. Any other file is read one field at a time by ``_COLUMN_FIELD``,
-    where a quoted empty field is empty text in a TEXT column. A cell that
-    does not parse as ``vtype``, and any other fault, is an ``IntegrityError``
-    naming ``file``."""
-
-    def unparsable(text: str):
-        raise IntegrityError(f"{file}: cell does not parse as its declared type")
-
-    memo = _ColumnMemo(vtype, unparsable)
+    A bare file is split on LF; any other is read by ``parse_column``,
+    where a quoted empty field is empty text in a TEXT column. The
+    distinct texts are typed in one pass (``convert_all``), and each field
+    is looked up among them. A cell that does not parse as ``vtype``, and
+    any other fault, is an ``IntegrityError`` naming ``file``."""
     text = _utf8(data, file, IntegrityError)
-    if _bare(text):
-        lines = text[:-1].split("\n")
-        memo.update(convert_all(vtype, set(lines).difference(("",))) or ())
-        return list(map(memo.__getitem__, lines))
-    cells: list = []
-    pos, match = 0, _COLUMN_FIELD.match
-    while pos < len(text):
-        m = match(text, pos)
-        if m is None:
-            unterminated = text.startswith('"', pos) and not _QUOTED_FIELD.match(text, pos)
-            fault = "is an unterminated quoted field" if unterminated else "is not one field and a line end"
-            raise IntegrityError(f"{file}: field {len(cells) + 1} {fault}")
-        quoted, bare = m.groups()
-        if bare is not None:
-            cells.append(memo[bare])
-        elif quoted:
-            cells.append(memo[quoted.replace('""', '"')])
-        else:  # quoted empty: empty text, and raw in any other type
-            cells.append("" if vtype is ValueType.TEXT else memo.raw(""))
-        pos = m.end()
-    return cells
+    if is_bare(text):
+        texts = text[:-1].split("\n")
+    else:
+        try:  # None stands for a quoted empty field
+            texts = [t if t or not q else None for t, q in parse_column(text)]
+        except ValidationError as exc:
+            raise IntegrityError(f"{file}: {exc}") from exc
+    distinct = set(texts)
+    typed = convert_all(vtype, distinct - {"", None})
+    if typed is None or None in distinct and vtype is not ValueType.TEXT:
+        raise IntegrityError(f"{file}: cell does not parse as its declared type")
+    memo = {"": None, None: ""}
+    memo.update(typed)
+    return list(map(memo.__getitem__, texts))
 
 
 def parse_cell(text: str, quoted: bool, vtype: ValueType):
@@ -614,22 +585,13 @@ def load_staging(in_dir: Path) -> StagingArea:
 
 def _decode_quarantine(data: bytes, file: str) -> Quarantine:
     """The quarantine that ``Quarantine.to_csv`` wrote to ``file``: a header
-    starting with ``_reason``, then one record per line, except that a
-    line leaving an odd number of quotes open is joined to the next, as a
-    quoted field holds the line end. A file that ends inside a quoted
-    field, or is not valid UTF-8, is a ``ValidationError``."""
+    starting with ``_reason``, then its records (``split_records``). Invalid
+    UTF-8, or a file that ends inside a quoted field, is a ``ValidationError``."""
     head, _, body = _utf8(data, file, ValidationError).partition("\n")
     header = head.split(",")
     if header[0] != "_reason":
         raise ValidationError(f"{file}: quarantine header must start with _reason")
-    lines = body.split("\n")
-    if not lines[-1]:
-        lines.pop()  # the final line end
-    records: list[str] = []
-    quoted = False  # whether the last record ends inside a quoted field
-    for line in lines:
-        records.append(records.pop() + "\n" + line if quoted else line)
-        quoted ^= line.count('"') % 2 == 1
-    if quoted:
-        raise ValidationError(f"{file}: unterminated quoted field")
-    return Quarantine(tuple(header[1:]), records)
+    try:
+        return Quarantine(tuple(header[1:]), split_records(body))
+    except ValidationError as exc:
+        raise ValidationError(f"{file}: {exc}") from exc

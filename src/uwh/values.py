@@ -5,10 +5,12 @@ Cells are plain Python objects: ``None``, ``int``, ``decimal.Decimal``,
 grid of four fractional digits; every parser and constructor here
 quantizes onto that grid so sums and means never pick up binary drift.
 
-Each type's grammar is written once, in :func:`cell_converter`. A cell
-that fails its declared-type parse at extraction is kept as a
-:class:`RawCell` (a ``str`` subclass) so the cleansing stage can still
-repair it. Raw cells only ever appear in non-TEXT columns.
+Each type's grammar is written once, as a regex or BOOLEAN's literal
+table, which :func:`cell_converter` applies to one text and
+:func:`convert_all` to a column's distinct texts in one pass. A cell that
+fails its declared-type parse at extraction is kept as a :class:`RawCell`
+(a ``str`` subclass) so the cleansing stage can still repair it. Raw
+cells only ever appear in non-TEXT columns.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ _INT, _DEC, _ISO_DATE = r"[+-]?[0-9]+", r"[+-]?[0-9]+(?:\.[0-9]{1,4})?", r"[0-9]
 _INT_RE, _DEC_RE, _ISO_DATE_RE = (re.compile(rf"{grammar}\Z") for grammar in (_INT, _DEC, _ISO_DATE))
 _NUMERIC_DATE_RE = re.compile(r"([0-9]{1,2})[/-]([0-9]{1,2})[/-]([0-9]{4})\Z")
 _MONTH_NAME_DATE_RE = re.compile(r"([A-Za-z]+)\s+([0-9]{1,2}),\s*([0-9]{4})\Z")
+_BOOLEANS = {"true": True, "false": False}  # by lowercased text
 
 _MONTHS = {
     name: i + 1
@@ -130,7 +133,7 @@ def cell_converter(vtype: ValueType) -> Callable[[str], object]:
         return lambda text: text or None
     if vtype is ValueType.BOOLEAN:
 
-        def convert(text, literals={"true": True, "false": False}):
+        def convert(text, literals=_BOOLEANS):
             value = literals.get(text.lower())
             if value is not None:
                 return value
@@ -176,8 +179,10 @@ def cell_converter(vtype: ValueType) -> Callable[[str], object]:
     return convert
 
 
-# per type, its grammar over LF-ended lines, and one C-level pass that converts texts it matches
+# per type, its grammar over LF-ended lines (None: the pass checks each text), and one C-level pass that converts texts
 _BATCH = {
+    ValueType.TEXT: (None, lambda texts: texts),
+    ValueType.BOOLEAN: (None, lambda texts: map(_BOOLEANS.__getitem__, map(str.lower, texts))),
     ValueType.INTEGER: (re.compile(rf"(?:{_INT}\n)*\Z"), lambda texts: map(int, texts)),
     ValueType.DECIMAL: (re.compile(rf"(?:{_DEC}\n)*\Z"), lambda texts: map(Decimal.quantize, map(Decimal, texts), [DEC4] * len(texts))),
     ValueType.DATE: (re.compile(rf"(?:{_ISO_DATE}\n)*\Z"), lambda texts: map(date.fromisoformat, texts)),
@@ -186,12 +191,11 @@ _BATCH = {
 
 def convert_all(vtype: ValueType, texts: set[str]) -> Iterator[tuple[str, object]] | None:
     """(text, cell) for each distinct non-empty field text, as ``cell_converter`` types it: one match checks
-    every text against the grammar, then one C-level pass converts them. None if a text does not parse,
-    or ``vtype`` has no pass."""
-    lines, convert = _BATCH.get(vtype, (None, None))
-    try:  # a date the calendar lacks, or a decimal wider than the context, raises
-        cells = list(convert(texts)) if lines and lines.match("\n".join([*texts, ""])) else None
-    except (ValueError, ArithmeticError):
+    every text against the grammar, then one C-level pass converts them. None if a text does not parse."""
+    lines, convert = _BATCH[vtype]
+    try:  # a date the calendar lacks, a decimal wider than the context, or a word not a BOOLEAN literal, raises
+        cells = list(convert(texts)) if not lines or lines.match("\n".join([*texts, ""])) else None
+    except (ValueError, ArithmeticError, KeyError):
         return None
     if cells is None or vtype is ValueType.INTEGER and cells and not INT64_MIN <= min(cells) <= max(cells) <= INT64_MAX:
         return None

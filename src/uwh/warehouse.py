@@ -30,6 +30,7 @@ from .staging import (
     StagingArea,
     bare_count,
     column_csv,
+    column_memos,
     decode_column,
     kept_columns,
     read_checked,
@@ -37,6 +38,7 @@ from .staging import (
     sha256_hex,
     sign,
     staging_fingerprint,
+    typed_rows,
     write_dir_atomically,
 )
 from .staging import render_table_csv  # noqa: F401  (unused here; the benchmark's tracer rebinds this name)
@@ -215,18 +217,16 @@ def render_index(index: Index) -> str:  # unused here; the benchmark's tracer re
 
 
 def parse_index(text: str, descriptor: dict, schema: TableSchema) -> Index:  # unused here, like render_index
-    from .staging import parse_cell
-
     index = Index(descriptor["relation"], tuple(descriptor["columns"]))
-    types = [schema.column(c).type for c in index.columns]
+    memos = column_memos([schema.column(c) for c in index.columns], RawCell)
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line:
             continue
         try:
             key_part, ordinal_part = line.rsplit("\t", 1)
-            fields = parse_csv(key_part) or [[]]
-            key = tuple(parse_cell(t, q, vt) for (t, q), vt in zip(fields[0], types))
-            if len(key) != len(types) or any(isinstance(v, RawCell) for v in key):
+            fields = (parse_csv(key_part) or [[]])[0]
+            _, key = next(typed_rows([([t for t, _ in fields], [q for _, q in fields])], memos))
+            if key is None or any(isinstance(v, RawCell) for v in key):
                 raise ValueError("bad key")
             ordinal = int(ordinal_part)
         except (ValueError, ValidationError) as exc:

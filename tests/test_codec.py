@@ -207,6 +207,10 @@ _BARE_TEXT = {
     ValueType.DECIMAL: st.builds("{}{}{}".format, _SIGN, st.integers(0, 10**20), st.from_regex(r"(\.[0-9]{1,5})?", fullmatch=True)),
     ValueType.DATE: st.one_of(st.dates().map(date.isoformat), st.builds("{:04d}-{:02d}-{:02d}".format, st.integers(0, 9999), st.integers(0, 13), st.integers(0, 32))),
     ValueType.TEXT: st.text(st.sampled_from(list("ab Z\t-.+:é09")), min_size=1, max_size=6),
+    # a case-insensitive regex matches ſ (long s) as s, but lower() keeps it, so "falſe" is raw
+    ValueType.BOOLEAN: st.one_of(
+        st.sampled_from(_EDGE_TEXTS[ValueType.BOOLEAN]), st.text(st.sampled_from(list("truefalsTRUEFALSſ")), min_size=1, max_size=6)
+    ),
 }
 
 
@@ -219,35 +223,24 @@ def _bare_column_files(draw):
     return vtype, "".join(t + "\n" for t in draw(st.lists(texts, max_size=8))).encode()
 
 
-def _decoded(data: bytes, vtype: ValueType):
-    try:
-        return "rows", _typed([decode_column(data, "t.col", vtype)])
-    except IntegrityError as exc:
-        return "error", str(exc)
-
-
 @settings(max_examples=500, deadline=None)
 @given(_bare_column_files())
 @example((ValueType.INTEGER, b"\n\n\n"))
 @example((ValueType.DECIMAL, b"1.5\n\n-2\n1.5\n"))
 @example((ValueType.INTEGER, b"7\n1_000\n"))
 @example((ValueType.DATE, b"2024-02-29\n2024-02-30\n"))
-def test_batch_typing_of_a_bare_column_equals_the_memo_path(case):
+@example((ValueType.BOOLEAN, "falſe\n".encode()))
+@example((ValueType.BOOLEAN, "ſ\n".encode()))
+@example((ValueType.BOOLEAN, b"TRUE\nfAlSe\n\n"))
+def test_batch_typing_of_a_bare_column_follows_the_reference_grammar(case):
     """A bare column typed in one pass over its distinct texts
-    (``convert_all``) gives the cells, cell classes and error that typing
-    each text on its own in the memo gives; the pass refuses exactly the
-    columns the memo path refuses."""
-    from unittest import mock
-
-    from uwh.values import convert_all
-
+    (``convert_all``) gives the cells and cell classes that the reference
+    ``oracles.parse_cell`` gives each line, and an ``IntegrityError``
+    wherever a line is raw."""
     vtype, data = case
-    with mock.patch("uwh.staging.convert_all", return_value=None):
-        memo = _decoded(data, vtype)
-    assert _decoded(data, vtype) == memo
-    if vtype is not ValueType.TEXT:  # TEXT has no batch pass; each text is its own cell
-        texts = sorted(set(data.decode().split("\n")) - {""})
-        assert (convert_all(vtype, texts) is None) == (memo[0] == "error")
+    cells = [oracles.parse_cell(line, False, vtype) for line in data.decode().split("\n")[:-1]]
+    expected = ("error", IntegrityError) if any(isinstance(c, RawCell) for c in cells) else ("rows", _typed([cells]))
+    assert _outcome(lambda: [decode_column(data, "t.col", vtype)]) == expected
 
 
 @pytest.mark.parametrize("vtype", list(ValueType), ids=lambda t: t.value)
@@ -312,6 +305,8 @@ def test_decode_faults_name_the_file(data, words):
         (b"1\n1x\n", "does not parse as its declared type"),
         (b'1\n"1x"\n', "does not parse as its declared type"),
         (b"1\n2", "field 2 is not one field and a line end"),
+        (b'1\n"2\n', "t.0.col: field 2 is an unterminated quoted field"),
+        (b'"1"x\n', "field 1 is not one field and a line end"),
     ],
 )
 def test_decode_column_faults_name_the_file(data, words):
@@ -343,6 +338,8 @@ def test_equal_cells_of_a_column_are_one_object():
     dates = decode_column(b"2012-01-02\n2012-01-02\n2012-01-03\n", "t.2.col", ValueType.DATE)
     assert decimals[0] is decimals[1] and dates[0] is dates[1]
     assert decimals[2] == decimals[0] and dates[2] != dates[0]
+    quoted = decode_table(b'a,b\n"2.5","x,y"\n"2.5","x,y"\n', "t.csv", _schema([ValueType.DECIMAL, ValueType.TEXT])).rows
+    assert quoted[0][0] is quoted[1][0] and quoted[0][1] is quoted[1][1]
 
 
 # --- render: against format_row + render_cell, and the round trip ------------

@@ -8,8 +8,10 @@ import line says ``noqa: F401`` and ``perfbench/tracer.py`` lists the
 
 It also checks that ``staging.write_dir_atomically`` is the one function
 that writes, renames or removes files, so every output directory is
-written whole, after the one check of whether it may be, and that every
-module parses as the oldest Python that ``pyproject.toml`` allows.
+written whole, after the one check of whether it may be, that no module
+but ``csvio`` holds a string constant with a double quote, so the CSV
+dialect's quoting rule is written once, and that every module parses as
+the oldest Python that ``pyproject.toml`` allows.
 """
 
 from __future__ import annotations
@@ -161,6 +163,37 @@ def test_a_file_write_outside_the_atomic_writer_is_refused(tmp_path):
         encoding="utf-8",
     )
     assert file_writers(tmp_path) == [f"probe.py:{n}: writes" for n in (13, 14, 15, 16, 17)]
+
+
+def quote_constants(src: Path) -> list[str]:
+    """Each string constant holding ``"`` in the modules of ``src`` but
+    ``csvio``, where the CSV dialect lives; docstrings are exempt."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "csvio.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bodies = [n.body for n in ast.walk(tree) if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))]
+        docstrings = {id(body[0].value) for body in bodies if body and isinstance(body[0], ast.Expr)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and '"' in node.value and id(node) not in docstrings:
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_only_csvio_knows_the_quote():
+    assert quote_constants(_SRC) == []
+
+
+def test_a_quote_outside_csvio_is_refused(tmp_path):
+    (tmp_path / "csvio.py").write_text("QUOTE = '\"'\n", encoding="utf-8")
+    (tmp_path / "probe.py").write_text(
+        '"""A docstring may say ""."""\n\n\n'
+        'def ok(text):\n    """So may a function\'s: "."""\n    return text.split(",")\n\n\n'
+        "def quotes(text, n):\n    pad = ',\"\"' * n\n    return f'\"{text}\"' + pad\n",
+        encoding="utf-8",
+    )
+    assert quote_constants(tmp_path) == ["probe.py:10", "probe.py:11", "probe.py:11"]
 
 
 _OLDEST = re.search(r'requires-python = ">=3\.(\d+)"', (_ROOT / "pyproject.toml").read_text(encoding="utf-8"))
