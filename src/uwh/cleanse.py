@@ -193,21 +193,12 @@ def apply_rule(table: Table, rule: Clean) -> tuple[Table, RuleStats]:
     return Table(table.schema, rows), stats
 
 
-@dataclass
-class TableCleanseSlice:
-    table: str
-    rows_in: int
-    rows_out: int = 0
-    rows_quarantined: int = 0
-    rule_stats: list[RuleStats] = field(default_factory=list)
-    quarantined: list[QRow] = field(default_factory=list)
-
-
-def cleanse_table(table: Table, rules: list[Clean]) -> tuple[Table, TableCleanseSlice]:
+def cleanse_table(table: Table, rules: list[Clean]) -> tuple[Table, list[RuleStats], list[QRow]]:
     """Each row runs the rules in order until one flags it, which quarantines
     it; a row that passes them all but fails strict conformance (surviving
-    raw cell, Null in a non-nullable column) is quarantined after those."""
-    slice_ = TableCleanseSlice(table.name, rows_in=len(table.rows))
+    raw cell, Null in a non-nullable column) is quarantined after those.
+    Returns the kept rows, each rule's RuleStats, and the quarantined rows:
+    by rule, then those that failed conformance."""
     compiled = [(*compile_rule(rule, table.schema), []) for rule in rules]
     check = row_checker(table.schema)
     kept: list[tuple] = []
@@ -225,89 +216,76 @@ def cleanse_table(table: Table, rules: list[Clean]) -> tuple[Table, TableCleanse
                 kept.append(row)
             else:
                 failed.append(QRow(str(issue), tuple(map(render_cell, row))))
+    quarantined: list[QRow] = []
     reaching = len(table.rows)
     for stats, _, flagged in compiled:
         stats.cells_examined = reaching
         stats.cells_quarantined = len(flagged)
         reaching -= len(flagged)
-        slice_.rule_stats.append(stats)
-        slice_.quarantined += flagged
-    slice_.quarantined += failed
-    slice_.rows_out = len(kept)
-    slice_.rows_quarantined = len(slice_.quarantined)
-    if slice_.rows_in != slice_.rows_out + slice_.rows_quarantined:
+        quarantined += flagged
+    quarantined += failed
+    if len(table.rows) != len(kept) + len(quarantined):
         raise AssertionError(f"{table.name}: cleanse conservation violated")
-    return Table(table.schema, kept), slice_
+    return Table(table.schema, kept), [stats for stats, _, _ in compiled], quarantined
 
 
-@dataclass
-class DedupSlice:
-    table: str
-    exact_removed: int = 0
-    pk_conflicts: int = 0
-    quarantined: list[QRow] = field(default_factory=list)
-
-
-def dedup(table: Table) -> tuple[Table, DedupSlice]:
+def dedup(table: Table) -> tuple[Table, int, list[QRow]]:
     """Collapse exact duplicates to their first occurrence; quarantine rows
-    that repeat an earlier primary key with a different payload."""
-    slice_ = DedupSlice(table.name)
+    that repeat an earlier primary key with a different payload. Returns
+    the kept rows, the number of exact duplicates removed, and the
+    ``pk-conflict`` rows in input order."""
     seen_rows: set[tuple] = set()
     seen_pks: set[tuple] = set()
     kept: list[tuple] = []
+    conflicts: list[QRow] = []
     pk_of = key_getter(table.schema.pk_indexes())
     for row in table.rows:
         if row in seen_rows:
-            slice_.exact_removed += 1
             continue
         pk = pk_of(row)
         if pk in seen_pks:
-            slice_.pk_conflicts += 1
-            slice_.quarantined.append(QRow("pk-conflict", tuple(map(render_cell, row))))
+            conflicts.append(QRow("pk-conflict", tuple(map(render_cell, row))))
             continue
         seen_rows.add(row)
         seen_pks.add(pk)
         kept.append(row)
-    return Table(table.schema, kept), slice_
+    return Table(table.schema, kept), len(table.rows) - len(kept) - len(conflicts), conflicts
 
 
-@dataclass
-class ReconcileStats:
-    iterations: int = 0
-    per_fk: dict = field(default_factory=dict)  # label -> {"quarantined": n}
-
-
-def reconcile_foreign_keys(staging: StagingArea) -> tuple[StagingArea, ReconcileStats]:
-    """Quarantine every orphan FK row until the orphan report is empty.
-    Quarantining can orphan dependents, hence the fixpoint loop. Each
-    orphaned FK's entry is ``{"quarantined": n}``, the rows quarantined
-    under its label."""
+def reconcile_foreign_keys(staging: StagingArea) -> tuple[StagingArea, int, dict]:
+    """Quarantine every orphan FK row until no orphan is left. Quarantining
+    can orphan dependents, hence the fixpoint loop. Returns the staging,
+    the number of rounds that quarantined rows, and per orphaned FK label
+    ``{"quarantined": n}``, the rows quarantined under that label."""
     staging = staging.clone()
-    stats = ReconcileStats()
-    report = check_referential_integrity(staging.tables)
-    while not report.is_empty():
-        stats.iterations += 1
+    iterations = 0
+    per_fk: dict[str, dict] = {}
+    orphans = check_referential_integrity(staging.tables)
+    while orphans:
+        iterations += 1
         drops: dict[str, dict[int, str]] = {}  # row -> its last orphaned FK
-        for entry in report.entries:
-            stats.per_fk.setdefault(entry.fk, {"quarantined": 0})
+        for entry in orphans:
+            per_fk.setdefault(entry.fk, {"quarantined": 0})
             drops.setdefault(entry.table, {})[entry.row_index] = entry.fk
         # a quarantined row counts once, under the FK its reason names
         for name, doomed in drops.items():
             table = staging.tables[name]
-            orphans = []
+            rows = []
             for i, label in sorted(doomed.items()):
-                stats.per_fk[label]["quarantined"] += 1
-                orphans.append(QRow(f"orphan:{label}", tuple(map(render_cell, table.rows[i]))))
-            staging.add_quarantine(name, table.schema.column_names, orphans)
+                per_fk[label]["quarantined"] += 1
+                rows.append(QRow(f"orphan:{label}", tuple(map(render_cell, table.rows[i]))))
+            staging.add_quarantine(name, table.schema.column_names, rows)
             staging.tables[name] = Table(table.schema, [row for i, row in enumerate(table.rows) if i not in doomed])
         # only an FK into a table that shrank can gain an orphan
-        report = check_referential_integrity(staging.tables, targets=set(drops))
-    return staging, stats
+        orphans = check_referential_integrity(staging.tables, targets=set(drops))
+    return staging, iterations, per_fk
 
 
 @dataclass
 class CleanseReport:
-    tables: dict = field(default_factory=dict)  # name -> TableCleanseSlice summary
+    # name -> rows_in, rows_out (after dedup, before reconcile), rows_quarantined
+    # (by the rule pass and the conformance check) and each rule's counts
+    tables: dict = field(default_factory=dict)
     dedup: dict = field(default_factory=dict)
     reconcile: dict = field(default_factory=dict)
     reconcile_iterations: int = 0
@@ -355,20 +333,19 @@ def cleanse_staging(
     report = CleanseReport()
     for name in list(staging.tables):
         table = staging.tables[name]
-        table_rules = [r for r in rules if r.table == name]
         columns = table.schema.column_names
         try:
-            cleaned, slice_ = cleanse_table(table, table_rules)
+            cleaned, rule_stats, quarantined = cleanse_table(table, [r for r in rules if r.table == name])
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
-        staging.add_quarantine(name, columns, slice_.quarantined)
-        deduped, dslice = dedup(cleaned)
-        staging.add_quarantine(name, columns, dslice.quarantined)
+        staging.add_quarantine(name, columns, quarantined)
+        deduped, exact_removed, conflicts = dedup(cleaned)
+        staging.add_quarantine(name, columns, conflicts)
         staging.tables[name] = deduped
         report.tables[name] = {
-            "rows_in": slice_.rows_in,
+            "rows_in": len(table.rows),
             "rows_out": len(deduped.rows),
-            "rows_quarantined": slice_.rows_quarantined,
+            "rows_quarantined": len(quarantined),
             "rules": [
                 {
                     "rule": rule_label(s.rule),
@@ -377,13 +354,11 @@ def cleanse_staging(
                     "cells_changed": s.cells_changed,
                     "cells_quarantined": s.cells_quarantined,
                 }
-                for s in slice_.rule_stats
+                for s in rule_stats
             ],
         }
-        report.dedup[name] = {"exact_removed": dslice.exact_removed, "pk_conflicts": dslice.pk_conflicts}
-    staging, rstats = reconcile_foreign_keys(staging)
-    report.reconcile = rstats.per_fk
-    report.reconcile_iterations = rstats.iterations
+        report.dedup[name] = {"exact_removed": exact_removed, "pk_conflicts": len(conflicts)}
+    staging, report.reconcile_iterations, report.reconcile = reconcile_foreign_keys(staging)
     staging.reports["cleanse"] = {"timestamp": timestamp, **report.to_json_dict()}
     return staging, report
 

@@ -7,7 +7,7 @@ fatal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from decimal import Decimal
 from operator import itemgetter
@@ -204,18 +204,11 @@ class OrphanEntry:
     key: tuple
 
 
-@dataclass
-class OrphanReport:
-    entries: list[OrphanEntry] = field(default_factory=list)
-
-    def is_empty(self) -> bool:
-        return not self.entries
-
-
-def check_referential_integrity(tables: Mapping[str, Table], targets=None) -> OrphanReport:
-    """Every FK tuple with all components non-Null must match a target row.
+def check_referential_integrity(tables: Mapping[str, Table], targets=None) -> list[OrphanEntry]:
+    """Every FK tuple with all components non-Null must match a target row;
+    returns one entry per FK tuple that does not, by table, FK and row.
     With ``targets``, only the FKs into those tables are checked."""
-    report = OrphanReport()
+    orphans: list[OrphanEntry] = []
     for table in tables.values():
         for fk in table.schema.foreign_keys:
             target = tables.get(fk.target_table)
@@ -227,5 +220,5 @@ def check_referential_integrity(tables: Mapping[str, Table], targets=None) -> Or
             label = fk.label(table.name)
             for n, key in enumerate(map(local, table.rows)):
                 if key not in present and None not in key:
-                    report.entries.append(OrphanEntry(table.name, label, n, key))
-    return report
+                    orphans.append(OrphanEntry(table.name, label, n, key))
+    return orphans

@@ -19,14 +19,13 @@ plan-level atomicity by construction.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from itertools import repeat
 from operator import itemgetter
 from typing import NoReturn
 
-from .cleanse import TableCleanseSlice, cleanse_table, make_rule
+from .cleanse import RuleStats, cleanse_table, make_rule
 from .errors import PlanValidationError, ValidationError
 from .plan import (
     AddColumn,
@@ -53,7 +52,7 @@ from .plan import (
     pretty_stmt,
 )
 from .schema import ColumnDef, DatabaseSchema, Table, TableSchema, key_getter
-from .staging import DEFAULT_TIMESTAMP, StagingArea
+from .staging import DEFAULT_TIMESTAMP, StagingArea, sha256_hex
 from .warehouse import assemble_snowflake
 from .values import COMPARISONS, ORDERED_TYPES, RawCell, ValueType, coerce_literal, make_decimal, value_tag
 
@@ -411,22 +410,23 @@ def exec_remove_column(staging: StagingArea, stmt: RemoveColumn) -> StagingArea:
     return out
 
 
-def exec_clean(staging: StagingArea, stmt: Clean) -> tuple[StagingArea, TableCleanseSlice]:
+def exec_clean(staging: StagingArea, stmt: Clean) -> tuple[StagingArea, RuleStats, int]:
     """Apply one rule through the cleanse stage's row pass over the whole
     table, so a row is also quarantined for a raw cell, or a Null in a
-    non-nullable column, in any other column. Also return the pass's
-    slice, which counts the cells changed and the rows quarantined."""
+    non-nullable column, in any other column. Also return the rule's
+    RuleStats, which count the cells changed, and the number of rows
+    quarantined."""
     table = staging.tables.get(stmt.table)
     if table is None:
         raise ValidationError(f"unknown table {stmt.table!r}")
     try:  # a malformed rule, or one that does not fit the column
-        cleaned, slice_ = cleanse_table(table, [make_rule(stmt.table, stmt.name, stmt.kind, stmt.args)])
+        cleaned, (stats,), quarantined = cleanse_table(table, [make_rule(stmt.table, stmt.name, stmt.kind, stmt.args)])
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     out = staging.clone()
     out.tables[stmt.table] = cleaned
-    out.add_quarantine(stmt.table, table.schema.column_names, slice_.quarantined)
-    return out, slice_
+    out.add_quarantine(stmt.table, table.schema.column_names, quarantined)
+    return out, stats, len(quarantined)
 
 
 def _exec_statement(staging: StagingArea, stmt: Statement) -> tuple[StagingArea, dict]:
@@ -437,8 +437,8 @@ def _exec_statement(staging: StagingArea, stmt: Statement) -> tuple[StagingArea,
     if isinstance(stmt, DropTable):
         return exec_drop(staging, stmt.table), {"table": stmt.table, "rows": len(staging.tables[stmt.table].rows)}
     if isinstance(stmt, Clean):
-        out, slice_ = exec_clean(staging, stmt)
-        changed, quarantined = sum(s.cells_changed for s in slice_.rule_stats), slice_.rows_quarantined
+        out, stats, quarantined = exec_clean(staging, stmt)
+        changed = stats.cells_changed
         return out, {"table": stmt.table, "rows": changed + quarantined, "cells_changed": changed, "rows_quarantined": quarantined}
     if isinstance(stmt, Fact):
         out = staging.clone()
@@ -511,7 +511,7 @@ def execute_plan(staging: StagingArea, plan: Plan, *, timestamp: str = DEFAULT_T
         except ValidationError as exc:
             _refuse(i, str(exc))
         statements.append({"statement": pretty_stmt(stmt), **entry})
-    plan_hash = hashlib.sha256(pretty_plan(plan).encode("utf-8")).hexdigest()
+    plan_hash = sha256_hex(pretty_plan(plan).encode("utf-8"))
     current = current.clone()
     current.reports["transform"] = report = {"timestamp": timestamp, "plan_hash": plan_hash, "statements": statements}
     return current, report

@@ -80,9 +80,10 @@ def assemble_snowflake(tables: dict[str, Table], fact_decl: str, dim_decls: list
 
     Every dimension must connect to the fact through exactly one chain of
     FK edges (in either direction); dimension keys must be unique and
-    non-Null. This is the one check of a plan's FACT and DIMENSION
-    declarations: ``validate_plan`` makes it on empty tables, where the
-    key checks hold trivially, and ``load`` on the rows.
+    non-Null, and every fact key must resolve to a dimension row. This is
+    the one check of a plan's FACT and DIMENSION declarations:
+    ``validate_plan`` makes it on empty tables, where the key checks hold
+    trivially, and ``load`` on the rows.
     """
     if fact_decl not in tables:
         raise ValidationError(f"fact table {fact_decl!r} does not exist")
@@ -143,7 +144,20 @@ def assemble_snowflake(tables: dict[str, Table], fact_decl: str, dim_decls: list
                 f"fact key column(s) {info.join_parent_columns} must reference the dimension key {info.name}.{info.key}"
             )
 
+    # star-join soundness: every fact key resolves, so ``load`` writes
+    # nothing that would not join; a fact joins each arm on the dimension
+    # key, found non-Null above, so a Null fact key dangles too
     ordered = tuple(assigned[name] for name in dim_names)
+    fact = tables[fact_decl]
+    for info in ordered:
+        if info.parent is not None:
+            continue
+        present = set(_keys(tables[info.name], info.join_columns))
+        for n, key in enumerate(_keys(fact, info.join_parent_columns)):
+            if key not in present:
+                raise ValidationError(
+                    f"fact row {n} has dangling dimension key {tuple(map(render_cell, key))} into {info.name}"
+                )
     return SnowflakeSchema(fact_decl, ordered)
 
 
@@ -239,29 +253,6 @@ def parse_index(text: str, descriptor: dict, schema: TableSchema) -> Index:  # u
 # Load
 
 
-def _checked_snowflake(staging: StagingArea) -> SnowflakeSchema:
-    """The snowflake ``staging`` declares, once every fact key resolves."""
-    if staging.fact_table is None or not staging.dimensions:
-        raise ValidationError("staging carries no fact/dimension declarations; run transform first")
-    snowflake = assemble_snowflake(staging.tables, staging.fact_table, staging.dimensions)
-    tables = staging.tables
-
-    # star-join soundness: every fact key resolves before anything is written;
-    # a fact joins each arm on the dimension key, which assemble_snowflake
-    # found non-Null, so a Null fact key dangles too
-    fact = tables[snowflake.fact]
-    for dim in snowflake.dimensions:
-        if dim.parent is not None:
-            continue
-        present = set(_keys(tables[dim.name], dim.join_columns))
-        for n, key in enumerate(_keys(fact, dim.join_parent_columns)):
-            if key not in present:
-                raise ValidationError(
-                    f"fact row {n} has dangling dimension key {tuple(map(render_cell, key))} into {dim.name}"
-                )
-    return snowflake
-
-
 def load(out_dir: Path, staging: StagingArea, *, timestamp: str) -> dict:
     """Persist the snowflake that ``staging`` declares and the frozen
     catalog, whose joins describe the star join's indexes, all or nothing.
@@ -279,7 +270,9 @@ def load(out_dir: Path, staging: StagingArea, *, timestamp: str) -> dict:
     one the transform recorded."""
     files: dict[str, bytes] = {}
     relations_meta = []
-    snowflake = _checked_snowflake(staging)
+    if staging.fact_table is None or not staging.dimensions:
+        raise ValidationError("staging carries no fact/dimension declarations; run transform first")
+    snowflake = assemble_snowflake(staging.tables, staging.fact_table, staging.dimensions)
     for name in snowflake.relation_names():  # one relation's fields at a time
         schema = staging.tables[name].schema
         entries = []

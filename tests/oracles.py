@@ -5,7 +5,7 @@ nested-loop scans without hash maps, referential checks scan full target
 tables, means are exact rational arithmetic, extraction parses the whole
 file before it types any cell with a grammar of its own (``parse_typed``,
 apart from the engine's ``values.cell_converter``), cleansing applies one rule at a time to
-the whole table with a version of each rule kind of its own, and a derivation is walked afresh for every row.
+the whole table with a version of each rule kind of its own, dedup groups the rows by key, and a derivation is walked afresh for every row.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from decimal import Decimal
 from fractions import Fraction
 from operator import itemgetter
 
-from uwh.cleanse import RuleStats, TableCleanseSlice
+from uwh.cleanse import RuleStats
 from uwh.csvio import format_field, parse_csv
 from uwh.errors import ValidationError
 from uwh.ingest import TableExtraction
@@ -196,14 +196,15 @@ def _rule_on_cell(kind: str, args: tuple, col_type: ValueType, cell):
     raise AssertionError(f"unknown rule kind {kind!r}")
 
 
-def cleanse_table_reference(table: Table, rules: list) -> tuple[Table, TableCleanseSlice]:
+def cleanse_table_reference(table: Table, rules: list) -> tuple[Table, list[RuleStats], list[QRow]]:
     """``cleanse_table`` as one whole-table pass per rule: each pass applies
     the rule to every remaining row, then quarantines the rows it flagged;
     a last pass quarantines the rows that fail ``check_row_reference``. A
     cell counts as changed when the rule gives an unequal value; a changed
     raw cell of a non-TEXT column whose text parses as the type takes the
     typed value."""
-    slice_ = TableCleanseSlice(table.name, rows_in=len(table.rows))
+    all_stats: list[RuleStats] = []
+    quarantined: list[QRow] = []
     rows = list(table.rows)
     for rule in rules:
         col_idx = table.schema.column_index(rule.name)
@@ -233,23 +234,42 @@ def cleanse_table_reference(table: Table, rules: list) -> tuple[Table, TableClea
         rows = []
         for i, row in enumerate(applied):
             if i in flagged:
-                slice_.quarantined.append(
-                    QRow(f"{flagged[i]}:{rule.name}", tuple(render_cell(c) for c in row))
-                )
+                quarantined.append(QRow(f"{flagged[i]}:{rule.name}", tuple(render_cell(c) for c in row)))
                 stats.cells_quarantined += 1
             else:
                 rows.append(row)
-        slice_.rule_stats.append(stats)
+        all_stats.append(stats)
     kept = []
     for row in rows:
         issue = check_row_reference(table.schema, row)
         if issue is None:
             kept.append(row)
         else:
-            slice_.quarantined.append(QRow(str(issue), tuple(render_cell(c) for c in row)))
-    slice_.rows_out = len(kept)
-    slice_.rows_quarantined = len(slice_.quarantined)
-    return Table(table.schema, kept), slice_
+            quarantined.append(QRow(str(issue), tuple(render_cell(c) for c in row)))
+    return Table(table.schema, kept), all_stats, quarantined
+
+
+def dedup_reference(table: Table) -> tuple[list[tuple], int, list[QRow]]:
+    """``dedup`` by grouping: the rows are grouped by primary key, in order
+    of first appearance, and each group keeps its first row. A later row
+    equal to its group's first is a removed duplicate; any other later row
+    is a ``pk-conflict``, listed in input order."""
+    pk = [table.schema.column_index(c) for c in table.schema.primary_key]
+    groups: dict[tuple, list[int]] = {}
+    for i, row in enumerate(table.rows):
+        groups.setdefault(tuple(row[j] for j in pk), []).append(i)
+    firsts = {members[0]: members for members in groups.values()}
+    kept = [table.rows[i] for i in sorted(firsts)]
+    removed = 0
+    conflicting: list[int] = []
+    for first, members in firsts.items():
+        for i in members[1:]:
+            if table.rows[i] == table.rows[first]:
+                removed += 1
+            else:
+                conflicting.append(i)
+    conflicts = [QRow("pk-conflict", tuple(render_cell(c) for c in table.rows[i])) for i in sorted(conflicting)]
+    return kept, removed, conflicts
 
 
 def left_merge_nested_loop(

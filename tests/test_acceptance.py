@@ -182,7 +182,7 @@ def test_criterion_05_cleansing(tmp_path, seed42_staging, seed42_ledger):
     cleansed, _ = cleanse_staging(seed42_staging, RULES, timestamp=TS)
     failures = ledger_recovery_failures(cleansed, seed42_ledger)
     assert failures == []
-    assert check_referential_integrity(cleansed.tables).is_empty()
+    assert check_referential_integrity(cleansed.tables) == []
 
     # idempotence across 100 random seeds
     rng = random.Random(99)

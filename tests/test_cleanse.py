@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import Counter
 from datetime import date
 from decimal import Decimal
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cleanse_table_reference, ledger_precision_failures, ledger_recovery_failures
+from oracles import cleanse_table_reference, dedup_reference, ledger_precision_failures, ledger_recovery_failures
 from uwh import canonical
 from uwh.cleanse import (
     RULE_KINDS,
@@ -74,38 +75,38 @@ def test_null_standardize():
 
 def test_domain_violation_quarantines_row():
     rules = [make_rule("people", "gender", "domain", ("M", "F"))]
-    table, slice_ = cleanse_table(_people([(1, None, "XX", None, None), (2, None, "F", None, None)]), rules)
+    table, stats, quarantined = cleanse_table(_people([(1, None, "XX", None, None), (2, None, "F", None, None)]), rules)
     assert [r[0] for r in table.rows] == [2]
-    assert slice_.quarantined[0].reason == "out-of-domain:gender"
-    assert slice_.rule_stats[0].cells_quarantined == 1
+    assert quarantined[0].reason == "out-of-domain:gender"
+    assert stats[0].cells_quarantined == 1
 
 
 def test_range_violation_quarantines_row():
     rules = [make_rule("people", "score", "range", (0, 100))]
-    table, slice_ = cleanse_table(
+    table, _, quarantined = cleanse_table(
         _people([(1, None, None, None, make_decimal("150")), (2, None, None, None, make_decimal("99")),
                  (3, None, None, None, make_decimal("0")), (4, None, None, None, make_decimal("100"))]), rules
     )
     assert [r[0] for r in table.rows] == [2, 3, 4]  # both bounds are inside the range
-    assert slice_.quarantined[0].reason == "out-of-range:score"
+    assert quarantined[0].reason == "out-of-range:score"
 
 
 def test_unparseable_date_quarantines_row():
     rules = [make_rule("people", "born", "normalize_date", ("iso", "day_first"))]
-    table, slice_ = cleanse_table(_people([(1, None, None, RawCell("soon"), None)]), rules)
+    table, _, quarantined = cleanse_table(_people([(1, None, None, RawCell("soon"), None)]), rules)
     assert not table.rows
-    assert slice_.quarantined[0].reason == "unparseable-date:born"
+    assert quarantined[0].reason == "unparseable-date:born"
 
 
 def test_surviving_raw_cell_quarantines_row():
-    table, slice_ = cleanse_table(_people([(1, None, None, None, RawCell("twelve"))]), [])
+    table, _, quarantined = cleanse_table(_people([(1, None, None, None, RawCell("twelve"))]), [])
     assert not table.rows
-    assert slice_.quarantined[0].reason == "type:score"
+    assert quarantined[0].reason == "type:score"
 
 
 def test_repaired_raw_cell_reparses_to_declared_type():
     rules = [make_rule("people", "score", "trim", ())]
-    table, slice_ = cleanse_table(_people([(1, None, None, None, RawCell(" 88.5 "))]), rules)
+    table, _, _ = cleanse_table(_people([(1, None, None, None, RawCell(" 88.5 "))]), rules)
     assert table.rows[0][4] == make_decimal("88.5")
     assert not isinstance(table.rows[0][4], RawCell)
 
@@ -113,8 +114,8 @@ def test_repaired_raw_cell_reparses_to_declared_type():
 def test_trimmed_raw_cells_reparse_to_falsy_values():
     schema = parse_schema_manifest("TABLE t\n  id INTEGER PK\n  n INTEGER NULL\n  b BOOLEAN NULL\n  d DECIMAL NULL\n").tables["t"]
     rules = [make_rule("t", c, "trim", ()) for c in ("n", "b", "d")]
-    table, slice_ = cleanse_table(Table(schema, [(1, RawCell(" 0 "), RawCell(" false "), RawCell(" 0.0 "))]), rules)
-    assert not slice_.quarantined
+    table, _, quarantined = cleanse_table(Table(schema, [(1, RawCell(" 0 "), RawCell(" false "), RawCell(" 0.0 "))]), rules)
+    assert not quarantined
     assert [(type(v), v) for v in table.rows[0]] == [(int, 1), (int, 0), (bool, False), (Decimal, Decimal("0"))]
 
 
@@ -165,18 +166,17 @@ def test_cleanse_table_second_pass_is_identity():
             (3, "Bob Ray", None, date(2011, 1, 1), None),
         ]
     )
-    once, slice1 = cleanse_table(dirty, rules)
-    twice, slice2 = cleanse_table(once, rules)
+    once, _, _ = cleanse_table(dirty, rules)
+    twice, stats, quarantined = cleanse_table(once, rules)
     assert twice.rows == once.rows
-    assert sum(s.cells_changed for s in slice2.rule_stats) == 0
-    assert not slice2.quarantined
+    assert sum(s.cells_changed for s in stats) == 0
+    assert not quarantined
 
 
 def test_cleanse_empty_table():
-    table, slice_ = cleanse_table(_people([]), [make_rule("people", "name", "trim", ())])
-    assert not table.rows
-    assert slice_.rows_in == slice_.rows_out == 0
-    assert all(s.cells_examined == 0 for s in slice_.rule_stats)
+    table, stats, quarantined = cleanse_table(_people([]), [make_rule("people", "name", "trim", ())])
+    assert not table.rows and not quarantined
+    assert [s.cells_examined for s in stats] == [0]
 
 
 # one column of each type, with a non-nullable TEXT column for the strict check
@@ -255,47 +255,62 @@ def test_cleanse_table_matches_rule_by_rule_reference(data):
     rules = data.draw(st.lists(_rules(), max_size=6))
     rows = data.draw(st.lists(st.tuples(*(_cell(c) for c in MIXED.columns)), max_size=12))
     table = Table(MIXED, rows)
-    got, got_slice = cleanse_table(table, rules)
-    want, want_slice = cleanse_table_reference(table, rules)
+    got, got_stats, got_quarantined = cleanse_table(table, rules)
+    want, want_stats, want_quarantined = cleanse_table_reference(table, rules)
     assert got.rows == want.rows
     assert [type(v) for r in got.rows for v in r] == [type(v) for r in want.rows for v in r]
-    assert got_slice.quarantined == want_slice.quarantined
-    assert [(s.rule, s.cells_examined, s.cells_changed, s.cells_quarantined) for s in got_slice.rule_stats] == [
-        (s.rule, s.cells_examined, s.cells_changed, s.cells_quarantined) for s in want_slice.rule_stats
+    assert got_quarantined == want_quarantined
+    assert [(s.rule, s.cells_examined, s.cells_changed, s.cells_quarantined) for s in got_stats] == [
+        (s.rule, s.cells_examined, s.cells_changed, s.cells_quarantined) for s in want_stats
     ]
-    assert (got_slice.rows_in, got_slice.rows_out, got_slice.rows_quarantined) == (
-        want_slice.rows_in,
-        want_slice.rows_out,
-        want_slice.rows_quarantined,
-    )
 
 
 # --- dedup -------------------------------------------------------------------
 
 
 def test_dedup_collapses_exact_duplicates():
-    table, slice_ = dedup(_people([(1, "A", None, None, None), (1, "A", None, None, None)]))
-    assert len(table.rows) == 1 and slice_.exact_removed == 1
+    table, removed, _ = dedup(_people([(1, "A", None, None, None), (1, "A", None, None, None)]))
+    assert len(table.rows) == 1 and removed == 1
 
 
 def test_dedup_keeps_all_distinct():
     rows = [(1, "A", None, None, None), (2, "B", None, None, None)]
-    table, slice_ = dedup(_people(rows))
-    assert table.rows == rows and slice_.exact_removed == 0 and slice_.pk_conflicts == 0
+    table, removed, conflicts = dedup(_people(rows))
+    assert table.rows == rows and removed == 0 and conflicts == []
 
 
 def test_dedup_pk_conflict_quarantines_second():
-    table, slice_ = dedup(_people([(1, "A", None, None, None), (1, "B", None, None, None)]))
+    table, _, conflicts = dedup(_people([(1, "A", None, None, None), (1, "B", None, None, None)]))
     assert [r[1] for r in table.rows] == ["A"]
-    assert slice_.pk_conflicts == 1
-    assert slice_.quarantined[0].reason == "pk-conflict"
-    assert slice_.quarantined[0].fields[1] == "B"
+    assert len(conflicts) == 1
+    assert conflicts[0].reason == "pk-conflict"
+    assert conflicts[0].fields[1] == "B"
 
 
 def test_dedup_preserves_first_occurrence_order():
     rows = [(3, "C", None, None, None), (1, "A", None, None, None), (3, "C", None, None, None), (2, "B", None, None, None)]
-    table, _ = dedup(_people(rows))
+    table, _, _ = dedup(_people(rows))
     assert [r[0] for r in table.rows] == [3, 1, 2]
+
+
+_DEDUP_SCHEMAS = parse_schema_manifest(
+    "TABLE one\n  id INTEGER PK\n  a TEXT NULL\n  b INTEGER NULL\n"
+    "TABLE two\n  x INTEGER PK\n  y TEXT PK\n  v INTEGER NULL\n"
+).tables
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_dedup_matches_group_by_key_reference(data):
+    """dedup against grouping the rows by primary key: same kept rows in
+    the same order, same duplicate count, same pk-conflict rows in order."""
+    schema = _DEDUP_SCHEMAS[data.draw(st.sampled_from(["one", "two"]))]
+    cell = {ValueType.INTEGER: st.one_of(st.none(), st.integers(0, 2)),
+            ValueType.TEXT: st.one_of(st.none(), st.sampled_from(["", "a", "b"]))}
+    rows = data.draw(st.lists(st.tuples(*(cell[c.type] for c in schema.columns)), max_size=12))
+    table = Table(schema, rows)
+    got, removed, conflicts = dedup(table)
+    assert (got.rows, removed, conflicts) == dedup_reference(table)
 
 
 # --- reconcile ---------------------------------------------------------------
@@ -317,9 +332,9 @@ def _orphan_staging():
 
 
 def test_reconcile_quarantines_orphans_by_default():
-    staging, stats = reconcile_foreign_keys(_orphan_staging())
+    staging, _, _ = reconcile_foreign_keys(_orphan_staging())
     assert [r[0] for r in staging.tables["receipt"].rows] == [10]
-    assert check_referential_integrity(staging.tables).is_empty()
+    assert check_referential_integrity(staging.tables) == []
     assert staging.quarantine["receipt"].rows[0].reason.startswith("orphan:")
 
 
@@ -328,9 +343,9 @@ def test_reconcile_without_orphans_is_byte_identical():
     staging.tables["receipt"] = Table(staging.tables["receipt"].schema, [(10, 1)])
     staging.tables["note"] = Table(staging.tables["note"].schema, [(20, 1)])
     before = staging_fingerprint(staging)
-    after, stats = reconcile_foreign_keys(staging)
+    after, iterations, per_fk = reconcile_foreign_keys(staging)
     assert staging_fingerprint(after) == before
-    assert stats.iterations == 0
+    assert iterations == 0 and per_fk == {}
 
 
 def test_reconcile_cascades_to_fixpoint():
@@ -346,10 +361,10 @@ def test_reconcile_cascades_to_fixpoint():
             "c": Table(db.tables["c"], [(7, 5), (8, 6)]),  # 8 -> 6 -> missing a
         }
     )
-    out, stats = reconcile_foreign_keys(staging)
+    out, iterations, _ = reconcile_foreign_keys(staging)
     assert [r[0] for r in out.tables["c"].rows] == [7]
-    assert stats.iterations == 2
-    assert check_referential_integrity(out.tables).is_empty()
+    assert iterations == 2
+    assert check_referential_integrity(out.tables) == []
 
 
 # --- whole-staging runs -----------------------------------------------------
@@ -357,7 +372,7 @@ def test_reconcile_cascades_to_fixpoint():
 
 def test_cleanse_staging_dirt_accounting(seed42_staging, seed42_ledger):
     cleaned, report = cleanse_staging(seed42_staging, list(canonical.canonical_rules()), timestamp="T")
-    assert check_referential_integrity(cleaned.tables).is_empty()
+    assert check_referential_integrity(cleaned.tables) == []
     # conservation per table: in = out + quarantined-at-cleanse + deduped
     for name, flow in report.tables.items():
         dd = report.dedup[name]
@@ -374,6 +389,38 @@ def test_cleanse_staging_dirt_accounting(seed42_staging, seed42_ledger):
     # reconcile counts each quarantined row once, under the FK it names
     orphans = [r for q in cleaned.quarantine.values() for r in q.rows if r.reason.startswith("orphan:")]
     assert sum(e["quarantined"] for e in report.reconcile.values()) == len(orphans)
+
+
+_RULE_FLAGS = {"unparseable-date", "out-of-domain", "unparseable-number", "out-of-range"}
+
+
+@pytest.mark.parametrize("drop", ["seed42", "dirty25"])
+def test_cleanse_record_counts_the_quarantine_it_writes(request, tmp_path, drop):
+    """Each table's counts in the cleanse record are the records, by
+    reason, that cleanse appended to the table's quarantine."""
+    if drop == "seed42":
+        staging = request.getfixturevalue("seed42_staging")
+    else:
+        from uwh.datagen import GenConfig, generate
+        from uwh.ingest import extract_database
+
+        generate(GenConfig(seed=42, students=100, semesters=2, dirty_rate=0.25), tmp_path / "src")
+        staging, _ = extract_database(tmp_path / "src", canonical.canonical_schema())
+    cleaned, report = cleanse_staging(staging, list(canonical.canonical_rules()), timestamp="T")
+    orphans: Counter = Counter()
+    for name, flow in report.tables.items():
+        before = len(staging.quarantine[name]) if name in staging.quarantine else 0
+        after = cleaned.quarantine[name].rows[before:] if name in cleaned.quarantine else []
+        reasons = Counter(r.reason for r in after)
+        assert report.dedup[name]["pk_conflicts"] == reasons.pop("pk-conflict", 0), name
+        for reason in [r for r in reasons if r.startswith("orphan:")]:
+            orphans[reason.removeprefix("orphan:")] += reasons.pop(reason)
+        # what is left came from the rule pass and the conformance check
+        assert flow["rows_quarantined"] == sum(reasons.values()), name
+        flagged = sum(n for reason, n in reasons.items() if reason.partition(":")[0] in _RULE_FLAGS)
+        assert sum(r["cells_quarantined"] for r in flow["rules"]) == flagged, name
+    assert orphans and set(orphans) <= set(report.reconcile)
+    assert all(e["quarantined"] == orphans[label] for label, e in report.reconcile.items())
 
 
 def test_cleanse_staging_idempotent_on_seed42(seed42_cleansed):

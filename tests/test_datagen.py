@@ -62,7 +62,7 @@ def test_clean_output_passes_all_checks(tmp_path):
     for table in staging.tables.values():
         for row in table.rows:
             assert check_row(table.schema, row) is None
-    assert check_referential_integrity(staging.tables).is_empty()
+    assert check_referential_integrity(staging.tables) == []
 
 
 def test_clean_output_cleanses_to_zero_changes(tmp_path):

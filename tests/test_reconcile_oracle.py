@@ -81,11 +81,11 @@ def _oracle_fixpoint(tables: dict[str, Table]):
 @settings(max_examples=300, deadline=None)
 @given(fk_graphs())
 def test_reconcile_equals_oracle_fixpoint(tables):
-    out, stats = reconcile_foreign_keys(StagingArea(dict(tables)))
+    out, got_rounds, got_per_fk = reconcile_foreign_keys(StagingArea(dict(tables)))
     want_tables, want_quarantine, rounds, per_fk = _oracle_fixpoint(tables)
 
     assert {name: t.rows for name, t in out.tables.items()} == {name: t.rows for name, t in want_tables.items()}
     assert {name: q.rows for name, q in out.quarantine.items()} == want_quarantine
-    assert stats.iterations == rounds
-    assert stats.per_fk == per_fk
-    assert check_referential_integrity(out.tables).is_empty()
+    assert got_rounds == rounds
+    assert got_per_fk == per_fk
+    assert check_referential_integrity(out.tables) == []

@@ -106,13 +106,13 @@ def test_referential_integrity_reports_orphan_transcript():
         "section": Table(section, [(1,)]),
         "transcript": Table(transcript, [(7, 1), (8, 99)]),
     }
-    report = check_referential_integrity(tables)
-    assert [(e.table, e.row_index) for e in report.entries] == [("transcript", 1)]
-    assert "section" in report.entries[0].fk
+    orphans = check_referential_integrity(tables)
+    assert [(e.table, e.row_index) for e in orphans] == [("transcript", 1)]
+    assert "section" in orphans[0].fk
 
 
 def test_referential_integrity_empty_database():
-    assert check_referential_integrity({}).is_empty()
+    assert check_referential_integrity({}) == []
 
 
 def test_null_fk_components_are_not_orphans():
@@ -124,23 +124,22 @@ def test_null_fk_components_are_not_orphans():
         [ForeignKey(("p_ref",), "p", ("id",))],
     )
     tables = {"p": Table(parent, [(1,)]), "c": Table(child, [(1, None), (2, 1)])}
-    assert check_referential_integrity(tables).is_empty()
+    assert check_referential_integrity(tables) == []
 
 
 def test_referential_integrity_matches_nested_loop_oracle(seed42_staging):
-    report = check_referential_integrity(seed42_staging.tables)
-    got = {(e.table, e.fk, e.row_index) for e in report.entries}
+    got = {(e.table, e.fk, e.row_index) for e in check_referential_integrity(seed42_staging.tables)}
     assert got == orphan_rows_nested_loop(seed42_staging.tables)
     assert got, "seed-42 dirty staging should contain orphans before reconciliation"
 
 
 
 def _check_targets(tables, targets):
-    """The report restricted to ``targets`` is the full report's entries
+    """The orphans restricted to ``targets`` are the full list's entries
     for the FKs into those tables, in the same order."""
     into = {fk.label(t.name): fk.target_table for t in tables.values() for fk in t.schema.foreign_keys}
-    full = check_referential_integrity(tables).entries
-    got = check_referential_integrity(tables, targets=set(targets)).entries
+    full = check_referential_integrity(tables)
+    got = check_referential_integrity(tables, targets=set(targets))
     assert got == [e for e in full if into[e.fk] in targets]
 
 
