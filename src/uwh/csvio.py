@@ -5,8 +5,9 @@ knows how a field is quoted or where a record ends.
 A hand-rolled parser instead of the csv module for one reason: the
 dialect distinguishes a bare empty field (Null) from a quoted empty
 field (empty text), and stdlib readers erase that distinction. The
-parser reports a ``quoted`` flag per field and accepts LF, CRLF, and CR
-line ends; embedded newlines inside quoted fields are preserved.
+parser reads each field with one compiled pattern, reports a ``quoted``
+flag per field and accepts LF, CRLF, and CR line ends; embedded
+newlines inside quoted fields are preserved.
 Source, staging table and dirt ledger files are read by ``iter_records``,
 which splits lines with no quote and no CR on commas and hands any other
 record to the parser (``parse_csv`` is the whole-text reference it is
@@ -21,7 +22,9 @@ from collections.abc import Iterator
 
 from .errors import ValidationError
 
-_UNQUOTED_END = re.compile(r"[,\r\n]")
+# a quoted field, where (?!") keeps a doubled quote at the end of the input unterminated, or
+# an unquoted one, which does not start with a quote; no match is an unterminated quoted field
+_FIELD = re.compile(r'"([^"]*(?:""[^"]*)*)"(?!")|(?!")[^,\r\n]*')
 NEEDS_QUOTES = re.compile(r'[,"\r\n]').search
 
 Field = tuple[str, bool]  # (text, was_quoted)
@@ -37,26 +40,11 @@ def parse_record(text: str, pos: int) -> tuple[list[Field], int]:
     if pos < n and text[pos] in "\r\n":
         return fields, pos + (2 if text.startswith("\r\n", pos) else 1)
     while pos < n:
-        if text[pos] == '"':
-            i = pos + 1
-            parts: list[str] = []
-            while True:
-                j = text.find('"', i)
-                if j < 0:
-                    raise ValidationError(f"{_UNTERMINATED} at offset {pos}")
-                parts.append(text[i:j])
-                if text.startswith('""', j):
-                    parts.append('"')
-                    i = j + 2
-                    continue
-                pos = j + 1
-                break
-            fields.append(("".join(parts), True))
-        else:
-            m = _UNQUOTED_END.search(text, pos)
-            end = m.start() if m else n
-            fields.append((text[pos:end], False))
-            pos = end
+        m = _FIELD.match(text, pos)
+        if m is None:
+            raise ValidationError(f"{_UNTERMINATED} at offset {pos}")
+        fields.append((m[0], False) if m[1] is None else (m[1].replace('""', '"'), True))
+        pos = m.end()
         if pos >= n:
             break
         ch = text[pos]

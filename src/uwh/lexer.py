@@ -1,8 +1,9 @@
-"""Tokenizer shared by the transform-plan language and the rules file.
+"""Tokenizer shared by plans, rules, schema manifests and query expressions.
 
 Keywords are case-insensitive; identifiers keep their case. ``--``
 comments run to end of line. String literals are single-quoted with
-``''`` as the escape. Every token carries its 1-based line and column.
+``''`` as the escape. One compiled pattern reads every token, blank run
+and comment; every token carries its 1-based line and column.
 """
 
 from __future__ import annotations
@@ -23,11 +24,16 @@ KEYWORDS = frozenset(
     }
 )
 
-# multi-char symbols first so <= beats <
-SYMBOLS = ("<=", ">=", "<>", "=", "<", ">", ";", ",", "(", ")", ".")
-
-_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(r"-?[0-9]+(\.[0-9]+)?")
+# alternatives tried in order, <= before <; a string holds no LF, and (?!') keeps
+# a doubled quote at the end of the input unterminated
+_TOKEN = re.compile(
+    r"""(?P<newline>\n) | [ \t\r]+ | --[^\n]*
+    | '(?P<string>[^'\n]*(?:''[^'\n]*)*)'(?!')
+    | (?P<number>-?[0-9]+(?:\.[0-9]+)?)
+    | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<symbol><=|>=|<>|[=<>;,().])""",
+    re.VERBOSE,
+)
 
 
 @dataclass(frozen=True)
@@ -51,58 +57,24 @@ class Token:
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     line = 1
-    line_start = 0
-    pos = 0
+    line_start = pos = 0
     n = len(text)
     while pos < n:
-        ch = text[pos]
-        if ch == "\n":
-            line += 1
-            pos += 1
-            line_start = pos
-            continue
-        if ch in " \t\r":
-            pos += 1
-            continue
+        m = _TOKEN.match(text, pos)
         col = pos - line_start + 1
-        if text.startswith("--", pos):
-            eol = text.find("\n", pos)
-            pos = n if eol < 0 else eol
-            continue
-        if ch == "'":
-            i = pos + 1
-            parts: list[str] = []
-            while True:
-                j = text.find("'", i)
-                if j < 0 or "\n" in text[i:j]:
-                    raise ParseError("unterminated string literal", line, col)
-                parts.append(text[i:j])
-                if text.startswith("''", j):
-                    parts.append("'")
-                    i = j + 2
-                    continue
-                pos = j + 1
-                break
-            tokens.append(Token("string", "".join(parts), line, col))
-            continue
-        m = _NUMBER_RE.match(text, pos)
-        if m and (ch.isdigit() or (ch == "-" and pos + 1 < n and text[pos + 1].isdigit())):
-            tokens.append(Token("number", m.group(0), line, col))
-            pos = m.end()
-            continue
-        m = _WORD_RE.match(text, pos)
-        if m:
-            word = m.group(0)
-            kind = "kw" if word.upper() in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, line, col))
-            pos = m.end()
-            continue
-        for sym in SYMBOLS:
-            if text.startswith(sym, pos):
-                tokens.append(Token("symbol", sym, line, col))
-                pos += len(sym)
-                break
-        else:
-            raise ParseError(f"illegal character {ch!r}", line, col)
+        if m is None:
+            fault = "unterminated string literal" if text[pos] == "'" else f"illegal character {text[pos]!r}"
+            raise ParseError(fault, line, col)
+        pos = m.end()
+        kind = m.lastgroup
+        if kind == "newline":
+            line += 1
+            line_start = pos
+        elif kind == "string":
+            tokens.append(Token(kind, m[kind].replace("''", "'"), line, col))
+        elif kind == "word":
+            tokens.append(Token("kw" if m[kind].upper() in KEYWORDS else "ident", m[kind], line, col))
+        elif kind:
+            tokens.append(Token(kind, m[kind], line, col))
     tokens.append(Token("eof", "", line, n - line_start + 1))
     return tokens

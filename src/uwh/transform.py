@@ -203,29 +203,17 @@ def _difficulty_labels(rows: list[tuple], g_idx: int, k_idx: int, hi: Decimal, l
     with exact rational arithmetic. Null grades are excluded; an all-Null
     or empty group is 'unknown'; a Null group key forms its own group.
     """
-    sums: dict[object, Decimal] = {}
-    counts: dict[object, int] = {}
+    groups: dict[object, list] = {}
     for row in rows:
-        key = row[k_idx]
-        grade = row[g_idx]
-        if grade is None:
-            sums.setdefault(key, Decimal(0))
-            counts.setdefault(key, 0)
-            continue
-        sums[key] = sums.get(key, Decimal(0)) + (grade if isinstance(grade, Decimal) else Decimal(grade))
-        counts[key] = counts.get(key, 0) + 1
+        groups.setdefault(row[k_idx], []).append(row[g_idx])
     labels: dict[object, str] = {}
-    for key, count in counts.items():
-        if count == 0:
+    for key, grades in groups.items():
+        known = [grade for grade in grades if grade is not None]
+        if not known:
             labels[key] = "unknown"
             continue
-        mean = sums[key] / count
-        if mean >= hi:
-            labels[key] = "low"
-        elif mean >= lo:
-            labels[key] = "medium"
-        else:
-            labels[key] = "high"
+        mean = sum(known, Decimal(0)) / len(known)
+        labels[key] = "low" if mean >= hi else "medium" if mean >= lo else "high"
     return labels
 
 

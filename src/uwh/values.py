@@ -124,6 +124,21 @@ def coerce_literal(value, vtype: ValueType):
     raise ValueError(f"literal {value!r} does not match type {vtype.value}")
 
 
+def _int64(text: str) -> int:
+    n = int(text)
+    if not INT64_MIN <= n <= INT64_MAX:
+        raise ValueError(f"{text} is outside the 64-bit range")
+    return n
+
+
+# the grammar's match and the parse of a matching text, which raises ValueError for a value the type cannot hold
+_GRAMMARS = {
+    ValueType.INTEGER: (_INT_RE.match, _int64),
+    ValueType.DECIMAL: (_DEC_RE.match, make_decimal),
+    ValueType.DATE: (_ISO_DATE_RE.match, date.fromisoformat),
+}
+
+
 def cell_converter(vtype: ValueType) -> Callable[[str], object]:
     """The one grammar of ``vtype``, as a function of a field's text: empty
     text is Null, text of the type is its value (a 64-bit INTEGER, a DECIMAL
@@ -139,43 +154,19 @@ def cell_converter(vtype: ValueType) -> Callable[[str], object]:
                 return value
             return RawCell(text) if text else None
 
-    elif vtype is ValueType.INTEGER:
+        return convert
+    match, parse = _GRAMMARS[vtype]
 
-        def convert(text, match=_INT_RE.match):
-            if match(text):
-                n = int(text)
-                if INT64_MIN <= n <= INT64_MAX:
-                    return n
-            elif not text:
-                return None
-            return RawCell(text)
+    def convert(text):
+        if match(text):
+            try:
+                return parse(text)
+            except ValueError:
+                pass
+        elif not text:
+            return None
+        return RawCell(text)
 
-    elif vtype is ValueType.DECIMAL:
-
-        def convert(text, match=_DEC_RE.match):
-            if match(text):
-                try:
-                    return Decimal(text).quantize(DEC4, rounding=ROUND_HALF_EVEN)
-                except InvalidOperation:
-                    pass
-            elif not text:
-                return None
-            return RawCell(text)
-
-    elif vtype is ValueType.DATE:
-
-        def convert(text, match=_ISO_DATE_RE.match):
-            if match(text):
-                try:
-                    return date.fromisoformat(text)
-                except ValueError:
-                    pass
-            elif not text:
-                return None
-            return RawCell(text)
-
-    else:
-        raise TypeError(f"unknown value type {vtype!r}")
     return convert
 
 

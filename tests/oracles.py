@@ -5,7 +5,8 @@ nested-loop scans without hash maps, referential checks scan full target
 tables, means are exact rational arithmetic, extraction parses the whole
 file before it types any cell with a grammar of its own (``parse_typed``,
 apart from the engine's ``values.cell_converter``), cleansing applies one rule at a time to
-the whole table with a version of each rule kind of its own, dedup groups the rows by key, and a derivation is walked afresh for every row.
+the whole table with a version of each rule kind of its own, dedup groups the rows by key, a derivation is walked afresh for every row,
+and tokens and CSV fields are read by scanners that dispatch on the next character, not by one pattern of alternatives.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from operator import itemgetter
 
 from uwh.cleanse import RuleStats
 from uwh.csvio import format_field, parse_csv
-from uwh.errors import ValidationError
+from uwh.errors import ParseError, ValidationError
 from uwh.ingest import TableExtraction
+from uwh.lexer import KEYWORDS, Token
 from uwh.plan import Cmp, Coalesce, Col, Difficulty, IsNull, Lit, Logical, Not, PaidOnDue
 from uwh.schema import RowIssue, Table, TableSchema
 from uwh.staging import QRow, Quarantine
@@ -686,3 +688,115 @@ def resign_dump(directory, edit=None) -> None:
     meta["self_checksum"] = ""
     meta["self_checksum"] = hashlib.sha256(text(meta)).hexdigest()
     (directory / "meta.json").write_bytes(text(meta))
+
+
+_REF_SYMBOLS = ("<=", ">=", "<>", "=", "<", ">", ";", ",", "(", ")", ".")  # multi-char first so <= beats <
+_REF_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_REF_NUMBER_RE = re.compile(r"-?[0-9]+(\.[0-9]+)?")
+_REF_UNQUOTED_END = re.compile(r"[,\r\n]")
+
+
+def tokenize_reference(text: str) -> list[Token]:
+    """``lexer.tokenize`` as a character-by-character scanner: each step
+    looks at the next character and dispatches on it."""
+    tokens: list[Token] = []
+    line = 1
+    line_start = 0
+    pos = 0
+    n = len(text)
+    while pos < n:
+        ch = text[pos]
+        if ch == "\n":
+            line += 1
+            pos += 1
+            line_start = pos
+            continue
+        if ch in " \t\r":
+            pos += 1
+            continue
+        col = pos - line_start + 1
+        if text.startswith("--", pos):
+            eol = text.find("\n", pos)
+            pos = n if eol < 0 else eol
+            continue
+        if ch == "'":
+            i = pos + 1
+            parts: list[str] = []
+            while True:
+                j = text.find("'", i)
+                if j < 0 or "\n" in text[i:j]:
+                    raise ParseError("unterminated string literal", line, col)
+                parts.append(text[i:j])
+                if text.startswith("''", j):
+                    parts.append("'")
+                    i = j + 2
+                    continue
+                pos = j + 1
+                break
+            tokens.append(Token("string", "".join(parts), line, col))
+            continue
+        m = _REF_NUMBER_RE.match(text, pos)
+        if m and (ch.isdigit() or (ch == "-" and pos + 1 < n and text[pos + 1].isdigit())):
+            tokens.append(Token("number", m.group(0), line, col))
+            pos = m.end()
+            continue
+        m = _REF_WORD_RE.match(text, pos)
+        if m:
+            word = m.group(0)
+            kind = "kw" if word.upper() in KEYWORDS else "ident"
+            tokens.append(Token(kind, word, line, col))
+            pos = m.end()
+            continue
+        for sym in _REF_SYMBOLS:
+            if text.startswith(sym, pos):
+                tokens.append(Token("symbol", sym, line, col))
+                pos += len(sym)
+                break
+        else:
+            raise ParseError(f"illegal character {ch!r}", line, col)
+    tokens.append(Token("eof", "", line, n - line_start + 1))
+    return tokens
+
+
+def parse_record_reference(text: str, pos: int) -> tuple[list[tuple[str, bool]], int]:
+    """``csvio.parse_record`` as a scanner that dispatches on a field's first
+    character: a quoted field is cut at each quote found, with ``""`` read
+    as one quote, and an unquoted one runs to the next comma, CR or LF."""
+    fields: list[tuple[str, bool]] = []
+    n = len(text)
+    if pos < n and text[pos] in "\r\n":
+        return fields, pos + (2 if text.startswith("\r\n", pos) else 1)
+    while pos < n:
+        if text[pos] == '"':
+            i = pos + 1
+            parts: list[str] = []
+            while True:
+                j = text.find('"', i)
+                if j < 0:
+                    raise ValidationError(f"unterminated quoted field at offset {pos}")
+                parts.append(text[i:j])
+                if text.startswith('""', j):
+                    parts.append('"')
+                    i = j + 2
+                    continue
+                pos = j + 1
+                break
+            fields.append(("".join(parts), True))
+        else:
+            m = _REF_UNQUOTED_END.search(text, pos)
+            end = m.start() if m else n
+            fields.append((text[pos:end], False))
+            pos = end
+        if pos >= n:
+            break
+        ch = text[pos]
+        if ch == ",":
+            pos += 1
+            if pos >= n:  # input ends on a separator: one last empty field
+                fields.append(("", False))
+            continue
+        if ch in "\r\n":
+            pos += 2 if text.startswith("\r\n", pos) else 1
+            return fields, pos
+        raise ValidationError(f"expected separator after quoted field at offset {pos}")
+    return fields, pos

@@ -394,10 +394,12 @@ def test_cleanse_staging_dirt_accounting(seed42_staging, seed42_ledger):
 _RULE_FLAGS = {"unparseable-date", "out-of-domain", "unparseable-number", "out-of-range"}
 
 
-@pytest.mark.parametrize("drop", ["seed42", "dirty25"])
+@pytest.mark.parametrize("drop", ["seed42", "dirty25", "pk_conflict"])
 def test_cleanse_record_counts_the_quarantine_it_writes(request, tmp_path, drop):
     """Each table's counts in the cleanse record are the records, by
-    reason, that cleanse appended to the table's quarantine."""
+    reason, that cleanse appended to the table's quarantine. The
+    ``pk_conflict`` drop is ``dirty25`` with one more department row that
+    repeats department 1's key under another name."""
     if drop == "seed42":
         staging = request.getfixturevalue("seed42_staging")
     else:
@@ -405,6 +407,9 @@ def test_cleanse_record_counts_the_quarantine_it_writes(request, tmp_path, drop)
         from uwh.ingest import extract_database
 
         generate(GenConfig(seed=42, students=100, semesters=2, dirty_rate=0.25), tmp_path / "src")
+        if drop == "pk_conflict":
+            with (tmp_path / "src" / "department.csv").open("a", encoding="utf-8") as f:
+                f.write("1,Conflicting Department,Faculty Of Science\n")
         staging, _ = extract_database(tmp_path / "src", canonical.canonical_schema())
     cleaned, report = cleanse_staging(staging, list(canonical.canonical_rules()), timestamp="T")
     orphans: Counter = Counter()
@@ -421,6 +426,8 @@ def test_cleanse_record_counts_the_quarantine_it_writes(request, tmp_path, drop)
         assert sum(r["cells_quarantined"] for r in flow["rules"]) == flagged, name
     assert orphans and set(orphans) <= set(report.reconcile)
     assert all(e["quarantined"] == orphans[label] for label, e in report.reconcile.items())
+    if drop == "pk_conflict":
+        assert report.dedup["department"]["pk_conflicts"] == 1
 
 
 def test_cleanse_staging_idempotent_on_seed42(seed42_cleansed):

@@ -253,7 +253,7 @@ def test_decode_matches_parse_cell_on_edge_texts(vtype):
     assert len(decoded) == 2 * len(texts) + 1
 
 
-_GRAMMAR_EDGES = ["", " 0", "-0", "+1", "9223372036854775808", "1.23456", "TRUE", "2011-02-30"]
+_GRAMMAR_EDGES = ["", " 0", "-0", "+1", "9223372036854775808", "9" * 5000, "1.23456", "TRUE", "2011-02-30"]
 
 
 def _edge_examples(test):

@@ -11,7 +11,8 @@ that writes, renames or removes files, so every output directory is
 written whole, after the one check of whether it may be, that no module
 but ``csvio`` holds a string constant with a double quote, so the CSV
 dialect's quoting rule is written once, and that every module parses as
-the oldest Python that ``pyproject.toml`` allows.
+the oldest Python that ``pyproject.toml`` allows and holds no regular
+expression syntax that only a newer ``re`` accepts.
 """
 
 from __future__ import annotations
@@ -165,19 +166,24 @@ def test_a_file_write_outside_the_atomic_writer_is_refused(tmp_path):
     assert file_writers(tmp_path) == [f"probe.py:{n}: writes" for n in (13, 14, 15, 16, 17)]
 
 
+def _string_constants(path: Path):
+    """Each string constant of module ``path`` but its docstrings, the
+    constant parts of f-strings included."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bodies = [n.body for n in ast.walk(tree) if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))]
+    docstrings = {id(body[0].value) for body in bodies if body and isinstance(body[0], ast.Expr)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+            yield node
+
+
 def quote_constants(src: Path) -> list[str]:
     """Each string constant holding ``"`` in the modules of ``src`` but
     ``csvio``, where the CSV dialect lives; docstrings are exempt."""
     found = []
     for path in sorted(src.glob("*.py")):
-        if path.name == "csvio.py":
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        bodies = [n.body for n in ast.walk(tree) if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))]
-        docstrings = {id(body[0].value) for body in bodies if body and isinstance(body[0], ast.Expr)}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Constant) and isinstance(node.value, str) and '"' in node.value and id(node) not in docstrings:
-                found.append(f"{path.name}:{node.lineno}")
+        if path.name != "csvio.py":
+            found += [f"{path.name}:{node.lineno}" for node in _string_constants(path) if '"' in node.value]
     return found
 
 
@@ -202,7 +208,41 @@ _OLDEST = re.search(r'requires-python = ">=3\.(\d+)"', (_ROOT / "pyproject.toml"
 @pytest.mark.parametrize("module", sorted(p.stem for p in _SRC.glob("*.py")))
 def test_module_parses_as_the_oldest_python_allowed(module):
     # This catches syntax only: the grammar of that version as ``ast`` knows
-    # it. A newer library feature, such as a regex construct that the older
-    # ``re`` refuses, still passes.
+    # it. A newer library feature still passes; for the regex constructs the
+    # older ``re`` refuses, see ``python_311_patterns``.
     source = (_SRC / f"{module}.py").read_text(encoding="utf-8")
     ast.parse(source, filename=f"{module}.py", feature_version=(3, int(_OLDEST.group(1))))
+
+
+_ESCAPE = re.compile(r"\\.", re.DOTALL)
+_CLASS = re.compile(r"\[\^?\]?[^\]]*\]")
+_PYTHON_311_SYNTAX = re.compile(r"[*+?}]\+|\(\?>")  # a possessive quantifier or an atomic group
+
+
+def python_311_patterns(src: Path) -> list[str]:
+    """Each string constant in the modules of ``src`` that, read as a
+    regular expression, holds a possessive quantifier (``*+``, ``++``,
+    ``?+``, ``}+``) or an atomic group (``(?>``), which ``re`` accepts only
+    from Python 3.11 on. Each escape and character class is read as one
+    atom first, so ``\\++`` and ``[*+]+`` pass; docstrings are exempt."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in _string_constants(path):
+            if _PYTHON_311_SYNTAX.search(_CLASS.sub("x", _ESCAPE.sub("x", node.value))):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_patterns_compile_on_the_oldest_python_allowed():
+    assert python_311_patterns(_SRC) == []
+
+
+def test_a_python_311_pattern_is_refused(tmp_path):
+    (tmp_path / "probe.py").write_text(
+        '"""Docstrings may say a*+."""\nimport re\n\n'
+        'OK = [re.compile(r"\\++[*+?][+]+a{2}"), re.compile(r"[^\\]?+]+")]\n'
+        'BAD = [re.compile(r"a*+"), re.compile(r"a++"), re.compile(r"a?+"), re.compile(r"a{2}+")]\n'
+        'ATOMIC = re.compile(rf"(?>{OK})")\n',
+        encoding="utf-8",
+    )
+    assert python_311_patterns(tmp_path) == ["probe.py:5"] * 4 + ["probe.py:6"]
